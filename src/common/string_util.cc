@@ -33,6 +33,38 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+std::string PercentEscape(const std::string& s) {
+  std::string out;
+  for (unsigned char c : s) {
+    if (c <= ' ' || c == '%' || c == 0x7f) {
+      out += StrFormat("%%%02X", c);
+    } else {
+      out.push_back(static_cast<char>(c));
+    }
+  }
+  return out.empty() ? "%00" : out;
+}
+
+Result<std::string> PercentUnescape(const std::string& s) {
+  auto is_hex = [&s](size_t j) {
+    return j < s.size() && std::isxdigit(static_cast<unsigned char>(s[j]));
+  };
+  std::string out;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '%') {
+      out.push_back(s[i]);
+      continue;
+    }
+    if (!is_hex(i + 1) || !is_hex(i + 2)) {
+      return Status::InvalidArgument("bad percent escape in: " + s);
+    }
+    const int c = std::stoi(s.substr(i + 1, 2), nullptr, 16);
+    if (c != 0) out.push_back(static_cast<char>(c));  // "%00": empty token
+    i += 2;
+  }
+  return out;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace eva {
 
 /// ASCII lower-casing (identifiers in EVA-QL are case-insensitive).
@@ -16,6 +18,12 @@ std::string Join(const std::vector<std::string>& parts,
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
+
+/// Percent-escaping for space-separated text tokens: control bytes, space,
+/// '%' and DEL become %XX; "" becomes "%00" (unescaping drops NUL bytes).
+/// Unescape rejects truncated or non-hex escapes.
+std::string PercentEscape(const std::string& s);
+Result<std::string> PercentUnescape(const std::string& s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -255,8 +255,7 @@ Status EvaEngine::SaveViews(const std::string& dir) {
   // therefore IS a checkpoint; saving elsewhere is a snapshot export.
   if (wal_writer_ != nullptr && dir == wal_dir_) return Checkpoint();
   fault::FaultFs fs(injector_.active() ? &injector_ : nullptr);
-  return storage::SaveSession(views_, manager_, dir, &fs,
-                              {options_.segment_compression});
+  return storage::SaveSession(views_, manager_, dir, &fs);
 }
 
 Status EvaEngine::LoadViews(const std::string& dir) {
@@ -328,7 +327,6 @@ void EvaEngine::ClearReuseState() {
     // resurrect the dropped views. A failed checkpoint (injected crash)
     // leaves the previous state recoverable instead — a lost reset, never
     // an unsound one.
-    wal_known_views_.clear();
     (void)Checkpoint();
   }
   PublishViewsSnapshot();
@@ -397,10 +395,6 @@ Status EvaEngine::EnableWal(const std::string& dir) {
   // ops are not re-journaled into the log they just came from.
   views_.set_capture_appends(true);
   manager_.set_journal_enabled(true);
-  wal_known_views_.clear();
-  for (const auto& [name, view] : views_.views()) {
-    wal_known_views_.insert(name);
-  }
 
   if (registry_ != nullptr && !last_replay_.clean()) {
     if (auto* c = registry_->GetCounter(
@@ -445,8 +439,7 @@ Status EvaEngine::Checkpoint() {
   // snapshot below must supersede everything the old generation holds.
   EVA_RETURN_IF_ERROR(WalCommitQuery(query_seq_, {}));
 
-  EVA_RETURN_IF_ERROR(storage::SaveSession(views_, manager_, wal_dir_, &fs,
-                                           {options_.segment_compression}));
+  EVA_RETURN_IF_ERROR(storage::SaveSession(views_, manager_, wal_dir_, &fs));
   EVA_ASSIGN_OR_RETURN(int64_t gen,
                        storage::ManifestGeneration(wal_dir_, &fs));
 
@@ -467,12 +460,6 @@ Status EvaEngine::Checkpoint() {
   const std::string old_path = wal_writer_->path();
   wal_writer_ = std::move(fresh);
   (void)fs.Remove(old_path);
-  // The snapshot now admits every live view; the new log needs no
-  // admission records for them.
-  wal_known_views_.clear();
-  for (const auto& [name, view] : views_.views()) {
-    wal_known_views_.insert(name);
-  }
 
   if (registry_ != nullptr) {
     if (auto* c = registry_->GetCounter(
@@ -582,37 +569,32 @@ Result<ingest::StreamIngestor::FlushResult> EvaEngine::IngestFrames(
 Status EvaEngine::WalCommitQuery(
     int64_t query_id, const std::vector<lifecycle::EvictionEvent>& evictions) {
   if (wal_writer_ == nullptr) return Status::OK();
-  // Batch order is the soundness argument for torn tails: admissions, then
-  // appends, then coverage ops in live order, then evictions LAST. Any
-  // durable prefix of that sequence recovers to a state that at worst
-  // underclaims (rows without claims, or un-evicted segments whose claims
-  // and rows are both still present) — never the reverse.
+  // Batch order is the soundness argument for torn tails: appends, then
+  // coverage ops in live order, then evictions LAST. Any durable prefix of
+  // that sequence recovers to a state that at worst underclaims (rows
+  // without claims, or un-evicted segments whose claims and rows are both
+  // still present) — never the reverse.
   for (const auto& [name, view] : views_.views()) {
     std::vector<storage::ViewKey> keys = view->TakeAppendedKeys();
-    if (keys.empty()) continue;
-    if (wal_known_views_.insert(name).second) {
-      wal_writer_->Stage(wal::ViewAdmissionRecord(name, view->value_schema()));
-    }
     const int64_t seg_frames = view->segment_frames();
     auto seg_of = [seg_frames](int64_t frame) {
       int64_t q = frame / seg_frames;
       if (frame % seg_frames != 0 && frame < 0) --q;
       return q;
     };
-    std::vector<std::pair<storage::ViewKey, const std::vector<Row>*>> entries;
+    std::vector<storage::ViewKey> chunk;
     size_t i = 0;
     while (i < keys.size()) {
       const int64_t seg = seg_of(keys[i].frame);
-      entries.clear();
+      chunk.clear();
       for (; i < keys.size() && seg_of(keys[i].frame) == seg; ++i) {
-        auto it = view->entries().find(keys[i]);
         // Appended then evicted within the same query: the rows are gone,
         // so there is nothing to log — skipping is a sound underclaim.
-        if (it == view->entries().end()) continue;
-        entries.emplace_back(keys[i], &it->second);
+        if (view->entries().count(keys[i]) > 0) chunk.push_back(keys[i]);
       }
-      if (!entries.empty()) {
-        wal_writer_->Stage(wal::SegmentAppendRecord(name, query_id, entries));
+      if (!chunk.empty()) {
+        wal_writer_->Stage(
+            wal::SegmentAppendRecord(name, *view, query_id, chunk));
       }
     }
   }

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -87,9 +86,9 @@ struct EngineOptions {
   /// Compress sealed view segments with per-column lightweight codecs
   /// (dictionary / RLE / bit-pack / frame-of-reference, chosen by byte
   /// cost) and charge the storage budget at the encoded size. Values
-  /// reconstruct bit-identically; only the footprint changes. Also
-  /// switches session saves to the binary .evaseg codec files
-  /// (uncompressed save dirs still load).
+  /// reconstruct bit-identically; only the footprint changes. Saves always
+  /// write .evaseg files; with this off their segments carry plain lanes,
+  /// and either kind loads into an engine configured either way.
   bool segment_compression = true;
   /// Split-block Bloom filter over each sealed segment's keys: probe
   /// misses short-circuit before the key-index search. 0 disables.
@@ -339,9 +338,9 @@ class EvaEngine {
   void PublishViewsSnapshot();
   /// Same contract for the /ingest JSON snapshot.
   void PublishIngestSnapshot();
-  /// Group-commits everything query `query_id` changed: view admissions,
-  /// then segment appends, then coverage transitions in journal order,
-  /// then lifecycle evictions LAST (so a torn suffix can only underclaim).
+  /// Group-commits everything query `query_id` changed: segment appends,
+  /// then coverage transitions in journal order, then lifecycle evictions
+  /// LAST (so a torn suffix can only underclaim).
   /// No-op when the WAL is off or nothing changed.
   Status WalCommitQuery(int64_t query_id,
                         const std::vector<lifecycle::EvictionEvent>& evictions);
@@ -391,9 +390,6 @@ class EvaEngine {
   std::unique_ptr<wal::WalWriter> wal_writer_;
   Status wal_status_;
   wal::WalReplayReport last_replay_;
-  /// Views the log already carries an admission record for; anything else
-  /// gets one staged ahead of its first segment append.
-  std::set<std::string> wal_known_views_;
   /// Raised for the duration of IngestFrames; the persistence busy guard's
   /// second input (a snapshot taken mid-flush would tear the horizon).
   std::atomic<int> ingests_in_flight_{0};

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -20,48 +18,6 @@ namespace {
 
 namespace stdfs = std::filesystem;
 
-// Percent-escapes whitespace and '%' so string cells survive the
-// whitespace-separated line format.
-std::string Escape(const std::string& s) {
-  std::string out;
-  for (unsigned char c : s) {
-    if (std::isspace(c) || c == '%') {
-      out += StrFormat("%%%02X", c);
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-Result<std::string> Unescape(const std::string& s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size()) {
-        return Status::InvalidArgument("truncated escape in view file");
-      }
-      int hi = HexDigit(s[i + 1]);
-      int lo = HexDigit(s[i + 2]);
-      if (hi < 0 || lo < 0) {
-        return Status::InvalidArgument("bad hex escape in view file: " + s);
-      }
-      out += static_cast<char>(hi * 16 + lo);
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 std::string SanitizeFilename(const std::string& name) {
   std::string out;
   for (char c : name) {
@@ -71,14 +27,6 @@ std::string SanitizeFilename(const std::string& name) {
                : '_';
   }
   return out;
-}
-
-DataType TypeFromName(const std::string& name) {
-  if (name == "BOOL") return DataType::kBool;
-  if (name == "INT64") return DataType::kInt64;
-  if (name == "DOUBLE") return DataType::kDouble;
-  if (name == "STRING") return DataType::kString;
-  return DataType::kNull;
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -93,9 +41,9 @@ std::string JoinPath(const std::string& dir, const std::string& file) {
 /// Files the persistence layer owns inside a save directory; anything else
 /// (user files) is never removed or quarantined.
 bool IsManagedFile(const std::string& name) {
-  return EndsWith(name, ".evaview") || EndsWith(name, ".evaseg") ||
-         EndsWith(name, ".evastate") || EndsWith(name, ".tmp") ||
-         EndsWith(name, ".quarantined") || name == "MANIFEST";
+  return EndsWith(name, ".evaseg") || EndsWith(name, ".evastate") ||
+         EndsWith(name, ".tmp") || EndsWith(name, ".quarantined") ||
+         name == "MANIFEST";
 }
 
 /// Sorted basenames of the regular files in `dir` — sorted so the fault
@@ -122,7 +70,6 @@ struct ManifestEntry {
   uint64_t size = 0;
   uint32_t crc = 0;
   bool is_lifecycle = false;
-  bool is_segment = false;  // binary .evaseg codec file (kind "vseg")
   std::string view_name;  // logical view key, "" for the lifecycle entry
 };
 
@@ -139,9 +86,8 @@ std::string RenderManifest(const Manifest& m) {
   for (const ManifestEntry& e : m.entries) {
     out += "file " + e.file + " " + std::to_string(e.size) + " " +
            StrFormat("%08x", e.crc) + " " +
-           (e.is_lifecycle
-                ? std::string("lifecycle -")
-                : (e.is_segment ? "vseg " : "view ") + Escape(e.view_name)) +
+           (e.is_lifecycle ? std::string("lifecycle -")
+                           : "vseg " + PercentEscape(e.view_name)) +
            "\n";
   }
   out += "checksum " + StrFormat("%08x", Crc32(out)) + "\n";
@@ -149,14 +95,13 @@ std::string RenderManifest(const Manifest& m) {
 }
 
 bool ParseHex32(const std::string& s, uint32_t* out) {
-  if (s.empty() || s.size() > 8) return false;
-  uint32_t v = 0;
-  for (char c : s) {
-    int d = HexDigit(c);
-    if (d < 0) return false;
-    v = (v << 4) | static_cast<uint32_t>(d);
+  if (s.empty() || s.size() > 8 ||
+      !std::all_of(s.begin(), s.end(), [](char c) {
+        return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+      })) {
+    return false;
   }
-  *out = v;
+  *out = static_cast<uint32_t>(std::stoul(s, nullptr, 16));
   return true;
 }
 
@@ -198,9 +143,8 @@ bool ParseManifest(const std::string& content, Manifest* m) {
     if (!ParseHex32(crc_tok, &e.crc)) return false;
     if (kind == "lifecycle") {
       e.is_lifecycle = true;
-    } else if (kind == "view" || kind == "vseg") {
-      e.is_segment = kind == "vseg";
-      auto name = Unescape(name_tok);
+    } else if (kind == "vseg") {
+      auto name = PercentUnescape(name_tok);
       if (!name.ok()) return false;
       e.view_name = std::move(name.value());
     } else {
@@ -245,115 +189,6 @@ Status CommitManifest(const std::string& dir, const Manifest& m,
     Status st = fs->Remove(JoinPath(dir, name));
     if (!st.ok() && fs->halted()) return st;
   }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// View file serialization / parsing
-// ---------------------------------------------------------------------------
-
-std::string SerializeView(const std::string& name,
-                          const MaterializedView& view) {
-  std::ostringstream out;
-  out << "eva-view 1\n";
-  out << "name " << Escape(name) << "\n";
-  out << "schema " << view.value_schema().num_fields();
-  for (const Field& f : view.value_schema().fields()) {
-    out << " " << Escape(f.name) << " " << DataTypeName(f.type);
-  }
-  out << "\n";
-  for (const auto& [key, rows] : view.entries()) {
-    out << "key " << key.frame << " " << key.obj << " " << rows.size()
-        << "\n";
-    for (const Row& row : rows) {
-      out << "row";
-      for (const Value& v : row) out << " " << EncodeValue(v);
-      out << "\n";
-    }
-  }
-  return out.str();
-}
-
-/// Parses one view file body and, only if the whole body parses, installs
-/// its keys into `store` (merging; existing keys win). Staging the rows
-/// first means a file that fails halfway contributes nothing — a corrupt
-/// file can only underclaim, never leave half-loaded state behind.
-Status ParseViewBody(const std::string& content, const std::string& file,
-                     ViewStore* store) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line) || line != "eva-view 1") {
-    return Status::InvalidArgument("bad view file header: " + file);
-  }
-  if (!std::getline(in, line) || !StartsWith(line, "name ")) {
-    return Status::InvalidArgument("missing view name in " + file);
-  }
-  EVA_ASSIGN_OR_RETURN(std::string name, Unescape(line.substr(5)));
-  if (!std::getline(in, line) || !StartsWith(line, "schema ")) {
-    return Status::InvalidArgument("missing schema in " + file);
-  }
-  Schema schema;
-  {
-    std::istringstream is(line.substr(7));
-    int64_t n = 0;
-    if (!(is >> n) || n < 0) {
-      return Status::InvalidArgument("bad schema count in " + file);
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      std::string col, type;
-      if (!(is >> col >> type)) {
-        return Status::InvalidArgument("truncated schema line in " + file);
-      }
-      EVA_ASSIGN_OR_RETURN(std::string col_name, Unescape(col));
-      schema.AddField({col_name, TypeFromName(type)});
-    }
-  }
-  std::vector<std::pair<ViewKey, std::vector<Row>>> staged;
-  ViewKey key{0, -1};
-  int64_t pending_rows = 0;
-  std::vector<Row> rows;
-  bool has_key = false;
-  auto flush = [&]() -> Status {
-    if (static_cast<int64_t>(rows.size()) != pending_rows) {
-      return Status::InvalidArgument("row count mismatch in " + file +
-                                     " for key " +
-                                     std::to_string(key.frame));
-    }
-    staged.emplace_back(key, std::move(rows));
-    rows = {};
-    return Status::OK();
-  };
-  while (std::getline(in, line)) {
-    if (StartsWith(line, "key ")) {
-      if (has_key) EVA_RETURN_IF_ERROR(flush());
-      std::istringstream is(line.substr(4));
-      if (!(is >> key.frame >> key.obj >> pending_rows) ||
-          pending_rows < 0) {
-        return Status::InvalidArgument("bad key line in " + file + ": " +
-                                       line);
-      }
-      has_key = true;
-      rows.clear();
-    } else if (StartsWith(line, "row ")) {
-      if (!has_key) {
-        return Status::InvalidArgument("row before key in " + file);
-      }
-      std::istringstream is(line.substr(4));
-      Row row;
-      std::string cell;
-      while (is >> cell) {
-        EVA_ASSIGN_OR_RETURN(Value v, DecodeValue(cell));
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    } else if (!line.empty()) {
-      return Status::InvalidArgument("unexpected line in view file: " +
-                                     line);
-    }
-  }
-  if (has_key) EVA_RETURN_IF_ERROR(flush());
-  MaterializedView* view = store->GetOrCreate(name, schema);
-  for (auto& [k, r] : staged) view->Put(k, std::move(r));
   return Status::OK();
 }
 
@@ -654,19 +489,19 @@ bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
 
 }  // namespace
 
-std::string SerializeViewSegments(const std::string& name,
-                                  const MaterializedView& view) {
-  auto sealed = view.SealedSegments();
+std::string SerializeSegments(
+    const std::string& name, const Schema& schema,
+    const std::vector<const ColumnarSegment*>& segments) {
   ByteWriter w;
   w.Bytes(kSegMagic, sizeof(kSegMagic) - 1);
   w.Str(name);
-  w.Varint(view.value_schema().num_fields());
-  for (const Field& f : view.value_schema().fields()) {
+  w.Varint(schema.num_fields());
+  for (const Field& f : schema.fields()) {
     w.Str(f.name);
     w.U8(static_cast<uint8_t>(f.type));
   }
-  w.Varint(sealed.size());
-  for (const auto& [seg_id, seg] : sealed) {
+  w.Varint(segments.size());
+  for (const ColumnarSegment* seg : segments) {
     const size_t nkeys = seg->num_keys();
     w.Varint(nkeys);
     int64_t prev_frame = 0;
@@ -686,11 +521,19 @@ std::string SerializeViewSegments(const std::string& name,
   return w.Take();
 }
 
-Status ParseSegmentBody(const std::string& content, const std::string& file,
-                        ViewStore* store) {
+std::string SerializeViewSegments(const std::string& name,
+                                  const MaterializedView& view) {
+  auto sealed = view.SealedSegments();
+  std::vector<const ColumnarSegment*> segments;
+  segments.reserve(sealed.size());
+  for (const auto& [seg_id, seg] : sealed) segments.push_back(seg.get());
+  return SerializeSegments(name, view.value_schema(), segments);
+}
+
+Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
+                                          const std::string& file) {
   const size_t magic_len = sizeof(kSegMagic) - 1;
-  if (content.size() < magic_len ||
-      content.compare(0, magic_len, kSegMagic) != 0) {
+  if (content.substr(0, magic_len) != kSegMagic) {
     return Status::InvalidArgument("bad segment file header: " + file);
   }
   ByteReader r(content.data() + magic_len, content.size() - magic_len);
@@ -698,11 +541,10 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
     return Status::InvalidArgument(std::string("corrupt segment file ") +
                                    file + ": " + what);
   };
-  std::string name;
-  if (!r.Str(&name)) return corrupt("name");
+  DecodedSegments out;
+  if (!r.Str(&out.name)) return corrupt("name");
   uint64_t nfields;
   if (!r.Count(&nfields)) return corrupt("schema count");
-  Schema schema;
   for (uint64_t i = 0; i < nfields; ++i) {
     std::string fname;
     uint8_t type;
@@ -710,12 +552,10 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
         type > static_cast<uint8_t>(DataType::kString)) {
       return corrupt("schema field");
     }
-    schema.AddField({fname, static_cast<DataType>(type)});
+    out.schema.AddField({fname, static_cast<DataType>(type)});
   }
   uint64_t nsegs;
   if (!r.Count(&nsegs)) return corrupt("segment count");
-  // Stage everything; a failure anywhere installs nothing.
-  std::vector<std::pair<ViewKey, std::vector<Row>>> staged;
   for (uint64_t s = 0; s < nsegs; ++s) {
     uint64_t nkeys;
     if (!r.Count(&nkeys)) return corrupt("key count");
@@ -766,12 +606,19 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
         for (const ColumnVec& col : cols) out_row.push_back(col.At(row));
         rows.push_back(std::move(out_row));
       }
-      staged.emplace_back(keys[i], std::move(rows));
+      out.rows.emplace_back(keys[i], std::move(rows));
     }
   }
   if (!r.done()) return corrupt("trailing bytes");
-  MaterializedView* view = store->GetOrCreate(name, schema);
-  for (auto& [k, rows] : staged) view->Put(k, std::move(rows));
+  return out;
+}
+
+Status ParseSegmentBody(const std::string& content, const std::string& file,
+                        ViewStore* store) {
+  EVA_ASSIGN_OR_RETURN(DecodedSegments decoded,
+                       DecodeSegmentBody(content, file));
+  MaterializedView* view = store->GetOrCreate(decoded.name, decoded.schema);
+  for (auto& [k, rows] : decoded.rows) view->Put(k, std::move(rows));
   return Status::OK();
 }
 
@@ -786,7 +633,8 @@ std::string SerializeLifecycle(const ViewStore& store,
   std::ostringstream out;
   out << "eva-lifecycle 1\n";
   for (const auto& [name, view] : store.views()) {
-    out << "view " << Escape(name) << " " << view->segment_frames() << "\n";
+    out << "view " << PercentEscape(name) << " " << view->segment_frames()
+        << "\n";
     for (const SegmentStats& seg : view->Segments()) {
       out << "segment " << seg.segment_id << " " << seg.info.keys << " "
           << seg.info.rows << " " << seg.info.created_tick << " "
@@ -795,7 +643,7 @@ std::string SerializeLifecycle(const ViewStore& store,
     }
   }
   for (const auto& [key, entry] : manager.entries()) {
-    out << "coverage " << Escape(key) << " "
+    out << "coverage " << PercentEscape(key) << " "
         << symbolic::EncodePredicate(entry.coverage) << "\n";
   }
   return out.str();
@@ -829,7 +677,7 @@ Status ParseLifecycleBody(const std::string& content,
       if (!(is >> name_tok >> stamps.segment_frames)) {
         return Status::InvalidArgument("truncated view line: " + line);
       }
-      EVA_ASSIGN_OR_RETURN(stamps.name, Unescape(name_tok));
+      EVA_ASSIGN_OR_RETURN(stamps.name, PercentUnescape(name_tok));
       out->views.push_back(std::move(stamps));
     } else if (StartsWith(line, "segment ")) {
       if (out->views.empty()) {
@@ -849,7 +697,7 @@ Status ParseLifecycleBody(const std::string& content,
       if (!(is >> key_tok)) {
         return Status::InvalidArgument("truncated coverage line: " + line);
       }
-      EVA_ASSIGN_OR_RETURN(std::string key, Unescape(key_tok));
+      EVA_ASSIGN_OR_RETURN(std::string key, PercentUnescape(key_tok));
       std::string encoded;
       std::getline(is, encoded);
       if (!encoded.empty() && encoded.front() == ' ') encoded.erase(0, 1);
@@ -904,48 +752,24 @@ Status Quarantine(fault::FaultFs* fs, const std::string& dir,
   return Status::OK();
 }
 
-Status SaveImpl(const ViewStore& store, const udf::UdfManager* manager,
-                bool write_views, bool carry_view_entries,
-                const std::string& dir, fault::FaultFs* fs,
-                const SaveOptions& options = {}) {
-  EVA_RETURN_IF_ERROR(fs->CreateDirs(dir));
-  Manifest old;
-  EVA_ASSIGN_OR_RETURN(ManifestState old_state, ReadManifest(dir, fs, &old));
-  Manifest next;
-  next.generation =
-      (old_state == ManifestState::kValid ? old.generation : 0) + 1;
-  const std::string gen_tag = ".g" + std::to_string(next.generation);
-  if (carry_view_entries && old_state == ManifestState::kValid) {
-    for (const ManifestEntry& e : old.entries) {
-      if (!e.is_lifecycle) next.entries.push_back(e);
+/// Removes leftover `.tmp` files (an interrupted save never renamed them)
+/// and quarantines every other managed file outside `keep`: it was never
+/// committed, so it cannot be trusted.
+Status Sweep(fault::FaultFs* fs, const std::string& dir,
+             const std::set<std::string>& keep, const std::string& reason,
+             RecoveryReport* report) {
+  for (const std::string& name : ListFiles(dir)) {
+    if (keep.count(name) > 0 || !IsManagedFile(name)) continue;
+    if (EndsWith(name, ".quarantined")) continue;
+    if (EndsWith(name, ".tmp")) {
+      Status st = fs->Remove(JoinPath(dir, name));
+      if (!st.ok() && fs->halted()) return st;
+      if (st.ok()) ++report->tmp_removed;
+      continue;
     }
+    EVA_RETURN_IF_ERROR(Quarantine(fs, dir, name, "", reason, report));
   }
-  auto write_atomic = [&](const std::string& file,
-                          const std::string& body) -> Status {
-    const std::string path = JoinPath(dir, file);
-    EVA_RETURN_IF_ERROR(fs->WriteFile(path + ".tmp", body));
-    return fs->Rename(path + ".tmp", path);
-  };
-  if (write_views) {
-    for (const auto& [name, view] : store.views()) {
-      const bool seg_form = options.compressed_segments;
-      const std::string body = seg_form ? SerializeViewSegments(name, *view)
-                                        : SerializeView(name, *view);
-      const std::string file = SanitizeFilename(name) + gen_tag +
-                               (seg_form ? ".evaseg" : ".evaview");
-      EVA_RETURN_IF_ERROR(write_atomic(file, body));
-      next.entries.push_back(
-          {file, body.size(), Crc32(body), false, seg_form, name});
-    }
-  }
-  if (manager != nullptr) {
-    const std::string body = SerializeLifecycle(store, *manager);
-    const std::string file = "lifecycle" + gen_tag + ".evastate";
-    EVA_RETURN_IF_ERROR(write_atomic(file, body));
-    next.entries.push_back(
-        {file, body.size(), Crc32(body), true, false, ""});
-  }
-  return CommitManifest(dir, next, fs);
+  return Status::OK();
 }
 
 }  // namespace
@@ -961,7 +785,7 @@ std::string EncodeValue(const Value& v) {
     case DataType::kDouble:
       return StrFormat("D:%.17g", v.AsDouble());
     case DataType::kString:
-      return "S:" + Escape(v.AsString());
+      return "S:" + PercentEscape(v.AsString());
   }
   return "N";
 }
@@ -991,7 +815,7 @@ Result<Value> DecodeValue(const std::string& text) {
       return Value(v);
     }
     case 'S': {
-      EVA_ASSIGN_OR_RETURN(std::string s, Unescape(payload));
+      EVA_ASSIGN_OR_RETURN(std::string s, PercentUnescape(payload));
       return Value(std::move(s));
     }
     default:
@@ -1000,9 +824,8 @@ Result<Value> DecodeValue(const std::string& text) {
 }
 
 std::string RecoveryReport::Summary() const {
-  std::string out = legacy ? std::string("legacy v1 directory")
-                           : StrFormat("generation %lld",
-                                       static_cast<long long>(generation));
+  std::string out =
+      StrFormat("generation %lld", static_cast<long long>(generation));
   if (clean() && tmp_removed == 0) return out + ", clean";
   if (manifest_corrupt) out += ", MANIFEST corrupt (quarantined)";
   if (!quarantined.empty()) {
@@ -1024,12 +847,35 @@ std::string RecoveryReport::Summary() const {
 }
 
 Status SaveSession(const ViewStore& store, const udf::UdfManager& manager,
-                   const std::string& dir, fault::FaultFs* fs,
-                   const SaveOptions& options) {
+                   const std::string& dir, fault::FaultFs* fs) {
   fault::FaultFs plain;
   if (fs == nullptr) fs = &plain;
-  return SaveImpl(store, &manager, /*write_views=*/true,
-                  /*carry_view_entries=*/false, dir, fs, options);
+  EVA_RETURN_IF_ERROR(fs->CreateDirs(dir));
+  Manifest old;
+  EVA_ASSIGN_OR_RETURN(ManifestState old_state, ReadManifest(dir, fs, &old));
+  Manifest next;
+  next.generation =
+      (old_state == ManifestState::kValid ? old.generation : 0) + 1;
+  const std::string gen_tag = ".g" + std::to_string(next.generation);
+  auto write_atomic = [&](const std::string& file, const std::string& body,
+                          bool is_lifecycle,
+                          const std::string& view_name) -> Status {
+    const std::string path = JoinPath(dir, file);
+    EVA_RETURN_IF_ERROR(fs->WriteFile(path + ".tmp", body));
+    EVA_RETURN_IF_ERROR(fs->Rename(path + ".tmp", path));
+    next.entries.push_back(
+        {file, body.size(), Crc32(body), is_lifecycle, view_name});
+    return Status::OK();
+  };
+  for (const auto& [name, view] : store.views()) {
+    EVA_RETURN_IF_ERROR(
+        write_atomic(SanitizeFilename(name) + gen_tag + ".evaseg",
+                     SerializeViewSegments(name, *view), false, name));
+  }
+  EVA_RETURN_IF_ERROR(write_atomic("lifecycle" + gen_tag + ".evastate",
+                                   SerializeLifecycle(store, manager), true,
+                                   ""));
+  return CommitManifest(dir, next, fs);
 }
 
 Result<int64_t> ManifestGeneration(const std::string& dir,
@@ -1049,205 +895,65 @@ Result<int64_t> ManifestGeneration(const std::string& dir,
   return Status::Internal("corrupt MANIFEST in " + dir);
 }
 
-Status SaveViewStore(const ViewStore& store, const std::string& dir) {
-  fault::FaultFs plain;
-  return SaveImpl(store, nullptr, /*write_views=*/true,
-                  /*carry_view_entries=*/false, dir, &plain);
-}
-
-Status SaveLifecycleState(const ViewStore& store,
-                          const udf::UdfManager& manager,
-                          const std::string& dir) {
-  fault::FaultFs plain;
-  return SaveImpl(store, &manager, /*write_views=*/false,
-                  /*carry_view_entries=*/true, dir, &plain);
-}
-
-Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
-                       fault::FaultFs* fs, RecoveryReport* report) {
+Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
+                                   udf::UdfManager* manager,
+                                   fault::FaultFs* fs) {
   fault::FaultFs plain;
   if (fs == nullptr) fs = &plain;
   std::error_code ec;
   if (!stdfs::is_directory(dir, ec)) {
     return Status::NotFound("view directory missing: " + dir);
   }
+  RecoveryReport report;
   Manifest manifest;
   EVA_ASSIGN_OR_RETURN(ManifestState state,
                        ReadManifest(dir, fs, &manifest));
-  if (state == ManifestState::kValid) {
-    report->generation = manifest.generation;
-    std::set<std::string> listed = {"MANIFEST"};
-    for (const ManifestEntry& e : manifest.entries) listed.insert(e.file);
-    for (const ManifestEntry& e : manifest.entries) {
-      if (e.is_lifecycle) continue;
-      auto res = fs->ReadFile(JoinPath(dir, e.file));
-      if (!res.ok()) {
-        if (fs->halted()) return res.status();
-        EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
-                                       "unreadable: " + res.status().message(),
-                                       report));
-        continue;
-      }
-      const std::string& body = res.value();
-      if (body.size() != e.size || Crc32(body) != e.crc) {
-        EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
-                                       "checksum mismatch", report));
-        continue;
-      }
-      Status parsed = e.is_segment ? ParseSegmentBody(body, e.file, store)
-                                   : ParseViewBody(body, e.file, store);
-      if (!parsed.ok()) {
-        EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
-                                       parsed.message(), report));
-      }
-    }
-    // Sweep: tmp files are leftovers of an interrupted save (the rename
-    // never happened) and are simply removed; managed files the manifest
-    // does not list were never committed and cannot be trusted.
-    for (const std::string& name : ListFiles(dir)) {
-      if (listed.count(name) > 0 || !IsManagedFile(name)) continue;
-      if (EndsWith(name, ".quarantined")) continue;
-      if (EndsWith(name, ".tmp")) {
-        Status st = fs->Remove(JoinPath(dir, name));
-        if (!st.ok() && fs->halted()) return st;
-        if (st.ok()) ++report->tmp_removed;
-        continue;
-      }
-      EVA_RETURN_IF_ERROR(
-          Quarantine(fs, dir, name, "", "not in manifest", report));
-    }
-    return Status::OK();
-  }
   if (state == ManifestState::kCorrupt) {
     // A torn or bit-flipped manifest means nothing in the directory can be
-    // verified: quarantine everything. Pure underclaim — every query
-    // recomputes, results stay correct.
-    report->manifest_corrupt = true;
+    // verified: quarantine everything and install no coverage. Pure
+    // underclaim — every query recomputes, results stay correct.
+    report.manifest_corrupt = true;
     EVA_RETURN_IF_ERROR(
-        Quarantine(fs, dir, "MANIFEST", "", "manifest corrupt", report));
-    for (const std::string& name : ListFiles(dir)) {
-      if (name == "MANIFEST" || !IsManagedFile(name)) continue;
-      if (EndsWith(name, ".quarantined")) continue;
-      if (EndsWith(name, ".tmp")) {
-        Status st = fs->Remove(JoinPath(dir, name));
-        if (!st.ok() && fs->halted()) return st;
-        if (st.ok()) ++report->tmp_removed;
-        continue;
-      }
-      EVA_RETURN_IF_ERROR(
-          Quarantine(fs, dir, name, "", "manifest corrupt", report));
+        Quarantine(fs, dir, "MANIFEST", "", "manifest corrupt", &report));
+    EVA_RETURN_IF_ERROR(
+        Sweep(fs, dir, {"MANIFEST"}, "manifest corrupt", &report));
+    return report;
+  }
+  // No MANIFEST reads as an empty generation 0: nothing was ever
+  // committed, so the sweep below quarantines every view file.
+  report.generation = manifest.generation;
+  LifecycleStaged lifecycle;
+  auto load_entry = [&](const ManifestEntry& e) -> Status {
+    auto res = fs->ReadFile(JoinPath(dir, e.file));
+    if (!res.ok()) {
+      if (fs->halted()) return res.status();
+      return Status::Internal("unreadable: " + res.status().message());
     }
+    const std::string& body = res.value();
+    if (body.size() != e.size || Crc32(body) != e.crc) {
+      return Status::Internal("checksum mismatch");
+    }
+    if (!e.is_lifecycle) return ParseSegmentBody(body, e.file, store);
+    // Staged whole, so a torn lifecycle file installs no stamps and no
+    // coverage.
+    LifecycleStaged staged;
+    EVA_RETURN_IF_ERROR(ParseLifecycleBody(body, e.file, &staged));
+    lifecycle = std::move(staged);
     return Status::OK();
+  };
+  std::set<std::string> listed = {"MANIFEST"};
+  for (const ManifestEntry& e : manifest.entries) {
+    listed.insert(e.file);
+    Status loaded = load_entry(e);
+    if (loaded.ok()) continue;
+    if (fs->halted()) return loaded;
+    // Quarantine and carry on; for the lifecycle file, fresh stamps and
+    // empty coverage are always safe.
+    EVA_RETURN_IF_ERROR(Quarantine(fs, dir, e.file, e.view_name,
+                                   loaded.message(), &report));
   }
-  // No MANIFEST: a pre-v2 (legacy) directory, loaded best-effort with no
-  // checksums to lean on. Files that fail to parse are quarantined rather
-  // than aborting the whole load (the v1 behavior).
-  report->legacy = true;
-  for (const std::string& name : ListFiles(dir)) {
-    if (EndsWith(name, ".tmp")) {
-      Status st = fs->Remove(JoinPath(dir, name));
-      if (!st.ok() && fs->halted()) return st;
-      if (st.ok()) ++report->tmp_removed;
-      continue;
-    }
-    const bool is_segment = EndsWith(name, ".evaseg");
-    if (!EndsWith(name, ".evaview") && !is_segment) continue;
-    auto res = fs->ReadFile(JoinPath(dir, name));
-    if (!res.ok()) {
-      if (fs->halted()) return res.status();
-      EVA_RETURN_IF_ERROR(Quarantine(fs, dir, name, "",
-                                     "unreadable: " + res.status().message(),
-                                     report));
-      continue;
-    }
-    Status parsed = is_segment ? ParseSegmentBody(res.value(), name, store)
-                               : ParseViewBody(res.value(), name, store);
-    if (!parsed.ok()) {
-      EVA_RETURN_IF_ERROR(
-          Quarantine(fs, dir, name, "", parsed.message(), report));
-    }
-  }
-  return Status::OK();
-}
-
-Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
-                            udf::UdfManager* manager, fault::FaultFs* fs,
-                            RecoveryReport* report) {
-  fault::FaultFs plain;
-  if (fs == nullptr) fs = &plain;
-  std::error_code ec;
-  if (!stdfs::is_directory(dir, ec)) return Status::OK();
-  Manifest manifest;
-  EVA_ASSIGN_OR_RETURN(ManifestState state,
-                       ReadManifest(dir, fs, &manifest));
-  std::string file;
-  std::string content;
-  if (state == ManifestState::kValid) {
-    const ManifestEntry* entry = nullptr;
-    for (const ManifestEntry& e : manifest.entries) {
-      if (e.is_lifecycle) entry = &e;
-    }
-    if (entry == nullptr) return Status::OK();  // views-only save
-    file = entry->file;
-    auto res = fs->ReadFile(JoinPath(dir, file));
-    if (!res.ok()) {
-      if (fs->halted()) return res.status();
-      return Quarantine(fs, dir, file, "",
-                        "unreadable: " + res.status().message(), report);
-    }
-    content = std::move(res.value());
-    if (content.size() != entry->size || Crc32(content) != entry->crc) {
-      return Quarantine(fs, dir, file, "", "checksum mismatch", report);
-    }
-  } else if (state == ManifestState::kCorrupt) {
-    // LoadViewStoreEx already quarantined everything reachable; without a
-    // trustworthy manifest no coverage may be installed (underclaim).
-    return Status::OK();
-  } else {
-    // Legacy v1 layout: fixed filename, no checksum.
-    file = "lifecycle.evastate";
-    auto res = fs->ReadFile(JoinPath(dir, file));
-    if (!res.ok()) {
-      if (fs->halted()) return res.status();
-      if (res.status().code() == StatusCode::kNotFound) {
-        return Status::OK();  // pre-lifecycle save dir
-      }
-      return Quarantine(fs, dir, file, "",
-                        "unreadable: " + res.status().message(), report);
-    }
-    content = std::move(res.value());
-  }
-  LifecycleStaged staged;
-  Status parsed = ParseLifecycleBody(content, file, &staged);
-  if (!parsed.ok()) {
-    // Fresh stamps and empty coverage are always safe — quarantine and
-    // carry on rather than failing the load.
-    return Quarantine(fs, dir, file, "", parsed.message(), report);
-  }
-  ApplyLifecycle(staged, store, manager);
-  return Status::OK();
-}
-
-Status LoadViewStore(const std::string& dir, ViewStore* store) {
-  RecoveryReport report;
-  return LoadViewStoreEx(dir, store, nullptr, &report);
-}
-
-Status LoadLifecycleState(const std::string& dir, ViewStore* store,
-                          udf::UdfManager* manager) {
-  RecoveryReport report;
-  return LoadLifecycleStateEx(dir, store, manager, nullptr, &report);
-}
-
-Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
-                                   udf::UdfManager* manager,
-                                   fault::FaultFs* fs) {
-  fault::FaultFs plain;
-  if (fs == nullptr) fs = &plain;
-  RecoveryReport report;
-  EVA_RETURN_IF_ERROR(LoadViewStoreEx(dir, store, fs, &report));
-  EVA_RETURN_IF_ERROR(
-      LoadLifecycleStateEx(dir, store, manager, fs, &report));
+  EVA_RETURN_IF_ERROR(Sweep(fs, dir, listed, "not in manifest", &report));
+  ApplyLifecycle(lifecycle, store, manager);
   if (manager != nullptr) {
     // Soundness: a quarantined view's rows are gone, so any coverage its
     // signature claims would overclaim — retract it entirely (p_u ← FALSE

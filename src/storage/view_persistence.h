@@ -2,6 +2,8 @@
 #define EVA_STORAGE_VIEW_PERSISTENCE_H_
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -12,18 +14,16 @@
 namespace eva::storage {
 
 /// Crash-safe persistence for materialized UDF views (the paper stores
-/// views on disk next to the Parquet-encoded video, §4.2/§5.2), format v2
+/// views on disk next to the Parquet-encoded video, §4.2/§5.2)
 /// (docs/RELIABILITY.md).
 ///
 /// A save directory holds one file per view plus the lifecycle state,
 /// both named with a generation number, and a MANIFEST that commits the
 /// generation atomically:
 ///
-///   <name>.g<G>.evaview        view data, text (same line format as v1)
-///   <name>.g<G>.evaseg         view data, binary codec form (compressed
-///                              sealed segments; written instead of the
-///                              .evaview file when SaveOptions requests it)
-///   lifecycle.g<G>.evastate    segment stamps + coverage (same as v1)
+///   <name>.g<G>.evaseg         view data: the `.evaseg` segment body
+///                              (sealed segments, codec-encoded columns)
+///   lifecycle.g<G>.evastate    segment stamps + coverage (text)
 ///   MANIFEST                   generation + per-file size and CRC32
 ///
 /// Every file is written as `<file>.tmp`, fsynced, then renamed; the
@@ -31,20 +31,13 @@ namespace eva::storage {
 /// leaves the previous generation fully loadable — the new generation's
 /// files are ignored (and quarantined) because the MANIFEST never came to
 /// claim them. Committing the MANIFEST also garbage-collects every managed
-/// file it does not list, which is what removes stale `.evaview` files of
-/// dropped or fully-evicted views (they used to silently resurrect on
-/// reload) and the previous generation.
+/// file it does not list, which is what removes stale files of dropped or
+/// fully-evicted views (they used to silently resurrect on reload) and the
+/// previous generation.
 ///
-/// View file line format (unchanged from v1):
-///
-///   eva-view 1
-///   name <view name>
-///   schema <n> <col> <type> ...
-///   key <frame> <obj> <num_rows>
-///   row <cell> <cell> ...
-///
-/// Cells are type-prefixed (`N`, `B:`, `I:`, `D:`, `S:`); string cells are
-/// percent-escaped so whitespace survives the round trip.
+/// The `.evaseg` body is also the write-ahead log's `segment_append`
+/// payload (src/wal/), so view rows have one encoding on disk and in the
+/// log.
 
 /// One file set aside during recovery (renamed to `<file>.quarantined`).
 struct QuarantinedFile {
@@ -59,7 +52,6 @@ struct QuarantinedFile {
 /// (§4.1 soundness).
 struct RecoveryReport {
   int64_t generation = 0;  // manifest generation loaded; 0 = none
-  bool legacy = false;     // pre-v2 directory (no MANIFEST)
   bool manifest_corrupt = false;
   std::vector<QuarantinedFile> quarantined;
   std::vector<std::string> retracted;  // coverage keys retracted
@@ -70,28 +62,19 @@ struct RecoveryReport {
   std::string Summary() const;
 };
 
-/// Save-path configuration. `compressed_segments` writes each view as a
-/// binary `.evaseg` codec file (sealed-segment encodings + bit-packed key
-/// index, docs/STORAGE.md) instead of the text `.evaview` form. Loading
-/// accepts either — a dir saved without compression still loads into a
-/// compression-enabled engine and vice versa.
-struct SaveOptions {
-  bool compressed_segments = false;
-};
-
 /// Saves views + lifecycle state as one new generation with a single
 /// MANIFEST commit — the engine's save path. All filesystem traffic goes
 /// through `fs` (pass nullptr for a plain pass-through shim).
 Status SaveSession(const ViewStore& store, const udf::UdfManager& manager,
-                   const std::string& dir, fault::FaultFs* fs = nullptr,
-                   const SaveOptions& options = {});
+                   const std::string& dir, fault::FaultFs* fs = nullptr);
 
 /// Loads a save directory with full recovery: verifies the MANIFEST and
 /// every file's size/CRC32, quarantines what fails (or was never
 /// manifested), removes leftover `.tmp` files, and retracts the symbolic
 /// coverage of every quarantined view so reuse never overclaims. A
-/// directory without a MANIFEST loads best-effort as legacy v1. Returns
-/// NotFound only when `dir` itself is missing.
+/// directory without a MANIFEST loads as an empty generation 0 (its view
+/// files are quarantined as never committed). Returns NotFound only when
+/// `dir` itself is missing.
 Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
                                    udf::UdfManager* manager,
                                    fault::FaultFs* fs = nullptr);
@@ -103,44 +86,42 @@ Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
 Result<int64_t> ManifestGeneration(const std::string& dir,
                                    fault::FaultFs* fs = nullptr);
 
-/// Legacy piecewise API (tests and pre-v2 callers). SaveViewStore commits
-/// a views-only manifest; SaveLifecycleState writes the lifecycle file and
-/// re-commits the manifest with the previous generation's view entries
-/// carried over (the SaveViewStore-then-SaveLifecycleState sequence is
-/// equivalent to one SaveSession, with two commit points instead of one).
-Status SaveViewStore(const ViewStore& store, const std::string& dir);
-Status LoadViewStore(const std::string& dir, ViewStore* store);
-Status SaveLifecycleState(const ViewStore& store,
-                          const udf::UdfManager& manager,
-                          const std::string& dir);
-Status LoadLifecycleState(const std::string& dir, ViewStore* store,
-                          udf::UdfManager* manager);
-
-/// Recovery-aware variants of the legacy loaders (LoadSession composes
-/// them). `fs` may be nullptr; `report` accumulates.
-Status LoadViewStoreEx(const std::string& dir, ViewStore* store,
-                       fault::FaultFs* fs, RecoveryReport* report);
-Status LoadLifecycleStateEx(const std::string& dir, ViewStore* store,
-                            udf::UdfManager* manager, fault::FaultFs* fs,
-                            RecoveryReport* report);
-
-/// Cell encoding helpers (exposed for tests). DecodeValue returns a
-/// Status error on malformed input — it never throws, even on overflowing
-/// numerals or bad escapes (reader_fuzz_test).
+/// Type-prefixed text cells (`N`, `B:`, `I:`, `D:`, `S:` + PercentEscape),
+/// the `.evaseg` encoding of mixed-type (kValue) columns. DecodeValue
+/// returns a Status error on malformed input — it never throws, even on
+/// overflowing numerals or bad escapes (reader_fuzz_test).
 std::string EncodeValue(const Value& v);
 Result<Value> DecodeValue(const std::string& text);
 
-/// Binary `.evaseg` body for one view: every sealed segment's keys and
-/// codec-encoded columns (seals stale segments first; quiescence like
-/// entries()). Exposed for the codec fuzz/round-trip tests.
+/// Binary `.evaseg` body: magic, view name, value schema, then per
+/// segment the keys and the codec-encoded columns (WriteColumn form; plain
+/// lanes when built without compression).
+std::string SerializeSegments(
+    const std::string& name, const Schema& schema,
+    const std::vector<const ColumnarSegment*>& segments);
+
+/// SerializeSegments over every sealed segment of `view` (seals stale
+/// segments first; quiescence like entries()).
 std::string SerializeViewSegments(const std::string& name,
                                   const MaterializedView& view);
 
-/// Parses a `.evaseg` body, validates it exhaustively (lane sizes, dict
-/// code ranges, run offsets, key ordering), reconstructs the exact rows,
-/// and installs them into `store` (merging; existing keys win). A body
-/// that fails anywhere installs nothing — corrupt codec files underclaim,
-/// never crash and never surface wrong rows (reader_fuzz_test).
+/// A decoded `.evaseg` body, not yet installed anywhere.
+struct DecodedSegments {
+  std::string name;
+  Schema schema;
+  std::vector<std::pair<ViewKey, std::vector<Row>>> rows;
+};
+
+/// Parses a `.evaseg` body and validates it exhaustively (lane sizes, dict
+/// code ranges, run offsets, key ordering, no trailing bytes), then
+/// reconstructs the exact rows. Never crashes on hostile bytes
+/// (reader_fuzz_test). `file` only labels error messages.
+Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
+                                          const std::string& file);
+
+/// DecodeSegmentBody, then installs the rows into `store` (merging;
+/// existing keys win). A body that fails anywhere installs nothing —
+/// corrupt codec files underclaim, never surface wrong rows.
 Status ParseSegmentBody(const std::string& content, const std::string& file,
                         ViewStore* store);
 

@@ -1,45 +1,14 @@
 #include "symbolic/predicate_io.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include "common/num_parse.h"
+#include "common/string_util.h"
 
 namespace eva::symbolic {
 
 namespace {
-
-// Percent-escapes '%', space, and newline so a token never splits.
-std::string EscapeToken(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '%' || c == ' ' || c == '\n' || c == '\t' || c == '\r') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out.empty() ? "%" : out;  // "%" alone marks the empty string
-}
-
-std::string UnescapeToken(const std::string& s) {
-  if (s == "%") return "";
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(std::strtol(s.substr(i + 1, 2).c_str(),
-                                           nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
 
 void EncodeBound(std::ostringstream& os, const Bound& b) {
   if (b.infinite) {
@@ -56,8 +25,10 @@ bool DecodeBound(std::istringstream& is, Bound* b) {
     *b = Bound::Infinite();
     return true;
   }
-  if (tok.size() < 3 || tok[1] != ':') return false;
-  double v = std::strtod(tok.c_str() + 2, nullptr);
+  double v = 0;
+  if (tok.size() < 3 || tok[1] != ':' || !ParseDouble(tok.substr(2), &v)) {
+    return false;
+  }
   if (tok[0] == 'c') {
     *b = Bound::Closed(v);
   } else if (tok[0] == 'o') {
@@ -77,12 +48,12 @@ std::string EncodePredicate(const Predicate& p) {
   for (const Conjunct& c : p.conjuncts()) {
     os << " C " << c.dims().size();
     for (const auto& [dim, dc] : c.dims()) {
-      os << ' ' << EscapeToken(dim) << ' ' << static_cast<int>(dc.kind());
+      os << ' ' << PercentEscape(dim) << ' ' << static_cast<int>(dc.kind());
       if (dc.is_categorical()) {
         os << ' ' << (dc.categorical_exclude() ? "Ce" : "Ci") << ' '
            << dc.categorical_values().size();
         for (const std::string& v : dc.categorical_values()) {
-          os << ' ' << EscapeToken(v);
+          os << ' ' << PercentEscape(v);
         }
       } else {
         os << " N";
@@ -116,7 +87,7 @@ Result<Predicate> DecodePredicate(const std::string& text) {
       if (!(is >> dim_tok >> kind_int)) {
         return Status::InvalidArgument("predicate: truncated dimension");
       }
-      std::string dim = UnescapeToken(dim_tok);
+      EVA_ASSIGN_OR_RETURN(std::string dim, PercentUnescape(dim_tok));
       if (kind_int < 0 || kind_int > static_cast<int>(DimKind::kCategorical)) {
         return Status::InvalidArgument("predicate: bad dimension kind " +
                                        std::to_string(kind_int));
@@ -134,8 +105,9 @@ Result<Predicate> DecodePredicate(const std::string& text) {
         }
         DimConstraint dc = DimConstraint::Numeric(kind, Interval(lo, hi));
         for (size_t i = 0; i < nexcl; ++i) {
+          std::string pt_tok;
           double pt = 0;
-          if (!(is >> pt)) {
+          if (!(is >> pt_tok) || !ParseDouble(pt_tok, &pt)) {
             return Status::InvalidArgument("predicate: bad excluded point");
           }
           dc = dc.Intersect(DimConstraint::NumericNotEqual(kind, pt));
@@ -158,7 +130,8 @@ Result<Predicate> DecodePredicate(const std::string& text) {
           if (!(is >> v)) {
             return Status::InvalidArgument("predicate: bad categorical value");
           }
-          values.push_back(UnescapeToken(v));
+          EVA_ASSIGN_OR_RETURN(std::string value, PercentUnescape(v));
+          values.push_back(std::move(value));
         }
         if (!c.Constrain(dim,
                          DimConstraint::Categorical(std::move(values),

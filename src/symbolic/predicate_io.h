@@ -9,8 +9,8 @@
 namespace eva::symbolic {
 
 /// Serializes a predicate to one line of space-separated tokens, suitable
-/// for embedding in the line-oriented persistence files (view_persistence
-/// idiom). Dimension names and categorical values are percent-escaped so
+/// for embedding in the lifecycle file and the WAL's coverage records.
+/// Dimension names and categorical values are PercentEscape'd so
 /// arbitrary UDF signature keys round-trip. The encoding is lossless for
 /// every constraint the algebra can produce (interval minus excluded
 /// points, categorical include/exclude sets).

@@ -1,9 +1,12 @@
 #include "wal/wal_log.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "common/crc32.h"
 #include "common/string_util.h"
+#include "storage/segment_codec.h"
 #include "storage/view_persistence.h"
 #include "symbolic/predicate_io.h"
 
@@ -30,8 +33,8 @@ uint32_t GetU32(const char* p) {
 constexpr uint32_t kMaxFrameLength = 64u << 20;
 
 bool KnownType(uint8_t t) {
-  return t >= static_cast<uint8_t>(WalRecordType::kCheckpoint) &&
-         t <= static_cast<uint8_t>(WalRecordType::kIngestAdvance);
+  return std::string_view(WalRecordTypeName(static_cast<WalRecordType>(t))) !=
+         "unknown";
 }
 
 }  // namespace
@@ -40,8 +43,6 @@ const char* WalRecordTypeName(WalRecordType type) {
   switch (type) {
     case WalRecordType::kCheckpoint:
       return "checkpoint";
-    case WalRecordType::kViewAdmission:
-      return "view_admission";
     case WalRecordType::kSegmentAppend:
       return "segment_append";
     case WalRecordType::kCoverageUnion:
@@ -108,45 +109,34 @@ WalRecord CheckpointRecord(
   std::ostringstream os;
   os << "generation " << generation << "\n";
   for (const auto& [source, visible] : horizons) {
-    os << "source " << WalEscape(source) << " " << visible << "\n";
+    os << "source " << PercentEscape(source) << " " << visible << "\n";
   }
   return {WalRecordType::kCheckpoint, os.str()};
 }
 
-WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema) {
-  std::ostringstream os;
-  os << "view " << WalEscape(view) << "\n";
-  os << "schema " << schema.num_fields();
-  for (const Field& f : schema.fields()) {
-    os << " " << WalEscape(f.name) << " " << DataTypeName(f.type);
-  }
-  os << "\n";
-  return {WalRecordType::kViewAdmission, os.str()};
-}
-
-WalRecord SegmentAppendRecord(
-    const std::string& view, int64_t query_id,
-    const std::vector<std::pair<storage::ViewKey, const std::vector<Row>*>>&
-        entries) {
-  std::ostringstream os;
-  os << "view " << WalEscape(view) << " " << query_id << "\n";
-  for (const auto& [key, rows] : entries) {
-    os << "key " << key.frame << " " << key.obj << " " << rows->size()
-       << "\n";
-    for (const Row& row : *rows) {
-      os << "row";
-      for (const Value& v : row) os << " " << storage::EncodeValue(v);
-      os << "\n";
-    }
-  }
-  return {WalRecordType::kSegmentAppend, os.str()};
+WalRecord SegmentAppendRecord(const std::string& name,
+                              const storage::MaterializedView& view,
+                              int64_t query_id,
+                              std::vector<storage::ViewKey> keys) {
+  // A key evicted and re-put within one query is captured twice; the
+  // chunk's key index must be strictly ascending.
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  auto chunk = storage::BuildColumnarSegment(
+      std::move(keys), view.entries(), view.value_schema().num_fields());
+  storage::ByteWriter w;
+  w.Zigzag(query_id);
+  std::string payload = w.Take();
+  payload += storage::SerializeSegments(name, view.value_schema(),
+                                        {chunk.get()});
+  return {WalRecordType::kSegmentAppend, std::move(payload)};
 }
 
 namespace {
 WalRecord CoverageRecord(WalRecordType type, const std::string& key,
                          const symbolic::Predicate& q) {
   std::ostringstream os;
-  os << "key " << WalEscape(key) << "\n";
+  os << "key " << PercentEscape(key) << "\n";
   os << "pred " << symbolic::EncodePredicate(q) << "\n";
   return {type, os.str()};
 }
@@ -170,15 +160,15 @@ WalRecord CoverageRetractionRecord(const std::string& key,
 WalRecord ViewEvictionRecord(const std::string& view, int64_t segment_id,
                              int64_t first_frame, int64_t frame_end) {
   std::ostringstream os;
-  os << "view " << WalEscape(view) << " " << segment_id << " " << first_frame
-     << " " << frame_end << "\n";
+  os << "view " << PercentEscape(view) << " " << segment_id << " "
+     << first_frame << " " << frame_end << "\n";
   return {WalRecordType::kViewEviction, os.str()};
 }
 
 WalRecord IngestAdvanceRecord(const std::string& source, int64_t visible,
                               int64_t flushed) {
   std::ostringstream os;
-  os << "source " << WalEscape(source) << " " << visible << " " << flushed
+  os << "source " << PercentEscape(source) << " " << visible << " " << flushed
      << "\n";
   return {WalRecordType::kIngestAdvance, os.str()};
 }
@@ -205,50 +195,6 @@ Status WalWriter::Commit(fault::FaultFs* fs) {
 void WalWriter::DiscardStaged() {
   pending_.clear();
   staged_records_ = 0;
-}
-
-// --- payload token helpers -----------------------------------------------
-
-std::string WalEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c <= ' ' || c == '%' || c == 0x7f) {
-      out += StrFormat("%%%02X", c);
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-  if (out.empty()) out = "%00";  // empty token would break line splitting
-  return out;
-}
-
-Result<std::string> WalUnescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      return Status::InvalidArgument("truncated escape in: " + s);
-    }
-    auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      return -1;
-    };
-    int hi = hex(s[i + 1]), lo = hex(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad escape in: " + s);
-    }
-    char c = static_cast<char>(hi * 16 + lo);
-    if (c != '\0') out.push_back(c);  // %00 encodes the empty token
-    i += 2;
-  }
-  return out;
 }
 
 }  // namespace eva::wal

@@ -6,10 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/row.h"
 #include "common/status.h"
 #include "fault/fault_fs.h"
-#include "storage/column_segment.h"
+#include "storage/view_store.h"
 #include "symbolic/predicate.h"
 
 namespace eva::wal {
@@ -27,13 +26,16 @@ namespace eva::wal {
 /// quarantines it — a WAL never needs a tmp+rename to stay consistent,
 /// append+fsync is the commit primitive).
 ///
-/// Payloads are line-oriented text reusing the persistence idiom
-/// (percent-escaped tokens, EncodeValue cells, EncodePredicate coverage),
-/// so `strings wal.g3.evalog` stays debuggable while the framing stays
-/// binary-safe.
+/// A segment_append payload is a zigzag-varint query id followed by a
+/// one-segment `.evaseg` body (storage::SerializeSegments: magic, view
+/// name, value schema, keys, plain-lane columns) — the same encoding and
+/// the same validated reader as the snapshot's view files, and since the
+/// chunk names its view and schema, no separate admission record is
+/// needed. Every other payload is line-oriented text (PercentEscape
+/// tokens, EncodePredicate coverage), so `strings wal.g3.evalog` stays
+/// debuggable.
 enum class WalRecordType : uint8_t {
   kCheckpoint = 1,       // generation + per-source visible horizons
-  kViewAdmission = 2,    // view name + value schema
   kSegmentAppend = 3,    // one view segment's new (key, rows) entries
   kCoverageUnion = 4,    // p_u <- Union(p_u, q)
   kCoverageSet = 5,      // p_u <- q wholesale (failure-path rollback)
@@ -75,14 +77,13 @@ WalRecord CheckpointRecord(
     int64_t generation,
     const std::vector<std::pair<std::string, int64_t>>& horizons);
 
-WalRecord ViewAdmissionRecord(const std::string& view, const Schema& schema);
-
-/// One (view, segment) group of freshly materialized entries. `entries`
-/// point at the view's row store (quiescent — driver thread only).
-WalRecord SegmentAppendRecord(
-    const std::string& view, int64_t query_id,
-    const std::vector<std::pair<storage::ViewKey, const std::vector<Row>*>>&
-        entries);
+/// One (view, segment) chunk of freshly materialized keys, built from the
+/// view's row store with plain lanes (quiescent — driver thread only).
+/// Every key must be present in `view.entries()`.
+WalRecord SegmentAppendRecord(const std::string& name,
+                              const storage::MaterializedView& view,
+                              int64_t query_id,
+                              std::vector<storage::ViewKey> keys);
 
 WalRecord CoverageUnionRecord(const std::string& key,
                               const symbolic::Predicate& q);
@@ -130,13 +131,6 @@ class WalWriter {
   uint64_t committed_records_ = 0;
   uint64_t committed_bytes_ = 0;
 };
-
-// --- payload token helpers (shared with replay/tests) --------------------
-
-/// Percent-escaping matching the persistence files: whitespace and '%'
-/// become %XX so arbitrary names survive space-separated lines.
-std::string WalEscape(const std::string& s);
-Result<std::string> WalUnescape(const std::string& s);
 
 }  // namespace eva::wal
 

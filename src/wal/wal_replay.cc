@@ -1,12 +1,13 @@
 #include "wal/wal_replay.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
 
+#include "common/num_parse.h"
 #include "common/string_util.h"
 #include "exec/exec_context.h"
 #include "lifecycle/view_lifecycle.h"
+#include "storage/segment_codec.h"
 #include "storage/view_persistence.h"
 #include "symbolic/dim_constraint.h"
 #include "symbolic/interval.h"
@@ -15,16 +16,6 @@
 namespace eva::wal {
 
 namespace {
-
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
 
 std::vector<std::string> SplitLines(const std::string& payload) {
   std::vector<std::string> lines;
@@ -56,7 +47,7 @@ Status ApplyCheckpoint(const WalRecord& rec, catalog::Catalog* catalog) {
     if (!(is >> tag >> name_tok >> visible_tok) || tag != "source") {
       return Malformed(rec, "bad source line: " + lines[i]);
     }
-    EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+    EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(name_tok));
     int64_t visible = 0;
     if (!ParseInt64(visible_tok, &visible)) {
       return Malformed(rec, "bad horizon: " + lines[i]);
@@ -70,96 +61,21 @@ Status ApplyCheckpoint(const WalRecord& rec, catalog::Catalog* catalog) {
   return Status::OK();
 }
 
-Status ApplyAdmission(const WalRecord& rec, storage::ViewStore* views) {
-  auto lines = SplitLines(rec.payload);
-  if (lines.size() != 2 || !StartsWith(lines[0], "view ")) {
-    return Malformed(rec, "expected view + schema lines");
-  }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(lines[0].substr(5)));
-  std::istringstream is(lines[1]);
-  std::string tag;
-  size_t n = 0;
-  if (!(is >> tag >> n) || tag != "schema") {
-    return Malformed(rec, "bad schema line");
-  }
-  Schema schema;
-  for (size_t i = 0; i < n; ++i) {
-    std::string col_tok, type_tok;
-    if (!(is >> col_tok >> type_tok)) {
-      return Malformed(rec, "short schema line");
-    }
-    EVA_ASSIGN_OR_RETURN(std::string col, WalUnescape(col_tok));
-    DataType type = DataType::kNull;
-    if (type_tok == "BOOL") {
-      type = DataType::kBool;
-    } else if (type_tok == "INT64") {
-      type = DataType::kInt64;
-    } else if (type_tok == "DOUBLE") {
-      type = DataType::kDouble;
-    } else if (type_tok == "STRING") {
-      type = DataType::kString;
-    } else if (type_tok != "NULL") {
-      return Malformed(rec, "unknown column type " + type_tok);
-    }
-    schema.AddField({col, type});
-  }
-  views->GetOrCreate(name, schema);
-  return Status::OK();
-}
-
+/// Decodes the whole chunk before touching the store, so a malformed
+/// record installs nothing.
 Status ApplyAppend(const WalRecord& rec, storage::ViewStore* views,
                    int64_t* keys_applied) {
-  auto lines = SplitLines(rec.payload);
-  if (lines.empty() || !StartsWith(lines[0], "view ")) {
-    return Malformed(rec, "missing view line");
-  }
-  std::istringstream head(lines[0].substr(5));
-  std::string name_tok, qid_tok;
-  if (!(head >> name_tok >> qid_tok)) {
-    return Malformed(rec, "bad view line");
-  }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+  storage::ByteReader r(rec.payload);
   int64_t query_id = -1;
-  if (!ParseInt64(qid_tok, &query_id)) {
-    return Malformed(rec, "bad query id");
-  }
-  storage::MaterializedView* view = views->Find(name);
-  if (view == nullptr) {
-    // The writer stages an admission record before the first append of
-    // every view, and appends within one file never precede it.
-    return Malformed(rec, "append to unknown view " + name);
-  }
+  if (!r.Zigzag(&query_id)) return Malformed(rec, "bad query id");
+  auto decoded = storage::DecodeSegmentBody(
+      std::string_view(rec.payload).substr(rec.payload.size() - r.remaining()),
+      "segment_append");
+  if (!decoded.ok()) return Malformed(rec, decoded.status().message());
+  storage::MaterializedView* view =
+      views->GetOrCreate(decoded.value().name, decoded.value().schema);
   const uint64_t tick = views->NextAccessTick();
-  size_t i = 1;
-  while (i < lines.size()) {
-    std::istringstream is(lines[i]);
-    std::string tag, frame_tok, obj_tok, nrows_tok;
-    if (!(is >> tag >> frame_tok >> obj_tok >> nrows_tok) || tag != "key") {
-      return Malformed(rec, "expected key line, got: " + lines[i]);
-    }
-    storage::ViewKey key;
-    int64_t nrows = 0;
-    if (!ParseInt64(frame_tok, &key.frame) ||
-        !ParseInt64(obj_tok, &key.obj) || !ParseInt64(nrows_tok, &nrows) ||
-        nrows < 0) {
-      return Malformed(rec, "bad key line: " + lines[i]);
-    }
-    ++i;
-    std::vector<Row> rows;
-    rows.reserve(static_cast<size_t>(nrows));
-    for (int64_t r = 0; r < nrows; ++r, ++i) {
-      if (i >= lines.size() || !StartsWith(lines[i], "row")) {
-        return Malformed(rec, "short row block");
-      }
-      Row row;
-      std::istringstream cells(lines[i].substr(3));
-      std::string cell;
-      while (cells >> cell) {
-        EVA_ASSIGN_OR_RETURN(Value v, storage::DecodeValue(cell));
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    }
+  for (auto& [key, rows] : decoded.value().rows) {
     view->Put(key, std::move(rows), tick, query_id);
     ++(*keys_applied);
   }
@@ -178,7 +94,7 @@ Result<CoverageRecordBody> ParseCoverage(const WalRecord& rec) {
     return Malformed(rec, "expected key + pred lines");
   }
   CoverageRecordBody body;
-  EVA_ASSIGN_OR_RETURN(body.key, WalUnescape(lines[0].substr(4)));
+  EVA_ASSIGN_OR_RETURN(body.key, PercentUnescape(lines[0].substr(4)));
   EVA_ASSIGN_OR_RETURN(body.pred,
                        symbolic::DecodePredicate(lines[1].substr(5)));
   return body;
@@ -196,7 +112,7 @@ Status ApplyEviction(const WalRecord& rec, storage::ViewStore* views,
   if (!(is >> name_tok >> seg_tok >> first_tok >> end_tok)) {
     return Malformed(rec, "short view line");
   }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+  EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(name_tok));
   int64_t segment_id = 0, first = 0, end = 0;
   if (!ParseInt64(seg_tok, &segment_id) || !ParseInt64(first_tok, &first) ||
       !ParseInt64(end_tok, &end)) {
@@ -223,7 +139,7 @@ Status ApplyIngestAdvance(const WalRecord& rec, catalog::Catalog* catalog) {
   if (!(is >> name_tok >> visible_tok >> flushed_tok)) {
     return Malformed(rec, "short source line");
   }
-  EVA_ASSIGN_OR_RETURN(std::string name, WalUnescape(name_tok));
+  EVA_ASSIGN_OR_RETURN(std::string name, PercentUnescape(name_tok));
   int64_t visible = 0, flushed = 0;
   if (!ParseInt64(visible_tok, &visible) ||
       !ParseInt64(flushed_tok, &flushed)) {
@@ -340,10 +256,6 @@ Result<WalReplayReport> ReplayWal(const std::string& path,
       case WalRecordType::kCheckpoint:
         EVA_RETURN_IF_ERROR(ApplyCheckpoint(rec, catalog));
         ++report.checkpoints;
-        break;
-      case WalRecordType::kViewAdmission:
-        EVA_RETURN_IF_ERROR(ApplyAdmission(rec, views));
-        ++report.admissions;
         break;
       case WalRecordType::kSegmentAppend:
         EVA_RETURN_IF_ERROR(ApplyAppend(rec, views, &report.keys_applied));

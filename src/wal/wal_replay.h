@@ -21,7 +21,6 @@ struct WalReplayReport {
   bool found = false;  // the log file existed
   int64_t records = 0;
   int64_t checkpoints = 0;
-  int64_t admissions = 0;
   int64_t appends = 0;  // segment_append records
   int64_t keys_applied = 0;
   int64_t coverage_unions = 0;

@@ -65,10 +65,11 @@ TEST_F(PersistenceTest, ViewStoreRoundTrips) {
   cls->Put({0, 0}, {{Value("Nissan")}});
   cls->Put({0, 1}, {{Value("Toyota")}});
 
-  ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+  udf::UdfManager manager;
+  ASSERT_TRUE(SaveSession(store, manager, dir_.string()).ok());
 
   ViewStore loaded;
-  ASSERT_TRUE(LoadViewStore(dir_.string(), &loaded).ok());
+  ASSERT_TRUE(LoadSession(dir_.string(), &loaded, nullptr).ok());
   MaterializedView* lv = loaded.Find("Det@v");
   ASSERT_NE(lv, nullptr);
   EXPECT_EQ(lv->num_keys(), 2);
@@ -89,12 +90,13 @@ TEST_F(PersistenceTest, LoadMergesWithoutOverwriting) {
   ViewStore store;
   Schema schema({{"CarType", DataType::kString}});
   store.GetOrCreate("CarType@v", schema)->Put({0, 0}, {{Value("Nissan")}});
-  ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+  udf::UdfManager manager;
+  ASSERT_TRUE(SaveSession(store, manager, dir_.string()).ok());
 
   ViewStore target;
   target.GetOrCreate("CarType@v", schema)->Put({0, 0}, {{Value("Ford")}});
   target.GetOrCreate("CarType@v", schema)->Put({0, 1}, {{Value("BMW")}});
-  ASSERT_TRUE(LoadViewStore(dir_.string(), &target).ok());
+  ASSERT_TRUE(LoadSession(dir_.string(), &target, nullptr).ok());
   // Existing keys win (append-only semantics); new keys merge in.
   EXPECT_EQ(target.Find("CarType@v")->Get({0, 0})[0][0].AsString(),
             "Ford");
@@ -103,7 +105,9 @@ TEST_F(PersistenceTest, LoadMergesWithoutOverwriting) {
 
 TEST_F(PersistenceTest, MissingDirectoryIsNotFound) {
   ViewStore store;
-  EXPECT_EQ(LoadViewStore((dir_ / "nope").string(), &store).code(),
+  EXPECT_EQ(LoadSession((dir_ / "nope").string(), &store, nullptr)
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
@@ -219,91 +223,63 @@ TEST_F(PersistenceTest, LifecycleStateSurvivesEvictionAndRestart) {
   }
 }
 
-// Strips a v2 save directory down to the pre-manifest v1 layout: no
-// MANIFEST, no generation tags in filenames, optionally no lifecycle file.
-void MakeLegacyV1(const fs::path& dir, bool keep_lifecycle) {
-  fs::remove(dir / "MANIFEST");
-  std::vector<std::pair<fs::path, fs::path>> renames;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::string name = entry.path().filename().string();
-    const size_t gpos = name.rfind(".g");
-    if (gpos == std::string::npos) continue;
-    const size_t dot = name.find('.', gpos + 2);
-    if (dot == std::string::npos) continue;
-    const std::string v1 = name.substr(0, gpos) + name.substr(dot);
-    if (v1 == "lifecycle.evastate" && !keep_lifecycle) {
-      fs::remove(entry.path());
-      continue;
+// A directory without a MANIFEST never committed anything: it loads as an
+// empty generation 0, its view and lifecycle files are quarantined, and
+// the session recomputes (same rows, UDF time paid again).
+TEST_F(PersistenceTest, DirectoryWithoutManifestQuarantinesAndRecomputes) {
+  catalog::VideoInfo video;
+  video.name = "pv";
+  video.num_frames = 60;
+  video.mean_objects_per_frame = 6;
+  video.seed = 3;
+  const char* sql =
+      "SELECT id, obj FROM pv CROSS APPLY FasterRCNNResNet50(frame) "
+      "WHERE id < 60 AND label = 'car';";
+  std::string reference;
+  {
+    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
+    ASSERT_TRUE(er.ok());
+    auto engine = er.MoveValue();
+    auto r = engine->Execute(sql);
+    ASSERT_TRUE(r.ok());
+    reference = r.value().batch.ToString(1 << 20);
+    ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
+  }
+  fs::remove(dir_ / "MANIFEST");
+  std::vector<std::string> committed;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    committed.push_back(entry.path().filename().string());
+  }
+  std::sort(committed.begin(), committed.end());
+  ASSERT_GE(committed.size(), 2u);  // >= one .evaseg + the .evastate
+  {
+    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
+    ASSERT_TRUE(er.ok());
+    auto engine = er.MoveValue();
+    ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
+    const RecoveryReport& report = engine->last_recovery();
+    EXPECT_EQ(report.generation, 0);
+    EXPECT_FALSE(report.manifest_corrupt);
+    std::vector<std::string> quarantined;
+    for (const QuarantinedFile& q : report.quarantined) {
+      EXPECT_EQ(q.reason, "not in manifest") << q.file;
+      EXPECT_TRUE(fs::exists(dir_ / (q.file + ".quarantined"))) << q.file;
+      quarantined.push_back(q.file);
     }
-    renames.emplace_back(entry.path(), dir / v1);
-  }
-  for (const auto& [from, to] : renames) fs::rename(from, to);
-}
-
-TEST_F(PersistenceTest, LegacyV1DirectoryWithoutLifecycleLoads) {
-  catalog::VideoInfo video;
-  video.name = "pv";
-  video.num_frames = 60;
-  video.mean_objects_per_frame = 6;
-  video.seed = 3;
-  const char* sql =
-      "SELECT id, obj FROM pv CROSS APPLY FasterRCNNResNet50(frame) "
-      "WHERE id < 60 AND label = 'car';";
-  {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->Execute(sql).ok());
-    ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
-  }
-  // A directory written before the manifest/lifecycle subsystems existed:
-  // bare <view>.evaview files and nothing else. It must still load (the
-  // conditional apply consults the view per tuple without coverage).
-  MakeLegacyV1(dir_, /*keep_lifecycle=*/false);
-  {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
-    EXPECT_TRUE(engine->last_recovery().legacy);
-    EXPECT_EQ(engine->last_recovery().generation, 0);
+    std::sort(quarantined.begin(), quarantined.end());
+    EXPECT_EQ(quarantined, committed);
+    EXPECT_TRUE(engine->views().views().empty());
+    EXPECT_TRUE(engine->udf_manager().entries().empty());
     auto r = engine->Execute(sql);
     ASSERT_TRUE(r.ok());
-    EXPECT_DOUBLE_EQ(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
+    EXPECT_EQ(r.value().batch.ToString(1 << 20), reference);
+    EXPECT_GT(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
+    EXPECT_EQ(r.value().metrics.TotalReused(), 0);
   }
 }
 
-TEST_F(PersistenceTest, LegacyV1DirectoryWithLifecycleLoads) {
-  catalog::VideoInfo video;
-  video.name = "pv";
-  video.num_frames = 60;
-  video.mean_objects_per_frame = 6;
-  video.seed = 3;
-  const char* sql =
-      "SELECT id, obj FROM pv CROSS APPLY FasterRCNNResNet50(frame) "
-      "WHERE id < 60 AND label = 'car';";
-  {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->Execute(sql).ok());
-    ASSERT_TRUE(engine->SaveViews(dir_.string()).ok());
-  }
-  MakeLegacyV1(dir_, /*keep_lifecycle=*/true);
-  {
-    auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
-    EXPECT_TRUE(engine->last_recovery().legacy);
-    auto r = engine->Execute(sql);
-    ASSERT_TRUE(r.ok());
-    EXPECT_DOUBLE_EQ(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
-  }
-}
-
-// Regression: a view dropped from the store used to leave its .evaview
-// file behind, silently resurrecting on the next load. Committing the
+// Regression: a view dropped from the store used to leave its view file
+// behind, silently resurrecting on the next load. Committing the
 // manifest now garbage-collects every file it does not list.
 TEST_F(PersistenceTest, StaleFilesOfDroppedViewsDoNotResurrect) {
   Schema schema({{"x", DataType::kInt64}});
@@ -311,25 +287,25 @@ TEST_F(PersistenceTest, StaleFilesOfDroppedViewsDoNotResurrect) {
     ViewStore store;
     store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
     store.GetOrCreate("B@v", schema)->Put({0, -1}, {{Value(int64_t{2})}});
-    ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+    ASSERT_TRUE(SaveSession(store, udf::UdfManager(), dir_.string()).ok());
   }
   {
     // Second save no longer contains B — its file must be deleted.
     ViewStore store;
     store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
-    ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+    ASSERT_TRUE(SaveSession(store, udf::UdfManager(), dir_.string()).ok());
   }
-  int evaview_files = 0;
+  int view_files = 0;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() > 8 && name.substr(name.size() - 8) == ".evaview") {
-      ++evaview_files;
+    if (name.size() > 7 && name.substr(name.size() - 7) == ".evaseg") {
+      ++view_files;
       EXPECT_EQ(name.find("B@v"), std::string::npos) << name;
     }
   }
-  EXPECT_EQ(evaview_files, 1);
+  EXPECT_EQ(view_files, 1);
   ViewStore loaded;
-  ASSERT_TRUE(LoadViewStore(dir_.string(), &loaded).ok());
+  ASSERT_TRUE(LoadSession(dir_.string(), &loaded, nullptr).ok());
   EXPECT_NE(loaded.Find("A@v"), nullptr);
   EXPECT_EQ(loaded.Find("B@v"), nullptr) << "dropped view resurrected";
 }
@@ -340,22 +316,25 @@ TEST_F(PersistenceTest, UnmanifestedFileIsQuarantinedNotLoaded) {
   Schema schema({{"x", DataType::kInt64}});
   ViewStore store;
   store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
-  ASSERT_TRUE(SaveViewStore(store, dir_.string()).ok());
+  ASSERT_TRUE(SaveSession(store, udf::UdfManager(), dir_.string()).ok());
   {
-    std::ofstream out(dir_ / "Stray@v.evaview");
-    out << "eva-view 1\nname Stray@v\nschema 1 x INT64\nkey 0 -1 1\n"
-           "row I:7\n";
+    // A well-formed view file, just never committed.
+    ViewStore stray;
+    MaterializedView* view = stray.GetOrCreate("Stray@v", schema);
+    view->Put({0, -1}, {{Value(int64_t{7})}});
+    std::ofstream out(dir_ / "Stray@v.evaseg", std::ios::binary);
+    out << SerializeViewSegments("Stray@v", *view);
   }
   ViewStore loaded;
-  RecoveryReport report;
-  ASSERT_TRUE(
-      LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report).ok());
+  auto report = LoadSession(dir_.string(), &loaded, nullptr);
+  ASSERT_TRUE(report.ok());
   EXPECT_EQ(loaded.Find("Stray@v"), nullptr);
-  ASSERT_EQ(report.quarantined.size(), 1u);
-  EXPECT_EQ(report.quarantined[0].file, "Stray@v.evaview");
-  EXPECT_EQ(report.quarantined[0].reason, "not in manifest");
-  EXPECT_TRUE(fs::exists(dir_ / "Stray@v.evaview.quarantined"));
-  EXPECT_FALSE(fs::exists(dir_ / "Stray@v.evaview"));
+  EXPECT_NE(loaded.Find("A@v"), nullptr);
+  ASSERT_EQ(report.value().quarantined.size(), 1u);
+  EXPECT_EQ(report.value().quarantined[0].file, "Stray@v.evaseg");
+  EXPECT_EQ(report.value().quarantined[0].reason, "not in manifest");
+  EXPECT_TRUE(fs::exists(dir_ / "Stray@v.evaseg.quarantined"));
+  EXPECT_FALSE(fs::exists(dir_ / "Stray@v.evaseg"));
 }
 
 TEST_F(PersistenceTest, GenerationAdvancesAcrossSaves) {
@@ -377,16 +356,11 @@ TEST_F(PersistenceTest, GenerationAdvancesAcrossSaves) {
   ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
   EXPECT_EQ(engine->last_recovery().generation, 2);
   EXPECT_TRUE(engine->last_recovery().clean());
-  EXPECT_FALSE(engine->last_recovery().legacy);
-  // Only one generation's files survive the second commit's GC. Engine
-  // saves write binary .evaseg codec files; count either form.
+  // Only one generation's files survive the second commit's GC.
   int view_files = 0;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();
-    const bool is_view =
-        (name.size() > 8 && name.substr(name.size() - 8) == ".evaview") ||
-        (name.size() > 7 && name.substr(name.size() - 7) == ".evaseg");
-    if (is_view) {
+    if (name.size() > 7 && name.substr(name.size() - 7) == ".evaseg") {
       ++view_files;
       EXPECT_NE(name.find(".g2."), std::string::npos) << name;
     }

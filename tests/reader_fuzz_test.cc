@@ -1,8 +1,9 @@
 // Fuzz property tests for every parser that consumes untrusted bytes: the
-// EVA-QL parser/lexer, the predicate codec, the value codec, and the view /
-// lifecycle file readers. The property is uniform — malformed input (random
-// bytes, truncations, bit flips) yields a Status error or a successful
-// parse, never a crash, throw, or sanitizer report. CI runs this binary
+// EVA-QL parser/lexer, the predicate codec, the value codec, the segment /
+// manifest / lifecycle file readers, and WAL replay. The property is
+// uniform — malformed input (random bytes, truncations, bit flips) yields
+// a Status error or a successful parse, never a crash, throw, or sanitizer
+// report. CI runs this binary
 // under ASan/UBSan; the seeds are fixed so failures replay exactly.
 
 #include <gtest/gtest.h>
@@ -12,13 +13,17 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "engine/eva_engine.h"
 #include "parser/parser.h"
 #include "storage/view_persistence.h"
 #include "symbolic/predicate.h"
 #include "symbolic/predicate_io.h"
 #include "vbench/vbench.h"
+#include "wal/wal_log.h"
+#include "wal/wal_replay.h"
 
 namespace eva {
 namespace {
@@ -135,6 +140,11 @@ TEST(ReaderFuzzTest, PredicateCodecNeverCrashes) {
   EXPECT_FALSE(
       symbolic::DecodePredicate("P 1 C 1 x 2 Ci 999999999999999999 a").ok());
   EXPECT_FALSE(symbolic::DecodePredicate("P 99999999 C 1").ok());
+  // Bad escapes and numeric garbage used to decode to wrong values (a NUL
+  // in the dimension name, a bound of 0 or of the numeric prefix).
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 x%ZZ 0 N c:1 c:2 0").ok());
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 x 0 N c:junk inf 0").ok());
+  EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 x 0 N c:1xyz c:5 0").ok());
 }
 
 TEST(ReaderFuzzTest, ValueCodecNeverCrashes) {
@@ -180,46 +190,22 @@ class FileReaderFuzzTest : public ::testing::Test {
     out.write(body.data(), static_cast<std::streamsize>(body.size()));
   }
 
+  /// Writes `body` as the one file of a committed generation: a valid
+  /// MANIFEST lists it with its true size and CRC32, so the loader's
+  /// parser, not the checksum, is what meets the bytes.
+  void WriteCommitted(const std::string& name, const std::string& kind,
+                      const std::string& body) {
+    WriteRaw(name, body);
+    std::string manifest = "eva-manifest 1\ngeneration 1\nfile " + name +
+                           " " + std::to_string(body.size()) + " " +
+                           StrFormat("%08x", Crc32(body)) + " " + kind + "\n";
+    manifest += "checksum " + StrFormat("%08x", Crc32(manifest)) + "\n";
+    std::ofstream out(dir_ / "MANIFEST", std::ios::binary);
+    out << manifest;
+  }
+
   stdfs::path dir_;
 };
-
-TEST_F(FileReaderFuzzTest, ViewFileReaderNeverCrashes) {
-  // Corpus: a real saved view file.
-  storage::ViewStore store;
-  Schema schema({{"obj", DataType::kInt64},
-                 {"label", DataType::kString},
-                 {"score", DataType::kDouble}});
-  storage::MaterializedView* view = store.GetOrCreate("Det@v", schema);
-  view->Put({0, -1}, {{Value(int64_t{0}), Value("car"), Value(0.9)},
-                      {Value(int64_t{1}), Value("bus pass"), Value(0.8)}});
-  view->Put({1, -1}, {});
-  ASSERT_TRUE(storage::SaveViewStore(store, dir_.string()).ok());
-  std::string body;
-  for (const auto& entry : stdfs::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 8 && name.substr(name.size() - 8) == ".evaview") {
-      std::ifstream in(entry.path(), std::ios::binary);
-      body.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    }
-  }
-  ASSERT_FALSE(body.empty());
-
-  Rng rng(555);
-  for (int i = 0; i < 300; ++i) {
-    const std::string mutated =
-        (i % 5 == 0) ? RandomText(rng, 400) : Mutate(rng, body);
-    // Legacy layout (no MANIFEST): the reader has no checksum shield and
-    // must survive on parsing alone. Bad files are quarantined, never
-    // fatal, never a crash.
-    WriteRaw("fuzzed.evaview", mutated);
-    storage::ViewStore loaded;
-    storage::RecoveryReport report;
-    Status s =
-        storage::LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  }
-}
 
 TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
   // Corpus: a real binary .evaseg body over columns that exercise every
@@ -302,10 +288,7 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
   {
     stdfs::remove_all(dir_);
     udf::UdfManager manager;
-    ASSERT_TRUE(
-        storage::SaveSession(store, manager, dir_.string(), nullptr,
-                             {/*compressed_segments=*/true})
-            .ok());
+    ASSERT_TRUE(storage::SaveSession(store, manager, dir_.string()).ok());
     std::string seg_file;
     for (const auto& entry : stdfs::directory_iterator(dir_)) {
       const std::string name = entry.path().filename().string();
@@ -326,13 +309,11 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
         out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
       }
       storage::ViewStore loaded;
-      storage::RecoveryReport report;
-      Status s =
-          storage::LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report);
-      EXPECT_TRUE(s.ok()) << s.ToString();
+      auto report = storage::LoadSession(dir_.string(), &loaded, nullptr);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_EQ(loaded.Find("Det@v"), nullptr);
-      ASSERT_EQ(report.quarantined.size(), 1u);
-      EXPECT_EQ(report.quarantined[0].view_key, "Det@v");
+      ASSERT_EQ(report.value().quarantined.size(), 1u);
+      EXPECT_EQ(report.value().quarantined[0].view_key, "Det@v");
       // Restore for the next round (quarantine renamed the file away).
       std::error_code ec;
       stdfs::remove(dir_ / (seg_file + ".quarantined"), ec);
@@ -346,20 +327,18 @@ TEST_F(FileReaderFuzzTest, ManifestReaderNeverCrashes) {
   Rng rng(777);
   const std::string valid =
       "eva-manifest 1\ngeneration 3\n"
-      "file Det@v.g3.evaview 120 0a1b2c3d view Det@v\n"
+      "file Det@v.g3.evaseg 120 0a1b2c3d vseg Det@v\n"
       "file lifecycle.g3.evastate 64 11223344 lifecycle -\n";
   for (int i = 0; i < 300; ++i) {
     const std::string mutated =
         (i % 5 == 0) ? RandomText(rng, 200) : Mutate(rng, valid);
     WriteRaw("MANIFEST", mutated);
     storage::ViewStore loaded;
-    storage::RecoveryReport report;
-    Status s =
-        storage::LoadViewStoreEx(dir_.string(), &loaded, nullptr, &report);
-    EXPECT_TRUE(s.ok()) << s.ToString();
+    auto report = storage::LoadSession(dir_.string(), &loaded, nullptr);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
     // A mutated manifest is (almost) always a checksum failure; nothing
     // may load off the back of one.
-    if (report.manifest_corrupt) {
+    if (report.value().manifest_corrupt) {
       EXPECT_TRUE(loaded.views().empty());
     }
   }
@@ -397,14 +376,111 @@ TEST_F(FileReaderFuzzTest, LifecycleReaderNeverCrashes) {
   for (int i = 0; i < 300; ++i) {
     const std::string mutated =
         (i % 5 == 0) ? RandomText(rng, 400) : Mutate(rng, body);
-    // v1 legacy layout: fixed name, no manifest, no checksum.
-    WriteRaw("lifecycle.evastate", mutated);
+    WriteCommitted("lifecycle.g1.evastate", "lifecycle -", mutated);
     storage::ViewStore store;
     udf::UdfManager manager;
-    Status s =
-        storage::LoadLifecycleState(dir_.string(), &store, &manager);
-    (void)s;  // error or OK — either way, no crash
+    auto report = storage::LoadSession(dir_.string(), &store, &manager);
+    // A file that fails to parse is quarantined whole: no coverage.
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.value().clean()) {
+      EXPECT_TRUE(manager.entries().empty());
+    }
   }
+}
+
+TEST_F(FileReaderFuzzTest, WalReplayNeverCrashes) {
+  // Corpus: the log of a small streaming session (queries, an ingest
+  // tick, more queries), which carries several binary segment_append
+  // records.
+  const stdfs::path wal_dir = dir_ / "wal";
+  {
+    engine::EngineOptions options;
+    options.optimizer.mode = optimizer::ReuseMode::kEva;
+    engine::EvaEngine engine(options, std::make_shared<catalog::Catalog>());
+    ASSERT_TRUE(vbench::RegisterStandardUdfs(&engine).ok());
+    catalog::VideoInfo video;
+    video.name = "ws";
+    video.mean_objects_per_frame = 6;
+    video.seed = 5;
+    ingest::StreamOptions sopts;
+    sopts.initial_frames = 40;
+    sopts.total_frames = 80;
+    ASSERT_TRUE(engine.RegisterStream(video, sopts).ok());
+    ASSERT_TRUE(engine.EnableWal(wal_dir.string()).ok());
+    const char* q1 =
+        "SELECT id, obj FROM ws CROSS APPLY FasterRCNNResNet50(frame) "
+        "WHERE label = 'car';";
+    const char* q2 =
+        "SELECT id, obj FROM ws CROSS APPLY FasterRCNNResNet50(frame) "
+        "WHERE label = 'car' AND CarType(frame, bbox) = 'Nissan';";
+    ASSERT_TRUE(engine.Execute(q1).ok());
+    ASSERT_TRUE(engine.IngestFrames("ws", 40).ok());
+    ASSERT_TRUE(engine.Execute(q2).ok());
+  }
+  std::string log;
+  {
+    std::ifstream in(wal_dir / wal::WalFileName(0), std::ios::binary);
+    log.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  const wal::WalScan scan = wal::ScanWal(log);
+  ASSERT_FALSE(scan.torn);
+  std::vector<size_t> appends;
+  for (size_t i = 0; i < scan.records.size(); ++i) {
+    if (scan.records[i].type == wal::WalRecordType::kSegmentAppend) {
+      appends.push_back(i);
+    }
+  }
+  ASSERT_GE(appends.size(), 2u);
+
+  struct Replayed {
+    Status status;
+    size_t views = 0;
+    int64_t keys = 0;
+  };
+  // Replays `records[0, n)` followed by `extra` (when non-null), each
+  // framed with a valid CRC, into a fresh store.
+  auto replay = [&](size_t n, const wal::WalRecord* extra) {
+    std::string bytes;
+    for (size_t i = 0; i < n; ++i) bytes += wal::EncodeFrame(scan.records[i]);
+    if (extra != nullptr) bytes += wal::EncodeFrame(*extra);
+    const stdfs::path path = dir_ / "fuzz.evalog";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    catalog::Catalog catalog;
+    storage::ViewStore views;
+    udf::UdfManager manager;
+    auto r = wal::ReplayWal(path.string(), &catalog, &views, &manager,
+                            symbolic::SymbolicBudget());
+    Replayed out{r.status(), views.views().size(), 0};
+    for (const auto& [name, view] : views.views()) {
+      out.keys += view->num_keys();
+    }
+    return out;
+  };
+  // The intact log replays cleanly and installs every appended key.
+  const Replayed full = replay(scan.records.size(), nullptr);
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  ASSERT_GT(full.keys, 0);
+
+  Rng rng(2468);
+  int rejected = 0;
+  for (int i = 0; i < 240; ++i) {
+    const size_t k = appends[rng.NextBelow(appends.size())];
+    const Replayed before = replay(k, nullptr);
+    ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+    wal::WalRecord bad = scan.records[k];
+    bad.payload = Mutate(rng, bad.payload);
+    const Replayed after = replay(k, &bad);
+    if (after.status.ok()) continue;  // mutation stayed inside value lanes
+    ++rejected;
+    // A rejected record installs nothing: no view, no key.
+    EXPECT_EQ(after.views, before.views) << i;
+    EXPECT_EQ(after.keys, before.keys) << i;
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace
