@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the storage substrate: view
-// probe/append throughput (the conditional apply's inner loop), the
+// presence/append throughput (the STORE operator's inner loop), the
 // columnar batch-probe path, the vectorized filter evaluator, and
 // synthetic-video generation/statistics costs.
 //
@@ -71,32 +71,31 @@ void BM_ViewPut(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewPut)->Arg(1000)->Arg(10000);
 
-// Legacy point-probe path (Has + Get, two lock acquisitions) — kept as the
-// before-side of the columnar comparison.
-void BM_ViewProbe(benchmark::State& state) {
+// Point presence check (StoreOp's per-key test) against sealed segments:
+// Bloom filter when present, then the key-index search. Half the keys miss.
+void BM_ViewContains(benchmark::State& state) {
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);
+  view.SealAllSegments();
   int64_t f = 0;
   for (auto _ : state) {
     f = (f + 7919) % (2 * kProbeViewFrames);  // half hits, half misses
-    bool has = view.Has(ViewKey{f, -1});
-    if (has) benchmark::DoNotOptimize(view.Get(ViewKey{f, -1}));
-    benchmark::DoNotOptimize(has);
+    benchmark::DoNotOptimize(view.Contains(ViewKey{f, -1}));
   }
 }
-BENCHMARK(BM_ViewProbe);
+BENCHMARK(BM_ViewContains);
 
-// Single-acquisition point probe.
-void BM_ViewTryGet(benchmark::State& state) {
-  MaterializedView view("bench", DetSchema());
-  FillProbeView(&view);
-  int64_t f = 0;
-  for (auto _ : state) {
-    f = (f + 7919) % (2 * kProbeViewFrames);
-    benchmark::DoNotOptimize(view.TryGet(ViewKey{f, -1}));
+// StoreOp's append (the --quick `view_append` entry): one detection row
+// per key, cells read in place from a wider input row into the open tail.
+void AppendKeys(MaterializedView* view, int64_t keys) {
+  const Row input = {Value(int64_t{0}), Value(int64_t{0}), Value("car"),
+                     Value(0.3), Value(0.9)};
+  const Row* rows[] = {&input};
+  const std::function<uint64_t()> tick = [] { return uint64_t{0}; };
+  for (int64_t f = 0; f < keys; ++f) {
+    view->Put(ViewKey{f, -1}, rows, /*first_col=*/1, tick, 0);
   }
 }
-BENCHMARK(BM_ViewTryGet);
 
 // Columnar batch probe: one lock + binary-search cursor for a whole
 // frame-ascending morsel. Reported per key probed.
@@ -274,28 +273,23 @@ int RunQuick() {
 
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);
+  view.SealAllSegments();  // the probes read sealed segments; seal untimed
 
-  auto probe_has_get = [&] {
+  auto view_contains = [&] {
     int64_t f = 0, hits = 0;
     for (int64_t i = 0; i < kOps; ++i) {
       f = (f + 7919) % (2 * kProbeViewFrames);
-      if (view.Has(ViewKey{f, -1})) {
-        benchmark::DoNotOptimize(view.Get(ViewKey{f, -1}));
-        ++hits;
-      }
+      if (view.Contains(ViewKey{f, -1})) ++hits;
     }
     benchmark::DoNotOptimize(hits);
   };
-  auto probe_tryget = [&] {
-    int64_t f = 0;
-    for (int64_t i = 0; i < kOps; ++i) {
-      f = (f + 7919) % (2 * kProbeViewFrames);
-      benchmark::DoNotOptimize(view.TryGet(ViewKey{f, -1}));
-    }
+  auto view_append = [&] {
+    MaterializedView fresh("bench_append", DetSchema());
+    AppendKeys(&fresh, kOps);
+    benchmark::DoNotOptimize(fresh.num_rows());
   };
   ProbeResult res;
   std::vector<ViewKey> keys(kProbeBatchKeys);
-  view.ProbeBatch({ViewKey{0, -1}}, nullptr, &res);  // seal untimed
   auto probe_batch = [&] {
     int64_t start = 0;
     for (int64_t b = 0; b * static_cast<int64_t>(kProbeBatchKeys) < kOps;
@@ -362,12 +356,12 @@ int RunQuick() {
   std::string out = "{\"bench\":\"bench_micro_storage\",\"mode\":\"quick\","
                     "\"benchmarks\":[";
   out += eva::bench::WallStatsJson(
-      "view_probe_has_get",
-      eva::bench::MeasureWall(probe_has_get, kWarmup, kSamples, kOps));
+      "view_contains",
+      eva::bench::MeasureWall(view_contains, kWarmup, kSamples, kOps));
   out += ',';
   out += eva::bench::WallStatsJson(
-      "view_probe_tryget",
-      eva::bench::MeasureWall(probe_tryget, kWarmup, kSamples, kOps));
+      "view_append",
+      eva::bench::MeasureWall(view_append, kWarmup, kSamples, kOps));
   out += ',';
   out += eva::bench::WallStatsJson(
       "view_probe_batch",

@@ -590,7 +590,7 @@ Status EvaEngine::WalCommitQuery(
       for (; i < keys.size() && seg_of(keys[i].frame) == seg; ++i) {
         // Appended then evicted within the same query: the rows are gone,
         // so there is nothing to log — skipping is a sound underclaim.
-        if (view->entries().count(keys[i]) > 0) chunk.push_back(keys[i]);
+        if (view->Contains(keys[i])) chunk.push_back(keys[i]);
       }
       if (!chunk.empty()) {
         wal_writer_->Stage(

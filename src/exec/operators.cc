@@ -518,7 +518,7 @@ class ApplyOp : public Operator {
 // Probing is batched: a pre-pass classifies each input row (pass-through /
 // NULL-out / probe) and collects the probe keys, then one ProbeBatch call
 // answers every probe under a single view-lock acquisition from the
-// columnar segment projections. When the plan attached a residual
+// sealed columnar segments. When the plan attached a residual
 // predicate and zone-map skipping is on, segments whose zone maps prove
 // the residual unsatisfiable are skipped: their hits keep identical
 // metrics, access stamps, and probe charges, but the kReadView charge and
@@ -624,12 +624,14 @@ class ViewJoinOp : public Operator {
     }
 
     size_t oi = 0;  // cursor into probe_res_.outcomes, in probe order
+    accesses_.clear();
     for (size_t r = 0; r < in.num_rows(); ++r) {
-      const Row& row = in.rows()[r];
+      // The batch is ours: rows move into the output instead of copying.
+      Row& row = in.mutable_rows()[r];
       int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
       if (def_.kind == UdfKind::kDetector) {
         if (actions_[r] == kPass) {
-          out.AddRow(row);
+          out.AddRow(std::move(row));
           continue;
         }
         ctx_->Charge(CostCategory::kOther,
@@ -640,8 +642,7 @@ class ViewJoinOp : public Operator {
           ctx_->metrics->invocations[def_.name] += 1;
           ctx_->metrics->reused[def_.name] += 1;
           CountProbe(true);
-          view->RecordAccess(frame, ctx_->views->NextAccessTick(),
-                             ctx_->query_id);
+          accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
           if (oc->status == storage::ProbeStatus::kHit) {
             ctx_->Charge(CostCategory::kReadView,
                          ctx_->costs.view_read_ms_per_row *
@@ -662,16 +663,15 @@ class ViewJoinOp : public Operator {
           // discards every stored row — skip the read, emit nothing.
         } else {
           CountProbe(false);
-          Row full = TrimmedBase(row);
-          for (size_t i = 0; i < n_outputs; ++i) {
-            full.push_back(Value::Null());
-          }
+          Row full = std::move(row);
+          full.resize(std::min(full.size(), output_width_base_));
+          full.resize(full.size() + n_outputs);  // NULL outputs
           out.AddRow(std::move(full));
         }
       } else {
         // Classifier / filter UDF: single output column.
         int out_idx = output_schema_.IndexOf(def_.name);
-        Row full = row;
+        Row full = std::move(row);
         full.resize(output_schema_.num_fields());
         if (actions_[r] == kPass) {
           out.AddRow(std::move(full));
@@ -690,8 +690,7 @@ class ViewJoinOp : public Operator {
           ctx_->metrics->invocations[def_.name] += 1;
           ctx_->metrics->reused[def_.name] += 1;
           CountProbe(true);
-          view->RecordAccess(frame, ctx_->views->NextAccessTick(),
-                             ctx_->query_id);
+          accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
           if (oc->status == storage::ProbeStatus::kHit) {
             ctx_->Charge(CostCategory::kReadView,
                          ctx_->costs.view_read_ms_per_row);
@@ -711,6 +710,9 @@ class ViewJoinOp : public Operator {
         }
       }
     }
+    // Access stamps land once per batch: nothing reads them before the
+    // batch ends, and the last (tick, query) per segment wins either way.
+    if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
     if (probe_res_.segments_skipped > 0) {
       if (ctx_->active_stats != nullptr) {
         ctx_->active_stats->segments_skipped += probe_res_.segments_skipped;
@@ -813,6 +815,7 @@ class ViewJoinOp : public Operator {
   std::vector<uint8_t> actions_;
   std::vector<ViewKey> probe_keys_;
   storage::ProbeResult probe_res_;
+  std::vector<std::pair<int64_t, uint64_t>> accesses_;  // (frame, tick)
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
   obs::Counter* segments_skipped_ = nullptr;
@@ -941,73 +944,61 @@ class StoreOp : public Operator {
         ctx_->views->GetOrCreate(view_name_, UdfOutputSchema(def_));
     int id_idx = in.schema().IndexOf(kColId);
     int obj_idx = in.schema().IndexOf(kColObj);
+    std::vector<Row>& rows = in.mutable_rows();
+    // Cells are appended straight from the input rows; the rows then move
+    // into the output.
     if (def_.kind == UdfKind::kDetector) {
-      // Group object rows of one frame; record presence even for frames
-      // whose detector output is empty (NULL placeholder rows).
-      int64_t current_frame = -1;
-      std::vector<Row> pending;
-      bool pending_placeholder = false;
-      auto flush = [&]() {
-        if (current_frame < 0) return;
-        ViewKey key{current_frame, -1};
-        if (view->TryGet(key) == nullptr) {
-          ctx_->Charge(CostCategory::kMaterialize,
-                       ctx_->costs.materialize_ms_per_row *
-                           static_cast<double>(pending.size() + 1));
-          CountMaterialized(static_cast<int64_t>(pending.size()) + 1);
-          view->Put(key, pending, ctx_->views->NextAccessTick(),
-                    ctx_->query_id);
-        }
-        pending.clear();
-        pending_placeholder = false;
-      };
+      // One key per run of rows of a frame; presence is recorded even for
+      // frames whose detector output is empty (NULL placeholder rows).
       size_t n_outputs = UdfOutputSchema(def_).num_fields();
       size_t base_width = in.schema().num_fields() - n_outputs;
-      for (const Row& row : in.rows()) {
-        int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-        if (frame != current_frame) {
-          flush();
-          current_frame = frame;
+      auto frame_of = [id_idx](const Row& row) {
+        return row[static_cast<size_t>(id_idx)].AsInt64();
+      };
+      auto placeholder = [obj_idx](const Row& row) {
+        return row[static_cast<size_t>(obj_idx)].is_null();
+      };
+      for (size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
+        const int64_t frame = frame_of(rows[begin]);
+        group_.clear();
+        for (end = begin; end < rows.size() && frame_of(rows[end]) == frame;
+             ++end) {
+          if (!placeholder(rows[end])) group_.push_back(&rows[end]);
         }
-        if (row[static_cast<size_t>(obj_idx)].is_null()) {
-          pending_placeholder = true;  // processed frame, zero objects
-          continue;                    // placeholder rows are dropped here
+        if (view->Put(ViewKey{frame, -1}, group_, base_width, next_tick_,
+                      ctx_->query_id)) {
+          ctx_->Charge(CostCategory::kMaterialize,
+                       ctx_->costs.materialize_ms_per_row *
+                           static_cast<double>(group_.size() + 1));
+          CountMaterialized(static_cast<int64_t>(group_.size()) + 1);
         }
-        pending.emplace_back(row.begin() + static_cast<long>(base_width),
-                             row.end());
-        out.AddRow(row);
+        // Placeholder rows are dropped here.
+        for (size_t r = begin; r < end; ++r) {
+          if (!placeholder(rows[r])) out.AddRow(std::move(rows[r]));
+        }
       }
-      flush();
-      (void)pending_placeholder;
       return out;
     }
-    // Classifier / filter UDF: one row per key.
+    // Classifier / filter UDF: one row per key; every row passes through.
     int val_idx = in.schema().IndexOf(def_.name);
-    for (const Row& row : in.rows()) {
-      const Value& val = row[static_cast<size_t>(val_idx)];
-      if (!val.is_null()) {
-        int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-        int64_t obj = -1;
-        if (def_.kind == UdfKind::kClassifier) {
-          const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-          if (obj_v.is_null()) {
-            out.AddRow(row);
-            continue;
-          }
-          obj = obj_v.AsInt64();
-        }
-        ViewKey key{frame, obj};
-        if (view->TryGet(key) == nullptr) {
-          ctx_->Charge(CostCategory::kMaterialize,
-                       ctx_->costs.materialize_ms_per_row);
-          CountMaterialized(1);
-          view->Put(key, {{val}}, ctx_->views->NextAccessTick(),
-                    ctx_->query_id);
-        }
+    for (const Row& row : rows) {
+      if (row[static_cast<size_t>(val_idx)].is_null()) continue;
+      int64_t obj = -1;
+      if (def_.kind == UdfKind::kClassifier) {
+        const Value& obj_v = row[static_cast<size_t>(obj_idx)];
+        if (obj_v.is_null()) continue;
+        obj = obj_v.AsInt64();
       }
-      out.AddRow(row);
+      const Row* cell_row = &row;
+      if (view->Put(ViewKey{row[static_cast<size_t>(id_idx)].AsInt64(), obj},
+                    {&cell_row, 1}, static_cast<size_t>(val_idx), next_tick_,
+                    ctx_->query_id)) {
+        ctx_->Charge(CostCategory::kMaterialize,
+                     ctx_->costs.materialize_ms_per_row);
+        CountMaterialized(1);
+      }
     }
-    return out;
+    return Batch(output_schema_, std::move(rows));
   }
 
  private:
@@ -1016,7 +1007,8 @@ class StoreOp : public Operator {
       : Operator(ctx, child->output_schema()),
         child_(std::move(child)),
         def_(std::move(def)),
-        view_name_(std::move(view_name)) {
+        view_name_(std::move(view_name)),
+        next_tick_([ctx] { return ctx->views->NextAccessTick(); }) {
     if (ctx->obs_registry != nullptr) {
       materialized_ = ctx->obs_registry->GetCounter(
           "eva_materialized_rows_total",
@@ -1037,6 +1029,9 @@ class StoreOp : public Operator {
   OperatorPtr child_;
   UdfDef def_;
   std::string view_name_;
+  // Draws an access tick only for keys Put actually inserts.
+  std::function<uint64_t()> next_tick_;
+  std::vector<const Row*> group_;  // detector rows of one frame (scratch)
   obs::Counter* materialized_ = nullptr;
 };
 

@@ -22,69 +22,6 @@ constexpr size_t kMaxDictCardinality = 65536;
 // Numeric dictionaries stop being considered past this distinct count.
 constexpr size_t kMaxNumDictCardinality = 4096;
 
-// One column under construction: cells collected as Values, encoding
-// decided once the segment's type profile is known.
-struct ColBuilder {
-  std::vector<const Value*> cells;
-  bool has_nulls = false;
-  bool mixed = false;
-  DataType type = DataType::kNull;  // uniform non-null type seen so far
-  double num_min = 0;
-  double num_max = 0;
-  bool bounds_exact = true;
-  std::vector<std::string> strings;  // distinct values, sorted at the end
-
-  void Observe(const Value& v) {
-    cells.push_back(&v);
-    if (v.is_null()) {
-      has_nulls = true;
-      return;
-    }
-    DataType t = v.type();
-    if (type == DataType::kNull) {
-      type = t;
-    } else if (type != t) {
-      mixed = true;
-    }
-    if (mixed) return;
-    switch (t) {
-      case DataType::kInt64: {
-        int64_t i = v.AsInt64();
-        if (std::llabs(i) > static_cast<int64_t>(kDoubleExactLimit)) {
-          bounds_exact = false;
-        }
-        UpdateNum(static_cast<double>(i));
-        break;
-      }
-      case DataType::kDouble:
-        if (std::isnan(v.AsDouble())) bounds_exact = false;
-        UpdateNum(v.AsDouble());
-        break;
-      case DataType::kBool:
-        UpdateNum(v.AsBool() ? 1.0 : 0.0);
-        break;
-      case DataType::kString:
-        strings.push_back(v.AsString());
-        break;
-      default:
-        break;
-    }
-  }
-
-  void UpdateNum(double d) {
-    if (first_num_) {
-      num_min = num_max = d;
-      first_num_ = false;
-    } else {
-      num_min = std::min(num_min, d);
-      num_max = std::max(num_max, d);
-    }
-  }
-
- private:
-  bool first_num_ = true;
-};
-
 void SetNullBit(std::vector<uint64_t>* bits, size_t i) {
   (*bits)[i >> 6] |= uint64_t{1} << (i & 63);
 }
@@ -416,142 +353,26 @@ void CompressColumn(ColumnVec* col) {
 }
 
 std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
-    std::vector<ViewKey> keys,
-    const std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash>& entries,
-    size_t num_value_cols, const SegmentBuildOptions& options) {
-  std::sort(keys.begin(), keys.end());
+    SegmentCells cells, const SegmentBuildOptions& options) {
   auto seg = std::make_shared<ColumnarSegment>();
-  seg->built_keys = static_cast<int64_t>(keys.size());
-  seg->frames.reserve(keys.size());
-  seg->objs.reserve(keys.size());
-  seg->row_begin.reserve(keys.size() + 1);
-  seg->row_begin.push_back(0);
-
-  std::vector<ColBuilder> builders(num_value_cols);
-  bool first_key = true;
-  int32_t rows_total = 0;
-  for (const ViewKey& key : keys) {
-    auto it = entries.find(key);
-    if (it == entries.end()) continue;  // evicted under us: cannot happen
+  const size_t num_value_cols = cells.cols.size();
+  seg->row_begin = std::move(cells.row_begin);
+  seg->frames.reserve(cells.keys.size());
+  seg->objs.reserve(cells.keys.size());
+  for (const ViewKey& key : cells.keys) {
     seg->frames.push_back(key.frame);
     seg->objs.push_back(key.obj);
-    if (first_key) {
-      seg->obj_min = seg->obj_max = key.obj;
-      first_key = false;
-    } else {
-      seg->obj_min = std::min(seg->obj_min, key.obj);
-      seg->obj_max = std::max(seg->obj_max, key.obj);
-    }
-    // kNullCell keeps the ternary an lvalue: ColBuilder stores cell
-    // pointers, so no temporary may be materialized here.
-    static const Value kNullCell = Value::Null();
-    for (const Row& row : it->second) {
-      for (size_t c = 0; c < num_value_cols; ++c) {
-        builders[c].Observe(c < row.size() ? row[c] : kNullCell);
-      }
-      ++rows_total;
-    }
-    seg->row_begin.push_back(rows_total);
   }
-
-  seg->cols.resize(num_value_cols);
+  if (!cells.keys.empty()) {
+    auto [mn, mx] = std::minmax_element(seg->objs.begin(), seg->objs.end());
+    seg->obj_min = *mn;
+    seg->obj_max = *mx;
+  }
+  const int32_t rows_total = seg->row_begin.back();
+  seg->cols.reserve(num_value_cols);
   seg->zones.resize(num_value_cols);
-  const size_t n = static_cast<size_t>(rows_total);
   for (size_t c = 0; c < num_value_cols; ++c) {
-    ColBuilder& b = builders[c];
-    ColumnVec& col = seg->cols[c];
-    ZoneMapEntry& zone = seg->zones[c];
-    zone.has_nulls = b.has_nulls;
-    zone.all_null = b.type == DataType::kNull;
-    zone.type = b.type;
-    zone.valid = !b.mixed && b.bounds_exact;
-    // Zone maps (and the string distinct list) come from the raw cells
-    // before any codec touches the lane.
-    if (b.type == DataType::kString) {
-      std::sort(b.strings.begin(), b.strings.end());
-      b.strings.erase(std::unique(b.strings.begin(), b.strings.end()),
-                      b.strings.end());
-    }
-    bool dict_overflow = b.type == DataType::kString &&
-                         b.strings.size() > kMaxDictCardinality;
-    if (b.mixed || b.type == DataType::kNull || dict_overflow) {
-      // Mixed, all-null, or dictionary-overflow column: raw storage; an
-      // all-null column keeps an (empty-bounds) valid zone so skipping can
-      // reason about it.
-      col.enc_ = ColumnVec::Enc::kValue;
-      col.raw_.reserve(n);
-      for (const Value* v : b.cells) col.raw_.push_back(*v);
-      if (dict_overflow) zone.strings = std::move(b.strings);
-      if (b.mixed) continue;
-      zone.valid = true;  // all-null stays skippable
-      if (dict_overflow) zone.valid = b.bounds_exact;
-      continue;
-    }
-    zone.num_min = b.num_min;
-    zone.num_max = b.num_max;
-    col.n_ = n;
-    if (b.has_nulls) col.null_bits_.assign((n + 63) / 64, 0);
-    switch (b.type) {
-      case DataType::kInt64: {
-        col.enc_ = ColumnVec::Enc::kInt64;
-        col.i64_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-          } else {
-            col.i64_[i] = v->AsInt64();
-          }
-        }
-        break;
-      }
-      case DataType::kDouble: {
-        col.enc_ = ColumnVec::Enc::kDouble;
-        col.f64_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-          } else {
-            col.f64_[i] = v->AsDouble();
-          }
-        }
-        break;
-      }
-      case DataType::kBool: {
-        col.enc_ = ColumnVec::Enc::kBool;
-        col.b8_.resize(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-          } else {
-            col.b8_[i] = v->AsBool() ? 1 : 0;
-          }
-        }
-        break;
-      }
-      case DataType::kString: {
-        col.enc_ = ColumnVec::Enc::kDict;
-        col.codes_.resize(n, 0);
-        std::unordered_map<std::string, int32_t> codes;
-        for (size_t i = 0; i < n; ++i) {
-          const Value* v = b.cells[i];
-          if (v->is_null()) {
-            SetNullBit(&col.null_bits_, i);
-            continue;
-          }
-          auto [it, inserted] = codes.emplace(
-              v->AsString(), static_cast<int32_t>(col.dict_.size()));
-          if (inserted) col.dict_.push_back(v->AsString());
-          col.codes_[i] = it->second;
-        }
-        zone.strings = std::move(b.strings);
-        break;
-      }
-      default:
-        break;
-    }
+    seg->cols.push_back(std::move(cells.cols[c]).Seal(&seg->zones[c]));
   }
 
   // Footprint accounting against the plain representation, then codecs.
@@ -641,6 +462,128 @@ std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
   seg->raw_bytes = raw;
   seg->encoded_bytes = encoded;
   return seg;
+}
+
+void TailLane::Append(const Value& v) {
+  if (v.is_null()) {
+    has_nulls_ = true;
+  } else if (type_ == DataType::kNull) {
+    // First non-null cell: the lane takes its type, earlier cells are nulls.
+    type_ = v.type();
+    const size_t nulls = lane_.raw_.size();
+    lane_.raw_.clear();
+    lane_.enc_ = type_ == DataType::kInt64    ? ColumnVec::Enc::kInt64
+                 : type_ == DataType::kDouble ? ColumnVec::Enc::kDouble
+                 : type_ == DataType::kBool   ? ColumnVec::Enc::kBool
+                                              : ColumnVec::Enc::kDict;
+    for (size_t i = 0; i < nulls; ++i) AppendTyped(Value::Null());
+  } else if (!mixed_ && v.type() != type_) {
+    // An overflowing dictionary's distinct strings stay the zone's list.
+    if (lane_.dict_.size() > kMaxDictCardinality) premix_strings_ = lane_.dict_;
+    ToRaw(&lane_);
+    codes_.clear();
+    mixed_ = true;
+  }
+  if (lane_.enc_ == ColumnVec::Enc::kValue) {
+    lane_.raw_.push_back(v);
+  } else {
+    AppendTyped(v);
+  }
+}
+
+void TailLane::ToRaw(ColumnVec* col) {
+  std::vector<Value> raw;
+  raw.reserve(col->size());
+  for (size_t i = 0; i < col->size(); ++i) raw.push_back(col->At(i));
+  *col = ColumnVec();
+  col->raw_ = std::move(raw);
+}
+
+void TailLane::AppendTyped(const Value& v) {
+  const size_t i = lane_.n_++;
+  // The null bitmap, once allocated, covers every row (NullAt's contract).
+  if (!lane_.null_bits_.empty() && (i >> 6) >= lane_.null_bits_.size()) {
+    lane_.null_bits_.push_back(0);
+  }
+  const bool null = v.is_null();
+  if (null) {
+    if (lane_.null_bits_.empty()) lane_.null_bits_.assign((i >> 6) + 1, 0);
+    SetNullBit(&lane_.null_bits_, i);
+  }
+  switch (lane_.enc_) {
+    case ColumnVec::Enc::kInt64:
+      lane_.i64_.push_back(null ? 0 : v.AsInt64());
+      break;
+    case ColumnVec::Enc::kDouble:
+      lane_.f64_.push_back(null ? 0 : v.AsDouble());
+      break;
+    case ColumnVec::Enc::kBool:
+      lane_.b8_.push_back(!null && v.AsBool() ? 1 : 0);
+      break;
+    case ColumnVec::Enc::kDict: {
+      int32_t code = 0;
+      if (!null) {
+        auto [it, inserted] = codes_.emplace(
+            v.AsString(), static_cast<int32_t>(lane_.dict_.size()));
+        if (inserted) lane_.dict_.push_back(v.AsString());
+        code = it->second;
+      }
+      lane_.codes_.push_back(code);
+      break;
+    }
+    case ColumnVec::Enc::kValue:
+      break;
+  }
+}
+
+ColumnVec TailLane::Seal(ZoneMapEntry* zone) && {
+  // Zone maps (and the string distinct list) come from the cells in row
+  // order, before any codec touches the lane.
+  ColumnVec col = std::move(lane_);
+  zone->type = type_;  // the first non-null cell's type
+  zone->has_nulls = has_nulls_;
+  zone->all_null = type_ == DataType::kNull;
+  // A mixed column has no valid zone; an all-null column keeps an
+  // (empty-bounds) valid one so skipping can reason about it.
+  zone->valid = !mixed_;
+  if (col.enc_ == ColumnVec::Enc::kValue) {
+    std::sort(premix_strings_.begin(), premix_strings_.end());
+    zone->strings = std::move(premix_strings_);
+    return col;
+  }
+  bool first = true;
+  auto update = [&](double d) {
+    zone->num_min = first ? d : std::min(zone->num_min, d);
+    zone->num_max = first ? d : std::max(zone->num_max, d);
+    first = false;
+  };
+  for (size_t i = 0; i < col.n_; ++i) {
+    if (col.NullAt(i)) continue;
+    switch (col.enc_) {
+      case ColumnVec::Enc::kInt64:
+        if (std::llabs(col.i64_[i]) > static_cast<int64_t>(kDoubleExactLimit)) {
+          zone->valid = false;
+        }
+        update(static_cast<double>(col.i64_[i]));
+        break;
+      case ColumnVec::Enc::kDouble:
+        if (std::isnan(col.f64_[i])) zone->valid = false;
+        update(col.f64_[i]);
+        break;
+      case ColumnVec::Enc::kBool:
+        update(col.b8_[i] != 0 ? 1.0 : 0.0);
+        break;
+      default:
+        break;
+    }
+  }
+  if (col.enc_ == ColumnVec::Enc::kDict) {
+    zone->strings = col.dict_;
+    std::sort(zone->strings.begin(), zone->strings.end());
+    // Past this cardinality the dict + codes stop paying for themselves.
+    if (col.dict_.size() > kMaxDictCardinality) ToRaw(&col);
+  }
+  return col;
 }
 
 }  // namespace eva::storage

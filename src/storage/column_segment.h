@@ -43,9 +43,9 @@ struct ViewKeyHash {
 /// integers, run-length for any repetitive lane, plain bit-packing for
 /// bools and dictionary codes, and a numeric dictionary for low-cardinality
 /// Int64/Double columns. At(i) reconstructs the exact Value that was
-/// stored — the columnar read path must be bit-identical to the row store
-/// it shadows (Value::Compare distinguishes Int64 from Double, so codecs
-/// never widen, quantize, or reorder).
+/// stored — segments are the only copy of a view's rows (Value::Compare
+/// distinguishes Int64 from Double, so codecs never widen, quantize, or
+/// reorder).
 class ColumnVec {
  public:
   enum class Enc : uint8_t {
@@ -142,8 +142,8 @@ class ColumnVec {
   /// null bitmap + dictionary) — the number eviction accounting charges.
   size_t EncodedBytes() const;
 
-  // Representation is internal to the storage layer; BuildColumnarSegment
-  // and the .evaseg codec fill it directly.
+  // Representation is internal to the storage layer; BuildColumnarSegment,
+  // TailLane, and the .evaseg codec fill it directly.
   Enc enc_ = Enc::kValue;
   Codec codec_ = Codec::kPlain;
   size_t n_ = 0;                      // logical row count (typed encodings)
@@ -201,14 +201,13 @@ struct SegmentBuildOptions {
   int bloom_bits_per_key = 0;  // 0 disables the per-segment Bloom filter
 };
 
-/// Immutable columnar projection of one view segment: keys sorted by
-/// (frame, obj) with prefix row offsets, one ColumnVec per value-schema
-/// field, and a zone map per column. Built lazily from the row store and
-/// shared via shared_ptr so a probe can keep reading a segment that a
-/// concurrent rebuild replaces. When built with compression the key index
-/// lives in bit-packed lanes (access via key_frame/key_obj/row_begin_at);
-/// a per-segment split-block Bloom filter over the keys short-circuits
-/// probe misses before the key-index search.
+/// Immutable sealed part of one view segment: keys sorted by (frame, obj)
+/// with prefix row offsets, one ColumnVec per value-schema field, and a
+/// zone map per column. Shared via shared_ptr so a probe can keep reading
+/// a segment that a concurrent reseal replaces. When built with
+/// compression the key index lives in bit-packed lanes (access via
+/// key_frame/key_obj/row_begin_at); a per-segment split-block Bloom filter
+/// over the keys short-circuits probe misses before the key-index search.
 struct ColumnarSegment {
   std::vector<int64_t> frames;     // per key, ascending (frame, obj)
   std::vector<int64_t> objs;       // per key
@@ -230,7 +229,6 @@ struct ColumnarSegment {
   BloomFilter bloom;                // over HashViewKey of every key
   int64_t obj_min = 0;  // over keys (classifier zone checks on "obj")
   int64_t obj_max = 0;
-  int64_t built_keys = 0;  // staleness check against SegmentInfo.keys
 
   /// Footprint accounting (docs/STORAGE.md): raw = the plain columnar
   /// representation (16 B/key index + 4 B/key offsets + plain lanes),
@@ -290,16 +288,46 @@ struct ColumnarSegment {
   }
 };
 
-/// Builds the columnar projection of one segment. `keys` is the segment's
-/// key list in insertion order (sorted internally); `entries` is the view's
-/// row store; `num_value_cols` the value-schema width. Rows concatenate in
-/// sorted-key order, so each key's rows are a contiguous range. `options`
-/// selects the seal-time codecs and Bloom filter; the reconstructed values
-/// are bit-identical for every configuration.
+/// Append-only plain column lane: a segment's open tail, and the lanes a
+/// seal gathers. Typed while every non-null cell shares one type (nulls
+/// ahead of the first typed cell are held as raw Values); the first type
+/// conflict rewrites the lane as raw Values. lane().At(i) reads it like
+/// any plain ColumnVec.
+class TailLane {
+ public:
+  void Append(const Value& v);
+  const ColumnVec& lane() const { return lane_; }
+  /// The sealed plain column and its zone map (computed before codecs).
+  /// A string dictionary past 64Ki entries falls back to raw Values.
+  ColumnVec Seal(ZoneMapEntry* zone) &&;
+
+ private:
+  void AppendTyped(const Value& v);
+  static void ToRaw(ColumnVec* col);
+
+  ColumnVec lane_;
+  DataType type_ = DataType::kNull;  // first non-null cell's type
+  bool has_nulls_ = false;
+  bool mixed_ = false;
+  std::unordered_map<std::string, int32_t> codes_;  // kDict: cell -> code
+  std::vector<std::string> premix_strings_;  // overflowed dict, then mixed
+};
+
+/// Keys with prefix row offsets over one TailLane per value-schema field:
+/// key i's rows are [row_begin[i], row_begin[i + 1]) of every lane. An open
+/// tail holds keys in insertion order; a seal gathers them ascending.
+struct SegmentCells {
+  std::vector<ViewKey> keys;
+  std::vector<int32_t> row_begin{0};
+  std::vector<TailLane> cols;
+};
+
+/// Seals ascending-key cells into an immutable segment. `options` selects
+/// the seal-time codecs and Bloom filter; the reconstructed values are
+/// bit-identical for every configuration, and the result depends only on
+/// the cells (a reseal of sealed + tail equals a one-shot seal).
 std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
-    std::vector<ViewKey> keys,
-    const std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash>& entries,
-    size_t num_value_cols, const SegmentBuildOptions& options = {});
+    SegmentCells cells, const SegmentBuildOptions& options = {});
 
 /// Rewrites one plain column in place with the cheapest applicable codec
 /// (byte cost, deterministic tie-break toward the earlier Codec value).

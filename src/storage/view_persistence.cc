@@ -618,7 +618,7 @@ Status ParseSegmentBody(const std::string& content, const std::string& file,
   EVA_ASSIGN_OR_RETURN(DecodedSegments decoded,
                        DecodeSegmentBody(content, file));
   MaterializedView* view = store->GetOrCreate(decoded.name, decoded.schema);
-  for (auto& [k, rows] : decoded.rows) view->Put(k, std::move(rows));
+  for (const auto& [k, rows] : decoded.rows) view->Put(k, rows);
   return Status::OK();
 }
 

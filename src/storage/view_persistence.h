@@ -100,8 +100,8 @@ std::string SerializeSegments(
     const std::string& name, const Schema& schema,
     const std::vector<const ColumnarSegment*>& segments);
 
-/// SerializeSegments over every sealed segment of `view` (seals stale
-/// segments first; quiescence like entries()).
+/// SerializeSegments over every sealed segment of `view` (seals tails
+/// first; runs between queries).
 std::string SerializeViewSegments(const std::string& name,
                                   const MaterializedView& view);
 

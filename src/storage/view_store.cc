@@ -1,107 +1,160 @@
 #include "storage/view_store.h"
 
+#include <algorithm>
+
 namespace eva::storage {
 
-const std::vector<Row>& MaterializedView::Get(const ViewKey& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return empty_;
-  return it->second;
-}
-
-const std::vector<Row>* MaterializedView::TryGet(const ViewKey& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-void MaterializedView::Put(const ViewKey& key, std::vector<Row> rows,
-                           uint64_t tick, int64_t query_id) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = entries_.emplace(key, std::move(rows));
-  if (inserted) {
-    num_rows_ += static_cast<int64_t>(it->second.size());
-    int64_t seg_id = SegmentOf(key.frame);
-    SegmentInfo& seg = segments_[seg_id];
-    if (seg.keys == 0) seg.created_tick = tick;
-    seg.keys += 1;
-    seg.rows += static_cast<int64_t>(it->second.size());
-    seg.last_access_tick = tick;
-    seg.last_access_query = query_id;
-    if (query_id >= 0) last_access_query_ = query_id;
-    // Key-list append keeps the columnar rebuild O(segment keys); the
-    // sealed projection (if any) is now stale and rebuilt on next probe.
-    columns_[seg_id].keys.push_back(key);
-    if (capture_appends_) append_log_.push_back(key);
+bool MaterializedView::ContainsLocked(const Segment& seg,
+                                      const ViewKey& key) const {
+  if (seg.tail_index.count(key) > 0) return true;
+  const ColumnarSegment* sealed = seg.sealed.get();
+  if (sealed == nullptr) return false;
+  if (sealed->bloom.enabled() &&
+      !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
+    return false;
   }
+  return sealed->FindKey(key.frame, key.obj, nullptr) != ColumnarSegment::npos;
 }
 
-bool MaterializedView::ColumnarFreshLocked(
-    const std::vector<ViewKey>& keys) const {
-  int64_t cur = INT64_MIN;
-  bool first = true;
-  for (const ViewKey& key : keys) {
-    int64_t seg_id = SegmentOf(key.frame);
-    if (!first && seg_id == cur) continue;
-    first = false;
-    cur = seg_id;
-    auto it = columns_.find(seg_id);
-    if (it == columns_.end()) continue;  // empty segment: nothing to seal
-    if (it->second.columnar == nullptr ||
-        it->second.columnar->built_keys !=
-            static_cast<int64_t>(it->second.keys.size())) {
-      return false;
+bool MaterializedView::Contains(const ViewKey& key) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = segments_.find(SegmentOf(key.frame));
+  return it != segments_.end() && ContainsLocked(it->second, key);
+}
+
+bool MaterializedView::Put(const ViewKey& key,
+                           std::span<const Row* const> rows, size_t first_col,
+                           const std::function<uint64_t()>& next_tick,
+                           int64_t query_id) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  Segment& seg = segments_[SegmentOf(key.frame)];
+  if (seg.info.keys > 0 && ContainsLocked(seg, key)) return false;
+  const uint64_t tick = next_tick();
+  SegmentCells& tail = seg.tail;
+  const size_t ncols = value_schema_.num_fields();
+  if (tail.cols.empty()) tail.cols.resize(ncols);
+  static const Value kNullCell;
+  for (const Row* row : rows) {
+    for (size_t c = 0; c < ncols; ++c) {
+      const size_t i = first_col + c;
+      tail.cols[c].Append(i < row->size() ? (*row)[i] : kNullCell);
     }
   }
+  const auto n = static_cast<int64_t>(rows.size());
+  tail.keys.push_back(key);
+  tail.row_begin.push_back(tail.row_begin.back() + static_cast<int32_t>(n));
+  seg.tail_index.insert(key);
+  if (seg.info.keys == 0) seg.info.created_tick = tick;
+  seg.info.keys += 1;
+  seg.info.rows += n;
+  seg.info.last_access_tick = tick;
+  seg.info.last_access_query = query_id;
+  if (query_id >= 0) last_access_query_ = query_id;
+  num_keys_ += 1;
+  num_rows_ += n;
+  if (capture_appends_) append_log_.push_back(key);
   return true;
 }
 
-void MaterializedView::SealSegmentLocked(SegmentColumns* sc) const {
-  sc->columnar = BuildColumnarSegment(sc->keys, entries_,
-                                      value_schema_.num_fields(),
-                                      build_options_);
-  if (seal_totals_ != nullptr) {
-    const ColumnarSegment& seg = *sc->columnar;
-    seal_totals_->segments_sealed.fetch_add(1, std::memory_order_relaxed);
-    seal_totals_->raw_bytes.fetch_add(seg.raw_bytes,
-                                      std::memory_order_relaxed);
-    seal_totals_->encoded_bytes.fetch_add(seg.encoded_bytes,
-                                          std::memory_order_relaxed);
-    for (int c = 0; c < ColumnVec::kNumCodecs; ++c) {
-      seal_totals_->codec_cols[c].fetch_add(seg.codec_cols[c],
-                                            std::memory_order_relaxed);
-    }
-  }
+bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
+                           uint64_t tick, int64_t query_id) {
+  std::vector<const Row*> refs;
+  refs.reserve(rows.size());
+  for (const Row& row : rows) refs.push_back(&row);
+  return Put(key, refs, 0, [tick] { return tick; }, query_id);
 }
 
-void MaterializedView::SealTouchedLocked(
-    const std::vector<ViewKey>& keys) const {
+bool MaterializedView::TouchedTailsLocked(const std::vector<ViewKey>& keys,
+                                          bool seal) const {
+  bool found = false;
   int64_t cur = INT64_MIN;
-  bool first = true;
   for (const ViewKey& key : keys) {
-    int64_t seg_id = SegmentOf(key.frame);
-    if (!first && seg_id == cur) continue;
-    first = false;
+    const int64_t seg_id = SegmentOf(key.frame);
+    if (seg_id == cur) continue;
     cur = seg_id;
-    auto it = columns_.find(seg_id);
-    if (it == columns_.end()) continue;
-    SegmentColumns& sc = it->second;
-    if (sc.columnar != nullptr &&
-        sc.columnar->built_keys == static_cast<int64_t>(sc.keys.size())) {
-      continue;
+    auto it = segments_.find(seg_id);
+    if (it == segments_.end() || it->second.tail.keys.empty()) continue;
+    if (!seal) return true;
+    found = true;
+    SealSegmentLocked(&it->second);
+  }
+  return found;
+}
+
+std::vector<uint32_t> MaterializedView::TailOrder(const SegmentCells& tail) {
+  std::vector<uint32_t> order(tail.keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&tail](uint32_t a, uint32_t b) {
+    return tail.keys[a] < tail.keys[b];
+  });
+  return order;
+}
+
+SegmentCells MaterializedView::GatherLocked(
+    const Segment& seg, const std::vector<KeyRef>& refs) const {
+  SegmentCells out;
+  out.keys.reserve(refs.size());
+  out.row_begin.reserve(refs.size() + 1);
+  out.cols.resize(value_schema_.num_fields());
+  for (const KeyRef& ref : refs) {
+    int32_t begin, end;
+    if (ref.in_tail) {
+      begin = seg.tail.row_begin[ref.pos];
+      end = seg.tail.row_begin[ref.pos + 1];
+    } else {
+      begin = seg.sealed->row_begin_at(ref.pos);
+      end = seg.sealed->row_begin_at(ref.pos + 1);
     }
-    SealSegmentLocked(&sc);
+    for (size_t c = 0; c < out.cols.size(); ++c) {
+      const ColumnVec& src = ref.in_tail ? seg.tail.cols[c].lane()
+                                         : seg.sealed->cols[c];
+      for (int32_t r = begin; r < end; ++r) {
+        out.cols[c].Append(src.At(static_cast<size_t>(r)));
+      }
+    }
+    out.keys.push_back(ref.key);
+    out.row_begin.push_back(out.row_begin.back() + (end - begin));
+  }
+  return out;
+}
+
+void MaterializedView::SealSegmentLocked(Segment* seg) const {
+  // Merge the sealed keys (ascending) with the tail's in key order; the
+  // result is exactly a one-shot seal of the segment's content.
+  const std::vector<uint32_t> order = TailOrder(seg->tail);
+  const size_t nsealed = seg->sealed ? seg->sealed->num_keys() : 0;
+  std::vector<KeyRef> refs;
+  refs.reserve(nsealed + order.size());
+  size_t i = 0, j = 0;
+  while (i < nsealed || j < order.size()) {
+    ViewKey sk;
+    if (i < nsealed) sk = {seg->sealed->key_frame(i), seg->sealed->key_obj(i)};
+    if (j == order.size() || (i < nsealed && sk < seg->tail.keys[order[j]])) {
+      refs.push_back({sk, false, i++});
+    } else {
+      refs.push_back({seg->tail.keys[order[j]], true, order[j]});
+      ++j;
+    }
+  }
+  seg->sealed = BuildColumnarSegment(GatherLocked(*seg, refs), build_options_);
+  // Fresh objects, not clear(): a cleared hash set keeps its buckets.
+  seg->tail = SegmentCells();
+  seg->tail_index = std::unordered_set<ViewKey, ViewKeyHash>();
+  if (seal_totals_ == nullptr) return;
+  const ColumnarSegment& sealed = *seg->sealed;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  seal_totals_->segments_sealed.fetch_add(1, kRelaxed);
+  seal_totals_->raw_bytes.fetch_add(sealed.raw_bytes, kRelaxed);
+  seal_totals_->encoded_bytes.fetch_add(sealed.encoded_bytes, kRelaxed);
+  for (int c = 0; c < ColumnVec::kNumCodecs; ++c) {
+    seal_totals_->codec_cols[c].fetch_add(sealed.codec_cols[c], kRelaxed);
   }
 }
 
 void MaterializedView::SealAllSegments() const {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  for (auto& [seg_id, sc] : columns_) {
-    if (sc.columnar != nullptr &&
-        sc.columnar->built_keys == static_cast<int64_t>(sc.keys.size())) {
-      continue;
-    }
-    SealSegmentLocked(&sc);
+  for (auto& [seg_id, seg] : segments_) {
+    if (!seg.tail.keys.empty()) SealSegmentLocked(&seg);
   }
 }
 
@@ -110,25 +163,52 @@ MaterializedView::SealedSegments() const {
   SealAllSegments();
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<std::pair<int64_t, std::shared_ptr<const ColumnarSegment>>> out;
-  out.reserve(columns_.size());
-  for (const auto& [seg_id, sc] : columns_) {
-    if (sc.columnar != nullptr) out.emplace_back(seg_id, sc.columnar);
+  out.reserve(segments_.size());
+  for (const auto& [seg_id, seg] : segments_) {
+    if (seg.sealed != nullptr) out.emplace_back(seg_id, seg.sealed);
   }
   return out;
+}
+
+std::shared_ptr<const ColumnarSegment> MaterializedView::BuildChunk(
+    const std::vector<ViewKey>& keys) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  SegmentCells cells;
+  cells.cols.resize(value_schema_.num_fields());
+  auto it = keys.empty() ? segments_.end()
+                         : segments_.find(SegmentOf(keys.front().frame));
+  if (it == segments_.end()) return BuildColumnarSegment(std::move(cells));
+  const Segment& seg = it->second;
+  const std::vector<uint32_t> order = TailOrder(seg.tail);
+  std::vector<KeyRef> refs;
+  size_t cursor = 0;
+  for (const ViewKey& key : keys) {
+    size_t idx = seg.sealed != nullptr
+                     ? seg.sealed->FindKey(key.frame, key.obj, &cursor)
+                     : ColumnarSegment::npos;
+    if (idx != ColumnarSegment::npos) {
+      refs.push_back({key, false, idx});
+      continue;
+    }
+    auto pos = std::lower_bound(
+        order.begin(), order.end(), key,
+        [&seg](uint32_t p, const ViewKey& k) { return seg.tail.keys[p] < k; });
+    if (pos != order.end() && seg.tail.keys[*pos] == key) {
+      refs.push_back({key, true, *pos});
+    }
+  }
+  return BuildColumnarSegment(GatherLocked(seg, refs));
 }
 
 ViewCompressionStats MaterializedView::CompressionStats() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   ViewCompressionStats out;
-  for (const auto& [seg_id, sc] : columns_) {
+  for (const auto& [seg_id, seg] : segments_) {
     ++out.segments;
-    if (sc.columnar == nullptr ||
-        sc.columnar->built_keys != static_cast<int64_t>(sc.keys.size())) {
-      continue;
-    }
+    if (seg.sealed == nullptr || !seg.tail.keys.empty()) continue;
     ++out.sealed_segments;
-    out.raw_bytes += sc.columnar->raw_bytes;
-    out.encoded_bytes += sc.columnar->encoded_bytes;
+    out.raw_bytes += seg.sealed->raw_bytes;
+    out.encoded_bytes += seg.sealed->encoded_bytes;
   }
   return out;
 }
@@ -150,8 +230,8 @@ void MaterializedView::ProbeBatchLocked(const std::vector<ViewKey>& keys,
       cur = seg_id;
       cursor = 0;
       seg_slot = -1;
-      auto it = columns_.find(seg_id);
-      seg_sp = it != columns_.end() ? &it->second.columnar : nullptr;
+      auto it = segments_.find(seg_id);
+      seg_sp = it != segments_.end() ? &it->second.sealed : nullptr;
       seg = seg_sp != nullptr ? seg_sp->get() : nullptr;
       seg_admitted = true;
       if (seg != nullptr && can_match != nullptr) {
@@ -211,53 +291,49 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
   out->outcomes.reserve(keys.size());
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    if (ColumnarFreshLocked(keys)) {
+    if (!TouchedTailsLocked(keys, /*seal=*/false)) {
       ProbeBatchLocked(keys, can_match, out);
       return;
     }
   }
-  // A touched segment grew since its last seal: rebuild its columnar
-  // projection under the exclusive lock, then serve from there.
+  // A touched segment has a tail: reseal it under the exclusive lock,
+  // then serve from there.
   std::unique_lock<std::shared_mutex> lock(mu_);
-  SealTouchedLocked(keys);
+  TouchedTailsLocked(keys, /*seal=*/true);
   ProbeBatchLocked(keys, can_match, out);
 }
 
-void MaterializedView::RecordAccess(int64_t frame, uint64_t tick,
-                                    int64_t query_id) {
+void MaterializedView::RecordAccess(
+    const std::vector<std::pair<int64_t, uint64_t>>& frame_ticks,
+    int64_t query_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = segments_.find(SegmentOf(frame));
-  if (it == segments_.end()) return;
-  it->second.last_access_tick = tick;
-  it->second.last_access_query = query_id;
-  if (query_id >= 0) last_access_query_ = query_id;
+  for (const auto& [frame, tick] : frame_ticks) {
+    auto it = segments_.find(SegmentOf(frame));
+    if (it == segments_.end()) continue;
+    it->second.info.last_access_tick = tick;
+    it->second.info.last_access_query = query_id;
+    if (query_id >= 0) last_access_query_ = query_id;
+  }
 }
 
-double MaterializedView::SegmentBytesLocked(int64_t seg_id,
-                                            const SegmentInfo& info) const {
-  if (build_options_.compress) {
-    auto it = columns_.find(seg_id);
-    if (it != columns_.end() && it->second.columnar != nullptr &&
-        it->second.columnar->built_keys ==
-            static_cast<int64_t>(it->second.keys.size())) {
-      return static_cast<double>(it->second.columnar->encoded_bytes);
-    }
+double MaterializedView::SegmentBytesLocked(const Segment& seg) const {
+  if (build_options_.compress && seg.sealed != nullptr &&
+      seg.tail.keys.empty()) {
+    return static_cast<double>(seg.sealed->encoded_bytes);
   }
-  // Synthetic pre-codec estimate (§5.2): 16 B/key + 10 B/cell. Unsealed
-  // segments are charged at this rate until their first seal; the
+  // Synthetic pre-codec estimate (§5.2): 16 B/key + 10 B/cell. Segments
+  // with a tail are charged at this rate until their next seal; the
   // lifecycle manager seals everything before enforcing the budget so the
   // eviction decision never depends on probe history.
-  return 16.0 * static_cast<double>(info.keys) +
-         static_cast<double>(info.rows) *
+  return 16.0 * static_cast<double>(seg.info.keys) +
+         static_cast<double>(seg.info.rows) *
              static_cast<double>(value_schema_.num_fields()) * 10.0;
 }
 
 double MaterializedView::SizeBytes() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   double bytes = 0;
-  for (const auto& [id, info] : segments_) {
-    bytes += SegmentBytesLocked(id, info);
-  }
+  for (const auto& [id, seg] : segments_) bytes += SegmentBytesLocked(seg);
   return bytes;
 }
 
@@ -265,13 +341,13 @@ std::vector<SegmentStats> MaterializedView::Segments() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<SegmentStats> out;
   out.reserve(segments_.size());
-  for (const auto& [id, info] : segments_) {
+  for (const auto& [id, seg] : segments_) {
     SegmentStats s;
     s.segment_id = id;
     s.first_frame = id * segment_frames_;
     s.frame_end = (id + 1) * segment_frames_;
-    s.bytes = SegmentBytesLocked(id, info);
-    s.info = info;
+    s.bytes = SegmentBytesLocked(seg);
+    s.info = seg.info;
     out.push_back(s);
   }
   return out;
@@ -285,21 +361,11 @@ EvictedSegment MaterializedView::EvictSegment(int64_t segment_id) {
   auto it = segments_.find(segment_id);
   if (it == segments_.end()) return ev;
   // Charge what the segment was accounted at (encoded bytes when sealed
-  // fresh under codecs, the synthetic formula otherwise).
-  ev.bytes = SegmentBytesLocked(segment_id, it->second);
-  // The per-segment key list makes eviction O(segment keys) instead of a
-  // scan over every entry of the view.
-  auto cit = columns_.find(segment_id);
-  if (cit != columns_.end()) {
-    for (const ViewKey& key : cit->second.keys) {
-      auto e = entries_.find(key);
-      if (e == entries_.end()) continue;
-      ev.keys += 1;
-      ev.rows += static_cast<int64_t>(e->second.size());
-      entries_.erase(e);
-    }
-    columns_.erase(cit);
-  }
+  // under codecs with no tail, the synthetic formula otherwise).
+  ev.bytes = SegmentBytesLocked(it->second);
+  ev.keys = it->second.info.keys;
+  ev.rows = it->second.info.rows;
+  num_keys_ -= ev.keys;
   num_rows_ -= ev.rows;
   segments_.erase(it);
   return ev;
@@ -310,11 +376,11 @@ void MaterializedView::RestoreSegmentStamps(int64_t segment_id,
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = segments_.find(segment_id);
   if (it == segments_.end()) return;
-  // keys/rows stay as recomputed from the reloaded entries; only the
+  // keys/rows stay as recomputed from the reloaded rows; only the
   // eviction-relevant stamps are restored.
-  it->second.created_tick = info.created_tick;
-  it->second.last_access_tick = info.last_access_tick;
-  it->second.last_access_query = info.last_access_query;
+  it->second.info.created_tick = info.created_tick;
+  it->second.info.last_access_tick = info.last_access_tick;
+  it->second.info.last_access_query = info.last_access_query;
   if (info.last_access_query > last_access_query_) {
     last_access_query_ = info.last_access_query;
   }
@@ -332,16 +398,13 @@ MaterializedView* ViewStore::GetOrCreate(const std::string& name,
     if (capture_appends_) view->set_capture_appends(true);
     it = views_.emplace(name, std::move(view)).first;
   }
-  Touch(name);
   return it->second.get();
 }
 
 MaterializedView* ViewStore::Find(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = views_.find(name);
-  if (it == views_.end()) return nullptr;
-  Touch(name);
-  return it->second.get();
+  return it == views_.end() ? nullptr : it->second.get();
 }
 
 const MaterializedView* ViewStore::Find(const std::string& name) const {
@@ -350,37 +413,11 @@ const MaterializedView* ViewStore::Find(const std::string& name) const {
   return it == views_.end() ? nullptr : it->second.get();
 }
 
-int ViewStore::EvictToBudget(double max_bytes) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  int dropped = 0;
-  while (TotalSizeBytesLocked() > max_bytes && !views_.empty()) {
-    // Find the least-recently-used view.
-    std::string victim;
-    uint64_t oldest = ~uint64_t{0};
-    for (const auto& [name, view] : views_) {
-      auto it = access_.find(name);
-      uint64_t tick = it == access_.end() ? 0 : it->second;
-      if (tick < oldest) {
-        oldest = tick;
-        victim = name;
-      }
-    }
-    views_.erase(victim);
-    access_.erase(victim);
-    ++dropped;
-  }
-  return dropped;
-}
-
-double ViewStore::TotalSizeBytesLocked() const {
+double ViewStore::TotalSizeBytes() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
   double total = 0;
   for (const auto& [name, view] : views_) total += view->SizeBytes();
   return total;
-}
-
-double ViewStore::TotalSizeBytes() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return TotalSizeBytesLocked();
 }
 
 }  // namespace eva::storage

@@ -8,8 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/row.h"
@@ -67,8 +69,8 @@ struct ProbeOutcome {
 /// Result of one batch probe. Zero-copy: hits reference rows inside pinned
 /// ColumnarSegment snapshots rather than materialized copies — the caller
 /// reads cells via segment(oc).cols[c].At(row) (or RowAt). The pins keep
-/// each snapshot alive past the probe's lock, and segments are immutable
-/// once built (rebuilds swap in a fresh one), so the references stay valid
+/// each snapshot alive past the probe's lock, and sealed segments are
+/// immutable (a reseal swaps in a fresh one), so the references stay valid
 /// under concurrent Puts, reseals, and eviction. Reusable across batches
 /// (Clear keeps capacity).
 struct ProbeResult {
@@ -131,15 +133,16 @@ struct ViewCompressionStats {
 /// OUTER JOIN + IS NULL pass-through guard of the materialization-aware
 /// rewrite (§4.4, Fig. 4) depends on this.
 ///
-/// Concurrency (docs/RUNTIME.md, docs/STORAGE.md): probes (Has/Get/TryGet/
-/// ProbeBatch) take a shared lock and may run concurrently from any number
-/// of runtime workers; materialization (Put) and columnar sealing take the
-/// lock exclusively. Entries are append-only and never mutated after
-/// insertion, and std::unordered_map guarantees reference stability across
-/// rehash, so the row pointer returned by Get/TryGet stays valid under
-/// concurrent Puts. entries() exposes the raw map for persistence /
-/// eviction and requires external quiescence (driver thread, no workers in
-/// flight) — the engine only calls it between queries.
+/// Storage (docs/STORAGE.md): segments are the only copy of the rows. Each
+/// segment is an immutable sealed ColumnarSegment plus an append-only open
+/// tail of typed lanes; Put appends to the tail, and a seal merges sealed +
+/// tail into a fresh ColumnarSegment. A segment is stale exactly when its
+/// tail is non-empty.
+///
+/// Concurrency (docs/RUNTIME.md): Contains and ProbeBatch over sealed
+/// segments take a shared lock and may run concurrently from any number of
+/// runtime workers; Put, sealing, and access stamping take the lock
+/// exclusively. Probes read pinned sealed snapshots, never the tail.
 class MaterializedView {
  public:
   MaterializedView(std::string name, Schema value_schema)
@@ -148,58 +151,49 @@ class MaterializedView {
   const std::string& name() const { return name_; }
   const Schema& value_schema() const { return value_schema_; }
 
-  bool Has(const ViewKey& key) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return entries_.count(key) > 0;
-  }
+  /// Presence check: the sealed key index (Bloom filter, then FindKey) of
+  /// the key's segment plus the key index of its tail.
+  bool Contains(const ViewKey& key) const;
 
-  /// Result rows for `key`; empty when absent or when the UDF produced no
-  /// rows for that input. The reference stays valid under concurrent Puts
-  /// (append-only store, node-stable map).
-  const std::vector<Row>& Get(const ViewKey& key) const;
-
-  /// Single-acquisition point probe: presence check and row fetch under one
-  /// shared lock (replaces the Has()+Get() pair and its TOCTOU window).
-  /// nullptr when absent; the pointer stays valid under concurrent Puts.
-  const std::vector<Row>* TryGet(const ViewKey& key) const;
-
-  /// Batch probe over the columnar read path: one lock acquisition for the
+  /// Batch probe over the sealed segments: one lock acquisition for the
   /// whole batch, a cursor-assisted search per key over the frame-sorted
   /// segment arrays (O(1) per key for ascending batches), and zero-copy
   /// results referencing pinned segment snapshots (see ProbeResult).
-  /// Lazily (re)builds the columnar projection of any touched segment that
-  /// is stale relative to its row store. When `can_match` is non-null it
-  /// is consulted once per segment run; a rejected segment's hits come
-  /// back kHitSkipped with no row references. Keys should be
-  /// frame-ascending for the cursor to amortize, but any order is correct.
+  /// Seals every touched segment that has a tail first (exclusive lock).
+  /// When `can_match` is non-null it is consulted once per segment run; a
+  /// rejected segment's hits come back kHitSkipped with no row references.
+  /// Keys should be frame-ascending for the cursor to amortize, but any
+  /// order is correct.
   void ProbeBatch(const std::vector<ViewKey>& keys,
                   const ZoneCheckFn& can_match, ProbeResult* out) const;
 
-  /// Records the UDF's results for `key` (idempotent; re-puts of an
-  /// existing key are ignored, matching append-only STORE semantics).
-  /// `tick` / `query_id` stamp the key's segment for eviction scoring;
-  /// the defaults keep pre-lifecycle callers compiling unchanged.
-  void Put(const ViewKey& key, std::vector<Row> rows, uint64_t tick = 0,
-           int64_t query_id = -1);
+  /// Appends `key` with its result rows to its segment's tail unless the
+  /// key is already present (append-only STORE semantics); returns whether
+  /// it inserted. Row r's value cells are read in place from
+  /// (*rows[r])[first_col...]; cells past a row's end read as NULL.
+  /// `next_tick` is called once, only on insert, for the access stamp of
+  /// the key's segment (eviction scoring).
+  bool Put(const ViewKey& key, std::span<const Row* const> rows,
+           size_t first_col, const std::function<uint64_t()>& next_tick,
+           int64_t query_id);
+  /// Put of whole rows with a fixed stamp (replay, snapshot load, tests).
+  bool Put(const ViewKey& key, const std::vector<Row>& rows,
+           uint64_t tick = 0, int64_t query_id = -1);
 
-  /// Refreshes the access stamp of `frame`'s segment after a successful
-  /// probe (ViewJoin hit). No-op when the segment holds no keys.
-  void RecordAccess(int64_t frame, uint64_t tick, int64_t query_id);
+  /// Refreshes the access stamps of the segments of a batch of probe hits
+  /// (ViewJoin), given as (frame, tick) in hit order, under one lock.
+  /// Frames whose segment holds no keys are skipped.
+  void RecordAccess(
+      const std::vector<std::pair<int64_t, uint64_t>>& frame_ticks,
+      int64_t query_id);
 
   int64_t num_keys() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    return static_cast<int64_t>(entries_.size());
+    return num_keys_;
   }
   int64_t num_rows() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return num_rows_;
-  }
-
-  /// Iteration over all (key, rows) entries (persistence, eviction).
-  /// Requires quiescence: no concurrent Put may be in flight.
-  const std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash>&
-  entries() const {
-    return entries_;
   }
 
   /// Estimated on-disk footprint of the materialized results (§5.2).
@@ -209,10 +203,9 @@ class MaterializedView {
   /// use the SizeBytes() formula restricted to the segment's keys/rows.
   std::vector<SegmentStats> Segments() const;
 
-  /// Drops every key whose frame falls in `segment_id`'s range and returns
-  /// what was removed (zeroed result when the segment is empty/unknown).
-  /// Requires quiescence like entries(): the lifecycle manager only evicts
-  /// from the driver thread between queries.
+  /// Drops segment `segment_id` and returns what was removed (zeroed
+  /// result when the segment is empty/unknown). The lifecycle manager
+  /// only evicts from the driver thread between queries.
   EvictedSegment EvictSegment(int64_t segment_id);
 
   /// Restores a segment's access stamps (persistence reload).
@@ -237,17 +230,23 @@ class MaterializedView {
   /// Sink for cumulative seal accounting (owned by the ViewStore).
   void set_seal_totals(SealTotals* totals) { seal_totals_ = totals; }
 
-  /// Seals (or refreshes) the columnar projection of every segment. The
-  /// lifecycle manager calls it before byte accounting so the footprint is
-  /// the encoded one regardless of probe history; persistence calls it so
-  /// the on-disk codec matches the sealed state. Driver-thread cadence,
-  /// but safe under concurrent probes (exclusive lock).
+  /// Seals every segment that has a tail. The lifecycle manager calls it
+  /// before byte accounting so the footprint is the encoded one regardless
+  /// of probe history; persistence calls it so the on-disk codec matches
+  /// the sealed state. Driver-thread cadence, but safe under concurrent
+  /// probes (exclusive lock).
   void SealAllSegments() const;
 
-  /// Sealed segments by id, sealing stale ones first. Requires quiescence
-  /// like entries() (persistence runs between queries).
+  /// Sealed segments by id, sealing tails first (persistence runs between
+  /// queries).
   std::vector<std::pair<int64_t, std::shared_ptr<const ColumnarSegment>>>
   SealedSegments() const;
+
+  /// Plain segment (no codecs, no Bloom filter) holding the rows of `keys`
+  /// — ascending, unique, and all in one segment; absent keys are skipped.
+  /// Read from the sealed part or the tail without sealing (WAL chunks).
+  std::shared_ptr<const ColumnarSegment> BuildChunk(
+      const std::vector<ViewKey>& keys) const;
 
   /// Current codec footprint over sealed-fresh segments.
   ViewCompressionStats CompressionStats() const;
@@ -261,8 +260,8 @@ class MaterializedView {
 
   /// WAL append capture: while enabled, every key Put actually inserts
   /// (re-puts excluded) is recorded in insertion order. The engine drains
-  /// the log at each group-commit point via TakeAppendedKeys — a
-  /// driver-thread quiescence call like entries().
+  /// the log at each group-commit point via TakeAppendedKeys, between
+  /// queries.
   void set_capture_appends(bool enabled) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     capture_appends_ = enabled;
@@ -276,14 +275,17 @@ class MaterializedView {
   }
 
  private:
-  /// Per-segment columnar state: the key list maintained on Put (so a
-  /// rebuild is O(segment keys), not O(view keys)) and the lazily sealed
-  /// columnar projection. `columnar` is stale whenever its built_keys
-  /// differs from keys.size() — segments only grow between evictions, and
-  /// eviction drops the whole entry.
-  struct SegmentColumns {
-    std::vector<ViewKey> keys;  // insertion order
-    std::shared_ptr<const ColumnarSegment> columnar;
+  struct Segment {
+    SegmentInfo info;
+    std::shared_ptr<const ColumnarSegment> sealed;  // null until first seal
+    SegmentCells tail;  // open tail, keys in insertion order
+    std::unordered_set<ViewKey, ViewKeyHash> tail_index;  // Put's check
+  };
+  /// A key's rows for a gather: sealed key index or tail key position.
+  struct KeyRef {
+    ViewKey key;
+    bool in_tail = false;
+    size_t pos = 0;
   };
 
   int64_t SegmentOf(int64_t frame) const {
@@ -294,32 +296,36 @@ class MaterializedView {
     return q;
   }
 
-  /// True when every segment touched by `keys` has a fresh columnar
-  /// projection (or no keys at all). Caller holds mu_ (any mode).
-  bool ColumnarFreshLocked(const std::vector<ViewKey>& keys) const;
-  /// Builds/refreshes the columnar projection of every stale touched
-  /// segment. Caller holds mu_ exclusively.
-  void SealTouchedLocked(const std::vector<ViewKey>& keys) const;
-  /// (Re)builds one segment's projection and records seal accounting.
-  /// Caller holds mu_ exclusively.
-  void SealSegmentLocked(SegmentColumns* sc) const;
+  /// Caller holds mu_ (any mode).
+  bool ContainsLocked(const Segment& seg, const ViewKey& key) const;
+  /// Whether a segment touched by `keys` has an open tail; with `seal`
+  /// (exclusive lock) reseals every such segment. Caller holds mu_.
+  bool TouchedTailsLocked(const std::vector<ViewKey>& keys, bool seal) const;
+  /// Tail key positions in ascending key order.
+  static std::vector<uint32_t> TailOrder(const SegmentCells& tail);
+  /// Cells of `refs` (ascending keys of `seg`) in seal order. Caller
+  /// holds mu_.
+  SegmentCells GatherLocked(const Segment& seg,
+                            const std::vector<KeyRef>& refs) const;
+  /// Merges sealed + tail into a fresh sealed segment and records seal
+  /// accounting. Caller holds mu_ exclusively.
+  void SealSegmentLocked(Segment* seg) const;
   /// Charged footprint of one segment: the encoded bytes when codecs are
-  /// on and the segment is sealed fresh, the synthetic §5.2 formula
-  /// otherwise (identical to the pre-codec accounting). Caller holds mu_.
-  double SegmentBytesLocked(int64_t seg_id, const SegmentInfo& info) const;
-  /// Serves the batch; every touched segment must be fresh. Caller holds
-  /// mu_ (any mode).
+  /// on and the segment has no tail, the synthetic §5.2 formula otherwise
+  /// (identical to the pre-codec accounting). Caller holds mu_.
+  double SegmentBytesLocked(const Segment& seg) const;
+  /// Serves the batch; every touched segment must have no tail. Caller
+  /// holds mu_ (any mode).
   void ProbeBatchLocked(const std::vector<ViewKey>& keys,
                         const ZoneCheckFn& can_match, ProbeResult* out) const;
 
   std::string name_;
   Schema value_schema_;
   mutable std::shared_mutex mu_;
-  std::unordered_map<ViewKey, std::vector<Row>, ViewKeyHash> entries_;
-  std::map<int64_t, SegmentInfo> segments_;
-  /// Columnar read projection, keyed like segments_. Mutable: sealing is a
-  /// read-path cache fill (under the exclusive lock).
-  mutable std::map<int64_t, SegmentColumns> columns_;
+  /// Keyed by segment id. Mutable: sealing rewrites a segment's physical
+  /// form, not its contents (under the exclusive lock).
+  mutable std::map<int64_t, Segment> segments_;
+  int64_t num_keys_ = 0;
   int64_t num_rows_ = 0;
   int64_t segment_frames_ = 512;
   SegmentBuildOptions build_options_;
@@ -327,42 +333,32 @@ class MaterializedView {
   int64_t last_access_query_ = -1;
   bool capture_appends_ = false;
   std::vector<ViewKey> append_log_;  // keys inserted since the last drain
-  std::vector<Row> empty_;
 };
 
 /// Registry of materialized views, one per UDF signature (§3.1 step 2).
 ///
 /// Concurrency: registry operations (GetOrCreate / Find / totals) are
-/// guarded by a shared_mutex — concurrent lookups are shared; creation,
-/// eviction, and LRU bookkeeping are exclusive. View pointers are stable
-/// for the registry's lifetime (unique_ptr-owned), so operators may cache
-/// a MaterializedView* for a whole batch and go through that view's own
-/// probe/materialize locking. views() requires external quiescence.
+/// guarded by a shared_mutex — lookups are shared, creation is exclusive.
+/// View pointers are stable for the registry's lifetime (unique_ptr-owned),
+/// so operators may cache a MaterializedView* for a whole batch and go
+/// through that view's own probe/materialize locking. views() requires
+/// external quiescence.
 class ViewStore {
  public:
   /// Returns the view for `name`, creating it with `value_schema` when
   /// missing.
   MaterializedView* GetOrCreate(const std::string& name,
                                 const Schema& value_schema);
-  /// Returns the view or nullptr. The non-const overload refreshes the LRU
-  /// tick and therefore locks exclusively.
+  /// Returns the view or nullptr.
   MaterializedView* Find(const std::string& name);
   const MaterializedView* Find(const std::string& name) const;
 
   /// Total footprint across all views (the §5.2 storage number).
   double TotalSizeBytes() const;
 
-  /// Evicts least-recently-used views (whole views — coarse granularity)
-  /// until the total footprint is at most `max_bytes`. Returns the number
-  /// of views dropped. Safe at any time between queries: a query whose
-  /// view was evicted simply recomputes and re-materializes through the
-  /// conditional apply.
-  int EvictToBudget(double max_bytes);
-
   void Clear() {
     std::unique_lock<std::shared_mutex> lock(mu_);
     views_.clear();
-    access_.clear();
   }
 
   /// Requires quiescence: no concurrent GetOrCreate/Evict in flight.
@@ -425,14 +421,8 @@ class ViewStore {
   }
 
  private:
-  /// Caller must hold mu_ exclusively.
-  void Touch(const std::string& name) { access_[name] = ++access_clock_; }
-  double TotalSizeBytesLocked() const;
-
   mutable std::shared_mutex mu_;
   std::map<std::string, std::unique_ptr<MaterializedView>> views_;
-  std::map<std::string, uint64_t> access_;  // name -> last access tick
-  uint64_t access_clock_ = 0;
   int64_t segment_frames_ = 512;
   SegmentBuildOptions build_options_;
   mutable SealTotals seal_totals_;

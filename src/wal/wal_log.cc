@@ -122,8 +122,7 @@ WalRecord SegmentAppendRecord(const std::string& name,
   // chunk's key index must be strictly ascending.
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  auto chunk = storage::BuildColumnarSegment(
-      std::move(keys), view.entries(), view.value_schema().num_fields());
+  auto chunk = view.BuildChunk(keys);
   storage::ByteWriter w;
   w.Zigzag(query_id);
   std::string payload = w.Take();

@@ -78,8 +78,8 @@ WalRecord CheckpointRecord(
     const std::vector<std::pair<std::string, int64_t>>& horizons);
 
 /// One (view, segment) chunk of freshly materialized keys, built from the
-/// view's row store with plain lanes (quiescent — driver thread only).
-/// Every key must be present in `view.entries()`.
+/// view's segment (sealed part or tail) with plain lanes (quiescent —
+/// driver thread only). Every key must satisfy `view.Contains`.
 WalRecord SegmentAppendRecord(const std::string& name,
                               const storage::MaterializedView& view,
                               int64_t query_id,

@@ -75,8 +75,8 @@ Status ApplyAppend(const WalRecord& rec, storage::ViewStore* views,
   storage::MaterializedView* view =
       views->GetOrCreate(decoded.value().name, decoded.value().schema);
   const uint64_t tick = views->NextAccessTick();
-  for (auto& [key, rows] : decoded.value().rows) {
-    view->Put(key, std::move(rows), tick, query_id);
+  for (const auto& [key, rows] : decoded.value().rows) {
+    view->Put(key, rows, tick, query_id);
     ++(*keys_applied);
   }
   return Status::OK();

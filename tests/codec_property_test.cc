@@ -1,9 +1,10 @@
 // Differential property tests for the seal-time segment codecs
 // (docs/STORAGE.md): every encoding x column type x adversarial value
 // distribution must reconstruct the exact stored Values and answer
-// ProbeBatch / TryGet / zone-skip probes identically to an uncompressed
-// view. Deterministic LCG-driven generation — failures replay from the
-// printed seed.
+// ProbeBatch / Contains / zone-skip probes identically to an uncompressed
+// view, and a reseal of sealed + open tail must equal a one-shot seal.
+// Deterministic LCG-driven generation — failures replay from the printed
+// seed.
 
 #include <gtest/gtest.h>
 
@@ -292,11 +293,12 @@ void ExpectProbesAgree(const ViewPair& pair,
       }
     }
   }
-  // TryGet goes through the row store on both sides; spot-check agreement
-  // with the columnar result anyway (presence only — rows are shared).
-  for (const ViewKey& key : probes) {
-    EXPECT_EQ(pair.plain.TryGet(key) != nullptr,
-              pair.packed.TryGet(key) != nullptr);
+  // The presence check (Bloom + key index on the packed side, plain key
+  // index on the other) agrees with the probe outcome on both sides.
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const bool present = rp.outcomes[i].status != ProbeStatus::kMiss;
+    EXPECT_EQ(pair.plain.Contains(probes[i]), present);
+    EXPECT_EQ(pair.packed.Contains(probes[i]), present);
   }
 }
 
@@ -449,6 +451,183 @@ TEST(CodecViewDifferentialTest, CompressedFootprintNeverLarger) {
   ViewCompressionStats cs = pair.packed.CompressionStats();
   EXPECT_GT(cs.sealed_segments, 0);
   EXPECT_LT(cs.encoded_bytes, cs.raw_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Reseal identity: a segment filled by k appends with seals in between is
+// field-for-field the segment a one-shot seal of the same content builds.
+// ---------------------------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+void ExpectSamePacked(const BitPackedVec& a, const BitPackedVec& b,
+                      const char* what) {
+  EXPECT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(a.width(), b.width()) << what;
+  EXPECT_EQ(a.words(), b.words()) << what;
+}
+
+void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
+  // Key index.
+  EXPECT_EQ(a.packed_keys, b.packed_keys);
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_EQ(a.objs, b.objs);
+  EXPECT_EQ(a.row_begin, b.row_begin);
+  EXPECT_EQ(a.frame_base, b.frame_base);
+  EXPECT_EQ(a.row_stride, b.row_stride);
+  EXPECT_EQ(a.row_res_base, b.row_res_base);
+  ExpectSamePacked(a.frames_p, b.frames_p, "frames_p");
+  ExpectSamePacked(a.objs_p, b.objs_p, "objs_p");
+  ExpectSamePacked(a.row_begin_p, b.row_begin_p, "row_begin_p");
+  EXPECT_EQ(a.obj_min, b.obj_min);
+  EXPECT_EQ(a.obj_max, b.obj_max);
+  // Footprint and codec accounting.
+  EXPECT_EQ(a.raw_bytes, b.raw_bytes);
+  EXPECT_EQ(a.encoded_bytes, b.encoded_bytes);
+  for (int c = 0; c < ColumnVec::kNumCodecs; ++c) {
+    EXPECT_EQ(a.codec_cols[c], b.codec_cols[c]) << "codec " << c;
+  }
+  // Bloom bits.
+  ASSERT_EQ(a.bloom.num_blocks(), b.bloom.num_blocks());
+  for (size_t i = 0; i < a.bloom.num_blocks(); ++i) {
+    EXPECT_EQ(std::memcmp(&a.bloom.blocks()[i], &b.bloom.blocks()[i],
+                          sizeof(BloomFilter::Block)),
+              0)
+        << "bloom block " << i;
+  }
+  // Columns: encoding, codec, lanes, dictionary order, zone maps.
+  ASSERT_EQ(a.cols.size(), b.cols.size());
+  ASSERT_EQ(a.zones.size(), b.zones.size());
+  for (size_t c = 0; c < a.cols.size(); ++c) {
+    const ColumnVec& x = a.cols[c];
+    const ColumnVec& y = b.cols[c];
+    EXPECT_EQ(x.enc(), y.enc()) << "col " << c;
+    EXPECT_EQ(x.codec(), y.codec()) << "col " << c;
+    EXPECT_EQ(x.n_, y.n_) << "col " << c;
+    EXPECT_EQ(x.null_bits_, y.null_bits_) << "col " << c;
+    EXPECT_EQ(x.i64_, y.i64_) << "col " << c;
+    ASSERT_EQ(x.f64_.size(), y.f64_.size()) << "col " << c;
+    for (size_t i = 0; i < x.f64_.size(); ++i) {
+      EXPECT_TRUE(SameBits(x.f64_[i], y.f64_[i])) << "col " << c;
+    }
+    EXPECT_EQ(x.b8_, y.b8_) << "col " << c;
+    EXPECT_EQ(x.codes_, y.codes_) << "col " << c;
+    EXPECT_EQ(x.dict_, y.dict_) << "col " << c;
+    ASSERT_EQ(x.raw_.size(), y.raw_.size()) << "col " << c;
+    for (size_t i = 0; i < x.raw_.size(); ++i) {
+      EXPECT_TRUE(SameValue(x.raw_[i], y.raw_[i])) << "col " << c;
+    }
+    EXPECT_EQ(x.for_base_, y.for_base_) << "col " << c;
+    ExpectSamePacked(x.packed_, y.packed_, "packed_");
+    EXPECT_EQ(x.rle_end_, y.rle_end_) << "col " << c;
+    const ZoneMapEntry& zx = a.zones[c];
+    const ZoneMapEntry& zy = b.zones[c];
+    EXPECT_EQ(zx.valid, zy.valid) << "col " << c;
+    EXPECT_EQ(zx.type, zy.type) << "col " << c;
+    EXPECT_EQ(zx.has_nulls, zy.has_nulls) << "col " << c;
+    EXPECT_EQ(zx.all_null, zy.all_null) << "col " << c;
+    EXPECT_TRUE(SameBits(zx.num_min, zy.num_min)) << "col " << c;
+    EXPECT_TRUE(SameBits(zx.num_max, zy.num_max)) << "col " << c;
+    EXPECT_EQ(zx.strings, zy.strings) << "col " << c;
+  }
+}
+
+TEST(CodecResealTest, ResealEqualsOneShotSeal) {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"b", DataType::kBool},
+                 {"s", DataType::kString},
+                 {"m", DataType::kInt64}});  // mixed types: raw Values
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (bool compress : {false, true}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Lcg rng(0x5EA1 * seed);
+      // Content: frame-level and object-level keys over two segments,
+      // presence-only keys, nulls, -0.0/NaN doubles, repeats for RLE.
+      std::vector<std::pair<ViewKey, std::vector<Row>>> content;
+      for (int64_t f = 0; f < 120; ++f) {
+        const bool object_keys = f % 5 == 0;
+        for (int64_t obj = object_keys ? 0 : -1;
+             obj < (object_keys ? 3 : 0); ++obj) {
+          std::vector<Row> rows;
+          const int nrows = static_cast<int>(rng.Next() % 3);
+          for (int r = 0; r < nrows; ++r) {
+            Value m;
+            switch (rng.Next() % 4) {
+              case 0:
+                m = Value(rng.NextInt(0, 5));
+                break;
+              case 1:
+                m = Value("x" + std::to_string(rng.NextInt(0, 3)));
+                break;
+              case 2:
+                m = Value(rng.NextDouble());
+                break;
+              default:
+                break;  // NULL
+            }
+            const uint64_t dpick = rng.Next() % 6;
+            rows.push_back(
+                {rng.Next() % 7 == 0 ? Value::Null()
+                                     : Value(rng.NextInt(-3, 40)),
+                 Value(dpick == 0   ? -0.0
+                       : dpick == 1 ? kNaN
+                       : dpick == 2 ? 0.25
+                                    : rng.NextDouble()),
+                 rng.Next() % 5 == 0 ? Value::Null()
+                                     : Value(rng.Next() % 3 == 0),
+                 Value(seed == 4 ? "s" + std::to_string(rng.Next() % 200)
+                                 : std::string(rng.Next() % 2 == 0 ? "car"
+                                                                  : "bus")),
+                 m});
+          }
+          content.push_back({{f, obj}, std::move(rows)});
+        }
+      }
+      // Append in a shuffled order so each reseal merges tail keys into
+      // the middle of the sealed key index, not just past its end.
+      std::vector<size_t> order(content.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[static_cast<size_t>(rng.Next() % i)]);
+      }
+      const SegmentBuildOptions options{compress, compress ? 10 : 0};
+      MaterializedView resealed("t@v", schema);
+      resealed.set_segment_frames(64);
+      resealed.set_build_options(options);
+      const size_t k = 2 + seed;  // appends between seals
+      for (size_t i = 0; i < order.size(); ++i) {
+        const auto& [key, rows] = content[order[i]];
+        ASSERT_TRUE(resealed.Put(key, rows));
+        if (i % k == k - 1) {
+          if (i % 2 == 0) {
+            resealed.SealAllSegments();
+          } else {
+            ProbeResult res;  // a probe seals the touched segment
+            resealed.ProbeBatch({key}, nullptr, &res);
+          }
+        }
+      }
+      MaterializedView one_shot("t@v", schema);
+      one_shot.set_segment_frames(64);
+      one_shot.set_build_options(options);
+      for (const auto& [key, rows] : content) {
+        ASSERT_TRUE(one_shot.Put(key, rows));
+      }
+      auto a = resealed.SealedSegments();
+      auto b = one_shot.SealedSegments();
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("compress=" + std::to_string(compress) +
+                     " seed=" + std::to_string(seed) +
+                     " segment=" + std::to_string(a[i].first));
+        EXPECT_EQ(a[i].first, b[i].first);
+        ExpectSameSegment(*a[i].second, *b[i].second);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "engine/eva_engine.h"
 #include "storage/view_persistence.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 
 namespace eva::storage {
 namespace {
@@ -74,14 +75,21 @@ TEST_F(PersistenceTest, ViewStoreRoundTrips) {
   ASSERT_NE(lv, nullptr);
   EXPECT_EQ(lv->num_keys(), 2);
   EXPECT_EQ(lv->num_rows(), 2);
-  EXPECT_TRUE(lv->Has({1, -1}));
-  EXPECT_TRUE(lv->Get({1, -1}).empty());
-  ASSERT_EQ(lv->Get({0, -1}).size(), 2u);
-  EXPECT_EQ(lv->Get({0, -1})[0][1].AsString(), "car");
-  EXPECT_DOUBLE_EQ(lv->Get({0, -1})[1][2].AsDouble(), 0.5);
+  EXPECT_TRUE(lv->Contains({1, -1}));
+  auto presence_only = ReadKey(*lv, {1, -1});
+  ASSERT_TRUE(presence_only.has_value());
+  EXPECT_TRUE(presence_only->empty());
+  auto det_rows = ReadKey(*lv, {0, -1});
+  ASSERT_TRUE(det_rows.has_value());
+  ASSERT_EQ(det_rows->size(), 2u);
+  EXPECT_EQ((*det_rows)[0][1].AsString(), "car");
+  EXPECT_DOUBLE_EQ((*det_rows)[1][2].AsDouble(), 0.5);
   MaterializedView* lc = loaded.Find("CarType@v");
   ASSERT_NE(lc, nullptr);
-  EXPECT_EQ(lc->Get({0, 1})[0][0].AsString(), "Toyota");
+  auto cls_rows = ReadKey(*lc, {0, 1});
+  ASSERT_TRUE(cls_rows.has_value());
+  ASSERT_EQ(cls_rows->size(), 1u);
+  EXPECT_EQ((*cls_rows)[0][0].AsString(), "Toyota");
   EXPECT_TRUE(lc->value_schema() ==
               Schema({{"CarType", DataType::kString}}));
 }
@@ -98,8 +106,10 @@ TEST_F(PersistenceTest, LoadMergesWithoutOverwriting) {
   target.GetOrCreate("CarType@v", schema)->Put({0, 1}, {{Value("BMW")}});
   ASSERT_TRUE(LoadSession(dir_.string(), &target, nullptr).ok());
   // Existing keys win (append-only semantics); new keys merge in.
-  EXPECT_EQ(target.Find("CarType@v")->Get({0, 0})[0][0].AsString(),
-            "Ford");
+  auto kept = ReadKey(*target.Find("CarType@v"), {0, 0});
+  ASSERT_TRUE(kept.has_value());
+  ASSERT_EQ(kept->size(), 1u);
+  EXPECT_EQ((*kept)[0][0].AsString(), "Ford");
   EXPECT_EQ(target.Find("CarType@v")->num_keys(), 2);
 }
 

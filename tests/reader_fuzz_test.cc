@@ -22,6 +22,7 @@
 #include "symbolic/predicate.h"
 #include "symbolic/predicate_io.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 #include "wal/wal_log.h"
 #include "wal/wal_replay.h"
 
@@ -241,10 +242,10 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
     EXPECT_EQ(lv->num_keys(), view->num_keys());
     EXPECT_EQ(lv->num_rows(), view->num_rows());
     for (int64_t f = 0; f < 300; ++f) {
-      const std::vector<Row>* a = view->TryGet({f, -1});
-      const std::vector<Row>* b = lv->TryGet({f, -1});
-      ASSERT_EQ(a != nullptr, b != nullptr) << f;
-      if (a == nullptr) continue;
+      auto a = storage::ReadKey(*view, {f, -1});
+      auto b = storage::ReadKey(*lv, {f, -1});
+      ASSERT_EQ(a.has_value(), b.has_value()) << f;
+      if (!a.has_value()) continue;
       ASSERT_EQ(a->size(), b->size()) << f;
       for (size_t r = 0; r < a->size(); ++r) {
         for (size_t c = 0; c < (*a)[r].size(); ++c) {
@@ -270,9 +271,12 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
     }
     const storage::MaterializedView* lv = loaded.Find("Det@v");
     if (lv == nullptr) continue;  // parsed under a mutated name
-    for (const auto& [key, rows] : lv->entries()) {
-      const std::vector<Row>* orig = view->TryGet(key);
-      if (orig == nullptr) continue;  // bit flips inside key varints
+    // ParseSegmentBody installed exactly what the decoder returned.
+    auto decoded = storage::DecodeSegmentBody(mutated, "fz.evaseg");
+    ASSERT_TRUE(decoded.ok());
+    for (const auto& [key, rows] : decoded.value().rows) {
+      EXPECT_TRUE(lv->Contains(key));
+      if (!view->Contains(key)) continue;  // bit flips inside key varints
       // A surviving key either matches the original payload or the
       // mutation stayed inside the value lanes — but lane sizes, dict
       // indexes, and run offsets were all revalidated, so reconstructed

@@ -3,6 +3,7 @@
 #include "storage/statistics.h"
 #include "storage/view_store.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 
 namespace eva::storage {
 namespace {
@@ -16,26 +17,59 @@ Schema DetSchema() {
 
 TEST(MaterializedViewTest, PresenceDistinctFromEmptiness) {
   MaterializedView view("det@v", DetSchema());
-  EXPECT_FALSE(view.Has({5, -1}));
-  view.Put({5, -1}, {});  // processed frame, zero detections
-  EXPECT_TRUE(view.Has({5, -1}));
-  EXPECT_TRUE(view.Get({5, -1}).empty());
+  EXPECT_FALSE(view.Contains({5, -1}));
+  EXPECT_FALSE(ReadKey(view, {5, -1}).has_value());
+  EXPECT_TRUE(view.Put({5, -1}, {}));  // processed frame, zero detections
+  EXPECT_TRUE(view.Contains({5, -1}));
+  ASSERT_TRUE(ReadKey(view, {5, -1}).has_value());
+  EXPECT_TRUE(ReadKey(view, {5, -1})->empty());
   EXPECT_EQ(view.num_keys(), 1);
   EXPECT_EQ(view.num_rows(), 0);
 }
 
 TEST(MaterializedViewTest, PutIsIdempotentAppendOnly) {
   MaterializedView view("det@v", DetSchema());
-  view.Put({1, -1}, {{Value(int64_t{0}), Value("car"), Value(0.3),
-                      Value(0.9)}});
+  EXPECT_TRUE(view.Put({1, -1}, {{Value(int64_t{0}), Value("car"),
+                                  Value(0.3), Value(0.9)}}));
   EXPECT_EQ(view.num_rows(), 1);
   // Re-putting an existing key is a no-op (STORE semantics).
-  view.Put({1, -1}, {{Value(int64_t{0}), Value("bus"), Value(0.1),
-                      Value(0.2)},
-                     {Value(int64_t{1}), Value("car"), Value(0.2),
-                      Value(0.8)}});
+  EXPECT_FALSE(view.Put({1, -1}, {{Value(int64_t{0}), Value("bus"),
+                                   Value(0.1), Value(0.2)},
+                                  {Value(int64_t{1}), Value("car"),
+                                   Value(0.2), Value(0.8)}}));
   EXPECT_EQ(view.num_rows(), 1);
-  EXPECT_EQ(view.Get({1, -1})[0][1].AsString(), "car");
+  EXPECT_EQ((*ReadKey(view, {1, -1}))[0][1].AsString(), "car");
+  // Also once the key is sealed (probed) rather than in the open tail.
+  EXPECT_FALSE(view.Put({1, -1}, {{Value(int64_t{0}), Value("bus"),
+                                   Value(0.1), Value(0.2)}}));
+  EXPECT_EQ(view.num_rows(), 1);
+  EXPECT_EQ((*ReadKey(view, {1, -1}))[0][1].AsString(), "car");
+}
+
+TEST(MaterializedViewTest, ReappendDrawsNoTick) {
+  ViewStore store;
+  MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
+  std::function<uint64_t()> next_tick = [&store] {
+    return store.NextAccessTick();
+  };
+  Row row = {Value(int64_t{7}), Value(int64_t{0}), Value("car"), Value(0.3),
+             Value(0.9)};
+  std::vector<const Row*> rows = {&row};
+  EXPECT_TRUE(view->Put({1, -1}, rows, 1, next_tick, 3));
+  EXPECT_EQ(store.current_tick(), 1u);
+  ASSERT_EQ(view->Segments().size(), 1u);
+  EXPECT_EQ(view->Segments()[0].info.last_access_tick, 1u);
+  // Present in the tail, then sealed: neither re-append draws a tick or
+  // touches the stamps.
+  EXPECT_FALSE(view->Put({1, -1}, rows, 1, next_tick, 4));
+  view->SealAllSegments();
+  EXPECT_FALSE(view->Put({1, -1}, rows, 1, next_tick, 5));
+  EXPECT_EQ(store.current_tick(), 1u);
+  EXPECT_EQ(view->Segments()[0].info.last_access_tick, 1u);
+  EXPECT_EQ(view->Segments()[0].info.last_access_query, 3);
+  EXPECT_EQ(view->last_access_query(), 3);
+  // The cells were read from column 1 on.
+  EXPECT_EQ((*ReadKey(*view, {1, -1}))[0][0].AsInt64(), 0);
 }
 
 TEST(MaterializedViewTest, ObjectLevelKeys) {
@@ -43,10 +77,11 @@ TEST(MaterializedViewTest, ObjectLevelKeys) {
                                               DataType::kString}}));
   view.Put({3, 0}, {{Value("Nissan")}});
   view.Put({3, 1}, {{Value("Toyota")}});
-  EXPECT_TRUE(view.Has({3, 0}));
-  EXPECT_FALSE(view.Has({3, 2}));
-  EXPECT_FALSE(view.Has({3, -1}));
-  EXPECT_EQ(view.Get({3, 1})[0][0].AsString(), "Toyota");
+  EXPECT_TRUE(view.Contains({3, 0}));
+  EXPECT_FALSE(view.Contains({3, 2}));
+  EXPECT_FALSE(view.Contains({3, -1}));
+  EXPECT_EQ((*ReadKey(view, {3, 1}))[0][0].AsString(), "Toyota");
+  EXPECT_FALSE(ReadKey(view, {3, 2}).has_value());
 }
 
 TEST(MaterializedViewTest, SizeGrowsWithContent) {
@@ -83,36 +118,6 @@ TEST(ViewStoreTest, TotalSizeSumsViews) {
   EXPECT_DOUBLE_EQ(store.TotalSizeBytes(),
                    store.Find("a")->SizeBytes() +
                        store.Find("b")->SizeBytes());
-}
-
-TEST(ViewStoreTest, EvictionDropsLeastRecentlyUsed) {
-  ViewStore store;
-  Schema schema({{"x", DataType::kString}});
-  for (int v = 0; v < 4; ++v) {
-    MaterializedView* view =
-        store.GetOrCreate("view" + std::to_string(v), schema);
-    for (int64_t k = 0; k < 50; ++k) view->Put({k, -1}, {{Value("y")}});
-  }
-  // Touch view0 and view2 so view1 and view3 are the LRU victims.
-  store.Find("view0");
-  store.Find("view2");
-  double per_view = store.TotalSizeBytes() / 4;
-  int dropped = store.EvictToBudget(per_view * 2.5);
-  EXPECT_EQ(dropped, 2);
-  EXPECT_NE(store.Find("view0"), nullptr);
-  EXPECT_EQ(store.Find("view1"), nullptr);
-  EXPECT_NE(store.Find("view2"), nullptr);
-  EXPECT_EQ(store.Find("view3"), nullptr);
-}
-
-TEST(ViewStoreTest, EvictionToZeroDropsEverything) {
-  ViewStore store;
-  Schema schema({{"x", DataType::kString}});
-  store.GetOrCreate("a", schema)->Put({0, -1}, {{Value("y")}});
-  store.GetOrCreate("b", schema)->Put({0, -1}, {{Value("y")}});
-  EXPECT_EQ(store.EvictToBudget(0), 2);
-  EXPECT_DOUBLE_EQ(store.TotalSizeBytes(), 0);
-  EXPECT_EQ(store.EvictToBudget(0), 0);  // idempotent on empty store
 }
 
 // --- Histogram --------------------------------------------------------------

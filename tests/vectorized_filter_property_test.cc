@@ -3,9 +3,9 @@
 //  1. FilterProgram (src/exec/vector_filter.h) must agree row-for-row with
 //     the scalar Expr interpreter over randomized schemas, NULLs, and
 //     predicate trees whenever it compiles and executes.
-//  2. MaterializedView::ProbeBatch must agree with TryGet/Get across
-//     segment boundaries, interleaved Puts (columnar staleness), and
-//     eviction.
+//  2. MaterializedView::Put / ProbeBatch must agree with a std::map
+//     oracle, cell for cell and type for type, across segment
+//     boundaries, re-appends, open tails, reseals, and eviction.
 //  3. Zone-map skipping must be sound: every row of a segment reported
 //     kHitSkipped must fail the residual predicate under scalar
 //     evaluation.
@@ -14,6 +14,7 @@
 //     across worker-thread counts with them on.
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "expr/expr.h"
 #include "storage/view_store.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 
 namespace eva {
 namespace {
@@ -211,7 +213,7 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. ProbeBatch vs TryGet/Get with interleaved Puts and eviction
+// 2. Put / ProbeBatch vs a std::map oracle through tails, seals, eviction
 // ---------------------------------------------------------------------------
 
 Schema DetectorValueSchema() {
@@ -232,57 +234,114 @@ std::vector<Row> RandomDetections(Lcg& rng) {
   return rows;
 }
 
-TEST(VectorizedFilterProperty, ProbeBatchMatchesPointLookups) {
+// RandomDetections with occasional NULL and off-type cells, so open tails
+// take their all-null and mixed-type paths.
+std::vector<Row> RandomMixedDetections(Lcg& rng) {
+  std::vector<Row> rows = RandomDetections(rng);
+  for (Row& row : rows) {
+    for (Value& cell : row) {
+      switch (rng.Below(40)) {
+        case 0:
+          cell = Value::Null();
+          break;
+        case 1:
+          cell = Value(static_cast<int64_t>(rng.Below(3)));
+          break;
+        case 2:
+          cell = Value(rng.Unit());
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(VectorizedFilterProperty, ViewMatchesMapOracle) {
   Lcg rng(0x5eed0002);
   MaterializedView view("v", DetectorValueSchema());
   view.set_segment_frames(8);  // small segments: many boundaries
-  int64_t max_frame = 96;
-  for (int round = 0; round < 20; ++round) {
-    // Interleave Puts (staling some columnar segments) with batch probes.
-    int puts = 1 + static_cast<int>(rng.Below(12));
+  std::map<ViewKey, std::vector<Row>> oracle;
+  const int64_t max_frame = 96;
+  int64_t reappends = 0, evicted_keys = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Appends (some re-appends of present keys) into open tails.
+    int puts = 1 + static_cast<int>(rng.Below(16));
     for (int p = 0; p < puts; ++p) {
-      int64_t f = rng.Below(max_frame);
-      view.Put(ViewKey{f, -1}, RandomDetections(rng),
-               static_cast<uint64_t>(round * 100 + p), round);
+      ViewKey key{rng.Below(max_frame), -1};
+      std::vector<Row> rows = RandomMixedDetections(rng);
+      bool inserted = view.Put(key, rows,
+                               static_cast<uint64_t>(round * 100 + p), round);
+      ASSERT_EQ(inserted, oracle.emplace(key, rows).second)
+          << "frame " << key.frame;
+      if (!inserted) ++reappends;
     }
+    switch (rng.Below(4)) {
+      case 0:
+        view.SealAllSegments();
+        break;
+      case 1: {
+        // Evict a segment: the view and the oracle drop the same keys.
+        int64_t seg = rng.Below(max_frame / 8);
+        int64_t keys = 0, rows = 0;
+        for (auto it = oracle.lower_bound({seg * 8, INT64_MIN});
+             it != oracle.end() && it->first.frame < seg * 8 + 8;) {
+          ++keys;
+          rows += static_cast<int64_t>(it->second.size());
+          it = oracle.erase(it);
+        }
+        storage::EvictedSegment ev = view.EvictSegment(seg);
+        ASSERT_EQ(ev.keys, keys);
+        ASSERT_EQ(ev.rows, rows);
+        evicted_keys += keys;
+        break;
+      }
+      default:
+        break;  // leave tails open across the probe
+    }
+    int64_t oracle_rows = 0;
+    for (const auto& [key, rows] : oracle) {
+      oracle_rows += static_cast<int64_t>(rows.size());
+    }
+    ASSERT_EQ(view.num_keys(), static_cast<int64_t>(oracle.size()));
+    ASSERT_EQ(view.num_rows(), oracle_rows);
     std::vector<ViewKey> keys;
     int64_t start = rng.Below(max_frame);
     for (int64_t f = start; f < start + 24; ++f) {
-      keys.push_back(ViewKey{f, -1});  // half present, half missing
+      keys.push_back(ViewKey{f, -1});  // some present, some missing
     }
     ProbeResult res;
     view.ProbeBatch(keys, nullptr, &res);
     ASSERT_EQ(res.outcomes.size(), keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-      const std::vector<Row>* expected = view.TryGet(keys[i]);
+      auto expected = oracle.find(keys[i]);
       const storage::ProbeOutcome& oc = res.outcomes[i];
-      if (expected == nullptr) {
+      ASSERT_EQ(view.Contains(keys[i]), expected != oracle.end());
+      if (expected == oracle.end()) {
         EXPECT_EQ(oc.status, ProbeStatus::kMiss) << "frame " << keys[i].frame;
         continue;
       }
       ASSERT_EQ(oc.status, ProbeStatus::kHit) << "frame " << keys[i].frame;
-      ASSERT_EQ(static_cast<size_t>(oc.rows_count), expected->size());
-      if (oc.rows_count > 0) ASSERT_GE(oc.seg_index, 0);
+      ASSERT_EQ(static_cast<size_t>(oc.rows_count), expected->second.size());
+      if (oc.rows_count > 0) {
+        ASSERT_GE(oc.seg_index, 0);
+      }
       for (int32_t r = 0; r < oc.rows_count; ++r) {
         Row got = res.segment(oc).RowAt(oc.rows_begin + r);
-        const Row& want = (*expected)[static_cast<size_t>(r)];
+        const Row& want = expected->second[static_cast<size_t>(r)];
         ASSERT_EQ(got.size(), want.size());
         for (size_t c = 0; c < want.size(); ++c) {
-          EXPECT_EQ(got[c].ToString(), want[c].ToString());
+          EXPECT_TRUE(got[c] == want[c])
+              << got[c].ToString() << " vs " << want[c].ToString();
           EXPECT_EQ(got[c].type(), want[c].type())
               << "columnar reconstruction must not widen types";
         }
       }
     }
-    if (round == 10) {
-      // Evict a middle segment; later probes must miss it and rebuilt
-      // segments must stay consistent.
-      view.EvictSegment(3);
-      for (int64_t f = 24; f < 32; ++f) {
-        EXPECT_EQ(view.TryGet(ViewKey{f, -1}), nullptr);
-      }
-    }
   }
+  EXPECT_GT(reappends, 0);
+  EXPECT_GT(evicted_keys, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,8 +405,8 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
     for (size_t i = 0; i < keys.size(); ++i) {
       if (res.outcomes[i].status != ProbeStatus::kHitSkipped) continue;
       // Soundness: every stored row of a skipped hit fails the residual.
-      const std::vector<Row>* rows = view.TryGet(keys[i]);
-      ASSERT_NE(rows, nullptr);
+      auto rows = storage::ReadKey(view, keys[i]);
+      ASSERT_TRUE(rows.has_value());
       for (const Row& vr : *rows) {
         Row check = vr;
         check.push_back(Value(keys[i].frame));  // "id"
