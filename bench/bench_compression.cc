@@ -55,7 +55,6 @@ RunStats RunConfig(const catalog::VideoInfo& video,
                    double budget_bytes) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
-  options.num_threads = bench::NumThreadsFromEnv();
   options.storage_budget_bytes = budget_bytes;
   options.segment_compression = compress;
   options.bloom_bits_per_key = compress ? 10 : 0;

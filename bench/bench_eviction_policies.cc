@@ -41,7 +41,6 @@ RunStats RunBudgeted(const catalog::VideoInfo& video,
                      double budget_bytes, const std::string& policy) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
-  options.num_threads = bench::NumThreadsFromEnv();
   options.storage_budget_bytes = budget_bytes;
   options.eviction_policy = policy;
   auto engine =

@@ -98,7 +98,7 @@ void AppendKeys(MaterializedView* view, int64_t keys) {
 }
 
 // Columnar batch probe: one lock + binary-search cursor for a whole
-// frame-ascending morsel. Reported per key probed.
+// frame-ascending batch. Reported per key probed.
 void BM_ViewProbeBatch(benchmark::State& state) {
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);

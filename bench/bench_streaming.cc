@@ -5,16 +5,13 @@
 // transition, and ingest advance (docs/STREAMING.md). Because views
 // materialized at an earlier horizon are extended rather than invalidated,
 // the per-tick shared-store hit percentage must climb monotonically as the
-// stream grows — that climb is the benchmark's acceptance check, and the
-// whole run must be bit-identical at any worker-thread count (FNV
-// fingerprint over per-query metrics, re-run at 1 and 4 threads).
+// stream grows — that climb is the benchmark's acceptance check.
 //
 // Output: a per-tick table on stdout and a JSON dump to argv[1] (default
 // "BENCH_streaming.json"). --quick emits the one-line gate JSON for
 // bench/check_regression.py.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -54,36 +51,16 @@ struct StreamRun {
   std::vector<TickStats> ticks;
   double query_ms = 0;
   double ingest_ms = 0;
-  /// FNV-1a over every query's (sim-time bits, rows, invocations, reused)
-  /// in schedule order — equal fingerprints mean bit-identical runs.
-  uint64_t fingerprint = 0xcbf29ce484222325ULL;
 };
-
-void Fold(StreamRun* run, const exec::QueryMetrics& m) {
-  auto mix = [run](uint64_t v) {
-    run->fingerprint ^= v;
-    run->fingerprint *= 0x100000001b3ULL;
-  };
-  double ms = m.TotalMs();
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(ms));
-  std::memcpy(&bits, &ms, sizeof(bits));
-  mix(bits);
-  mix(static_cast<uint64_t>(m.rows_out));
-  mix(static_cast<uint64_t>(m.TotalInvocations()));
-  mix(static_cast<uint64_t>(m.TotalReused()));
-}
 
 /// One streaming session: register the source at the initial horizon, arm
 /// the WAL, then alternate query replays and ingestion ticks (checkpoint
 /// at the midpoint, so log rotation is part of the measured session).
 StreamRun RunStreaming(const catalog::VideoInfo& video,
                        const std::vector<std::string>& queries,
-                       const TickConfig& cfg, int num_threads,
-                       const std::string& tag) {
+                       const TickConfig& cfg, const std::string& tag) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
-  options.num_threads = num_threads;
   auto engine = std::make_unique<engine::EvaEngine>(
       options, std::make_shared<catalog::Catalog>());
   bench::CheckOk(vbench::RegisterStandardUdfs(engine.get()),
@@ -119,7 +96,6 @@ StreamRun RunStreaming(const catalog::VideoInfo& video,
       stats.invocations += m.TotalInvocations();
       stats.reused += m.TotalReused();
       stats.sim_ms += m.TotalMs();
-      Fold(&run, m);
     }
     run.ticks.push_back(stats);
     run.query_ms += stats.sim_ms;
@@ -174,8 +150,7 @@ std::string TicksJson(const StreamRun& run) {
 
 // --quick: the 3000-frame gate video delivered in three ticks, six
 // queries per tick. Simulated, so the gate holds the _ms fields to the
-// tight tolerance; the hit-rate climb and the thread-count fingerprint
-// are asserted here.
+// tight tolerance; the hit-rate climb is asserted here.
 int RunQuick() {
   catalog::VideoInfo video = bench::QuickVideo();
   TickConfig cfg;
@@ -186,15 +161,13 @@ int RunQuick() {
   std::vector<std::string> queries = vbench::Permute(
       vbench::VbenchHigh(video.name, video.num_frames), kSeed);
   bench::QuickProfileDump profile;
-  StreamRun t1 = RunStreaming(video, queries, cfg, 1, "quick_t1");
-  StreamRun t4 = RunStreaming(video, queries, cfg, 4, "quick_t4");
-  const bool climbs = HitPercentageClimbs(t1);
-  const bool identical = t1.fingerprint == t4.fingerprint;
+  StreamRun run = RunStreaming(video, queries, cfg, "quick");
+  const bool climbs = HitPercentageClimbs(run);
 
   std::string out = "{\"benchmark\":\"streaming\",\"mode\":\"quick\","
                     "\"results\":[";
-  for (size_t t = 0; t < t1.ticks.size(); ++t) {
-    const TickStats& s = t1.ticks[t];
+  for (size_t t = 0; t < run.ticks.size(); ++t) {
+    const TickStats& s = run.ticks[t];
     if (t > 0) out += ',';
     out += "{\"name\":\"streaming/tick" + std::to_string(t);
     out += "\",\"p50_ms\":" + obs::FormatJsonNumber(s.sim_ms);
@@ -207,14 +180,12 @@ int RunQuick() {
     out += ",\"queries\":" + std::to_string(cfg.queries_per_tick);
     out += '}';
   }
-  out += "],\"ingest_ms\":" + obs::FormatJsonNumber(t1.ingest_ms);
+  out += "],\"ingest_ms\":" + obs::FormatJsonNumber(run.ingest_ms);
   out += std::string(",\"hit_pct_climbs\":") + (climbs ? "true" : "false");
-  out += std::string(",\"bit_identical_across_threads\":") +
-         (identical ? "true" : "false");
   out += '}';
   profile.Finish();
   std::printf("%s\n", out.c_str());
-  return climbs && identical ? 0 : 1;
+  return climbs ? 0 : 1;
 }
 
 }  // namespace
@@ -238,7 +209,7 @@ int main(int argc, char** argv) {
                      cfg.frames_per_tick) +
       " ticks, VBENCH-HIGH replay per tick");
 
-  StreamRun run = RunStreaming(video, queries, cfg, 1, "full_t1");
+  StreamRun run = RunStreaming(video, queries, cfg, "full");
   std::printf("%6s %9s %13s %10s %8s %12s\n", "tick", "horizon",
               "invocations", "reused", "hit%", "sim ms");
   for (size_t t = 0; t < run.ticks.size(); ++t) {
@@ -255,15 +226,6 @@ int main(int argc, char** argv) {
   const bool climbs = HitPercentageClimbs(run);
   std::printf("hit%% climbs tick over tick: %s\n",
               climbs ? "yes" : "NO — incremental maintenance regressed");
-
-  // Determinism: the same streaming schedule must be bit-identical at any
-  // worker-thread count (ChargeLog replay; threads change wall clock only).
-  StreamRun t4 = RunStreaming(video, queries, cfg, 4, "full_t4");
-  const bool identical = run.fingerprint == t4.fingerprint;
-  std::printf("fingerprint t1 %016llx | t4 %016llx | %s\n",
-              static_cast<unsigned long long>(run.fingerprint),
-              static_cast<unsigned long long>(t4.fingerprint),
-              identical ? "bit-identical" : "MISMATCH");
 
   std::string json = "{\n  \"benchmark\": \"streaming\",\n";
   json += "  \"video\": \"short_ua_detrac\",\n";
@@ -282,9 +244,7 @@ int main(int argc, char** argv) {
   json += "  \"ingest_sim_ms\": " + obs::FormatJsonNumber(run.ingest_ms) +
           ",\n";
   json += std::string("  \"hit_pct_climbs\": ") +
-          (climbs ? "true" : "false") + ",\n";
-  json += std::string("  \"bit_identical_across_threads\": ") +
-          (identical ? "true" : "false") + "\n}\n";
+          (climbs ? "true" : "false") + "\n}\n";
 
   std::ofstream out(json_path);
   if (out) {
@@ -293,5 +253,5 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "WARN cannot write %s\n", json_path.c_str());
   }
-  return climbs && identical ? 0 : 1;
+  return climbs ? 0 : 1;
 }

@@ -9,8 +9,8 @@
 // Two claims are checked:
 //   1. Bit-identity — every Inter/Diff remainder, every coverage atom,
 //      every per-query simulated total is FNV-fingerprinted and must match
-//      fastpath on vs off, and (through the service) at 1 vs 4 worker
-//      threads. The fast path is an optimization, never an approximation.
+//      fastpath on vs off, directly and through the service. The fast path
+//      is an optimization, never an approximation.
 //   2. Speedup — on the fleet lookup phase the fast path must cut the
 //      manager's symbolic wall time by >= 5x.
 //
@@ -168,12 +168,10 @@ struct FleetRun {
 /// fingerprint folds every result-bearing number: per-query simulated
 /// totals, rows, invocation/reuse counts, the optimizer's remainder atom
 /// counts and sel_diff bits, and the final coverage predicates.
-FleetRun RunServiceFleet(bool fastpath, int num_threads, int rounds,
-                         int64_t num_frames) {
+FleetRun RunServiceFleet(bool fastpath, int rounds, int64_t num_frames) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.optimizer.symbolic_fastpath = fastpath;
-  options.num_threads = num_threads;
   options.observability = false;
   catalog::VideoInfo video = vbench::ShortUaDetrac();
   video.num_frames = num_frames;
@@ -254,8 +252,8 @@ int RunQuick() {
   constexpr int kQuickOps = 2 * kSessions * 6;
   ManagerRun on = RunManagerFleet(true, 10, 100, 80, 2, 6);
   ManagerRun off = RunManagerFleet(false, 10, 100, 80, 2, 6);
-  FleetRun fleet_on = RunServiceFleet(true, 1, 2, 900);
-  FleetRun fleet_off = RunServiceFleet(false, 1, 2, 900);
+  FleetRun fleet_on = RunServiceFleet(true, 2, 900);
+  FleetRun fleet_off = RunServiceFleet(false, 2, 900);
   bool identical = on.fingerprint == off.fingerprint &&
                    fleet_on.fingerprint == fleet_off.fingerprint;
   double per_op_on =
@@ -330,28 +328,21 @@ int main(int argc, char** argv) {
                                                 : "MISMATCH");
 
   // End-to-end fleet: 4 service sessions, overlapping CarType queries,
-  // eviction mid-run; fastpath x thread-count grid must be bit-identical.
-  FleetRun f_on1 = RunServiceFleet(true, 1, 3, 1200);
-  FleetRun f_on4 = RunServiceFleet(true, 4, 3, 1200);
-  FleetRun f_off1 = RunServiceFleet(false, 1, 3, 1200);
-  FleetRun f_off4 = RunServiceFleet(false, 4, 3, 1200);
-  bool fleet_identical = f_on1.fingerprint == f_on4.fingerprint &&
-                         f_on1.fingerprint == f_off1.fingerprint &&
-                         f_on1.fingerprint == f_off4.fingerprint;
+  // eviction mid-run; fastpath on and off must be bit-identical.
+  FleetRun f_on = RunServiceFleet(true, 3, 1200);
+  FleetRun f_off = RunServiceFleet(false, 3, 1200);
+  bool fleet_identical = f_on.fingerprint == f_off.fingerprint;
   std::printf("service fleet: sim %.1f s | hit %lld/%lld | "
               "cache %lld hits / %lld misses | pruned %lld\n",
-              f_on1.sim_total_ms / 1000.0,
-              static_cast<long long>(f_on1.reused),
-              static_cast<long long>(f_on1.invocations),
-              static_cast<long long>(f_on1.cache_hits),
-              static_cast<long long>(f_on1.cache_misses),
-              static_cast<long long>(f_on1.cells_pruned));
-  std::printf("fleet fingerprints on/t1 %s on/t4 %s off/t1 %s off/t4 %s | "
-              "%s\n",
-              HexFp(f_on1.fingerprint).c_str(),
-              HexFp(f_on4.fingerprint).c_str(),
-              HexFp(f_off1.fingerprint).c_str(),
-              HexFp(f_off4.fingerprint).c_str(),
+              f_on.sim_total_ms / 1000.0,
+              static_cast<long long>(f_on.reused),
+              static_cast<long long>(f_on.invocations),
+              static_cast<long long>(f_on.cache_hits),
+              static_cast<long long>(f_on.cache_misses),
+              static_cast<long long>(f_on.cells_pruned));
+  std::printf("fleet fingerprints on %s off %s | %s\n",
+              HexFp(f_on.fingerprint).c_str(),
+              HexFp(f_off.fingerprint).c_str(),
               fleet_identical ? "bit-identical" : "MISMATCH");
 
   bool ok = on.fingerprint == off.fingerprint && fleet_identical &&
@@ -379,14 +370,14 @@ int main(int argc, char** argv) {
   json += "  \"fingerprint_on\": \"" + HexFp(on.fingerprint) + "\",\n";
   json += "  \"fingerprint_off\": \"" + HexFp(off.fingerprint) + "\",\n";
   json += "  \"fleet\": {\"sim_total_ms\": " +
-          obs::FormatJsonNumber(f_on1.sim_total_ms) +
-          ", \"cache_hits\": " + std::to_string(f_on1.cache_hits) +
-          ", \"cache_misses\": " + std::to_string(f_on1.cache_misses) +
-          ", \"cells_pruned\": " + std::to_string(f_on1.cells_pruned) +
-          ", \"fingerprint\": \"" + HexFp(f_on1.fingerprint) + "\"},\n";
+          obs::FormatJsonNumber(f_on.sim_total_ms) +
+          ", \"cache_hits\": " + std::to_string(f_on.cache_hits) +
+          ", \"cache_misses\": " + std::to_string(f_on.cache_misses) +
+          ", \"cells_pruned\": " + std::to_string(f_on.cells_pruned) +
+          ", \"fingerprint\": \"" + HexFp(f_on.fingerprint) + "\"},\n";
   json += std::string("  \"bit_identical_fastpath\": ") +
           (on.fingerprint == off.fingerprint ? "true" : "false") + ",\n";
-  json += std::string("  \"bit_identical_fleet_grid\": ") +
+  json += std::string("  \"bit_identical_fleet\": ") +
           (fleet_identical ? "true" : "false") + "\n}\n";
 
   std::ofstream out(json_path);

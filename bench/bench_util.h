@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "obs/json_util.h"
 #include "obs/profiler.h"
-#include "runtime/thread_pool.h"
 #include "vbench/vbench.h"
 
 namespace eva::bench {
@@ -32,17 +31,7 @@ T Unwrap(Result<T> result, const char* what) {
   return result.MoveValue();
 }
 
-/// Worker-thread count benches run with: $EVA_THREADS, default 1. Every
-/// bench inherits it through EngineOptions::num_threads = 0; this helper
-/// exists so harnesses can report the setting. Simulated times — all the
-/// paper figures — are identical at any value (docs/RUNTIME.md); threads
-/// change host wall clock only.
-inline int NumThreadsFromEnv() {
-  return runtime::ThreadPool::ResolveThreads(0);
-}
-
-/// Runs one workload in one reuse mode from a clean state. Honors
-/// $EVA_THREADS (see NumThreadsFromEnv).
+/// Runs one workload in one reuse mode from a clean state.
 inline vbench::WorkloadResult RunMode(
     optimizer::ReuseMode mode, const catalog::VideoInfo& video,
     const std::vector<std::string>& queries) {
@@ -51,7 +40,6 @@ inline vbench::WorkloadResult RunMode(
   if (mode == optimizer::ReuseMode::kNoReuse) {
     options.optimizer.reuse_enabled = false;
   }
-  options.num_threads = NumThreadsFromEnv();
   auto engine =
       Unwrap(vbench::MakeEngine(options, video), "engine construction");
   return Unwrap(vbench::RunWorkload(engine.get(), queries), "workload");
@@ -153,8 +141,8 @@ inline std::string WallStatsJson(const std::string& name,
 // --quick gate: a small fixed workload every bench target can run in a few
 // seconds, emitting one line of JSON that bench/check_regression.py diffs
 // against the committed BENCH_quick.json baseline. Simulated times are
-// deterministic (ChargeLog replay), so the `_ms` fields are bit-stable
-// across runs and hosts; only the microbenchmarks' `_ns` wall fields need a
+// deterministic (one thread charges the clock in a fixed order), so the
+// `_ms` fields are bit-stable across runs and hosts; only the microbenchmarks' `_ns` wall fields need a
 // loose tolerance.
 // ---------------------------------------------------------------------------
 
@@ -231,7 +219,7 @@ using QuerySetFn = std::vector<std::string> (*)(const std::string&, int64_t);
 /// The standard quick gate: run `query_set` over QuickVideo() in no-reuse
 /// and EVA modes, print one JSON line with per-mode sim percentiles.
 /// Benches whose interesting axis is not a reuse-mode pair (eviction
-/// policies, parallel scaling, microbenches) implement bespoke quick modes
+/// policies, microbenches) implement bespoke quick modes
 /// instead.
 inline int RunQuickGate(const std::string& benchmark_name,
                         QuerySetFn query_set = &vbench::VbenchHigh) {

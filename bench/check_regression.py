@@ -12,8 +12,9 @@ appending stdout to one file:
 Each object carries a "results" or "benchmarks" array whose entries have a
 "name" plus numeric metrics. The gate compares metrics by suffix:
 
-  *_ms   simulated milliseconds — deterministic (ChargeLog replay), gated
-         at --tolerance (default 15%); only increases fail.
+  *_ms   simulated milliseconds — deterministic (the executing thread
+         charges the clock in a fixed order), gated at --tolerance
+         (default 15%); only increases fail.
   *_ns   host wall nanoseconds (microbenchmarks) — noisy on shared CI
          runners, gated at --wall-tolerance (default 3.0 = 300%).
 

@@ -13,8 +13,6 @@
 //              (.metrics json / .metrics reset variants)
 //   .trace     session span tree   (.trace chrome FILE writes Chrome
 //              trace-event JSON for chrome://tracing / Perfetto)
-//   .threads   show the worker-thread count  (.threads N resizes the pool;
-//              simulated times are unaffected — see docs/RUNTIME.md)
 //   .serve     start the telemetry HTTP server (`.serve` = ephemeral port,
 //              `.serve PORT` = fixed, `.serve stop` stops it); endpoints:
 //              /metrics /metrics.json /trace /views /sessions /profile
@@ -224,22 +222,6 @@ int main() {
              engine->udf_manager().entries()) {
           std::printf("  %-40s %s\n", key.c_str(),
                       entry.coverage.ToString().c_str());
-        }
-        continue;
-      }
-      if (line == "\\threads" || line.rfind("\\threads ", 0) == 0) {
-        if (line == "\\threads") {
-          std::printf("worker threads: %d\n", engine->num_threads());
-        } else {
-          int n = std::atoi(line.substr(9).c_str());
-          if (n < 1) {
-            std::printf("usage: .threads N   (N >= 1)\n");
-          } else {
-            engine->SetNumThreads(n);
-            std::printf("worker threads: %d (simulated times unchanged; "
-                        "wall clock only)\n",
-                        engine->num_threads());
-          }
         }
         continue;
       }

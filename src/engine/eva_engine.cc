@@ -142,7 +142,6 @@ EvaEngine::EvaEngine(EngineOptions options,
   tracer_.set_enabled(options_.observability);
   if (!options_.observability) registry_ = nullptr;
   manager_.set_symbolic_fastpath(options_.optimizer.symbolic_fastpath);
-  SetNumThreads(options_.num_threads);
   views_.set_segment_frames(options_.segment_frames);
   views_.set_build_options(
       {options_.segment_compression, options_.bloom_bits_per_key});
@@ -205,12 +204,6 @@ Status EvaEngine::SetFaultSchedule(const std::string& text) {
                        fault::ParseFaultSchedule(text));
   injector_.SetSchedule(std::move(schedule));
   return Status::OK();
-}
-
-void EvaEngine::SetNumThreads(int n) {
-  n = runtime::ThreadPool::ResolveThreads(n);
-  num_threads_ = n;
-  pool_ = n > 1 ? std::make_unique<runtime::ThreadPool>(n) : nullptr;
 }
 
 Status EvaEngine::CreateVideo(const catalog::VideoInfo& info) {
@@ -949,8 +942,6 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
   ctx.batch_size = options_.batch_size;
   ctx.query_id = ++query_seq_;
   ctx.session_id = session_id;
-  ctx.pool = pool_.get();
-  ctx.morsel_rows = options_.morsel_rows;
   ctx.udf_spin_us = options_.udf_spin_us;
   ctx.vectorized_filter = options_.vectorized_filter;
   ctx.zone_map_skipping = options_.zone_map_skipping;
@@ -984,9 +975,10 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
   if (!executed.ok()) {
     if (fault_active) {
       // Roll back every signature to its pre-query coverage; signatures
-      // created by this query drop to FALSE. Rows already materialized by
-      // completed morsels stay — they are genuine UDF results and reuse of
-      // them goes through per-tuple view probes, not coverage claims.
+      // created by this query drop to FALSE. Rows STORE already
+      // materialized from earlier batches stay — they are genuine UDF
+      // results and reuse of them goes through per-tuple view probes, not
+      // coverage claims.
       std::vector<std::string> keys;
       for (const auto& [key, entry] : manager_.entries()) {
         keys.push_back(key);
@@ -1005,7 +997,7 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
                              .Str("error", executed.status().ToString())
                              .Int("udf_retries", out.metrics.udf_retries));
     }
-    // Persist what DID happen: completed morsels' rows and the rollback's
+    // Persist what DID happen: the rows already stored and the rollback's
     // coverage sets (journaled in live order), so recovery lands on the
     // rolled-back state, not the pre-rollback claims. The query's own
     // error is what the caller needs to see.
@@ -1033,8 +1025,8 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
 
   // View lifecycle: fold this query's reuse statistics into the admission
   // estimate, then evict segments until the store fits the budget. Runs on
-  // the driver thread with no workers in flight — the quiescence the
-  // segment bookkeeping and coverage retraction require.
+  // the driver thread after the operator tree is drained — the quiescence
+  // the segment bookkeeping and coverage retraction require.
   lifecycle_->ObserveQuery(out.metrics);
   std::vector<lifecycle::EvictionEvent> evictions =
       lifecycle_->EnforceBudget(ctx.query_id);
@@ -1093,8 +1085,8 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
       g->Set(static_cast<double>(views_.views().size()));
     }
     // Segment-compression counters: the ViewStore keeps running atomics
-    // (seals can happen on worker threads mid-query); the driver folds the
-    // delta since the last publish into the monotone `_total` series here.
+    // (seals happen mid-query); the driver folds the delta since the last
+    // publish into the monotone `_total` series here.
     const storage::SealTotals& totals = views_.seal_totals();
     int64_t sealed = totals.segments_sealed.load(std::memory_order_relaxed);
     int64_t raw = totals.raw_bytes.load(std::memory_order_relaxed);

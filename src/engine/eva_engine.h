@@ -22,7 +22,6 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "optimizer/optimizer.h"
-#include "runtime/thread_pool.h"
 #include "storage/statistics.h"
 #include "storage/view_persistence.h"
 #include "storage/view_store.h"
@@ -61,17 +60,13 @@ struct EngineOptions {
   /// past this it is renamed to `<path>.1` and restarted. <= 0 disables
   /// rotation.
   int64_t event_log_max_bytes = 8 * 1024 * 1024;
-  /// Worker threads for morsel-driven UDF evaluation (docs/RUNTIME.md).
-  /// 1 runs the exact serial path; 0 defers to $EVA_THREADS (default 1).
-  /// Simulated times are bit-identical at every setting — threads change
-  /// wall clock only.
+  /// No effect; kept because perfbench/ assigns it.
   int num_threads = 0;
-  /// Rows per morsel. Fixed per-engine (never derived from the thread
-  /// count) so result partitioning is reproducible.
+  /// No effect; kept because perfbench/ assigns it.
   int64_t morsel_rows = 128;
-  /// Busy-wait per UDF invocation, in wall-clock microseconds. Emulates
-  /// real model compute for parallel-scaling benchmarks; 0 (default) adds
-  /// nothing. Never charges the simulated clock.
+  /// Busy-wait per fresh UDF invocation, in host microseconds. Gives
+  /// simulated UDF calls real wall time, e.g. so a test can observe a query
+  /// in flight; 0 (default) adds nothing. Never charges the simulated clock.
   double udf_spin_us = 0;
 
   // --- columnar probe path (docs/STORAGE.md) ------------------------------
@@ -309,14 +304,6 @@ class EvaEngine {
   const catalog::Catalog& catalog() const { return *catalog_; }
   const EngineOptions& options() const { return options_; }
 
-  /// Resolved worker-thread count (EngineOptions::num_threads after
-  /// $EVA_THREADS fallback). 1 means serial execution.
-  int num_threads() const { return num_threads_; }
-  /// Re-sizes the worker pool mid-session (the shell's .threads command).
-  /// All reuse state (views, coverage, clock) is preserved — only wall
-  /// clock changes, by the determinism contract.
-  void SetNumThreads(int n);
-
   Result<const vision::SyntheticVideo*> video(const std::string& name) const;
 
   /// Distinct UDF invocations so far: materialized view keys (EVA /
@@ -354,8 +341,6 @@ class EvaEngine {
   udf::UdfRuntime runtime_;
   baselines::FunCache funcache_;
   SimClock clock_;
-  int num_threads_ = 1;
-  std::unique_ptr<runtime::ThreadPool> pool_;  // null when num_threads_ == 1
   std::unique_ptr<lifecycle::ViewLifecycleManager> lifecycle_;
   int64_t query_seq_ = 0;  // monotone SELECT id (lifecycle access stamps)
   obs::MetricsRegistry* registry_ = &obs::MetricsRegistry::Global();

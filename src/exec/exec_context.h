@@ -9,7 +9,6 @@
 #include "common/sim_clock.h"
 #include "obs/metrics.h"
 #include "obs/op_stats.h"
-#include "runtime/morsel.h"
 #include "storage/view_store.h"
 #include "udf/udf_runtime.h"
 #include "vision/synthetic_video.h"
@@ -25,10 +24,6 @@ class EventLog;
 namespace eva::fault {
 class FaultInjector;
 }  // namespace eva::fault
-
-namespace eva::runtime {
-class ThreadPool;
-}  // namespace eva::runtime
 
 namespace eva::plan {
 class PlanNode;
@@ -136,31 +131,20 @@ struct ExecContext {
   /// counters to the right node.
   obs::OperatorStats* active_stats = nullptr;
   /// Structured event sink (udf_retry records); nullptr when observability
-  /// is off or no event-log path is configured. EventLog::Append is
-  /// thread-safe, so morsel-local context clones share the pointer.
+  /// is off or no event-log path is configured.
   obs::EventLog* event_log = nullptr;
 
-  // --- parallel runtime (src/runtime/) ------------------------------------
-  /// Work-stealing pool; nullptr (or num_threads == 1) keeps the exact
-  /// serial execution path.
-  runtime::ThreadPool* pool = nullptr;
-  /// Rows per morsel when an APPLY input batch is split across workers.
-  /// Independent of the thread count, so results and simulated times are
-  /// reproducible at any parallelism (docs/RUNTIME.md).
+  /// No effect; kept because perfbench/ assigns it.
   int64_t morsel_rows = 128;
-  /// Emulated per-invocation model compute (host microseconds, busy-wait).
-  /// 0 in production simulation; set by wall-clock scaling benchmarks.
+  /// Busy-wait per fresh UDF invocation, in host microseconds: gives
+  /// simulated UDF calls real wall time (tests that need a query to stay
+  /// in flight). 0 in production simulation; never charges the clock.
   double udf_spin_us = 0;
-  /// Non-null only on morsel-local context clones: simulated-cost charges
-  /// are recorded here and replayed onto the shared clock in deterministic
-  /// morsel order by the driver thread.
-  runtime::ChargeLog* charge_log = nullptr;
 
   // --- fault injection (src/fault/, docs/RELIABILITY.md) ------------------
   /// Non-null only when a fault schedule is active. UDF runners consult it
   /// at "udf:<name>:<frame>:<obj>" before every fresh model evaluation;
-  /// occurrence counters are keyed by the full point name, so decisions are
-  /// identical at any worker-thread count.
+  /// occurrence counters are keyed by the full point name.
   fault::FaultInjector* faults = nullptr;
   /// Bounded retry for transient (kError) UDF faults: attempts beyond the
   /// first, before the evaluation degrades to a ResourceExhausted error.
@@ -168,13 +152,7 @@ struct ExecContext {
   /// Simulated backoff charged per retry attempt (ms; doubles each retry).
   double udf_retry_backoff_ms = 1.0;
 
-  void Charge(CostCategory cat, double ms) const {
-    if (charge_log != nullptr) {
-      charge_log->Charge(cat, ms);
-    } else {
-      clock->Charge(cat, ms);
-    }
-  }
+  void Charge(CostCategory cat, double ms) const { clock->Charge(cat, ms); }
 };
 
 /// Column names shared between operators and the optimizer.

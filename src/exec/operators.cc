@@ -9,8 +9,6 @@
 #include "fault/fault_injector.h"
 #include "obs/event_log.h"
 #include "obs/profiler.h"
-#include "runtime/morsel.h"
-#include "runtime/thread_pool.h"
 #include "storage/view_store.h"
 
 namespace eva::exec {
@@ -179,19 +177,30 @@ class FilterOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// UDF evaluation helpers shared by Apply / CondApply. Callable from runtime
-// worker threads: everything they touch is either immutable (models, video),
-// internally synchronized (UdfRuntime, obs counters), or morsel-local
-// (charge log, metrics, active stats) — see docs/RUNTIME.md.
+// UDF evaluation helpers shared by Apply / CondApply. They run inline on the
+// thread executing the query and charge the engine clock directly.
 // ---------------------------------------------------------------------------
+
+}  // namespace
+
+void SpinFor(double us) {
+  if (us <= 0) return;
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double, std::micro>(us));
+  while (std::chrono::steady_clock::now() < deadline) {
+    // Busy loop: the wall time must occupy a core, not yield it.
+  }
+}
+
+namespace {
 
 // Consults the fault injector before a fresh model evaluation. A transient
 // (kError) fault is retried up to ctx->udf_max_retries times, charging an
-// exponentially growing simulated backoff per attempt — via ctx->Charge, so
-// the charge lands in the morsel-local log and replays deterministically.
-// A permanent (kFail/kCrash) fault, or retry exhaustion, surfaces as a
-// Status error that aborts the query; coverage already claimed for it is
-// rolled back by the engine (graceful degradation: rerun recomputes).
+// exponentially growing simulated backoff per attempt. A permanent
+// (kFail/kCrash) fault, or retry exhaustion, surfaces as a Status error
+// that aborts the query; coverage already claimed for it is rolled back by
+// the engine (graceful degradation: rerun recomputes).
 Status MaybeInjectUdfFault(ExecContext* ctx, const UdfDef& def,
                            int64_t frame, int64_t obj,
                            const UdfObsCounters& obs) {
@@ -241,7 +250,7 @@ Result<std::vector<Row>> RunDetector(ExecContext* ctx, const UdfDef& def,
                        ctx->udfs->Detector(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
-  runtime::SpinFor(ctx->udf_spin_us);
+  SpinFor(ctx->udf_spin_us);
   ctx->metrics->invocations[def.name] += 1;
   CountInvocation(ctx, obs);
   std::vector<Row> rows;
@@ -260,7 +269,7 @@ Result<Value> RunClassifier(ExecContext* ctx, const UdfDef& def,
                        ctx->udfs->Classifier(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, obj, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
-  runtime::SpinFor(ctx->udf_spin_us);
+  SpinFor(ctx->udf_spin_us);
   ctx->metrics->invocations[def.name] += 1;
   CountInvocation(ctx, obs);
   return Value(model->Classify(*ctx->video, frame, static_cast<int>(obj)));
@@ -273,90 +282,10 @@ Result<Value> RunFilterUdf(ExecContext* ctx, const UdfDef& def,
                        ctx->udfs->Filter(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
-  runtime::SpinFor(ctx->udf_spin_us);
+  SpinFor(ctx->udf_spin_us);
   ctx->metrics->invocations[def.name] += 1;
   CountInvocation(ctx, obs);
   return Value(model->Pass(*ctx->video, frame));
-}
-
-// ---------------------------------------------------------------------------
-// Morsel-driven parallel row evaluation.
-//
-// EvalRows is the single driver under Apply and CondApply: it evaluates
-// `row_fn` once per input row, either serially (no pool, FunCache mode, or
-// single-row batches) or split into fixed-size morsels on the work-stealing
-// pool. Each morsel runs with a context clone whose accounting is private
-// (charge log, metrics, operator stats); the driver thread then merges the
-// morsels back IN MORSEL ORDER — output rows concatenate, metric counters
-// add exactly, and the charge logs replay onto the shared SimClock as the
-// very sequence of Charge calls a serial run would have made. That replay
-// is what keeps simulated times bit-identical at every thread count.
-//
-// FunCache mode stays serial: its per-tuple cache makes row evaluation
-// order-dependent (a row can hit an entry the previous row inserted), which
-// has no deterministic parallel decomposition. EVA/HashStash reuse goes
-// through ViewJoin/Store on the driver thread and is unaffected.
-//
-// Error semantics: a failing row aborts its own morsel; merging stops at
-// the first failed morsel (in morsel order) after replaying the charges of
-// the preceding complete morsels. Serial execution stops mid-batch instead,
-// so clock state after an *error* may differ from serial — row_fn errors
-// are catalog-lookup failures that plan building already rules out.
-// ---------------------------------------------------------------------------
-
-using RowFn = std::function<Status(ExecContext*, const Row&, Batch*)>;
-
-Result<Batch> EvalRows(ExecContext* ctx, const Batch& in,
-                       const Schema& out_schema, const RowFn& row_fn) {
-  const int64_t n = static_cast<int64_t>(in.num_rows());
-  const bool parallel =
-      ctx->pool != nullptr && ctx->funcache == nullptr && n > 1;
-  if (!parallel) {
-    Batch out(out_schema);
-    for (const Row& row : in.rows()) {
-      EVA_RETURN_IF_ERROR(row_fn(ctx, row, &out));
-    }
-    return out;
-  }
-  // Morsel split depends only on (n, morsel_rows), never the worker count:
-  // identical partitioning is the first half of reproducibility.
-  std::vector<runtime::Morsel> morsels =
-      runtime::SplitMorsels(n, ctx->morsel_rows);
-  struct MorselOut {
-    Batch rows;
-    runtime::ChargeLog log;
-    QueryMetrics metrics;
-    obs::OperatorStats stats;
-    Status status;
-  };
-  std::vector<MorselOut> outs(morsels.size());
-  for (MorselOut& o : outs) o.rows = Batch(out_schema);
-  ctx->pool->ParallelFor(
-      static_cast<int64_t>(morsels.size()), [&](int64_t m) {
-        MorselOut& o = outs[static_cast<size_t>(m)];
-        ExecContext local = *ctx;
-        local.charge_log = &o.log;
-        local.metrics = &o.metrics;
-        local.active_stats = ctx->active_stats != nullptr ? &o.stats : nullptr;
-        const std::vector<Row>& rows = in.rows();
-        for (int64_t r = morsels[static_cast<size_t>(m)].begin;
-             r < morsels[static_cast<size_t>(m)].end; ++r) {
-          Status s = row_fn(&local, rows[static_cast<size_t>(r)], &o.rows);
-          if (!s.ok()) {
-            o.status = std::move(s);
-            return;
-          }
-        }
-      });
-  Batch out(out_schema);
-  for (MorselOut& o : outs) {
-    EVA_RETURN_IF_ERROR(o.status);
-    o.log.ReplayInto(ctx->clock);
-    ctx->metrics->Accumulate(o.metrics);
-    if (ctx->active_stats != nullptr) ctx->active_stats->Add(o.stats);
-    for (Row& row : o.rows.mutable_rows()) out.AddRow(std::move(row));
-  }
-  return out;
 }
 
 // FunCache hashing overhead: the cache key covers the UDF's input
@@ -391,12 +320,11 @@ class ApplyOp : public Operator {
     if (in.empty()) return Batch(output_schema_);
     int id_idx = in.schema().IndexOf(kColId);
     int obj_idx = in.schema().IndexOf(kColObj);
-    auto row_fn = [this, id_idx, obj_idx](ExecContext* ctx, const Row& row,
-                                          Batch* out) -> Status {
+    Batch out(output_schema_);
+    for (const Row& row : in.rows()) {
       int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
       if (def_.kind == UdfKind::kDetector) {
-        EVA_ASSIGN_OR_RETURN(std::vector<Row> dets,
-                             DetectorResults(ctx, frame));
+        EVA_ASSIGN_OR_RETURN(std::vector<Row> dets, DetectorResults(frame));
         if (dets.empty() && emit_presence_placeholders_) {
           // NULL placeholder so the STORE above records presence even for
           // frames where nothing was detected.
@@ -404,13 +332,13 @@ class ApplyOp : public Operator {
           for (size_t i = 0; i < UdfOutputSchema(def_).num_fields(); ++i) {
             full.push_back(Value::Null());
           }
-          out->AddRow(std::move(full));
-          return Status();
+          out.AddRow(std::move(full));
+          continue;
         }
         for (Row& d : dets) {
           Row full = row;
           for (Value& v : d) full.push_back(std::move(v));
-          out->AddRow(std::move(full));
+          out.AddRow(std::move(full));
         }
       } else if (def_.kind == UdfKind::kClassifier) {
         const Value& obj_v = row[static_cast<size_t>(obj_idx)];
@@ -419,19 +347,18 @@ class ApplyOp : public Operator {
           full.push_back(Value::Null());
         } else {
           EVA_ASSIGN_OR_RETURN(Value v,
-                               ClassifierResult(ctx, frame, obj_v.AsInt64()));
+                               ClassifierResult(frame, obj_v.AsInt64()));
           full.push_back(std::move(v));
         }
-        out->AddRow(std::move(full));
+        out.AddRow(std::move(full));
       } else {  // filter UDF
-        EVA_ASSIGN_OR_RETURN(Value v, FilterResult(ctx, frame));
+        EVA_ASSIGN_OR_RETURN(Value v, FilterResult(frame));
         Row full = row;
         full.push_back(std::move(v));
-        out->AddRow(std::move(full));
+        out.AddRow(std::move(full));
       }
-      return Status();
-    };
-    return EvalRows(ctx_, in, output_schema_, row_fn);
+    }
+    return out;
   }
 
  private:
@@ -443,65 +370,60 @@ class ApplyOp : public Operator {
         emit_presence_placeholders_(emit_presence_placeholders),
         obs_(MakeUdfCounters(ctx, def_.name)) {}
 
-  // The helpers below receive the morsel-local context (`ctx`, not `ctx_`)
-  // so worker-thread accounting lands in the morsel's private charge log.
-  // The FunCache branches only ever see ctx == ctx_: EvalRows keeps
-  // FunCache mode serial because the cache is order-dependent.
-  Result<std::vector<Row>> DetectorResults(ExecContext* ctx, int64_t frame) {
-    if (ctx->funcache != nullptr) {
-      ChargeFunCacheHash(ctx);
+  Result<std::vector<Row>> DetectorResults(int64_t frame) {
+    if (ctx_->funcache != nullptr) {
+      ChargeFunCacheHash(ctx_);
       ViewKey key{frame, -1};
       if (const std::vector<Row>* hit =
-              ctx->funcache->Lookup(def_.name, key)) {
-        ctx->metrics->invocations[def_.name] += 1;
-        ctx->metrics->reused[def_.name] += 1;
-        CountReuse(ctx, obs_);
+              ctx_->funcache->Lookup(def_.name, key)) {
+        ctx_->metrics->invocations[def_.name] += 1;
+        ctx_->metrics->reused[def_.name] += 1;
+        CountReuse(ctx_, obs_);
         return *hit;
       }
       EVA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                           RunDetector(ctx, def_, frame, obs_));
-      ctx->funcache->Insert(def_.name, key, rows);
+                           RunDetector(ctx_, def_, frame, obs_));
+      ctx_->funcache->Insert(def_.name, key, rows);
       return rows;
     }
-    return RunDetector(ctx, def_, frame, obs_);
+    return RunDetector(ctx_, def_, frame, obs_);
   }
 
-  Result<Value> ClassifierResult(ExecContext* ctx, int64_t frame,
-                                 int64_t obj) {
-    if (ctx->funcache != nullptr) {
-      ChargeFunCacheHash(ctx);
+  Result<Value> ClassifierResult(int64_t frame, int64_t obj) {
+    if (ctx_->funcache != nullptr) {
+      ChargeFunCacheHash(ctx_);
       ViewKey key{frame, obj};
       if (const std::vector<Row>* hit =
-              ctx->funcache->Lookup(def_.name, key)) {
-        ctx->metrics->invocations[def_.name] += 1;
-        ctx->metrics->reused[def_.name] += 1;
-        CountReuse(ctx, obs_);
+              ctx_->funcache->Lookup(def_.name, key)) {
+        ctx_->metrics->invocations[def_.name] += 1;
+        ctx_->metrics->reused[def_.name] += 1;
+        CountReuse(ctx_, obs_);
         return (*hit)[0][0];
       }
       EVA_ASSIGN_OR_RETURN(Value v,
-                           RunClassifier(ctx, def_, frame, obj, obs_));
-      ctx->funcache->Insert(def_.name, key, {{v}});
+                           RunClassifier(ctx_, def_, frame, obj, obs_));
+      ctx_->funcache->Insert(def_.name, key, {{v}});
       return v;
     }
-    return RunClassifier(ctx, def_, frame, obj, obs_);
+    return RunClassifier(ctx_, def_, frame, obj, obs_);
   }
 
-  Result<Value> FilterResult(ExecContext* ctx, int64_t frame) {
-    if (ctx->funcache != nullptr) {
-      ChargeFunCacheHash(ctx);
+  Result<Value> FilterResult(int64_t frame) {
+    if (ctx_->funcache != nullptr) {
+      ChargeFunCacheHash(ctx_);
       ViewKey key{frame, -1};
       if (const std::vector<Row>* hit =
-              ctx->funcache->Lookup(def_.name, key)) {
-        ctx->metrics->invocations[def_.name] += 1;
-        ctx->metrics->reused[def_.name] += 1;
-        CountReuse(ctx, obs_);
+              ctx_->funcache->Lookup(def_.name, key)) {
+        ctx_->metrics->invocations[def_.name] += 1;
+        ctx_->metrics->reused[def_.name] += 1;
+        CountReuse(ctx_, obs_);
         return (*hit)[0][0];
       }
-      EVA_ASSIGN_OR_RETURN(Value v, RunFilterUdf(ctx, def_, frame, obs_));
-      ctx->funcache->Insert(def_.name, key, {{v}});
+      EVA_ASSIGN_OR_RETURN(Value v, RunFilterUdf(ctx_, def_, frame, obs_));
+      ctx_->funcache->Insert(def_.name, key, {{v}});
       return v;
     }
-    return RunFilterUdf(ctx, def_, frame, obs_);
+    return RunFilterUdf(ctx_, def_, frame, obs_);
   }
 
   OperatorPtr child_;
@@ -524,7 +446,7 @@ class ApplyOp : public Operator {
 // metrics, access stamps, and probe charges, but the kReadView charge and
 // the output rows are dropped — the residual FilterNode above would
 // discard those rows anyway (and STORE skips keys already present), so
-// query results are unchanged at any thread count.
+// query results are unchanged.
 // ---------------------------------------------------------------------------
 
 class ViewJoinOp : public Operator {
@@ -855,32 +777,29 @@ class CondApplyOp : public Operator {
     int obj_idx = in.schema().IndexOf(kColObj);
     size_t n_outputs = UdfOutputSchema(def_).num_fields();
     size_t base_width = output_schema_.num_fields() - n_outputs;
-    // Batch-level overhead charges on the driver thread before any morsel
-    // runs, matching the serial charge order exactly.
     ctx_->Charge(CostCategory::kOther,
                  ctx_->costs.apply_overhead_ms_per_row *
                      static_cast<double>(in.num_rows()));
-    auto row_fn = [this, id_idx, obj_idx, base_width](
-                      ExecContext* ctx, const Row& row,
-                      Batch* out) -> Status {
+    Batch out(output_schema_);
+    for (const Row& row : in.rows()) {
       int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
       if (def_.kind == UdfKind::kDetector) {
         if (!row[static_cast<size_t>(obj_idx)].is_null()) {
-          out->AddRow(row);  // populated by the view join: pass through
-          return Status();
+          out.AddRow(row);  // populated by the view join: pass through
+          continue;
         }
         EVA_ASSIGN_OR_RETURN(std::vector<Row> dets,
-                             RunDetector(ctx, def_, frame, obs_));
+                             RunDetector(ctx_, def_, frame, obs_));
         if (dets.empty()) {
           // Keep the NULL placeholder so STORE records "frame processed,
           // zero objects" before dropping it.
-          out->AddRow(row);
-          return Status();
+          out.AddRow(row);
+          continue;
         }
         for (Row& d : dets) {
           Row full(row.begin(), row.begin() + static_cast<long>(base_width));
           for (Value& v : d) full.push_back(std::move(v));
-          out->AddRow(std::move(full));
+          out.AddRow(std::move(full));
         }
       } else {
         int out_idx = output_schema_.IndexOf(def_.name);
@@ -892,20 +811,19 @@ class CondApplyOp : public Operator {
             if (!obj_v.is_null()) {
               EVA_ASSIGN_OR_RETURN(
                   Value v,
-                  RunClassifier(ctx, def_, frame, obj_v.AsInt64(), obs_));
+                  RunClassifier(ctx_, def_, frame, obj_v.AsInt64(), obs_));
               full[static_cast<size_t>(out_idx)] = std::move(v);
             }
           } else {
             EVA_ASSIGN_OR_RETURN(Value v,
-                                 RunFilterUdf(ctx, def_, frame, obs_));
+                                 RunFilterUdf(ctx_, def_, frame, obs_));
             full[static_cast<size_t>(out_idx)] = std::move(v);
           }
         }
-        out->AddRow(std::move(full));
+        out.AddRow(std::move(full));
       }
-      return Status();
-    };
-    return EvalRows(ctx_, in, output_schema_, row_fn);
+    }
+    return out;
   }
 
  private:

@@ -40,6 +40,11 @@ Result<OperatorPtr> BuildOperator(const plan::PlanNodePtr& node,
 /// single result batch, updating ctx->metrics->rows_out.
 Result<Batch> ExecutePlan(const plan::PlanNodePtr& plan, ExecContext* ctx);
 
+/// Busy-waits for `us` microseconds of host wall time; no-op for us <= 0.
+/// UDF runners call it per fresh invocation with ExecContext::udf_spin_us
+/// so tests can give simulated UDF calls real wall time.
+void SpinFor(double us);
+
 }  // namespace eva::exec
 
 #endif  // EVA_EXEC_OPERATORS_H_

@@ -65,9 +65,9 @@ struct FaultHit {
 /// named fault points; the injector counts occurrences PER EXACT POINT NAME
 /// and fires the first rule whose pattern matches and whose occurrence
 /// range contains the count. Because counters are keyed by the full point
-/// name (e.g. "udf:CarType:17:3"), decisions are independent of worker
-/// interleaving — the same schedule fires the same faults at any thread
-/// count, which is what makes the differential-oracle tests meaningful.
+/// name (e.g. "udf:CarType:17:3"), decisions do not depend on evaluation
+/// order — the same schedule fires the same faults at the same points,
+/// which is what makes the differential-oracle tests meaningful.
 ///
 /// After a kCrash fires the injector is `halted()`: every later At() (and
 /// therefore every FaultFs operation) reports kCrash with no side effects,

@@ -46,7 +46,7 @@ struct ScoreContext {
 /// Scores a candidate segment; the lifecycle manager evicts the LOWEST
 /// score first (ties broken deterministically by view name, segment id).
 /// Policies are stateless — everything they need is in the candidate and
-/// context — which keeps eviction reproducible across runs and threads.
+/// context — which keeps eviction reproducible across runs.
 class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;

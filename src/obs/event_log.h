@@ -43,10 +43,9 @@ class Event {
 /// two-generation scheme that bounds disk use at ~2x max_bytes without a
 /// compaction thread.
 ///
-/// Thread-safe: Append() may be called from the driver thread and (via
-/// ExecContext) from runtime worker threads; a single mutex guards the
-/// stream, sequence number, and rotation. All timestamps are wall-clock —
-/// the event log never charges SimClock.
+/// Thread-safe: a single mutex guards the stream, sequence number, and
+/// rotation, so Append() may be called from any thread. All timestamps are
+/// wall-clock — the event log never charges SimClock.
 class EventLog {
  public:
   EventLog() = default;

@@ -40,7 +40,7 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 /// `port()` reports the bound port after Start() succeeds.
 ///
 /// Handlers run on the server thread while engine queries run on the
-/// driver/worker threads, so anything a handler touches must be
+/// driver thread, so anything a handler touches must be
 /// thread-safe (the metrics registry and tracer are; see each endpoint's
 /// wiring in EvaEngine::StartTelemetryServer).
 class HttpExporter {

@@ -17,9 +17,9 @@ namespace eva::obs {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotonically increasing counter (Prometheus `counter`). Increments are
-/// lock-free atomics: operators on runtime worker threads bump shared cells
-/// concurrently. Whole-number deltas stay exact under any interleaving
-/// (doubles add integers exactly up to 2^53).
+/// lock-free atomics, so the HTTP exporter can read a cell while the
+/// driver thread bumps it. Whole-number deltas stay exact (doubles add
+/// integers exactly up to 2^53).
 class Counter {
  public:
   void Increment(double delta = 1.0) {
@@ -95,8 +95,8 @@ std::vector<double> DefaultLatencyBucketsMs();
 /// lifetime, so hot paths look a series up once and increment through the
 /// cached pointer. Registration is mutex-guarded; cell updates are
 /// thread-safe too (atomic counters/gauges, mutexed histograms) because
-/// operators run on runtime worker threads — see docs/RUNTIME.md for the
-/// full thread-safety map.
+/// the HTTP exporter renders them while queries run — see docs/RUNTIME.md
+/// for the full thread map.
 ///
 /// The `enabled` flag is the single cheap check instrumentation sites are
 /// gated behind: when false, Get* returns nullptr and callers skip all

@@ -11,13 +11,9 @@ namespace eva::obs {
 /// cumulative — it includes the children's time, mirroring how pull-based
 /// operators nest; the renderer derives self-time by subtraction.
 ///
-/// Fields are atomics: with the parallel runtime (src/runtime/), leaf
-/// helpers increment the active node's counters from worker threads. The
-/// morsel driver funnels worker increments through morsel-local cells
-/// merged on the driver thread (so totals stay deterministic), but the
-/// cells themselves stay race-free even if an operator charges a shared
-/// cell directly. All accesses are relaxed — these are statistics, not
-/// synchronization.
+/// Only the thread executing the query writes these cells (docs/RUNTIME.md).
+/// Fields are relaxed atomics all the same — statistics, not
+/// synchronization — so a stray cross-thread read is never a data race.
 struct OperatorStats {
   std::atomic<int64_t> batches{0};
   std::atomic<int64_t> rows_out{0};
@@ -58,26 +54,6 @@ struct OperatorStats {
     rows_filtered_vectorized =
         other.rows_filtered_vectorized.load(std::memory_order_relaxed);
     return *this;
-  }
-
-  /// Accumulates another stats cell (morsel-local → per-node merge).
-  void Add(const OperatorStats& other) {
-    batches += other.batches.load(std::memory_order_relaxed);
-    rows_out += other.rows_out.load(std::memory_order_relaxed);
-    sim_ms += other.sim_ms.load(std::memory_order_relaxed);
-    wall_us += other.wall_us.load(std::memory_order_relaxed);
-    view_hits += other.view_hits.load(std::memory_order_relaxed);
-    view_misses += other.view_misses.load(std::memory_order_relaxed);
-    udf_invocations += other.udf_invocations.load(std::memory_order_relaxed);
-    rows_reused += other.rows_reused.load(std::memory_order_relaxed);
-    rows_materialized +=
-        other.rows_materialized.load(std::memory_order_relaxed);
-    udf_retries += other.udf_retries.load(std::memory_order_relaxed);
-    segments_skipped += other.segments_skipped.load(std::memory_order_relaxed);
-    bloom_negatives += other.bloom_negatives.load(std::memory_order_relaxed);
-    bloom_fps += other.bloom_fps.load(std::memory_order_relaxed);
-    rows_filtered_vectorized +=
-        other.rows_filtered_vectorized.load(std::memory_order_relaxed);
   }
 };
 

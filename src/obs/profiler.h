@@ -13,10 +13,10 @@
 namespace eva::obs {
 
 /// Sampling wall-clock profiler. Instrumented threads maintain a small
-/// per-thread stack of tag literals ("executor", "symbolic", "runtime",
+/// per-thread stack of tag literals ("optimize", "symbolic", "executor",
 /// "udf", ...); a background sampler thread wakes at a fixed rate, snapshots
 /// every registered thread's stack, and accumulates folded-stack counts
-/// ("runtime;udf 42") suitable for flamegraph.pl / speedscope.
+/// ("executor;udf 42") suitable for flamegraph.pl / speedscope.
 ///
 /// Wall clock only: sampling never touches SimClock, so profiling cannot
 /// perturb the paper's simulated-time measurements

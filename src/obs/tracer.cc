@@ -76,7 +76,7 @@ Span Tracer::StartSpan(const std::string& name,
   std::lock_guard<std::mutex> lock(mu_);
   // Driver-thread-only contract (see class comment): while spans are open,
   // all span creation must stay on the thread that opened the bottom of
-  // the stack. Runtime workers must never trace.
+  // the stack.
   assert(open_stack_.empty() ||
          stack_owner_ == std::this_thread::get_id());
   if (open_stack_.empty()) stack_owner_ = std::this_thread::get_id();

@@ -76,12 +76,11 @@ class Span {
 ///
 /// Thread-safety contract (docs/RUNTIME.md): span *creation* is
 /// DRIVER-THREAD ONLY. Spans model the engine's query lifecycle (parse →
-/// optimize → execute), which runs on one thread; runtime workers
-/// evaluating morsels never create spans — their work is attributed via
-/// the merged per-node OperatorStats instead. A debug assert enforces that
-/// while a span is open, further span creation happens on the thread that
-/// opened it; the stack-owner pin resets when the open stack empties, so
-/// *sequential* use from different threads remains legal.
+/// optimize → execute), which runs on one thread; per-operator work is
+/// attributed via the per-node OperatorStats instead. A debug assert
+/// enforces that while a span is open, further span creation happens on
+/// the thread that opened it; the stack-owner pin resets when the open
+/// stack empties, so *sequential* use from different threads remains legal.
 ///
 /// All mutators and renderers additionally take an internal mutex so the
 /// telemetry HTTP thread can render /trace concurrently with a running

@@ -80,7 +80,7 @@ struct OptimizeReport {
   /// Symbolic fast-path accounting for this query: remainder-cache hits
   /// and misses, and coverage cells the interval index let Inter skip.
   /// Driver-thread deterministic — a function of query history only, never
-  /// of thread count or wall time.
+  /// of wall time.
   int64_t symbolic_cache_hits = 0;
   int64_t symbolic_cache_misses = 0;
   int64_t symbolic_cells_pruned = 0;

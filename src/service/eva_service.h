@@ -78,7 +78,7 @@ class EvaSession {
 /// EvaSession front-ends over ONE shared EvaEngine — one ViewStore, one
 /// UdfManager (aggregated predicates p_u), one lifecycle manager (global
 /// admission statistics and a single storage budget arbitrated across all
-/// tenants), one work-stealing worker pool.
+/// tenants).
 ///
 /// Execution model (the otterbrix executor idiom): submissions from any
 /// thread are appended to a FIFO op queue and return a future; a single
@@ -91,11 +91,10 @@ class EvaSession {
 /// reads as "processed, no objects" — silently wrong results). Serializing
 /// optimize→execute→lifecycle per query makes every interleaving of
 /// sessions equivalent to some serial schedule, and Algorithm 1 carving
-/// stays sound. Intra-query parallelism still comes from the engine's
-/// shared morsel pool, with ChargeLog replay keeping simulated numbers
-/// bit-identical at any thread count — so for a fixed submission order
-/// (the fleet driver's (seed, schedule) pair) the whole service run is
-/// bit-identical at any EVA_THREADS.
+/// stays sound. The executor thread evaluates every UDF call of a query
+/// inline, charging the engine clock directly — so for a fixed submission
+/// order (the fleet driver's (seed, schedule) pair) the whole service run
+/// is bit-identical to the same queries run directly on one engine.
 ///
 /// Store-wide operations (SaveViews/LoadViews/ClearReuseState) ride the
 /// same queue, so they observe a quiescent store by construction; calling

@@ -87,7 +87,7 @@ class BloomFilter {
 
 /// Hash of a ViewKey for the Bloom filter: a splitmix64-style finalizer
 /// over the packed (frame, obj) pair. Pure function of the key, so filter
-/// decisions are deterministic at any thread count.
+/// decisions are deterministic.
 inline uint64_t HashViewKey(int64_t frame, int64_t obj) {
   uint64_t x = static_cast<uint64_t>(frame) * 0x9e3779b97f4a7c15ULL +
                static_cast<uint64_t>(obj);

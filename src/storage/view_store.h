@@ -25,7 +25,7 @@ namespace eva::storage {
 /// (segment_id + 1) * segment_frames); classifier keys (frame, obj) fall in
 /// the segment of their frame. Ticks come from ViewStore::NextAccessTick()
 /// and are assigned only from driver-thread call sites, so they are
-/// deterministic at any worker-thread count.
+/// deterministic.
 struct SegmentInfo {
   int64_t keys = 0;
   int64_t rows = 0;
@@ -140,9 +140,9 @@ struct ViewCompressionStats {
 /// tail is non-empty.
 ///
 /// Concurrency (docs/RUNTIME.md): Contains and ProbeBatch over sealed
-/// segments take a shared lock and may run concurrently from any number of
-/// runtime workers; Put, sealing, and access stamping take the lock
-/// exclusively. Probes read pinned sealed snapshots, never the tail.
+/// segments take a shared lock and may run concurrently with other
+/// readers; Put, sealing, and access stamping take the lock exclusively.
+/// Probes read pinned sealed snapshots, never the tail.
 class MaterializedView {
  public:
   MaterializedView(std::string name, Schema value_schema)
@@ -369,7 +369,7 @@ class ViewStore {
 
   /// Monotone tick for segment access stamps. Incremented only from
   /// driver-thread call sites (ViewJoin probe loop, StoreOp flush), so the
-  /// sequence is deterministic regardless of worker-thread count.
+  /// sequence is deterministic.
   uint64_t NextAccessTick() { return ++segment_clock_; }
   /// Current reading of the access clock without advancing it (eviction
   /// policies use tick distance as a fine-grained recency measure).

@@ -17,8 +17,8 @@ namespace eva::udf {
 /// and exposes a uniform evaluation interface to the execution engine.
 /// Models are instantiated lazily from the catalog on first use.
 ///
-/// Thread-safe: runtime workers evaluating morsels resolve models
-/// concurrently, so the lazy-instantiation maps are mutex-guarded. The
+/// Thread-safe: the lazy-instantiation maps are mutex-guarded, so any
+/// thread may resolve a model (the driver thread does today). The
 /// returned model pointers are stable for the runtime's lifetime and the
 /// models themselves are immutable (pure functions of (name, frame, obj)),
 /// so evaluation after lookup needs no locking.

@@ -1,8 +1,9 @@
-// Regression test for the runtime's determinism contract (docs/RUNTIME.md):
-// a multi-query exploratory session must produce IDENTICAL results at any
-// worker-thread count — same row sets, bitwise-equal simulated times and
-// breakdowns, same per-UDF invocation/reuse counts, and the same aggregated
-// predicates — with threads changing host wall clock only.
+// Regression test for the determinism contract (docs/RUNTIME.md): two
+// fresh engines replaying the same multi-query exploratory session must
+// produce IDENTICAL traces — same row sets, bitwise-equal simulated times
+// and breakdowns, same per-UDF invocation/reuse counts, the same aggregated
+// predicates, and the same view footprint. Host wall time is the only
+// thing allowed to differ between runs.
 
 #include <map>
 #include <string>
@@ -26,25 +27,18 @@ struct SessionTrace {
   double view_bytes = 0;
 };
 
-SessionTrace RunSession(int num_threads, int64_t morsel_rows,
-                        optimizer::ReuseMode mode) {
+SessionTrace RunSession() {
   catalog::VideoInfo video = vbench::ShortUaDetrac();
-  video.num_frames = 900;  // trimmed for test runtime; ≥ several morsels
+  video.num_frames = 900;  // trimmed for test runtime; several batches
   std::vector<std::string> queries =
       vbench::VbenchHigh(video.name, video.num_frames);
 
   engine::EngineOptions options;
-  options.optimizer.mode = mode;
-  if (mode == optimizer::ReuseMode::kNoReuse) {
-    options.optimizer.reuse_enabled = false;
-  }
-  options.num_threads = num_threads;
-  options.morsel_rows = morsel_rows;
+  options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.observability = false;  // isolate from the global registry
   auto engine_or = vbench::MakeEngine(options, video);
   EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
   std::unique_ptr<engine::EvaEngine> engine = engine_or.MoveValue();
-  EXPECT_EQ(engine->num_threads(), num_threads);
 
   SessionTrace trace;
   for (const std::string& sql : queries) {
@@ -68,50 +62,29 @@ SessionTrace RunSession(int num_threads, int64_t morsel_rows,
   return trace;
 }
 
-void ExpectIdentical(const SessionTrace& base, const SessionTrace& other,
-                     const std::string& label) {
-  ASSERT_EQ(base.batches.size(), other.batches.size()) << label;
+TEST(DeterminismTest, FreshEnginesReplaySessionBitIdentically) {
+  SessionTrace base = RunSession();
+  ASSERT_FALSE(base.batches.empty());
+  ASSERT_FALSE(base.invocations.empty());
+  SessionTrace other = RunSession();
+  ASSERT_EQ(base.batches.size(), other.batches.size());
   for (size_t q = 0; q < base.batches.size(); ++q) {
     EXPECT_EQ(base.batches[q], other.batches[q])
-        << label << " row set of query " << q;
-    // Bitwise equality on purpose: the ChargeLog replay guarantees the
-    // same doubles, not approximately the same doubles.
+        << "row set of query " << q;
+    // Bitwise equality on purpose: the clock must add the same charges in
+    // the same order, not approximately the same doubles.
     EXPECT_EQ(base.total_ms[q], other.total_ms[q])
-        << label << " simulated time of query " << q;
+        << "simulated time of query " << q;
     for (size_t c = 0;
          c < static_cast<size_t>(CostCategory::kNumCategories); ++c) {
       EXPECT_EQ(base.breakdowns[q].ms[c], other.breakdowns[q].ms[c])
-          << label << " breakdown[" << c << "] of query " << q;
+          << "breakdown[" << c << "] of query " << q;
     }
   }
-  EXPECT_EQ(base.invocations, other.invocations) << label;
-  EXPECT_EQ(base.reused, other.reused) << label;
-  EXPECT_EQ(base.coverage, other.coverage) << label;
-  EXPECT_EQ(base.view_bytes, other.view_bytes) << label;
-}
-
-TEST(DeterminismTest, EvaSessionIdenticalAtOneTwoAndEightThreads) {
-  SessionTrace serial = RunSession(1, 128, optimizer::ReuseMode::kEva);
-  ASSERT_FALSE(serial.batches.empty());
-  ASSERT_FALSE(serial.invocations.empty());
-  ExpectIdentical(serial, RunSession(2, 128, optimizer::ReuseMode::kEva),
-                  "2 threads");
-  ExpectIdentical(serial, RunSession(8, 128, optimizer::ReuseMode::kEva),
-                  "8 threads");
-}
-
-TEST(DeterminismTest, MorselSizeDoesNotChangeResults) {
-  // Smaller morsels change the work decomposition, not the charge replay
-  // order — results stay identical.
-  SessionTrace serial = RunSession(1, 128, optimizer::ReuseMode::kEva);
-  ExpectIdentical(serial, RunSession(4, 17, optimizer::ReuseMode::kEva),
-                  "4 threads / 17-row morsels");
-}
-
-TEST(DeterminismTest, NoReuseSessionIdenticalAcrossThreads) {
-  SessionTrace serial = RunSession(1, 128, optimizer::ReuseMode::kNoReuse);
-  ExpectIdentical(serial, RunSession(4, 128, optimizer::ReuseMode::kNoReuse),
-                  "4 threads no-reuse");
+  EXPECT_EQ(base.invocations, other.invocations);
+  EXPECT_EQ(base.reused, other.reused);
+  EXPECT_EQ(base.coverage, other.coverage);
+  EXPECT_EQ(base.view_bytes, other.view_bytes);
 }
 
 }  // namespace

@@ -199,40 +199,6 @@ TEST_P(EnginePropertyTest, TransientUdfFaultsAreInvisibleInResults) {
   EXPECT_GT(retries, 0);
 }
 
-// Same oracle at threads > 1: per-point occurrence counting makes the
-// injected faults independent of worker interleaving, so rows AND
-// simulated time must match the serial faulted run bit-for-bit.
-TEST_P(EnginePropertyTest, TransientFaultsAreDeterministicAcrossThreads) {
-  Rng rng(GetParam() * 389 + 5);
-  std::vector<std::string> session = RandomSession(rng, 3);
-
-  std::vector<std::string> rows_serial;
-  std::vector<double> ms_serial;
-  for (int threads : {1, 4}) {
-    engine::EngineOptions options;
-    options.optimizer.mode = ReuseMode::kEva;
-    options.num_threads = threads;
-    auto er = vbench::MakeEngine(options, PropertyVideo());
-    ASSERT_TRUE(er.ok());
-    auto engine = er.MoveValue();
-    ASSERT_TRUE(engine->SetFaultSchedule("error@udf:*#1").ok());
-    for (size_t q = 0; q < session.size(); ++q) {
-      auto r = engine->Execute(session[q]);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      if (threads == 1) {
-        rows_serial.push_back(r.value().batch.ToString(1 << 20));
-        ms_serial.push_back(r.value().metrics.TotalMs());
-      } else {
-        EXPECT_EQ(r.value().batch.ToString(1 << 20), rows_serial[q])
-            << "threads=4 rows diverge on query " << q;
-        EXPECT_DOUBLE_EQ(r.value().metrics.TotalMs(), ms_serial[q])
-            << "threads=4 simulated time diverges on query " << q;
-      }
-    }
-    EXPECT_GT(engine->fault_injector()->fired(), 0);
-  }
-}
-
 // When the transient fault outlasts the retry budget the query must fail
 // with a clean error — and the coverage rollback must leave the engine in
 // a state where clearing the fault yields exactly the right answer (no

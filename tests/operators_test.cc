@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "exec/operators.h"
 #include "parser/parser.h"
 #include "storage/view_store.h"
@@ -260,6 +262,17 @@ TEST_F(OperatorTest, HashStashFullScanChargesWholeView) {
   double expected_min = ctx_.costs.view_read_ms_per_row *
                         static_cast<double>(TotalGtObjects(0, 20));
   EXPECT_GE(clock_.Elapsed(CostCategory::kReadView), expected_min);
+}
+
+TEST(SpinForTest, NonPositiveIsNoOpAndPositiveWaits) {
+  SpinFor(0);
+  SpinFor(-5);
+  auto start = std::chrono::steady_clock::now();
+  SpinFor(200);  // 200us
+  auto elapsed = std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  EXPECT_GE(elapsed, 180.0);
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ std::vector<std::string> SerialOracle() {
   options.optimizer.mode = optimizer::ReuseMode::kNoReuse;
   options.optimizer.reuse_enabled = false;
   options.observability = false;
-  options.num_threads = 1;
   auto engine = MakeTestEngine(options);
   std::vector<std::string> batches;
   for (const std::string& sql :
@@ -103,7 +102,6 @@ TEST(ServiceConcurrencyTest, RacingSessionsNeverOverclaimCoverage) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.observability = true;  // scraping is part of the race surface
-  options.num_threads = 0;       // $EVA_THREADS (the TSan job sets 4)
   // Small enough that segments are evicted (and coverage retracted)
   // throughout the run, large enough that some reuse survives.
   options.storage_budget_bytes = 24 * 1024;
@@ -176,7 +174,6 @@ TEST(ServiceConcurrencyTest, ConcurrentCreateCloseAndSubmit) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.observability = false;
-  options.num_threads = 0;
   service::EvaService svc(MakeTestEngine(options));
 
   const std::string sql =

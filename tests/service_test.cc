@@ -2,8 +2,8 @@
 // cross-session reuse through the shared ViewStore, session_id tagging on
 // metrics and event-log records, the /sessions telemetry endpoint, the
 // save/load busy guard, and the service determinism contract — a fixed
-// (seed, schedule) submission order is bit-identical at any worker-thread
-// count.
+// (seed, schedule) submission order is bit-identical to the same queries
+// run directly on one engine.
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,6 @@ engine::EngineOptions QuietOptions() {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.observability = false;
-  options.num_threads = 1;
   return options;
 }
 
@@ -291,46 +290,55 @@ TEST(ServiceTest, SessionsEndpointReportsLiveCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: a fixed (seed, schedule) pair is bit-identical at any
-// worker-thread count (docs/SERVICE.md, docs/RUNTIME.md).
+// Determinism: a fixed (seed, schedule) pair through the service is
+// bit-identical to the same query sequence run directly on one engine
+// (docs/SERVICE.md): sessions change attribution, never results.
 // ---------------------------------------------------------------------------
 
 struct FleetTrace {
   std::vector<std::string> batches;
   std::vector<double> total_ms;
+
+  void Add(const Result<engine::QueryResult>& r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return;
+    batches.push_back(r.value().batch.ToString(1 << 20));
+    total_ms.push_back(r.value().metrics.TotalMs());
+  }
 };
 
-FleetTrace RunFleet(int num_threads) {
-  engine::EngineOptions options = QuietOptions();
-  options.num_threads = num_threads;
-  service::EvaService svc(MakeTestEngine(options));
-  auto a = svc.CreateSession();
-  auto b = svc.CreateSession();
+// The fixed schedule: sessions alternate, B replays A's set shifted.
+std::vector<std::string> FleetSchedule() {
   std::vector<std::string> queries =
       vbench::VbenchHigh("short_ua_detrac", 900);
-  // The fixed schedule: sessions alternate, B replays A's set shifted.
-  FleetTrace trace;
+  std::vector<std::string> schedule;
   for (size_t i = 0; i < 6; ++i) {
-    int64_t session = (i % 2 == 0) ? a->id() : b->id();
-    const std::string& sql = queries[(i * 3 + (i % 2)) % queries.size()];
-    auto r = svc.Execute(session, sql);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    if (!r.ok()) continue;
-    trace.batches.push_back(r.value().batch.ToString(1 << 20));
-    trace.total_ms.push_back(r.value().metrics.TotalMs());
+    schedule.push_back(queries[(i * 3 + (i % 2)) % queries.size()]);
   }
-  return trace;
+  return schedule;
 }
 
-TEST(ServiceTest, FixedScheduleBitIdenticalAcrossThreads) {
-  FleetTrace serial = RunFleet(1);
-  ASSERT_EQ(serial.batches.size(), 6u);
-  FleetTrace threaded = RunFleet(4);
-  ASSERT_EQ(threaded.batches.size(), 6u);
-  for (size_t q = 0; q < serial.batches.size(); ++q) {
-    EXPECT_EQ(serial.batches[q], threaded.batches[q]) << "query " << q;
-    // Bitwise: ChargeLog replay guarantees the same doubles.
-    EXPECT_EQ(serial.total_ms[q], threaded.total_ms[q]) << "query " << q;
+TEST(ServiceTest, FixedScheduleMatchesDirectEngine) {
+  const std::vector<std::string> schedule = FleetSchedule();
+  FleetTrace fleet;
+  {
+    service::EvaService svc(MakeTestEngine(QuietOptions()));
+    auto a = svc.CreateSession();
+    auto b = svc.CreateSession();
+    for (size_t i = 0; i < schedule.size(); ++i) {
+      fleet.Add(svc.Execute(i % 2 == 0 ? a->id() : b->id(), schedule[i]));
+    }
+  }
+  FleetTrace direct;
+  auto engine = MakeTestEngine(QuietOptions());
+  for (const std::string& sql : schedule) direct.Add(engine->Execute(sql));
+
+  ASSERT_EQ(fleet.batches.size(), schedule.size());
+  ASSERT_EQ(direct.batches.size(), schedule.size());
+  for (size_t q = 0; q < schedule.size(); ++q) {
+    EXPECT_EQ(fleet.batches[q], direct.batches[q]) << "query " << q;
+    // Bitwise: both paths charge the same clock in the same order.
+    EXPECT_EQ(fleet.total_ms[q], direct.total_ms[q]) << "query " << q;
   }
 }
 

@@ -144,7 +144,6 @@ TEST(SymbolicCacheTest, CacheIsSharedAcrossServiceSessions) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.observability = false;
-  options.num_threads = 1;
   catalog::VideoInfo video = vbench::ShortUaDetrac();
   video.num_frames = 600;
   auto engine_or = vbench::MakeEngine(options, video);

@@ -199,15 +199,14 @@ TEST(TelemetryHttpTest, EndpointsServeLiveEngine) {
   EXPECT_EQ(HttpGet(port, "/healthz").status, 200);
 }
 
-// TSan target: four worker threads execute a workload while a scraper
-// thread hammers every endpoint. The exporter, tracer, metrics registry,
-// and views snapshot must all be safe against the concurrent reads.
+// TSan target: the test thread executes a workload while a scraper thread
+// hammers every endpoint. The exporter, tracer, metrics registry, and
+// views snapshot must all be safe against the concurrent reads.
 TEST(TelemetryHttpTest, ConcurrentScrapeUnderLoad) {
   obs::MetricsRegistry local;
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
-  options.num_threads = 4;
-  options.udf_spin_us = 5;  // give workers real wall time to overlap
+  options.udf_spin_us = 5;  // give UDF calls real wall time to overlap
   auto er = vbench::MakeEngine(options, TestVideo());
   ASSERT_TRUE(er.ok());
   auto engine = er.MoveValue();
@@ -422,11 +421,10 @@ TEST(ProfilerTest, FoldedStacksAttributeNestedTags) {
       << "folded output:\n" << folded;
 }
 
-TEST(ProfilerTest, EngineRunAttributesExecutorAndRuntimeTags) {
+TEST(ProfilerTest, EngineRunAttributesExecutorAndUdfTags) {
   obs::MetricsRegistry local;
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
-  options.num_threads = 2;
   options.udf_spin_us = 100;  // real wall time inside the udf scope
   auto er = vbench::MakeEngine(options, TestVideo());
   ASSERT_TRUE(er.ok());
@@ -437,7 +435,7 @@ TEST(ProfilerTest, EngineRunAttributesExecutorAndRuntimeTags) {
   prof.Start(2000);
   auto queries = vbench::VbenchHigh("demo", 1000);
   // Re-run the workload from scratch until samples land in both the
-  // executor (driver) and runtime (worker) scopes, bounded at 20 s.
+  // executor scope and the udf scope nested under it, bounded at 20 s.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   std::string folded;
   do {
@@ -447,14 +445,14 @@ TEST(ProfilerTest, EngineRunAttributesExecutorAndRuntimeTags) {
     }
     folded = prof.RenderFolded();
   } while ((folded.find("executor") == std::string::npos ||
-            folded.find("runtime") == std::string::npos) &&
+            folded.find("executor;udf") == std::string::npos) &&
            std::chrono::steady_clock::now() < deadline);
   prof.Stop();
 
   EXPECT_NE(folded.find("executor"), std::string::npos)
       << "no executor samples:\n" << folded;
-  EXPECT_NE(folded.find("runtime"), std::string::npos)
-      << "no runtime (worker) samples:\n" << folded;
+  EXPECT_NE(folded.find("executor;udf"), std::string::npos)
+      << "no udf samples under the executor:\n" << folded;
 }
 
 TEST(ProfilerTest, ProfileForIsBoundedAndStops) {

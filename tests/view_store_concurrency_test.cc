@@ -23,8 +23,8 @@ Schema TestSchema() {
 }
 
 // Deterministic rows for a key, so every thread that puts `key` puts the
-// same payload — exactly the situation when two morsels (or two queries)
-// race to materialize the same frame's UDF result.
+// same payload — two writers racing to materialize the same frame's UDF
+// result, the worst case the store's lock protocol must survive.
 std::vector<Row> RowsForKey(int64_t frame) {
   std::vector<Row> rows;
   int n = static_cast<int>(frame % 3);  // 0..2 rows; 0 = presence-only key
