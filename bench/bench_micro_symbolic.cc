@@ -131,7 +131,13 @@ BENCHMARK(BM_EvaluatePredicate);
 int RunQuick() {
   constexpr int kWarmup = 3;
   constexpr int kSamples = 30;
-  constexpr int64_t kOps = 200;  // symbolic ops per sample
+  // Symbolic ops per sample, sized so each loop takes well under a second
+  // in total: diff_16 costs about 5 ms per op and reduce_32 about 1.25 ms.
+  // MeasureWall reports per-op time, so the counts do not move the numbers.
+  constexpr int64_t kReduceOps = 16;
+  constexpr int64_t kInterOps = 100;
+  constexpr int64_t kDiffOps = 8;
+  constexpr int64_t kUnionOps = 200;
 
   Predicate cov32 = CoverageOfSize(32, 23);
   cov32.Reduce();
@@ -142,26 +148,26 @@ int RunQuick() {
   Predicate raw32 = CoverageOfSize(32, 17);
 
   auto reduce32 = [&] {
-    for (int64_t i = 0; i < kOps; ++i) {
+    for (int64_t i = 0; i < kReduceOps; ++i) {
       Predicate copy = raw32;
       copy.Reduce();
       benchmark::DoNotOptimize(copy);
     }
   };
   auto inter32 = [&] {
-    for (int64_t i = 0; i < kOps; ++i) {
+    for (int64_t i = 0; i < kInterOps; ++i) {
       auto r = Predicate::Inter(cov32, q5);
       benchmark::DoNotOptimize(r);
     }
   };
   auto diff16 = [&] {
-    for (int64_t i = 0; i < kOps; ++i) {
+    for (int64_t i = 0; i < kDiffOps; ++i) {
       auto r = Predicate::Diff(cov16, q7);
       benchmark::DoNotOptimize(r);
     }
   };
   auto union8 = [&] {
-    for (int64_t i = 0; i < kOps; ++i) {
+    for (int64_t i = 0; i < kUnionOps; ++i) {
       Predicate cov = Predicate::False();
       for (uint64_t j = 0; j < 8; ++j) {
         cov = Predicate::Union(cov, QueryPred(j * 31 + 1));
@@ -172,18 +178,19 @@ int RunQuick() {
 
   std::string out = "{\"bench\":\"bench_micro_symbolic\",\"mode\":\"quick\","
                     "\"benchmarks\":[";
-  out += eva::bench::WallStatsJson(
-      "reduce_32", eva::bench::MeasureWall(reduce32, kWarmup, kSamples, kOps));
+  using eva::bench::MeasureWall;
+  using eva::bench::WallStatsJson;
+  out += WallStatsJson("reduce_32",
+                       MeasureWall(reduce32, kWarmup, kSamples, kReduceOps));
   out += ',';
-  out += eva::bench::WallStatsJson(
-      "inter_32", eva::bench::MeasureWall(inter32, kWarmup, kSamples, kOps));
+  out += WallStatsJson("inter_32",
+                       MeasureWall(inter32, kWarmup, kSamples, kInterOps));
   out += ',';
-  out += eva::bench::WallStatsJson(
-      "diff_16", eva::bench::MeasureWall(diff16, kWarmup, kSamples, kOps));
+  out += WallStatsJson("diff_16",
+                       MeasureWall(diff16, kWarmup, kSamples, kDiffOps));
   out += ',';
-  out += eva::bench::WallStatsJson(
-      "union_growth_8",
-      eva::bench::MeasureWall(union8, kWarmup, kSamples, kOps));
+  out += WallStatsJson("union_growth_8",
+                       MeasureWall(union8, kWarmup, kSamples, kUnionOps));
   out += "]}";
   std::printf("%s\n", out.c_str());
   return 0;

@@ -141,7 +141,6 @@ EvaEngine::EvaEngine(EngineOptions options,
       ingestor_(catalog_.get(), &clock_) {
   tracer_.set_enabled(options_.observability);
   if (!options_.observability) registry_ = nullptr;
-  manager_.set_symbolic_fastpath(options_.optimizer.symbolic_fastpath);
   views_.set_segment_frames(options_.segment_frames);
   views_.set_build_options(
       {options_.segment_compression, options_.bloom_bits_per_key});
@@ -911,9 +910,6 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
   opt_span.End();
   out.report = std::move(optimized.report);
   out.metrics.optimizer_ms = optimized.optimizer_ms;
-  out.metrics.symbolic_cache_hits = out.report.symbolic_cache_hits;
-  out.metrics.symbolic_cache_misses = out.report.symbolic_cache_misses;
-  out.metrics.symbolic_cells_pruned = out.report.symbolic_cells_pruned;
   if (registry_ != nullptr) {
     if (auto* h = registry_->GetHistogram(
             "eva_optimizer_sim_ms",
@@ -1018,8 +1014,7 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
     }
     out.report.plan_text =
         obs::RenderAnalyzedPlan(*optimized.plan, node_stats) +
-        optimizer::RenderAdmissionLines(out.report.admissions) +
-        optimizer::RenderSymbolicLine(out.report);
+        optimizer::RenderAdmissionLines(out.report.admissions);
     out.batch = TextToBatch("plan", out.report.plan_text);
   }
 

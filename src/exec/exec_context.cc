@@ -8,9 +8,6 @@ void QueryMetrics::Accumulate(const QueryMetrics& other) {
   rows_out += other.rows_out;
   udf_retries += other.udf_retries;
   optimizer_ms += other.optimizer_ms;
-  symbolic_cache_hits += other.symbolic_cache_hits;
-  symbolic_cache_misses += other.symbolic_cache_misses;
-  symbolic_cells_pruned += other.symbolic_cells_pruned;
   for (size_t i = 0; i < breakdown.ms.size(); ++i) {
     breakdown.ms[i] += other.breakdown.ms[i];
   }

@@ -66,9 +66,7 @@ struct QueryMetrics {
   /// Transient-fault retry attempts (src/fault/); 0 without injection.
   int64_t udf_retries = 0;
   double optimizer_ms = 0;
-  /// Symbolic fast-path accounting from this query's optimization:
-  /// remainder-cache hits/misses and coverage cells the interval index
-  /// pruned. Deterministic given query history; 0 outside EVA reuse.
+  /// No effect; kept because perfbench/ uses it. All three are always 0.
   int64_t symbolic_cache_hits = 0;
   int64_t symbolic_cache_misses = 0;
   int64_t symbolic_cells_pruned = 0;

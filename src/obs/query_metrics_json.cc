@@ -93,12 +93,6 @@ std::string QueryMetricsToJson(const exec::QueryMetrics& metrics) {
   AppendCountMap(&out, "reused", metrics.reused);
   out += ",\"rows_out\":" + std::to_string(metrics.rows_out);
   out += ",\"optimizer_ms\":" + FormatJsonNumber(metrics.optimizer_ms);
-  out += ",\"symbolic_cache_hits\":" +
-         std::to_string(metrics.symbolic_cache_hits);
-  out += ",\"symbolic_cache_misses\":" +
-         std::to_string(metrics.symbolic_cache_misses);
-  out += ",\"symbolic_cells_pruned\":" +
-         std::to_string(metrics.symbolic_cells_pruned);
   out += ",\"breakdown\":" + SnapshotToJson(metrics.breakdown);
   out += '}';
   return out;
@@ -116,13 +110,6 @@ Result<exec::QueryMetrics> QueryMetricsFromJson(const std::string& json) {
   EVA_RETURN_IF_ERROR(ReadCountMap(root, "reused", &m.reused));
   m.rows_out = static_cast<int64_t>(root.NumberOr("rows_out", 0));
   m.optimizer_ms = root.NumberOr("optimizer_ms", 0);
-  // Absent in pre-fastpath dumps: default to zero.
-  m.symbolic_cache_hits =
-      static_cast<int64_t>(root.NumberOr("symbolic_cache_hits", 0));
-  m.symbolic_cache_misses =
-      static_cast<int64_t>(root.NumberOr("symbolic_cache_misses", 0));
-  m.symbolic_cells_pruned =
-      static_cast<int64_t>(root.NumberOr("symbolic_cells_pruned", 0));
   if (const JsonValue* breakdown = root.Find("breakdown")) {
     EVA_ASSIGN_OR_RETURN(m.breakdown, SnapshotFromValue(*breakdown));
   }

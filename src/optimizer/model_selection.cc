@@ -16,8 +16,7 @@ Result<ModelSelection> SelectPhysicalUdfs(
     const std::string& logical_type, const std::string& min_accuracy,
     const std::string& video_name, const symbolic::Predicate& query_pred,
     const symbolic::StatsProvider& stats, const exec::CostConstants& costs,
-    bool use_reuse, const symbolic::SymbolicBudget& budget,
-    udf::SymbolicOpStats* sym_stats) {
+    bool use_reuse, const symbolic::SymbolicBudget& budget) {
   // Line 2: physical UDFs satisfying the constraints.
   std::vector<catalog::UdfDef> candidates =
       catalog.PhysicalUdfsFor(logical_type, min_accuracy);
@@ -58,8 +57,7 @@ Result<ModelSelection> SelectPhysicalUdfs(
           out.view_udfs.end()) {
         continue;
       }
-      auto inter = manager.InterCoverage(key, out.remainder, budget,
-                                         sym_stats);
+      auto inter = manager.InterCoverage(key, out.remainder, budget);
       if (!inter.ok()) continue;  // budget blown: ignore this candidate
       double covered = symbolic::PredicateSelectivity(inter.value(), stats);
       if (covered < kEps) continue;
@@ -75,8 +73,7 @@ Result<ModelSelection> SelectPhysicalUdfs(
     if (best == nullptr || best_w >= cheapest.cost_ms) break;
     out.view_udfs.push_back(best->name);
     out.trace.emplace_back(best->name, best_w);
-    auto diff = manager.DiffCoverage(best_key, out.remainder, budget,
-                                     sym_stats);
+    auto diff = manager.DiffCoverage(best_key, out.remainder, budget);
     if (!diff.ok()) break;  // keep the conservative remainder
     out.remainder = diff.MoveValue();
   }

@@ -36,15 +36,12 @@ struct ModelSelection {
 ///
 /// With `use_reuse=false` this degenerates to MIN-COST(-NOREUSE): pick the
 /// cheapest physical UDF and evaluate it everywhere.
-/// `sym_stats` (optional) accumulates remainder-cache and index-pruning
-/// counters from the coverage Inter/Diff calls the greedy loop issues.
 Result<ModelSelection> SelectPhysicalUdfs(
     const catalog::Catalog& catalog, const udf::UdfManager& manager,
     const std::string& logical_type, const std::string& min_accuracy,
     const std::string& video_name, const symbolic::Predicate& query_pred,
     const symbolic::StatsProvider& stats, const exec::CostConstants& costs,
-    bool use_reuse, const symbolic::SymbolicBudget& budget = {},
-    udf::SymbolicOpStats* sym_stats = nullptr);
+    bool use_reuse, const symbolic::SymbolicBudget& budget = {});
 
 }  // namespace eva::optimizer
 

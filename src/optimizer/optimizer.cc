@@ -49,9 +49,8 @@ std::vector<double> AtomCountBuckets() {
   return {1, 2, 4, 8, 16, 32, 64, 128, 256};
 }
 
-// Cached/indexed Inter+Diff resolves in fractions of a microsecond; the
-// brute-force path runs microseconds to tens of milliseconds. Buckets span
-// 0.1us–50ms so the fast path is not squashed into one floor bucket.
+// Buckets span 0.1us–50ms: from Inter+Diff over a handful of coverage
+// cells with a cached NOT(p_u) up to a fresh NOT over hundreds of cells.
 std::vector<double> DiffWallBucketsUs() {
   return {0.1, 0.25, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000};
 }
@@ -71,21 +70,6 @@ std::string RenderAdmissionLines(const std::vector<AdmissionReport>& adm) {
     out += line;
   }
   return out;
-}
-
-std::string RenderSymbolicLine(const OptimizeReport& report) {
-  if (report.symbolic_cache_hits == 0 && report.symbolic_cache_misses == 0 &&
-      report.symbolic_cells_pruned == 0) {
-    return "";
-  }
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "symbolic: cache_hits=%lld cache_misses=%lld "
-                "cells_pruned=%lld\n",
-                static_cast<long long>(report.symbolic_cache_hits),
-                static_cast<long long>(report.symbolic_cache_misses),
-                static_cast<long long>(report.symbolic_cells_pruned));
-  return line;
 }
 
 const char* ReuseModeName(ReuseMode mode) {
@@ -213,8 +197,6 @@ Result<OptimizedQuery> Optimizer::Optimize(
   }
   double sel_assoc = std::max(
       symbolic::PredicateSelectivity(assoc_base, *stats_), 1e-9);
-  // Per-query symbolic fast-path accounting (report + Prometheus counters).
-  udf::SymbolicOpStats sym_stats;
   for (UdfPredicate& up : udf_preds) {
     ++udf_occurrences;
     double s = up.sym_ok
@@ -235,11 +217,8 @@ Result<OptimizedQuery> Optimizer::Optimize(
       }
       auto wall0 = std::chrono::steady_clock::now();
       obs::ProfScope prof("symbolic");
-      auto inter =
-          manager_->InterCoverage(key, assoc_base, options_.budget,
-                                  &sym_stats);
-      auto diff = manager_->DiffCoverage(key, assoc_base, options_.budget,
-                                         &sym_stats);
+      auto inter = manager_->InterCoverage(key, assoc_base, options_.budget);
+      auto diff = manager_->DiffCoverage(key, assoc_base, options_.budget);
       if (obs_ != nullptr) {
         double wall_us =
             std::chrono::duration_cast<
@@ -403,8 +382,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
       usable_coverage = view != nullptr && view->num_keys() > 0;
     }
     if (usable_coverage && hashstash) {
-      auto diff = manager_->DiffCoverage(key, assoc_now, options_.budget,
-                                         &sym_stats);
+      auto diff = manager_->DiffCoverage(key, assoc_now, options_.budget);
       usable_coverage = diff.ok() && diff.value().DefinitelyFalse();
     }
     if (usable_coverage) {
@@ -469,7 +447,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
           ModelSelection sel,
           SelectPhysicalUdfs(*catalog_, *manager_, det_name, accuracy,
                              video.name, q_det, *stats_, costs_, use_alg2,
-                             options_.budget, &sym_stats));
+                             options_.budget));
       if (obs_ != nullptr) {
         if (auto* c = obs_->GetCounter(
                 "eva_model_selection_total",
@@ -639,33 +617,9 @@ Result<OptimizedQuery> Optimizer::Optimize(
     node = limit;
   }
 
-  out.report.symbolic_cache_hits = sym_stats.cache_hits;
-  out.report.symbolic_cache_misses = sym_stats.cache_misses;
-  out.report.symbolic_cells_pruned = sym_stats.cells_pruned;
-  if (obs_ != nullptr) {
-    if (auto* c = obs_->GetCounter(
-            "eva_symbolic_cache_hits_total",
-            "Coverage Inter/Diff results replayed from the epoch-tagged "
-            "remainder cache.")) {
-      c->Increment(static_cast<double>(sym_stats.cache_hits));
-    }
-    if (auto* c = obs_->GetCounter(
-            "eva_symbolic_cache_misses_total",
-            "Coverage Inter/Diff operations computed for lack of a cached "
-            "result at the current coverage epoch.")) {
-      c->Increment(static_cast<double>(sym_stats.cache_misses));
-    }
-    if (auto* c = obs_->GetCounter(
-            "eva_symbolic_cells_pruned_total",
-            "Coverage cells skipped wholesale by the per-dimension "
-            "interval index during Inter (their hulls miss the query).")) {
-      c->Increment(static_cast<double>(sym_stats.cells_pruned));
-    }
-  }
   out.plan = node;
   out.report.plan_text = node->ToString() +
-                         RenderAdmissionLines(out.report.admissions) +
-                         RenderSymbolicLine(out.report);
+                         RenderAdmissionLines(out.report.admissions);
   out.optimizer_ms =
       5.0 +
       costs_.optimize_ms_per_udf * static_cast<double>(udf_occurrences) +

@@ -41,9 +41,7 @@ struct OptimizerOptions {
   /// Step 1 of the semantic reuse algorithm: UDFs cheaper than this are
   /// not worth materializing (filters out AREA-like functions).
   double candidate_cost_threshold_ms = 0.5;
-  /// Symbolic fast path (interval-indexed pruning, incremental coverage
-  /// union, epoch-tagged Inter/Diff cache). Results are bit-identical
-  /// either way; off forces the brute-force forms (the bench A/B control).
+  /// No effect; kept because perfbench/ uses it.
   bool symbolic_fastpath = true;
   symbolic::SymbolicBudget budget;
 };
@@ -77,10 +75,7 @@ struct OptimizeReport {
   std::string detector_exec;                       // UDF run for remainder
   std::vector<AdmissionReport> admissions;         // lifecycle decisions
   std::string plan_text;
-  /// Symbolic fast-path accounting for this query: remainder-cache hits
-  /// and misses, and coverage cells the interval index let Inter skip.
-  /// Driver-thread deterministic — a function of query history only, never
-  /// of wall time.
+  /// No effect; kept because perfbench/ uses it. All three are always 0.
   int64_t symbolic_cache_hits = 0;
   int64_t symbolic_cache_misses = 0;
   int64_t symbolic_cells_pruned = 0;
@@ -90,11 +85,6 @@ struct OptimizeReport {
 /// plan_text by the optimizer and re-appended by EXPLAIN ANALYZE (which
 /// regenerates the plan text).
 std::string RenderAdmissionLines(const std::vector<AdmissionReport>& adm);
-
-/// Renders the symbolic fast-path counters as one "symbolic: ..." line
-/// (empty when all counters are zero), appended to plan_text alongside the
-/// admission lines.
-std::string RenderSymbolicLine(const OptimizeReport& report);
 
 struct OptimizedQuery {
   plan::PlanNodePtr plan;

@@ -202,6 +202,14 @@ bool Predicate::IsTrue() const {
   return false;
 }
 
+bool Predicate::Equals(const Predicate& other) const {
+  if (conjuncts_.size() != other.conjuncts_.size()) return false;
+  for (size_t i = 0; i < conjuncts_.size(); ++i) {
+    if (!conjuncts_[i].Equals(other.conjuncts_[i])) return false;
+  }
+  return true;
+}
+
 void Predicate::AddConjunct(Conjunct c) {
   if (c.IsEmpty()) return;
   conjuncts_.push_back(std::move(c));
@@ -274,14 +282,14 @@ Predicate Predicate::Union(const Predicate& p1, const Predicate& p2,
   return Or(p1, p2, budget);
 }
 
-bool Predicate::Reduce(const SymbolicBudget& budget) {
+void Predicate::Reduce(const SymbolicBudget& budget) {
   // Normalize: drop unsatisfiable conjuncts; collapse to TRUE if present.
   std::vector<Conjunct> kept;
   for (Conjunct& c : conjuncts_) {
     if (c.IsEmpty()) continue;
     if (c.IsTrue()) {
       conjuncts_ = {Conjunct()};
-      return true;
+      return;
     }
     kept.push_back(std::move(c));
   }
@@ -316,81 +324,6 @@ bool Predicate::Reduce(const SymbolicBudget& budget) {
       }
     }
   }
-  return !changed;
-}
-
-bool Predicate::UnionIncrementalInPlace(const Predicate& q,
-                                        const SymbolicBudget& budget,
-                                        bool* reached_fixpoint) {
-  *reached_fixpoint = true;
-  const std::vector<Conjunct> original = conjuncts_;
-  const size_t base_n = conjuncts_.size();
-  for (const Conjunct& c : q.conjuncts_) AddConjunct(c);
-  if (conjuncts_.size() == base_n) return false;  // nothing satisfiable
-  // Normalize exactly as Reduce would. A fixpoint base containing TRUE is
-  // the singleton {TRUE}, so the collapse changes nothing in that case.
-  for (const Conjunct& c : conjuncts_) {
-    if (c.IsTrue()) {
-      bool was_true = base_n == 1 && original[0].IsTrue();
-      conjuncts_ = {Conjunct()};
-      return !was_true;
-    }
-  }
-  // Dedupe keeps the first occurrence; the base cells are pairwise
-  // distinct at fixpoint (equal cells are mutual subsets and would have
-  // been dropped), so only appended cells can be duplicates.
-  std::vector<Conjunct> kept(conjuncts_.begin(),
-                             conjuncts_.begin() + static_cast<long>(base_n));
-  std::vector<uint8_t> dirty(base_n, 0);
-  for (size_t j = base_n; j < conjuncts_.size(); ++j) {
-    bool dup = false;
-    for (size_t i = 0; i < kept.size() && !dup; ++i) {
-      dup = kept[i].Equals(conjuncts_[j]);
-    }
-    if (!dup) {
-      kept.push_back(std::move(conjuncts_[j]));
-      dirty.push_back(1);
-    }
-  }
-  conjuncts_ = std::move(kept);
-  if (conjuncts_.size() == base_n) return false;  // every cell was a dup
-  // The pairwise loop, skipping pairs of untouched cells: the base is at
-  // fixpoint, so such a pair cannot reduce, and the first reducible pair
-  // in scan order is the same one a full Reduce would find. Each applied
-  // reduction marks its outputs dirty, mirroring the full loop's restart.
-  int pass = 0;
-  bool changed = true;
-  std::vector<Conjunct> replacement;
-  while (changed && pass++ < budget.max_reduce_passes) {
-    changed = false;
-    for (size_t i = 0; i < conjuncts_.size() && !changed; ++i) {
-      for (size_t j = i + 1; j < conjuncts_.size() && !changed; ++j) {
-        if (dirty[i] == 0 && dirty[j] == 0) continue;
-        if (ReduceUnionConjunctives(conjuncts_[i], conjuncts_[j],
-                                    &replacement)) {
-          conjuncts_[i] = replacement[0];
-          dirty[i] = 1;
-          if (replacement.size() == 2) {
-            conjuncts_[j] = replacement[1];
-            dirty[j] = 1;
-          } else {
-            conjuncts_.erase(conjuncts_.begin() + static_cast<long>(j));
-            dirty.erase(dirty.begin() + static_cast<long>(j));
-          }
-          changed = true;
-        }
-      }
-    }
-  }
-  *reached_fixpoint = !changed;
-  if (conjuncts_.size() == original.size()) {
-    bool same = true;
-    for (size_t i = 0; i < original.size() && same; ++i) {
-      same = conjuncts_[i].Equals(original[i]);
-    }
-    if (same) return false;
-  }
-  return true;
 }
 
 bool Predicate::Evaluate(const ValueLookup& lookup) const {

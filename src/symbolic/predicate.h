@@ -62,6 +62,8 @@ class Conjunct {
 struct SymbolicBudget {
   size_t max_conjuncts = 4096;
   int max_reduce_passes = 64;
+
+  bool operator==(const SymbolicBudget&) const = default;
 };
 
 /// A predicate in disjunctive normal form: a union of Conjuncts. The empty
@@ -86,6 +88,9 @@ class Predicate {
   bool IsFalse() const { return conjuncts_.empty(); }
   bool IsTrue() const;
 
+  /// Same cells in the same order (Conjunct::Equals, cell by cell).
+  bool Equals(const Predicate& other) const;
+
   /// p1 ∧ p2 (pairwise conjunct intersection with unsat pruning). Fails
   /// with ResourceExhausted when the budget is exceeded.
   static Result<Predicate> And(const Predicate& a, const Predicate& b,
@@ -108,23 +113,7 @@ class Predicate {
 
   /// Algorithm 1: per-conjunct reduction happened at construction; this
   /// runs the pairwise ReduceUnionConjunctives loop to fixpoint (or budget).
-  /// Returns true when the loop reached a fixpoint (no pair reduces),
-  /// false when it stopped on the pass budget with work remaining.
-  bool Reduce(const SymbolicBudget& budget = {});
-
-  /// In-place Or(*this, q) followed by an incremental Reduce that only
-  /// revisits pairs involving a changed cell. REQUIRES *this to be at
-  /// Reduce fixpoint (pairs of untouched cells then provably cannot
-  /// reduce, and the pairwise scan visits reducible pairs in the same
-  /// order as a full Reduce) — callers track that bit and fall back to
-  /// Union + Reduce when it is unknown. Bit-identical to
-  /// Union(*this, q, budget) by construction; this is what lets streaming
-  /// ticks extend the frame-id horizon atom in place instead of paying the
-  /// full O(cells^2) re-reduction per flush. Returns whether the predicate
-  /// changed cell-for-cell; sets *reached_fixpoint like Reduce's return.
-  bool UnionIncrementalInPlace(const Predicate& q,
-                               const SymbolicBudget& budget,
-                               bool* reached_fixpoint);
+  void Reduce(const SymbolicBudget& budget = {});
 
   bool Evaluate(const ValueLookup& lookup) const;
 

@@ -1,8 +1,72 @@
 #include "symbolic/subtract.h"
 
-#include "symbolic/cell_index.h"
-
 namespace eva::symbolic {
+
+namespace {
+
+// hi strictly precedes lo on the number line (no shared point).
+bool BoundBefore(const Bound& hi, const Bound& lo) {
+  if (hi.infinite || lo.infinite) return false;
+  if (hi.value < lo.value) return true;
+  if (hi.value > lo.value) return false;
+  return !hi.closed || !lo.closed;
+}
+
+bool IntervalsDisjoint(const Interval& a, const Interval& b) {
+  return BoundBefore(a.hi(), b.lo()) || BoundBefore(b.hi(), a.lo());
+}
+
+// Disjointness of two sorted include-sets.
+bool SortedSetsDisjoint(const std::vector<std::string>& a,
+                        const std::vector<std::string>& b) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    int cmp = a[i].compare(b[j]);
+    if (cmp == 0) return false;
+    if (cmp < 0) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool HullDisjoint(const Conjunct& a, const Conjunct& b) {
+  auto it = a.dims().begin();
+  auto jt = b.dims().begin();
+  while (it != a.dims().end() && jt != b.dims().end()) {
+    int cmp = it->first.compare(jt->first);
+    if (cmp < 0) {
+      ++it;
+      continue;
+    }
+    if (cmp > 0) {
+      ++jt;
+      continue;
+    }
+    const DimConstraint& ca = it->second;
+    const DimConstraint& cb = jt->second;
+    if (ca.is_categorical() && cb.is_categorical()) {
+      // Excluded points only widen the constraint's reach relative to its
+      // include-set, so only include/include pairs prove disjointness.
+      if (!ca.categorical_exclude() && !cb.categorical_exclude() &&
+          SortedSetsDisjoint(ca.categorical_values(),
+                             cb.categorical_values())) {
+        return true;
+      }
+    } else if (!ca.is_categorical() && !cb.is_categorical()) {
+      // Excluded points only shrink an interval constraint, so disjoint
+      // hull intervals imply disjoint constraints.
+      if (IntervalsDisjoint(ca.interval(), cb.interval())) return true;
+    }
+    ++it;
+    ++jt;
+  }
+  return false;
+}
 
 std::vector<Conjunct> SubtractConjunct(const Conjunct& c, const Conjunct& w) {
   // Disjoint from w: nothing to carve. The hull comparison settles the

@@ -6,6 +6,13 @@
 
 namespace eva::symbolic {
 
+/// True when the two conjuncts provably have an empty intersection from
+/// hull comparison alone: some shared dimension carries disjoint numeric
+/// intervals, or disjoint categorical include-sets. Exact-negative — a
+/// true return implies a.Intersect(b) == nullopt — so SubtractConjunct
+/// uses it to skip the full intersection without changing any result.
+bool HullDisjoint(const Conjunct& a, const Conjunct& b);
+
 /// Conjunct-level subtraction c \ w as a disjoint union of conjuncts.
 ///
 /// For a subtrahend conjunct w constraining dimensions d_1..d_n, the

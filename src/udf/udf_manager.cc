@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "obs/profiler.h"
-#include "symbolic/predicate_intern.h"
 #include "symbolic/subtract.h"
 
 namespace eva::udf {
@@ -41,125 +40,32 @@ bool UdfManager::HasCoverage(const std::string& key) const {
   return it != entries_.end() && !it->second.coverage.IsFalse();
 }
 
-void UdfManager::BumpEpoch(UdfEntry* entry) {
-  entry->epoch = ++epoch_counter_;
-  entry->index.reset();
-  entry->complement.reset();
-  entry->complement_valid = false;
-}
-
-const symbolic::CellIndex* UdfManager::EnsureIndex(
-    const UdfEntry& entry) const {
-  if (entry.index == nullptr || entry.index_epoch != entry.epoch) {
-    entry.index = symbolic::CellIndex::Build(entry.coverage);
-    entry.index_epoch = entry.epoch;
-  }
-  return entry.index.get();
-}
-
-uint64_t UdfManager::CacheHash(const symbolic::Predicate& q,
-                               const symbolic::SymbolicBudget& budget) {
-  uint64_t h = symbolic::CanonicalPredicateHash(q);
-  h = symbolic::FnvMix64(h, budget.max_conjuncts);
-  h = symbolic::FnvMix64(h, static_cast<uint64_t>(budget.max_reduce_passes));
-  return h;
-}
-
 Result<symbolic::Predicate> UdfManager::InterCoverage(
     const std::string& key, const symbolic::Predicate& q,
-    const symbolic::SymbolicBudget& budget, SymbolicOpStats* stats) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.coverage.IsFalse()) {
-    // And(FALSE, q) yields no pairs, so the brute-force form returns FALSE.
-    return symbolic::Predicate::False();
-  }
-  const UdfEntry& entry = it->second;
+    const symbolic::SymbolicBudget& budget) const {
+  const symbolic::Predicate& coverage = Coverage(key);
+  if (coverage.IsFalse()) return symbolic::Predicate::False();
   WallAccumulator wall(&symbolic_wall_us_);
-  if (!symbolic_fastpath_) {
-    return symbolic::Predicate::Inter(entry.coverage, q, budget);
-  }
-  const uint64_t qhash = CacheHash(q, budget);
-  symbolic::OpCache::Entry* slot = op_cache_.Find(entry.epoch, qhash, q);
-  if (slot != nullptr && slot->has_inter) {
-    ++op_cache_.stats.hits;
-    if (stats != nullptr) ++stats->cache_hits;
-    if (!slot->inter_status.ok()) return slot->inter_status;
-    return slot->inter_value;
-  }
-  ++op_cache_.stats.misses;
-  if (stats != nullptr) ++stats->cache_misses;
-  symbolic::PruneStats prune;
-  Result<symbolic::Predicate> r = symbolic::IndexedAnd(
-      entry.coverage, EnsureIndex(entry), q, budget, &prune);
-  cells_pruned_total_ += prune.cells_pruned;
-  if (stats != nullptr) stats->cells_pruned += prune.cells_pruned;
-  if (slot == nullptr) slot = op_cache_.Insert(entry.epoch, qhash, q);
-  slot->has_inter = true;
-  if (r.ok()) {
-    slot->inter_status = Status::OK();
-    slot->inter_value = r.value();
-  } else {
-    slot->inter_status = r.status();
-  }
-  return r;
+  return symbolic::Predicate::Inter(coverage, q, budget);
 }
 
 Result<symbolic::Predicate> UdfManager::DiffCoverage(
     const std::string& key, const symbolic::Predicate& q,
-    const symbolic::SymbolicBudget& budget, SymbolicOpStats* stats) const {
+    const symbolic::SymbolicBudget& budget) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.coverage.IsFalse()) {
-    // Replicates Predicate::Diff's p1-false path exactly.
-    symbolic::Predicate out = q;
-    out.Reduce(budget);
-    return out;
+    return symbolic::Predicate::Diff(false_, q, budget);
   }
   const UdfEntry& entry = it->second;
   WallAccumulator wall(&symbolic_wall_us_);
-  if (!symbolic_fastpath_) {
-    return symbolic::Predicate::Diff(entry.coverage, q, budget);
+  // Predicate::Diff(p, q) spelled out with its NOT(p) cached: same inputs,
+  // same AND, so the result (or the NOT's budget error) is identical.
+  if (!entry.complement.has_value() || entry.complement_budget != budget) {
+    entry.complement = symbolic::Predicate::Not(entry.coverage, budget);
+    entry.complement_budget = budget;
   }
-  const uint64_t qhash = CacheHash(q, budget);
-  symbolic::OpCache::Entry* slot = op_cache_.Find(entry.epoch, qhash, q);
-  if (slot != nullptr && slot->has_diff) {
-    ++op_cache_.stats.hits;
-    if (stats != nullptr) ++stats->cache_hits;
-    if (!slot->diff_status.ok()) return slot->diff_status;
-    return slot->diff_value;
-  }
-  ++op_cache_.stats.misses;
-  if (stats != nullptr) ++stats->cache_misses;
-  // Predicate::Diff(coverage, q) = And(Not(coverage), q). Not() is cubic
-  // in coverage cells and q-independent, so reuse the per-epoch cached
-  // complement and replay the same And — identical inputs, identical
-  // result (including a replayed budget-exhaustion error from Not).
-  if (!entry.complement_valid || entry.complement_epoch != entry.epoch ||
-      entry.complement_budget_conjuncts != budget.max_conjuncts ||
-      entry.complement_budget_passes != budget.max_reduce_passes) {
-    auto not_cov = symbolic::Predicate::Not(entry.coverage, budget);
-    entry.complement_status = not_cov.status();
-    entry.complement =
-        not_cov.ok() ? std::make_shared<const symbolic::Predicate>(
-                           not_cov.MoveValue())
-                     : nullptr;
-    entry.complement_valid = true;
-    entry.complement_epoch = entry.epoch;
-    entry.complement_budget_conjuncts = budget.max_conjuncts;
-    entry.complement_budget_passes = budget.max_reduce_passes;
-  }
-  Result<symbolic::Predicate> r =
-      entry.complement_status.ok()
-          ? symbolic::Predicate::And(*entry.complement, q, budget)
-          : Result<symbolic::Predicate>(entry.complement_status);
-  if (slot == nullptr) slot = op_cache_.Insert(entry.epoch, qhash, q);
-  slot->has_diff = true;
-  if (r.ok()) {
-    slot->diff_status = Status::OK();
-    slot->diff_value = r.value();
-  } else {
-    slot->diff_status = r.status();
-  }
-  return r;
+  if (!entry.complement->ok()) return entry.complement->status();
+  return symbolic::Predicate::And(entry.complement->value(), q, budget);
 }
 
 void UdfManager::UpdateCoverage(const std::string& key,
@@ -171,21 +77,13 @@ void UdfManager::UpdateCoverage(const std::string& key,
     journal_.push_back({CoverageOp::Kind::kUnion, key, q});
   }
   UdfEntry& entry = entries_[key];
-  bool changed;
-  if (symbolic_fastpath_ && entry.reduced_fixpoint) {
-    bool fixpoint = true;
-    changed = entry.coverage.UnionIncrementalInPlace(q, budget, &fixpoint);
-    entry.reduced_fixpoint = fixpoint;
-  } else {
-    // Union(p_u, q) spelled out so the reduction's fixpoint bit is
-    // observable; identical to Predicate::Union's append + Reduce.
-    symbolic::Predicate u = entry.coverage;
-    for (const symbolic::Conjunct& c : q.conjuncts()) u.AddConjunct(c);
-    entry.reduced_fixpoint = u.Reduce(budget);
-    changed = !symbolic::PredicateIdentical(u, entry.coverage);
-    entry.coverage = std::move(u);
-  }
-  if (changed) BumpEpoch(&entry);
+  symbolic::Predicate merged =
+      symbolic::Predicate::Union(entry.coverage, q, budget);
+  // A union that adds nothing keeps the cached NOT. Most unions on a
+  // streaming session re-claim covered frames, and each dropped NOT costs
+  // the next Diff a full recomputation.
+  if (!merged.Equals(entry.coverage)) entry.complement.reset();
+  entry.coverage = std::move(merged);
 }
 
 void UdfManager::RetractCoverage(const std::string& key,
@@ -195,24 +93,14 @@ void UdfManager::RetractCoverage(const std::string& key,
   if (it == entries_.end() || it->second.coverage.IsFalse()) return;
   obs::ProfScope prof("symbolic");
   WallAccumulator wall(&symbolic_wall_us_);
+  UdfEntry& entry = it->second;
   Result<symbolic::Predicate> retracted =
-      symbolic::Subtract(it->second.coverage, evicted, budget);
-  if (retracted.ok()) {
-    if (symbolic::PredicateIdentical(retracted.value(),
-                                     it->second.coverage)) {
-      return;  // eviction missed this coverage entirely: nothing moved
-    }
-    it->second.coverage = retracted.MoveValue();
-    // Subtract re-reduces, but its fixpoint bit is not surfaced; the next
-    // union runs the full reduction and restores it.
-    it->second.reduced_fixpoint = false;
-  } else {
-    // Budget blown: give up the whole aggregated predicate rather than
-    // keep a claim over tuples the store no longer holds.
-    it->second.coverage = symbolic::Predicate::False();
-    it->second.reduced_fixpoint = true;
-  }
-  BumpEpoch(&it->second);
+      symbolic::Subtract(entry.coverage, evicted, budget);
+  // Budget blown: give up the whole aggregated predicate rather than keep
+  // a claim over tuples the store no longer holds.
+  entry.coverage = retracted.ok() ? retracted.MoveValue()
+                                  : symbolic::Predicate::False();
+  entry.complement.reset();
 }
 
 void UdfManager::SetCoverage(const std::string& key,
@@ -221,13 +109,8 @@ void UdfManager::SetCoverage(const std::string& key,
     journal_.push_back({CoverageOp::Kind::kSet, key, coverage});
   }
   UdfEntry& entry = entries_[key];
-  if (symbolic::PredicateIdentical(entry.coverage, coverage)) {
-    return;  // no-op rollback/reload: keep the epoch and cached results
-  }
   entry.coverage = std::move(coverage);
-  // Loaded wholesale: reduction state unknown until the next full Union.
-  entry.reduced_fixpoint = false;
-  BumpEpoch(&entry);
+  entry.complement.reset();
 }
 
 void UdfManager::RecordInvocations(const std::string& key, int64_t total,
@@ -241,12 +124,6 @@ int UdfManager::CoverageAtomCount(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return 0;
   return it->second.coverage.AtomCount();
-}
-
-uint64_t UdfManager::CoverageEpoch(const std::string& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return 0;
-  return it->second.epoch;
 }
 
 }  // namespace eva::udf

@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "symbolic/cell_index.h"
-#include "symbolic/op_cache.h"
 #include "symbolic/predicate.h"
 
 namespace eva::udf {
@@ -30,33 +28,13 @@ struct UdfEntry {
   symbolic::Predicate coverage;  // p_u; starts FALSE (§4.1)
   int64_t total_invocations = 0;
   int64_t distinct_invocations = 0;
-  /// Value of the manager-wide mutation counter when `coverage` last
-  /// changed cell-for-cell. Tags the interval index and every cached
-  /// Inter/Diff result; no-op unions (a fleet session re-asking a covered
-  /// range) keep the epoch, so the shared cache stays warm.
-  uint64_t epoch = 0;
-  /// Whether `coverage` is known to sit at Algorithm 1's reduction
-  /// fixpoint — the precondition for incremental union maintenance. False
-  /// after budget-truncated reductions and wholesale SetCoverage loads;
-  /// the next full Union restores it.
-  bool reduced_fixpoint = true;
-  /// Lazily built per-dimension interval index over `coverage`'s cells,
-  /// valid while index_epoch == epoch. Mutable + shared: built on demand
-  /// from const lookups and carried by the manager copy plain EXPLAIN
-  /// takes.
-  mutable std::shared_ptr<const symbolic::CellIndex> index;
-  mutable uint64_t index_epoch = 0;
-  /// Epoch-cached NOT(coverage) for DiffCoverage. Predicate::Diff(p, q)
-  /// is AND(NOT(p), q); NOT is cubic in coverage cells and independent of
-  /// q, so the fast path computes it once per (epoch, budget) and replays
-  /// the same AND — bit-identical by construction. A failed NOT (budget
-  /// exhaustion) is cached too, since Diff must replay that error.
-  mutable std::shared_ptr<const symbolic::Predicate> complement;
-  mutable Status complement_status;
-  mutable bool complement_valid = false;
-  mutable uint64_t complement_epoch = 0;
-  mutable size_t complement_budget_conjuncts = 0;
-  mutable int complement_budget_passes = 0;
+  /// NOT(coverage) under `complement_budget`, or the budget error NOT
+  /// returned. Predicate::Diff(p, q) is AND(NOT(p), q) and NOT is the
+  /// q-independent, cubic part, so DiffCoverage computes it once and
+  /// replays the same AND for every query. Dropped whenever `coverage`
+  /// changes.
+  mutable std::optional<Result<symbolic::Predicate>> complement;
+  mutable symbolic::SymbolicBudget complement_budget;
 };
 
 /// One coverage transition captured while journaling is enabled — the
@@ -71,21 +49,14 @@ struct CoverageOp {
   symbolic::Predicate predicate;
 };
 
-/// Accumulating counters for the symbolic fast path, filled by
-/// InterCoverage/DiffCoverage for the optimizer's report and metrics.
-struct SymbolicOpStats {
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cells_pruned = 0;
-};
-
 /// The paper's UDFMANAGER: maps UDF signatures to their aggregated
 /// predicates and materialized-view bindings. The optimizer consults it to
 /// derive p∩ / p– / p∪ for every candidate UDF occurrence.
 ///
-/// All access is serialized on the driver thread (the service front-end's
-/// single executor), which is what lets the epoch counter, interval
-/// indexes, and the cross-session remainder cache live here without locks.
+/// INTER, DIFF and UNION are the Predicate algebra itself; the only cache
+/// is each entry's NOT(p_u) for DIFF. All access is serialized on the
+/// driver thread (the service front-end's single executor), so neither
+/// the entries nor that cache carry locks.
 class UdfManager {
  public:
   /// Aggregated predicate p_u for `key`; FALSE when the UDF was never
@@ -94,31 +65,22 @@ class UdfManager {
 
   bool HasCoverage(const std::string& key) const;
 
-  /// INTER(p_u, q) = p_u ∧ q, served from the epoch-tagged cache when this
-  /// exact query was answered against this coverage version before, and
-  /// computed via the interval index otherwise. Bit-identical to
-  /// Predicate::Inter(Coverage(key), q) — including replayed
-  /// budget-exhaustion errors — with `symbolic_fastpath` off it simply
-  /// runs that brute-force form.
+  /// INTER(p_u, q) = Predicate::Inter(Coverage(key), q).
   Result<symbolic::Predicate> InterCoverage(
       const std::string& key, const symbolic::Predicate& q,
-      const symbolic::SymbolicBudget& budget = {},
-      SymbolicOpStats* stats = nullptr) const;
+      const symbolic::SymbolicBudget& budget = {}) const;
 
-  /// DIFF(p_u, q) = ¬p_u ∧ q. Negation cannot be hull-pruned without
-  /// changing the reduced shape, so the fast path here is pure
-  /// memoization: the first computation per (coverage epoch, query) pays
-  /// full price, every fleet repeat replays it.
+  /// DIFF(p_u, q) = ¬p_u ∧ q, bit-identical to
+  /// Predicate::Diff(Coverage(key), q), including a budget error from the
+  /// NOT. The NOT(p_u) is cached on the entry until p_u changes, and
+  /// recomputed when `budget` differs from the cached one.
   Result<symbolic::Predicate> DiffCoverage(
       const std::string& key, const symbolic::Predicate& q,
-      const symbolic::SymbolicBudget& budget = {},
-      SymbolicOpStats* stats = nullptr) const;
+      const symbolic::SymbolicBudget& budget = {}) const;
 
   /// p_u ← UNION(p_u, q) after the optimizer schedules evaluation of the
-  /// UDF under predicate `q` (§4.1). Maintained incrementally (only pairs
-  /// touching an appended cell are revisited) while the coverage sits at
-  /// the reduction fixpoint; the epoch advances only when the coverage
-  /// actually changes.
+  /// UDF under predicate `q` (§4.1). Retract, Set and Clear always drop the
+  /// cached NOT(p_u); a union drops it only when p_u changes.
   void UpdateCoverage(const std::string& key, const symbolic::Predicate& q,
                       const symbolic::SymbolicBudget& budget = {});
 
@@ -144,31 +106,18 @@ class UdfManager {
   /// Atom count of p_u — what Fig. 8b/Fig. 7 track over a workload.
   int CoverageAtomCount(const std::string& key) const;
 
-  /// Coverage-change epoch for `key`; 0 when never mutated.
-  uint64_t CoverageEpoch(const std::string& key) const;
-
   void Clear() {
     entries_.clear();
     journal_.clear();
-    op_cache_.Clear();
-    // epoch_counter_ keeps counting: a key re-created after Clear must not
-    // alias cache entries from its previous life.
   }
 
-  /// Master switch for the index + incremental-union + cache fast path;
-  /// off runs the brute-force forms everywhere (the bench A/B control).
-  void set_symbolic_fastpath(bool on) { symbolic_fastpath_ = on; }
-  bool symbolic_fastpath() const { return symbolic_fastpath_; }
+  /// No effect; kept because perfbench/ uses it.
+  void set_symbolic_fastpath(bool /*on*/) {}
 
   /// Host wall time accumulated inside Inter/Diff/Update/Retract — the
-  /// "optimizer symbolic wall time" bench_symbolic compares across fast
-  /// path on/off. Never feeds simulated numbers.
+  /// optimizer's symbolic wall time that bench_symbolic and perfbench
+  /// report. Never feeds simulated numbers.
   double symbolic_wall_us() const { return symbolic_wall_us_; }
-
-  const symbolic::OpCache::Stats& symbolic_cache_stats() const {
-    return op_cache_.stats;
-  }
-  int64_t symbolic_cells_pruned_total() const { return cells_pruned_total_; }
 
   /// WAL journaling of coverage transitions (driver-thread only, like
   /// every mutator). Enabling starts capture; the engine drains the
@@ -182,26 +131,10 @@ class UdfManager {
   }
 
  private:
-  /// Stamps a fresh epoch on `entry` after a real coverage change; the
-  /// stale interval index is dropped lazily (the shared_ptr may live on in
-  /// EXPLAIN copies).
-  void BumpEpoch(UdfEntry* entry);
-  /// The entry's interval index for its current epoch, building on demand.
-  const symbolic::CellIndex* EnsureIndex(const UdfEntry& entry) const;
-  /// Cache key: canonical query hash mixed with the budget (the budget
-  /// changes which Status a blown operation returns).
-  static uint64_t CacheHash(const symbolic::Predicate& q,
-                            const symbolic::SymbolicBudget& budget);
-
   std::map<std::string, UdfEntry> entries_;
   symbolic::Predicate false_;
   bool journal_enabled_ = false;
   std::vector<CoverageOp> journal_;
-
-  bool symbolic_fastpath_ = true;
-  uint64_t epoch_counter_ = 0;
-  mutable symbolic::OpCache op_cache_;
-  mutable int64_t cells_pruned_total_ = 0;
   mutable double symbolic_wall_us_ = 0;
 };
 

@@ -115,13 +115,11 @@ TEST(ExplainAnalyzeTest, AnnotatedTreeCoversEveryOperator) {
     std::string line = plan.substr(start, end - start);
     start = end + 1;
     if (line.empty()) continue;
-    // Lifecycle admission decisions and the symbolic fast-path summary
-    // trail the operator tree.
+    // Lifecycle admission decisions trail the operator tree.
     if (line.rfind("admission:", 0) == 0) {
       ++admission_lines;
       continue;
     }
-    if (line.rfind("symbolic:", 0) == 0) continue;
     ++lines;
     if (line.find("[rows=") != std::string::npos) ++annotated;
   }
