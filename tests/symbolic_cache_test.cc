@@ -1,145 +1,180 @@
-// Epoch-tagged remainder-cache tests (docs/SYMBOLIC.md): hits only repeat
-// within a coverage epoch, every real coverage mutation — union, eviction,
-// recovery reload — invalidates, no-op mutations keep the cache warm, and
-// the cache is genuinely shared across service sessions through the
-// engine's single UdfManager.
+// The one symbolic cache (docs/SYMBOLIC.md): each UdfEntry's NOT(p_u),
+// which DiffCoverage replays. It must be dropped whenever p_u changes,
+// kept across unions that leave p_u as it was, recomputed when the budget
+// differs, and live in the engine's single UdfManager so every service
+// session shares it. A seeded differential checks that Inter/Diff always
+// equal the plain Predicate algebra.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "service/eva_service.h"
-#include "symbolic/predicate.h"
+#include "symbolic_test_util.h"
 #include "udf/udf_manager.h"
 #include "vbench/vbench.h"
 
 namespace eva {
 namespace {
 
-using symbolic::DimConstraint;
-using symbolic::DimKind;
-using symbolic::Interval;
+using symbolic::IdRange;
 using symbolic::Predicate;
+using symbolic::SymbolicBudget;
 
-Predicate IdRange(double lo, double hi) {
-  symbolic::Conjunct c;
-  c.Constrain("id", DimConstraint::Numeric(DimKind::kInteger,
-                                           Interval::AtLeast(lo)));
-  c.Constrain("id", DimConstraint::Numeric(DimKind::kInteger,
-                                           Interval::LessThan(hi)));
-  return Predicate::FromConjunct(std::move(c));
+bool Cached(const udf::UdfManager& manager, const std::string& key) {
+  return manager.entries().at(key).complement.has_value();
 }
 
-TEST(SymbolicCacheTest, RepeatLookupHitsWithinEpoch) {
+void Diff(udf::UdfManager& manager, const std::string& key) {
+  ASSERT_TRUE(manager.DiffCoverage(key, IdRange(50, 150)).ok());
+}
+
+TEST(SymbolicCacheTest, RepeatDiffReplaysTheComplement) {
   udf::UdfManager manager;
   manager.UpdateCoverage("det@v", IdRange(0, 100));
-  udf::SymbolicOpStats stats;
-  ASSERT_TRUE(manager.InterCoverage("det@v", IdRange(50, 150), {},
-                                    &stats).ok());
-  EXPECT_EQ(stats.cache_misses, 1);
-  EXPECT_EQ(stats.cache_hits, 0);
-  ASSERT_TRUE(manager.InterCoverage("det@v", IdRange(50, 150), {},
-                                    &stats).ok());
-  EXPECT_EQ(stats.cache_misses, 1);
-  EXPECT_EQ(stats.cache_hits, 1);
-  // Diff keys independently but shares the same epoch discipline.
-  ASSERT_TRUE(manager.DiffCoverage("det@v", IdRange(50, 150), {},
-                                   &stats).ok());
-  EXPECT_EQ(stats.cache_misses, 2);
-  ASSERT_TRUE(manager.DiffCoverage("det@v", IdRange(50, 150), {},
-                                   &stats).ok());
-  EXPECT_EQ(stats.cache_hits, 2);
+  EXPECT_FALSE(Cached(manager, "det@v"));
+  Diff(manager, "det@v");
+  ASSERT_TRUE(Cached(manager, "det@v"));
+  // Inter never needs NOT(p_u); a repeat Diff replays the cached one.
+  ASSERT_TRUE(manager.InterCoverage("det@v", IdRange(50, 150)).ok());
+  Diff(manager, "det@v");
+  EXPECT_TRUE(Cached(manager, "det@v"));
+  auto diff = manager.DiffCoverage("det@v", IdRange(50, 150));
+  ASSERT_TRUE(diff.ok());
+  EXPECT_TRUE(diff.value().Equals(IdRange(100, 150)));
 }
 
 TEST(SymbolicCacheTest, EveryRealMutationInvalidates) {
   udf::UdfManager manager;
   manager.UpdateCoverage("det@v", IdRange(0, 100));
-  const Predicate q = IdRange(50, 150);
-  udf::SymbolicOpStats stats;
+  Diff(manager, "det@v");
+  manager.UpdateCoverage("det@v", IdRange(200, 300));  // union
+  EXPECT_FALSE(Cached(manager, "det@v"));
+  Diff(manager, "det@v");
+  manager.RetractCoverage("det@v", IdRange(500, 600));  // eviction
+  EXPECT_FALSE(Cached(manager, "det@v"));
+  Diff(manager, "det@v");
+  manager.SetCoverage("det@v", manager.Coverage("det@v"));  // reload
+  EXPECT_FALSE(Cached(manager, "det@v"));
+  Diff(manager, "det@v");
+  manager.Clear();
+  EXPECT_TRUE(manager.entries().empty());
+}
 
-  auto lookup = [&] {
-    ASSERT_TRUE(manager.InterCoverage("det@v", q, {}, &stats).ok());
-    ASSERT_TRUE(manager.DiffCoverage("det@v", q, {}, &stats).ok());
-  };
+TEST(SymbolicCacheTest, NoOpUnionsKeepTheCacheWarm) {
+  udf::UdfManager manager;
+  manager.UpdateCoverage("det@v", IdRange(0, 100));
+  Diff(manager, "det@v");
+  manager.UpdateCoverage("det@v", IdRange(20, 80));  // already covered
+  EXPECT_TRUE(Cached(manager, "det@v"));
+  // Another key's writes leave this key's cache alone.
+  manager.UpdateCoverage("cls@v", IdRange(0, 10));
+  EXPECT_TRUE(Cached(manager, "det@v"));
+}
 
-  lookup();  // primes: 2 misses
-  uint64_t epoch = manager.CoverageEpoch("det@v");
-
-  // Union that actually grows the coverage → new epoch, fresh misses.
+TEST(SymbolicCacheTest, BudgetChangeRecomputes) {
+  udf::UdfManager manager;
+  manager.UpdateCoverage("det@v", IdRange(0, 100));
   manager.UpdateCoverage("det@v", IdRange(200, 300));
-  EXPECT_GT(manager.CoverageEpoch("det@v"), epoch);
-  epoch = manager.CoverageEpoch("det@v");
-  stats = {};
-  lookup();
-  EXPECT_EQ(stats.cache_misses, 2);
-  EXPECT_EQ(stats.cache_hits, 0);
-
-  // Eviction that removes covered tuples → new epoch.
-  manager.RetractCoverage("det@v", IdRange(0, 10));
-  EXPECT_GT(manager.CoverageEpoch("det@v"), epoch);
-  epoch = manager.CoverageEpoch("det@v");
-  stats = {};
-  lookup();
-  EXPECT_EQ(stats.cache_misses, 2);
-
-  // Recovery reload with different coverage → new epoch.
-  manager.SetCoverage("det@v", IdRange(0, 42));
-  EXPECT_GT(manager.CoverageEpoch("det@v"), epoch);
-  stats = {};
-  lookup();
-  EXPECT_EQ(stats.cache_misses, 2);
+  manager.UpdateCoverage("det@v", IdRange(400, 500));
+  const Predicate q = IdRange(50, 450);
+  const SymbolicBudget tight{1, 64};
+  // A tight budget caches NOT's budget error ...
+  auto failed = manager.DiffCoverage("det@v", q, tight);
+  ASSERT_EQ(failed.ok(), Predicate::Diff(manager.Coverage("det@v"), q,
+                                         tight).ok());
+  ASSERT_FALSE(failed.ok());
+  // ... which a later Diff under the default budget must not replay.
+  auto diff = manager.DiffCoverage("det@v", q);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_TRUE(diff.value().Equals(
+      Predicate::Diff(manager.Coverage("det@v"), q).value()));
 }
 
-TEST(SymbolicCacheTest, NoOpMutationsKeepTheCacheWarm) {
-  udf::UdfManager manager;
-  manager.UpdateCoverage("det@v", IdRange(0, 100));
-  const Predicate q = IdRange(50, 150);
-  udf::SymbolicOpStats stats;
-  ASSERT_TRUE(manager.InterCoverage("det@v", q, {}, &stats).ok());
-  uint64_t epoch = manager.CoverageEpoch("det@v");
-
-  // A fleet session re-claiming an already-covered range, an eviction of
-  // nothing, and a reload of the identical predicate must all keep the
-  // epoch — and therefore the cached result.
-  manager.UpdateCoverage("det@v", IdRange(20, 80));
-  manager.RetractCoverage("det@v", IdRange(500, 600));
-  manager.SetCoverage("det@v", manager.Coverage("det@v"));
-  EXPECT_EQ(manager.CoverageEpoch("det@v"), epoch);
-
-  ASSERT_TRUE(manager.InterCoverage("det@v", q, {}, &stats).ok());
-  EXPECT_EQ(stats.cache_hits, 1);
-  EXPECT_EQ(stats.cache_misses, 1);
-}
-
-TEST(SymbolicCacheTest, FastpathOffBypassesTheCache) {
-  udf::UdfManager manager;
-  manager.set_symbolic_fastpath(false);
-  manager.UpdateCoverage("det@v", IdRange(0, 100));
-  udf::SymbolicOpStats stats;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(manager.InterCoverage("det@v", IdRange(10, 20), {},
-                                      &stats).ok());
+void ExpectSameResult(const Result<Predicate>& got,
+                      const Result<Predicate>& want, const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what;
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << what;
+    return;
   }
-  EXPECT_EQ(stats.cache_hits, 0);
-  EXPECT_EQ(stats.cache_misses, 0);
+  EXPECT_TRUE(got.value().Equals(want.value()))
+      << what << "\ngot:  " << got.value().ToString()
+      << "\nwant: " << want.value().ToString();
 }
 
-TEST(SymbolicCacheTest, EvictionBoundsTheCache) {
-  udf::UdfManager manager;
-  manager.UpdateCoverage("det@v", IdRange(0, 100));
-  // Far more distinct queries than the cache holds: size stays bounded and
-  // old entries are evicted FIFO, yet every lookup still returns.
-  for (int i = 0; i < 3000; ++i) {
-    ASSERT_TRUE(
-        manager.InterCoverage("det@v", IdRange(i, i + 5)).ok());
+// Seeded random op sequences — update, retract, wholesale set, Clear,
+// inter, diff — under budgets that change between calls, one of them small
+// enough to exhaust. Every Inter/Diff must equal a fresh
+// Predicate::Inter/Diff on the current coverage, cell for cell and status
+// for status: a stale cached NOT(p_u) shows up as a mismatch.
+TEST(SymbolicCacheTest, InterDiffMatchPredicateAlgebraUnderRandomOps) {
+  const std::vector<SymbolicBudget> budgets = {
+      SymbolicBudget{},
+      SymbolicBudget{6, 64},    // NOT of a few cells exhausts this
+      SymbolicBudget{4096, 1},  // one reduction pass: different shapes
+  };
+  const std::vector<std::string> keys = {"det@v", "cls@v"};
+  int diffs = 0, replays = 0, errors = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(0xfeed00 + seed);
+    udf::UdfManager manager;
+    // (key, budget) of the last Diff whose NOT is still cached, if any.
+    std::string cached_key;
+    size_t cached_budget = budgets.size();
+    for (int step = 0; step < 150; ++step) {
+      const std::string& key = keys[rng.NextBelow(keys.size())];
+      const size_t b = rng.NextBelow(budgets.size());
+      const SymbolicBudget& budget = budgets[b];
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint64_t op = rng.NextBelow(10);
+      if (op <= 1) {  // streaming-ish union
+        double lo = static_cast<double>(rng.NextBelow(180));
+        manager.UpdateCoverage(key, IdRange(lo, lo + 1 + rng.NextBelow(40)),
+                               budget);
+      } else if (op == 2) {  // arbitrary-shape union
+        manager.UpdateCoverage(key, symbolic::RandomPredicate(rng, 3, 3),
+                               budget);
+      } else if (op == 3) {  // eviction
+        manager.RetractCoverage(key, symbolic::RandomPredicate(rng, 2, 2),
+                                budget);
+      } else if (op == 4) {  // recovery reload / fault rollback
+        manager.SetCoverage(key, symbolic::RandomPredicate(rng, 3, 3));
+      } else if (op == 5 && rng.NextBool(0.2)) {
+        manager.Clear();
+        cached_key.clear();
+      } else {  // lookups, repeated so the cached NOT is replayed
+        Predicate q = symbolic::RandomPredicate(rng, 3, 3);
+        const Predicate coverage = manager.Coverage(key);
+        ExpectSameResult(manager.InterCoverage(key, q, budget),
+                         Predicate::Inter(coverage, q, budget),
+                         "inter @ " + where);
+        for (int rep = 0; rep < 2; ++rep) {
+          if (!coverage.IsFalse() && cached_key == key && cached_budget == b) {
+            ++replays;
+          }
+          Result<Predicate> want = Predicate::Diff(coverage, q, budget);
+          if (!want.ok()) ++errors;
+          ExpectSameResult(manager.DiffCoverage(key, q, budget), want,
+                           "diff @ " + where);
+          ++diffs;
+          cached_key = key;
+          cached_budget = b;
+        }
+        continue;
+      }
+      if (key == cached_key) cached_key.clear();
+    }
   }
-  EXPECT_GT(manager.symbolic_cache_stats().evictions, 0);
-  EXPECT_EQ(manager.symbolic_cache_stats().hits, 0);
+  // The sequence must exercise replays and the NOT's budget error.
+  EXPECT_GT(replays, diffs / 3);
+  EXPECT_GT(errors, 0);
 }
 
-// Two service sessions issue the same query shape: the second session's
-// optimizer must be served from the remainder cache the first session
-// populated — the cross-session sharing the fleet speedup rests on.
+// The cache lives on the engine's single UdfManager, so a complement the
+// optimizer computed for one service session is there for every other.
 TEST(SymbolicCacheTest, CacheIsSharedAcrossServiceSessions) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
@@ -152,28 +187,25 @@ TEST(SymbolicCacheTest, CacheIsSharedAcrossServiceSessions) {
 
   auto s1 = service.CreateSession("a");
   auto s2 = service.CreateSession("b");
-  // A UDF-based predicate (CarType) is what drives the optimizer's ranking
-  // Inter/Diff coverage lookups — a bare detector APPLY never consults the
-  // remainder cache.
+  // A UDF-based predicate (CarType) drives the optimizer's ranking
+  // Inter/Diff coverage lookups.
   const std::string query =
       "SELECT id, obj FROM short_ua_detrac CROSS APPLY "
       "FasterRCNNResNet50(frame) WHERE id >= 100 AND id < 200 "
       "AND label = 'car' AND CarType(frame, bbox) = 'Nissan';";
-
   auto r1 = service.Execute(s1->id(), query);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  // Identical statement from the other session: its EXPLAIN-time coverage
-  // lookups hit the entries session a's execution left behind (the
-  // coverage union after r1 bumped the epoch, so r2 first misses, then its
-  // own repeat hits). What matters: the fleet shares one cache.
+  // Session b's optimizer diffs against the coverage session a left, and
+  // its own execution only re-claims frames that are already covered.
   auto r2 = service.Execute(s2->id(), query);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  auto r3 = service.Execute(s2->id(), query);
-  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
-  const auto& stats = service.engine()->udf_manager().symbolic_cache_stats();
-  EXPECT_GT(stats.hits, 0) << "hits=" << stats.hits
-                           << " misses=" << stats.misses;
-  EXPECT_GT(r3.value().metrics.symbolic_cache_hits, 0);
+  EXPECT_EQ(r1.value().batch.num_rows(), r2.value().batch.num_rows());
+  int cached = 0;
+  for (const auto& [key, entry] :
+       service.engine()->udf_manager().entries()) {
+    if (entry.complement.has_value()) ++cached;
+  }
+  EXPECT_GT(cached, 0);
 }
 
 }  // namespace

@@ -1,104 +1,16 @@
-// Differential property tests for the symbolic fast path
-// (docs/SYMBOLIC.md): the interval-indexed AND, the incremental union, and
-// the whole UdfManager coverage surface with the fast path on must be
-// bit-identical — cell for cell, error for error — to the brute-force
-// implementations, across seeded random predicate algebra that includes
-// eviction (Retract) and recovery (SetCoverage) shapes.
+// The shortcuts that remain around the predicate algebra
+// (docs/SYMBOLIC.md): Subtract's hull-disjoint prefilter must only skip
+// pairs whose intersection really is empty, and a streaming tick must
+// extend the coverage's horizon cell instead of adding a new one.
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
-#include "common/rng.h"
-#include "symbolic/cell_index.h"
-#include "symbolic/predicate.h"
-#include "symbolic/predicate_intern.h"
+#include "symbolic/subtract.h"
+#include "symbolic_test_util.h"
 #include "udf/udf_manager.h"
 
 namespace eva::symbolic {
 namespace {
-
-const char* kIntDim = "id";
-const char* kRealDim = "area";
-const char* kCatDim = "label";
-const std::vector<std::string> kLabels = {"car", "bus", "truck"};
-
-// Random atomic constraint; mirrors predicate_property_test's universe so
-// intersections are frequently (but not always) non-empty.
-std::pair<std::string, DimConstraint> RandomAtom(Rng& rng) {
-  switch (rng.NextBelow(4)) {
-    case 0: {
-      double v = static_cast<double>(rng.NextBelow(200));
-      if (rng.NextBool(0.5)) {
-        return {kIntDim,
-                DimConstraint::Numeric(DimKind::kInteger,
-                                       Interval::AtLeast(v))};
-      }
-      return {kIntDim, DimConstraint::Numeric(DimKind::kInteger,
-                                              Interval::LessThan(v))};
-    }
-    case 1:
-      return {kIntDim, DimConstraint::NumericNotEqual(
-                           DimKind::kInteger,
-                           static_cast<double>(rng.NextBelow(200)))};
-    case 2: {
-      double v = 0.05 * static_cast<double>(rng.NextBelow(20));
-      if (rng.NextBool(0.5)) {
-        return {kRealDim, DimConstraint::Numeric(DimKind::kReal,
-                                                 Interval::GreaterThan(v))};
-      }
-      return {kRealDim,
-              DimConstraint::Numeric(DimKind::kReal, Interval::AtMost(v))};
-    }
-    default: {
-      const std::string& v = kLabels[rng.NextBelow(kLabels.size())];
-      return {kCatDim, DimConstraint::Categorical({v}, rng.NextBool(0.3))};
-    }
-  }
-}
-
-Conjunct RandomConjunct(Rng& rng, int max_atoms) {
-  Conjunct c;
-  int na = 1 + static_cast<int>(rng.NextBelow(max_atoms));
-  for (int a = 0; a < na; ++a) {
-    auto [dim, constraint] = RandomAtom(rng);
-    if (!c.Constrain(dim, constraint)) return RandomConjunct(rng, max_atoms);
-  }
-  return c;
-}
-
-Predicate RandomPredicate(Rng& rng, int max_conjuncts, int max_atoms) {
-  Predicate p;
-  int nc = 1 + static_cast<int>(rng.NextBelow(max_conjuncts));
-  for (int i = 0; i < nc; ++i) p.AddConjunct(RandomConjunct(rng, max_atoms));
-  return p;
-}
-
-// A disjoint-ish id range, the shape streaming coverage actually grows.
-Predicate IdRange(double lo, double hi) {
-  Conjunct c;
-  c.Constrain(kIntDim, DimConstraint::Numeric(DimKind::kInteger,
-                                              Interval::AtLeast(lo)));
-  c.Constrain(kIntDim, DimConstraint::Numeric(DimKind::kInteger,
-                                              Interval::LessThan(hi)));
-  return Predicate::FromConjunct(std::move(c));
-}
-
-void ExpectIdenticalResults(const Result<Predicate>& fast,
-                            const Result<Predicate>& brute,
-                            const std::string& what) {
-  ASSERT_EQ(fast.ok(), brute.ok()) << what;
-  if (!fast.ok()) {
-    EXPECT_EQ(fast.status().ToString(), brute.status().ToString()) << what;
-    return;
-  }
-  EXPECT_TRUE(PredicateIdentical(fast.value(), brute.value()))
-      << what << "\nfast:  " << fast.value().ToString()
-      << "\nbrute: " << brute.value().ToString();
-}
-
-// --- hull soundness ------------------------------------------------------
 
 TEST(SymbolicFastpathTest, HullDisjointImpliesEmptyIntersection) {
   Rng rng(0x5eed0001);
@@ -116,163 +28,16 @@ TEST(SymbolicFastpathTest, HullDisjointImpliesEmptyIntersection) {
   EXPECT_GT(disjoint, 50);
 }
 
-// --- indexed AND ---------------------------------------------------------
-
-TEST(SymbolicFastpathTest, IndexedAndMatchesBruteForceCellForCell) {
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(0xabc000 + seed);
-    Predicate a = RandomPredicate(rng, 8, 3);
-    a.Reduce();
-    Predicate b = RandomPredicate(rng, 6, 3);
-    auto index = CellIndex::Build(a);
-    PruneStats prune;
-    auto fast = IndexedAnd(a, index.get(), b, SymbolicBudget{}, &prune);
-    auto brute = Predicate::And(a, b);
-    ExpectIdenticalResults(fast, brute, "seed " + std::to_string(seed));
-  }
-}
-
-TEST(SymbolicFastpathTest, IndexedAndReplaysBudgetErrors) {
-  // Force the conjunct budget to blow: the fast path must return the same
-  // error the brute force returns, not a truncated predicate.
-  Rng rng(0x77);
-  Predicate a = RandomPredicate(rng, 8, 2);
-  Predicate b = RandomPredicate(rng, 8, 2);
-  SymbolicBudget tiny;
-  tiny.max_conjuncts = 2;
-  auto index = CellIndex::Build(a);
-  auto fast = IndexedAnd(a, index.get(), b, tiny);
-  auto brute = Predicate::And(a, b, tiny);
-  ExpectIdenticalResults(fast, brute, "tiny budget");
-}
-
-// --- incremental union ---------------------------------------------------
-
-TEST(SymbolicFastpathTest, IncrementalUnionMatchesBruteForce) {
-  for (uint64_t seed = 1; seed <= 60; ++seed) {
-    Rng rng(0xdef000 + seed);
-    // Base must sit at the reduction fixpoint — that is the manager's
-    // precondition for taking the incremental path.
-    Predicate base = RandomPredicate(rng, 6, 3);
-    bool base_fix = base.Reduce();
-    if (!base_fix) continue;
-    Predicate q = RandomPredicate(rng, 4, 3);
-
-    Predicate incr = base;
-    bool incr_fix = true;
-    bool changed = incr.UnionIncrementalInPlace(q, SymbolicBudget{},
-                                                &incr_fix);
-
-    Predicate brute = base;
-    for (const Conjunct& c : q.conjuncts()) brute.AddConjunct(c);
-    bool brute_fix = brute.Reduce();
-
-    EXPECT_TRUE(PredicateIdentical(incr, brute))
-        << "seed " << seed << "\nincr:  " << incr.ToString()
-        << "\nbrute: " << brute.ToString();
-    EXPECT_EQ(incr_fix, brute_fix) << "seed " << seed;
-    EXPECT_EQ(changed, !PredicateIdentical(incr, base)) << "seed " << seed;
-  }
-}
-
-TEST(SymbolicFastpathTest, IncrementalUnionStreamingHorizonExtension) {
+TEST(SymbolicFastpathTest, StreamingHorizonExtension) {
   // The streaming shape: coverage [0, t) repeatedly extended to [0, t').
-  // The incremental path must merge in place and report no change when the
-  // tick is already covered.
-  Predicate cov = IdRange(0, 100);
-  ASSERT_TRUE(cov.Reduce());
-  bool fix = true;
-  EXPECT_TRUE(cov.UnionIncrementalInPlace(IdRange(100, 200), {}, &fix));
-  EXPECT_TRUE(fix);
-  EXPECT_EQ(cov.conjuncts().size(), 1u);
-  EXPECT_TRUE(PredicateIdentical(cov, IdRange(0, 200)));
-  // Already-covered tick: no change.
-  EXPECT_FALSE(cov.UnionIncrementalInPlace(IdRange(50, 150), {}, &fix));
-  EXPECT_TRUE(fix);
-  EXPECT_TRUE(PredicateIdentical(cov, IdRange(0, 200)));
-}
-
-// --- fingerprints --------------------------------------------------------
-
-TEST(SymbolicFastpathTest, CanonicalHashIsOrderInsensitive) {
-  Predicate ab;
-  ab.AddConjunct(IdRange(0, 10).conjuncts()[0]);
-  ab.AddConjunct(IdRange(20, 30).conjuncts()[0]);
-  Predicate ba;
-  ba.AddConjunct(IdRange(20, 30).conjuncts()[0]);
-  ba.AddConjunct(IdRange(0, 10).conjuncts()[0]);
-  EXPECT_EQ(CanonicalPredicateHash(ab), CanonicalPredicateHash(ba));
-  EXPECT_NE(FingerprintPredicate(ab), FingerprintPredicate(Predicate()));
-  EXPECT_NE(CanonicalPredicateHash(ab),
-            CanonicalPredicateHash(IdRange(0, 10)));
-}
-
-// --- whole-manager differential -----------------------------------------
-
-// Drives two managers — fast path on vs off — through the same random op
-// sequence (update / retract / wholesale set / inter / diff) and demands
-// identical coverage and identical op results at every step, including the
-// shapes left behind by evictions and recovery reloads.
-TEST(SymbolicFastpathTest, TwinManagerDifferential) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(0xfeed00 + seed);
-    udf::UdfManager fast;
-    udf::UdfManager brute;
-    brute.set_symbolic_fastpath(false);
-    const std::vector<std::string> keys = {"det@v", "cls@v"};
-
-    for (int step = 0; step < 120; ++step) {
-      const std::string& key = keys[rng.NextBelow(keys.size())];
-      switch (rng.NextBelow(6)) {
-        case 0:
-        case 1: {  // streaming-ish union
-          double lo = static_cast<double>(rng.NextBelow(180));
-          Predicate q = IdRange(lo, lo + 1 + rng.NextBelow(40));
-          fast.UpdateCoverage(key, q);
-          brute.UpdateCoverage(key, q);
-          break;
-        }
-        case 2: {  // arbitrary-shape union
-          Predicate q = RandomPredicate(rng, 3, 3);
-          fast.UpdateCoverage(key, q);
-          brute.UpdateCoverage(key, q);
-          break;
-        }
-        case 3: {  // eviction
-          Predicate ev = RandomPredicate(rng, 2, 2);
-          fast.RetractCoverage(key, ev);
-          brute.RetractCoverage(key, ev);
-          break;
-        }
-        case 4: {  // recovery reload
-          Predicate loaded = RandomPredicate(rng, 3, 3);
-          fast.SetCoverage(key, loaded);
-          brute.SetCoverage(key, loaded);
-          break;
-        }
-        default: {  // lookups
-          Predicate q = RandomPredicate(rng, 3, 3);
-          ExpectIdenticalResults(fast.InterCoverage(key, q),
-                                 brute.InterCoverage(key, q),
-                                 "inter @ step " + std::to_string(step));
-          // Repeat to force a cache hit on the fast manager.
-          ExpectIdenticalResults(fast.InterCoverage(key, q),
-                                 brute.InterCoverage(key, q),
-                                 "inter(hit) @ step " + std::to_string(step));
-          ExpectIdenticalResults(fast.DiffCoverage(key, q),
-                                 brute.DiffCoverage(key, q),
-                                 "diff @ step " + std::to_string(step));
-          break;
-        }
-      }
-      ASSERT_TRUE(
-          PredicateIdentical(fast.Coverage(key), brute.Coverage(key)))
-          << "seed " << seed << " step " << step
-          << "\nfast:  " << fast.Coverage(key).ToString()
-          << "\nbrute: " << brute.Coverage(key).ToString();
-    }
-    EXPECT_GT(fast.symbolic_cache_stats().hits, 0);
-  }
+  udf::UdfManager manager;
+  manager.UpdateCoverage("det@v", IdRange(0, 100));
+  manager.UpdateCoverage("det@v", IdRange(100, 200));
+  EXPECT_EQ(manager.Coverage("det@v").conjuncts().size(), 1u);
+  EXPECT_TRUE(manager.Coverage("det@v").Equals(IdRange(0, 200)));
+  // An already-covered tick leaves the coverage as it was.
+  manager.UpdateCoverage("det@v", IdRange(50, 150));
+  EXPECT_TRUE(manager.Coverage("det@v").Equals(IdRange(0, 200)));
 }
 
 }  // namespace

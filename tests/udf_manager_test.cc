@@ -1,26 +1,14 @@
-// UdfManager: coverage bookkeeping (§4.1), plus a seeded differential
-// check that its one cache — each entry's NOT(p_u), replayed by
-// DiffCoverage — is dropped whenever p_u changes and recomputed when the
-// budget changes, so Inter/Diff always equal the plain Predicate algebra.
-
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
-#include "common/rng.h"
-#include "symbolic/subtract.h"
 #include "udf/udf_manager.h"
 
 namespace eva::udf {
 namespace {
 
-using symbolic::Conjunct;
 using symbolic::DimConstraint;
 using symbolic::DimKind;
 using symbolic::Interval;
 using symbolic::Predicate;
-using symbolic::SymbolicBudget;
 
 Predicate IdRange(double lo, double hi) {
   symbolic::Conjunct c;
@@ -91,190 +79,6 @@ TEST(UdfManagerTest, ClearDropsEverything) {
   manager.Clear();
   EXPECT_FALSE(manager.HasCoverage("det@v"));
   EXPECT_TRUE(manager.entries().empty());
-}
-
-TEST(UdfManagerTest, StreamingHorizonExtendsInPlace) {
-  // The streaming shape: coverage [0, t) repeatedly extended to [0, t').
-  UdfManager manager;
-  manager.UpdateCoverage("det@v", IdRange(0, 100));
-  manager.UpdateCoverage("det@v", IdRange(100, 200));
-  EXPECT_TRUE(manager.Coverage("det@v").Equals(IdRange(0, 200)));
-  // An already-covered tick leaves the coverage as it was.
-  manager.UpdateCoverage("det@v", IdRange(50, 150));
-  EXPECT_TRUE(manager.Coverage("det@v").Equals(IdRange(0, 200)));
-}
-
-TEST(UdfManagerTest, CachedComplementSurvivesOnlyNoOpUnions) {
-  UdfManager manager;
-  const auto cached = [&] {
-    return manager.entries().at("det@v").complement.has_value();
-  };
-  const auto diff = [&] {
-    ASSERT_TRUE(manager.DiffCoverage("det@v", IdRange(50, 150)).ok());
-  };
-  manager.UpdateCoverage("det@v", IdRange(0, 100));
-  EXPECT_FALSE(cached());
-  diff();
-  EXPECT_TRUE(cached());
-  manager.UpdateCoverage("det@v", IdRange(20, 80));  // already covered
-  EXPECT_TRUE(cached());
-  manager.UpdateCoverage("det@v", IdRange(200, 300));
-  EXPECT_FALSE(cached());
-  diff();
-  manager.RetractCoverage("det@v", IdRange(500, 600));  // misses p_u
-  EXPECT_FALSE(cached());
-  diff();
-  manager.SetCoverage("det@v", manager.Coverage("det@v"));
-  EXPECT_FALSE(cached());
-}
-
-// --- differential against the Predicate algebra ---------------------------
-
-const std::vector<std::string> kLabels = {"car", "bus", "truck"};
-
-// Random atomic constraint over (id, area, label), the vbench universe, so
-// intersections are frequently (but not always) non-empty.
-std::pair<std::string, DimConstraint> RandomAtom(Rng& rng) {
-  switch (rng.NextBelow(4)) {
-    case 0: {
-      double v = static_cast<double>(rng.NextBelow(200));
-      if (rng.NextBool(0.5)) {
-        return {"id", DimConstraint::Numeric(DimKind::kInteger,
-                                             Interval::AtLeast(v))};
-      }
-      return {"id", DimConstraint::Numeric(DimKind::kInteger,
-                                           Interval::LessThan(v))};
-    }
-    case 1:
-      return {"id", DimConstraint::NumericNotEqual(
-                        DimKind::kInteger,
-                        static_cast<double>(rng.NextBelow(200)))};
-    case 2: {
-      double v = 0.05 * static_cast<double>(rng.NextBelow(20));
-      if (rng.NextBool(0.5)) {
-        return {"area", DimConstraint::Numeric(DimKind::kReal,
-                                               Interval::GreaterThan(v))};
-      }
-      return {"area",
-              DimConstraint::Numeric(DimKind::kReal, Interval::AtMost(v))};
-    }
-    default: {
-      const std::string& v = kLabels[rng.NextBelow(kLabels.size())];
-      return {"label", DimConstraint::Categorical({v}, rng.NextBool(0.3))};
-    }
-  }
-}
-
-Conjunct RandomConjunct(Rng& rng, int max_atoms) {
-  Conjunct c;
-  int na = 1 + static_cast<int>(rng.NextBelow(max_atoms));
-  for (int a = 0; a < na; ++a) {
-    auto [dim, constraint] = RandomAtom(rng);
-    if (!c.Constrain(dim, constraint)) return RandomConjunct(rng, max_atoms);
-  }
-  return c;
-}
-
-Predicate RandomPredicate(Rng& rng, int max_conjuncts, int max_atoms) {
-  Predicate p;
-  int nc = 1 + static_cast<int>(rng.NextBelow(max_conjuncts));
-  for (int i = 0; i < nc; ++i) p.AddConjunct(RandomConjunct(rng, max_atoms));
-  return p;
-}
-
-void ExpectSameResult(const Result<Predicate>& got,
-                      const Result<Predicate>& want, const std::string& what) {
-  ASSERT_EQ(got.ok(), want.ok()) << what;
-  if (!got.ok()) {
-    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << what;
-    return;
-  }
-  EXPECT_TRUE(got.value().Equals(want.value()))
-      << what << "\ngot:  " << got.value().ToString()
-      << "\nwant: " << want.value().ToString();
-}
-
-TEST(SubtractTest, HullDisjointImpliesEmptyIntersection) {
-  Rng rng(0x5eed0001);
-  int disjoint = 0;
-  for (int i = 0; i < 2000; ++i) {
-    Conjunct a = RandomConjunct(rng, 3);
-    Conjunct b = RandomConjunct(rng, 3);
-    if (symbolic::HullDisjoint(a, b)) {
-      ++disjoint;
-      EXPECT_FALSE(a.Intersect(b).has_value())
-          << a.ToString() << " vs " << b.ToString();
-    }
-  }
-  // The generator must actually exercise the disjoint branch.
-  EXPECT_GT(disjoint, 50);
-}
-
-// Seeded random op sequences — update, retract, wholesale set, Clear,
-// inter, diff — under budgets that change between calls, one of them small
-// enough to exhaust. Every Inter/Diff must equal a fresh
-// Predicate::Inter/Diff on the current coverage, cell for cell and status
-// for status: a stale cached NOT(p_u) shows up as a mismatch.
-TEST(UdfManagerTest, InterDiffMatchPredicateAlgebraUnderRandomOps) {
-  const std::vector<SymbolicBudget> budgets = {
-      SymbolicBudget{},
-      SymbolicBudget{6, 64},    // NOT of a few cells exhausts this
-      SymbolicBudget{4096, 1},  // one reduction pass: different shapes
-  };
-  const std::vector<std::string> keys = {"det@v", "cls@v"};
-  int diffs = 0, replays = 0, errors = 0;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    Rng rng(0xfeed00 + seed);
-    UdfManager manager;
-    // (key, budget) of the last Diff whose NOT is still cached, if any.
-    std::string cached_key;
-    size_t cached_budget = budgets.size();
-    for (int step = 0; step < 150; ++step) {
-      const std::string& key = keys[rng.NextBelow(keys.size())];
-      const size_t b = rng.NextBelow(budgets.size());
-      const SymbolicBudget& budget = budgets[b];
-      const std::string where =
-          "seed " + std::to_string(seed) + " step " + std::to_string(step);
-      const uint64_t op = rng.NextBelow(10);
-      if (op <= 1) {  // streaming-ish union
-        double lo = static_cast<double>(rng.NextBelow(180));
-        manager.UpdateCoverage(key, IdRange(lo, lo + 1 + rng.NextBelow(40)),
-                               budget);
-      } else if (op == 2) {  // arbitrary-shape union
-        manager.UpdateCoverage(key, RandomPredicate(rng, 3, 3), budget);
-      } else if (op == 3) {  // eviction
-        manager.RetractCoverage(key, RandomPredicate(rng, 2, 2), budget);
-      } else if (op == 4) {  // recovery reload / fault rollback
-        manager.SetCoverage(key, RandomPredicate(rng, 3, 3));
-      } else if (op == 5 && rng.NextBool(0.2)) {
-        manager.Clear();
-        cached_key.clear();
-      } else {  // lookups, repeated so the cached NOT is replayed
-        Predicate q = RandomPredicate(rng, 3, 3);
-        const Predicate coverage = manager.Coverage(key);
-        ExpectSameResult(manager.InterCoverage(key, q, budget),
-                         Predicate::Inter(coverage, q, budget),
-                         "inter @ " + where);
-        for (int rep = 0; rep < 2; ++rep) {
-          if (!coverage.IsFalse() && cached_key == key && cached_budget == b) {
-            ++replays;
-          }
-          Result<Predicate> want = Predicate::Diff(coverage, q, budget);
-          if (!want.ok()) ++errors;
-          ExpectSameResult(manager.DiffCoverage(key, q, budget), want,
-                           "diff @ " + where);
-          ++diffs;
-          cached_key = key;
-          cached_budget = b;
-        }
-        continue;
-      }
-      if (key == cached_key) cached_key.clear();
-    }
-  }
-  // The sequence must exercise replays and the NOT's budget error.
-  EXPECT_GT(replays, diffs / 3);
-  EXPECT_GT(errors, 0);
 }
 
 }  // namespace
