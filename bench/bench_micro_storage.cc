@@ -1,17 +1,19 @@
 // Microbenchmarks (google-benchmark) for the storage substrate: view
 // presence/append throughput (the STORE operator's inner loop), the
-// columnar batch-probe path, the vectorized filter evaluator, and
-// synthetic-video generation/statistics costs.
+// columnar batch-probe path, the reseal of a segment with an open tail,
+// the vectorized filter evaluator, and synthetic-video
+// generation/statistics costs.
 //
 // Two entry modes (custom main below):
 //   default       google-benchmark CLI (--benchmark_filter=..., etc.)
-//   --quick       fixed-iteration wall-clock run of the probe/filter
+//   --quick       fixed-iteration wall-clock run of the probe/reseal/filter
 //                 benches, p50/p95 JSON on stdout — the CI perf-smoke
 //                 job's artifact (see .github/workflows/ci.yml).
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 
 #include "bench_util.h"
 #include "exec/vector_filter.h"
@@ -169,6 +171,62 @@ BENCHMARK(BM_ProbeBatchBloom)
     ->Args({1, 10})   // misses, bloom on — must beat the hit path
     ->Args({1, 0});   // misses, bloom off — the key-index binary search
 
+// Reseal cost (the --quick `view_reseal` entry): a sealed 512-frame
+// detector segment takes a small tail, and a probe that touches it
+// reseals the whole segment. The base leaves every eighth frame free:
+// kResealTails tails of kResealTailFrames frames fill them. Reported per
+// reseal.
+constexpr int64_t kResealTails = 16;
+constexpr int64_t kResealTailFrames = 4;
+
+// Three detections per frame; labels repeat, areas and scores do not.
+std::vector<Row> Detections(int64_t frame) {
+  static const char* const kLabels[] = {"car", "bus", "person", "truck"};
+  std::vector<Row> rows;
+  uint64_t h = static_cast<uint64_t>(frame) * 0x9E3779B97F4A7C15ULL;
+  for (int64_t obj = 0; obj < 3; ++obj) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
+    rows.push_back({Value(obj), Value(kLabels[(h >> 8) % 4]),
+                    Value(0.01 + 0.3 * u), Value(0.5 + 0.5 * (1 - u * u))});
+  }
+  return rows;
+}
+
+std::unique_ptr<MaterializedView> SealedDetectorSegment() {
+  auto view = std::make_unique<MaterializedView>("bench_reseal", DetSchema());
+  view->set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  for (int64_t f = 0; f < view->segment_frames(); ++f) {
+    if (f % 8 != 7) view->Put(ViewKey{f, -1}, Detections(f));
+  }
+  view->SealAllSegments();
+  return view;
+}
+
+void ResealTails(MaterializedView* view) {
+  ProbeResult res;
+  int64_t f = 7;
+  for (int64_t t = 0; t < kResealTails; ++t) {
+    const ViewKey first{f, -1};
+    for (int64_t k = 0; k < kResealTailFrames; ++k, f += 8) {
+      view->Put(ViewKey{f, -1}, Detections(f));
+    }
+    view->ProbeBatch({first}, nullptr, &res);
+    benchmark::DoNotOptimize(res.outcomes.size());
+  }
+}
+
+void BM_ViewReseal(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<MaterializedView> view = SealedDetectorSegment();
+    state.ResumeTiming();
+    ResealTails(view.get());
+  }
+  state.SetItemsProcessed(state.iterations() * kResealTails);
+}
+BENCHMARK(BM_ViewReseal);
+
 ExprPtr FilterBenchPredicate() {
   // label = 'car' AND area > 0.2 — the shape every vbench query carries.
   return Expr::And(
@@ -324,6 +382,16 @@ int RunQuick() {
   auto probe_miss_bloom = [&] { probe_rounds(bloom_view, miss_keys); };
   auto probe_miss_nobloom = [&] { probe_rounds(nobloom_view, miss_keys); };
 
+  // One freshly sealed segment per sample, built before the clock runs.
+  std::vector<std::unique_ptr<MaterializedView>> reseal_views;
+  for (int i = 0; i < kWarmup + kSamples; ++i) {
+    reseal_views.push_back(SealedDetectorSegment());
+  }
+  size_t next_reseal_view = 0;
+  auto view_reseal = [&] {
+    ResealTails(reseal_views[next_reseal_view++].get());
+  };
+
   Schema schema = DetSchema();
   Batch batch = FilterBenchBatch();
   ExprPtr pred = FilterBenchPredicate();
@@ -378,6 +446,10 @@ int RunQuick() {
   out += eva::bench::WallStatsJson(
       "probe_batch_miss_nobloom",
       eva::bench::MeasureWall(probe_miss_nobloom, kWarmup, kSamples, kOps));
+  out += ',';
+  out += eva::bench::WallStatsJson(
+      "view_reseal", eva::bench::MeasureWall(view_reseal, kWarmup, kSamples,
+                                             kResealTails));
   out += ',';
   out += eva::bench::WallStatsJson(
       "filter_scalar",

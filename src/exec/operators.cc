@@ -52,6 +52,25 @@ UdfObsCounters MakeUdfCounters(ExecContext* ctx, const std::string& udf) {
   return c;
 }
 
+// QueryMetrics' per-UDF cells, found on first use instead of one std::map
+// lookup per event (map nodes never move). Lazy, so a UDF that never
+// counts leaves no zero entry in the maps.
+struct UdfMetricCells {
+  int64_t* invocations = nullptr;
+  int64_t* reused = nullptr;
+
+  void AddInvocation(ExecContext* ctx, const std::string& udf) {
+    if (invocations == nullptr) invocations = &ctx->metrics->invocations[udf];
+    *invocations += 1;
+  }
+  // A reused result counts as an invocation too.
+  void AddReuse(ExecContext* ctx, const std::string& udf) {
+    AddInvocation(ctx, udf);
+    if (reused == nullptr) reused = &ctx->metrics->reused[udf];
+    *reused += 1;
+  }
+};
+
 void CountInvocation(ExecContext* ctx, const UdfObsCounters& counters) {
   if (ctx->active_stats != nullptr) ++ctx->active_stats->udf_invocations;
   if (counters.invocations != nullptr) counters.invocations->Increment();
@@ -244,14 +263,15 @@ Status MaybeInjectUdfFault(ExecContext* ctx, const UdfDef& def,
 // (obj, label, area, score). Charges UDF cost and counts the invocation.
 Result<std::vector<Row>> RunDetector(ExecContext* ctx, const UdfDef& def,
                                      int64_t frame,
-                                     const UdfObsCounters& obs) {
+                                     const UdfObsCounters& obs,
+                                     UdfMetricCells* cells) {
   obs::ProfScope prof("udf");
   EVA_ASSIGN_OR_RETURN(const vision::DetectorModel* model,
                        ctx->udfs->Detector(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
   SpinFor(ctx->udf_spin_us);
-  ctx->metrics->invocations[def.name] += 1;
+  cells->AddInvocation(ctx, def.name);
   CountInvocation(ctx, obs);
   std::vector<Row> rows;
   for (const vision::Detection& d : model->Detect(*ctx->video, frame)) {
@@ -263,27 +283,29 @@ Result<std::vector<Row>> RunDetector(ExecContext* ctx, const UdfDef& def,
 
 Result<Value> RunClassifier(ExecContext* ctx, const UdfDef& def,
                             int64_t frame, int64_t obj,
-                            const UdfObsCounters& obs) {
+                            const UdfObsCounters& obs,
+                            UdfMetricCells* cells) {
   obs::ProfScope prof("udf");
   EVA_ASSIGN_OR_RETURN(const vision::ClassifierModel* model,
                        ctx->udfs->Classifier(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, obj, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
   SpinFor(ctx->udf_spin_us);
-  ctx->metrics->invocations[def.name] += 1;
+  cells->AddInvocation(ctx, def.name);
   CountInvocation(ctx, obs);
   return Value(model->Classify(*ctx->video, frame, static_cast<int>(obj)));
 }
 
 Result<Value> RunFilterUdf(ExecContext* ctx, const UdfDef& def,
-                           int64_t frame, const UdfObsCounters& obs) {
+                           int64_t frame, const UdfObsCounters& obs,
+                           UdfMetricCells* cells) {
   obs::ProfScope prof("udf");
   EVA_ASSIGN_OR_RETURN(const vision::FilterModel* model,
                        ctx->udfs->Filter(def.name));
   EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
   ctx->Charge(CostCategory::kUdf, def.cost_ms);
   SpinFor(ctx->udf_spin_us);
-  ctx->metrics->invocations[def.name] += 1;
+  cells->AddInvocation(ctx, def.name);
   CountInvocation(ctx, obs);
   return Value(model->Pass(*ctx->video, frame));
 }
@@ -376,17 +398,16 @@ class ApplyOp : public Operator {
       ViewKey key{frame, -1};
       if (const std::vector<Row>* hit =
               ctx_->funcache->Lookup(def_.name, key)) {
-        ctx_->metrics->invocations[def_.name] += 1;
-        ctx_->metrics->reused[def_.name] += 1;
+        cells_.AddReuse(ctx_, def_.name);
         CountReuse(ctx_, obs_);
         return *hit;
       }
       EVA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                           RunDetector(ctx_, def_, frame, obs_));
+                           RunDetector(ctx_, def_, frame, obs_, &cells_));
       ctx_->funcache->Insert(def_.name, key, rows);
       return rows;
     }
-    return RunDetector(ctx_, def_, frame, obs_);
+    return RunDetector(ctx_, def_, frame, obs_, &cells_);
   }
 
   Result<Value> ClassifierResult(int64_t frame, int64_t obj) {
@@ -395,17 +416,16 @@ class ApplyOp : public Operator {
       ViewKey key{frame, obj};
       if (const std::vector<Row>* hit =
               ctx_->funcache->Lookup(def_.name, key)) {
-        ctx_->metrics->invocations[def_.name] += 1;
-        ctx_->metrics->reused[def_.name] += 1;
+        cells_.AddReuse(ctx_, def_.name);
         CountReuse(ctx_, obs_);
         return (*hit)[0][0];
       }
-      EVA_ASSIGN_OR_RETURN(Value v,
-                           RunClassifier(ctx_, def_, frame, obj, obs_));
+      EVA_ASSIGN_OR_RETURN(
+          Value v, RunClassifier(ctx_, def_, frame, obj, obs_, &cells_));
       ctx_->funcache->Insert(def_.name, key, {{v}});
       return v;
     }
-    return RunClassifier(ctx_, def_, frame, obj, obs_);
+    return RunClassifier(ctx_, def_, frame, obj, obs_, &cells_);
   }
 
   Result<Value> FilterResult(int64_t frame) {
@@ -414,22 +434,23 @@ class ApplyOp : public Operator {
       ViewKey key{frame, -1};
       if (const std::vector<Row>* hit =
               ctx_->funcache->Lookup(def_.name, key)) {
-        ctx_->metrics->invocations[def_.name] += 1;
-        ctx_->metrics->reused[def_.name] += 1;
+        cells_.AddReuse(ctx_, def_.name);
         CountReuse(ctx_, obs_);
         return (*hit)[0][0];
       }
-      EVA_ASSIGN_OR_RETURN(Value v, RunFilterUdf(ctx_, def_, frame, obs_));
+      EVA_ASSIGN_OR_RETURN(Value v,
+                           RunFilterUdf(ctx_, def_, frame, obs_, &cells_));
       ctx_->funcache->Insert(def_.name, key, {{v}});
       return v;
     }
-    return RunFilterUdf(ctx_, def_, frame, obs_);
+    return RunFilterUdf(ctx_, def_, frame, obs_, &cells_);
   }
 
   OperatorPtr child_;
   UdfDef def_;
   bool emit_presence_placeholders_;
   UdfObsCounters obs_;
+  UdfMetricCells cells_;
 };
 
 // ---------------------------------------------------------------------------
@@ -561,8 +582,7 @@ class ViewJoinOp : public Operator {
         const storage::ProbeOutcome* oc =
             view != nullptr ? &probe_res_.outcomes[oi++] : nullptr;
         if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-          ctx_->metrics->invocations[def_.name] += 1;
-          ctx_->metrics->reused[def_.name] += 1;
+          cells_.AddReuse(ctx_, def_.name);
           CountProbe(true);
           accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
           if (oc->status == storage::ProbeStatus::kHit) {
@@ -609,8 +629,7 @@ class ViewJoinOp : public Operator {
         const storage::ProbeOutcome* oc =
             view != nullptr ? &probe_res_.outcomes[oi++] : nullptr;
         if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-          ctx_->metrics->invocations[def_.name] += 1;
-          ctx_->metrics->reused[def_.name] += 1;
+          cells_.AddReuse(ctx_, def_.name);
           CountProbe(true);
           accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
           if (oc->status == storage::ProbeStatus::kHit) {
@@ -738,6 +757,7 @@ class ViewJoinOp : public Operator {
   std::vector<ViewKey> probe_keys_;
   storage::ProbeResult probe_res_;
   std::vector<std::pair<int64_t, uint64_t>> accesses_;  // (frame, tick)
+  UdfMetricCells cells_;
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
   obs::Counter* segments_skipped_ = nullptr;
@@ -789,7 +809,7 @@ class CondApplyOp : public Operator {
           continue;
         }
         EVA_ASSIGN_OR_RETURN(std::vector<Row> dets,
-                             RunDetector(ctx_, def_, frame, obs_));
+                             RunDetector(ctx_, def_, frame, obs_, &cells_));
         if (dets.empty()) {
           // Keep the NULL placeholder so STORE records "frame processed,
           // zero objects" before dropping it.
@@ -811,12 +831,13 @@ class CondApplyOp : public Operator {
             if (!obj_v.is_null()) {
               EVA_ASSIGN_OR_RETURN(
                   Value v,
-                  RunClassifier(ctx_, def_, frame, obj_v.AsInt64(), obs_));
+                  RunClassifier(ctx_, def_, frame, obj_v.AsInt64(), obs_,
+                                &cells_));
               full[static_cast<size_t>(out_idx)] = std::move(v);
             }
           } else {
-            EVA_ASSIGN_OR_RETURN(Value v,
-                                 RunFilterUdf(ctx_, def_, frame, obs_));
+            EVA_ASSIGN_OR_RETURN(
+                Value v, RunFilterUdf(ctx_, def_, frame, obs_, &cells_));
             full[static_cast<size_t>(out_idx)] = std::move(v);
           }
         }
@@ -836,6 +857,7 @@ class CondApplyOp : public Operator {
   OperatorPtr child_;
   UdfDef def_;
   UdfObsCounters obs_;
+  UdfMetricCells cells_;
 };
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
 
 namespace eva::storage {
 
@@ -83,22 +82,45 @@ void BuildRuns(const std::vector<T>& v, std::vector<T>* values,
   }
 }
 
-// First-occurrence dictionary over an integer-comparable lane. Returns
-// false when the cardinality cap is hit.
+// Byte cost of a numeric dictionary of `distinct` values over n rows.
+size_t NumDictCost(size_t n, size_t distinct) {
+  return distinct * 8 +
+         BitPackedVec::PackedBytes(
+             n, BitPackedVec::WidthFor(distinct == 0 ? 0 : distinct - 1));
+}
+
+// First-occurrence dictionary over an integer-comparable lane, found
+// through an open-addressing table of dictionary positions. Returns false
+// once the cardinality cap is passed, or once the dictionary's byte cost
+// reaches `give_up`: the cost only grows with the dictionary, so from then
+// on the codec cannot win.
 template <typename T>
-bool BuildNumDict(const std::vector<T>& v, std::vector<T>* dict,
-                  std::vector<uint64_t>* indexes) {
+bool BuildNumDict(const std::vector<T>& v, size_t give_up,
+                  std::vector<T>* dict, std::vector<uint64_t>* indexes) {
   dict->clear();
   indexes->clear();
   indexes->reserve(v.size());
-  std::unordered_map<T, uint64_t> seen;
+  // At most half full: the table never holds more than cap + 1 values.
+  const size_t max_distinct = std::min(v.size(), kMaxNumDictCardinality + 1);
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * max_distinct) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<int32_t> slots(mask + 1, -1);
   for (const T& x : v) {
-    auto [it, inserted] = seen.emplace(x, dict->size());
-    if (inserted) {
-      dict->push_back(x);
-      if (dict->size() > kMaxNumDictCardinality) return false;
+    size_t h = static_cast<size_t>(
+        (static_cast<uint64_t>(x) * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+    while (slots[h] >= 0 && (*dict)[static_cast<size_t>(slots[h])] != x) {
+      h = (h + 1) & mask;
     }
-    indexes->push_back(it->second);
+    if (slots[h] < 0) {
+      slots[h] = static_cast<int32_t>(dict->size());
+      dict->push_back(x);
+      if (dict->size() > kMaxNumDictCardinality ||
+          NumDictCost(v.size(), dict->size()) >= give_up) {
+        return false;
+      }
+    }
+    indexes->push_back(static_cast<uint64_t>(slots[h]));
   }
   return true;
 }
@@ -190,15 +212,15 @@ void CompressColumn(ColumnVec* col) {
       size_t cost_for = BitPackedVec::PackedBytes(n, for_w) + 8;
       size_t runs = CountRuns(eff);
       size_t cost_rle = runs * 12;  // 8 B value + 4 B run end
+      // Ties go to the earlier codec, so the dictionary must beat all three.
       std::vector<int64_t> dict;
       std::vector<uint64_t> idx;
-      bool dict_ok = BuildNumDict(eff, &dict, &idx);
+      bool dict_ok = BuildNumDict(
+          eff, std::min({cost_plain, cost_for, cost_rle}), &dict, &idx);
       int dict_w =
           dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
                   : 0;
-      size_t cost_dict = dict_ok ? dict.size() * 8 +
-                                       BitPackedVec::PackedBytes(n, dict_w)
-                                 : ~size_t{0};
+      size_t cost_dict = dict_ok ? NumDictCost(n, dict.size()) : ~size_t{0};
       size_t best = std::min({cost_plain, cost_for, cost_rle, cost_dict});
       if (best == cost_plain) return;
       if (best == cost_for) {
@@ -234,29 +256,34 @@ void CompressColumn(ColumnVec* col) {
       size_t cost_plain = 8 * n;
       size_t runs = CountRuns(eff);
       size_t cost_rle = runs * 12;
-      std::vector<uint64_t> dict;
-      std::vector<uint64_t> idx;
-      bool dict_ok = BuildNumDict(eff, &dict, &idx);
-      int dict_w =
-          dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
-                  : 0;
-      size_t cost_dict = dict_ok ? dict.size() * 8 +
-                                       BitPackedVec::PackedBytes(n, dict_w)
-                                 : ~size_t{0};
       // Sign/exponent prefix dictionary + packed 52-bit mantissas: the
       // codec of last resort for high-entropy doubles (detector areas and
       // scores), whose 12-bit prefix takes a handful of values while the
       // mantissa is incompressible. At most 4096 distinct prefixes exist,
-      // so this dictionary never overflows.
-      std::vector<uint64_t> prefixes(n);
-      for (size_t i = 0; i < n; ++i) prefixes[i] = eff[i] >> 52;
+      // so this dictionary never overflows and a direct table finds them.
+      std::vector<int32_t> prefix_code(4096, -1);
       std::vector<uint64_t> exp_dict;
-      std::vector<uint64_t> exp_idx;
-      BuildNumDict(prefixes, &exp_dict, &exp_idx);
+      for (uint64_t bits : eff) {
+        int32_t& code = prefix_code[bits >> 52];
+        if (code < 0) {
+          code = static_cast<int32_t>(exp_dict.size());
+          exp_dict.push_back(bits >> 52);
+        }
+      }
       int exp_w = 52 + BitPackedVec::WidthFor(
                            exp_dict.empty() ? 0 : exp_dict.size() - 1);
       size_t cost_exp =
           exp_dict.size() * 8 + BitPackedVec::PackedBytes(n, exp_w);
+      // Ties go to the earlier codec: the value dictionary must beat plain
+      // and RLE, and at most tie the prefix dictionary.
+      std::vector<uint64_t> dict;
+      std::vector<uint64_t> idx;
+      bool dict_ok = BuildNumDict(
+          eff, std::min({cost_plain, cost_rle, cost_exp + 1}), &dict, &idx);
+      int dict_w =
+          dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
+                  : 0;
+      size_t cost_dict = dict_ok ? NumDictCost(n, dict.size()) : ~size_t{0};
       size_t best = std::min({cost_plain, cost_rle, cost_dict, cost_exp});
       if (best == cost_plain) return;
       auto to_double = [](uint64_t b) {
@@ -283,7 +310,8 @@ void CompressColumn(ColumnVec* col) {
         constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
         std::vector<uint64_t> lane(n);
         for (size_t i = 0; i < n; ++i) {
-          lane[i] = (exp_idx[i] << 52) | (eff[i] & kMantissa);
+          lane[i] = (static_cast<uint64_t>(prefix_code[eff[i] >> 52]) << 52) |
+                    (eff[i] & kMantissa);
         }
         col->packed_.Pack(lane, exp_w);
         col->i64_.assign(exp_dict.begin(), exp_dict.end());
@@ -499,17 +527,85 @@ void TailLane::ToRaw(ColumnVec* col) {
   col->raw_ = std::move(raw);
 }
 
-void TailLane::AppendTyped(const Value& v) {
+void TailLane::AppendFrom(const ColumnVec& src, size_t begin, size_t end,
+                          std::vector<int32_t>* remap) {
+  size_t i = begin;
+  // An untyped or mixed lane, or a source of another encoding, takes
+  // Values; the first non-null one may type the lane and end this loop.
+  for (; i < end && (lane_.enc_ == ColumnVec::Enc::kValue ||
+                     src.enc_ != lane_.enc_);
+       ++i) {
+    Append(src.At(i));
+  }
+  switch (lane_.enc_) {
+    case ColumnVec::Enc::kInt64:
+      for (; i < end; ++i) {
+        const bool null = src.NullAt(i);
+        PushRow(null);
+        lane_.i64_.push_back(null ? 0 : src.Int64At(i));
+      }
+      break;
+    case ColumnVec::Enc::kDouble:
+      for (; i < end; ++i) {
+        const bool null = src.NullAt(i);
+        PushRow(null);
+        lane_.f64_.push_back(null ? 0 : src.DoubleAt(i));
+      }
+      break;
+    case ColumnVec::Enc::kBool:
+      for (; i < end; ++i) {
+        const bool null = src.NullAt(i);
+        PushRow(null);
+        lane_.b8_.push_back(!null && src.BoolAt(i) ? 1 : 0);
+      }
+      break;
+    case ColumnVec::Enc::kDict:
+      if (remap->size() < src.dict_.size()) {
+        remap->resize(src.dict_.size(), -1);
+      }
+      for (; i < end; ++i) {
+        const bool null = src.NullAt(i);
+        PushRow(null);
+        int32_t code = 0;
+        if (!null) {
+          const int32_t src_code = src.CodeAt(i);
+          int32_t& mapped = (*remap)[static_cast<size_t>(src_code)];
+          if (mapped < 0) {
+            mapped = CodeOf(src.dict_[static_cast<size_t>(src_code)]);
+          }
+          code = mapped;
+        }
+        lane_.codes_.push_back(code);
+      }
+      break;
+    case ColumnVec::Enc::kValue:
+      break;
+  }
+}
+
+void TailLane::PushRow(bool null) {
   const size_t i = lane_.n_++;
   // The null bitmap, once allocated, covers every row (NullAt's contract).
   if (!lane_.null_bits_.empty() && (i >> 6) >= lane_.null_bits_.size()) {
     lane_.null_bits_.push_back(0);
   }
-  const bool null = v.is_null();
   if (null) {
+    has_nulls_ = true;
     if (lane_.null_bits_.empty()) lane_.null_bits_.assign((i >> 6) + 1, 0);
     SetNullBit(&lane_.null_bits_, i);
   }
+}
+
+int32_t TailLane::CodeOf(const std::string& s) {
+  auto [it, inserted] =
+      codes_.emplace(s, static_cast<int32_t>(lane_.dict_.size()));
+  if (inserted) lane_.dict_.push_back(s);
+  return it->second;
+}
+
+void TailLane::AppendTyped(const Value& v) {
+  const bool null = v.is_null();
+  PushRow(null);
   switch (lane_.enc_) {
     case ColumnVec::Enc::kInt64:
       lane_.i64_.push_back(null ? 0 : v.AsInt64());
@@ -520,17 +616,9 @@ void TailLane::AppendTyped(const Value& v) {
     case ColumnVec::Enc::kBool:
       lane_.b8_.push_back(!null && v.AsBool() ? 1 : 0);
       break;
-    case ColumnVec::Enc::kDict: {
-      int32_t code = 0;
-      if (!null) {
-        auto [it, inserted] = codes_.emplace(
-            v.AsString(), static_cast<int32_t>(lane_.dict_.size()));
-        if (inserted) lane_.dict_.push_back(v.AsString());
-        code = it->second;
-      }
-      lane_.codes_.push_back(code);
+    case ColumnVec::Enc::kDict:
+      lane_.codes_.push_back(null ? 0 : CodeOf(v.AsString()));
       break;
-    }
     case ColumnVec::Enc::kValue:
       break;
   }

@@ -73,60 +73,75 @@ class ColumnVec {
     if (NullAt(i)) return Value::Null();
     switch (enc_) {
       case Enc::kInt64:
-        switch (codec_) {
-          case Codec::kFor:
-            return Value(for_base_ + static_cast<int64_t>(packed_.Get(i)));
-          case Codec::kRle:
-            return Value(i64_[RunOf(i)]);
-          case Codec::kDictNum:
-            return Value(i64_[packed_.Get(i)]);
-          default:
-            return Value(i64_[i]);
-        }
+        return Value(Int64At(i));
       case Enc::kDouble:
-        switch (codec_) {
-          case Codec::kRle:
-            return Value(f64_[RunOf(i)]);
-          case Codec::kDictNum:
-            return Value(f64_[packed_.Get(i)]);
-          case Codec::kExpPack: {
-            // Lane value = (prefix code << 52) | 52-bit mantissa; i64_
-            // dictionaries the distinct sign/exponent prefixes. Bit-level
-            // reconstruction, so NaN payloads and -0.0 survive.
-            uint64_t v = packed_.Get(i);
-            uint64_t bits =
-                (static_cast<uint64_t>(i64_[static_cast<size_t>(v >> 52)])
-                 << 52) |
-                (v & ((uint64_t{1} << 52) - 1));
-            double d;
-            std::memcpy(&d, &bits, 8);
-            return Value(d);
-          }
-          default:
-            return Value(f64_[i]);
-        }
+        return Value(DoubleAt(i));
       case Enc::kBool:
-        switch (codec_) {
-          case Codec::kBitPack:
-            return Value(packed_.Get(i) != 0);
-          case Codec::kRle:
-            return Value(b8_[RunOf(i)] != 0);
-          default:
-            return Value(b8_[i] != 0);
-        }
+        return Value(BoolAt(i));
       case Enc::kDict:
-        switch (codec_) {
-          case Codec::kBitPack:
-            return Value(dict_[static_cast<size_t>(packed_.Get(i))]);
-          case Codec::kRle:
-            return Value(dict_[static_cast<size_t>(codes_[RunOf(i)])]);
-          default:
-            return Value(dict_[static_cast<size_t>(codes_[i])]);
-        }
+        return Value(dict_[static_cast<size_t>(CodeAt(i))]);
       case Enc::kValue:
         break;
     }
     return Value::Null();
+  }
+
+  // Typed readers: the cell at non-null row i of a column of the matching
+  // encoding, decoded through whatever codec the lane carries.
+  int64_t Int64At(size_t i) const {
+    switch (codec_) {
+      case Codec::kFor:
+        return for_base_ + static_cast<int64_t>(packed_.Get(i));
+      case Codec::kRle:
+        return i64_[RunOf(i)];
+      case Codec::kDictNum:
+        return i64_[packed_.Get(i)];
+      default:
+        return i64_[i];
+    }
+  }
+  double DoubleAt(size_t i) const {
+    switch (codec_) {
+      case Codec::kRle:
+        return f64_[RunOf(i)];
+      case Codec::kDictNum:
+        return f64_[packed_.Get(i)];
+      case Codec::kExpPack: {
+        // Lane value = (prefix code << 52) | 52-bit mantissa; i64_
+        // dictionaries the distinct sign/exponent prefixes. Bit-level
+        // reconstruction, so NaN payloads and -0.0 survive.
+        uint64_t v = packed_.Get(i);
+        uint64_t bits =
+            (static_cast<uint64_t>(i64_[static_cast<size_t>(v >> 52)])
+             << 52) |
+            (v & ((uint64_t{1} << 52) - 1));
+        double d;
+        std::memcpy(&d, &bits, 8);
+        return d;
+      }
+      default:
+        return f64_[i];
+    }
+  }
+  bool BoolAt(size_t i) const {
+    switch (codec_) {
+      case Codec::kBitPack:
+        return packed_.Get(i) != 0;
+      case Codec::kRle:
+        return b8_[RunOf(i)] != 0;
+      default:
+        return b8_[i] != 0;
+    }
+  }
+  int32_t CodeAt(size_t i) const {  // index into dict_
+    switch (codec_) {
+      case Codec::kBitPack:
+        return static_cast<int32_t>(packed_.Get(i));
+      case Codec::kRle:
+        return codes_[RunOf(i)];
+      default:
+        return codes_[i];
+    }
   }
 
   bool NullAt(size_t i) const {
@@ -296,6 +311,14 @@ struct ColumnarSegment {
 class TailLane {
  public:
   void Append(const Value& v);
+  /// Appends rows [begin, end) of `src` (a sealed column or another lane),
+  /// with the same result as appending each src.At(i). While this lane
+  /// is typed and `src` has the same encoding, cells are copied as typed
+  /// values, and dictionary codes go through `remap`: src code -> this
+  /// lane's code, -1 until first seen. Pass one `remap` per source column
+  /// and keep it across calls. Any other case appends Values.
+  void AppendFrom(const ColumnVec& src, size_t begin, size_t end,
+                  std::vector<int32_t>* remap);
   const ColumnVec& lane() const { return lane_; }
   /// The sealed plain column and its zone map (computed before codecs).
   /// A string dictionary past 64Ki entries falls back to raw Values.
@@ -303,6 +326,8 @@ class TailLane {
 
  private:
   void AppendTyped(const Value& v);
+  void PushRow(bool null);
+  int32_t CodeOf(const std::string& s);
   static void ToRaw(ColumnVec* col);
 
   ColumnVec lane_;

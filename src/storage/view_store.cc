@@ -1,6 +1,7 @@
 #include "storage/view_store.h"
 
 #include <algorithm>
+#include <array>
 
 namespace eva::storage {
 
@@ -96,6 +97,8 @@ SegmentCells MaterializedView::GatherLocked(
   out.keys.reserve(refs.size());
   out.row_begin.reserve(refs.size() + 1);
   out.cols.resize(value_schema_.num_fields());
+  // Dictionary code tables, one per column and source (sealed, tail).
+  std::vector<std::array<std::vector<int32_t>, 2>> remaps(out.cols.size());
   for (const KeyRef& ref : refs) {
     int32_t begin, end;
     if (ref.in_tail) {
@@ -108,9 +111,9 @@ SegmentCells MaterializedView::GatherLocked(
     for (size_t c = 0; c < out.cols.size(); ++c) {
       const ColumnVec& src = ref.in_tail ? seg.tail.cols[c].lane()
                                          : seg.sealed->cols[c];
-      for (int32_t r = begin; r < end; ++r) {
-        out.cols[c].Append(src.At(static_cast<size_t>(r)));
-      }
+      out.cols[c].AppendFrom(src, static_cast<size_t>(begin),
+                             static_cast<size_t>(end),
+                             &remaps[c][ref.in_tail ? 1 : 0]);
     }
     out.keys.push_back(ref.key);
     out.row_begin.push_back(out.row_begin.back() + (end - begin));

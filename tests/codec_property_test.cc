@@ -10,9 +10,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/eva_engine.h"
@@ -247,6 +249,269 @@ TEST(CodecColumnTest, BoolColumnsBitPack) {
   }
 }
 
+// Oracle for the numeric-dictionary search: CompressColumn's pick for
+// Int64 / Double lanes recomputed with the plain std::unordered_map
+// dictionary, no early exit. Codec, dictionary order and lanes must match.
+template <typename T>
+bool ReferenceNumDict(const std::vector<T>& v, std::vector<T>* dict,
+                      std::vector<uint64_t>* indexes) {
+  std::unordered_map<T, uint64_t> seen;
+  for (const T& x : v) {
+    auto [it, inserted] = seen.emplace(x, dict->size());
+    if (inserted) {
+      dict->push_back(x);
+      if (dict->size() > 4096) return false;
+    }
+    indexes->push_back(it->second);
+  }
+  return true;
+}
+
+struct ReferencePick {
+  ColumnVec::Codec codec = ColumnVec::Codec::kPlain;
+  std::vector<uint64_t> dict;  // kDictNum values / kExpPack prefixes (bits)
+  std::vector<uint64_t> lane;  // kDictNum indexes / kExpPack packed cells
+};
+
+ReferencePick ReferenceCompress(const ColumnVec& col) {
+  const size_t n = col.n_;
+  auto bits_at = [&col](size_t i) -> uint64_t {
+    if (col.enc_ == ColumnVec::Enc::kInt64) {
+      return static_cast<uint64_t>(col.i64_[i]);
+    }
+    uint64_t b;
+    std::memcpy(&b, &col.f64_[i], 8);
+    return b;
+  };
+  // Nulls carry the previous non-null cell (leading nulls the first one).
+  std::vector<uint64_t> eff(n);
+  uint64_t fill = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!col.NullAt(i)) {
+      fill = bits_at(i);
+      break;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!col.NullAt(i)) fill = bits_at(i);
+    eff[i] = fill;
+  }
+  size_t runs = n == 0 ? 0 : 1;
+  for (size_t i = 1; i < n; ++i) runs += eff[i] != eff[i - 1] ? 1 : 0;
+  ReferencePick pick;
+  std::vector<uint64_t> dict, idx;
+  const bool dict_ok = ReferenceNumDict(eff, &dict, &idx);
+  const int dict_w = BitPackedVec::WidthFor(dict.size() - 1);
+  const size_t cost_dict =
+      dict_ok ? dict.size() * 8 + BitPackedVec::PackedBytes(n, dict_w)
+              : ~size_t{0};
+  const size_t cost_plain = 8 * n;
+  const size_t cost_rle = runs * 12;
+  auto take_dict = [&] {
+    pick.codec = ColumnVec::Codec::kDictNum;
+    pick.dict = dict;
+    pick.lane = idx;
+  };
+  if (col.enc_ == ColumnVec::Enc::kInt64) {
+    int64_t mn = static_cast<int64_t>(eff[0]), mx = mn;
+    for (uint64_t b : eff) {
+      mn = std::min(mn, static_cast<int64_t>(b));
+      mx = std::max(mx, static_cast<int64_t>(b));
+    }
+    const size_t cost_for =
+        BitPackedVec::PackedBytes(
+            n, BitPackedVec::WidthFor(static_cast<uint64_t>(mx) -
+                                      static_cast<uint64_t>(mn))) +
+        8;
+    const size_t best = std::min({cost_plain, cost_for, cost_rle, cost_dict});
+    if (best == cost_plain) return pick;
+    if (best == cost_for) {
+      pick.codec = ColumnVec::Codec::kFor;
+    } else if (best == cost_rle) {
+      pick.codec = ColumnVec::Codec::kRle;
+    } else {
+      take_dict();
+    }
+    return pick;
+  }
+  std::vector<uint64_t> prefixes(n), exp_dict, exp_idx;
+  for (size_t i = 0; i < n; ++i) prefixes[i] = eff[i] >> 52;
+  ReferenceNumDict(prefixes, &exp_dict, &exp_idx);
+  const int exp_w = 52 + BitPackedVec::WidthFor(exp_dict.size() - 1);
+  const size_t cost_exp =
+      exp_dict.size() * 8 + BitPackedVec::PackedBytes(n, exp_w);
+  const size_t best = std::min({cost_plain, cost_rle, cost_dict, cost_exp});
+  if (best == cost_plain) return pick;
+  if (best == cost_rle) {
+    pick.codec = ColumnVec::Codec::kRle;
+  } else if (best == cost_dict) {
+    take_dict();
+  } else {
+    pick.codec = ColumnVec::Codec::kExpPack;
+    pick.dict = exp_dict;
+    for (size_t i = 0; i < n; ++i) {
+      pick.lane.push_back((exp_idx[i] << 52) |
+                          (eff[i] & ((uint64_t{1} << 52) - 1)));
+    }
+  }
+  return pick;
+}
+
+void ExpectMatchesReference(const ColumnVec& plain) {
+  const ReferencePick want = ReferenceCompress(plain);
+  ColumnVec got = plain;
+  CompressColumn(&got);
+  ASSERT_EQ(got.codec(), want.codec);
+  for (size_t i = 0; i < plain.size(); ++i) {
+    ASSERT_TRUE(SameValue(got.At(i), plain.At(i))) << "row " << i;
+  }
+  if (want.codec == ColumnVec::Codec::kDictNum ||
+      want.codec == ColumnVec::Codec::kExpPack) {
+    std::vector<uint64_t> dict;
+    if (got.codec() == ColumnVec::Codec::kExpPack ||
+        got.enc() == ColumnVec::Enc::kInt64) {
+      for (int64_t v : got.i64_) dict.push_back(static_cast<uint64_t>(v));
+    } else {
+      for (double d : got.f64_) {
+        uint64_t b;
+        std::memcpy(&b, &d, 8);
+        dict.push_back(b);
+      }
+    }
+    ASSERT_EQ(dict, want.dict);
+    ASSERT_EQ(got.packed_.size(), want.lane.size());
+    for (size_t i = 0; i < want.lane.size(); ++i) {
+      ASSERT_EQ(got.packed_.Get(i), want.lane[i]) << "row " << i;
+    }
+  }
+}
+
+// `distinct` values over n rows: each value once (in a shuffled order),
+// then random repeats; with nulls, some repeat rows become nulls, so the
+// effective lane keeps exactly `distinct` values.
+ColumnVec DictLane(ColumnVec::Enc enc, const std::vector<uint64_t>& values,
+                   size_t n, bool nulls, Lcg* rng) {
+  std::vector<size_t> pick(values.size());
+  for (size_t i = 0; i < pick.size(); ++i) pick[i] = i;
+  for (size_t i = pick.size(); i > 1; --i) {
+    std::swap(pick[i - 1], pick[(rng->Next() >> 33) % i]);
+  }
+  while (pick.size() < n) {
+    pick.push_back((rng->Next() >> 33) % values.size());
+  }
+  ColumnVec col;
+  col.enc_ = enc;
+  col.n_ = n;
+  for (size_t i = 0; i < n; ++i) {
+    const bool null =
+        nulls && i >= values.size() && (rng->Next() >> 33) % 3 == 0;
+    const uint64_t b = null ? 0 : values[pick[i]];
+    if (enc == ColumnVec::Enc::kInt64) {
+      col.i64_.push_back(static_cast<int64_t>(b));
+    } else {
+      double d;
+      std::memcpy(&d, &b, 8);
+      col.f64_.push_back(d);
+    }
+    if (null) {
+      if (col.null_bits_.empty()) col.null_bits_.assign((n + 63) / 64, 0);
+      col.null_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  return col;
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, 8);
+  return b;
+}
+
+TEST(CodecColumnTest, NumDictMatchesUnorderedMapOracle) {
+  Lcg rng(0xD1C7);
+  using Enc = ColumnVec::Enc;
+  // Cardinality sweep, across the 4096-value cap, over narrow and wide
+  // integers and over one-exponent and many-exponent doubles.
+  for (size_t distinct : {1, 2, 3, 47, 300, 4095, 4096, 4097}) {
+    for (size_t n : {size_t{64}, size_t{500}, size_t{20000}}) {
+      if (distinct > n) continue;
+      std::vector<uint64_t> narrow, wide, one_exp, many_exp;
+      for (size_t k = 0; k < distinct; ++k) {
+        narrow.push_back(1000 + 3 * k);
+        wide.push_back(rng.Next());
+        one_exp.push_back(Bits(1.0 + static_cast<double>(k) / 8192.0));
+        many_exp.push_back(Bits((rng.NextDouble() - 0.5) *
+                                std::ldexp(1.0, static_cast<int>(k % 40))));
+      }
+      for (bool nulls : {false, true}) {
+        SCOPED_TRACE("distinct=" + std::to_string(distinct) +
+                     " n=" + std::to_string(n) +
+                     " nulls=" + std::to_string(nulls));
+        ExpectMatchesReference(DictLane(Enc::kInt64, narrow, n, nulls, &rng));
+        ExpectMatchesReference(DictLane(Enc::kInt64, wide, n, nulls, &rng));
+        ExpectMatchesReference(DictLane(Enc::kDouble, one_exp, n, nulls, &rng));
+        ExpectMatchesReference(
+            DictLane(Enc::kDouble, many_exp, n, nulls, &rng));
+      }
+    }
+  }
+  // The cap itself: 4096 distinct wide values still take the dictionary,
+  // 4097 cannot.
+  {
+    std::vector<uint64_t> wide;
+    for (int k = 0; k < 4097; ++k) wide.push_back(rng.Next());
+    ColumnVec at_cap = DictLane(Enc::kInt64, {wide.begin(), wide.end() - 1},
+                                20000, false, &rng);
+    CompressColumn(&at_cap);
+    EXPECT_EQ(at_cap.codec(), ColumnVec::Codec::kDictNum);
+    ColumnVec past_cap = DictLane(Enc::kInt64, wide, 20000, false, &rng);
+    CompressColumn(&past_cap);
+    EXPECT_NE(past_cap.codec(), ColumnVec::Codec::kDictNum);
+  }
+  // Exact cost ties, which the early exit must leave to the earlier codec.
+  for (bool nulls : {false, true}) {
+    SCOPED_TRACE("nulls=" + std::to_string(nulls));
+    // dict = RLE = 24 B over 64 rows in two runs of far-apart values:
+    // RLE wins the tie.
+    for (Enc enc : {Enc::kInt64, Enc::kDouble}) {
+      ColumnVec col;
+      col.enc_ = enc;
+      col.n_ = 64;
+      for (size_t i = 0; i < 64; ++i) {
+        // Null rows (inside both runs) hold 0 in the lane, as appends do.
+        const bool null = nulls && (i == 5 || i == 40);
+        if (null) {
+          if (col.null_bits_.empty()) col.null_bits_.assign(1, 0);
+          col.null_bits_[0] |= uint64_t{1} << i;
+        }
+        if (enc == Enc::kInt64) {
+          col.i64_.push_back(null ? 0 : i < 32 ? INT64_MIN / 2 : INT64_MAX / 2);
+        } else {
+          col.f64_.push_back(null ? 0 : i < 32 ? -1e300 : 3e-300);
+        }
+      }
+      ExpectMatchesReference(col);
+      CompressColumn(&col);
+      EXPECT_EQ(col.codec(), ColumnVec::Codec::kRle);
+    }
+    // dict = exp = 424 B: 64 one-exponent doubles over 47 distinct values
+    // (8 * 47 + 64 * 6 / 8 vs 8 + 64 * 52 / 8). The dictionary wins the
+    // tie; one more distinct value hands the lane to the prefix codec.
+    for (size_t distinct : {46, 47, 48}) {
+      std::vector<uint64_t> vals;
+      for (size_t k = 0; k < distinct; ++k) {
+        vals.push_back(Bits(1.0 + static_cast<double>(k) / 64.0));
+      }
+      ColumnVec col = DictLane(Enc::kDouble, vals, 64, nulls, &rng);
+      ExpectMatchesReference(col);
+      CompressColumn(&col);
+      EXPECT_EQ(col.codec(), distinct <= 47 ? ColumnVec::Codec::kDictNum
+                                            : ColumnVec::Codec::kExpPack)
+          << distinct;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Layer 2: whole-view differential — compressed vs uncompressed stores
 // built from identical Puts must agree on every probe surface.
@@ -469,6 +734,39 @@ void ExpectSamePacked(const BitPackedVec& a, const BitPackedVec& b,
   EXPECT_EQ(a.words(), b.words()) << what;
 }
 
+// Encoding, codec, every lane and the dictionary order.
+void ExpectSameColumn(const ColumnVec& x, const ColumnVec& y) {
+  EXPECT_EQ(x.enc(), y.enc());
+  EXPECT_EQ(x.codec(), y.codec());
+  EXPECT_EQ(x.n_, y.n_);
+  EXPECT_EQ(x.null_bits_, y.null_bits_);
+  EXPECT_EQ(x.i64_, y.i64_);
+  ASSERT_EQ(x.f64_.size(), y.f64_.size());
+  for (size_t i = 0; i < x.f64_.size(); ++i) {
+    EXPECT_TRUE(SameBits(x.f64_[i], y.f64_[i])) << "f64 " << i;
+  }
+  EXPECT_EQ(x.b8_, y.b8_);
+  EXPECT_EQ(x.codes_, y.codes_);
+  EXPECT_EQ(x.dict_, y.dict_);
+  ASSERT_EQ(x.raw_.size(), y.raw_.size());
+  for (size_t i = 0; i < x.raw_.size(); ++i) {
+    EXPECT_TRUE(SameValue(x.raw_[i], y.raw_[i])) << "raw " << i;
+  }
+  EXPECT_EQ(x.for_base_, y.for_base_);
+  ExpectSamePacked(x.packed_, y.packed_, "packed_");
+  EXPECT_EQ(x.rle_end_, y.rle_end_);
+}
+
+void ExpectSameZone(const ZoneMapEntry& zx, const ZoneMapEntry& zy) {
+  EXPECT_EQ(zx.valid, zy.valid);
+  EXPECT_EQ(zx.type, zy.type);
+  EXPECT_EQ(zx.has_nulls, zy.has_nulls);
+  EXPECT_EQ(zx.all_null, zy.all_null);
+  EXPECT_TRUE(SameBits(zx.num_min, zy.num_min));
+  EXPECT_TRUE(SameBits(zx.num_max, zy.num_max));
+  EXPECT_EQ(zx.strings, zy.strings);
+}
+
 void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
   // Key index.
   EXPECT_EQ(a.packed_keys, b.packed_keys);
@@ -501,36 +799,9 @@ void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
   ASSERT_EQ(a.cols.size(), b.cols.size());
   ASSERT_EQ(a.zones.size(), b.zones.size());
   for (size_t c = 0; c < a.cols.size(); ++c) {
-    const ColumnVec& x = a.cols[c];
-    const ColumnVec& y = b.cols[c];
-    EXPECT_EQ(x.enc(), y.enc()) << "col " << c;
-    EXPECT_EQ(x.codec(), y.codec()) << "col " << c;
-    EXPECT_EQ(x.n_, y.n_) << "col " << c;
-    EXPECT_EQ(x.null_bits_, y.null_bits_) << "col " << c;
-    EXPECT_EQ(x.i64_, y.i64_) << "col " << c;
-    ASSERT_EQ(x.f64_.size(), y.f64_.size()) << "col " << c;
-    for (size_t i = 0; i < x.f64_.size(); ++i) {
-      EXPECT_TRUE(SameBits(x.f64_[i], y.f64_[i])) << "col " << c;
-    }
-    EXPECT_EQ(x.b8_, y.b8_) << "col " << c;
-    EXPECT_EQ(x.codes_, y.codes_) << "col " << c;
-    EXPECT_EQ(x.dict_, y.dict_) << "col " << c;
-    ASSERT_EQ(x.raw_.size(), y.raw_.size()) << "col " << c;
-    for (size_t i = 0; i < x.raw_.size(); ++i) {
-      EXPECT_TRUE(SameValue(x.raw_[i], y.raw_[i])) << "col " << c;
-    }
-    EXPECT_EQ(x.for_base_, y.for_base_) << "col " << c;
-    ExpectSamePacked(x.packed_, y.packed_, "packed_");
-    EXPECT_EQ(x.rle_end_, y.rle_end_) << "col " << c;
-    const ZoneMapEntry& zx = a.zones[c];
-    const ZoneMapEntry& zy = b.zones[c];
-    EXPECT_EQ(zx.valid, zy.valid) << "col " << c;
-    EXPECT_EQ(zx.type, zy.type) << "col " << c;
-    EXPECT_EQ(zx.has_nulls, zy.has_nulls) << "col " << c;
-    EXPECT_EQ(zx.all_null, zy.all_null) << "col " << c;
-    EXPECT_TRUE(SameBits(zx.num_min, zy.num_min)) << "col " << c;
-    EXPECT_TRUE(SameBits(zx.num_max, zy.num_max)) << "col " << c;
-    EXPECT_EQ(zx.strings, zy.strings) << "col " << c;
+    SCOPED_TRACE("col " + std::to_string(c));
+    ExpectSameColumn(a.cols[c], b.cols[c]);
+    ExpectSameZone(a.zones[c], b.zones[c]);
   }
 }
 
@@ -628,6 +899,236 @@ TEST(CodecResealTest, ResealEqualsOneShotSeal) {
       }
     }
   }
+}
+
+// TailLane::AppendFrom against its definition: appending rows [b, e) of
+// a source equals Append(src.At(i)) row by row — lanes, null bitmap,
+// dictionary order and zone map — for sources under every codec, mixed
+// and all-null sources, and merges that switch sources.
+TEST(CodecResealTest, AppendFromMatchesValueAppends) {
+  Lcg rng(0xA99E);
+  // High bits only: the LCG's low bits cycle with short periods.
+  auto pick = [&rng](uint64_t k) { return (rng.Next() >> 33) % k; };
+  auto seal = [](const std::vector<Value>& cells) {
+    TailLane lane;
+    for (const Value& v : cells) lane.Append(v);
+    ZoneMapEntry zone;
+    return std::move(lane).Seal(&zone);
+  };
+  auto cells = [&rng, &pick](int kind) {
+    std::vector<Value> out;
+    for (int i = 0; i < 300; ++i) {
+      const bool null = pick(6) == 0;
+      switch (kind) {
+        case 0:  // narrow ints (FOR)
+          out.push_back(null ? Value::Null()
+                             : Value(static_cast<int64_t>(pick(50))));
+          break;
+        case 1:  // long runs (RLE)
+          out.push_back(null ? Value::Null() : Value(int64_t{i / 60}));
+          break;
+        case 2:  // few far-apart ints (numeric dictionary)
+          out.push_back(
+              Value(static_cast<int64_t>(pick(3)) * (INT64_MAX / 4)));
+          break;
+        case 3:  // entropy doubles (prefix dictionary)
+          out.push_back(null ? Value::Null() : Value(rng.NextDouble()));
+          break;
+        case 4:  // double runs, -0.0 included (RLE)
+          out.push_back(Value(i < 150 ? -0.0 : 0.25));
+          break;
+        case 5:  // few doubles (numeric dictionary)
+          out.push_back(Value(0.5 * static_cast<double>(pick(5))));
+          break;
+        case 6:  // bools (bit-packed)
+          out.push_back(null ? Value::Null() : Value(pick(2) == 0));
+          break;
+        case 7:  // strings (bit-packed codes)
+          out.push_back(null ? Value::Null()
+                             : Value("s" + std::to_string(pick(9))));
+          break;
+        case 8:  // string runs (RLE codes)
+          out.push_back(Value(i < 200 ? "car" : "bus"));
+          break;
+        case 9:  // mixed types (raw Values)
+          out.push_back(i % 3 == 0 ? Value(int64_t{i}) : Value("m"));
+          break;
+        default:  // all null
+          out.push_back(Value::Null());
+          break;
+      }
+    }
+    return out;
+  };
+  // Sources by cell type: ints, doubles, bools, strings; each plain and
+  // under the codec CompressColumn picks.
+  const int kGroups[4][3] = {{0, 1, 2}, {3, 4, 5}, {6, 6, 6}, {7, 8, 8}};
+  std::vector<std::vector<ColumnVec>> groups(4);
+  for (int g = 0; g < 4; ++g) {
+    for (int kind : kGroups[g]) {
+      ColumnVec plain = seal(cells(kind));
+      ColumnVec packed = plain;
+      CompressColumn(&packed);
+      groups[static_cast<size_t>(g)].push_back(plain);
+      groups[static_cast<size_t>(g)].push_back(packed);
+    }
+  }
+  const ColumnVec mixed = seal(cells(9));
+  const ColumnVec all_null = seal(cells(10));
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t g = pick(4);
+    std::vector<const ColumnVec*> sources;
+    for (const ColumnVec& c : groups[g]) sources.push_back(&c);
+    sources.push_back(&all_null);
+    // Now and then a source that conflicts with the group's type.
+    const uint64_t conflict = pick(4);
+    if (conflict == 0) sources.push_back(&mixed);
+    if (conflict == 1) sources.push_back(&groups[(g + 1) % 4][0]);
+    TailLane merged, by_value;
+    std::vector<std::vector<int32_t>> remaps(sources.size());
+    for (int step = 0; step < 8; ++step) {
+      const size_t s = pick(sources.size());
+      const ColumnVec& src = *sources[s];
+      const size_t b = pick(src.size());
+      const size_t e = b + pick(src.size() - b);
+      merged.AppendFrom(src, b, e, &remaps[s]);
+      for (size_t i = b; i < e; ++i) by_value.Append(src.At(i));
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ZoneMapEntry zm, zv;
+    const ColumnVec cm = std::move(merged).Seal(&zm);
+    const ColumnVec cv = std::move(by_value).Seal(&zv);
+    ExpectSameColumn(cm, cv);
+    ExpectSameZone(zm, zv);
+    if (HasFailure()) break;
+  }
+}
+
+// The typed merge (TailLane::AppendFrom) falls back to Value appends
+// whenever the gathered lane is untyped or mixed, or a source column has
+// another encoding. Each fallback edge below reseals in phases and must
+// still equal a one-shot seal of the same content.
+using Content = std::vector<std::pair<ViewKey, std::vector<Row>>>;
+
+// Puts every phase's content into one view, sealing it after each phase,
+// and into a second view sealed once at the end; compares their segments
+// with and without compression.
+void ExpectPhasedResealMatchesOneShot(const Schema& schema,
+                                      const std::vector<Content>& phases) {
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("compress=" + std::to_string(compress));
+    const SegmentBuildOptions options{compress, compress ? 10 : 0};
+    MaterializedView resealed("t@v", schema);
+    MaterializedView one_shot("t@v", schema);
+    for (MaterializedView* view : {&resealed, &one_shot}) {
+      view->set_segment_frames(1 << 20);  // one segment
+      view->set_build_options(options);
+    }
+    for (size_t p = 0; p < phases.size(); ++p) {
+      for (const auto& [key, rows] : phases[p]) {
+        ASSERT_TRUE(resealed.Put(key, rows));
+        ASSERT_TRUE(one_shot.Put(key, rows));
+      }
+      if (p % 2 == 0) {
+        resealed.SealAllSegments();
+      } else {
+        ProbeResult res;  // a probe reseals the touched segment
+        resealed.ProbeBatch({phases[p].front().first}, nullptr, &res);
+      }
+    }
+    auto a = resealed.SealedSegments();
+    auto b = one_shot.SealedSegments();
+    ASSERT_EQ(a.size(), 1u);
+    ASSERT_EQ(b.size(), 1u);
+    ExpectSameSegment(*a[0].second, *b[0].second);
+  }
+}
+
+// One single-row key per frame in [first, first + count * stride) step
+// `stride`: interleaved strides make a reseal alternate its sources.
+Content Frames(int64_t first, int64_t count, int64_t stride,
+               const std::function<Row(int64_t)>& row_of) {
+  Content out;
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t f = first + i * stride;
+    out.push_back({{f, -1}, {row_of(f)}});
+  }
+  return out;
+}
+
+TEST(CodecResealTest, AllNullSealedPartThenTypedTail) {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"b", DataType::kBool},
+                 {"s", DataType::kString}});
+  auto nulls = [](int64_t) {
+    return Row{Value::Null(), Value::Null(), Value::Null(), Value::Null()};
+  };
+  auto typed = [](int64_t f) {
+    return Row{f % 3 == 0 ? Value::Null() : Value(f * 7),
+               Value(static_cast<double>(f) * 0.5), Value(f % 2 == 0),
+               Value("c" + std::to_string(f % 5))};
+  };
+  // Sealed nulls ahead of the tail, then interleaved with it.
+  ExpectPhasedResealMatchesOneShot(schema, {Frames(0, 80, 1, nulls),
+                                            Frames(80, 80, 1, typed)});
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(0, 80, 2, nulls), Frames(1, 80, 2, typed),
+               Frames(400, 20, 1, nulls), Frames(161, 40, 2, typed)});
+}
+
+TEST(CodecResealTest, MixedSealedColumnThenTypedTail) {
+  Schema schema({{"m", DataType::kInt64}, {"s", DataType::kString}});
+  auto mixed = [](int64_t f) {
+    return Row{f % 4 == 0 ? Value("x" + std::to_string(f)) : Value(f),
+               Value("s" + std::to_string(f % 3))};
+  };
+  auto typed = [](int64_t f) {
+    return Row{Value(f * 3), Value("s" + std::to_string(f % 7))};
+  };
+  // Tail keys before, between and after the mixed sealed keys.
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(40, 60, 2, mixed), Frames(1, 100, 2, typed),
+               Frames(300, 50, 1, typed)});
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(0, 60, 2, mixed), Frames(1, 60, 2, typed)});
+}
+
+TEST(CodecResealTest, TypeConflictFirstArrivesInTail) {
+  Schema schema({{"v", DataType::kInt64}, {"s", DataType::kString}});
+  auto ints = [](int64_t f) {
+    return Row{Value(f), Value("a" + std::to_string(f % 3))};
+  };
+  // The tail lane itself turns mixed (an Int64 lane meets a Double) ...
+  auto conflict = [](int64_t f) {
+    return Row{f % 9 == 0 ? Value(0.5 * static_cast<double>(f)) : Value(f),
+               f % 5 == 0 ? Value(true) : Value("b")};
+  };
+  // ... or stays typed, but with another type than the sealed column.
+  auto doubles = [](int64_t f) {
+    return Row{Value(static_cast<double>(f)), Value("c")};
+  };
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(0, 90, 2, ints), Frames(1, 90, 2, conflict)});
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(0, 90, 2, ints), Frames(1, 90, 2, doubles),
+               Frames(200, 30, 1, ints)});
+  // Conflicting cells ahead of the sealed ones in key order.
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(100, 50, 1, ints), Frames(0, 50, 1, doubles)});
+}
+
+TEST(CodecResealTest, StringDictCrossesCapAcrossReseal) {
+  // 40,000 distinct strings seal as a dictionary; the reseal that brings
+  // the segment past 65,536 falls back to raw Values, and a later reseal
+  // merges that raw column with a typed dictionary tail.
+  Schema schema({{"s", DataType::kString}, {"v", DataType::kInt64}});
+  auto row = [](int64_t f) {
+    return Row{Value("u" + std::to_string(f)), Value(f % 11)};
+  };
+  ExpectPhasedResealMatchesOneShot(
+      schema, {Frames(0, 40000, 2, row), Frames(1, 30000, 2, row),
+               Frames(80000, 500, 1, row)});
 }
 
 // ---------------------------------------------------------------------------
