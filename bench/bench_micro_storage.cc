@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the storage substrate: view
 // presence/append throughput (the STORE operator's inner loop), the
 // columnar batch-probe path, the reseal of a segment with an open tail,
-// the vectorized filter evaluator, and synthetic-video
+// the filter evaluators over an execution chunk, and synthetic-video
 // generation/statistics costs.
 //
 // Two entry modes (custom main below):
@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 
 #include "bench_util.h"
 #include "exec/vector_filter.h"
@@ -25,16 +26,17 @@
 
 namespace {
 
-using eva::Batch;
 using eva::Row;
 using eva::Schema;
 using eva::Value;
+using eva::exec::Chunk;
 using eva::exec::FilterProgram;
 using eva::expr::CompareOp;
 using eva::expr::Expr;
 using eva::expr::ExprPtr;
 using eva::storage::MaterializedView;
 using eva::storage::ProbeResult;
+using eva::storage::TailLane;
 using eva::storage::ViewKey;
 
 constexpr int64_t kProbeViewFrames = 20000;
@@ -88,14 +90,22 @@ void BM_ViewContains(benchmark::State& state) {
 BENCHMARK(BM_ViewContains);
 
 // StoreOp's append (the --quick `view_append` entry): one detection row
-// per key, cells read in place from a wider input row into the open tail.
+// per key, copied lane to lane from a wider input chunk into the open tail.
 void AppendKeys(MaterializedView* view, int64_t keys) {
   const Row input = {Value(int64_t{0}), Value(int64_t{0}), Value("car"),
                      Value(0.3), Value(0.9)};
-  const Row* rows[] = {&input};
+  Chunk chunk(Schema({{"id", eva::DataType::kInt64},
+                      {"obj", eva::DataType::kInt64},
+                      {"label", eva::DataType::kString},
+                      {"area", eva::DataType::kDouble},
+                      {"score", eva::DataType::kDouble}}));
+  chunk.AppendRow(input);
+  const std::span<const TailLane> values(chunk.cols().data() + 1, 4);
+  const uint32_t rows[] = {0};
   const std::function<uint64_t()> tick = [] { return uint64_t{0}; };
+  eva::storage::PutRemaps remaps;
   for (int64_t f = 0; f < keys; ++f) {
-    view->Put(ViewKey{f, -1}, rows, /*first_col=*/1, tick, 0);
+    view->Put(ViewKey{f, -1}, values, rows, tick, 0, &remaps);
   }
 }
 
@@ -236,51 +246,55 @@ ExprPtr FilterBenchPredicate() {
                     Expr::Literal(Value(0.2))));
 }
 
-Batch FilterBenchBatch() {
-  Batch batch(DetSchema());
+// One 1024-row execution chunk of detector outputs.
+Chunk FilterBenchChunk() {
+  Chunk chunk(DetSchema());
   for (int64_t i = 0; i < 1024; ++i) {
-    batch.AddRow({Value(i % 8), Value(i % 3 == 0 ? "car" : "bus"),
-                  Value(0.05 + 0.001 * static_cast<double>(i % 400)),
-                  Value(0.9)});
+    chunk.AppendRow({Value(i % 8), Value(i % 3 == 0 ? "car" : "bus"),
+                     Value(0.05 + 0.001 * static_cast<double>(i % 400)),
+                     Value(0.9)});
   }
-  return batch;
+  return chunk;
 }
 
-// Per-row recursive interpreter over one 1024-row batch.
+// The filter's scalar fallback: each row of the chunk is built, then run
+// through the per-row recursive interpreter.
+int64_t FilterScalar(const eva::expr::Expr& pred, const Chunk& chunk) {
+  int64_t kept = 0;
+  for (size_t r = 0; r < chunk.num_rows(); ++r) {
+    auto v = eva::expr::EvaluateBool(pred, chunk.schema(), chunk.RowAt(r));
+    if (v.ok() && v.value()) ++kept;
+  }
+  return kept;
+}
+
 void BM_FilterScalar(benchmark::State& state) {
-  Schema schema = DetSchema();
-  Batch batch = FilterBenchBatch();
+  Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
   for (auto _ : state) {
-    int64_t kept = 0;
-    for (const Row& row : batch.rows()) {
-      auto r = eva::expr::EvaluateBool(*pred, schema, row);
-      if (r.ok() && r.value()) ++kept;
-    }
-    benchmark::DoNotOptimize(kept);
+    benchmark::DoNotOptimize(FilterScalar(*pred, chunk));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows()));
+                          static_cast<int64_t>(chunk.num_rows()));
 }
 BENCHMARK(BM_FilterScalar);
 
-// Compiled register program over the same batch.
+// Compiled register program over the same chunk's lanes.
 void BM_FilterVectorized(benchmark::State& state) {
-  Schema schema = DetSchema();
-  Batch batch = FilterBenchBatch();
+  Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
-  auto program = FilterProgram::Compile(*pred, schema);
+  auto program = FilterProgram::Compile(*pred, chunk.schema());
   if (!program.has_value()) {
     state.SkipWithError("predicate did not compile");
     return;
   }
   std::vector<uint8_t> keep;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(program->Execute(batch, &keep).ok());
+    benchmark::DoNotOptimize(program->Execute(chunk, &keep).ok());
     benchmark::DoNotOptimize(keep.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.num_rows()));
+                          static_cast<int64_t>(chunk.num_rows()));
 }
 BENCHMARK(BM_FilterVectorized);
 
@@ -392,35 +406,29 @@ int RunQuick() {
     ResealTails(reseal_views[next_reseal_view++].get());
   };
 
-  Schema schema = DetSchema();
-  Batch batch = FilterBenchBatch();
+  Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
-  auto program = FilterProgram::Compile(*pred, schema);
+  auto program = FilterProgram::Compile(*pred, chunk.schema());
   if (!program.has_value()) {
     std::fprintf(stderr, "FATAL quick-mode predicate did not compile\n");
     return 1;
   }
-  const int64_t filter_rounds = kOps / static_cast<int64_t>(batch.num_rows());
+  const int64_t filter_rounds = kOps / static_cast<int64_t>(chunk.num_rows());
   auto filter_scalar = [&] {
     for (int64_t r = 0; r < filter_rounds; ++r) {
-      int64_t kept = 0;
-      for (const Row& row : batch.rows()) {
-        auto v = eva::expr::EvaluateBool(*pred, schema, row);
-        if (v.ok() && v.value()) ++kept;
-      }
-      benchmark::DoNotOptimize(kept);
+      benchmark::DoNotOptimize(FilterScalar(*pred, chunk));
     }
   };
   std::vector<uint8_t> keep;
   auto filter_vectorized = [&] {
     for (int64_t r = 0; r < filter_rounds; ++r) {
-      benchmark::DoNotOptimize(program->Execute(batch, &keep).ok());
+      benchmark::DoNotOptimize(program->Execute(chunk, &keep).ok());
       benchmark::DoNotOptimize(keep.data());
     }
   };
 
   const int64_t filter_ops = filter_rounds *
-                             static_cast<int64_t>(batch.num_rows());
+                             static_cast<int64_t>(chunk.num_rows());
   std::string out = "{\"bench\":\"bench_micro_storage\",\"mode\":\"quick\","
                     "\"benchmarks\":[";
   out += eva::bench::WallStatsJson(

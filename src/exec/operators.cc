@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <span>
+#include <unordered_map>
 
 #include "baselines/fun_cache.h"
 #include "exec/vector_filter.h"
@@ -83,6 +85,33 @@ void CountReuse(ExecContext* ctx, const UdfObsCounters& counters,
 }
 
 // ---------------------------------------------------------------------------
+// Lane helpers
+// ---------------------------------------------------------------------------
+
+using storage::ColumnVec;
+using storage::TailLane;
+
+// row[idx].AsInt64() of the row-at-a-time engine: frame ids and object ids
+// are Int64 lanes, read without building a Value.
+int64_t Int64Cell(const ColumnVec& lane, size_t r) {
+  return lane.enc_ == ColumnVec::Enc::kInt64 ? lane.i64_[r]
+                                             : lane.At(r).AsInt64();
+}
+
+// The rows of `in` whose keep flag is set, in order: `in` itself when
+// every row is kept, otherwise one index gather per column.
+Chunk Compact(Chunk in, const std::vector<uint8_t>& keep,
+              std::vector<uint32_t>* rows, LaneRemaps* remaps) {
+  rows->clear();
+  for (size_t r = 0; r < keep.size(); ++r) {
+    if (keep[r] != 0) rows->push_back(static_cast<uint32_t>(r));
+  }
+  if (rows->size() == in.num_rows()) return in;
+  if (rows->empty()) return Chunk(in.schema());
+  return GatherRows(in, *rows, remaps);
+}
+
+// ---------------------------------------------------------------------------
 // VideoScan
 // ---------------------------------------------------------------------------
 
@@ -99,13 +128,12 @@ class VideoScanOp : public Operator {
     }
   }
 
-  Result<Batch> Next() override {
-    Batch out(output_schema_);
+  Result<Chunk> Next() override {
+    Chunk out(output_schema_);
     if (next_ >= hi_) return out;
     int64_t end = std::min(hi_, next_ + ctx_->batch_size);
-    for (int64_t f = next_; f < end; ++f) {
-      out.AddRow({Value(f)});
-    }
+    TailLane& ids = out.col(0);
+    for (int64_t f = next_; f < end; ++f) ids.AppendInt64(f);
     ctx_->Charge(CostCategory::kReadVideo,
                  ctx_->costs.video_read_ms_per_frame *
                      static_cast<double>(end - next_));
@@ -149,39 +177,35 @@ class FilterOp : public Operator {
     }
   }
 
-  Result<Batch> Next() override {
+  Result<Chunk> Next() override {
     while (true) {
-      EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-      if (in.empty()) return Batch(output_schema_);
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return Chunk(output_schema_);
+      const size_t n = in.num_rows();
       if (fill_ratio_ != nullptr && ctx_->batch_size > 0) {
-        fill_ratio_->Observe(static_cast<double>(in.num_rows()) /
+        fill_ratio_->Observe(static_cast<double>(n) /
                              static_cast<double>(ctx_->batch_size));
       }
-      Batch out(output_schema_);
-      bool vectorized = false;
-      if (program_.has_value() &&
-          program_->Execute(in, &keep_).ok()) {
+      if (program_.has_value() && program_->Execute(in, &keep_).ok()) {
         // A runtime type error falls through to the interpreter below,
         // which reproduces the exact short-circuit behavior and error.
-        vectorized = true;
-        for (size_t r = 0; r < in.num_rows(); ++r) {
-          if (keep_[r] != 0) out.AddRow(std::move(in.mutable_rows()[r]));
-        }
-        int64_t n = static_cast<int64_t>(in.num_rows());
         if (ctx_->active_stats != nullptr) {
-          ctx_->active_stats->rows_filtered_vectorized += n;
+          ctx_->active_stats->rows_filtered_vectorized +=
+              static_cast<int64_t>(n);
         }
         if (rows_vectorized_ != nullptr) {
           rows_vectorized_->Increment(static_cast<double>(n));
         }
-      }
-      if (!vectorized) {
-        for (const Row& row : in.rows()) {
+      } else {
+        keep_.assign(n, 0);
+        for (size_t r = 0; r < n; ++r) {
           EVA_ASSIGN_OR_RETURN(
-              bool keep, expr::EvaluateBool(*predicate_, in.schema(), row));
-          if (keep) out.AddRow(row);
+              bool keep,
+              expr::EvaluateBool(*predicate_, in.schema(), in.RowAt(r)));
+          keep_[r] = keep ? 1 : 0;
         }
       }
+      Chunk out = Compact(std::move(in), keep_, &rows_, &remaps_);
       if (!out.empty()) return out;
     }
   }
@@ -191,6 +215,8 @@ class FilterOp : public Operator {
   expr::ExprPtr predicate_;
   std::optional<FilterProgram> program_;
   std::vector<uint8_t> keep_;
+  std::vector<uint32_t> rows_;
+  LaneRemaps remaps_;
   obs::Counter* rows_vectorized_ = nullptr;
   obs::Histogram* fill_ratio_ = nullptr;
 };
@@ -259,56 +285,76 @@ Status MaybeInjectUdfFault(ExecContext* ctx, const UdfDef& def,
   }
 }
 
-// Evaluates the detector on one frame, returning output-column rows
-// (obj, label, area, score). Charges UDF cost and counts the invocation.
-Result<std::vector<Row>> RunDetector(ExecContext* ctx, const UdfDef& def,
-                                     int64_t frame,
-                                     const UdfObsCounters& obs,
-                                     UdfMetricCells* cells) {
-  obs::ProfScope prof("udf");
-  EVA_ASSIGN_OR_RETURN(const vision::DetectorModel* model,
-                       ctx->udfs->Detector(def.name));
-  EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
-  ctx->Charge(CostCategory::kUdf, def.cost_ms);
-  SpinFor(ctx->udf_spin_us);
-  cells->AddInvocation(ctx, def.name);
-  CountInvocation(ctx, obs);
-  std::vector<Row> rows;
-  for (const vision::Detection& d : model->Detect(*ctx->video, frame)) {
-    rows.push_back({Value(static_cast<int64_t>(d.obj_id)), Value(d.label),
-                    Value(d.area), Value(d.score)});
+// Fresh UDF evaluations for one operator. The model is resolved on the
+// operator's first evaluation and kept, so an unknown or wrong-kind UDF
+// fails at that first call and later calls skip the runtime's lookup.
+// Each evaluation charges the UDF cost and counts the invocation.
+class UdfRunner {
+ public:
+  UdfRunner(ExecContext* ctx, const UdfDef* def)
+      : ctx_(ctx), def_(def), obs_(MakeUdfCounters(ctx, def->name)) {}
+
+  // Appends one (obj, label, area, score) row per detection to out[0..4)
+  // and returns how many rows it appended.
+  Result<size_t> Detect(int64_t frame, TailLane* out) {
+    obs::ProfScope prof("udf");
+    if (detector_ == nullptr) {
+      EVA_ASSIGN_OR_RETURN(detector_, ctx_->udfs->Detector(def_->name));
+    }
+    EVA_RETURN_IF_ERROR(BeginEvaluation(frame, -1));
+    const std::vector<vision::Detection> dets =
+        detector_->Detect(*ctx_->video, frame);
+    for (const vision::Detection& d : dets) {
+      out[0].AppendInt64(static_cast<int64_t>(d.obj_id));
+      out[1].AppendString(d.label);
+      out[2].AppendDouble(d.area);
+      out[3].AppendDouble(d.score);
+    }
+    return dets.size();
   }
-  return rows;
-}
 
-Result<Value> RunClassifier(ExecContext* ctx, const UdfDef& def,
-                            int64_t frame, int64_t obj,
-                            const UdfObsCounters& obs,
-                            UdfMetricCells* cells) {
-  obs::ProfScope prof("udf");
-  EVA_ASSIGN_OR_RETURN(const vision::ClassifierModel* model,
-                       ctx->udfs->Classifier(def.name));
-  EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, obj, obs));
-  ctx->Charge(CostCategory::kUdf, def.cost_ms);
-  SpinFor(ctx->udf_spin_us);
-  cells->AddInvocation(ctx, def.name);
-  CountInvocation(ctx, obs);
-  return Value(model->Classify(*ctx->video, frame, static_cast<int>(obj)));
-}
+  Result<std::string> Classify(int64_t frame, int64_t obj) {
+    obs::ProfScope prof("udf");
+    if (classifier_ == nullptr) {
+      EVA_ASSIGN_OR_RETURN(classifier_, ctx_->udfs->Classifier(def_->name));
+    }
+    EVA_RETURN_IF_ERROR(BeginEvaluation(frame, obj));
+    return classifier_->Classify(*ctx_->video, frame, static_cast<int>(obj));
+  }
 
-Result<Value> RunFilterUdf(ExecContext* ctx, const UdfDef& def,
-                           int64_t frame, const UdfObsCounters& obs,
-                           UdfMetricCells* cells) {
-  obs::ProfScope prof("udf");
-  EVA_ASSIGN_OR_RETURN(const vision::FilterModel* model,
-                       ctx->udfs->Filter(def.name));
-  EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx, def, frame, -1, obs));
-  ctx->Charge(CostCategory::kUdf, def.cost_ms);
-  SpinFor(ctx->udf_spin_us);
-  cells->AddInvocation(ctx, def.name);
-  CountInvocation(ctx, obs);
-  return Value(model->Pass(*ctx->video, frame));
-}
+  Result<bool> Filter(int64_t frame) {
+    obs::ProfScope prof("udf");
+    if (filter_ == nullptr) {
+      EVA_ASSIGN_OR_RETURN(filter_, ctx_->udfs->Filter(def_->name));
+    }
+    EVA_RETURN_IF_ERROR(BeginEvaluation(frame, -1));
+    return filter_->Pass(*ctx_->video, frame);
+  }
+
+  // A result served from FunCache instead of a fresh evaluation.
+  void CountCacheHit() {
+    cells_.AddReuse(ctx_, def_->name);
+    CountReuse(ctx_, obs_);
+  }
+
+ private:
+  Status BeginEvaluation(int64_t frame, int64_t obj) {
+    EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx_, *def_, frame, obj, obs_));
+    ctx_->Charge(CostCategory::kUdf, def_->cost_ms);
+    SpinFor(ctx_->udf_spin_us);
+    cells_.AddInvocation(ctx_, def_->name);
+    CountInvocation(ctx_, obs_);
+    return Status::OK();
+  }
+
+  ExecContext* ctx_;
+  const UdfDef* def_;  // owned by the operator
+  UdfObsCounters obs_;
+  UdfMetricCells cells_;
+  const vision::DetectorModel* detector_ = nullptr;
+  const vision::ClassifierModel* classifier_ = nullptr;
+  const vision::FilterModel* filter_ = nullptr;
+};
 
 // FunCache hashing overhead: the cache key covers the UDF's input
 // arguments, dominated by the decoded frame bytes (§5.2).
@@ -320,7 +366,9 @@ void ChargeFunCacheHash(ExecContext* ctx) {
 
 // ---------------------------------------------------------------------------
 // Apply: evaluate the UDF for every input row (Fig. 3 rewrite). In FunCache
-// mode, consults the tuple-level cache first.
+// mode, consults the tuple-level cache first. UDF outputs go straight into
+// the result lanes; the input columns are replicated afterwards with one
+// gather by parent row.
 // ---------------------------------------------------------------------------
 
 class ApplyOp : public Operator {
@@ -337,50 +385,15 @@ class ApplyOp : public Operator {
                                    emit_presence_placeholders));
   }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    if (in.empty()) return Batch(output_schema_);
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    Batch out(output_schema_);
-    for (const Row& row : in.rows()) {
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        EVA_ASSIGN_OR_RETURN(std::vector<Row> dets, DetectorResults(frame));
-        if (dets.empty() && emit_presence_placeholders_) {
-          // NULL placeholder so the STORE above records presence even for
-          // frames where nothing was detected.
-          Row full = row;
-          for (size_t i = 0; i < UdfOutputSchema(def_).num_fields(); ++i) {
-            full.push_back(Value::Null());
-          }
-          out.AddRow(std::move(full));
-          continue;
-        }
-        for (Row& d : dets) {
-          Row full = row;
-          for (Value& v : d) full.push_back(std::move(v));
-          out.AddRow(std::move(full));
-        }
-      } else if (def_.kind == UdfKind::kClassifier) {
-        const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-        Row full = row;
-        if (obj_v.is_null()) {
-          full.push_back(Value::Null());
-        } else {
-          EVA_ASSIGN_OR_RETURN(Value v,
-                               ClassifierResult(frame, obj_v.AsInt64()));
-          full.push_back(std::move(v));
-        }
-        out.AddRow(std::move(full));
-      } else {  // filter UDF
-        EVA_ASSIGN_OR_RETURN(Value v, FilterResult(frame));
-        Row full = row;
-        full.push_back(std::move(v));
-        out.AddRow(std::move(full));
-      }
+  Result<Chunk> Next() override {
+    // A chunk of frames without detections yields no rows; it must not
+    // read as the end of the stream.
+    while (true) {
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return Chunk(output_schema_);
+      EVA_ASSIGN_OR_RETURN(Chunk out, Apply(in));
+      if (!out.empty()) return out;
     }
-    return out;
   }
 
  private:
@@ -389,68 +402,118 @@ class ApplyOp : public Operator {
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
         def_(std::move(def)),
+        n_outputs_(UdfOutputSchema(def_).num_fields()),
         emit_presence_placeholders_(emit_presence_placeholders),
-        obs_(MakeUdfCounters(ctx, def_.name)) {}
+        runner_(ctx, &def_) {}
 
-  Result<std::vector<Row>> DetectorResults(int64_t frame) {
-    if (ctx_->funcache != nullptr) {
-      ChargeFunCacheHash(ctx_);
-      ViewKey key{frame, -1};
-      if (const std::vector<Row>* hit =
-              ctx_->funcache->Lookup(def_.name, key)) {
-        cells_.AddReuse(ctx_, def_.name);
-        CountReuse(ctx_, obs_);
-        return *hit;
+  Result<Chunk> Apply(const Chunk& in) {
+    const size_t base = in.num_columns();
+    const ColumnVec& ids =
+        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
+    const int obj_idx = in.schema().IndexOf(kColObj);
+    Chunk out(output_schema_);
+    TailLane* results = &out.col(base);
+    parents_.clear();
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      const auto parent = static_cast<uint32_t>(r);
+      int64_t frame = Int64Cell(ids, r);
+      if (def_.kind == UdfKind::kDetector) {
+        EVA_ASSIGN_OR_RETURN(size_t dets, DetectorResults(frame, results));
+        if (dets == 0 && emit_presence_placeholders_) {
+          // NULL placeholder so the STORE above records presence even for
+          // frames where nothing was detected.
+          for (size_t c = 0; c < n_outputs_; ++c) results[c].AppendNull();
+          dets = 1;
+        }
+        parents_.insert(parents_.end(), dets, parent);
+      } else if (def_.kind == UdfKind::kClassifier) {
+        const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
+        if (objs.IsNull(r)) {
+          results->AppendNull();
+        } else {
+          EVA_RETURN_IF_ERROR(
+              ClassifierResult(frame, Int64Cell(objs, r), results));
+        }
+        parents_.push_back(parent);
+      } else {  // filter UDF
+        EVA_RETURN_IF_ERROR(FilterResult(frame, results));
+        parents_.push_back(parent);
       }
-      EVA_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                           RunDetector(ctx_, def_, frame, obs_, &cells_));
-      ctx_->funcache->Insert(def_.name, key, rows);
-      return rows;
     }
-    return RunDetector(ctx_, def_, frame, obs_, &cells_);
+    remaps_.Clear();
+    GatherColumns(in, 0, base, parents_, &out, 0, &remaps_);
+    return out;
   }
 
-  Result<Value> ClassifierResult(int64_t frame, int64_t obj) {
-    if (ctx_->funcache != nullptr) {
-      ChargeFunCacheHash(ctx_);
-      ViewKey key{frame, obj};
-      if (const std::vector<Row>* hit =
-              ctx_->funcache->Lookup(def_.name, key)) {
-        cells_.AddReuse(ctx_, def_.name);
-        CountReuse(ctx_, obs_);
-        return (*hit)[0][0];
+  // Appends the frame's detector rows to out[0..4); returns how many.
+  Result<size_t> DetectorResults(int64_t frame, TailLane* out) {
+    if (ctx_->funcache == nullptr) return runner_.Detect(frame, out);
+    ChargeFunCacheHash(ctx_);
+    ViewKey key{frame, -1};
+    if (const std::vector<Row>* hit = ctx_->funcache->Lookup(def_.name, key)) {
+      runner_.CountCacheHit();
+      for (const Row& row : *hit) {
+        for (size_t c = 0; c < n_outputs_; ++c) out[c].Append(row[c]);
       }
-      EVA_ASSIGN_OR_RETURN(
-          Value v, RunClassifier(ctx_, def_, frame, obj, obs_, &cells_));
-      ctx_->funcache->Insert(def_.name, key, {{v}});
-      return v;
+      return hit->size();
     }
-    return RunClassifier(ctx_, def_, frame, obj, obs_, &cells_);
+    const size_t first = out[0].lane().size();
+    EVA_ASSIGN_OR_RETURN(size_t dets, runner_.Detect(frame, out));
+    std::vector<Row> rows(dets);
+    for (size_t i = 0; i < dets; ++i) {
+      for (size_t c = 0; c < n_outputs_; ++c) {
+        rows[i].push_back(out[c].lane().At(first + i));
+      }
+    }
+    ctx_->funcache->Insert(def_.name, key, std::move(rows));
+    return dets;
   }
 
-  Result<Value> FilterResult(int64_t frame) {
-    if (ctx_->funcache != nullptr) {
-      ChargeFunCacheHash(ctx_);
-      ViewKey key{frame, -1};
-      if (const std::vector<Row>* hit =
-              ctx_->funcache->Lookup(def_.name, key)) {
-        cells_.AddReuse(ctx_, def_.name);
-        CountReuse(ctx_, obs_);
-        return (*hit)[0][0];
-      }
-      EVA_ASSIGN_OR_RETURN(Value v,
-                           RunFilterUdf(ctx_, def_, frame, obs_, &cells_));
-      ctx_->funcache->Insert(def_.name, key, {{v}});
-      return v;
+  Status ClassifierResult(int64_t frame, int64_t obj, TailLane* out) {
+    if (ctx_->funcache == nullptr) {
+      EVA_ASSIGN_OR_RETURN(std::string label, runner_.Classify(frame, obj));
+      out->AppendString(label);
+      return Status::OK();
     }
-    return RunFilterUdf(ctx_, def_, frame, obs_, &cells_);
+    ChargeFunCacheHash(ctx_);
+    ViewKey key{frame, obj};
+    if (const std::vector<Row>* hit = ctx_->funcache->Lookup(def_.name, key)) {
+      runner_.CountCacheHit();
+      out->Append((*hit)[0][0]);
+      return Status::OK();
+    }
+    EVA_ASSIGN_OR_RETURN(std::string label, runner_.Classify(frame, obj));
+    out->AppendString(label);
+    ctx_->funcache->Insert(def_.name, key, {{Value(std::move(label))}});
+    return Status::OK();
+  }
+
+  Status FilterResult(int64_t frame, TailLane* out) {
+    if (ctx_->funcache == nullptr) {
+      EVA_ASSIGN_OR_RETURN(bool pass, runner_.Filter(frame));
+      out->AppendBool(pass);
+      return Status::OK();
+    }
+    ChargeFunCacheHash(ctx_);
+    ViewKey key{frame, -1};
+    if (const std::vector<Row>* hit = ctx_->funcache->Lookup(def_.name, key)) {
+      runner_.CountCacheHit();
+      out->Append((*hit)[0][0]);
+      return Status::OK();
+    }
+    EVA_ASSIGN_OR_RETURN(bool pass, runner_.Filter(frame));
+    out->AppendBool(pass);
+    ctx_->funcache->Insert(def_.name, key, {{Value(pass)}});
+    return Status::OK();
   }
 
   OperatorPtr child_;
   UdfDef def_;
+  size_t n_outputs_;
   bool emit_presence_placeholders_;
-  UdfObsCounters obs_;
-  UdfMetricCells cells_;
+  UdfRunner runner_;
+  std::vector<uint32_t> parents_;  // input row of each output row
+  LaneRemaps remaps_;
 };
 
 // ---------------------------------------------------------------------------
@@ -490,7 +553,7 @@ class ViewJoinOp : public Operator {
                                       std::move(residual), std::move(out)));
   }
 
-  Result<Batch> Next() override {
+  Result<Chunk> Next() override {
     if (scan_all_pending_) {
       // HashStash: dedup the union of all matched operator outputs — a
       // full read of the recycled materialization (§5.1 baseline).
@@ -502,13 +565,26 @@ class ViewJoinOp : public Operator {
                          static_cast<double>(view->num_rows()));
       }
     }
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    Batch out(output_schema_);
-    if (in.empty()) return out;
+    // A chunk whose hits were all zone-skipped yields no rows; it must not
+    // read as the end of the stream.
+    while (true) {
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return Chunk(output_schema_);
+      Chunk out = Join(in);
+      if (!out.empty()) return out;
+    }
+  }
+
+ private:
+  enum RowAction : uint8_t { kPass = 0, kNullOut, kProbe };
+
+  Chunk Join(Chunk& in) {
     MaterializedView* view = ctx_->views->Find(view_name_);
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    size_t n_outputs = UdfOutputSchema(def_).num_fields();
+    const ColumnVec& ids =
+        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
+    const int obj_idx = in.schema().IndexOf(kColObj);
+    const ColumnVec* objs =
+        obj_idx >= 0 ? &in.lane(static_cast<size_t>(obj_idx)) : nullptr;
     bool outputs_present =
         in.schema().Contains(def_.kind == UdfKind::kDetector
                                  ? kColObj
@@ -518,16 +594,14 @@ class ViewJoinOp : public Operator {
     // Pre-pass: classify rows and collect probe keys. Within one batch no
     // Put can land on this view (STORE sits above and runs only after the
     // batch is emitted), so a batch-start probe equals per-row probes.
-    enum RowAction : uint8_t { kPass = 0, kNullOut, kProbe };
     actions_.clear();
     probe_keys_.clear();
-    for (const Row& row : in.rows()) {
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      int64_t frame = Int64Cell(ids, r);
       if (def_.kind == UdfKind::kDetector) {
         // A row that already has a non-null obj was populated by an
         // earlier view in the chain; pass it through.
-        if (outputs_present && obj_idx >= 0 &&
-            !row[static_cast<size_t>(obj_idx)].is_null()) {
+        if (outputs_present && objs != nullptr && !objs->IsNull(r)) {
           actions_.push_back(kPass);
           continue;
         }
@@ -536,22 +610,20 @@ class ViewJoinOp : public Operator {
       } else {
         bool already =
             already_idx >= 0 &&
-            !row[static_cast<size_t>(already_idx)].is_null();
+            !in.lane(static_cast<size_t>(already_idx)).IsNull(r);
         if (already) {
           actions_.push_back(kPass);
           continue;
         }
-        const Value& obj_v = obj_idx >= 0
-                                 ? row[static_cast<size_t>(obj_idx)]
-                                 : Value::Null();
-        if (def_.kind == UdfKind::kClassifier && obj_v.is_null()) {
+        const bool obj_null = objs == nullptr || objs->IsNull(r);
+        if (def_.kind == UdfKind::kClassifier && obj_null) {
           actions_.push_back(kNullOut);
           continue;
         }
         actions_.push_back(kProbe);
         probe_keys_.push_back(
             ViewKey{frame, def_.kind == UdfKind::kClassifier
-                               ? obj_v.AsInt64()
+                               ? Int64Cell(*objs, r)
                                : -1});
       }
     }
@@ -565,92 +637,13 @@ class ViewJoinOp : public Operator {
       }
       view->ProbeBatch(probe_keys_, zone_fn, &probe_res_);
     }
-
-    size_t oi = 0;  // cursor into probe_res_.outcomes, in probe order
+    // One code table per (source lane, output lane): the input's own
+    // output lanes first, then each hit segment's columns.
+    remaps_.Clear();
     accesses_.clear();
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      // The batch is ours: rows move into the output instead of copying.
-      Row& row = in.mutable_rows()[r];
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        if (actions_[r] == kPass) {
-          out.AddRow(std::move(row));
-          continue;
-        }
-        ctx_->Charge(CostCategory::kOther,
-                     ctx_->costs.view_probe_ms_per_key);
-        const storage::ProbeOutcome* oc =
-            view != nullptr ? &probe_res_.outcomes[oi++] : nullptr;
-        if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-          cells_.AddReuse(ctx_, def_.name);
-          CountProbe(true);
-          accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
-          if (oc->status == storage::ProbeStatus::kHit) {
-            ctx_->Charge(CostCategory::kReadView,
-                         ctx_->costs.view_read_ms_per_row *
-                             static_cast<double>(oc->rows_count));
-            // Cells come straight out of the pinned columnar snapshot —
-            // one materialization, directly into the output row.
-            for (int32_t i = 0; i < oc->rows_count; ++i) {
-              const storage::ColumnarSegment& seg = probe_res_.segment(*oc);
-              Row full = TrimmedBase(row);
-              size_t vr = static_cast<size_t>(oc->rows_begin + i);
-              for (const storage::ColumnVec& cv : seg.cols) {
-                full.push_back(cv.At(vr));
-              }
-              out.AddRow(std::move(full));
-            }
-          }
-          // kHitSkipped: the zone map proved the residual filter above
-          // discards every stored row — skip the read, emit nothing.
-        } else {
-          CountProbe(false);
-          Row full = std::move(row);
-          full.resize(std::min(full.size(), output_width_base_));
-          full.resize(full.size() + n_outputs);  // NULL outputs
-          out.AddRow(std::move(full));
-        }
-      } else {
-        // Classifier / filter UDF: single output column.
-        int out_idx = output_schema_.IndexOf(def_.name);
-        Row full = std::move(row);
-        full.resize(output_schema_.num_fields());
-        if (actions_[r] == kPass) {
-          out.AddRow(std::move(full));
-          continue;
-        }
-        if (actions_[r] == kNullOut) {
-          full[static_cast<size_t>(out_idx)] = Value::Null();
-          out.AddRow(std::move(full));
-          continue;
-        }
-        ctx_->Charge(CostCategory::kOther,
-                     ctx_->costs.view_probe_ms_per_key);
-        const storage::ProbeOutcome* oc =
-            view != nullptr ? &probe_res_.outcomes[oi++] : nullptr;
-        if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-          cells_.AddReuse(ctx_, def_.name);
-          CountProbe(true);
-          accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
-          if (oc->status == storage::ProbeStatus::kHit) {
-            ctx_->Charge(CostCategory::kReadView,
-                         ctx_->costs.view_read_ms_per_row);
-            full[static_cast<size_t>(out_idx)] =
-                oc->rows_count == 0
-                    ? Value::Null()
-                    : probe_res_.segment(*oc).cols[0].At(
-                          static_cast<size_t>(oc->rows_begin));
-            out.AddRow(std::move(full));
-          }
-          // kHitSkipped: drop the row — STORE finds its key present (no
-          // Put) and the residual filter above would discard it.
-        } else {
-          CountProbe(false);
-          full[static_cast<size_t>(out_idx)] = Value::Null();
-          out.AddRow(std::move(full));
-        }
-      }
-    }
+    Chunk out = def_.kind == UdfKind::kDetector
+                    ? JoinDetector(in, ids, view)
+                    : JoinSingle(in, ids, view);
     // Access stamps land once per batch: nothing reads them before the
     // batch ends, and the last (tick, query) per segment wins either way.
     if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
@@ -683,7 +676,6 @@ class ViewJoinOp : public Operator {
     return out;
   }
 
- private:
   ViewJoinOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
              std::string view_name, bool scan_all, expr::ExprPtr residual,
              Schema schema)
@@ -697,8 +689,8 @@ class ViewJoinOp : public Operator {
     // Width of the input columns that precede the detector outputs: when
     // the input already carries (possibly NULL) output columns from an
     // earlier view join, strip them before re-appending.
-    output_width_base_ = output_schema_.num_fields() -
-                         UdfOutputSchema(def_).num_fields();
+    output_width_base_ =
+        output_schema_.num_fields() - value_schema_.num_fields();
     if (ctx->obs_registry != nullptr) {
       probe_hits_ = ctx->obs_registry->GetCounter(
           "eva_view_probe_hits_total",
@@ -727,6 +719,139 @@ class ViewJoinOp : public Operator {
     }
   }
 
+  // Code table for copying column `c` of hit segment `seg_index` into the
+  // output (slots after the input's own output lanes).
+  std::vector<int32_t>* SegmentRemap(int32_t seg_index, size_t c) {
+    return remaps_[value_schema_.num_fields() *
+                       (static_cast<size_t>(seg_index) + 1) +
+                   c];
+  }
+
+  // The next probe outcome, in probe order; null without a view.
+  const storage::ProbeOutcome* NextOutcome(MaterializedView* view,
+                                           size_t* oi) const {
+    return view != nullptr ? &probe_res_.outcomes[(*oi)++] : nullptr;
+  }
+
+  // Detector: a hit expands into the key's stored rows, a miss into one
+  // row of NULL outputs. The input columns before the outputs follow by
+  // parent row.
+  Chunk JoinDetector(const Chunk& in, const ColumnVec& ids,
+                     MaterializedView* view) {
+    const size_t base = output_width_base_;
+    const size_t n_outputs = value_schema_.num_fields();
+    Chunk out(output_schema_);
+    TailLane* results = &out.col(base);
+    parents_.clear();
+    size_t oi = 0;  // cursor into probe_res_.outcomes, in probe order
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      const auto parent = static_cast<uint32_t>(r);
+      if (actions_[r] == kPass) {
+        parents_.push_back(parent);
+        for (size_t c = 0; c < n_outputs; ++c) {
+          results[c].AppendFrom(in.lane(base + c), r, r + 1, remaps_[c]);
+        }
+        continue;
+      }
+      ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
+      const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
+      if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
+        cells_.AddReuse(ctx_, def_.name);
+        CountProbe(true);
+        accesses_.emplace_back(Int64Cell(ids, r),
+                               ctx_->views->NextAccessTick());
+        if (oc->status == storage::ProbeStatus::kHit) {
+          ctx_->Charge(CostCategory::kReadView,
+                       ctx_->costs.view_read_ms_per_row *
+                           static_cast<double>(oc->rows_count));
+          // Cells come straight out of the pinned columnar snapshot.
+          const storage::ColumnarSegment& seg = probe_res_.segment(*oc);
+          const auto begin = static_cast<size_t>(oc->rows_begin);
+          const size_t end = begin + static_cast<size_t>(oc->rows_count);
+          for (size_t c = 0; c < n_outputs; ++c) {
+            results[c].AppendFrom(seg.cols[c], begin, end,
+                                  SegmentRemap(oc->seg_index, c));
+          }
+          parents_.insert(parents_.end(), end - begin, parent);
+        }
+        // kHitSkipped: the zone map proved the residual filter above
+        // discards every stored row — skip the read, emit nothing.
+      } else {
+        CountProbe(false);
+        parents_.push_back(parent);
+        for (size_t c = 0; c < n_outputs; ++c) results[c].AppendNull();
+      }
+    }
+    base_remaps_.Clear();
+    GatherColumns(in, 0, base, parents_, &out, 0, &base_remaps_);
+    return out;
+  }
+
+  // Classifier / filter UDF: one output column, one output row per input
+  // row except zone-skipped hits.
+  Chunk JoinSingle(Chunk& in, const ColumnVec& ids,
+                   MaterializedView* view) {
+    const auto out_idx =
+        static_cast<size_t>(output_schema_.IndexOf(def_.name));
+    TailLane result;
+    parents_.clear();
+    size_t oi = 0;
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      const auto parent = static_cast<uint32_t>(r);
+      if (actions_[r] == kPass) {
+        // kPass means the input carries the output column, at out_idx.
+        parents_.push_back(parent);
+        result.AppendFrom(in.lane(out_idx), r, r + 1, remaps_[0]);
+        continue;
+      }
+      if (actions_[r] == kNullOut) {
+        parents_.push_back(parent);
+        result.AppendNull();
+        continue;
+      }
+      ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
+      const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
+      if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
+        cells_.AddReuse(ctx_, def_.name);
+        CountProbe(true);
+        accesses_.emplace_back(Int64Cell(ids, r),
+                               ctx_->views->NextAccessTick());
+        if (oc->status == storage::ProbeStatus::kHit) {
+          ctx_->Charge(CostCategory::kReadView,
+                       ctx_->costs.view_read_ms_per_row);
+          parents_.push_back(parent);
+          if (oc->rows_count == 0) {
+            result.AppendNull();
+          } else {
+            const auto begin = static_cast<size_t>(oc->rows_begin);
+            result.AppendFrom(probe_res_.segment(*oc).cols[0], begin,
+                              begin + 1, SegmentRemap(oc->seg_index, 0));
+          }
+        }
+        // kHitSkipped: drop the row — STORE finds its key present (no
+        // Put) and the residual filter above would discard it.
+      } else {
+        CountProbe(false);
+        parents_.push_back(parent);
+        result.AppendNull();
+      }
+    }
+    Chunk out(output_schema_);
+    const bool all_rows = parents_.size() == in.num_rows();
+    base_remaps_.Clear();
+    for (size_t c = 0; c < in.num_columns(); ++c) {
+      if (c == out_idx) continue;
+      if (all_rows) {
+        out.col(c) = std::move(in.col(c));
+      } else {
+        out.col(c).AppendGather(in.lane(c), parents_.data(), parents_.size(),
+                                base_remaps_[c]);
+      }
+    }
+    out.col(out_idx) = std::move(result);
+    return out;
+  }
+
   void CountProbe(bool hit) {
     if (ctx_->active_stats != nullptr) {
       if (hit) {
@@ -738,11 +863,6 @@ class ViewJoinOp : public Operator {
     }
     if (hit && probe_hits_ != nullptr) probe_hits_->Increment();
     if (!hit && probe_misses_ != nullptr) probe_misses_->Increment();
-  }
-
-  Row TrimmedBase(const Row& row) const {
-    size_t base = std::min(row.size(), output_width_base_);
-    return Row(row.begin(), row.begin() + static_cast<long>(base));
   }
 
   OperatorPtr child_;
@@ -757,6 +877,9 @@ class ViewJoinOp : public Operator {
   std::vector<ViewKey> probe_keys_;
   storage::ProbeResult probe_res_;
   std::vector<std::pair<int64_t, uint64_t>> accesses_;  // (frame, tick)
+  std::vector<uint32_t> parents_;  // input row of each output row
+  LaneRemaps remaps_;       // output lanes (input and segment sources)
+  LaneRemaps base_remaps_;  // input columns gathered by parent row
   UdfMetricCells cells_;
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
@@ -790,61 +913,14 @@ class CondApplyOp : public Operator {
                                        std::move(schema)));
   }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    if (in.empty()) return Batch(output_schema_);
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    size_t n_outputs = UdfOutputSchema(def_).num_fields();
-    size_t base_width = output_schema_.num_fields() - n_outputs;
+  Result<Chunk> Next() override {
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    if (in.empty()) return Chunk(output_schema_);
     ctx_->Charge(CostCategory::kOther,
                  ctx_->costs.apply_overhead_ms_per_row *
                      static_cast<double>(in.num_rows()));
-    Batch out(output_schema_);
-    for (const Row& row : in.rows()) {
-      int64_t frame = row[static_cast<size_t>(id_idx)].AsInt64();
-      if (def_.kind == UdfKind::kDetector) {
-        if (!row[static_cast<size_t>(obj_idx)].is_null()) {
-          out.AddRow(row);  // populated by the view join: pass through
-          continue;
-        }
-        EVA_ASSIGN_OR_RETURN(std::vector<Row> dets,
-                             RunDetector(ctx_, def_, frame, obs_, &cells_));
-        if (dets.empty()) {
-          // Keep the NULL placeholder so STORE records "frame processed,
-          // zero objects" before dropping it.
-          out.AddRow(row);
-          continue;
-        }
-        for (Row& d : dets) {
-          Row full(row.begin(), row.begin() + static_cast<long>(base_width));
-          for (Value& v : d) full.push_back(std::move(v));
-          out.AddRow(std::move(full));
-        }
-      } else {
-        int out_idx = output_schema_.IndexOf(def_.name);
-        Row full = row;
-        const Value& current = row[static_cast<size_t>(out_idx)];
-        if (current.is_null()) {
-          if (def_.kind == UdfKind::kClassifier) {
-            const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-            if (!obj_v.is_null()) {
-              EVA_ASSIGN_OR_RETURN(
-                  Value v,
-                  RunClassifier(ctx_, def_, frame, obj_v.AsInt64(), obs_,
-                                &cells_));
-              full[static_cast<size_t>(out_idx)] = std::move(v);
-            }
-          } else {
-            EVA_ASSIGN_OR_RETURN(
-                Value v, RunFilterUdf(ctx_, def_, frame, obs_, &cells_));
-            full[static_cast<size_t>(out_idx)] = std::move(v);
-          }
-        }
-        out.AddRow(std::move(full));
-      }
-    }
-    return out;
+    if (def_.kind == UdfKind::kDetector) return ApplyDetector(std::move(in));
+    return ApplySingle(std::move(in));
   }
 
  private:
@@ -852,12 +928,103 @@ class CondApplyOp : public Operator {
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
         def_(std::move(def)),
-        obs_(MakeUdfCounters(ctx, def_.name)) {}
+        n_outputs_(UdfOutputSchema(def_).num_fields()),
+        runner_(ctx, &def_) {}
+
+  // Rows the view join populated (non-null obj) pass through; a NULL row
+  // becomes the frame's detections, or stays as the placeholder that lets
+  // STORE record "frame processed, zero objects" before dropping it.
+  Result<Chunk> ApplyDetector(Chunk in) {
+    const ColumnVec& objs =
+        in.lane(static_cast<size_t>(in.schema().IndexOf(kColObj)));
+    size_t first_null = 0;
+    while (first_null < in.num_rows() && !objs.IsNull(first_null)) {
+      ++first_null;
+    }
+    if (first_null == in.num_rows()) return in;  // every row from the view
+    const ColumnVec& ids =
+        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
+    const size_t base = output_schema_.num_fields() - n_outputs_;
+    Chunk out(output_schema_);
+    TailLane* results = &out.col(base);
+    remaps_.Clear();
+    parents_.clear();
+    // Rows [run, r) keep their own outputs; they are copied as one slice
+    // before a detector call appends after them.
+    size_t run = 0;
+    auto flush = [&](size_t end) {
+      for (size_t c = 0; c < n_outputs_; ++c) {
+        results[c].AppendFrom(in.lane(base + c), run, end,
+                              remaps_[base + c]);
+      }
+      for (size_t p = run; p < end; ++p) {
+        parents_.push_back(static_cast<uint32_t>(p));
+      }
+    };
+    for (size_t r = first_null; r < in.num_rows(); ++r) {
+      if (!objs.IsNull(r)) continue;
+      flush(r);
+      EVA_ASSIGN_OR_RETURN(size_t dets,
+                           runner_.Detect(Int64Cell(ids, r), results));
+      if (dets == 0) {
+        run = r;  // the placeholder row passes as it is
+        continue;
+      }
+      parents_.insert(parents_.end(), dets, static_cast<uint32_t>(r));
+      run = r + 1;
+    }
+    flush(in.num_rows());
+    GatherColumns(in, 0, base, parents_, &out, 0, &remaps_);
+    return out;
+  }
+
+  // Classifier / filter UDF: rows map one to one, and only the output
+  // column changes, in the rows where it is NULL.
+  Result<Chunk> ApplySingle(Chunk in) {
+    const auto out_idx =
+        static_cast<size_t>(output_schema_.IndexOf(def_.name));
+    const ColumnVec& current = in.lane(out_idx);
+    size_t first_null = 0;
+    while (first_null < in.num_rows() && !current.IsNull(first_null)) {
+      ++first_null;
+    }
+    if (first_null == in.num_rows()) return in;
+    const ColumnVec& ids =
+        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
+    const int obj_idx = in.schema().IndexOf(kColObj);
+    remaps_.Clear();
+    TailLane result;
+    size_t run = 0;  // rows [run, r) keep their current value
+    for (size_t r = first_null; r < in.num_rows(); ++r) {
+      if (!current.IsNull(r)) continue;
+      result.AppendFrom(current, run, r, remaps_[0]);
+      run = r + 1;
+      const int64_t frame = Int64Cell(ids, r);
+      if (def_.kind == UdfKind::kClassifier) {
+        const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
+        if (objs.IsNull(r)) {
+          result.AppendNull();
+          continue;
+        }
+        EVA_ASSIGN_OR_RETURN(std::string label,
+                             runner_.Classify(frame, Int64Cell(objs, r)));
+        result.AppendString(label);
+      } else {
+        EVA_ASSIGN_OR_RETURN(bool pass, runner_.Filter(frame));
+        result.AppendBool(pass);
+      }
+    }
+    result.AppendFrom(current, run, in.num_rows(), remaps_[0]);
+    in.col(out_idx) = std::move(result);
+    return in;
+  }
 
   OperatorPtr child_;
   UdfDef def_;
-  UdfObsCounters obs_;
-  UdfMetricCells cells_;
+  size_t n_outputs_;
+  UdfRunner runner_;
+  std::vector<uint32_t> parents_;  // input row of each output row
+  LaneRemaps remaps_;
 };
 
 // ---------------------------------------------------------------------------
@@ -876,78 +1043,85 @@ class StoreOp : public Operator {
                                    view_name));
   }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    Batch out(output_schema_);
-    if (in.empty()) return out;
-    MaterializedView* view =
-        ctx_->views->GetOrCreate(view_name_, UdfOutputSchema(def_));
-    int id_idx = in.schema().IndexOf(kColId);
-    int obj_idx = in.schema().IndexOf(kColObj);
-    std::vector<Row>& rows = in.mutable_rows();
-    // Cells are appended straight from the input rows; the rows then move
-    // into the output.
+  Result<Chunk> Next() override {
+    // A chunk of placeholder rows only stores presence and yields no rows;
+    // it must not read as the end of the stream.
+    while (true) {
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) return Chunk(output_schema_);
+      Chunk out = Store(std::move(in));
+      if (!out.empty()) return out;
+    }
+  }
+
+ private:
+  Chunk Store(Chunk in) {
+    MaterializedView* view = ctx_->views->GetOrCreate(view_name_, value_schema_);
+    const ColumnVec& ids =
+        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
+    const int obj_idx = in.schema().IndexOf(kColObj);
+    const size_t n = in.num_rows();
+    // New source lanes: the code tables of the last chunk do not apply.
+    remaps_.Clear();
     if (def_.kind == UdfKind::kDetector) {
       // One key per run of rows of a frame; presence is recorded even for
       // frames whose detector output is empty (NULL placeholder rows).
-      size_t n_outputs = UdfOutputSchema(def_).num_fields();
-      size_t base_width = in.schema().num_fields() - n_outputs;
-      auto frame_of = [id_idx](const Row& row) {
-        return row[static_cast<size_t>(id_idx)].AsInt64();
-      };
-      auto placeholder = [obj_idx](const Row& row) {
-        return row[static_cast<size_t>(obj_idx)].is_null();
-      };
-      for (size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
-        const int64_t frame = frame_of(rows[begin]);
+      const size_t n_outputs = value_schema_.num_fields();
+      const std::span<const TailLane> values(
+          in.cols().data() + (in.num_columns() - n_outputs), n_outputs);
+      const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
+      kept_.clear();
+      for (size_t begin = 0, end = 0; begin < n; begin = end) {
+        const int64_t frame = Int64Cell(ids, begin);
         group_.clear();
-        for (end = begin; end < rows.size() && frame_of(rows[end]) == frame;
-             ++end) {
-          if (!placeholder(rows[end])) group_.push_back(&rows[end]);
+        for (end = begin; end < n && Int64Cell(ids, end) == frame; ++end) {
+          if (!objs.IsNull(end)) group_.push_back(static_cast<uint32_t>(end));
         }
-        if (view->Put(ViewKey{frame, -1}, group_, base_width, next_tick_,
-                      ctx_->query_id)) {
+        if (view->Put(ViewKey{frame, -1}, values, group_, next_tick_,
+                      ctx_->query_id, &remaps_)) {
           ctx_->Charge(CostCategory::kMaterialize,
                        ctx_->costs.materialize_ms_per_row *
                            static_cast<double>(group_.size() + 1));
           CountMaterialized(static_cast<int64_t>(group_.size()) + 1);
         }
         // Placeholder rows are dropped here.
-        for (size_t r = begin; r < end; ++r) {
-          if (!placeholder(rows[r])) out.AddRow(std::move(rows[r]));
-        }
+        kept_.insert(kept_.end(), group_.begin(), group_.end());
       }
-      return out;
+      if (kept_.size() == n) return in;
+      if (kept_.empty()) return Chunk(output_schema_);
+      return GatherRows(in, kept_, &gather_remaps_);
     }
     // Classifier / filter UDF: one row per key; every row passes through.
-    int val_idx = in.schema().IndexOf(def_.name);
-    for (const Row& row : rows) {
-      if (row[static_cast<size_t>(val_idx)].is_null()) continue;
+    const auto val_idx =
+        static_cast<size_t>(in.schema().IndexOf(def_.name));
+    const ColumnVec& vals = in.lane(val_idx);
+    const std::span<const TailLane> value(in.cols().data() + val_idx, 1);
+    for (size_t r = 0; r < n; ++r) {
+      if (vals.IsNull(r)) continue;
       int64_t obj = -1;
       if (def_.kind == UdfKind::kClassifier) {
-        const Value& obj_v = row[static_cast<size_t>(obj_idx)];
-        if (obj_v.is_null()) continue;
-        obj = obj_v.AsInt64();
+        const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
+        if (objs.IsNull(r)) continue;
+        obj = Int64Cell(objs, r);
       }
-      const Row* cell_row = &row;
-      if (view->Put(ViewKey{row[static_cast<size_t>(id_idx)].AsInt64(), obj},
-                    {&cell_row, 1}, static_cast<size_t>(val_idx), next_tick_,
-                    ctx_->query_id)) {
+      const auto row = static_cast<uint32_t>(r);
+      if (view->Put(ViewKey{Int64Cell(ids, r), obj}, value, {&row, 1},
+                    next_tick_, ctx_->query_id, &remaps_)) {
         ctx_->Charge(CostCategory::kMaterialize,
                      ctx_->costs.materialize_ms_per_row);
         CountMaterialized(1);
       }
     }
-    return Batch(output_schema_, std::move(rows));
+    return in;
   }
 
- private:
   StoreOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
           std::string view_name)
       : Operator(ctx, child->output_schema()),
         child_(std::move(child)),
         def_(std::move(def)),
         view_name_(std::move(view_name)),
+        value_schema_(UdfOutputSchema(def_)),
         next_tick_([ctx] { return ctx->views->NextAccessTick(); }) {
     if (ctx->obs_registry != nullptr) {
       materialized_ = ctx->obs_registry->GetCounter(
@@ -969,14 +1143,19 @@ class StoreOp : public Operator {
   OperatorPtr child_;
   UdfDef def_;
   std::string view_name_;
+  Schema value_schema_;
   // Draws an access tick only for keys Put actually inserts.
   std::function<uint64_t()> next_tick_;
-  std::vector<const Row*> group_;  // detector rows of one frame (scratch)
+  storage::PutRemaps remaps_;   // this chunk's lanes -> view tails
+  std::vector<uint32_t> group_;  // detector rows of one frame (scratch)
+  std::vector<uint32_t> kept_;   // non-placeholder rows (scratch)
+  LaneRemaps gather_remaps_;
   obs::Counter* materialized_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
-// Project
+// Project: a column reference takes the input lane as it is; only other
+// expressions are evaluated, over rows built from the chunk.
 // ---------------------------------------------------------------------------
 
 class ProjectOp : public Operator {
@@ -985,21 +1164,44 @@ class ProjectOp : public Operator {
             std::vector<expr::ExprPtr> exprs, Schema schema)
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
-        exprs_(std::move(exprs)) {}
+        exprs_(std::move(exprs)) {
+    const Schema& in = child_->output_schema();
+    for (const expr::ExprPtr& e : exprs_) {
+      const bool column = e->kind() == expr::ExprKind::kColumn ||
+                          e->kind() == expr::ExprKind::kUdfCall;
+      source_.push_back(column ? in.IndexOf(e->name()) : -1);
+      if (source_.back() < 0) computed_ = true;
+    }
+  }
 
-  Result<Batch> Next() override {
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    Batch out(output_schema_);
-    if (in.empty()) return out;
-    for (const Row& row : in.rows()) {
-      Row projected;
-      projected.reserve(exprs_.size());
-      for (const expr::ExprPtr& e : exprs_) {
-        EVA_ASSIGN_OR_RETURN(Value v,
-                             expr::EvaluateScalar(*e, in.schema(), row));
-        projected.push_back(std::move(v));
+  Result<Chunk> Next() override {
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    if (in.empty()) return Chunk(output_schema_);
+    Chunk out(output_schema_);
+    if (computed_) {
+      for (size_t r = 0; r < in.num_rows(); ++r) {
+        const Row row = in.RowAt(r);
+        for (size_t i = 0; i < exprs_.size(); ++i) {
+          if (source_[i] >= 0) continue;
+          EVA_ASSIGN_OR_RETURN(
+              Value v, expr::EvaluateScalar(*exprs_[i], in.schema(), row));
+          out.col(i).Append(v);
+        }
       }
-      out.AddRow(std::move(projected));
+    }
+    // Each input lane moves to its first output; a repeat copies it.
+    std::vector<int> moved_to(in.num_columns(), -1);
+    remaps_.Clear();
+    for (size_t i = 0; i < exprs_.size(); ++i) {
+      if (source_[i] < 0) continue;
+      const auto src = static_cast<size_t>(source_[i]);
+      if (moved_to[src] < 0) {
+        out.col(i) = std::move(in.col(src));
+        moved_to[src] = static_cast<int>(i);
+      } else {
+        const ColumnVec& lane = out.lane(static_cast<size_t>(moved_to[src]));
+        out.col(i).AppendFrom(lane, 0, lane.size(), remaps_[i]);
+      }
     }
     return out;
   }
@@ -1007,11 +1209,35 @@ class ProjectOp : public Operator {
  private:
   OperatorPtr child_;
   std::vector<expr::ExprPtr> exprs_;
+  std::vector<int> source_;  // input column of a column reference, or -1
+  bool computed_ = false;    // some expression needs per-row evaluation
+  LaneRemaps remaps_;
 };
 
 // ---------------------------------------------------------------------------
-// Aggregate: COUNT(*) GROUP BY <cols>
+// Aggregate: COUNT(*) GROUP BY <cols>. Groups are keyed by Value equality
+// (Value::Compare), in first-seen order.
 // ---------------------------------------------------------------------------
+
+// Hash consistent with Value::Compare equality: numbers hash by their
+// double value (Int64 1 equals Double 1.0, and -0.0 equals 0.0).
+uint64_t GroupHash(const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      return 0x9E3779B97F4A7C15ULL;
+    case DataType::kBool:
+      return v.AsBool() ? 3 : 2;
+    case DataType::kInt64:
+    case DataType::kDouble: {
+      double d = v.AsDouble();
+      if (d == 0) d = 0;  // -0.0
+      return std::hash<double>()(d);
+    }
+    case DataType::kString:
+      return std::hash<std::string>()(v.AsString());
+  }
+  return 0;
+}
 
 class AggregateOp : public Operator {
  public:
@@ -1021,43 +1247,51 @@ class AggregateOp : public Operator {
         child_(std::move(child)),
         group_by_(std::move(group_by)) {}
 
-  Result<Batch> Next() override {
-    if (done_) return Batch(output_schema_);
+  Result<Chunk> Next() override {
+    if (done_) return Chunk(output_schema_);
     done_ = true;
     std::vector<Row> group_rows;
     std::vector<int64_t> counts;
-    std::map<std::string, size_t> index;
+    // Group ids by key hash; equal keys are found by Value::Compare.
+    std::unordered_map<uint64_t, std::vector<size_t>> index;
     while (true) {
-      EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) break;
-      std::vector<int> idxs;
+      std::vector<size_t> idxs;
       for (const std::string& col : group_by_) {
         int i = in.schema().IndexOf(col);
         if (i < 0) return Status::BindError("unknown group column: " + col);
-        idxs.push_back(i);
+        idxs.push_back(static_cast<size_t>(i));
       }
-      for (const Row& row : in.rows()) {
-        std::string key;
+      for (size_t r = 0; r < in.num_rows(); ++r) {
         Row group;
-        for (int i : idxs) {
-          const Value& v = row[static_cast<size_t>(i)];
-          key += v.ToString();
-          key += '\x1f';
-          group.push_back(v);
+        uint64_t h = 0;
+        for (size_t i : idxs) {
+          group.push_back(in.At(r, i));
+          h = h * 0x100000001B3ULL ^ GroupHash(group.back());
         }
-        auto [it, inserted] = index.emplace(key, group_rows.size());
-        if (inserted) {
-          group_rows.push_back(std::move(group));
-          counts.push_back(0);
+        std::vector<size_t>& bucket = index[h];
+        auto same = [&](size_t g) {
+          for (size_t k = 0; k < group.size(); ++k) {
+            if (group_rows[g][k].Compare(group[k]) != 0) return false;
+          }
+          return true;
+        };
+        auto it = std::find_if(bucket.begin(), bucket.end(), same);
+        if (it != bucket.end()) {
+          ++counts[*it];
+          continue;
         }
-        ++counts[it->second];
+        bucket.push_back(group_rows.size());
+        group_rows.push_back(std::move(group));
+        counts.push_back(1);
       }
     }
-    Batch out(output_schema_);
+    Chunk out(output_schema_);
     for (size_t i = 0; i < group_rows.size(); ++i) {
-      Row row = group_rows[i];
+      Row& row = group_rows[i];
       row.push_back(Value(counts[i]));
-      out.AddRow(std::move(row));
+      out.AppendRow(row);
     }
     return out;
   }
@@ -1079,22 +1313,28 @@ class LimitOp : public Operator {
         child_(std::move(child)),
         remaining_(limit) {}
 
-  Result<Batch> Next() override {
-    Batch out(output_schema_);
-    if (remaining_ <= 0) return out;
-    EVA_ASSIGN_OR_RETURN(Batch in, child_->Next());
-    if (in.empty()) return out;
-    for (Row& row : in.mutable_rows()) {
-      if (remaining_ <= 0) break;
-      out.AddRow(std::move(row));
-      --remaining_;
+  Result<Chunk> Next() override {
+    if (remaining_ <= 0) return Chunk(output_schema_);
+    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+    const auto n = static_cast<int64_t>(in.num_rows());
+    if (n <= remaining_) {
+      remaining_ -= n;
+      return in;
     }
+    Chunk out(output_schema_);
+    remaps_.Clear();
+    for (size_t c = 0; c < in.num_columns(); ++c) {
+      out.col(c).AppendFrom(in.lane(c), 0, static_cast<size_t>(remaining_),
+                            remaps_[c]);
+    }
+    remaining_ = 0;
     return out;
   }
 
  private:
   OperatorPtr child_;
   int64_t remaining_;
+  LaneRemaps remaps_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1119,9 +1359,9 @@ class StatsOp : public Operator {
     }
   }
 
-  Result<Batch> Next() override {
+  Result<Chunk> Next() override {
     if (stats_ == nullptr) {
-      EVA_ASSIGN_OR_RETURN(Batch out, inner_->Next());
+      EVA_ASSIGN_OR_RETURN(Chunk out, inner_->Next());
       if (rows_out_ != nullptr) {
         rows_out_->Increment(static_cast<double>(out.num_rows()));
       }
@@ -1131,7 +1371,7 @@ class StatsOp : public Operator {
     ctx_->active_stats = stats_;
     double sim0 = ctx_->clock->TotalMs();
     auto wall0 = std::chrono::steady_clock::now();
-    Result<Batch> r = inner_->Next();
+    Result<Chunk> r = inner_->Next();
     stats_->sim_ms += ctx_->clock->TotalMs() - sim0;
     stats_->wall_us +=
         std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
@@ -1270,11 +1510,9 @@ Result<Batch> ExecutePlan(const plan::PlanNodePtr& plan, ExecContext* ctx) {
   EVA_ASSIGN_OR_RETURN(OperatorPtr root, BuildOperator(plan, ctx));
   Batch result(root->output_schema());
   while (true) {
-    EVA_ASSIGN_OR_RETURN(Batch batch, root->Next());
-    if (batch.empty()) break;
-    for (Row& row : batch.mutable_rows()) {
-      result.AddRow(std::move(row));
-    }
+    EVA_ASSIGN_OR_RETURN(Chunk chunk, root->Next());
+    if (chunk.empty()) break;
+    chunk.AppendTo(&result);
   }
   ctx->metrics->rows_out += static_cast<int64_t>(result.num_rows());
   return result;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace eva::exec {
 
@@ -80,7 +81,7 @@ int FilterProgram::CompileNode(const Expr& e, const Schema& schema) {
         if (ins.col_a < 0) return -1;
       } else if (l.kind() == ExprKind::kLiteral && IsColumnish(r)) {
         ins.code = OpCode::kCmpColLit;
-        ins.cmp = expr::MirrorOp(e.op());
+        ins.lit_left = true;
         ins.col_a = schema.IndexOf(r.name());
         ins.lit = l.value();
         if (ins.col_a < 0) return -1;
@@ -134,53 +135,227 @@ std::optional<FilterProgram> FilterProgram::Compile(const Expr& e,
   return p;
 }
 
-Status FilterProgram::Execute(const Batch& batch,
+namespace {
+
+using storage::ColumnVec;
+
+// Value::Compare's three-way result for two numbers of one type: Int64
+// pairs exactly, anything with a Double as doubles (NaN compares 1).
+template <typename T>
+int Sign3(T a, T b) {
+  return a == b ? 0 : (a < b ? -1 : 1);
+}
+
+// Value::Compare's rank of the non-null cells of a typed lane.
+int EncRank(ColumnVec::Enc enc) {
+  switch (enc) {
+    case ColumnVec::Enc::kBool:
+      return 1;
+    case ColumnVec::Enc::kInt64:
+    case ColumnVec::Enc::kDouble:
+      return 2;
+    case ColumnVec::Enc::kDict:
+      return 3;
+    case ColumnVec::Enc::kValue:
+      break;
+  }
+  return 4;
+}
+
+int ValueRank(DataType t) {
+  switch (t) {
+    case DataType::kNull:
+      return 0;
+    case DataType::kBool:
+      return 1;
+    case DataType::kInt64:
+    case DataType::kDouble:
+      return 2;
+    case DataType::kString:
+      return 3;
+  }
+  return 4;
+}
+
+// dst[r] = CmpKeep(op, cmp(r)) for r < n, with the operator switch hoisted
+// out of the row loop.
+template <typename CmpFn>
+void CmpLoop(CompareOp op, size_t n, CmpFn cmp, uint8_t* dst) {
+  switch (op) {
+    case CompareOp::kEq:
+      for (size_t r = 0; r < n; ++r) dst[r] = cmp(r) == 0;
+      break;
+    case CompareOp::kNe:
+      for (size_t r = 0; r < n; ++r) dst[r] = cmp(r) != 0;
+      break;
+    case CompareOp::kLt:
+      for (size_t r = 0; r < n; ++r) dst[r] = cmp(r) < 0;
+      break;
+    case CompareOp::kLe:
+      for (size_t r = 0; r < n; ++r) dst[r] = cmp(r) <= 0;
+      break;
+    case CompareOp::kGt:
+      for (size_t r = 0; r < n; ++r) dst[r] = cmp(r) > 0;
+      break;
+    case CompareOp::kGe:
+      for (size_t r = 0; r < n; ++r) dst[r] = cmp(r) >= 0;
+      break;
+  }
+}
+
+// A NULL cell fails every comparison.
+void MaskNulls(const ColumnVec& lane, size_t n, uint8_t* dst) {
+  if (lane.null_bits_.empty()) return;
+  for (size_t r = 0; r < n; ++r) {
+    if (lane.NullAt(r)) dst[r] = 0;
+  }
+}
+
+// CmpLoop over Sign3(cell(r), lit), or Sign3(lit, cell(r)) when the
+// literal was written first.
+template <typename T, typename CellFn>
+void CmpCellsLit(CompareOp op, bool lit_left, size_t n, CellFn cell, T lit,
+                 uint8_t* dst) {
+  if (lit_left) {
+    CmpLoop(op, n, [&](size_t r) { return Sign3(lit, cell(r)); }, dst);
+  } else {
+    CmpLoop(op, n, [&](size_t r) { return Sign3(cell(r), lit); }, dst);
+  }
+}
+
+// dst = !null(cell) && cmp(cell, lit) (cmp(lit, cell) when lit_left) over
+// a chunk lane; lit is non-null.
+void CompareLaneLit(const ColumnVec& lane, CompareOp op, const Value& lit,
+                    bool lit_left, size_t n, uint8_t* dst) {
+  if (lane.enc_ == ColumnVec::Enc::kValue) {
+    const std::vector<Value>& cells = lane.raw_;
+    for (size_t r = 0; r < n; ++r) {
+      dst[r] = !cells[r].is_null() &&
+               CmpKeep(op, lit_left ? lit.Compare(cells[r])
+                                    : cells[r].Compare(lit));
+    }
+    return;
+  }
+  int lane_rank = EncRank(lane.enc_);
+  int lit_rank = ValueRank(lit.type());
+  if (lit_left) std::swap(lane_rank, lit_rank);
+  if (lane_rank != lit_rank) {
+    // Cross-rank comparisons are one constant for every non-null cell.
+    std::memset(dst, CmpKeep(op, lane_rank < lit_rank ? -1 : 1) ? 1 : 0, n);
+    MaskNulls(lane, n, dst);
+    return;
+  }
+  switch (lane.enc_) {
+    case ColumnVec::Enc::kInt64: {
+      const int64_t* v = lane.i64_.data();
+      if (lit.type() == DataType::kInt64) {
+        CmpCellsLit(op, lit_left, n, [v](size_t r) { return v[r]; },
+                    lit.AsInt64(), dst);
+      } else {
+        CmpCellsLit(op, lit_left, n,
+                    [v](size_t r) { return static_cast<double>(v[r]); },
+                    lit.AsDouble(), dst);
+      }
+      break;
+    }
+    case ColumnVec::Enc::kDouble: {
+      const double* v = lane.f64_.data();
+      CmpCellsLit(op, lit_left, n, [v](size_t r) { return v[r]; },
+                  lit.AsDouble(), dst);
+      break;
+    }
+    case ColumnVec::Enc::kBool: {
+      const uint8_t* v = lane.b8_.data();
+      CmpCellsLit(op, lit_left, n, [v](size_t r) { return v[r] != 0; },
+                  lit.AsBool(), dst);
+      break;
+    }
+    case ColumnVec::Enc::kDict: {
+      // One verdict per dictionary entry, then one read per code.
+      const std::string& l = lit.AsString();
+      std::vector<uint8_t> verdict(lane.dict_.size());
+      for (size_t k = 0; k < verdict.size(); ++k) {
+        const int c = lit_left ? l.compare(lane.dict_[k])
+                               : lane.dict_[k].compare(l);
+        verdict[k] = CmpKeep(op, c == 0 ? 0 : (c < 0 ? -1 : 1));
+      }
+      const int32_t* codes = lane.codes_.data();
+      for (size_t r = 0; r < n; ++r) {
+        dst[r] = verdict[static_cast<size_t>(codes[r])];
+      }
+      break;
+    }
+    case ColumnVec::Enc::kValue:
+      break;
+  }
+  MaskNulls(lane, n, dst);
+}
+
+// dst = !null(a) && !null(b) && cmp(a, b), row by row over two lanes.
+// Column-column comparisons are rare (no vbench query has one), so they
+// stay on Value::Compare.
+void CompareLanes(const ColumnVec& a, const ColumnVec& b, CompareOp op,
+                  size_t n, uint8_t* dst) {
+  for (size_t r = 0; r < n; ++r) {
+    const Value va = a.At(r);
+    const Value vb = b.At(r);
+    dst[r] = !va.is_null() && !vb.is_null() && CmpKeep(op, va.Compare(vb));
+  }
+}
+
+}  // namespace
+
+Status FilterProgram::Execute(const Chunk& chunk,
                               std::vector<uint8_t>* keep) const {
-  const size_t n = batch.num_rows();
+  const size_t n = chunk.num_rows();
   keep->assign(n, 0);
   if (n == 0 || instrs_.empty()) return Status::OK();
   // One mask per register, flat buffer.
   std::vector<uint8_t> regs(static_cast<size_t>(num_regs_) * n, 0);
   auto reg = [&](int r) { return regs.data() + static_cast<size_t>(r) * n; };
-  const std::vector<Row>& rows = batch.rows();
   for (const Instr& ins : instrs_) {
     uint8_t* dst = reg(ins.dst);
     switch (ins.code) {
-      case OpCode::kCmpColLit: {
+      case OpCode::kCmpColLit:
         if (ins.lit.is_null()) break;  // NULL comparand: all false
-        const size_t col = static_cast<size_t>(ins.col_a);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r][col];
-          dst[r] = !v.is_null() && CmpKeep(ins.cmp, v.Compare(ins.lit));
-        }
+        CompareLaneLit(chunk.lane(static_cast<size_t>(ins.col_a)), ins.cmp,
+                       ins.lit, ins.lit_left, n, dst);
         break;
-      }
-      case OpCode::kCmpColCol: {
-        const size_t ca = static_cast<size_t>(ins.col_a);
-        const size_t cb = static_cast<size_t>(ins.col_b);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& a = rows[r][ca];
-          const Value& b = rows[r][cb];
-          dst[r] = !a.is_null() && !b.is_null() &&
-                   CmpKeep(ins.cmp, a.Compare(b));
-        }
+      case OpCode::kCmpColCol:
+        CompareLanes(chunk.lane(static_cast<size_t>(ins.col_a)),
+                     chunk.lane(static_cast<size_t>(ins.col_b)), ins.cmp, n,
+                     dst);
         break;
-      }
       case OpCode::kBoolCol: {
-        const size_t col = static_cast<size_t>(ins.col_a);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r][col];
-          if (v.is_null()) {
-            dst[r] = 0;
-          } else if (v.type() == DataType::kBool) {
-            dst[r] = v.AsBool();
-          } else {
-            // The scalar interpreter may or may not hit this cell (AND/OR
-            // short-circuit); the caller reruns the batch scalar to find
-            // out.
-            return Status::InvalidArgument(
-                "non-boolean cell in logical position");
+        const ColumnVec& lane = chunk.lane(static_cast<size_t>(ins.col_a));
+        bool non_bool = false;
+        if (lane.enc_ == ColumnVec::Enc::kBool) {
+          for (size_t r = 0; r < n; ++r) dst[r] = lane.b8_[r];
+          MaskNulls(lane, n, dst);
+        } else if (lane.enc_ == ColumnVec::Enc::kValue) {
+          for (size_t r = 0; r < n; ++r) {
+            const Value& v = lane.raw_[r];
+            if (v.is_null()) {
+              dst[r] = 0;
+            } else if (v.type() == DataType::kBool) {
+              dst[r] = v.AsBool();
+            } else {
+              non_bool = true;
+              break;
+            }
           }
+        } else {
+          // A typed non-bool lane: any non-null cell is non-boolean.
+          for (size_t r = 0; r < n && !non_bool; ++r) {
+            non_bool = !lane.NullAt(r);
+          }
+        }
+        if (non_bool) {
+          // The scalar interpreter may or may not hit this cell (AND/OR
+          // short-circuit); the caller reruns the chunk scalar to find
+          // out.
+          return Status::InvalidArgument(
+              "non-boolean cell in logical position");
         }
         break;
       }
@@ -219,21 +394,6 @@ namespace {
 
 constexpr double kDoubleExactLimit = 4503599627370496.0;  // 2^52
 
-int RankOf(DataType t) {
-  switch (t) {
-    case DataType::kNull:
-      return 0;
-    case DataType::kBool:
-      return 1;
-    case DataType::kInt64:
-    case DataType::kDouble:
-      return 2;
-    case DataType::kString:
-      return 3;
-  }
-  return 4;
-}
-
 // Resolves the zone summary of a referenced column. `synth` is storage for
 // the synthesized "id"/"obj" zones (derived from the key arrays).
 const storage::ZoneMapEntry* ResolveZone(const std::string& name,
@@ -267,8 +427,8 @@ ZoneVerdict CompareZone(const storage::ZoneMapEntry& z, CompareOp op,
   // Every cell NULL, or a NULL comparand: the comparison is false on every
   // row (never an error), so the segment can never satisfy it.
   if (z.all_null || lit.is_null()) return ZoneVerdict::kNever;
-  int zr = RankOf(z.type);
-  int lr = RankOf(lit.type());
+  int zr = ValueRank(z.type);
+  int lr = ValueRank(lit.type());
   if (zr != lr) {
     // Cross-type comparisons are a rank constant for every non-null cell.
     int c = zr < lr ? -1 : 1;

@@ -5,19 +5,26 @@
 #include <optional>
 #include <vector>
 
-#include "common/row.h"
 #include "common/status.h"
+#include "exec/chunk.h"
 #include "expr/expr.h"
 #include "storage/column_segment.h"
 
 namespace eva::exec {
 
 /// A filter predicate compiled once per query into a flat register program
-/// evaluated column-at-a-time over whole batches with uint8 masks. The
+/// evaluated column-at-a-time over whole chunks with uint8 masks. The
 /// compiled form replaces the per-row recursive Expr interpreter on the
 /// scan→filter and view-join→filter hot paths; semantics are exactly
 /// EvaluateBool's (NULL comparisons false, EvaluateBool(NULL) false,
 /// NOT of a NULL child true).
+///
+/// Column-literal comparisons read the chunk's lanes without building
+/// Values: typed numeric lanes follow Value::Compare's Int64/Double rules,
+/// a string lane gets one verdict per dictionary entry and then reads
+/// codes, a lane and literal of different type ranks give one verdict for
+/// every non-null cell, and only a mixed (raw Value) lane compares per
+/// cell. Column-column comparisons compare Values per cell.
 ///
 /// Two escape hatches keep the scalar path authoritative:
 ///  - Compile returns nullopt for shapes it does not support (missing
@@ -35,15 +42,16 @@ class FilterProgram {
   static std::optional<FilterProgram> Compile(const expr::Expr& e,
                                               const Schema& schema);
 
-  /// Evaluates over all rows of `batch`; keep->at(r) is 1 when row r
-  /// passes. `keep` is resized to the batch row count.
-  Status Execute(const Batch& batch, std::vector<uint8_t>* keep) const;
+  /// Evaluates over all rows of `chunk`; keep->at(r) is 1 when row r
+  /// passes. `keep` is resized to the chunk row count.
+  Status Execute(const Chunk& chunk, std::vector<uint8_t>* keep) const;
 
   size_t num_instructions() const { return instrs_.size(); }
 
  private:
   enum class OpCode : uint8_t {
-    kCmpColLit = 0,  // dst = !null(col_a) && cmp(col_a, lit)
+    kCmpColLit = 0,  // dst = !null(col_a) && cmp(col_a, lit), or
+                     // cmp(lit, col_a) when lit_left
     kCmpColCol,      // dst = !null(a) && !null(b) && cmp(a, b)
     kBoolCol,        // dst = bool cell (null -> 0; non-bool -> error)
     kConst,          // dst = bval
@@ -61,6 +69,9 @@ class FilterProgram {
     int src_b = -1;
     int dst = 0;
     Value lit;
+    // The literal was written first. Kept as written, not mirrored:
+    // Value::Compare ranks NaN above every number from both sides.
+    bool lit_left = false;
     bool bval = false;
   };
 

@@ -527,33 +527,37 @@ void TailLane::ToRaw(ColumnVec* col) {
   col->raw_ = std::move(raw);
 }
 
-void TailLane::AppendFrom(const ColumnVec& src, size_t begin, size_t end,
+template <typename RowFn>
+void TailLane::AppendRows(const ColumnVec& src, size_t n, RowFn row,
                           std::vector<int32_t>* remap) {
-  size_t i = begin;
+  size_t k = 0;
   // An untyped or mixed lane, or a source of another encoding, takes
   // Values; the first non-null one may type the lane and end this loop.
-  for (; i < end && (lane_.enc_ == ColumnVec::Enc::kValue ||
-                     src.enc_ != lane_.enc_);
-       ++i) {
-    Append(src.At(i));
+  for (; k < n && (lane_.enc_ == ColumnVec::Enc::kValue ||
+                   src.enc_ != lane_.enc_);
+       ++k) {
+    Append(src.At(row(k)));
   }
   switch (lane_.enc_) {
     case ColumnVec::Enc::kInt64:
-      for (; i < end; ++i) {
+      for (; k < n; ++k) {
+        const size_t i = row(k);
         const bool null = src.NullAt(i);
         PushRow(null);
         lane_.i64_.push_back(null ? 0 : src.Int64At(i));
       }
       break;
     case ColumnVec::Enc::kDouble:
-      for (; i < end; ++i) {
+      for (; k < n; ++k) {
+        const size_t i = row(k);
         const bool null = src.NullAt(i);
         PushRow(null);
         lane_.f64_.push_back(null ? 0 : src.DoubleAt(i));
       }
       break;
     case ColumnVec::Enc::kBool:
-      for (; i < end; ++i) {
+      for (; k < n; ++k) {
+        const size_t i = row(k);
         const bool null = src.NullAt(i);
         PushRow(null);
         lane_.b8_.push_back(!null && src.BoolAt(i) ? 1 : 0);
@@ -563,7 +567,8 @@ void TailLane::AppendFrom(const ColumnVec& src, size_t begin, size_t end,
       if (remap->size() < src.dict_.size()) {
         remap->resize(src.dict_.size(), -1);
       }
-      for (; i < end; ++i) {
+      for (; k < n; ++k) {
+        const size_t i = row(k);
         const bool null = src.NullAt(i);
         PushRow(null);
         int32_t code = 0;
@@ -581,6 +586,47 @@ void TailLane::AppendFrom(const ColumnVec& src, size_t begin, size_t end,
     case ColumnVec::Enc::kValue:
       break;
   }
+}
+
+void TailLane::AppendFrom(const ColumnVec& src, size_t begin, size_t end,
+                          std::vector<int32_t>* remap) {
+  if (end <= begin) return;
+  AppendRows(src, end - begin, [begin](size_t k) { return begin + k; },
+             remap);
+}
+
+void TailLane::AppendGather(const ColumnVec& src, const uint32_t* rows,
+                            size_t n, std::vector<int32_t>* remap) {
+  AppendRows(src, n, [rows](size_t k) { return size_t{rows[k]}; }, remap);
+}
+
+void TailLane::AppendInt64(int64_t x) {
+  if (lane_.enc_ != ColumnVec::Enc::kInt64) return Append(Value(x));
+  PushRow(false);
+  lane_.i64_.push_back(x);
+}
+
+void TailLane::AppendDouble(double x) {
+  if (lane_.enc_ != ColumnVec::Enc::kDouble) return Append(Value(x));
+  PushRow(false);
+  lane_.f64_.push_back(x);
+}
+
+void TailLane::AppendBool(bool x) {
+  if (lane_.enc_ != ColumnVec::Enc::kBool) return Append(Value(x));
+  PushRow(false);
+  lane_.b8_.push_back(x ? 1 : 0);
+}
+
+void TailLane::AppendString(const std::string& x) {
+  if (lane_.enc_ != ColumnVec::Enc::kDict) return Append(Value(x));
+  PushRow(false);
+  lane_.codes_.push_back(CodeOf(x));
+}
+
+void TailLane::AppendNull() {
+  static const Value kNull;
+  Append(kNull);
 }
 
 void TailLane::PushRow(bool null) {

@@ -148,6 +148,11 @@ class ColumnVec {
     return !null_bits_.empty() &&
            ((null_bits_[i >> 6] >> (i & 63)) & 1) != 0;
   }
+  /// At(i).is_null() without building the Value (NullAt covers typed
+  /// encodings only).
+  bool IsNull(size_t i) const {
+    return enc_ == Enc::kValue ? raw_[i].is_null() : NullAt(i);
+  }
 
   Enc enc() const { return enc_; }
   Codec codec() const { return codec_; }
@@ -319,6 +324,18 @@ class TailLane {
   /// and keep it across calls. Any other case appends Values.
   void AppendFrom(const ColumnVec& src, size_t begin, size_t end,
                   std::vector<int32_t>* remap);
+  /// Index-list form of AppendFrom: appends src rows rows[0..n), in that
+  /// order, with the same result as appending each src.At(rows[k]).
+  void AppendGather(const ColumnVec& src, const uint32_t* rows, size_t n,
+                    std::vector<int32_t>* remap);
+  // Typed appends, each equal to Append(Value(x)) (AppendNull to
+  // Append(Value::Null())) without building the Value while the lane
+  // already holds that type.
+  void AppendInt64(int64_t x);
+  void AppendDouble(double x);
+  void AppendBool(bool x);
+  void AppendString(const std::string& x);
+  void AppendNull();
   const ColumnVec& lane() const { return lane_; }
   /// The sealed plain column and its zone map (computed before codecs).
   /// A string dictionary past 64Ki entries falls back to raw Values.
@@ -326,6 +343,10 @@ class TailLane {
 
  private:
   void AppendTyped(const Value& v);
+  /// Appends src.At(row(k)) for k in [0, n): AppendFrom and AppendGather.
+  template <typename RowFn>
+  void AppendRows(const ColumnVec& src, size_t n, RowFn row,
+                  std::vector<int32_t>* remap);
   void PushRow(bool null);
   int32_t CodeOf(const std::string& s);
   static void ToRaw(ColumnVec* col);

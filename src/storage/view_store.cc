@@ -23,46 +23,92 @@ bool MaterializedView::Contains(const ViewKey& key) const {
   return it != segments_.end() && ContainsLocked(it->second, key);
 }
 
-bool MaterializedView::Put(const ViewKey& key,
-                           std::span<const Row* const> rows, size_t first_col,
-                           const std::function<uint64_t()>& next_tick,
-                           int64_t query_id) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Segment& seg = segments_[SegmentOf(key.frame)];
-  if (seg.info.keys > 0 && ContainsLocked(seg, key)) return false;
-  const uint64_t tick = next_tick();
-  SegmentCells& tail = seg.tail;
-  const size_t ncols = value_schema_.num_fields();
-  if (tail.cols.empty()) tail.cols.resize(ncols);
-  static const Value kNullCell;
-  for (const Row* row : rows) {
-    for (size_t c = 0; c < ncols; ++c) {
-      const size_t i = first_col + c;
-      tail.cols[c].Append(i < row->size() ? (*row)[i] : kNullCell);
+std::vector<std::vector<int32_t>>& PutRemaps::For(uint64_t tail_id,
+                                                  size_t ncols) {
+  // Consecutive Puts mostly land in one tail: try the last entry first.
+  if (last_ >= entries_.size() || entries_[last_].tail_id != tail_id) {
+    last_ = 0;
+    while (last_ < entries_.size() && entries_[last_].tail_id != tail_id) {
+      ++last_;
+    }
+    if (last_ == entries_.size()) {
+      entries_.push_back({tail_id, {}});
+      entries_.back().cols.resize(ncols);
     }
   }
-  const auto n = static_cast<int64_t>(rows.size());
+  return entries_[last_].cols;
+}
+
+MaterializedView::Segment* MaterializedView::BeginPutLocked(
+    const ViewKey& key) {
+  Segment& seg = segments_[SegmentOf(key.frame)];
+  if (seg.info.keys > 0 && ContainsLocked(seg, key)) return nullptr;
+  if (seg.tail.cols.empty()) {
+    seg.tail.cols.resize(value_schema_.num_fields());
+    seg.tail_id = ++tails_started_;
+  }
+  return &seg;
+}
+
+void MaterializedView::FinishPutLocked(Segment* seg, const ViewKey& key,
+                                       size_t rows, uint64_t tick,
+                                       int64_t query_id) {
+  const auto n = static_cast<int64_t>(rows);
+  SegmentCells& tail = seg->tail;
   tail.keys.push_back(key);
   tail.row_begin.push_back(tail.row_begin.back() + static_cast<int32_t>(n));
-  seg.tail_index.insert(key);
-  if (seg.info.keys == 0) seg.info.created_tick = tick;
-  seg.info.keys += 1;
-  seg.info.rows += n;
-  seg.info.last_access_tick = tick;
-  seg.info.last_access_query = query_id;
+  seg->tail_index.insert(key);
+  if (seg->info.keys == 0) seg->info.created_tick = tick;
+  seg->info.keys += 1;
+  seg->info.rows += n;
+  seg->info.last_access_tick = tick;
+  seg->info.last_access_query = query_id;
   if (query_id >= 0) last_access_query_ = query_id;
   num_keys_ += 1;
   num_rows_ += n;
   if (capture_appends_) append_log_.push_back(key);
+}
+
+bool MaterializedView::Put(const ViewKey& key, std::span<const TailLane> cols,
+                           std::span<const uint32_t> rows,
+                           const std::function<uint64_t()>& next_tick,
+                           int64_t query_id, PutRemaps* remaps) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  Segment* seg = BeginPutLocked(key);
+  if (seg == nullptr) return false;
+  const uint64_t tick = next_tick();
+  std::vector<TailLane>& lanes = seg->tail.cols;
+  std::vector<std::vector<int32_t>>& maps =
+      remaps->For(seg->tail_id, lanes.size());
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    if (c < cols.size()) {
+      lanes[c].AppendGather(cols[c].lane(), rows.data(), rows.size(),
+                            &maps[c]);
+    } else {
+      for (size_t r = 0; r < rows.size(); ++r) lanes[c].AppendNull();
+    }
+  }
+  FinishPutLocked(seg, key, rows.size(), tick, query_id);
   return true;
 }
 
 bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
                            uint64_t tick, int64_t query_id) {
-  std::vector<const Row*> refs;
-  refs.reserve(rows.size());
-  for (const Row& row : rows) refs.push_back(&row);
-  return Put(key, refs, 0, [tick] { return tick; }, query_id);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  Segment* seg = BeginPutLocked(key);
+  if (seg == nullptr) return false;
+  std::vector<TailLane>& lanes = seg->tail.cols;
+  for (const Row& row : rows) {
+    for (size_t c = 0; c < lanes.size(); ++c) {
+      if (c < row.size()) {
+        lanes[c].Append(row[c]);
+      } else {
+        lanes[c].AppendNull();
+      }
+    }
+  }
+  FinishPutLocked(seg, key, rows.size(), tick, query_id);
+  return true;
 }
 
 bool MaterializedView::TouchedTailsLocked(const std::vector<ViewKey>& keys,

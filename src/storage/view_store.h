@@ -127,6 +127,32 @@ struct ViewCompressionStats {
   int64_t encoded_bytes = 0;    // held footprint of sealed ones
 };
 
+/// Dictionary code tables of one STORE source (a set of execution lanes)
+/// against the tails of one view it appends to: one table per (source
+/// lane, tail lane) pair, as TailLane::AppendFrom takes them. Tables are
+/// keyed by the tail, not the segment: a seal or an eviction restarts a
+/// segment's tail under a new id, so a table never maps into a tail that
+/// is gone. Clear() whenever the source lanes change.
+class PutRemaps {
+ public:
+  void Clear() {
+    entries_.clear();
+    last_ = 0;
+  }
+
+ private:
+  friend class MaterializedView;
+  struct Entry {
+    uint64_t tail_id = 0;
+    std::vector<std::vector<int32_t>> cols;  // per value-schema field
+  };
+  /// The tables for tail `tail_id`.
+  std::vector<std::vector<int32_t>>& For(uint64_t tail_id, size_t ncols);
+
+  std::vector<Entry> entries_;  // a chunk spans a few tails
+  size_t last_ = 0;             // entry of the previous Put
+};
+
 /// Materialized view of a UDF's results, keyed by input tuple. Presence is
 /// tracked separately from rows so that "frame was processed, zero objects
 /// detected" is distinguishable from "frame never processed" — the LEFT
@@ -169,14 +195,18 @@ class MaterializedView {
 
   /// Appends `key` with its result rows to its segment's tail unless the
   /// key is already present (append-only STORE semantics); returns whether
-  /// it inserted. Row r's value cells are read in place from
-  /// (*rows[r])[first_col...]; cells past a row's end read as NULL.
-  /// `next_tick` is called once, only on insert, for the access stamp of
-  /// the key's segment (eviction scoring).
-  bool Put(const ViewKey& key, std::span<const Row* const> rows,
-           size_t first_col, const std::function<uint64_t()>& next_tick,
-           int64_t query_id);
-  /// Put of whole rows with a fixed stamp (replay, snapshot load, tests).
+  /// it inserted. The rows are `rows` (indices, in order) of the lanes
+  /// `cols`, one per value-schema field; fields past cols.size() read as
+  /// NULL. The cells are copied lane to lane (TailLane::AppendGather),
+  /// with dictionary codes mapped through `remaps`. `next_tick` is called
+  /// once, only on insert, for the access stamp of the key's segment
+  /// (eviction scoring).
+  bool Put(const ViewKey& key, std::span<const TailLane> cols,
+           std::span<const uint32_t> rows,
+           const std::function<uint64_t()>& next_tick, int64_t query_id,
+           PutRemaps* remaps);
+  /// Put of whole rows with a fixed stamp (replay, snapshot load, tests);
+  /// cells past a row's end read as NULL.
   bool Put(const ViewKey& key, const std::vector<Row>& rows,
            uint64_t tick = 0, int64_t query_id = -1);
 
@@ -279,6 +309,7 @@ class MaterializedView {
     SegmentInfo info;
     std::shared_ptr<const ColumnarSegment> sealed;  // null until first seal
     SegmentCells tail;  // open tail, keys in insertion order
+    uint64_t tail_id = 0;  // unique per tail of this view (PutRemaps key)
     std::unordered_set<ViewKey, ViewKeyHash> tail_index;  // Put's check
   };
   /// A key's rows for a gather: sealed key index or tail key position.
@@ -298,6 +329,12 @@ class MaterializedView {
 
   /// Caller holds mu_ (any mode).
   bool ContainsLocked(const Segment& seg, const ViewKey& key) const;
+  /// The segment whose tail takes `key`'s rows, or null when the key is
+  /// present. Caller holds mu_ exclusively, appends the key's cells to
+  /// every tail lane, then calls FinishPutLocked.
+  Segment* BeginPutLocked(const ViewKey& key);
+  void FinishPutLocked(Segment* seg, const ViewKey& key, size_t rows,
+                       uint64_t tick, int64_t query_id);
   /// Whether a segment touched by `keys` has an open tail; with `seal`
   /// (exclusive lock) reseals every such segment. Caller holds mu_.
   bool TouchedTailsLocked(const std::vector<ViewKey>& keys, bool seal) const;
@@ -330,6 +367,7 @@ class MaterializedView {
   int64_t segment_frames_ = 512;
   SegmentBuildOptions build_options_;
   SealTotals* seal_totals_ = nullptr;  // optional, ViewStore-owned
+  uint64_t tails_started_ = 0;  // source of Segment::tail_id
   int64_t last_access_query_ = -1;
   bool capture_appends_ = false;
   std::vector<ViewKey> append_log_;  // keys inserted since the last drain

@@ -1,0 +1,154 @@
+// Execution chunks (src/exec/chunk.h): rows appended to a chunk come back
+// out of it — through RowAt, AppendTo (ExecutePlan's row boundary) and
+// the gathers operators use — as the same Values of the same types,
+// including in lanes that meet a type conflict.
+
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "exec/chunk.h"
+
+namespace eva::exec {
+namespace {
+
+using storage::ColumnVec;
+
+// Same type and payload: Compare() alone would let Int64 1 equal Double
+// 1.0, and NaN equal nothing.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() == DataType::kDouble) {
+    const double x = a.AsDouble(), y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  }
+  return a.Compare(b) == 0;
+}
+
+void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "row " << r;
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_TRUE(SameValue(got[r][c], want[r][c]))
+          << "row " << r << " col " << c << ": " << got[r][c].ToString()
+          << " (" << DataTypeName(got[r][c].type()) << ") vs "
+          << want[r][c].ToString() << " ("
+          << DataTypeName(want[r][c].type()) << ")";
+    }
+  }
+}
+
+Schema TestSchema() {
+  return Schema({{"id", DataType::kInt64},
+                 {"label", DataType::kString},
+                 {"area", DataType::kDouble},
+                 {"flag", DataType::kBool},
+                 {"conflict", DataType::kInt64},
+                 {"nulls", DataType::kString}});
+}
+
+// Typed cells with NULLs ahead of and between them; the "conflict" lane
+// starts as Int64 and then meets a Double 1.0, a string and a bool.
+std::vector<Row> TestRows() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 40; ++i) {
+    Value conflict = Value(i);
+    if (i == 0) conflict = Value::Null();
+    if (i == 11) conflict = Value(1.0);
+    if (i == 17) conflict = Value("1");
+    if (i == 23) conflict = Value(true);
+    rows.push_back({Value(i),
+                    i % 7 == 3 ? Value::Null()
+                               : Value(i % 3 == 0 ? "car" : "bus"),
+                    i == 5 ? Value(-0.0) : i == 6 ? Value(nan)
+                                                  : Value(0.5 * i),
+                    i < 2 ? Value::Null() : Value(i % 2 == 0),
+                    conflict, Value::Null()});
+  }
+  return rows;
+}
+
+TEST(ChunkTest, RoundTripThroughBatchKeepsTypes) {
+  const std::vector<Row> rows = TestRows();
+  Chunk chunk(TestSchema());
+  for (const Row& row : rows) chunk.AppendRow(row);
+  ASSERT_EQ(chunk.num_rows(), rows.size());
+  EXPECT_EQ(chunk.lane(0).enc(), ColumnVec::Enc::kInt64);
+  EXPECT_EQ(chunk.lane(1).enc(), ColumnVec::Enc::kDict);
+  EXPECT_EQ(chunk.lane(2).enc(), ColumnVec::Enc::kDouble);
+  EXPECT_EQ(chunk.lane(3).enc(), ColumnVec::Enc::kBool);
+  EXPECT_EQ(chunk.lane(4).enc(), ColumnVec::Enc::kValue);  // the conflict
+  EXPECT_EQ(chunk.lane(5).enc(), ColumnVec::Enc::kValue);  // all NULL
+
+  // The result boundary: two chunks appended to one batch.
+  Batch batch(TestSchema());
+  chunk.AppendTo(&batch);
+  chunk.AppendTo(&batch);
+  std::vector<Row> twice = rows;
+  twice.insert(twice.end(), rows.begin(), rows.end());
+  ExpectSameRows(batch.rows(), twice);
+
+  std::vector<Row> by_row;
+  for (size_t r = 0; r < chunk.num_rows(); ++r) {
+    by_row.push_back(chunk.RowAt(r));
+  }
+  ExpectSameRows(by_row, rows);
+}
+
+TEST(ChunkTest, ShortRowsPadWithNull) {
+  Chunk chunk(TestSchema());
+  chunk.AppendRow({Value(int64_t{4}), Value("car")});
+  ASSERT_EQ(chunk.num_rows(), 1u);
+  const Row row = chunk.RowAt(0);
+  ASSERT_EQ(row.size(), 6u);
+  EXPECT_TRUE(SameValue(row[0], Value(int64_t{4})));
+  EXPECT_TRUE(SameValue(row[1], Value("car")));
+  for (size_t c = 2; c < row.size(); ++c) EXPECT_TRUE(row[c].is_null());
+}
+
+TEST(ChunkTest, GathersMatchRowSelection) {
+  const std::vector<Row> rows = TestRows();
+  Chunk chunk(TestSchema());
+  for (const Row& row : rows) chunk.AppendRow(row);
+  // Unordered, repeated indexes, across the conflict.
+  const std::vector<uint32_t> pick = {39, 0, 17, 17, 5, 6, 11, 23, 2, 2, 38};
+  LaneRemaps remaps;
+  Chunk gathered = GatherRows(chunk, pick, &remaps);
+  std::vector<Row> want;
+  for (uint32_t r : pick) want.push_back(rows[r]);
+  Batch batch(TestSchema());
+  gathered.AppendTo(&batch);
+  ExpectSameRows(batch.rows(), want);
+
+  // Column ranges into a wider chunk, as operators replicate base columns.
+  Schema wide = TestSchema();
+  wide.AddField({"extra", DataType::kDouble});
+  Chunk out(wide);
+  remaps.Clear();
+  GatherColumns(chunk, 0, chunk.num_columns(), pick, &out, 0, &remaps);
+  for (size_t k = 0; k < pick.size(); ++k) out.col(6).AppendDouble(1.5);
+  ASSERT_EQ(out.num_rows(), pick.size());
+  for (size_t k = 0; k < pick.size(); ++k) {
+    Row expect = rows[pick[k]];
+    expect.push_back(Value(1.5));
+    ExpectSameRows({out.RowAt(k)}, {expect});
+  }
+}
+
+TEST(ChunkTest, EmptyChunk) {
+  Chunk chunk(TestSchema());
+  EXPECT_TRUE(chunk.empty());
+  EXPECT_EQ(chunk.num_rows(), 0u);
+  Batch batch(TestSchema());
+  chunk.AppendTo(&batch);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_TRUE(Chunk().empty());
+}
+
+}  // namespace
+}  // namespace eva::exec

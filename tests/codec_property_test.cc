@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -1135,6 +1136,213 @@ TEST(CodecResealTest, StringDictCrossesCapAcrossReseal) {
 // Layer 3: engine differential — a real vbench workload with compression
 // on vs off must return byte-identical result sets.
 // ---------------------------------------------------------------------------
+
+// A random cell of column kind `kind` (0 Int64, 1 Double, 2 Bool,
+// 3 String): NULLs, -0.0 and NaN, repeats, and now and then a cell of
+// another type, so lanes go untyped, typed and mixed.
+Value RandomCell(Lcg* rng, int kind) {
+  const uint64_t r = rng->Next() >> 33;
+  if (r % 9 == 0) return Value::Null();
+  if (r % 23 == 1) return Value("conflict");
+  if (r % 29 == 2) return Value(int64_t{7});
+  switch (kind) {
+    case 0:
+      return Value(static_cast<int64_t>(r % 40) - 3);
+    case 1: {
+      const uint64_t d = r % 8;
+      return Value(d == 0   ? -0.0
+                   : d == 1 ? std::numeric_limits<double>::quiet_NaN()
+                   : d == 2 ? 0.25
+                            : rng->NextDouble());
+    }
+    case 2:
+      return Value(r % 3 == 0);
+    default:
+      return Value("s" + std::to_string(r % 12));
+  }
+}
+
+// The typed appends against their definition: AppendInt64(x) is
+// Append(Value(x)), and so on for every type, in every lane state.
+TEST(CodecResealTest, TypedAppendsMatchValueAppends) {
+  Lcg rng(0x7A9E);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int kind = static_cast<int>((rng.Next() >> 33) % 4);
+    TailLane typed, by_value;
+    for (int i = 0; i < 150; ++i) {
+      const Value v = RandomCell(&rng, kind);
+      by_value.Append(v);
+      switch (v.type()) {
+        case DataType::kNull:
+          typed.AppendNull();
+          break;
+        case DataType::kInt64:
+          typed.AppendInt64(v.AsInt64());
+          break;
+        case DataType::kDouble:
+          typed.AppendDouble(v.AsDouble());
+          break;
+        case DataType::kBool:
+          typed.AppendBool(v.AsBool());
+          break;
+        case DataType::kString:
+          typed.AppendString(v.AsString());
+          break;
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ZoneMapEntry zt, zv;
+    const ColumnVec ct = std::move(typed).Seal(&zt);
+    const ColumnVec cv = std::move(by_value).Seal(&zv);
+    ExpectSameColumn(ct, cv);
+    ExpectSameZone(zt, zv);
+    if (HasFailure()) break;
+  }
+}
+
+// TailLane::AppendGather against its definition: appending rows rows[k]
+// of a source equals Append(src.At(rows[k])) in order, for typed, mixed
+// and all-null sources under every codec, with repeated and unordered
+// indexes.
+TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
+  Lcg rng(0x6A7E);
+  std::vector<ColumnVec> sources;
+  for (int kind = 0; kind < 5; ++kind) {
+    TailLane lane;
+    for (int i = 0; i < 200; ++i) {
+      lane.Append(kind == 4 ? Value::Null() : RandomCell(&rng, kind));
+    }
+    ZoneMapEntry zone;
+    ColumnVec plain = std::move(lane).Seal(&zone);
+    ColumnVec packed = plain;
+    CompressColumn(&packed);
+    sources.push_back(std::move(plain));
+    sources.push_back(std::move(packed));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    TailLane gathered, by_value;
+    std::vector<std::vector<int32_t>> remaps(sources.size());
+    for (int step = 0; step < 6; ++step) {
+      const size_t s = (rng.Next() >> 33) % sources.size();
+      const ColumnVec& src = sources[s];
+      std::vector<uint32_t> rows((rng.Next() >> 33) % 40);
+      for (uint32_t& r : rows) {
+        r = static_cast<uint32_t>((rng.Next() >> 33) % src.size());
+      }
+      gathered.AppendGather(src, rows.data(), rows.size(), &remaps[s]);
+      for (uint32_t r : rows) by_value.Append(src.At(r));
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ZoneMapEntry zg, zv;
+    const ColumnVec cg = std::move(gathered).Seal(&zg);
+    const ColumnVec cv = std::move(by_value).Seal(&zv);
+    ExpectSameColumn(cg, cv);
+    ExpectSameZone(zg, zv);
+    if (HasFailure()) break;
+  }
+}
+
+// STORE's lane Put against value-by-value Puts of the same rows: the
+// sealed segments must be equal. Each source chunk has a key lane ahead
+// of the value lanes and rows that are not stored (placeholders), as
+// STORE's input does; one PutRemaps serves a whole chunk while seals,
+// probes and an eviction restart the tails under it.
+TEST(CodecResealTest, LanePutMatchesValuePuts) {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"b", DataType::kBool},
+                 {"s", DataType::kString},
+                 {"m", DataType::kInt64}});
+  const std::function<uint64_t()> no_tick = [] { return uint64_t{0}; };
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("compress=" + std::to_string(compress));
+    Lcg rng(compress ? 0x1A9E : 0x2A9E);
+    auto pick = [&rng](uint64_t k) { return (rng.Next() >> 33) % k; };
+    const SegmentBuildOptions options{compress, compress ? 10 : 0};
+    MaterializedView by_lanes("t@v", schema);
+    MaterializedView by_values("t@v", schema);
+    for (MaterializedView* view : {&by_lanes, &by_values}) {
+      view->set_segment_frames(16);
+      view->set_build_options(options);
+    }
+    int64_t frame = 0;
+    int64_t puts = 0, reputs = 0;
+    for (int chunk = 0; chunk < 60; ++chunk) {
+      std::vector<TailLane> lanes(1 + schema.num_fields());
+      std::vector<Row> cells;  // value cells by source row
+      auto add_row = [&](int64_t key_frame) {
+        Row row;
+        lanes[0].AppendInt64(key_frame);
+        for (size_t c = 0; c < schema.num_fields(); ++c) {
+          row.push_back(c == 4 ? RandomCell(&rng, static_cast<int>(pick(4)))
+                               : RandomCell(&rng, static_cast<int>(c)));
+          lanes[c + 1].Append(row.back());
+        }
+        cells.push_back(std::move(row));
+        return static_cast<uint32_t>(cells.size() - 1);
+      };
+      std::vector<std::pair<ViewKey, std::vector<uint32_t>>> keys;
+      const int nkeys = 1 + static_cast<int>(pick(12));
+      for (int k = 0; k < nkeys; ++k) {
+        // Now and then a key that is already stored (STORE skips it).
+        const int64_t f = pick(8) == 0 && frame > 0
+                              ? static_cast<int64_t>(pick(
+                                    static_cast<uint64_t>(frame)))
+                              : frame++;
+        const int64_t obj = pick(4) == 0 ? static_cast<int64_t>(pick(3)) : -1;
+        std::vector<uint32_t> rows;
+        const int nrows = static_cast<int>(pick(4));
+        for (int r = 0; r < nrows; ++r) {
+          if (pick(3) == 0) add_row(f);  // a row that is not stored
+          rows.push_back(add_row(f));
+        }
+        keys.push_back({{f, obj}, std::move(rows)});
+      }
+      const std::span<const TailLane> values(lanes.data() + 1,
+                                             schema.num_fields());
+      PutRemaps remaps;
+      for (const auto& [key, rows] : keys) {
+        std::vector<Row> value_rows;
+        for (uint32_t r : rows) value_rows.push_back(cells[r]);
+        const bool a =
+            by_lanes.Put(key, values, rows, no_tick, -1, &remaps);
+        const bool b = by_values.Put(key, value_rows);
+        ASSERT_EQ(a, b) << "frame " << key.frame;
+        (a ? puts : reputs) += 1;
+        switch (pick(10)) {
+          case 0:
+            by_lanes.SealAllSegments();
+            break;
+          case 1: {
+            ProbeResult res;  // a probe reseals the touched segment
+            by_lanes.ProbeBatch({key}, nullptr, &res);
+            break;
+          }
+          case 2: {
+            const int64_t seg = key.frame / 16;
+            EXPECT_EQ(by_lanes.EvictSegment(seg).keys,
+                      by_values.EvictSegment(seg).keys);
+            break;
+          }
+          default:
+            break;
+        }
+      }
+    }
+    EXPECT_GT(reputs, 0);
+    auto a = by_lanes.SealedSegments();
+    auto b = by_values.SealedSegments();
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_GT(a.size(), 3u);
+    for (size_t i = 0; i < a.size(); ++i) {
+      SCOPED_TRACE("segment " + std::to_string(a[i].first));
+      EXPECT_EQ(a[i].first, b[i].first);
+      ExpectSameSegment(*a[i].second, *b[i].second);
+    }
+    EXPECT_EQ(by_lanes.num_rows(), by_values.num_rows());
+    EXPECT_GT(puts, 300);
+  }
+}
 
 TEST(CodecEngineDifferentialTest, WorkloadBitIdenticalAcrossConfigs) {
   catalog::VideoInfo video;

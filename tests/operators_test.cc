@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
+#include <utility>
 
 #include "exec/operators.h"
 #include "parser/parser.h"
@@ -242,6 +244,131 @@ TEST_F(OperatorTest, AggregateWithoutGroupsCountsAll) {
   Batch out = Run(agg);
   ASSERT_EQ(out.num_rows(), 1u);
   EXPECT_EQ(out.GetByName(0, "count").AsInt64(), TotalGtObjects(0, 10));
+}
+
+TEST_F(OperatorTest, GroupByKeysOnValuesNotTheirText) {
+  // Areas are doubles that differ past six significant digits: one group
+  // per distinct value, and every detection counted once.
+  catalog::VideoInfo info;
+  info.name = "v";
+  info.num_frames = 3000;
+  info.mean_objects_per_frame = 7;
+  info.seed = 11;
+  video_ = std::make_unique<vision::SyntheticVideo>(info);
+  ctx_.video = video_.get();
+  ctx_.batch_size = 1024;
+  auto det = Chain(std::make_shared<plan::ApplyNode>("Det"), Scan(0, 3000));
+  std::set<double> distinct;
+  int64_t detections = 0;
+  for (int64_t f = 0; f < 3000; ++f) {
+    for (const vision::GtObject& d : video_->FrameObjects(f)) {
+      distinct.insert(d.area);
+      ++detections;
+    }
+  }
+  auto agg = Chain(std::make_shared<plan::AggregateNode>(
+                       std::vector<std::string>{"area"}),
+                   det);
+  Batch out = Run(agg);
+  EXPECT_EQ(out.num_rows(), distinct.size());
+  int64_t total = 0;
+  std::set<double> seen;
+  for (size_t r = 0; r < out.num_rows(); ++r) {
+    const Value area = out.GetByName(r, "area");
+    ASSERT_EQ(area.type(), DataType::kDouble);
+    EXPECT_TRUE(seen.insert(area.AsDouble()).second) << area.ToString();
+    total += out.GetByName(r, "count").AsInt64();
+  }
+  EXPECT_EQ(total, detections);
+  // Keys are compared, not printed: Int64 ids stay apart from each other.
+  auto by_id = Chain(std::make_shared<plan::AggregateNode>(
+                         std::vector<std::string>{"id", "label"}),
+                     Chain(std::make_shared<plan::ApplyNode>("Det"),
+                           Scan(0, 50)));
+  Batch groups = Run(by_id);
+  std::set<std::pair<int64_t, std::string>> expected;
+  for (int64_t f = 0; f < 50; ++f) {
+    for (const vision::GtObject& d : video_->FrameObjects(f)) {
+      expected.insert({f, d.label});
+    }
+  }
+  EXPECT_EQ(groups.num_rows(), expected.size());
+}
+
+TEST_F(OperatorTest, ChunkWithNoRowsLeftDoesNotEndTheQuery) {
+  // An empty chunk means end of stream, so an operator whose output for
+  // one input chunk is empty must go on to the next one.
+  views_.set_segment_frames(16);  // one segment per 16-frame chunk
+  {
+    auto apply = std::make_shared<plan::ApplyNode>("Det");
+    apply->set_emit_presence_placeholders(true);
+    Run(Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
+              Chain(apply, Scan(0, 32))));
+  }
+  // ViewJoin: the first chunk's hits are all zone-skipped.
+  auto later = expr::Expr::Compare(expr::CompareOp::kGe,
+                                   expr::Expr::Column("id"),
+                                   expr::Expr::Literal(Value(int64_t{16})));
+  std::vector<size_t> rows;
+  for (bool zones : {false, true}) {
+    ctx_.zone_map_skipping = zones;
+    auto join = std::make_shared<plan::ViewJoinNode>("Det", "Det@v");
+    join->set_residual_predicate(later);
+    Batch out = Run(Chain(std::make_shared<plan::FilterNode>(later),
+                          Chain(std::make_shared<plan::CondApplyNode>("Det"),
+                                Chain(join, Scan(0, 32)))));
+    rows.push_back(out.num_rows());
+  }
+  EXPECT_EQ(rows[0], static_cast<size_t>(TotalGtObjects(16, 32)));
+  EXPECT_EQ(rows[1], rows[0]);
+
+  // Store: a chunk of placeholder rows only (frames without objects).
+  catalog::VideoInfo info;
+  info.name = "v";
+  info.num_frames = 400;
+  info.mean_objects_per_frame = 0.05;
+  info.seed = 3;
+  video_ = std::make_unique<vision::SyntheticVideo>(info);
+  ctx_.video = video_.get();
+  int empty_chunks = 0;
+  for (int64_t c = 0; c < 400; c += 16) {
+    empty_chunks += TotalGtObjects(c, c + 16) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(empty_chunks, 0);
+  ASSERT_GT(TotalGtObjects(0, 400), 0);
+  auto apply = std::make_shared<plan::ApplyNode>("Det");
+  apply->set_emit_presence_placeholders(true);
+  Batch stored = Run(Chain(std::make_shared<plan::StoreNode>("Det", "Sparse@v"),
+                           Chain(apply, Scan(0, 400))));
+  EXPECT_EQ(stored.num_rows(), static_cast<size_t>(TotalGtObjects(0, 400)));
+  EXPECT_EQ(views_.Find("Sparse@v")->num_keys(), 400);
+
+  // Apply without placeholders: a chunk of frames without detections.
+  Batch applied = Run(Chain(std::make_shared<plan::ApplyNode>("Det"),
+                            Scan(0, 400)));
+  EXPECT_EQ(applied.num_rows(), static_cast<size_t>(TotalGtObjects(0, 400)));
+}
+
+TEST_F(OperatorTest, WrongKindModelFailsAtTheFirstCall) {
+  // The runtime resolves models from its own catalog; there "Det" is a
+  // classifier. The operator resolves the model once and keeps it, so the
+  // error must still surface at the first evaluation, before any charge.
+  catalog::Catalog other;
+  catalog::UdfDef det;
+  det.name = "Det";
+  det.kind = catalog::UdfKind::kClassifier;
+  det.cost_ms = 99;
+  ASSERT_TRUE(other.AddUdf(det).ok());
+  udf::UdfRuntime runtime(&other);
+  ctx_.udfs = &runtime;
+  auto r = ExecutePlan(
+      Chain(std::make_shared<plan::ApplyNode>("Det"), Scan(0, 5)), &ctx_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("not a detector"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(clock_.Elapsed(CostCategory::kUdf), 0.0);
+  EXPECT_EQ(metrics_.TotalInvocations(), 0);
+  ctx_.udfs = &runtime_;
 }
 
 TEST_F(OperatorTest, HashStashFullScanChargesWholeView) {

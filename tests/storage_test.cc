@@ -1,3 +1,5 @@
+#include <span>
+
 #include <gtest/gtest.h>
 
 #include "storage/statistics.h"
@@ -52,18 +54,23 @@ TEST(MaterializedViewTest, ReappendDrawsNoTick) {
   std::function<uint64_t()> next_tick = [&store] {
     return store.NextAccessTick();
   };
+  // One row of five lanes; the view's four value fields are lanes 1..4.
   Row row = {Value(int64_t{7}), Value(int64_t{0}), Value("car"), Value(0.3),
              Value(0.9)};
-  std::vector<const Row*> rows = {&row};
-  EXPECT_TRUE(view->Put({1, -1}, rows, 1, next_tick, 3));
+  std::vector<storage::TailLane> lanes(row.size());
+  for (size_t c = 0; c < row.size(); ++c) lanes[c].Append(row[c]);
+  const std::span<const storage::TailLane> cols(lanes.data() + 1, 4);
+  const std::vector<uint32_t> rows = {0};
+  storage::PutRemaps remaps;
+  EXPECT_TRUE(view->Put({1, -1}, cols, rows, next_tick, 3, &remaps));
   EXPECT_EQ(store.current_tick(), 1u);
   ASSERT_EQ(view->Segments().size(), 1u);
   EXPECT_EQ(view->Segments()[0].info.last_access_tick, 1u);
   // Present in the tail, then sealed: neither re-append draws a tick or
   // touches the stamps.
-  EXPECT_FALSE(view->Put({1, -1}, rows, 1, next_tick, 4));
+  EXPECT_FALSE(view->Put({1, -1}, cols, rows, next_tick, 4, &remaps));
   view->SealAllSegments();
-  EXPECT_FALSE(view->Put({1, -1}, rows, 1, next_tick, 5));
+  EXPECT_FALSE(view->Put({1, -1}, cols, rows, next_tick, 5, &remaps));
   EXPECT_EQ(store.current_tick(), 1u);
   EXPECT_EQ(view->Segments()[0].info.last_access_tick, 1u);
   EXPECT_EQ(view->Segments()[0].info.last_access_query, 3);

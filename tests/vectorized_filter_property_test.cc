@@ -1,8 +1,11 @@
-// Differential property tests for the columnar probe path (PR 5):
+// Differential property tests for the columnar probe path:
 //
-//  1. FilterProgram (src/exec/vector_filter.h) must agree row-for-row with
-//     the scalar Expr interpreter over randomized schemas, NULLs, and
-//     predicate trees whenever it compiles and executes.
+//  1. FilterProgram (src/exec/vector_filter.h), run over execution chunks,
+//     must agree row-for-row with the scalar Expr interpreter over
+//     randomized schemas, NULLs, and predicate trees whenever it compiles
+//     and executes; deterministic lane shapes (strings absent from the
+//     dictionary, Int64 against Double, NaN and -0.0, all-null and mixed
+//     lanes) are checked under every comparison operator.
 //  2. MaterializedView::Put / ProbeBatch must agree with a std::map
 //     oracle, cell for cell and type for type, across segment
 //     boundaries, re-appends, open tails, reseals, and eviction.
@@ -12,6 +15,7 @@
 //  4. The engine must produce identical row sets with the vectorized /
 //     zone-skipping paths on or off.
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -94,7 +98,8 @@ DataType RandomType(Lcg& rng) {
 struct RandomTable {
   Schema schema;
   std::vector<DataType> col_types;  // nominal type per column
-  Batch batch{Schema{}};
+  std::vector<Row> rows;            // the scalar interpreter's input
+  exec::Chunk chunk;                // the same rows as lanes
 };
 
 RandomTable MakeTable(Lcg& rng) {
@@ -105,7 +110,7 @@ RandomTable MakeTable(Lcg& rng) {
     t.col_types.push_back(type);
     t.schema.AddField({"c" + std::to_string(c), type});
   }
-  t.batch = Batch(t.schema);
+  t.chunk = exec::Chunk(t.schema);
   // Row counts straddle typical selection-vector block sizes.
   int rows = static_cast<int>(rng.Below(200));
   bool mixed_cols = rng.Chance(0.2);
@@ -122,7 +127,8 @@ RandomTable MakeTable(Lcg& rng) {
         row.push_back(RandomValue(rng, t.col_types[static_cast<size_t>(c)]));
       }
     }
-    t.batch.AddRow(std::move(row));
+    t.chunk.AppendRow(row);
+    t.rows.push_back(std::move(row));
   }
   return t;
 }
@@ -183,7 +189,7 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
     }
     ++compiled;
     std::vector<uint8_t> keep;
-    Status s = program->Execute(t.batch, &keep);
+    Status s = program->Execute(t.chunk, &keep);
     if (!s.ok()) {
       // A runtime bail (non-bool cell in a logical position) sends the
       // whole batch back to the interpreter; the verdict set is whatever
@@ -192,9 +198,9 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
       continue;
     }
     ++executed;
-    ASSERT_EQ(keep.size(), t.batch.num_rows());
-    for (size_t r = 0; r < t.batch.num_rows(); ++r) {
-      auto scalar = expr::EvaluateBool(*pred, t.schema, t.batch.rows()[r]);
+    ASSERT_EQ(keep.size(), t.rows.size());
+    for (size_t r = 0; r < t.rows.size(); ++r) {
+      auto scalar = expr::EvaluateBool(*pred, t.schema, t.rows[r]);
       // Vectorized success implies the scalar interpreter cannot error on
       // any row: every cell the program touched was bool-or-null, and the
       // interpreter touches a subset (short-circuit).
@@ -209,6 +215,180 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
   EXPECT_GT(executed, 100);
   EXPECT_GT(bailed, 0);
   EXPECT_GT(runtime_errors, 0);
+}
+
+// Every comparison operator, column op literal and literal op column, of
+// every column of `rows` against every literal: the chunk program must
+// give the interpreter's verdict on every row. Returns the number of
+// checked (predicate, row) pairs.
+int64_t CheckAllComparisons(const Schema& schema, const std::vector<Row>& rows,
+                            const std::vector<Value>& literals) {
+  exec::Chunk chunk(schema);
+  for (const Row& row : rows) chunk.AppendRow(row);
+  int64_t checked = 0;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    for (const Value& lit : literals) {
+      for (int op = 0; op < 6; ++op) {
+        const auto cmp = static_cast<CompareOp>(op);
+        ExprPtr col = Expr::Column(schema.field(c).name);
+        for (const ExprPtr& pred :
+             {Expr::Compare(cmp, col, Expr::Literal(lit)),
+              Expr::Compare(cmp, Expr::Literal(lit), col)}) {
+          auto program = FilterProgram::Compile(*pred, schema);
+          EXPECT_TRUE(program.has_value()) << pred->ToString();
+          if (!program.has_value()) continue;
+          std::vector<uint8_t> keep;
+          Status st = program->Execute(chunk, &keep);
+          EXPECT_TRUE(st.ok()) << st.ToString();
+          if (!st.ok()) continue;
+          for (size_t r = 0; r < rows.size(); ++r) {
+            auto scalar = expr::EvaluateBool(*pred, schema, rows[r]);
+            EXPECT_TRUE(scalar.ok());
+            if (!scalar.ok()) continue;
+            EXPECT_EQ(keep[r] != 0, scalar.value())
+                << pred->ToString() << " row " << r << " cell "
+                << rows[r][c].ToString();
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  return checked;
+}
+
+TEST(VectorizedFilterProperty, ChunkLaneEdgeCases) {
+  const double nan = std::nan("");
+  // i: typed Int64, d: typed Double with NaN and -0.0, s: a dictionary
+  // lane, n: all NULL, m: mixed types (raw Values), b: Bool.
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"n", DataType::kInt64},
+                 {"m", DataType::kString},
+                 {"b", DataType::kBool}});
+  std::vector<Row> rows = {
+      {Value(int64_t{1}), Value(1.0), Value("car"), Value::Null(),
+       Value("car"), Value(true)},
+      {Value(int64_t{-3}), Value(-0.0), Value("bus"), Value::Null(),
+       Value(int64_t{2}), Value(false)},
+      {Value::Null(), Value(nan), Value::Null(), Value::Null(), Value(0.5),
+       Value::Null()},
+      {Value(int64_t{0}), Value(0.0), Value("truck"), Value::Null(),
+       Value::Null(), Value(true)},
+      {Value(int64_t{9007199254740993}), Value(2.5), Value("car"),
+       Value::Null(), Value(true), Value(false)},
+      {Value(int64_t{2}), Value::Null(), Value("Car"), Value::Null(),
+       Value("zebra"), Value(true)},
+  };
+  // Strings absent from every dictionary ("aardvark", "van", "") and
+  // present ones; numbers of both types, including NaN, -0.0 and an
+  // Int64 past 2^53; and the other ranks.
+  std::vector<Value> literals = {
+      Value("car"),     Value("aardvark"),        Value("van"),
+      Value(""),        Value(int64_t{0}),        Value(int64_t{2}),
+      Value(1.0),       Value(2.5),               Value(-0.0),
+      Value(nan),       Value(0.5),               Value(int64_t{-3}),
+      Value(9007199254740992.0), Value(int64_t{9007199254740993}),
+      Value(true),      Value(false)};
+  EXPECT_GT(CheckAllComparisons(schema, rows, literals), 5000);
+
+  // The lanes hold what the test means them to hold.
+  exec::Chunk chunk(schema);
+  for (const Row& row : rows) chunk.AppendRow(row);
+  EXPECT_EQ(chunk.lane(0).enc(), storage::ColumnVec::Enc::kInt64);
+  EXPECT_EQ(chunk.lane(1).enc(), storage::ColumnVec::Enc::kDouble);
+  EXPECT_EQ(chunk.lane(2).enc(), storage::ColumnVec::Enc::kDict);
+  EXPECT_EQ(chunk.lane(3).enc(), storage::ColumnVec::Enc::kValue);
+  EXPECT_EQ(chunk.lane(4).enc(), storage::ColumnVec::Enc::kValue);
+  EXPECT_EQ(chunk.lane(5).enc(), storage::ColumnVec::Enc::kBool);
+}
+
+TEST(VectorizedFilterProperty, ChunkColumnPairsMatchInterpreter) {
+  // Column op column over every pair of typed, all-null and mixed lanes.
+  Schema schema({{"i", DataType::kInt64},
+                 {"j", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString},
+                 {"t", DataType::kString},
+                 {"n", DataType::kInt64},
+                 {"m", DataType::kDouble}});
+  Lcg rng(0x5eed0004);
+  std::vector<Row> rows;
+  exec::Chunk chunk(schema);
+  for (int r = 0; r < 64; ++r) {
+    auto maybe_null = [&](Value v) {
+      return rng.Chance(0.1) ? Value::Null() : std::move(v);
+    };
+    Row row = {maybe_null(Value(rng.Below(5) - 2)),
+               maybe_null(Value(rng.Below(5) - 2)),
+               maybe_null(Value(rng.Chance(0.1) ? -0.0
+                                                : static_cast<double>(
+                                                      rng.Below(5) - 2))),
+               maybe_null(Value(std::string(kLabels[rng.Below(5)]))),
+               maybe_null(Value(std::string(kLabels[rng.Below(3)]))),
+               Value::Null(),
+               rng.Chance(0.5) ? Value(static_cast<double>(rng.Below(3)))
+                               : Value(rng.Below(3))};
+    chunk.AppendRow(row);
+    rows.push_back(std::move(row));
+  }
+  int64_t checked = 0;
+  for (size_t a = 0; a < schema.num_fields(); ++a) {
+    for (size_t b = 0; b < schema.num_fields(); ++b) {
+      for (int op = 0; op < 6; ++op) {
+        ExprPtr pred = Expr::Compare(static_cast<CompareOp>(op),
+                                     Expr::Column(schema.field(a).name),
+                                     Expr::Column(schema.field(b).name));
+        auto program = FilterProgram::Compile(*pred, schema);
+        ASSERT_TRUE(program.has_value());
+        std::vector<uint8_t> keep;
+        ASSERT_TRUE(program->Execute(chunk, &keep).ok());
+        for (size_t r = 0; r < rows.size(); ++r) {
+          auto scalar = expr::EvaluateBool(*pred, schema, rows[r]);
+          ASSERT_TRUE(scalar.ok());
+          EXPECT_EQ(keep[r] != 0, scalar.value())
+              << pred->ToString() << " row " << r;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 7 * 7 * 6 * 64);
+}
+
+TEST(VectorizedFilterProperty, BoolColumnOverChunkLanes) {
+  // A bare column in boolean position: a Bool lane and an all-null lane
+  // evaluate; a typed non-bool lane or a mixed lane with a non-bool cell
+  // is a runtime bail, as the interpreter may raise its error.
+  Schema schema({{"b", DataType::kBool},
+                 {"n", DataType::kBool},
+                 {"i", DataType::kInt64},
+                 {"m", DataType::kBool}});
+  std::vector<Row> rows = {
+      {Value(true), Value::Null(), Value::Null(), Value(true)},
+      {Value::Null(), Value::Null(), Value(int64_t{1}), Value("x")},
+      {Value(false), Value::Null(), Value::Null(), Value::Null()}};
+  exec::Chunk chunk(schema);
+  for (const Row& row : rows) chunk.AppendRow(row);
+  for (const char* name : {"b", "n"}) {
+    ExprPtr pred = Expr::Column(name);
+    auto program = FilterProgram::Compile(*pred, schema);
+    ASSERT_TRUE(program.has_value());
+    std::vector<uint8_t> keep;
+    ASSERT_TRUE(program->Execute(chunk, &keep).ok()) << name;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      auto scalar = expr::EvaluateBool(*pred, schema, rows[r]);
+      ASSERT_TRUE(scalar.ok());
+      EXPECT_EQ(keep[r] != 0, scalar.value()) << name << " row " << r;
+    }
+  }
+  for (const char* name : {"i", "m"}) {
+    auto program = FilterProgram::Compile(*Expr::Column(name), schema);
+    ASSERT_TRUE(program.has_value());
+    std::vector<uint8_t> keep;
+    EXPECT_FALSE(program->Execute(chunk, &keep).ok()) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
