@@ -90,7 +90,8 @@ void BM_ViewContains(benchmark::State& state) {
 BENCHMARK(BM_ViewContains);
 
 // StoreOp's append (the --quick `view_append` entry): one detection row
-// per key, copied lane to lane from a wider input chunk into the open tail.
+// per key, copied lane to lane from a wider input chunk into the open
+// tail, one PutBatch per kProbeBatchKeys keys as STORE puts a chunk.
 void AppendKeys(MaterializedView* view, int64_t keys) {
   const Row input = {Value(int64_t{0}), Value(int64_t{0}), Value("car"),
                      Value(0.3), Value(0.9)};
@@ -101,11 +102,21 @@ void AppendKeys(MaterializedView* view, int64_t keys) {
                       {"score", eva::DataType::kDouble}}));
   chunk.AppendRow(input);
   const std::span<const TailLane> values(chunk.cols().data() + 1, 4);
-  const uint32_t rows[] = {0};
   const std::function<uint64_t()> tick = [] { return uint64_t{0}; };
   eva::storage::PutRemaps remaps;
-  for (int64_t f = 0; f < keys; ++f) {
-    view->Put(ViewKey{f, -1}, values, rows, tick, 0, &remaps);
+  std::vector<ViewKey> batch;
+  std::vector<uint32_t> key_rows;
+  const std::vector<uint32_t> rows(kProbeBatchKeys, 0);
+  std::vector<uint8_t> inserted;
+  for (int64_t f = 0; f < keys;) {
+    batch.clear();
+    key_rows.assign(1, 0);
+    for (; f < keys && batch.size() < kProbeBatchKeys; ++f) {
+      batch.push_back(ViewKey{f, -1});
+      key_rows.push_back(static_cast<uint32_t>(batch.size()));
+    }
+    view->PutBatch(batch, key_rows, rows, values, tick, 0, &remaps,
+                   &inserted);
   }
 }
 

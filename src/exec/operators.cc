@@ -73,17 +73,6 @@ struct UdfMetricCells {
   }
 };
 
-void CountInvocation(ExecContext* ctx, const UdfObsCounters& counters) {
-  if (ctx->active_stats != nullptr) ++ctx->active_stats->udf_invocations;
-  if (counters.invocations != nullptr) counters.invocations->Increment();
-}
-
-void CountReuse(ExecContext* ctx, const UdfObsCounters& counters,
-                int64_t rows = 1) {
-  if (ctx->active_stats != nullptr) ctx->active_stats->rows_reused += rows;
-  if (counters.reused != nullptr) counters.reused->Increment();
-}
-
 // ---------------------------------------------------------------------------
 // Lane helpers
 // ---------------------------------------------------------------------------
@@ -288,11 +277,16 @@ Status MaybeInjectUdfFault(ExecContext* ctx, const UdfDef& def,
 // Fresh UDF evaluations for one operator. The model is resolved on the
 // operator's first evaluation and kept, so an unknown or wrong-kind UDF
 // fails at that first call and later calls skip the runtime's lookup.
-// Each evaluation charges the UDF cost and counts the invocation.
+// Each evaluation charges the UDF cost and counts the invocation; the
+// registry counters take the counts once per chunk (FlushCounters) and
+// when the operator is destroyed.
 class UdfRunner {
  public:
   UdfRunner(ExecContext* ctx, const UdfDef* def)
       : ctx_(ctx), def_(def), obs_(MakeUdfCounters(ctx, def->name)) {}
+  ~UdfRunner() { FlushCounters(); }
+  UdfRunner(const UdfRunner&) = delete;
+  UdfRunner& operator=(const UdfRunner&) = delete;
 
   // Appends one (obj, label, area, score) row per detection to out[0..4)
   // and returns how many rows it appended.
@@ -306,14 +300,14 @@ class UdfRunner {
         detector_->Detect(*ctx_->video, frame);
     for (const vision::Detection& d : dets) {
       out[0].AppendInt64(static_cast<int64_t>(d.obj_id));
-      out[1].AppendString(d.label);
+      out[1].AppendLabel(vision::ObjectLabels(), d.label_id);
       out[2].AppendDouble(d.area);
       out[3].AppendDouble(d.score);
     }
     return dets.size();
   }
 
-  Result<std::string> Classify(int64_t frame, int64_t obj) {
+  Result<vision::Label> Classify(int64_t frame, int64_t obj) {
     obs::ProfScope prof("udf");
     if (classifier_ == nullptr) {
       EVA_ASSIGN_OR_RETURN(classifier_, ctx_->udfs->Classifier(def_->name));
@@ -334,7 +328,21 @@ class UdfRunner {
   // A result served from FunCache instead of a fresh evaluation.
   void CountCacheHit() {
     cells_.AddReuse(ctx_, def_->name);
-    CountReuse(ctx_, obs_);
+    if (ctx_->active_stats != nullptr) ++ctx_->active_stats->rows_reused;
+    ++reused_;
+  }
+
+  // Adds the invocations and cache hits since the last flush to the
+  // registry counters, each by its integer total.
+  void FlushCounters() {
+    if (invocations_ > 0 && obs_.invocations != nullptr) {
+      obs_.invocations->Increment(static_cast<double>(invocations_));
+    }
+    if (reused_ > 0 && obs_.reused != nullptr) {
+      obs_.reused->Increment(static_cast<double>(reused_));
+    }
+    invocations_ = 0;
+    reused_ = 0;
   }
 
  private:
@@ -343,7 +351,8 @@ class UdfRunner {
     ctx_->Charge(CostCategory::kUdf, def_->cost_ms);
     SpinFor(ctx_->udf_spin_us);
     cells_.AddInvocation(ctx_, def_->name);
-    CountInvocation(ctx_, obs_);
+    if (ctx_->active_stats != nullptr) ++ctx_->active_stats->udf_invocations;
+    ++invocations_;
     return Status::OK();
   }
 
@@ -354,6 +363,8 @@ class UdfRunner {
   const vision::DetectorModel* detector_ = nullptr;
   const vision::ClassifierModel* classifier_ = nullptr;
   const vision::FilterModel* filter_ = nullptr;
+  int64_t invocations_ = 0;  // not yet in obs_.invocations
+  int64_t reused_ = 0;       // not yet in obs_.reused
 };
 
 // FunCache hashing overhead: the cache key covers the UDF's input
@@ -392,6 +403,7 @@ class ApplyOp : public Operator {
       EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) return Chunk(output_schema_);
       EVA_ASSIGN_OR_RETURN(Chunk out, Apply(in));
+      runner_.FlushCounters();
       if (!out.empty()) return out;
     }
   }
@@ -471,8 +483,8 @@ class ApplyOp : public Operator {
 
   Status ClassifierResult(int64_t frame, int64_t obj, TailLane* out) {
     if (ctx_->funcache == nullptr) {
-      EVA_ASSIGN_OR_RETURN(std::string label, runner_.Classify(frame, obj));
-      out->AppendString(label);
+      EVA_ASSIGN_OR_RETURN(vision::Label label, runner_.Classify(frame, obj));
+      out->AppendLabel(*label.vocab, label.id);
       return Status::OK();
     }
     ChargeFunCacheHash(ctx_);
@@ -482,9 +494,9 @@ class ApplyOp : public Operator {
       out->Append((*hit)[0][0]);
       return Status::OK();
     }
-    EVA_ASSIGN_OR_RETURN(std::string label, runner_.Classify(frame, obj));
-    out->AppendString(label);
-    ctx_->funcache->Insert(def_.name, key, {{Value(std::move(label))}});
+    EVA_ASSIGN_OR_RETURN(vision::Label label, runner_.Classify(frame, obj));
+    out->AppendLabel(*label.vocab, label.id);
+    ctx_->funcache->Insert(def_.name, key, {{Value(label.name())}});
     return Status::OK();
   }
 
@@ -644,6 +656,7 @@ class ViewJoinOp : public Operator {
     Chunk out = def_.kind == UdfKind::kDetector
                     ? JoinDetector(in, ids, view)
                     : JoinSingle(in, ids, view);
+    FlushProbeCounts();
     // Access stamps land once per batch: nothing reads them before the
     // batch ends, and the last (tick, query) per segment wins either way.
     if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
@@ -733,6 +746,57 @@ class ViewJoinOp : public Operator {
     return view != nullptr ? &probe_res_.outcomes[(*oi)++] : nullptr;
   }
 
+  // Copies output rows into out[0..width) by runs: consecutive rows of
+  // one source (kFromInput: the input's own output lanes, from column
+  // `in_first`; otherwise a hit segment's index) take one AppendGather
+  // per lane. A NULL row ends the run; Flush() ends the last one.
+  static constexpr int32_t kFromInput = -1;
+  class RunCopier {
+   public:
+    RunCopier(ViewJoinOp* op, const Chunk& in, size_t in_first,
+              TailLane* out, size_t width)
+        : op_(op), in_(in), in_first_(in_first), out_(out), width_(width) {
+      op_->run_rows_.clear();
+    }
+
+    void Copy(int32_t source, size_t begin, size_t end) {
+      if (source != source_) {
+        Flush();
+        source_ = source;
+      }
+      for (size_t r = begin; r < end; ++r) {
+        op_->run_rows_.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    void AppendNull() {
+      Flush();
+      for (size_t c = 0; c < width_; ++c) out_[c].AppendNull();
+    }
+    void Flush() {
+      std::vector<uint32_t>& rows = op_->run_rows_;
+      if (rows.empty()) return;
+      for (size_t c = 0; c < width_; ++c) {
+        const bool input = source_ == kFromInput;
+        const ColumnVec& src =
+            input ? in_.lane(in_first_ + c)
+                  : op_->probe_res_.segments[static_cast<size_t>(source_)]
+                        ->cols[c];
+        out_[c].AppendGather(src, rows.data(), rows.size(),
+                             input ? op_->remaps_[c]
+                                   : op_->SegmentRemap(source_, c));
+      }
+      rows.clear();
+    }
+
+   private:
+    ViewJoinOp* op_;
+    const Chunk& in_;
+    size_t in_first_;
+    TailLane* out_;
+    size_t width_;
+    int32_t source_ = kFromInput;
+  };
+
   // Detector: a hit expands into the key's stored rows, a miss into one
   // row of NULL outputs. The input columns before the outputs follow by
   // parent row.
@@ -741,47 +805,39 @@ class ViewJoinOp : public Operator {
     const size_t base = output_width_base_;
     const size_t n_outputs = value_schema_.num_fields();
     Chunk out(output_schema_);
-    TailLane* results = &out.col(base);
+    RunCopier results(this, in, base, &out.col(base), n_outputs);
     parents_.clear();
     size_t oi = 0;  // cursor into probe_res_.outcomes, in probe order
     for (size_t r = 0; r < in.num_rows(); ++r) {
       const auto parent = static_cast<uint32_t>(r);
       if (actions_[r] == kPass) {
         parents_.push_back(parent);
-        for (size_t c = 0; c < n_outputs; ++c) {
-          results[c].AppendFrom(in.lane(base + c), r, r + 1, remaps_[c]);
-        }
+        results.Copy(kFromInput, r, r + 1);
         continue;
       }
       ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
       const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
       if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-        cells_.AddReuse(ctx_, def_.name);
-        CountProbe(true);
-        accesses_.emplace_back(Int64Cell(ids, r),
-                               ctx_->views->NextAccessTick());
+        CountHit(Int64Cell(ids, r));
         if (oc->status == storage::ProbeStatus::kHit) {
           ctx_->Charge(CostCategory::kReadView,
                        ctx_->costs.view_read_ms_per_row *
                            static_cast<double>(oc->rows_count));
           // Cells come straight out of the pinned columnar snapshot.
-          const storage::ColumnarSegment& seg = probe_res_.segment(*oc);
           const auto begin = static_cast<size_t>(oc->rows_begin);
           const size_t end = begin + static_cast<size_t>(oc->rows_count);
-          for (size_t c = 0; c < n_outputs; ++c) {
-            results[c].AppendFrom(seg.cols[c], begin, end,
-                                  SegmentRemap(oc->seg_index, c));
-          }
+          results.Copy(oc->seg_index, begin, end);
           parents_.insert(parents_.end(), end - begin, parent);
         }
         // kHitSkipped: the zone map proved the residual filter above
         // discards every stored row — skip the read, emit nothing.
       } else {
-        CountProbe(false);
+        ++misses_;
         parents_.push_back(parent);
-        for (size_t c = 0; c < n_outputs; ++c) results[c].AppendNull();
+        results.AppendNull();
       }
     }
+    results.Flush();
     base_remaps_.Clear();
     GatherColumns(in, 0, base, parents_, &out, 0, &base_remaps_);
     return out;
@@ -794,48 +850,46 @@ class ViewJoinOp : public Operator {
     const auto out_idx =
         static_cast<size_t>(output_schema_.IndexOf(def_.name));
     TailLane result;
+    // kPass means the input carries the output column, at out_idx.
+    RunCopier results(this, in, out_idx, &result, 1);
     parents_.clear();
     size_t oi = 0;
     for (size_t r = 0; r < in.num_rows(); ++r) {
       const auto parent = static_cast<uint32_t>(r);
       if (actions_[r] == kPass) {
-        // kPass means the input carries the output column, at out_idx.
         parents_.push_back(parent);
-        result.AppendFrom(in.lane(out_idx), r, r + 1, remaps_[0]);
+        results.Copy(kFromInput, r, r + 1);
         continue;
       }
       if (actions_[r] == kNullOut) {
         parents_.push_back(parent);
-        result.AppendNull();
+        results.AppendNull();
         continue;
       }
       ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
       const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
       if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-        cells_.AddReuse(ctx_, def_.name);
-        CountProbe(true);
-        accesses_.emplace_back(Int64Cell(ids, r),
-                               ctx_->views->NextAccessTick());
+        CountHit(Int64Cell(ids, r));
         if (oc->status == storage::ProbeStatus::kHit) {
           ctx_->Charge(CostCategory::kReadView,
                        ctx_->costs.view_read_ms_per_row);
           parents_.push_back(parent);
           if (oc->rows_count == 0) {
-            result.AppendNull();
+            results.AppendNull();
           } else {
             const auto begin = static_cast<size_t>(oc->rows_begin);
-            result.AppendFrom(probe_res_.segment(*oc).cols[0], begin,
-                              begin + 1, SegmentRemap(oc->seg_index, 0));
+            results.Copy(oc->seg_index, begin, begin + 1);
           }
         }
         // kHitSkipped: drop the row — STORE finds its key present (no
         // Put) and the residual filter above would discard it.
       } else {
-        CountProbe(false);
+        ++misses_;
         parents_.push_back(parent);
-        result.AppendNull();
+        results.AppendNull();
       }
     }
+    results.Flush();
     Chunk out(output_schema_);
     const bool all_rows = parents_.size() == in.num_rows();
     base_remaps_.Clear();
@@ -852,17 +906,29 @@ class ViewJoinOp : public Operator {
     return out;
   }
 
-  void CountProbe(bool hit) {
+  // A probe hit of `frame`: a reused invocation, and an access stamp for
+  // the frame's segment.
+  void CountHit(int64_t frame) {
+    cells_.AddReuse(ctx_, def_.name);
+    ++hits_;
+    accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
+  }
+
+  // Publishes the chunk's probe hit and miss counts.
+  void FlushProbeCounts() {
     if (ctx_->active_stats != nullptr) {
-      if (hit) {
-        ++ctx_->active_stats->view_hits;
-        ++ctx_->active_stats->rows_reused;
-      } else {
-        ++ctx_->active_stats->view_misses;
-      }
+      ctx_->active_stats->view_hits += hits_;
+      ctx_->active_stats->rows_reused += hits_;
+      ctx_->active_stats->view_misses += misses_;
     }
-    if (hit && probe_hits_ != nullptr) probe_hits_->Increment();
-    if (!hit && probe_misses_ != nullptr) probe_misses_->Increment();
+    if (hits_ > 0 && probe_hits_ != nullptr) {
+      probe_hits_->Increment(static_cast<double>(hits_));
+    }
+    if (misses_ > 0 && probe_misses_ != nullptr) {
+      probe_misses_->Increment(static_cast<double>(misses_));
+    }
+    hits_ = 0;
+    misses_ = 0;
   }
 
   OperatorPtr child_;
@@ -878,6 +944,9 @@ class ViewJoinOp : public Operator {
   storage::ProbeResult probe_res_;
   std::vector<std::pair<int64_t, uint64_t>> accesses_;  // (frame, tick)
   std::vector<uint32_t> parents_;  // input row of each output row
+  std::vector<uint32_t> run_rows_;  // RunCopier's pending run
+  int64_t hits_ = 0;    // this chunk's probe hits (incl. zone-skipped)
+  int64_t misses_ = 0;  // this chunk's probe misses
   LaneRemaps remaps_;       // output lanes (input and segment sources)
   LaneRemaps base_remaps_;  // input columns gathered by parent row
   UdfMetricCells cells_;
@@ -919,8 +988,11 @@ class CondApplyOp : public Operator {
     ctx_->Charge(CostCategory::kOther,
                  ctx_->costs.apply_overhead_ms_per_row *
                      static_cast<double>(in.num_rows()));
-    if (def_.kind == UdfKind::kDetector) return ApplyDetector(std::move(in));
-    return ApplySingle(std::move(in));
+    Result<Chunk> out = def_.kind == UdfKind::kDetector
+                            ? ApplyDetector(std::move(in))
+                            : ApplySingle(std::move(in));
+    runner_.FlushCounters();
+    return out;
   }
 
  private:
@@ -1006,9 +1078,9 @@ class CondApplyOp : public Operator {
           result.AppendNull();
           continue;
         }
-        EVA_ASSIGN_OR_RETURN(std::string label,
+        EVA_ASSIGN_OR_RETURN(vision::Label label,
                              runner_.Classify(frame, Int64Cell(objs, r)));
-        result.AppendString(label);
+        result.AppendLabel(*label.vocab, label.id);
       } else {
         EVA_ASSIGN_OR_RETURN(bool pass, runner_.Filter(frame));
         result.AppendBool(pass);
@@ -1061,41 +1133,33 @@ class StoreOp : public Operator {
         in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
     const int obj_idx = in.schema().IndexOf(kColObj);
     const size_t n = in.num_rows();
-    // New source lanes: the code tables of the last chunk do not apply.
-    remaps_.Clear();
+    keys_.clear();
+    key_rows_.assign(1, 0);
+    rows_.clear();
     if (def_.kind == UdfKind::kDetector) {
       // One key per run of rows of a frame; presence is recorded even for
-      // frames whose detector output is empty (NULL placeholder rows).
+      // frames whose detector output is empty (NULL placeholder rows),
+      // which are dropped here.
       const size_t n_outputs = value_schema_.num_fields();
-      const std::span<const TailLane> values(
-          in.cols().data() + (in.num_columns() - n_outputs), n_outputs);
       const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-      kept_.clear();
       for (size_t begin = 0, end = 0; begin < n; begin = end) {
         const int64_t frame = Int64Cell(ids, begin);
-        group_.clear();
         for (end = begin; end < n && Int64Cell(ids, end) == frame; ++end) {
-          if (!objs.IsNull(end)) group_.push_back(static_cast<uint32_t>(end));
+          if (!objs.IsNull(end)) rows_.push_back(static_cast<uint32_t>(end));
         }
-        if (view->Put(ViewKey{frame, -1}, values, group_, next_tick_,
-                      ctx_->query_id, &remaps_)) {
-          ctx_->Charge(CostCategory::kMaterialize,
-                       ctx_->costs.materialize_ms_per_row *
-                           static_cast<double>(group_.size() + 1));
-          CountMaterialized(static_cast<int64_t>(group_.size()) + 1);
-        }
-        // Placeholder rows are dropped here.
-        kept_.insert(kept_.end(), group_.begin(), group_.end());
+        keys_.push_back(ViewKey{frame, -1});
+        key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
       }
-      if (kept_.size() == n) return in;
-      if (kept_.empty()) return Chunk(output_schema_);
-      return GatherRows(in, kept_, &gather_remaps_);
+      Put(view, {in.cols().data() + (in.num_columns() - n_outputs),
+                 n_outputs});
+      if (rows_.size() == n) return in;
+      if (rows_.empty()) return Chunk(output_schema_);
+      return GatherRows(in, rows_, &gather_remaps_);
     }
     // Classifier / filter UDF: one row per key; every row passes through.
     const auto val_idx =
         static_cast<size_t>(in.schema().IndexOf(def_.name));
     const ColumnVec& vals = in.lane(val_idx);
-    const std::span<const TailLane> value(in.cols().data() + val_idx, 1);
     for (size_t r = 0; r < n; ++r) {
       if (vals.IsNull(r)) continue;
       int64_t obj = -1;
@@ -1104,15 +1168,40 @@ class StoreOp : public Operator {
         if (objs.IsNull(r)) continue;
         obj = Int64Cell(objs, r);
       }
-      const auto row = static_cast<uint32_t>(r);
-      if (view->Put(ViewKey{Int64Cell(ids, r), obj}, value, {&row, 1},
-                    next_tick_, ctx_->query_id, &remaps_)) {
-        ctx_->Charge(CostCategory::kMaterialize,
-                     ctx_->costs.materialize_ms_per_row);
-        CountMaterialized(1);
-      }
+      keys_.push_back(ViewKey{Int64Cell(ids, r), obj});
+      rows_.push_back(static_cast<uint32_t>(r));
+      key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
     }
+    Put(view, {in.cols().data() + val_idx, 1});
     return in;
+  }
+
+  // One PutBatch of keys_ over the lanes `values`, then the materialize
+  // charge of each inserted key, in key order, and the chunk's row count.
+  void Put(MaterializedView* view, std::span<const TailLane> values) {
+    // New source lanes: the code tables of the last chunk do not apply.
+    remaps_.Clear();
+    view->PutBatch(keys_, key_rows_, rows_, values, next_tick_,
+                   ctx_->query_id, &remaps_, &inserted_);
+    int64_t materialized = 0;
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      if (inserted_[k] == 0) continue;
+      const uint32_t rows = key_rows_[k + 1] - key_rows_[k];
+      // A detector key charges one row more: its presence.
+      const uint32_t charged =
+          def_.kind == UdfKind::kDetector ? rows + 1 : rows;
+      ctx_->Charge(CostCategory::kMaterialize,
+                   ctx_->costs.materialize_ms_per_row *
+                       static_cast<double>(charged));
+      materialized += charged;
+    }
+    if (materialized == 0) return;
+    if (ctx_->active_stats != nullptr) {
+      ctx_->active_stats->rows_materialized += materialized;
+    }
+    if (materialized_ != nullptr) {
+      materialized_->Increment(static_cast<double>(materialized));
+    }
   }
 
   StoreOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
@@ -1131,24 +1220,19 @@ class StoreOp : public Operator {
     }
   }
 
-  void CountMaterialized(int64_t rows) {
-    if (ctx_->active_stats != nullptr) {
-      ctx_->active_stats->rows_materialized += rows;
-    }
-    if (materialized_ != nullptr) {
-      materialized_->Increment(static_cast<double>(rows));
-    }
-  }
-
   OperatorPtr child_;
   UdfDef def_;
   std::string view_name_;
   Schema value_schema_;
   // Draws an access tick only for keys Put actually inserts.
   std::function<uint64_t()> next_tick_;
-  storage::PutRemaps remaps_;   // this chunk's lanes -> view tails
-  std::vector<uint32_t> group_;  // detector rows of one frame (scratch)
-  std::vector<uint32_t> kept_;   // non-placeholder rows (scratch)
+  storage::PutRemaps remaps_;  // this chunk's lanes -> view tails
+  // One chunk's PutBatch: key k's rows are rows_[key_rows_[k] ..
+  // key_rows_[k + 1]); detector placeholder rows are in none.
+  std::vector<ViewKey> keys_;
+  std::vector<uint32_t> key_rows_;
+  std::vector<uint32_t> rows_;
+  std::vector<uint8_t> inserted_;
   LaneRemaps gather_remaps_;
   obs::Counter* materialized_ = nullptr;
 };

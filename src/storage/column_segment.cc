@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace eva::storage {
 
@@ -163,10 +164,11 @@ size_t ColumnarSegment::FindKey(int64_t frame, int64_t obj,
                                 size_t* hint) const {
   const size_t n = num_keys();
   size_t lo = hint != nullptr ? *hint : 0;
-  // A probe behind the cursor (unsorted batch) restarts from the front.
+  // A probe at or behind the cursor's last key (a repeated key, an
+  // unsorted batch) restarts from the front.
   if (lo > n) lo = n;
   if (lo > 0 && (key_frame(lo - 1) > frame ||
-                 (key_frame(lo - 1) == frame && key_obj(lo - 1) > obj))) {
+                 (key_frame(lo - 1) == frame && key_obj(lo - 1) >= obj))) {
     lo = 0;
   }
   // Dense ascending batches land exactly on the cursor: O(1) per key.
@@ -510,6 +512,7 @@ void TailLane::Append(const Value& v) {
     if (lane_.dict_.size() > kMaxDictCardinality) premix_strings_ = lane_.dict_;
     ToRaw(&lane_);
     codes_.clear();
+    label_codes_.clear();
     mixed_ = true;
   }
   if (lane_.enc_ == ColumnVec::Enc::kValue) {
@@ -538,50 +541,51 @@ void TailLane::AppendRows(const ColumnVec& src, size_t n, RowFn row,
        ++k) {
     Append(src.At(row(k)));
   }
+  const size_t count = n - k;
+  if (count == 0) return;
+  // Typed copies of rows [k, n) into `dst`; cell(i) reads non-null source
+  // row i. A source without nulls records its rows in one step.
+  auto copy = [&](auto* dst, auto cell) {
+    using T = typename std::decay_t<decltype(*dst)>::value_type;
+    const size_t base = dst->size();
+    dst->resize(base + count);
+    T* out = dst->data() + base;
+    if (src.null_bits_.empty()) {
+      for (size_t j = 0; j < count; ++j) out[j] = cell(row(k + j));
+      PushRows(count);
+      return;
+    }
+    for (size_t j = 0; j < count; ++j) {
+      const size_t i = row(k + j);
+      const bool null = src.NullAt(i);
+      PushRow(null);
+      out[j] = null ? T{} : cell(i);
+    }
+  };
   switch (lane_.enc_) {
     case ColumnVec::Enc::kInt64:
-      for (; k < n; ++k) {
-        const size_t i = row(k);
-        const bool null = src.NullAt(i);
-        PushRow(null);
-        lane_.i64_.push_back(null ? 0 : src.Int64At(i));
-      }
+      copy(&lane_.i64_, [&src](size_t i) { return src.Int64At(i); });
       break;
     case ColumnVec::Enc::kDouble:
-      for (; k < n; ++k) {
-        const size_t i = row(k);
-        const bool null = src.NullAt(i);
-        PushRow(null);
-        lane_.f64_.push_back(null ? 0 : src.DoubleAt(i));
-      }
+      copy(&lane_.f64_, [&src](size_t i) { return src.DoubleAt(i); });
       break;
     case ColumnVec::Enc::kBool:
-      for (; k < n; ++k) {
-        const size_t i = row(k);
-        const bool null = src.NullAt(i);
-        PushRow(null);
-        lane_.b8_.push_back(!null && src.BoolAt(i) ? 1 : 0);
-      }
+      copy(&lane_.b8_, [&src](size_t i) {
+        return static_cast<uint8_t>(src.BoolAt(i) ? 1 : 0);
+      });
       break;
     case ColumnVec::Enc::kDict:
       if (remap->size() < src.dict_.size()) {
         remap->resize(src.dict_.size(), -1);
       }
-      for (; k < n; ++k) {
-        const size_t i = row(k);
-        const bool null = src.NullAt(i);
-        PushRow(null);
-        int32_t code = 0;
-        if (!null) {
-          const int32_t src_code = src.CodeAt(i);
-          int32_t& mapped = (*remap)[static_cast<size_t>(src_code)];
-          if (mapped < 0) {
-            mapped = CodeOf(src.dict_[static_cast<size_t>(src_code)]);
-          }
-          code = mapped;
+      copy(&lane_.codes_, [this, &src, remap](size_t i) {
+        const int32_t src_code = src.CodeAt(i);
+        int32_t& mapped = (*remap)[static_cast<size_t>(src_code)];
+        if (mapped < 0) {
+          mapped = CodeOf(src.dict_[static_cast<size_t>(src_code)]);
         }
-        lane_.codes_.push_back(code);
-      }
+        return mapped;
+      });
       break;
     case ColumnVec::Enc::kValue:
       break;
@@ -624,6 +628,13 @@ void TailLane::AppendString(const std::string& x) {
   lane_.codes_.push_back(CodeOf(x));
 }
 
+void TailLane::AppendLabel(const std::vector<std::string>& vocab,
+                           size_t id) {
+  if (lane_.enc_ != ColumnVec::Enc::kDict) return AppendString(vocab[id]);
+  PushRow(false);
+  lane_.codes_.push_back(LabelCode(vocab, id));
+}
+
 void TailLane::AppendNull() {
   static const Value kNull;
   Append(kNull);
@@ -642,11 +653,32 @@ void TailLane::PushRow(bool null) {
   }
 }
 
+void TailLane::PushRows(size_t count) {
+  lane_.n_ += count;
+  if (!lane_.null_bits_.empty()) {
+    lane_.null_bits_.resize((lane_.n_ + 63) >> 6, 0);
+  }
+}
+
 int32_t TailLane::CodeOf(const std::string& s) {
   auto [it, inserted] =
       codes_.emplace(s, static_cast<int32_t>(lane_.dict_.size()));
   if (inserted) lane_.dict_.push_back(s);
   return it->second;
+}
+
+int32_t TailLane::LabelCode(const std::vector<std::string>& vocab,
+                            size_t id) {
+  // A lane sees one or two vocabularies; the last one comes first.
+  size_t t = label_codes_.size();
+  while (t > 0 && label_codes_[t - 1].vocab != &vocab) --t;
+  if (t == 0) {
+    label_codes_.push_back({&vocab, std::vector<int32_t>(vocab.size(), -1)});
+    t = label_codes_.size();
+  }
+  int32_t& code = label_codes_[t - 1].codes[id];
+  if (code < 0) code = CodeOf(vocab[id]);
+  return code;
 }
 
 void TailLane::AppendTyped(const Value& v) {

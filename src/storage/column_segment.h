@@ -335,6 +335,11 @@ class TailLane {
   void AppendDouble(double x);
   void AppendBool(bool x);
   void AppendString(const std::string& x);
+  /// AppendString(vocab[id]) for an entry of a long-lived vocabulary:
+  /// while the lane is dictionary-coded, the entry's lane code comes from
+  /// a per-vocabulary table, so the name is neither copied nor hashed
+  /// after its first append. `vocab` must outlive the lane and not change.
+  void AppendLabel(const std::vector<std::string>& vocab, size_t id);
   void AppendNull();
   const ColumnVec& lane() const { return lane_; }
   /// The sealed plain column and its zone map (computed before codecs).
@@ -348,14 +353,23 @@ class TailLane {
   void AppendRows(const ColumnVec& src, size_t n, RowFn row,
                   std::vector<int32_t>* remap);
   void PushRow(bool null);
+  /// PushRow(false) `count` times.
+  void PushRows(size_t count);
   int32_t CodeOf(const std::string& s);
   static void ToRaw(ColumnVec* col);
+  /// Lane code of vocab[id] through the vocabulary's table.
+  int32_t LabelCode(const std::vector<std::string>& vocab, size_t id);
 
   ColumnVec lane_;
   DataType type_ = DataType::kNull;  // first non-null cell's type
   bool has_nulls_ = false;
   bool mixed_ = false;
   std::unordered_map<std::string, int32_t> codes_;  // kDict: cell -> code
+  struct LabelCodes {
+    const std::vector<std::string>* vocab;
+    std::vector<int32_t> codes;  // vocabulary id -> lane code, -1 unseen
+  };
+  std::vector<LabelCodes> label_codes_;  // kDict: one per vocabulary seen
   std::vector<std::string> premix_strings_;  // overflowed dict, then mixed
 };
 

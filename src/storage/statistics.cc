@@ -44,47 +44,34 @@ StatisticsManager::StatisticsManager(const vision::SyntheticVideo& video,
       area_hist_(0.0, 0.6, 24),
       score_hist_(0.5, 1.0, 20) {
   int64_t step = std::max<int64_t>(1, num_frames_ / sample_frames);
-  // Counting through a std::map paid three tree traversals per sampled
-  // object; consecutive objects overwhelmingly repeat the same label /
-  // type / color, so a one-slot cache short-circuits almost all of them.
-  struct CountCache {
-    std::map<std::string, int64_t> counts;
-    const std::string* last_key = nullptr;
-    int64_t* last_slot = nullptr;
-    void Bump(const std::string& k) {
-      if (last_key == nullptr || *last_key != k) {
-        auto [it, inserted] = counts.try_emplace(k, 0);
-        last_key = &it->first;
-        last_slot = &it->second;
-      }
-      ++*last_slot;
-    }
-  };
-  CountCache label_counts, type_counts, color_counts;
+  // Counted by vocabulary id; a name that never occurs gets no frequency.
+  std::vector<int64_t> label_counts(vision::ObjectLabels().size());
+  std::vector<int64_t> type_counts(vision::VehicleTypes().size());
+  std::vector<int64_t> color_counts(vision::VehicleColors().size());
   int64_t total_objects = 0;
   for (int64_t f = 0; f < num_frames_; f += step) {
     for (const auto& o : video.FrameObjects(f)) {
       ++total_objects;
-      label_counts.Bump(o.label);
-      type_counts.Bump(o.car_type);
-      color_counts.Bump(o.color);
+      ++label_counts[o.label_id];
+      ++type_counts[o.type_id];
+      ++color_counts[o.color_id];
       area_hist_.Add(o.area);
       score_hist_.Add(o.score);
     }
   }
   if (total_objects == 0) total_objects = 1;
-  for (const auto& [k, v] : label_counts.counts) {
-    label_freq_[k] =
-        static_cast<double>(v) / static_cast<double>(total_objects);
-  }
-  for (const auto& [k, v] : type_counts.counts) {
-    type_freq_[k] =
-        static_cast<double>(v) / static_cast<double>(total_objects);
-  }
-  for (const auto& [k, v] : color_counts.counts) {
-    color_freq_[k] =
-        static_cast<double>(v) / static_cast<double>(total_objects);
-  }
+  auto publish = [total_objects](const std::vector<std::string>& vocab,
+                                 const std::vector<int64_t>& counts,
+                                 std::map<std::string, double>* freq) {
+    for (size_t i = 0; i < vocab.size(); ++i) {
+      if (counts[i] == 0) continue;
+      (*freq)[vocab[i]] = static_cast<double>(counts[i]) /
+                          static_cast<double>(total_objects);
+    }
+  };
+  publish(vision::ObjectLabels(), label_counts, &label_freq_);
+  publish(vision::VehicleTypes(), type_counts, &type_freq_);
+  publish(vision::VehicleColors(), color_counts, &color_freq_);
 }
 
 symbolic::DimKind StatisticsManager::KindOf(const std::string& dim) const {

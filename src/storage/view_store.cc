@@ -5,8 +5,8 @@
 
 namespace eva::storage {
 
-bool MaterializedView::ContainsLocked(const Segment& seg,
-                                      const ViewKey& key) const {
+bool MaterializedView::ContainsLocked(const Segment& seg, const ViewKey& key,
+                                      size_t* cursor) const {
   if (seg.tail_index.count(key) > 0) return true;
   const ColumnarSegment* sealed = seg.sealed.get();
   if (sealed == nullptr) return false;
@@ -14,7 +14,7 @@ bool MaterializedView::ContainsLocked(const Segment& seg,
       !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
     return false;
   }
-  return sealed->FindKey(key.frame, key.obj, nullptr) != ColumnarSegment::npos;
+  return sealed->FindKey(key.frame, key.obj, cursor) != ColumnarSegment::npos;
 }
 
 bool MaterializedView::Contains(const ViewKey& key) const {
@@ -39,15 +39,10 @@ std::vector<std::vector<int32_t>>& PutRemaps::For(uint64_t tail_id,
   return entries_[last_].cols;
 }
 
-MaterializedView::Segment* MaterializedView::BeginPutLocked(
-    const ViewKey& key) {
-  Segment& seg = segments_[SegmentOf(key.frame)];
-  if (seg.info.keys > 0 && ContainsLocked(seg, key)) return nullptr;
-  if (seg.tail.cols.empty()) {
-    seg.tail.cols.resize(value_schema_.num_fields());
-    seg.tail_id = ++tails_started_;
-  }
-  return &seg;
+void MaterializedView::StartTailLocked(Segment* seg) {
+  if (!seg->tail.cols.empty()) return;
+  seg->tail.cols.resize(value_schema_.num_fields());
+  seg->tail_id = ++tails_started_;
 }
 
 void MaterializedView::FinishPutLocked(Segment* seg, const ViewKey& key,
@@ -69,34 +64,56 @@ void MaterializedView::FinishPutLocked(Segment* seg, const ViewKey& key,
   if (capture_appends_) append_log_.push_back(key);
 }
 
-bool MaterializedView::Put(const ViewKey& key, std::span<const TailLane> cols,
-                           std::span<const uint32_t> rows,
-                           const std::function<uint64_t()>& next_tick,
-                           int64_t query_id, PutRemaps* remaps) {
+void MaterializedView::PutBatch(std::span<const ViewKey> keys,
+                                std::span<const uint32_t> key_rows,
+                                std::span<const uint32_t> rows,
+                                std::span<const TailLane> cols,
+                                const std::function<uint64_t()>& next_tick,
+                                int64_t query_id, PutRemaps* remaps,
+                                std::vector<uint8_t>* inserted) {
+  inserted->assign(keys.size(), 0);
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Segment* seg = BeginPutLocked(key);
-  if (seg == nullptr) return false;
-  const uint64_t tick = next_tick();
-  std::vector<TailLane>& lanes = seg->tail.cols;
-  std::vector<std::vector<int32_t>>& maps =
-      remaps->For(seg->tail_id, lanes.size());
-  for (size_t c = 0; c < lanes.size(); ++c) {
-    if (c < cols.size()) {
-      lanes[c].AppendGather(cols[c].lane(), rows.data(), rows.size(),
-                            &maps[c]);
-    } else {
-      for (size_t r = 0; r < rows.size(); ++r) lanes[c].AppendNull();
+  for (size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
+    // One run: consecutive keys of one segment.
+    const int64_t seg_id = SegmentOf(keys[begin].frame);
+    end = begin + 1;
+    while (end < keys.size() && SegmentOf(keys[end].frame) == seg_id) ++end;
+    Segment& seg = segments_[seg_id];
+    size_t cursor = 0;
+    put_rows_.clear();
+    for (size_t k = begin; k < end; ++k) {
+      if (seg.info.keys > 0 && ContainsLocked(seg, keys[k], &cursor)) {
+        continue;
+      }
+      StartTailLocked(&seg);
+      const uint64_t tick = next_tick();
+      put_rows_.insert(put_rows_.end(), rows.begin() + key_rows[k],
+                       rows.begin() + key_rows[k + 1]);
+      FinishPutLocked(&seg, keys[k], key_rows[k + 1] - key_rows[k], tick,
+                      query_id);
+      (*inserted)[k] = 1;
+    }
+    if (put_rows_.empty()) continue;
+    std::vector<TailLane>& lanes = seg.tail.cols;
+    std::vector<std::vector<int32_t>>& maps =
+        remaps->For(seg.tail_id, lanes.size());
+    for (size_t c = 0; c < lanes.size(); ++c) {
+      if (c < cols.size()) {
+        lanes[c].AppendGather(cols[c].lane(), put_rows_.data(),
+                              put_rows_.size(), &maps[c]);
+      } else {
+        for (size_t r = 0; r < put_rows_.size(); ++r) lanes[c].AppendNull();
+      }
     }
   }
-  FinishPutLocked(seg, key, rows.size(), tick, query_id);
-  return true;
 }
 
 bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
                            uint64_t tick, int64_t query_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Segment* seg = BeginPutLocked(key);
-  if (seg == nullptr) return false;
+  Segment* seg = &segments_[SegmentOf(key.frame)];
+  if (seg->info.keys > 0 && ContainsLocked(*seg, key)) return false;
+  StartTailLocked(seg);
   std::vector<TailLane>& lanes = seg->tail.cols;
   for (const Row& row : rows) {
     for (size_t c = 0; c < lanes.size(); ++c) {

@@ -193,18 +193,23 @@ class MaterializedView {
   void ProbeBatch(const std::vector<ViewKey>& keys,
                   const ZoneCheckFn& can_match, ProbeResult* out) const;
 
-  /// Appends `key` with its result rows to its segment's tail unless the
-  /// key is already present (append-only STORE semantics); returns whether
-  /// it inserted. The rows are `rows` (indices, in order) of the lanes
-  /// `cols`, one per value-schema field; fields past cols.size() read as
-  /// NULL. The cells are copied lane to lane (TailLane::AppendGather),
-  /// with dictionary codes mapped through `remaps`. `next_tick` is called
-  /// once, only on insert, for the access stamp of the key's segment
-  /// (eviction scoring).
-  bool Put(const ViewKey& key, std::span<const TailLane> cols,
-           std::span<const uint32_t> rows,
-           const std::function<uint64_t()>& next_tick, int64_t query_id,
-           PutRemaps* remaps);
+  /// Appends each key of `keys` with its result rows to its segment's
+  /// tail unless the key is already present (append-only STORE semantics;
+  /// a key repeated in the batch is present from its first occurrence).
+  /// Key k's rows are rows[key_rows[k] .. key_rows[k + 1]) (key_rows has
+  /// keys.size() + 1 entries), as indices into the lanes `cols`, one per
+  /// value-schema field; fields past cols.size() read as NULL. The cells
+  /// are copied lane to lane with one TailLane::AppendGather per column
+  /// and run of keys in one segment, dictionary codes mapped through
+  /// `remaps`. `next_tick` is called once per inserted key, in key order,
+  /// for the access stamp of the key's segment (eviction scoring).
+  /// `inserted` gets one flag per key. One exclusive lock for the batch.
+  void PutBatch(std::span<const ViewKey> keys,
+                std::span<const uint32_t> key_rows,
+                std::span<const uint32_t> rows,
+                std::span<const TailLane> cols,
+                const std::function<uint64_t()>& next_tick, int64_t query_id,
+                PutRemaps* remaps, std::vector<uint8_t>* inserted);
   /// Put of whole rows with a fixed stamp (replay, snapshot load, tests);
   /// cells past a row's end read as NULL.
   bool Put(const ViewKey& key, const std::vector<Row>& rows,
@@ -327,12 +332,15 @@ class MaterializedView {
     return q;
   }
 
-  /// Caller holds mu_ (any mode).
-  bool ContainsLocked(const Segment& seg, const ViewKey& key) const;
-  /// The segment whose tail takes `key`'s rows, or null when the key is
-  /// present. Caller holds mu_ exclusively, appends the key's cells to
-  /// every tail lane, then calls FinishPutLocked.
-  Segment* BeginPutLocked(const ViewKey& key);
+  /// Tail index, then Bloom filter, then the sealed key index searched
+  /// from `cursor` (ColumnarSegment::FindKey's hint; null searches it
+  /// all). Caller holds mu_ (any mode).
+  bool ContainsLocked(const Segment& seg, const ViewKey& key,
+                      size_t* cursor = nullptr) const;
+  /// Opens `seg`'s tail if it has none. Caller holds mu_ exclusively.
+  void StartTailLocked(Segment* seg);
+  /// Records key `key` of `rows` rows, whose cells the caller appends to
+  /// every tail lane. Caller holds mu_ exclusively.
   void FinishPutLocked(Segment* seg, const ViewKey& key, size_t rows,
                        uint64_t tick, int64_t query_id);
   /// Whether a segment touched by `keys` has an open tail; with `seal`
@@ -371,6 +379,7 @@ class MaterializedView {
   int64_t last_access_query_ = -1;
   bool capture_appends_ = false;
   std::vector<ViewKey> append_log_;  // keys inserted since the last drain
+  std::vector<uint32_t> put_rows_;   // PutBatch scratch (under mu_)
 };
 
 /// Registry of materialized views, one per UDF signature (§3.1 step 2).

@@ -24,6 +24,29 @@ Rng ObjectRng(uint64_t name_seed, int64_t frame_id, int obj_id) {
   return Rng(s);
 }
 
+// Index of the entry of `vocab` equal to `name` ignoring case, or -1.
+// Property values arrive case-folded from the DDL layer.
+int FindFolded(const std::vector<std::string>& vocab,
+               const std::string& name) {
+  for (size_t i = 0; i < vocab.size(); ++i) {
+    if (ToLower(vocab[i]) == ToLower(name)) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+// Vocabularies of the classifier outputs outside the ground truth's.
+const std::vector<std::string>& UnknownLabels() {
+  static const std::vector<std::string>* kUnknown =
+      new std::vector<std::string>{"unknown"};
+  return *kUnknown;
+}
+
+const std::vector<std::string>& BoolLabels() {
+  static const std::vector<std::string>* kBool =
+      new std::vector<std::string>{"true", "false"};
+  return *kBool;
+}
+
 }  // namespace
 
 DetectorModel::DetectorModel(catalog::UdfDef def)
@@ -40,11 +63,11 @@ std::vector<Detection> DetectorModel::Detect(const SyntheticVideo& video,
     if (!rng.NextBool(recall)) continue;
     Detection d;
     d.obj_id = gt.obj_id;
-    d.label = gt.label;
+    d.label_id = gt.label_id;
     d.area = gt.area;
     // Confidence shrinks for low-accuracy models.
     d.score = gt.score * (0.6 + 0.4 * def_.recall);
-    out.push_back(std::move(d));
+    out.push_back(d);
   }
   return out;
 }
@@ -54,57 +77,37 @@ ClassifierModel::ClassifierModel(catalog::UdfDef def)
       name_seed_(HashName(def_.name)),
       target_is_color_(def_.target_attribute == "color") {
   vocabulary_ = target_is_color_ ? &VehicleColors() : &VehicleTypes();
-  // Monolithic UDF target "is:<Color>:<Type>" (see header). Property
-  // values arrive case-folded from the DDL layer, so resolve against the
-  // vocabularies case-insensitively.
+  // Monolithic UDF target "is:<Color>:<Type>" (see header).
   const std::string& t = def_.target_attribute;
   if (t.rfind("is:", 0) == 0) {
     size_t sep = t.find(':', 3);
     if (sep != std::string::npos) {
       monolithic_ = true;
-      mono_color_ = t.substr(3, sep - 3);
-      mono_type_ = t.substr(sep + 1);
-      auto canonicalize = [](std::string* value,
-                             const std::vector<std::string>& vocab) {
-        for (const std::string& v : vocab) {
-          if (ToLower(v) == ToLower(*value)) {
-            *value = v;
-            return;
-          }
-        }
-      };
-      canonicalize(&mono_color_, VehicleColors());
-      canonicalize(&mono_type_, VehicleTypes());
+      mono_color_ = FindFolded(VehicleColors(), t.substr(3, sep - 3));
+      mono_type_ = FindFolded(VehicleTypes(), t.substr(sep + 1));
     }
   }
 }
 
-std::string ClassifierModel::Classify(const SyntheticVideo& video,
-                                      int64_t frame_id, int obj_id) const {
+Label ClassifierModel::Classify(const SyntheticVideo& video, int64_t frame_id,
+                                int obj_id) const {
+  // Object ids are positions within the frame.
   const auto& objects = video.FrameObjects(frame_id);
-  const GtObject* gt = nullptr;
-  for (const GtObject& o : objects) {
-    if (o.obj_id == obj_id) {
-      gt = &o;
-      break;
-    }
+  if (obj_id < 0 || static_cast<size_t>(obj_id) >= objects.size()) {
+    return {&UnknownLabels(), 0};
   }
-  if (gt == nullptr) return "unknown";
+  const GtObject& gt = objects[static_cast<size_t>(obj_id)];
   Rng rng = ObjectRng(name_seed_, frame_id, obj_id);
   if (monolithic_) {
-    bool truth = gt->color == mono_color_ && gt->car_type == mono_type_;
+    bool truth = gt.color_id == mono_color_ && gt.type_id == mono_type_;
     if (!rng.NextBool(def_.classifier_accuracy)) truth = !truth;
-    return truth ? "true" : "false";
+    return {&BoolLabels(), static_cast<uint8_t>(truth ? 0 : 1)};
   }
-  const std::string& truth = target_is_color_ ? gt->color : gt->car_type;
-  if (rng.NextBool(def_.classifier_accuracy)) return truth;
+  const uint8_t truth = target_is_color_ ? gt.color_id : gt.type_id;
+  if (rng.NextBool(def_.classifier_accuracy)) return {vocabulary_, truth};
   // Deterministic wrong answer: the next vocabulary entry.
-  for (size_t i = 0; i < vocabulary_->size(); ++i) {
-    if ((*vocabulary_)[i] == truth) {
-      return (*vocabulary_)[(i + 1) % vocabulary_->size()];
-    }
-  }
-  return (*vocabulary_)[0];
+  return {vocabulary_,
+          static_cast<uint8_t>((truth + 1) % vocabulary_->size())};
 }
 
 FilterModel::FilterModel(catalog::UdfDef def)
@@ -113,7 +116,7 @@ FilterModel::FilterModel(catalog::UdfDef def)
 bool FilterModel::Pass(const SyntheticVideo& video, int64_t frame_id) const {
   bool has_vehicle = false;
   for (const GtObject& o : video.FrameObjects(frame_id)) {
-    if (o.label == "car" || o.label == "truck" || o.label == "bus") {
+    if (o.label_id != kPerson) {
       has_vehicle = true;
       break;
     }

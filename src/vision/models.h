@@ -12,9 +12,20 @@ namespace eva::vision {
 /// One detection emitted by an object detector.
 struct Detection {
   int obj_id = 0;
-  std::string label;
+  uint8_t label_id = 0;  // into ObjectLabels()
   double area = 0;
   double score = 0;
+
+  const std::string& label() const { return ObjectLabels()[label_id]; }
+};
+
+/// A categorical model output: entry `id` of a static vocabulary, so the
+/// executor can append it to a lane without copying or hashing the name.
+struct Label {
+  const std::vector<std::string>* vocab = nullptr;
+  uint8_t id = 0;
+
+  const std::string& name() const { return (*vocab)[id]; }
 };
 
 /// Simulated object-detection model (YOLO-tiny / FasterRCNN-R50 / -R101).
@@ -59,18 +70,21 @@ class ClassifierModel {
   double cost_ms() const { return def_.cost_ms; }
   const catalog::UdfDef& def() const { return def_; }
 
-  std::string Classify(const SyntheticVideo& video, int64_t frame_id,
-                       int obj_id) const;
+  /// An entry of the target vocabulary; "unknown" for an object the
+  /// frame does not hold, "true"/"false" for a monolithic target.
+  Label Classify(const SyntheticVideo& video, int64_t frame_id,
+                 int obj_id) const;
 
  private:
   catalog::UdfDef def_;
   uint64_t name_seed_;
   const std::vector<std::string>* vocabulary_;
   bool target_is_color_;
-  // Monolithic "is:<Color>:<Type>" target.
+  // Monolithic "is:<Color>:<Type>" target, as ids into VehicleColors() /
+  // VehicleTypes(); -1 for a name neither vocabulary holds (never true).
   bool monolithic_ = false;
-  std::string mono_color_;
-  std::string mono_type_;
+  int mono_color_ = -1;
+  int mono_type_ = -1;
 };
 
 /// Lightweight specialized filter (§5.6): a cheap frame-level binary

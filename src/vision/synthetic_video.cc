@@ -26,23 +26,24 @@ const std::vector<std::string>& VehicleColors() {
 namespace {
 
 // Label mix: mostly cars (vehicle-heavy traffic scenes, §5.1).
-const char* PickLabel(Rng& rng) {
+uint8_t PickLabel(Rng& rng) {
   double u = rng.NextDouble();
-  if (u < 0.80) return "car";
-  if (u < 0.90) return "truck";
-  if (u < 0.95) return "bus";
-  return "person";
+  if (u < 0.80) return kCar;
+  if (u < 0.90) return kTruck;
+  if (u < 0.95) return kBus;
+  return kPerson;
 }
 
-// Skewed categorical pick: first entries are more common, so equality
-// predicates on popular values (Nissan, Gray) have realistic selectivity.
-const std::string& PickSkewed(Rng& rng, const std::vector<std::string>& v) {
+// Skewed categorical pick of an id into `v`: first entries are more
+// common, so equality predicates on popular values (Nissan, Gray) have
+// realistic selectivity.
+uint8_t PickSkewed(Rng& rng, const std::vector<std::string>& v) {
   double u = rng.NextDouble();
   static const double kCdf[] = {0.30, 0.55, 0.75, 0.90, 1.00};
   for (size_t i = 0; i < v.size(); ++i) {
-    if (u <= kCdf[i]) return v[i];
+    if (u <= kCdf[i]) return static_cast<uint8_t>(i);
   }
-  return v.back();
+  return static_cast<uint8_t>(v.size() - 1);
 }
 
 }  // namespace
@@ -58,15 +59,15 @@ SyntheticVideo::SyntheticVideo(catalog::VideoInfo info)
     for (int i = 0; i < n; ++i) {
       GtObject o;
       o.obj_id = i;
-      o.label = PickLabel(rng);
-      o.car_type = PickSkewed(rng, VehicleTypes());
-      o.color = PickSkewed(rng, VehicleColors());
+      o.label_id = PickLabel(rng);
+      o.type_id = PickSkewed(rng, VehicleTypes());
+      o.color_id = PickSkewed(rng, VehicleColors());
       // Area skews small: most boxes are distant vehicles. u^2 * 0.6 puts
       // ~71% of boxes under area 0.3 and ~50% under 0.15.
       double u = rng.NextDouble();
       o.area = u * u * 0.6;
       o.score = 0.5 + 0.5 * rng.NextDouble();
-      objs.push_back(std::move(o));
+      objs.push_back(o);
     }
   }
 }
@@ -82,7 +83,7 @@ double SyntheticVideo::MeanVehiclesPerFrame() const {
   double total = 0;
   for (const auto& objs : frames_) {
     for (const auto& o : objs) {
-      if (o.label == "car") total += 1;
+      if (o.label_id == kCar) total += 1;
     }
   }
   return total / static_cast<double>(frames_.size());

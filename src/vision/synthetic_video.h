@@ -1,6 +1,7 @@
 #ifndef EVA_VISION_SYNTHETIC_VIDEO_H_
 #define EVA_VISION_SYNTHETIC_VIDEO_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,22 +9,31 @@
 
 namespace eva::vision {
 
-/// Ground-truth object present in a frame. Attributes mirror what the
-/// paper's UDFs extract: detection label, vehicle type (CarType), color
-/// (ColorDet), relative bounding-box area, and detector confidence.
-struct GtObject {
-  int obj_id = 0;  // index within the frame
-  std::string label;
-  std::string car_type;
-  std::string color;
-  double area = 0;
-  double score = 0;
-};
-
 /// Vocabularies used by the generator and the simulated classifiers.
 const std::vector<std::string>& ObjectLabels();    // car, truck, bus, person
 const std::vector<std::string>& VehicleTypes();    // Nissan, Toyota, ...
 const std::vector<std::string>& VehicleColors();   // Gray, Red, ...
+
+/// Ids into ObjectLabels().
+enum ObjectLabelId : uint8_t { kCar = 0, kTruck, kBus, kPerson };
+
+/// Ground-truth object present in a frame. Attributes mirror what the
+/// paper's UDFs extract: detection label, vehicle type (CarType), color
+/// (ColorDet), relative bounding-box area, and detector confidence. The
+/// categorical attributes are ids into the vocabularies above; the models
+/// carry them as ids down to the execution lanes.
+struct GtObject {
+  int obj_id = 0;  // index within the frame
+  uint8_t label_id = 0;  // into ObjectLabels()
+  uint8_t type_id = 0;   // into VehicleTypes()
+  uint8_t color_id = 0;  // into VehicleColors()
+  double area = 0;
+  double score = 0;
+
+  const std::string& label() const { return ObjectLabels()[label_id]; }
+  const std::string& car_type() const { return VehicleTypes()[type_id]; }
+  const std::string& color() const { return VehicleColors()[color_id]; }
+};
 
 /// Deterministic synthetic video: each frame carries a ground-truth object
 /// list generated from (seed, frame_id). This replaces the real UA-DETRAC /

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -1200,6 +1201,63 @@ TEST(CodecResealTest, TypedAppendsMatchValueAppends) {
   }
 }
 
+// TailLane::AppendLabel(vocab, id) against AppendString(vocab[id]), cell
+// for cell and after Seal, in every lane state: a null prefix, a typed
+// dictionary, a type conflict (raw Values from then on), one lane fed from
+// vocabularies that share a name, and a lane moved mid-stream.
+TEST(CodecResealTest, AppendLabelMatchesAppendString) {
+  const std::vector<std::vector<std::string>> vocabs = {
+      {"car", "truck", "bus", "person"}, {"unknown"}, {"true", "false", "car"}};
+  Lcg rng(0x1ABE);
+  auto pick = [&rng](uint64_t k) { return (rng.Next() >> 33) % k; };
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    TailLane labels, strings;
+    const int nulls = static_cast<int>(pick(3));
+    for (int i = 0; i < nulls; ++i) {
+      labels.AppendNull();
+      strings.AppendNull();
+    }
+    // Most trials stay on one vocabulary; some mix all three.
+    const uint64_t nvocabs = pick(2) == 0 ? vocabs.size() : 1;
+    const bool conflict = pick(4) == 0;
+    for (int i = 0; i < 120; ++i) {
+      if (i == 60 && pick(2) == 0) {
+        TailLane moved_labels(std::move(labels));
+        TailLane moved_strings(std::move(strings));
+        labels = std::move(moved_labels);
+        strings = std::move(moved_strings);
+      }
+      if (conflict && i == 40) {
+        labels.AppendInt64(7);
+        strings.AppendInt64(7);
+        continue;
+      }
+      if (pick(10) == 0) {
+        labels.AppendNull();
+        strings.AppendNull();
+        continue;
+      }
+      const std::vector<std::string>& vocab = vocabs[pick(nvocabs)];
+      const size_t id = pick(vocab.size());
+      labels.AppendLabel(vocab, id);
+      strings.AppendString(vocab[id]);
+    }
+    ASSERT_EQ(labels.lane().size(), strings.lane().size());
+    for (size_t i = 0; i < labels.lane().size(); ++i) {
+      EXPECT_TRUE(SameValue(labels.lane().At(i), strings.lane().At(i)))
+          << "row " << i;
+    }
+    ExpectSameColumn(labels.lane(), strings.lane());
+    ZoneMapEntry zl, zs;
+    const ColumnVec cl = std::move(labels).Seal(&zl);
+    const ColumnVec cs = std::move(strings).Seal(&zs);
+    ExpectSameColumn(cl, cs);
+    ExpectSameZone(zl, zs);
+    if (HasFailure()) break;
+  }
+}
+
 // TailLane::AppendGather against its definition: appending rows rows[k]
 // of a source equals Append(src.At(rows[k])) in order, for typed, mixed
 // and all-null sources under every codec, with repeated and unordered
@@ -1242,18 +1300,21 @@ TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
   }
 }
 
-// STORE's lane Put against value-by-value Puts of the same rows: the
-// sealed segments must be equal. Each source chunk has a key lane ahead
-// of the value lanes and rows that are not stored (placeholders), as
-// STORE's input does; one PutRemaps serves a whole chunk while seals,
-// probes and an eviction restart the tails under it.
+// STORE's PutBatch against one value Put per key of the same rows: the
+// inserted flags, access ticks, segment stamps, append logs and sealed
+// segments must be equal. Each source chunk has a key lane ahead of the
+// value lanes and rows that are not stored (placeholders), as STORE's
+// input does. A chunk goes in as a few batches, some in reverse key
+// order, whose keys repeat earlier keys (in the sealed part, the tail, or
+// the same batch) and span segments; one PutRemaps serves the chunk while
+// seals, probes and an eviction between batches restart the tails under
+// it.
 TEST(CodecResealTest, LanePutMatchesValuePuts) {
   Schema schema({{"i", DataType::kInt64},
                  {"d", DataType::kDouble},
                  {"b", DataType::kBool},
                  {"s", DataType::kString},
                  {"m", DataType::kInt64}});
-  const std::function<uint64_t()> no_tick = [] { return uint64_t{0}; };
   for (bool compress : {false, true}) {
     SCOPED_TRACE("compress=" + std::to_string(compress));
     Lcg rng(compress ? 0x1A9E : 0x2A9E);
@@ -1264,7 +1325,12 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
     for (MaterializedView* view : {&by_lanes, &by_values}) {
       view->set_segment_frames(16);
       view->set_build_options(options);
+      view->set_capture_appends(true);
     }
+    uint64_t lane_clock = 0, value_clock = 0;
+    const std::function<uint64_t()> next_tick = [&lane_clock] {
+      return ++lane_clock;
+    };
     int64_t frame = 0;
     int64_t puts = 0, reputs = 0;
     for (int chunk = 0; chunk < 60; ++chunk) {
@@ -1301,14 +1367,39 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
       const std::span<const TailLane> values(lanes.data() + 1,
                                              schema.num_fields());
       PutRemaps remaps;
-      for (const auto& [key, rows] : keys) {
-        std::vector<Row> value_rows;
-        for (uint32_t r : rows) value_rows.push_back(cells[r]);
-        const bool a =
-            by_lanes.Put(key, values, rows, no_tick, -1, &remaps);
-        const bool b = by_values.Put(key, value_rows);
-        ASSERT_EQ(a, b) << "frame " << key.frame;
-        (a ? puts : reputs) += 1;
+      for (size_t begin = 0; begin < keys.size();) {
+        const size_t end =
+            std::min(keys.size(), begin + 1 + static_cast<size_t>(pick(6)));
+        if (pick(4) == 0) {
+          std::reverse(keys.begin() + static_cast<std::ptrdiff_t>(begin),
+                       keys.begin() + static_cast<std::ptrdiff_t>(end));
+        }
+        std::vector<ViewKey> batch_keys;
+        std::vector<uint32_t> key_rows{0};
+        std::vector<uint32_t> batch_rows;
+        for (size_t k = begin; k < end; ++k) {
+          batch_keys.push_back(keys[k].first);
+          batch_rows.insert(batch_rows.end(), keys[k].second.begin(),
+                            keys[k].second.end());
+          key_rows.push_back(static_cast<uint32_t>(batch_rows.size()));
+        }
+        std::vector<uint8_t> inserted;
+        by_lanes.PutBatch(batch_keys, key_rows, batch_rows, values,
+                          next_tick, -1, &remaps, &inserted);
+        ASSERT_EQ(inserted.size(), batch_keys.size());
+        for (size_t k = begin; k < end; ++k) {
+          const auto& [key, rows] = keys[k];
+          std::vector<Row> value_rows;
+          for (uint32_t r : rows) value_rows.push_back(cells[r]);
+          const bool a = inserted[k - begin] != 0;
+          const bool b = by_values.Put(key, value_rows, value_clock + 1);
+          if (b) ++value_clock;
+          ASSERT_EQ(a, b) << "frame " << key.frame;
+          (a ? puts : reputs) += 1;
+        }
+        EXPECT_EQ(lane_clock, value_clock);
+        EXPECT_EQ(by_lanes.TakeAppendedKeys(), by_values.TakeAppendedKeys());
+        const ViewKey& key = keys[end - 1].first;
         switch (pick(10)) {
           case 0:
             by_lanes.SealAllSegments();
@@ -1327,9 +1418,20 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
           default:
             break;
         }
+        begin = end;
       }
     }
     EXPECT_GT(reputs, 0);
+    const std::vector<SegmentStats> sa = by_lanes.Segments();
+    const std::vector<SegmentStats> sb = by_values.Segments();
+    ASSERT_EQ(sa.size(), sb.size());
+    for (size_t i = 0; i < sa.size(); ++i) {
+      EXPECT_EQ(sa[i].segment_id, sb[i].segment_id);
+      EXPECT_EQ(sa[i].info.keys, sb[i].info.keys);
+      EXPECT_EQ(sa[i].info.rows, sb[i].info.rows);
+      EXPECT_EQ(sa[i].info.created_tick, sb[i].info.created_tick);
+      EXPECT_EQ(sa[i].info.last_access_tick, sb[i].info.last_access_tick);
+    }
     auto a = by_lanes.SealedSegments();
     auto b = by_values.SealedSegments();
     ASSERT_EQ(a.size(), b.size());

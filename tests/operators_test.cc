@@ -119,7 +119,7 @@ TEST_F(OperatorTest, ClassifierApplyAnnotatesColumn) {
     int64_t obj = out.GetByName(r, kColObj).AsInt64();
     EXPECT_EQ(out.At(r, static_cast<size_t>(idx)).AsString(),
               video_->FrameObjects(frame)[static_cast<size_t>(obj)]
-                  .car_type);
+                  .car_type());
   }
   EXPECT_EQ(metrics_.invocations["CarType"],
             static_cast<int64_t>(out.num_rows()));
@@ -289,7 +289,7 @@ TEST_F(OperatorTest, GroupByKeysOnValuesNotTheirText) {
   std::set<std::pair<int64_t, std::string>> expected;
   for (int64_t f = 0; f < 50; ++f) {
     for (const vision::GtObject& d : video_->FrameObjects(f)) {
-      expected.insert({f, d.label});
+      expected.insert({f, d.label()});
     }
   }
   EXPECT_EQ(groups.num_rows(), expected.size());

@@ -1,4 +1,7 @@
+#include <functional>
 #include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,23 +63,124 @@ TEST(MaterializedViewTest, ReappendDrawsNoTick) {
   std::vector<storage::TailLane> lanes(row.size());
   for (size_t c = 0; c < row.size(); ++c) lanes[c].Append(row[c]);
   const std::span<const storage::TailLane> cols(lanes.data() + 1, 4);
+  const std::vector<ViewKey> keys = {{1, -1}};
+  const std::vector<uint32_t> key_rows = {0, 1};
   const std::vector<uint32_t> rows = {0};
   storage::PutRemaps remaps;
-  EXPECT_TRUE(view->Put({1, -1}, cols, rows, next_tick, 3, &remaps));
+  std::vector<uint8_t> inserted;
+  auto put = [&](int64_t query_id) {
+    view->PutBatch(keys, key_rows, rows, cols, next_tick, query_id, &remaps,
+                   &inserted);
+    EXPECT_EQ(inserted.size(), 1u);
+    return inserted.at(0) != 0;
+  };
+  EXPECT_TRUE(put(3));
   EXPECT_EQ(store.current_tick(), 1u);
   ASSERT_EQ(view->Segments().size(), 1u);
   EXPECT_EQ(view->Segments()[0].info.last_access_tick, 1u);
   // Present in the tail, then sealed: neither re-append draws a tick or
   // touches the stamps.
-  EXPECT_FALSE(view->Put({1, -1}, cols, rows, next_tick, 4, &remaps));
+  EXPECT_FALSE(put(4));
   view->SealAllSegments();
-  EXPECT_FALSE(view->Put({1, -1}, cols, rows, next_tick, 5, &remaps));
+  EXPECT_FALSE(put(5));
   EXPECT_EQ(store.current_tick(), 1u);
   EXPECT_EQ(view->Segments()[0].info.last_access_tick, 1u);
   EXPECT_EQ(view->Segments()[0].info.last_access_query, 3);
   EXPECT_EQ(view->last_access_query(), 3);
   // The cells were read from column 1 on.
   EXPECT_EQ((*ReadKey(*view, {1, -1}))[0][0].AsInt64(), 0);
+}
+
+// A probe of the key the cursor just found finds it again: after a hit
+// the cursor points past the key, so a repeated key must restart the
+// search rather than miss. Plain and compressed key indexes.
+TEST(ColumnarSegmentTest, FindKeyFindsARepeatedKey) {
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("compress=" + std::to_string(compress));
+    SegmentCells cells;
+    cells.cols.resize(1);
+    for (int64_t f = 0; f < 8; ++f) {
+      cells.keys.push_back({f, -1});
+      cells.row_begin.push_back(static_cast<int32_t>(f + 1));
+      cells.cols[0].AppendInt64(f * 10);
+    }
+    auto seg = BuildColumnarSegment(std::move(cells),
+                                    {compress, compress ? 10 : 0});
+    ASSERT_EQ(seg->packed_keys, compress);
+    size_t hint = 0;
+    EXPECT_EQ(seg->FindKey(3, -1, &hint), 3u);
+    EXPECT_EQ(seg->FindKey(3, -1, &hint), 3u);
+    EXPECT_EQ(seg->FindKey(3, -1, nullptr), 3u);
+    EXPECT_EQ(seg->FindKey(4, -1, &hint), 4u);
+    EXPECT_EQ(seg->FindKey(2, -1, &hint), 2u);  // behind the cursor
+    EXPECT_EQ(seg->FindKey(2, 0, &hint), ColumnarSegment::npos);
+    EXPECT_EQ(seg->FindKey(8, -1, &hint), ColumnarSegment::npos);
+  }
+}
+
+TEST(MaterializedViewTest, ProbeBatchHitsARepeatedKey) {
+  MaterializedView view("det@v", DetSchema());
+  view.set_build_options({true, 10});
+  for (int64_t f = 0; f < 10; ++f) {
+    view.Put({f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
+  }
+  const std::vector<ViewKey> keys = {{3, -1}, {3, -1}, {4, -1}, {4, -1}};
+  ProbeResult res;
+  view.ProbeBatch(keys, nullptr, &res);
+  ASSERT_EQ(res.outcomes.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    SCOPED_TRACE("key " + std::to_string(i));
+    const ProbeOutcome& oc = res.outcomes[i];
+    ASSERT_EQ(oc.status, ProbeStatus::kHit);
+    EXPECT_EQ(res.segment(oc).cols[0].At(static_cast<size_t>(oc.rows_begin))
+                  .AsInt64(),
+              keys[i].frame);
+  }
+}
+
+// A key repeated in one batch, or already stored in the sealed part or in
+// the tail, is inserted at most once, by its first occurrence.
+TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
+  ViewStore store;
+  MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
+  view->set_build_options({true, 10});
+  view->set_capture_appends(true);
+  for (int64_t f : {1, 2, 3}) {
+    view->Put({f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
+  }
+  view->SealAllSegments();
+  view->Put({5, -1}, {{Value(int64_t{5}), Value("car"), Value(0.3),
+                       Value(0.9)}});
+  view->TakeAppendedKeys();
+  // Lane rows: the obj lane holds 70 + row so a key's stored row shows
+  // which occurrence inserted it.
+  std::vector<TailLane> lanes(4);
+  for (int64_t r = 0; r < 7; ++r) {
+    lanes[0].AppendInt64(70 + r);
+    lanes[1].AppendString("bus");
+    lanes[2].AppendDouble(0.5);
+    lanes[3].AppendDouble(0.7);
+  }
+  const std::vector<ViewKey> keys = {{7, -1}, {7, -1}, {2, -1}, {2, -1},
+                                     {5, -1}, {5, -1}, {8, -1}};
+  const std::vector<uint32_t> key_rows = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<uint32_t> rows = {0, 1, 2, 3, 4, 5, 6};
+  const std::function<uint64_t()> next_tick = [&store] {
+    return store.NextAccessTick();
+  };
+  PutRemaps remaps;
+  std::vector<uint8_t> inserted;
+  view->PutBatch(keys, key_rows, rows, lanes, next_tick, 9, &remaps,
+                 &inserted);
+  EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 0, 0, 0, 0, 1}));
+  EXPECT_EQ(store.current_tick(), 2u);  // one tick per inserted key
+  EXPECT_EQ(view->num_keys(), 6);
+  EXPECT_EQ(view->TakeAppendedKeys(),
+            (std::vector<ViewKey>{{7, -1}, {8, -1}}));
+  EXPECT_EQ((*ReadKey(*view, {7, -1}))[0][0].AsInt64(), 70);
+  EXPECT_EQ((*ReadKey(*view, {8, -1}))[0][0].AsInt64(), 76);
+  EXPECT_EQ((*ReadKey(*view, {2, -1}))[0][0].AsInt64(), 2);
+  EXPECT_EQ((*ReadKey(*view, {5, -1}))[0][0].AsInt64(), 5);
 }
 
 TEST(MaterializedViewTest, ObjectLevelKeys) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "vision/models.h"
 #include "vision/synthetic_video.h"
@@ -37,12 +38,79 @@ TEST(SyntheticVideoTest, DeterministicAcrossInstances) {
     const auto& ob = b.FrameObjects(f);
     ASSERT_EQ(oa.size(), ob.size());
     for (size_t i = 0; i < oa.size(); ++i) {
-      EXPECT_EQ(oa[i].label, ob[i].label);
-      EXPECT_EQ(oa[i].car_type, ob[i].car_type);
-      EXPECT_EQ(oa[i].color, ob[i].color);
+      EXPECT_EQ(oa[i].label(), ob[i].label());
+      EXPECT_EQ(oa[i].car_type(), ob[i].car_type());
+      EXPECT_EQ(oa[i].color(), ob[i].color());
       EXPECT_DOUBLE_EQ(oa[i].area, ob[i].area);
     }
   }
+}
+
+// FNV-1a over a name, then a separator byte.
+uint64_t MixName(uint64_t h, const std::string& s) {
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  h ^= 0xff;
+  return h * 1099511628211ULL;
+}
+constexpr uint64_t kFnvBasis = 1469598103934665603ULL;
+
+// The (label, type, color) names of a fixed seed, pinned to the values
+// recorded when GtObject held the names themselves: storing vocabulary
+// ids must keep every RNG draw and its order.
+TEST(SyntheticVideoTest, NamesMatchRecordedFingerprint) {
+  SyntheticVideo video(Info(300, 8, 2022));
+  uint64_t h = kFnvBasis;
+  int64_t objects = 0;
+  for (int64_t f = 0; f < 300; ++f) {
+    for (const GtObject& o : video.FrameObjects(f)) {
+      h = MixName(h, o.label());
+      h = MixName(h, o.car_type());
+      h = MixName(h, o.color());
+      ++objects;
+    }
+  }
+  EXPECT_EQ(objects, 2435);
+  EXPECT_EQ(h, 0x2157a68d33ab1079ULL);
+}
+
+// Detector labels and classifier outputs (modular, monolithic, and an
+// object the frame does not hold) over the same video, pinned the same
+// way.
+TEST(ModelOutputTest, NamesMatchRecordedFingerprint) {
+  SyntheticVideo video(Info(300, 8, 2022));
+  DetectorModel det(DetectorDef("FRCNN", 0.95, 0.7));
+  catalog::UdfDef type_def;
+  type_def.name = "CarType";
+  type_def.kind = catalog::UdfKind::kClassifier;
+  type_def.classifier_accuracy = 0.9;
+  type_def.target_attribute = "car_type";
+  catalog::UdfDef color_def = type_def;
+  color_def.name = "ColorDet";
+  color_def.target_attribute = "color";
+  catalog::UdfDef mono_def = type_def;
+  mono_def.name = "RedNissan";
+  mono_def.target_attribute = "is:red:nissan";
+  ClassifierModel car_type(type_def), color(color_def), mono(mono_def);
+  uint64_t h = kFnvBasis;
+  int64_t detections = 0;
+  for (int64_t f = 0; f < 300; ++f) {
+    for (const Detection& d : det.Detect(video, f)) {
+      h = MixName(h, d.label());
+      h = MixName(h, std::to_string(d.obj_id));
+      ++detections;
+    }
+    for (const GtObject& o : video.FrameObjects(f)) {
+      h = MixName(h, car_type.Classify(video, f, o.obj_id).name());
+      h = MixName(h, color.Classify(video, f, o.obj_id).name());
+      h = MixName(h, mono.Classify(video, f, o.obj_id).name());
+    }
+    h = MixName(h, car_type.Classify(video, f, 9999).name());
+  }
+  EXPECT_EQ(detections, 1961);
+  EXPECT_EQ(h, 0x96c5679d15948ed1ULL);
 }
 
 TEST(SyntheticVideoTest, SeedChangesContent) {
@@ -71,9 +139,9 @@ TEST(SyntheticVideoTest, AttributesComeFromVocabularies) {
                                VehicleColors().end());
   for (int64_t f = 0; f < 200; ++f) {
     for (const GtObject& o : video.FrameObjects(f)) {
-      EXPECT_TRUE(labels.count(o.label)) << o.label;
-      EXPECT_TRUE(types.count(o.car_type)) << o.car_type;
-      EXPECT_TRUE(colors.count(o.color)) << o.color;
+      EXPECT_TRUE(labels.count(o.label())) << o.label();
+      EXPECT_TRUE(types.count(o.car_type())) << o.car_type();
+      EXPECT_TRUE(colors.count(o.color())) << o.color();
       EXPECT_GE(o.area, 0.0);
       EXPECT_LE(o.area, 0.6);
       EXPECT_GE(o.score, 0.5);
@@ -97,7 +165,7 @@ TEST(DetectorModelTest, DeterministicDetections) {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].obj_id, b[i].obj_id);
-      EXPECT_EQ(a[i].label, b[i].label);
+      EXPECT_EQ(a[i].label_id, b[i].label_id);
     }
   }
 }
@@ -149,10 +217,10 @@ TEST(ClassifierModelTest, AccuracyAndDeterminism) {
   int64_t correct = 0, total = 0;
   for (int64_t f = 0; f < 300; ++f) {
     for (const GtObject& o : video.FrameObjects(f)) {
-      std::string first = model.Classify(video, f, o.obj_id);
-      EXPECT_EQ(first, model.Classify(video, f, o.obj_id));  // stable
+      std::string first = model.Classify(video, f, o.obj_id).name();
+      EXPECT_EQ(first, model.Classify(video, f, o.obj_id).name());  // stable
       ++total;
-      if (first == o.car_type) ++correct;
+      if (first == o.car_type()) ++correct;
     }
   }
   EXPECT_NEAR(static_cast<double>(correct) / total, 0.92, 0.03);
@@ -167,9 +235,9 @@ TEST(ClassifierModelTest, ColorTargetUsesColorVocabulary) {
   def.target_attribute = "color";
   ClassifierModel model(def);
   for (const GtObject& o : video.FrameObjects(0)) {
-    EXPECT_EQ(model.Classify(video, 0, o.obj_id), o.color);
+    EXPECT_EQ(model.Classify(video, 0, o.obj_id).name(), o.color());
   }
-  EXPECT_EQ(model.Classify(video, 0, 9999), "unknown");
+  EXPECT_EQ(model.Classify(video, 0, 9999).name(), "unknown");
 }
 
 TEST(FilterModelTest, RecallOnVehicleFrames) {
@@ -182,7 +250,7 @@ TEST(FilterModelTest, RecallOnVehicleFrames) {
   for (int64_t f = 0; f < 1000; ++f) {
     bool has = false;
     for (const GtObject& o : video.FrameObjects(f)) {
-      if (o.label != "person") has = true;
+      if (o.label() != "person") has = true;
     }
     if (has) {
       ++vehicle_frames;
