@@ -566,28 +566,13 @@ Status EvaEngine::WalCommitQuery(
   // that sequence recovers to a state that at worst underclaims (rows
   // without claims, or un-evicted segments whose claims and rows are both
   // still present) — never the reverse.
+  // Appends: one record per segment a view appended to, from the cells
+  // the view captured as STORE appended them. A segment appended and then
+  // evicted within the batch is not logged — a sound underclaim.
   for (const auto& [name, view] : views_.views()) {
-    std::vector<storage::ViewKey> keys = view->TakeAppendedKeys();
-    const int64_t seg_frames = view->segment_frames();
-    auto seg_of = [seg_frames](int64_t frame) {
-      int64_t q = frame / seg_frames;
-      if (frame % seg_frames != 0 && frame < 0) --q;
-      return q;
-    };
-    std::vector<storage::ViewKey> chunk;
-    size_t i = 0;
-    while (i < keys.size()) {
-      const int64_t seg = seg_of(keys[i].frame);
-      chunk.clear();
-      for (; i < keys.size() && seg_of(keys[i].frame) == seg; ++i) {
-        // Appended then evicted within the same query: the rows are gone,
-        // so there is nothing to log — skipping is a sound underclaim.
-        if (view->Contains(keys[i])) chunk.push_back(keys[i]);
-      }
-      if (!chunk.empty()) {
-        wal_writer_->Stage(
-            wal::SegmentAppendRecord(name, *view, query_id, chunk));
-      }
+    for (const auto& chunk : view->TakeAppendedChunks()) {
+      wal_writer_->Stage(wal::SegmentAppendRecord(name, view->value_schema(),
+                                                  query_id, *chunk));
     }
   }
   for (const udf::CoverageOp& op : manager_.TakeJournal()) {

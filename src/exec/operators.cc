@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <map>
+#include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "baselines/fun_cache.h"
 #include "exec/vector_filter.h"
@@ -99,6 +102,21 @@ Chunk Compact(Chunk in, const std::vector<uint8_t>& keep,
   if (rows->empty()) return Chunk(in.schema());
   return GatherRows(in, *rows, remaps);
 }
+
+// What a ViewJoin's probe said about each key of the chunk it emitted
+// last, kept for the STORE of the same view above it (Fig. 4 step 3). A
+// hit is stored already; a miss is absent until that STORE inserts it,
+// because one driver thread runs the query, the probe resealed every
+// touched tail, and only that STORE writes the view (docs/RUNTIME.md).
+struct ProbeLedger {
+  std::vector<ViewKey> keys;  // probed keys, in probe order
+  std::vector<uint8_t> hit;   // per key: kHit or kHitSkipped
+};
+
+// While a STORE's subtree is built: view name -> that STORE's ledger, for
+// the ViewJoin of the same view below it. The STORE owns the ledger and,
+// through its child, the ViewJoin.
+using Ledgers = std::map<std::string, ProbeLedger*>;
 
 // ---------------------------------------------------------------------------
 // VideoScan
@@ -542,7 +560,9 @@ class ApplyOp : public Operator {
 // metrics, access stamps, and probe charges, but the kReadView charge and
 // the output rows are dropped — the residual FilterNode above would
 // discard those rows anyway (and STORE skips keys already present), so
-// query results are unchanged.
+// query results are unchanged. Each chunk's probe verdicts go to the
+// ledger of the STORE of the same view, so that STORE neither re-checks
+// a key the probe missed nor passes on a key it hit.
 // ---------------------------------------------------------------------------
 
 class ViewJoinOp : public Operator {
@@ -551,7 +571,8 @@ class ViewJoinOp : public Operator {
                                   const std::string& udf,
                                   const std::string& view_name,
                                   bool scan_all_for_dedup,
-                                  expr::ExprPtr residual) {
+                                  expr::ExprPtr residual,
+                                  ProbeLedger* ledger) {
     EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
     Schema out = child->output_schema();
     Schema udf_out = UdfOutputSchema(def);
@@ -562,7 +583,8 @@ class ViewJoinOp : public Operator {
     }
     return OperatorPtr(new ViewJoinOp(ctx, std::move(child), std::move(def),
                                       view_name, scan_all_for_dedup,
-                                      std::move(residual), std::move(out)));
+                                      std::move(residual), ledger,
+                                      std::move(out)));
   }
 
   Result<Chunk> Next() override {
@@ -656,6 +678,14 @@ class ViewJoinOp : public Operator {
     Chunk out = def_.kind == UdfKind::kDetector
                     ? JoinDetector(in, ids, view)
                     : JoinSingle(in, ids, view);
+    if (ledger_ != nullptr) {
+      ledger_->hit.resize(probe_keys_.size());
+      for (size_t i = 0; i < probe_keys_.size(); ++i) {
+        ledger_->hit[i] = view != nullptr && probe_res_.outcomes[i].status !=
+                                                 storage::ProbeStatus::kMiss;
+      }
+      ledger_->keys.swap(probe_keys_);
+    }
     FlushProbeCounts();
     // Access stamps land once per batch: nothing reads them before the
     // batch ends, and the last (tick, query) per segment wins either way.
@@ -691,14 +721,15 @@ class ViewJoinOp : public Operator {
 
   ViewJoinOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
              std::string view_name, bool scan_all, expr::ExprPtr residual,
-             Schema schema)
+             ProbeLedger* ledger, Schema schema)
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
         def_(std::move(def)),
         view_name_(std::move(view_name)),
         scan_all_pending_(scan_all),
         residual_(std::move(residual)),
-        value_schema_(UdfOutputSchema(def_)) {
+        value_schema_(UdfOutputSchema(def_)),
+        ledger_(ledger) {
     // Width of the input columns that precede the detector outputs: when
     // the input already carries (possibly NULL) output columns from an
     // earlier view join, strip them before re-appending.
@@ -881,8 +912,8 @@ class ViewJoinOp : public Operator {
             results.Copy(oc->seg_index, begin, begin + 1);
           }
         }
-        // kHitSkipped: drop the row — STORE finds its key present (no
-        // Put) and the residual filter above would discard it.
+        // kHitSkipped: drop the row — the key is stored already, and the
+        // residual filter above would discard it.
       } else {
         ++misses_;
         parents_.push_back(parent);
@@ -937,6 +968,7 @@ class ViewJoinOp : public Operator {
   bool scan_all_pending_;
   expr::ExprPtr residual_;
   Schema value_schema_;  // the view's value schema (zone-check resolution)
+  ProbeLedger* ledger_;  // the STORE's above; null without one
   size_t output_width_base_;
   // Per-batch scratch, reused across Next() calls.
   std::vector<uint8_t> actions_;
@@ -1101,18 +1133,22 @@ class CondApplyOp : public Operator {
 
 // ---------------------------------------------------------------------------
 // Store: appends fresh UDF results to the materialized view (Fig. 4 step
-// 3). Append-only and idempotent: keys already present are skipped, so
-// rows that came from the view flow through for free.
+// 3). Append-only and idempotent. A key the ViewJoin of this view hit in
+// this chunk is stored already and is not passed on; a key it missed is
+// inserted without a presence check. Any other key — one an earlier view
+// of a logical-reuse chain filled, or any key of a plan with no ViewJoin
+// of this view — is inserted only if the view does not hold it.
 // ---------------------------------------------------------------------------
 
 class StoreOp : public Operator {
  public:
   static Result<OperatorPtr> Make(ExecContext* ctx, OperatorPtr child,
                                   const std::string& udf,
-                                  const std::string& view_name) {
+                                  const std::string& view_name,
+                                  std::unique_ptr<ProbeLedger> ledger) {
     EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
     return OperatorPtr(new StoreOp(ctx, std::move(child), std::move(def),
-                                   view_name));
+                                   view_name, std::move(ledger)));
   }
 
   Result<Chunk> Next() override {
@@ -1127,6 +1163,29 @@ class StoreOp : public Operator {
   }
 
  private:
+  // The ledger's verdict on `key`: 1 when the probe hit it, 0 when it
+  // missed, -1 when it was not probed. Keys come in chunk order, so the
+  // cursor only moves forward; a key the walk does not find is unprobed.
+  int Verdict(const ViewKey& key) {
+    const std::vector<ViewKey>& probed = ledger_->keys;
+    while (ledger_pos_ < probed.size() && probed[ledger_pos_] < key) {
+      ++ledger_pos_;
+    }
+    if (ledger_pos_ == probed.size() || !(probed[ledger_pos_] == key)) {
+      return -1;
+    }
+    return ledger_->hit[ledger_pos_];
+  }
+
+  // Queues `key` for the PutBatch unless the probe hit it; true if queued.
+  bool AddKey(const ViewKey& key) {
+    const int verdict = Verdict(key);
+    if (verdict == 1) return false;
+    keys_.push_back(key);
+    absent_.push_back(verdict == 0);
+    return true;
+  }
+
   Chunk Store(Chunk in) {
     MaterializedView* view = ctx_->views->GetOrCreate(view_name_, value_schema_);
     const ColumnVec& ids =
@@ -1134,26 +1193,39 @@ class StoreOp : public Operator {
     const int obj_idx = in.schema().IndexOf(kColObj);
     const size_t n = in.num_rows();
     keys_.clear();
+    absent_.clear();
     key_rows_.assign(1, 0);
     rows_.clear();
+    ledger_pos_ = 0;
     if (def_.kind == UdfKind::kDetector) {
       // One key per run of rows of a frame; presence is recorded even for
       // frames whose detector output is empty (NULL placeholder rows),
       // which are dropped here.
       const size_t n_outputs = value_schema_.num_fields();
       const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
+      size_t placeholders = 0;
       for (size_t begin = 0, end = 0; begin < n; begin = end) {
         const int64_t frame = Int64Cell(ids, begin);
-        for (end = begin; end < n && Int64Cell(ids, end) == frame; ++end) {
-          if (!objs.IsNull(end)) rows_.push_back(static_cast<uint32_t>(end));
+        end = begin;
+        while (end < n && Int64Cell(ids, end) == frame) ++end;
+        const bool queued = AddKey(ViewKey{frame, -1});
+        for (size_t r = begin; r < end; ++r) {
+          if (objs.IsNull(r)) {
+            ++placeholders;
+          } else if (queued) {
+            rows_.push_back(static_cast<uint32_t>(r));
+          }
         }
-        keys_.push_back(ViewKey{frame, -1});
-        key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
+        if (queued) key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
       }
       Put(view, {in.cols().data() + (in.num_columns() - n_outputs),
                  n_outputs});
-      if (rows_.size() == n) return in;
-      if (rows_.empty()) return Chunk(output_schema_);
+      if (placeholders == 0) return in;
+      if (placeholders == n) return Chunk(output_schema_);
+      rows_.clear();
+      for (size_t r = 0; r < n; ++r) {
+        if (!objs.IsNull(r)) rows_.push_back(static_cast<uint32_t>(r));
+      }
       return GatherRows(in, rows_, &gather_remaps_);
     }
     // Classifier / filter UDF: one row per key; every row passes through.
@@ -1168,7 +1240,7 @@ class StoreOp : public Operator {
         if (objs.IsNull(r)) continue;
         obj = Int64Cell(objs, r);
       }
-      keys_.push_back(ViewKey{Int64Cell(ids, r), obj});
+      if (!AddKey(ViewKey{Int64Cell(ids, r), obj})) continue;
       rows_.push_back(static_cast<uint32_t>(r));
       key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
     }
@@ -1181,7 +1253,8 @@ class StoreOp : public Operator {
   void Put(MaterializedView* view, std::span<const TailLane> values) {
     // New source lanes: the code tables of the last chunk do not apply.
     remaps_.Clear();
-    view->PutBatch(keys_, key_rows_, rows_, values, next_tick_,
+    if (keys_.empty()) return;
+    view->PutBatch(keys_, absent_, key_rows_, rows_, values, next_tick_,
                    ctx_->query_id, &remaps_, &inserted_);
     int64_t materialized = 0;
     for (size_t k = 0; k < keys_.size(); ++k) {
@@ -1205,8 +1278,9 @@ class StoreOp : public Operator {
   }
 
   StoreOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
-          std::string view_name)
+          std::string view_name, std::unique_ptr<ProbeLedger> ledger)
       : Operator(ctx, child->output_schema()),
+        ledger_(std::move(ledger)),
         child_(std::move(child)),
         def_(std::move(def)),
         view_name_(std::move(view_name)),
@@ -1220,16 +1294,21 @@ class StoreOp : public Operator {
     }
   }
 
+  // Declared before child_, so it outlives the ViewJoin that fills it.
+  std::unique_ptr<ProbeLedger> ledger_;
   OperatorPtr child_;
   UdfDef def_;
   std::string view_name_;
   Schema value_schema_;
+  size_t ledger_pos_ = 0;  // Verdict's cursor into *ledger_
   // Draws an access tick only for keys Put actually inserts.
   std::function<uint64_t()> next_tick_;
   storage::PutRemaps remaps_;  // this chunk's lanes -> view tails
   // One chunk's PutBatch: key k's rows are rows_[key_rows_[k] ..
-  // key_rows_[k + 1]); detector placeholder rows are in none.
+  // key_rows_[k + 1]); detector placeholder rows are in none. absent_[k]
+  // is set when this view's probe missed key k.
   std::vector<ViewKey> keys_;
+  std::vector<uint8_t> absent_;
   std::vector<uint32_t> key_rows_;
   std::vector<uint32_t> rows_;
   std::vector<uint8_t> inserted_;
@@ -1486,8 +1565,11 @@ class StatsOp : public Operator {
 
 namespace {
 
+Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx,
+                          Ledgers* ledgers);
+
 Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
-                                      ExecContext* ctx) {
+                                      ExecContext* ctx, Ledgers* ledgers) {
   switch (node->kind()) {
     case PlanKind::kVideoScan: {
       auto* scan = static_cast<const plan::VideoScanNode*>(node.get());
@@ -1496,43 +1578,49 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
     case PlanKind::kFilter: {
       auto* filter = static_cast<const plan::FilterNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
+                           Build(node->child(), ctx, ledgers));
       return OperatorPtr(
           new FilterOp(ctx, std::move(child), filter->predicate()));
     }
     case PlanKind::kApply: {
       auto* apply = static_cast<const plan::ApplyNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
+                           Build(node->child(), ctx, ledgers));
       return ApplyOp::Make(ctx, std::move(child), apply->udf(),
                            apply->emit_presence_placeholders());
     }
     case PlanKind::kCondApply: {
       auto* apply = static_cast<const plan::CondApplyNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
+                           Build(node->child(), ctx, ledgers));
       return CondApplyOp::Make(ctx, std::move(child), apply->udf());
     }
     case PlanKind::kViewJoin: {
       auto* join = static_cast<const plan::ViewJoinNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
-      return ViewJoinOp::Make(ctx, std::move(child), join->udf(),
-                              join->view_name(),
-                              join->scan_all_for_dedup(),
-                              join->residual_predicate());
+                           Build(node->child(), ctx, ledgers));
+      auto ledger = ledgers->find(join->view_name());
+      return ViewJoinOp::Make(
+          ctx, std::move(child), join->udf(), join->view_name(),
+          join->scan_all_for_dedup(), join->residual_predicate(),
+          ledger != ledgers->end() ? ledger->second : nullptr);
     }
     case PlanKind::kStore: {
       auto* store = static_cast<const plan::StoreNode*>(node.get());
-      EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
-      return StoreOp::Make(ctx, std::move(child), store->udf(),
-                           store->view_name());
+      // The ViewJoin of this view in the subtree reports to this STORE.
+      auto ledger = std::make_unique<ProbeLedger>();
+      ProbeLedger* outer =
+          std::exchange((*ledgers)[store->view_name()], ledger.get());
+      Result<OperatorPtr> child = Build(node->child(), ctx, ledgers);
+      (*ledgers)[store->view_name()] = outer;
+      if (!child.ok()) return child.status();
+      return StoreOp::Make(ctx, child.MoveValue(), store->udf(),
+                           store->view_name(), std::move(ledger));
     }
     case PlanKind::kProject: {
       auto* proj = static_cast<const plan::ProjectNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
+                           Build(node->child(), ctx, ledgers));
       Schema schema;
       for (size_t i = 0; i < proj->exprs().size(); ++i) {
         DataType type = DataType::kString;
@@ -1550,14 +1638,14 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
     case PlanKind::kLimit: {
       auto* limit = static_cast<const plan::LimitNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
+                           Build(node->child(), ctx, ledgers));
       return OperatorPtr(
           new LimitOp(ctx, std::move(child), limit->limit()));
     }
     case PlanKind::kAggregate: {
       auto* agg = static_cast<const plan::AggregateNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           BuildOperator(node->child(), ctx));
+                           Build(node->child(), ctx, ledgers));
       Schema schema;
       for (const std::string& col : agg->group_by()) {
         int idx = child->output_schema().IndexOf(col);
@@ -1576,11 +1664,9 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
   return Status::Internal("unknown plan node kind");
 }
 
-}  // namespace
-
-Result<OperatorPtr> BuildOperator(const plan::PlanNodePtr& node,
-                                  ExecContext* ctx) {
-  EVA_ASSIGN_OR_RETURN(OperatorPtr op, BuildOperatorImpl(node, ctx));
+Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx,
+                          Ledgers* ledgers) {
+  EVA_ASSIGN_OR_RETURN(OperatorPtr op, BuildOperatorImpl(node, ctx, ledgers));
   // Wrap only when someone is listening: per-node stats (EXPLAIN ANALYZE)
   // or the metrics registry. The plain execution path keeps its exact
   // pre-observability operator tree.
@@ -1588,6 +1674,14 @@ Result<OperatorPtr> BuildOperator(const plan::PlanNodePtr& node,
   obs::OperatorStats* stats =
       ctx->node_stats != nullptr ? &(*ctx->node_stats)[node.get()] : nullptr;
   return OperatorPtr(new StatsOp(ctx, std::move(op), node.get(), stats));
+}
+
+}  // namespace
+
+Result<OperatorPtr> BuildOperator(const plan::PlanNodePtr& node,
+                                  ExecContext* ctx) {
+  Ledgers ledgers;
+  return Build(node, ctx, &ledgers);
 }
 
 Result<Batch> ExecutePlan(const plan::PlanNodePtr& plan, ExecContext* ctx) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <cstdlib>
 
 namespace eva::storage {
 
@@ -45,14 +47,17 @@ void MaterializedView::StartTailLocked(Segment* seg) {
   seg->tail_id = ++tails_started_;
 }
 
-void MaterializedView::FinishPutLocked(Segment* seg, const ViewKey& key,
-                                       size_t rows, uint64_t tick,
-                                       int64_t query_id) {
+void MaterializedView::FinishPutLocked(int64_t seg_id, Segment* seg,
+                                       const ViewKey& key, size_t rows,
+                                       uint64_t tick, int64_t query_id) {
   const auto n = static_cast<int64_t>(rows);
   SegmentCells& tail = seg->tail;
+  if (capture_appends_ && tail.keys.size() == seg->drained &&
+      seg->moved.empty()) {
+    appended_segments_.push_back(seg_id);  // the segment's first append
+  }
   tail.keys.push_back(key);
   tail.row_begin.push_back(tail.row_begin.back() + static_cast<int32_t>(n));
-  seg->tail_index.insert(key);
   if (seg->info.keys == 0) seg->info.created_tick = tick;
   seg->info.keys += 1;
   seg->info.rows += n;
@@ -61,10 +66,10 @@ void MaterializedView::FinishPutLocked(Segment* seg, const ViewKey& key,
   if (query_id >= 0) last_access_query_ = query_id;
   num_keys_ += 1;
   num_rows_ += n;
-  if (capture_appends_) append_log_.push_back(key);
 }
 
 void MaterializedView::PutBatch(std::span<const ViewKey> keys,
+                                std::span<const uint8_t> absent,
                                 std::span<const uint32_t> key_rows,
                                 std::span<const uint32_t> rows,
                                 std::span<const TailLane> cols,
@@ -82,14 +87,18 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
     size_t cursor = 0;
     put_rows_.clear();
     for (size_t k = begin; k < end; ++k) {
-      if (seg.info.keys > 0 && ContainsLocked(seg, keys[k], &cursor)) {
-        continue;
+      const ViewKey& key = keys[k];
+      if (absent.empty() || absent[k] == 0) {
+        if (seg.info.keys > 0 && ContainsLocked(seg, key, &cursor)) continue;
+        seg.tail_index.insert(key);
+      } else if (!seg.tail_index.insert(key).second) {
+        continue;  // known absent, but repeated in this batch
       }
       StartTailLocked(&seg);
       const uint64_t tick = next_tick();
       put_rows_.insert(put_rows_.end(), rows.begin() + key_rows[k],
                        rows.begin() + key_rows[k + 1]);
-      FinishPutLocked(&seg, keys[k], key_rows[k + 1] - key_rows[k], tick,
+      FinishPutLocked(seg_id, &seg, key, key_rows[k + 1] - key_rows[k], tick,
                       query_id);
       (*inserted)[k] = 1;
     }
@@ -111,8 +120,10 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
 bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
                            uint64_t tick, int64_t query_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Segment* seg = &segments_[SegmentOf(key.frame)];
+  const int64_t seg_id = SegmentOf(key.frame);
+  Segment* seg = &segments_[seg_id];
   if (seg->info.keys > 0 && ContainsLocked(*seg, key)) return false;
+  seg->tail_index.insert(key);
   StartTailLocked(seg);
   std::vector<TailLane>& lanes = seg->tail.cols;
   for (const Row& row : rows) {
@@ -124,7 +135,7 @@ bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
       }
     }
   }
-  FinishPutLocked(seg, key, rows.size(), tick, query_id);
+  FinishPutLocked(seg_id, seg, key, rows.size(), tick, query_id);
   return true;
 }
 
@@ -186,7 +197,10 @@ SegmentCells MaterializedView::GatherLocked(
 
 void MaterializedView::SealSegmentLocked(Segment* seg) const {
   // Merge the sealed keys (ascending) with the tail's in key order; the
-  // result is exactly a one-shot seal of the segment's content.
+  // result is exactly a one-shot seal of the segment's content. STORE
+  // inserts keys its probe missed without a presence check, so a key that
+  // reaches the merge twice is a broken invariant: stop before it is
+  // sealed, logged or persisted.
   const std::vector<uint32_t> order = TailOrder(seg->tail);
   const size_t nsealed = seg->sealed ? seg->sealed->num_keys() : 0;
   std::vector<KeyRef> refs;
@@ -197,14 +211,27 @@ void MaterializedView::SealSegmentLocked(Segment* seg) const {
     if (i < nsealed) sk = {seg->sealed->key_frame(i), seg->sealed->key_obj(i)};
     if (j == order.size() || (i < nsealed && sk < seg->tail.keys[order[j]])) {
       refs.push_back({sk, false, i++});
-    } else {
-      refs.push_back({seg->tail.keys[order[j]], true, order[j]});
-      ++j;
+      continue;
     }
+    const ViewKey& tk = seg->tail.keys[order[j]];
+    if ((i < nsealed && !(tk < sk)) ||
+        (j > 0 && !(seg->tail.keys[order[j - 1]] < tk))) {
+      std::fprintf(stderr,
+                   "view %s: key (frame %lld, obj %lld) stored twice\n",
+                   name_.c_str(), static_cast<long long>(tk.frame),
+                   static_cast<long long>(tk.obj));
+      std::abort();
+    }
+    refs.push_back({tk, true, order[j]});
+    ++j;
   }
   seg->sealed = BuildColumnarSegment(GatherLocked(*seg, refs), build_options_);
+  if (capture_appends_ && seg->tail.keys.size() > seg->drained) {
+    seg->moved.push_back({std::move(seg->tail), seg->drained});
+  }
   // Fresh objects, not clear(): a cleared hash set keeps its buckets.
   seg->tail = SegmentCells();
+  seg->drained = 0;
   seg->tail_index = std::unordered_set<ViewKey, ViewKeyHash>();
   if (seal_totals_ == nullptr) return;
   const ColumnarSegment& sealed = *seg->sealed;
@@ -236,34 +263,71 @@ MaterializedView::SealedSegments() const {
   return out;
 }
 
-std::shared_ptr<const ColumnarSegment> MaterializedView::BuildChunk(
-    const std::vector<ViewKey>& keys) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  SegmentCells cells;
-  cells.cols.resize(value_schema_.num_fields());
-  auto it = keys.empty() ? segments_.end()
-                         : segments_.find(SegmentOf(keys.front().frame));
-  if (it == segments_.end()) return BuildColumnarSegment(std::move(cells));
-  const Segment& seg = it->second;
-  const std::vector<uint32_t> order = TailOrder(seg.tail);
-  std::vector<KeyRef> refs;
-  size_t cursor = 0;
-  for (const ViewKey& key : keys) {
-    size_t idx = seg.sealed != nullptr
-                     ? seg.sealed->FindKey(key.frame, key.obj, &cursor)
-                     : ColumnarSegment::npos;
-    if (idx != ColumnarSegment::npos) {
-      refs.push_back({key, false, idx});
+void MaterializedView::set_capture_appends(bool enabled) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  capture_appends_ = enabled;
+  appended_segments_.clear();
+  for (auto& [seg_id, seg] : segments_) {
+    seg.drained = seg.tail.keys.size();
+    seg.moved.clear();
+  }
+}
+
+std::vector<std::shared_ptr<const ColumnarSegment>>
+MaterializedView::TakeAppendedChunks() {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::vector<std::shared_ptr<const ColumnarSegment>> out;
+  for (const int64_t seg_id : appended_segments_) {
+    Segment& seg = segments_.at(seg_id);
+    SegmentCells cells;
+    cells.cols.resize(value_schema_.num_fields());
+    std::vector<std::vector<int32_t>> remaps(cells.cols.size());
+    // Keys [begin, end) of `from`, cells copied lane to lane.
+    auto append = [&](const SegmentCells& from, size_t begin) {
+      const size_t end = from.keys.size();
+      if (begin == end) return;
+      const int32_t base = cells.row_begin.back() - from.row_begin[begin];
+      for (size_t k = begin; k < end; ++k) {
+        cells.keys.push_back(from.keys[k]);
+        cells.row_begin.push_back(base + from.row_begin[k + 1]);
+      }
+      for (size_t c = 0; c < cells.cols.size(); ++c) {
+        remaps[c].clear();  // each source has its own dictionary codes
+        cells.cols[c].AppendFrom(from.cols[c].lane(),
+                                 static_cast<size_t>(from.row_begin[begin]),
+                                 static_cast<size_t>(from.row_begin[end]),
+                                 &remaps[c]);
+      }
+    };
+    // The undrained keys in append order: moved tails, then the tail.
+    for (const MovedTail& m : seg.moved) append(m.cells, m.begin);
+    append(seg.tail, seg.drained);
+    seg.moved.clear();
+    seg.drained = seg.tail.keys.size();
+    if (cells.keys.empty()) continue;
+    if (std::is_sorted(cells.keys.begin(), cells.keys.end())) {
+      out.push_back(BuildColumnarSegment(std::move(cells)));
       continue;
     }
-    auto pos = std::lower_bound(
-        order.begin(), order.end(), key,
-        [&seg](uint32_t p, const ViewKey& k) { return seg.tail.keys[p] < k; });
-    if (pos != order.end() && seg.tail.keys[*pos] == key) {
-      refs.push_back({key, true, *pos});
+    // Appended out of key order: gather the keys ascending.
+    SegmentCells sorted;
+    sorted.cols.resize(cells.cols.size());
+    for (auto& remap : remaps) remap.clear();
+    for (const uint32_t k : TailOrder(cells)) {
+      const int32_t begin = cells.row_begin[k];
+      const int32_t end = cells.row_begin[k + 1];
+      sorted.keys.push_back(cells.keys[k]);
+      sorted.row_begin.push_back(sorted.row_begin.back() + (end - begin));
+      for (size_t c = 0; c < sorted.cols.size(); ++c) {
+        sorted.cols[c].AppendFrom(cells.cols[c].lane(),
+                                  static_cast<size_t>(begin),
+                                  static_cast<size_t>(end), &remaps[c]);
+      }
     }
+    out.push_back(BuildColumnarSegment(std::move(sorted)));
   }
-  return BuildColumnarSegment(GatherLocked(seg, refs));
+  appended_segments_.clear();
+  return out;
 }
 
 ViewCompressionStats MaterializedView::CompressionStats() const {
@@ -434,6 +498,8 @@ EvictedSegment MaterializedView::EvictSegment(int64_t segment_id) {
   num_keys_ -= ev.keys;
   num_rows_ -= ev.rows;
   segments_.erase(it);
+  // Appended, then evicted before the drain: nothing to log.
+  std::erase(appended_segments_, segment_id);
   return ev;
 }
 

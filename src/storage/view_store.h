@@ -196,15 +196,20 @@ class MaterializedView {
   /// Appends each key of `keys` with its result rows to its segment's
   /// tail unless the key is already present (append-only STORE semantics;
   /// a key repeated in the batch is present from its first occurrence).
-  /// Key k's rows are rows[key_rows[k] .. key_rows[k + 1]) (key_rows has
-  /// keys.size() + 1 entries), as indices into the lanes `cols`, one per
-  /// value-schema field; fields past cols.size() read as NULL. The cells
-  /// are copied lane to lane with one TailLane::AppendGather per column
-  /// and run of keys in one segment, dictionary codes mapped through
-  /// `remaps`. `next_tick` is called once per inserted key, in key order,
-  /// for the access stamp of the key's segment (eviction scoring).
-  /// `inserted` gets one flag per key. One exclusive lock for the batch.
-  void PutBatch(std::span<const ViewKey> keys,
+  /// `absent` is empty or has one flag per key: a set flag says the
+  /// caller's own ProbeBatch missed the key and nothing has written the
+  /// view since, so the key is inserted without the presence check (tail
+  /// index, Bloom filter, FindKey). A flagged key that is in fact stored
+  /// makes the next seal of its segment abort. Key k's rows are
+  /// rows[key_rows[k] .. key_rows[k + 1]) (key_rows has keys.size() + 1
+  /// entries), as indices into the lanes `cols`, one per value-schema
+  /// field; fields past cols.size() read as NULL. The cells are copied
+  /// lane to lane with one TailLane::AppendGather per column and run of
+  /// keys in one segment, dictionary codes mapped through `remaps`.
+  /// `next_tick` is called once per inserted key, in key order, for the
+  /// access stamp of the key's segment (eviction scoring). `inserted` gets
+  /// one flag per key. One exclusive lock for the batch.
+  void PutBatch(std::span<const ViewKey> keys, std::span<const uint8_t> absent,
                 std::span<const uint32_t> key_rows,
                 std::span<const uint32_t> rows,
                 std::span<const TailLane> cols,
@@ -277,12 +282,6 @@ class MaterializedView {
   std::vector<std::pair<int64_t, std::shared_ptr<const ColumnarSegment>>>
   SealedSegments() const;
 
-  /// Plain segment (no codecs, no Bloom filter) holding the rows of `keys`
-  /// — ascending, unique, and all in one segment; absent keys are skipped.
-  /// Read from the sealed part or the tail without sealing (WAL chunks).
-  std::shared_ptr<const ColumnarSegment> BuildChunk(
-      const std::vector<ViewKey>& keys) const;
-
   /// Current codec footprint over sealed-fresh segments.
   ViewCompressionStats CompressionStats() const;
 
@@ -293,29 +292,34 @@ class MaterializedView {
     return last_access_query_;
   }
 
-  /// WAL append capture: while enabled, every key Put actually inserts
-  /// (re-puts excluded) is recorded in insertion order. The engine drains
-  /// the log at each group-commit point via TakeAppendedKeys, between
-  /// queries.
-  void set_capture_appends(bool enabled) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    capture_appends_ = enabled;
-    if (!enabled) append_log_.clear();
-  }
-  std::vector<ViewKey> TakeAppendedKeys() {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    std::vector<ViewKey> out;
-    out.swap(append_log_);
-    return out;
-  }
+  /// WAL append capture: while enabled, the view keeps, per segment, the
+  /// cells appended since the last drain — the open tail's newest keys,
+  /// plus whatever a reseal moved out of the tail before the drain (the
+  /// seal hands the tail over instead of dropping it). Evicting a segment
+  /// drops its cells. Enabling starts with nothing captured.
+  void set_capture_appends(bool enabled);
+  /// Drains the capture: one plain chunk (no codecs, no Bloom filter) per
+  /// segment with appends since the last drain, in first-append order,
+  /// each with its keys ascending. The engine drains at every group-commit
+  /// point, between queries.
+  std::vector<std::shared_ptr<const ColumnarSegment>> TakeAppendedChunks();
 
  private:
+  /// Cells a reseal moved out of a tail before the capture drained them;
+  /// keys [begin, cells.keys.size()) are the undrained ones.
+  struct MovedTail {
+    SegmentCells cells;
+    size_t begin = 0;
+  };
   struct Segment {
     SegmentInfo info;
     std::shared_ptr<const ColumnarSegment> sealed;  // null until first seal
     SegmentCells tail;  // open tail, keys in insertion order
     uint64_t tail_id = 0;  // unique per tail of this view (PutRemaps key)
     std::unordered_set<ViewKey, ViewKeyHash> tail_index;  // Put's check
+    // WAL capture: tail keys [0, drained) were drained (or predate it).
+    size_t drained = 0;
+    std::vector<MovedTail> moved;  // reseals since the last drain
   };
   /// A key's rows for a gather: sealed key index or tail key position.
   struct KeyRef {
@@ -340,9 +344,10 @@ class MaterializedView {
   /// Opens `seg`'s tail if it has none. Caller holds mu_ exclusively.
   void StartTailLocked(Segment* seg);
   /// Records key `key` of `rows` rows, whose cells the caller appends to
-  /// every tail lane. Caller holds mu_ exclusively.
-  void FinishPutLocked(Segment* seg, const ViewKey& key, size_t rows,
-                       uint64_t tick, int64_t query_id);
+  /// every tail lane, and which the caller has put in the tail index.
+  /// Caller holds mu_ exclusively.
+  void FinishPutLocked(int64_t seg_id, Segment* seg, const ViewKey& key,
+                       size_t rows, uint64_t tick, int64_t query_id);
   /// Whether a segment touched by `keys` has an open tail; with `seal`
   /// (exclusive lock) reseals every such segment. Caller holds mu_.
   bool TouchedTailsLocked(const std::vector<ViewKey>& keys, bool seal) const;
@@ -353,7 +358,9 @@ class MaterializedView {
   SegmentCells GatherLocked(const Segment& seg,
                             const std::vector<KeyRef>& refs) const;
   /// Merges sealed + tail into a fresh sealed segment and records seal
-  /// accounting. Caller holds mu_ exclusively.
+  /// accounting; while capturing, the tail's undrained cells move to
+  /// `seg->moved`. A key both sealed and in the tail, or twice in the
+  /// tail, aborts the process. Caller holds mu_ exclusively.
   void SealSegmentLocked(Segment* seg) const;
   /// Charged footprint of one segment: the encoded bytes when codecs are
   /// on and the segment has no tail, the synthetic §5.2 formula otherwise
@@ -378,8 +385,9 @@ class MaterializedView {
   uint64_t tails_started_ = 0;  // source of Segment::tail_id
   int64_t last_access_query_ = -1;
   bool capture_appends_ = false;
-  std::vector<ViewKey> append_log_;  // keys inserted since the last drain
-  std::vector<uint32_t> put_rows_;   // PutBatch scratch (under mu_)
+  // Segments with appends since the last drain, in first-append order.
+  std::vector<int64_t> appended_segments_;
+  std::vector<uint32_t> put_rows_;  // PutBatch scratch (under mu_)
 };
 
 /// Registry of materialized views, one per UDF signature (§3.1 step 2).

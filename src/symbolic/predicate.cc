@@ -233,12 +233,40 @@ Result<Predicate> Predicate::And(const Predicate& a, const Predicate& b,
   return out;
 }
 
+bool Predicate::AbsorbsUnion(const Predicate& q,
+                             const SymbolicBudget& budget) const {
+  // Reduce(this ∨ q) scans pairs (i, j > i), so every pair of one of this
+  // predicate's conjuncts with one of q's comes before any pair of two of
+  // q's. When each such pair either does not reduce or drops q's conjunct,
+  // each pass removes one conjunct of q and changes nothing else.
+  if (static_cast<int64_t>(q.conjuncts_.size()) > budget.max_reduce_passes) {
+    return false;
+  }
+  std::vector<Conjunct> reduced;
+  for (const Conjunct& c : q.conjuncts_) {
+    bool covered = false;
+    for (const Conjunct& mine : conjuncts_) {
+      if (c.IsSubsetOf(mine)) {
+        covered = true;
+      } else if (ReduceUnionConjunctives(mine, c, &reduced)) {
+        return false;
+      }
+    }
+    if (!covered) return false;
+  }
+  return true;
+}
+
 Predicate Predicate::Or(const Predicate& a, const Predicate& b,
                         const SymbolicBudget& budget) {
   Predicate out = a;
-  for (const Conjunct& c : b.conjuncts_) out.AddConjunct(c);
-  out.Reduce(budget);
+  out.UnionWith(b, budget);
   return out;
+}
+
+bool Predicate::UnionWith(const Predicate& q, const SymbolicBudget& budget) {
+  for (const Conjunct& c : q.conjuncts_) AddConjunct(c);
+  return Reduce(budget);
 }
 
 Result<Predicate> Predicate::Not(const Predicate& p,
@@ -282,14 +310,14 @@ Predicate Predicate::Union(const Predicate& p1, const Predicate& p2,
   return Or(p1, p2, budget);
 }
 
-void Predicate::Reduce(const SymbolicBudget& budget) {
+bool Predicate::Reduce(const SymbolicBudget& budget) {
   // Normalize: drop unsatisfiable conjuncts; collapse to TRUE if present.
   std::vector<Conjunct> kept;
   for (Conjunct& c : conjuncts_) {
     if (c.IsEmpty()) continue;
     if (c.IsTrue()) {
       conjuncts_ = {Conjunct()};
-      return;
+      return true;
     }
     kept.push_back(std::move(c));
   }
@@ -324,6 +352,7 @@ void Predicate::Reduce(const SymbolicBudget& budget) {
       }
     }
   }
+  return !changed;
 }
 
 bool Predicate::Evaluate(const ValueLookup& lookup) const {

@@ -91,6 +91,15 @@ class Predicate {
   /// Same cells in the same order (Conjunct::Equals, cell by cell).
   bool Equals(const Predicate& other) const;
 
+  /// Whether Union(*this, q, budget) equals *this cell for cell, decided
+  /// without computing it, for a predicate that is a Reduce fixpoint (the
+  /// caller knows; Reduce reports it). True when every conjunct of q is a
+  /// subset of some conjunct of this one, no conjunct of this one would
+  /// reduce with a conjunct of q other than by absorbing it, and the budget
+  /// has a reduction pass for each conjunct of q. Sufficient, not
+  /// necessary.
+  bool AbsorbsUnion(const Predicate& q, const SymbolicBudget& budget) const;
+
   /// p1 ∧ p2 (pairwise conjunct intersection with unsat pruning). Fails
   /// with ResourceExhausted when the budget is exceeded.
   static Result<Predicate> And(const Predicate& a, const Predicate& b,
@@ -110,10 +119,14 @@ class Predicate {
                                 const SymbolicBudget& budget = {});
   static Predicate Union(const Predicate& p1, const Predicate& p2,
                          const SymbolicBudget& budget = {});
+  /// In-place form of Union(*this, q): appends q's conjuncts and returns
+  /// Reduce's answer.
+  bool UnionWith(const Predicate& q, const SymbolicBudget& budget = {});
 
   /// Algorithm 1: per-conjunct reduction happened at construction; this
   /// runs the pairwise ReduceUnionConjunctives loop to fixpoint (or budget).
-  void Reduce(const SymbolicBudget& budget = {});
+  /// Returns whether it reached the fixpoint: no pair reduces any more.
+  bool Reduce(const SymbolicBudget& budget = {});
 
   bool Evaluate(const ValueLookup& lookup) const;
 

@@ -77,11 +77,15 @@ void UdfManager::UpdateCoverage(const std::string& key,
     journal_.push_back({CoverageOp::Kind::kUnion, key, q});
   }
   UdfEntry& entry = entries_[key];
-  symbolic::Predicate merged =
-      symbolic::Predicate::Union(entry.coverage, q, budget);
-  // A union that adds nothing keeps the cached NOT. Most unions on a
-  // streaming session re-claim covered frames, and each dropped NOT costs
-  // the next Diff a full recomputation.
+  // A union that adds nothing keeps p_u and the cached NOT. Most unions on
+  // a streaming session re-claim covered frames, and each dropped NOT
+  // costs the next Diff a full recomputation. When p_u is reduced and
+  // absorbs q conjunct by conjunct, the union is skipped outright (its
+  // journal entry above still goes to the WAL); any other union is
+  // computed and compared.
+  if (entry.reduced && entry.coverage.AbsorbsUnion(q, budget)) return;
+  symbolic::Predicate merged = entry.coverage;
+  entry.reduced = merged.UnionWith(q, budget);
   if (!merged.Equals(entry.coverage)) entry.complement.reset();
   entry.coverage = std::move(merged);
 }
@@ -100,6 +104,7 @@ void UdfManager::RetractCoverage(const std::string& key,
   // a claim over tuples the store no longer holds.
   entry.coverage = retracted.ok() ? retracted.MoveValue()
                                   : symbolic::Predicate::False();
+  entry.reduced = false;
   entry.complement.reset();
 }
 
@@ -110,6 +115,7 @@ void UdfManager::SetCoverage(const std::string& key,
   }
   UdfEntry& entry = entries_[key];
   entry.coverage = std::move(coverage);
+  entry.reduced = false;
   entry.complement.reset();
 }
 

@@ -26,6 +26,10 @@ struct UdfSignature {
 /// invocation statistics for reporting (Table 3).
 struct UdfEntry {
   symbolic::Predicate coverage;  // p_u; starts FALSE (§4.1)
+  /// `coverage` is a Reduce fixpoint: it came from a union whose reduction
+  /// converged (or is the initial FALSE). Lets UpdateCoverage decide that
+  /// a union is a no-op without computing it.
+  bool reduced = true;
   int64_t total_invocations = 0;
   int64_t distinct_invocations = 0;
   /// NOT(coverage) under `complement_budget`, or the budget error NOT

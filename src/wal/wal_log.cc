@@ -1,6 +1,5 @@
 #include "wal/wal_log.h"
 
-#include <algorithm>
 #include <sstream>
 #include <string_view>
 
@@ -115,19 +114,12 @@ WalRecord CheckpointRecord(
 }
 
 WalRecord SegmentAppendRecord(const std::string& name,
-                              const storage::MaterializedView& view,
-                              int64_t query_id,
-                              std::vector<storage::ViewKey> keys) {
-  // A key evicted and re-put within one query is captured twice; the
-  // chunk's key index must be strictly ascending.
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  auto chunk = view.BuildChunk(keys);
+                              const Schema& value_schema, int64_t query_id,
+                              const storage::ColumnarSegment& chunk) {
   storage::ByteWriter w;
   w.Zigzag(query_id);
   std::string payload = w.Take();
-  payload += storage::SerializeSegments(name, view.value_schema(),
-                                        {chunk.get()});
+  payload += storage::SerializeSegments(name, value_schema, {&chunk});
   return {WalRecordType::kSegmentAppend, std::move(payload)};
 }
 

@@ -77,13 +77,12 @@ WalRecord CheckpointRecord(
     int64_t generation,
     const std::vector<std::pair<std::string, int64_t>>& horizons);
 
-/// One (view, segment) chunk of freshly materialized keys, built from the
-/// view's segment (sealed part or tail) with plain lanes (quiescent —
-/// driver thread only). Every key must satisfy `view.Contains`.
+/// One (view, segment) chunk of freshly materialized keys: a plain
+/// segment with ascending keys, as MaterializedView::TakeAppendedChunks
+/// drains it from the view's append capture.
 WalRecord SegmentAppendRecord(const std::string& name,
-                              const storage::MaterializedView& view,
-                              int64_t query_id,
-                              std::vector<storage::ViewKey> keys);
+                              const Schema& value_schema, int64_t query_id,
+                              const storage::ColumnarSegment& chunk);
 
 WalRecord CoverageUnionRecord(const std::string& key,
                               const symbolic::Predicate& q);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/row.h"
 #include "common/schema.h"
@@ -141,6 +145,50 @@ TEST(StringUtilTest, Basics) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_TRUE(StartsWith("vbench-high", "vbench"));
   EXPECT_EQ(StrFormat("%d/%s", 4, "x"), "4/x");
+}
+
+// The reflected CRC-32 one byte at a time, as the log and the manifest
+// were written before the sliced loop.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string()), 0u);
+}
+
+// Every length 0-64 at every offset 0-7 of one buffer covers the sliced
+// loop's word loads at each alignment and every length of its byte tail.
+TEST(Crc32Test, MatchesBytewiseAtEveryOffsetAndLength) {
+  Rng rng(32);
+  std::vector<unsigned char> buf(8 + 64);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseOnOneMebibyte) {
+  Rng rng(1 << 20);
+  std::vector<unsigned char> buf(1 << 20);
+  for (size_t i = 0; i < buf.size(); i += 8) {
+    const uint64_t v = rng.NextU64();
+    std::memcpy(buf.data() + i, &v, 8);
+  }
+  EXPECT_EQ(Crc32(buf.data(), buf.size()),
+            BytewiseCrc32(buf.data(), buf.size()));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -24,6 +25,8 @@ class OperatorTest : public ::testing::Test {
     det.cost_ms = 99;
     det.recall = 1.0;
     det.recall_small = 1.0;  // perfect detector: output == ground truth
+    EXPECT_TRUE(catalog_.AddUdf(det).ok());
+    det.name = "Det2";  // a second model of the same logical detector
     EXPECT_TRUE(catalog_.AddUdf(det).ok());
     catalog::UdfDef cls;
     cls.name = "CarType";
@@ -174,6 +177,54 @@ TEST_F(OperatorTest, ViewJoinServesHitsAndMarksMisses) {
   EXPECT_EQ(metrics_.invocations["Det"], 20);
   EXPECT_EQ(views_.Find("Det@v")->num_keys(), 30);
   EXPECT_GT(clock_.Elapsed(CostCategory::kReadView), 0);
+}
+
+// A logical-reuse chain: Det2's view fills frames [0, 20), whose rows pass
+// Det's ViewJoin unprobed, and Det's view already holds [10, 30). STORE
+// must check those pass-through keys against the view (inserting
+// [0, 10), skipping [10, 20)), skip Det's probe hits [20, 30) and insert
+// its misses [30, 40) unchecked: no key twice, and the materialize count
+// of a STORE that checked every key.
+TEST_F(OperatorTest, LogicalReuseChainStoresPassThroughKeysOnce) {
+  auto materialize = [this](const std::string& udf, int64_t lo, int64_t hi) {
+    auto apply = std::make_shared<plan::ApplyNode>(udf);
+    apply->set_emit_presence_placeholders(true);
+    Run(Chain(std::make_shared<plan::StoreNode>(udf, udf + "@v"),
+              Chain(apply, Scan(lo, hi))));
+  };
+  materialize("Det2", 0, 20);
+  materialize("Det", 10, 30);
+  std::map<const plan::PlanNode*, obs::OperatorStats> stats;
+  ctx_.node_stats = &stats;
+  clock_.Reset();
+  auto first = Chain(std::make_shared<plan::ViewJoinNode>("Det2", "Det2@v"),
+                     Scan(0, 40));
+  auto second =
+      Chain(std::make_shared<plan::ViewJoinNode>("Det", "Det@v"), first);
+  auto cond = Chain(std::make_shared<plan::CondApplyNode>("Det"), second);
+  auto store = Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"), cond);
+  Batch out = Run(store);
+  EXPECT_EQ(static_cast<int64_t>(out.num_rows()), TotalGtObjects(0, 40));
+
+  // Each inserted detector key charges its rows plus its presence.
+  const int64_t materialized = TotalGtObjects(0, 10) + 10 +
+                               TotalGtObjects(30, 40) + 10;
+  EXPECT_EQ(stats[store.get()].rows_materialized.load(), materialized);
+  EXPECT_DOUBLE_EQ(clock_.Elapsed(CostCategory::kMaterialize),
+                   ctx_.costs.materialize_ms_per_row *
+                       static_cast<double>(materialized));
+  storage::MaterializedView* view = views_.Find("Det@v");
+  EXPECT_EQ(view->num_keys(), 40);
+  EXPECT_EQ(view->num_rows(), TotalGtObjects(0, 40));
+  std::vector<int64_t> frames;
+  for (const auto& [seg_id, seg] : view->SealedSegments()) {
+    for (size_t k = 0; k < seg->num_keys(); ++k) {
+      frames.push_back(seg->key_frame(k));
+    }
+  }
+  std::vector<int64_t> want(40);
+  for (int64_t f = 0; f < 40; ++f) want[static_cast<size_t>(f)] = f;
+  EXPECT_EQ(frames, want);
 }
 
 TEST_F(OperatorTest, ClassifierViewJoinChain) {

@@ -69,8 +69,8 @@ TEST(MaterializedViewTest, ReappendDrawsNoTick) {
   storage::PutRemaps remaps;
   std::vector<uint8_t> inserted;
   auto put = [&](int64_t query_id) {
-    view->PutBatch(keys, key_rows, rows, cols, next_tick, query_id, &remaps,
-                   &inserted);
+    view->PutBatch(keys, {}, key_rows, rows, cols, next_tick, query_id,
+                   &remaps, &inserted);
     EXPECT_EQ(inserted.size(), 1u);
     return inserted.at(0) != 0;
   };
@@ -138,6 +138,15 @@ TEST(MaterializedViewTest, ProbeBatchHitsARepeatedKey) {
   }
 }
 
+// Keys of a drained capture chunk, in order.
+std::vector<ViewKey> ChunkKeys(const ColumnarSegment& chunk) {
+  std::vector<ViewKey> keys;
+  for (size_t i = 0; i < chunk.num_keys(); ++i) {
+    keys.push_back({chunk.key_frame(i), chunk.key_obj(i)});
+  }
+  return keys;
+}
+
 // A key repeated in one batch, or already stored in the sealed part or in
 // the tail, is inserted at most once, by its first occurrence.
 TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
@@ -151,11 +160,11 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   view->SealAllSegments();
   view->Put({5, -1}, {{Value(int64_t{5}), Value("car"), Value(0.3),
                        Value(0.9)}});
-  view->TakeAppendedKeys();
+  view->TakeAppendedChunks();
   // Lane rows: the obj lane holds 70 + row so a key's stored row shows
   // which occurrence inserted it.
   std::vector<TailLane> lanes(4);
-  for (int64_t r = 0; r < 7; ++r) {
+  for (int64_t r = 0; r < 9; ++r) {
     lanes[0].AppendInt64(70 + r);
     lanes[1].AppendString("bus");
     lanes[2].AppendDouble(0.5);
@@ -170,17 +179,65 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   };
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch(keys, key_rows, rows, lanes, next_tick, 9, &remaps,
+  view->PutBatch(keys, {}, key_rows, rows, lanes, next_tick, 9, &remaps,
                  &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 0, 0, 0, 0, 1}));
   EXPECT_EQ(store.current_tick(), 2u);  // one tick per inserted key
   EXPECT_EQ(view->num_keys(), 6);
-  EXPECT_EQ(view->TakeAppendedKeys(),
-            (std::vector<ViewKey>{{7, -1}, {8, -1}}));
+  auto chunks = view->TakeAppendedChunks();
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(ChunkKeys(*chunks[0]), (std::vector<ViewKey>{{7, -1}, {8, -1}}));
   EXPECT_EQ((*ReadKey(*view, {7, -1}))[0][0].AsInt64(), 70);
   EXPECT_EQ((*ReadKey(*view, {8, -1}))[0][0].AsInt64(), 76);
   EXPECT_EQ((*ReadKey(*view, {2, -1}))[0][0].AsInt64(), 2);
   EXPECT_EQ((*ReadKey(*view, {5, -1}))[0][0].AsInt64(), 5);
+
+  // Keys the caller's probe missed skip the presence check; a repeat in
+  // the batch is still inserted once.
+  const std::vector<ViewKey> fresh = {{9, -1}, {9, -1}, {4, -1}};
+  const std::vector<uint8_t> absent = {1, 1, 1};
+  const std::vector<uint32_t> fresh_rows = {7, 7, 8};
+  view->PutBatch(fresh, absent, {key_rows.data(), 4}, fresh_rows, lanes,
+                 next_tick, 9, &remaps, &inserted);
+  EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 1}));
+  EXPECT_EQ(view->num_keys(), 8);
+  EXPECT_EQ((*ReadKey(*view, {9, -1}))[0][0].AsInt64(), 77);
+  EXPECT_EQ((*ReadKey(*view, {4, -1}))[0][0].AsInt64(), 78);
+  chunks = view->TakeAppendedChunks();
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(ChunkKeys(*chunks[0]), (std::vector<ViewKey>{{4, -1}, {9, -1}}));
+}
+
+// Passes a sealed key to PutBatch as known absent, then seals.
+void PutAStoredKeyAsAbsent() {
+  ViewStore store;
+  MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
+  for (int64_t f : {1, 2, 3}) {
+    view->Put({f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
+  }
+  view->SealAllSegments();
+  std::vector<TailLane> lanes(4);
+  lanes[0].AppendInt64(7);
+  lanes[1].AppendString("bus");
+  lanes[2].AppendDouble(0.5);
+  lanes[3].AppendDouble(0.7);
+  const std::vector<ViewKey> keys = {{2, -1}};
+  const std::vector<uint8_t> absent = {1};
+  const std::vector<uint32_t> key_rows = {0, 1};
+  const std::vector<uint32_t> rows = {0};
+  PutRemaps remaps;
+  std::vector<uint8_t> inserted;
+  view->PutBatch(keys, absent, key_rows, rows, lanes,
+                 [] { return uint64_t{1}; }, 0, &remaps, &inserted);
+  view->SealAllSegments();
+}
+
+// A key passed as known absent that the view in fact stores is a broken
+// STORE invariant: the next seal of its segment stops the process rather
+// than seal, log or persist the key twice.
+TEST(MaterializedViewDeathTest, KnownAbsentKeyThatIsStoredAbortsTheSeal) {
+  EXPECT_DEATH(PutAStoredKeyAsAbsent(),
+               "view det@v: key \\(frame 2, obj -1\\) stored twice");
 }
 
 TEST(MaterializedViewTest, ObjectLevelKeys) {

@@ -116,7 +116,7 @@ TEST(SymbolicCacheTest, InterDiffMatchPredicateAlgebraUnderRandomOps) {
       SymbolicBudget{4096, 1},  // one reduction pass: different shapes
   };
   const std::vector<std::string> keys = {"det@v", "cls@v"};
-  int diffs = 0, replays = 0, errors = 0;
+  int diffs = 0, replays = 0, errors = 0, skipped_unions = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(0xfeed00 + seed);
     udf::UdfManager manager;
@@ -129,14 +129,29 @@ TEST(SymbolicCacheTest, InterDiffMatchPredicateAlgebraUnderRandomOps) {
       const SymbolicBudget& budget = budgets[b];
       const std::string where =
           "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      // UpdateCoverage skips a union when p_u is reduced and absorbs q;
+      // the union it skips must leave p_u as it is, cell for cell.
+      auto update = [&](const Predicate& q) {
+        const Predicate before = manager.Coverage(key);
+        const auto entry = manager.entries().find(key);
+        if (entry != manager.entries().end() && entry->second.reduced &&
+            before.AbsorbsUnion(q, budget)) {
+          ++skipped_unions;
+          EXPECT_TRUE(Predicate::Union(before, q, budget).Equals(before))
+              << "skipped union @ " << where << "\np_u: " << before.ToString()
+              << "\nq:   " << q.ToString();
+        }
+        manager.UpdateCoverage(key, q, budget);
+        EXPECT_TRUE(manager.Coverage(key).Equals(
+            Predicate::Union(before, q, budget)))
+            << "union @ " << where;
+      };
       const uint64_t op = rng.NextBelow(10);
       if (op <= 1) {  // streaming-ish union
         double lo = static_cast<double>(rng.NextBelow(180));
-        manager.UpdateCoverage(key, IdRange(lo, lo + 1 + rng.NextBelow(40)),
-                               budget);
+        update(IdRange(lo, lo + 1 + rng.NextBelow(40)));
       } else if (op == 2) {  // arbitrary-shape union
-        manager.UpdateCoverage(key, symbolic::RandomPredicate(rng, 3, 3),
-                               budget);
+        update(symbolic::RandomPredicate(rng, 3, 3));
       } else if (op == 3) {  // eviction
         manager.RetractCoverage(key, symbolic::RandomPredicate(rng, 2, 2),
                                 budget);
@@ -171,6 +186,7 @@ TEST(SymbolicCacheTest, InterDiffMatchPredicateAlgebraUnderRandomOps) {
   // The sequence must exercise replays and the NOT's budget error.
   EXPECT_GT(replays, diffs / 3);
   EXPECT_GT(errors, 0);
+  EXPECT_GT(skipped_unions, 0);
 }
 
 // The cache lives on the engine's single UdfManager, so a complement the

@@ -14,12 +14,16 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/eva_engine.h"
 #include "fault/fault_injector.h"
+#include "storage/segment_codec.h"
+#include "storage/view_persistence.h"
 #include "vbench/vbench.h"
 #include "wal/wal_log.h"
 
@@ -68,8 +72,8 @@ class WalRecoveryTest : public ::testing::Test {
 
   /// A streaming engine with the source registered at `initial` visible
   /// frames and no WAL yet (EnableWal is each test's recovery entry point).
-  std::unique_ptr<EvaEngine> MakeStreamEngine(int64_t initial) {
-    engine::EngineOptions options;
+  std::unique_ptr<EvaEngine> MakeStreamEngine(
+      int64_t initial, engine::EngineOptions options = {}) {
     options.optimizer.mode = optimizer::ReuseMode::kEva;
     auto engine = std::make_unique<EvaEngine>(
         options, std::make_shared<catalog::Catalog>());
@@ -352,6 +356,94 @@ TEST_F(WalRecoveryTest, CheckpointCrashInsideSegmentCodecWriteIsSound) {
   EXPECT_EQ(VisibleHorizon(*recovered), kInitial + kTick)
       << "the acknowledged ingest advance was lost "
       << "(replay: " << recovered->last_replay().Summary() << ")";
+}
+
+/// Every key of `view` with its rows, as text, segment by segment.
+std::string ViewCells(const storage::MaterializedView& view) {
+  std::string out;
+  for (const auto& [seg_id, seg] : view.SealedSegments()) {
+    for (size_t k = 0; k < seg->num_keys(); ++k) {
+      out += std::to_string(seg->key_frame(k)) + "/" +
+             std::to_string(seg->key_obj(k)) + ":";
+      for (int32_t r = seg->row_begin_at(k); r < seg->row_begin_at(k + 1);
+           ++r) {
+        for (const Value& v : seg->RowAt(r)) out += " " + v.ToString();
+        out += ";";
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+/// With chunks narrower than a segment, the next chunk's probe reseals
+/// the segment the previous chunk appended to, in the same query. The
+/// reseal hands the appended cells to the WAL capture, so the query still
+/// logs one segment_append for the segment, holding the keys appended
+/// before and after each reseal, and recovery rebuilds the view cell for
+/// cell.
+TEST_F(WalRecoveryTest, ResealMidQueryLogsTheWholeAppendInOneRecord) {
+  const stdfs::path dir = root_ / "reseal";
+  engine::EngineOptions options;
+  options.batch_size = 16;
+  options.segment_frames = 64;
+  std::string cells;
+  {
+    auto engine = MakeStreamEngine(kInitial, options);
+    ASSERT_TRUE(engine->EnableWal(dir.string()).ok());
+    ASSERT_TRUE(engine
+                    ->Execute("SELECT id, obj FROM sv CROSS APPLY "
+                              "FasterRCNNResNet50(frame) WHERE id < 20 AND "
+                              "label = 'car';")
+                    .ok());
+    const int64_t sealed_before =
+        engine->views().seal_totals().segments_sealed.load();
+    ASSERT_TRUE(engine
+                    ->Execute("SELECT id, obj FROM sv CROSS APPLY "
+                              "FasterRCNNResNet50(frame) WHERE id < 50 AND "
+                              "label = 'car';")
+                    .ok());
+    // Chunks [16, 32), [32, 48) and [48, 50) each reseal segment 0.
+    EXPECT_GE(engine->views().seal_totals().segments_sealed.load(),
+              sealed_before + 3);
+    cells = ViewCells(*engine->views().Find(kDetectorKey));
+    ASSERT_FALSE(cells.empty());
+  }
+
+  std::ifstream in(dir / "wal.g0.evalog", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  // Detector keys of each query's segment_append records, by query id.
+  std::map<int64_t, std::vector<std::vector<int64_t>>> appends;
+  for (const wal::WalRecord& rec : wal::ScanWal(bytes).records) {
+    if (rec.type != wal::WalRecordType::kSegmentAppend) continue;
+    storage::ByteReader r(rec.payload);
+    int64_t query_id = -1;
+    ASSERT_TRUE(r.Zigzag(&query_id));
+    auto decoded = storage::DecodeSegmentBody(
+        std::string_view(rec.payload).substr(rec.payload.size() -
+                                             r.remaining()),
+        "segment_append");
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    if (decoded.value().name != kDetectorKey) continue;
+    std::vector<int64_t> frames;
+    for (const auto& [key, rows] : decoded.value().rows) {
+      frames.push_back(key.frame);
+    }
+    appends[query_id].push_back(std::move(frames));
+  }
+  ASSERT_EQ(appends.size(), 2u);
+  std::vector<int64_t> second;
+  for (int64_t f = 20; f < 50; ++f) second.push_back(f);
+  ASSERT_EQ(appends.rbegin()->second.size(), 1u)
+      << "the second query's appends to segment 0 were split";
+  EXPECT_EQ(appends.rbegin()->second[0], second);
+
+  auto recovered = MakeStreamEngine(kInitial, options);
+  ASSERT_TRUE(recovered->EnableWal(dir.string()).ok());
+  EXPECT_TRUE(recovered->last_replay().clean())
+      << recovered->last_replay().Summary();
+  EXPECT_EQ(ViewCells(*recovered->views().Find(kDetectorKey)), cells);
 }
 
 }  // namespace
