@@ -14,7 +14,6 @@
 
 #include <cstring>
 #include <memory>
-#include <span>
 
 #include "bench_util.h"
 #include "exec/vector_filter.h"
@@ -22,6 +21,7 @@
 #include "storage/statistics.h"
 #include "storage/view_store.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 #include "vision/synthetic_video.h"
 
 namespace {
@@ -34,9 +34,10 @@ using eva::exec::FilterProgram;
 using eva::expr::CompareOp;
 using eva::expr::Expr;
 using eva::expr::ExprPtr;
+using eva::storage::ColumnVec;
 using eva::storage::MaterializedView;
 using eva::storage::ProbeResult;
-using eva::storage::TailLane;
+using eva::storage::PutRows;
 using eva::storage::ViewKey;
 
 constexpr int64_t kProbeViewFrames = 20000;
@@ -53,9 +54,9 @@ Schema DetSchema() {
 // twice that range so half the lookups miss.
 void FillProbeView(MaterializedView* view) {
   for (int64_t f = 0; f < kProbeViewFrames; ++f) {
-    view->Put(ViewKey{f, -1},
-              {{Value(static_cast<int64_t>(0)), Value("car"), Value(0.3),
-                Value(0.9)}});
+    PutRows(view, ViewKey{f, -1},
+            {{Value(static_cast<int64_t>(0)), Value("car"), Value(0.3),
+              Value(0.9)}});
   }
 }
 
@@ -68,15 +69,16 @@ void BM_ViewPut(benchmark::State& state) {
         rows.push_back({Value(static_cast<int64_t>(o)), Value("car"),
                         Value(0.3), Value(0.9)});
       }
-      view.Put(ViewKey{f, -1}, std::move(rows));
+      PutRows(&view, ViewKey{f, -1}, rows);
     }
     benchmark::DoNotOptimize(view.num_rows());
   }
 }
 BENCHMARK(BM_ViewPut)->Arg(1000)->Arg(10000);
 
-// Point presence check (StoreOp's per-key test) against sealed segments:
-// Bloom filter when present, then the key-index search. Half the keys miss.
+// Point presence check against sealed segments (PutBatch runs the same
+// check for each key STORE did not probe): Bloom filter when present,
+// then the key-index search. Half the keys miss.
 void BM_ViewContains(benchmark::State& state) {
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);
@@ -101,7 +103,8 @@ void AppendKeys(MaterializedView* view, int64_t keys) {
                       {"area", eva::DataType::kDouble},
                       {"score", eva::DataType::kDouble}}));
   chunk.AppendRow(input);
-  const std::span<const TailLane> values(chunk.cols().data() + 1, 4);
+  const std::vector<const ColumnVec*> values =
+      eva::storage::LaneColumns({chunk.cols().data() + 1, 4});
   const std::function<uint64_t()> tick = [] { return uint64_t{0}; };
   eva::storage::PutRemaps remaps;
   std::vector<ViewKey> batch;
@@ -154,9 +157,9 @@ BENCHMARK(BM_ViewProbeBatch);
 void FillBloomView(MaterializedView* view, int bloom_bits_per_key) {
   view->set_build_options({true, bloom_bits_per_key});
   for (int64_t f = 0; f < kProbeViewFrames; f += 2) {
-    view->Put(ViewKey{f, -1},
-              {{Value(static_cast<int64_t>(0)), Value("car"), Value(0.3),
-                Value(0.9)}});
+    PutRows(view, ViewKey{f, -1},
+            {{Value(static_cast<int64_t>(0)), Value("car"), Value(0.3),
+              Value(0.9)}});
   }
   view->SealAllSegments();
 }
@@ -218,7 +221,7 @@ std::unique_ptr<MaterializedView> SealedDetectorSegment() {
   auto view = std::make_unique<MaterializedView>("bench_reseal", DetSchema());
   view->set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
   for (int64_t f = 0; f < view->segment_frames(); ++f) {
-    if (f % 8 != 7) view->Put(ViewKey{f, -1}, Detections(f));
+    if (f % 8 != 7) PutRows(view.get(), ViewKey{f, -1}, Detections(f));
   }
   view->SealAllSegments();
   return view;
@@ -230,7 +233,7 @@ void ResealTails(MaterializedView* view) {
   for (int64_t t = 0; t < kResealTails; ++t) {
     const ViewKey first{f, -1};
     for (int64_t k = 0; k < kResealTailFrames; ++k, f += 8) {
-      view->Put(ViewKey{f, -1}, Detections(f));
+      PutRows(view, ViewKey{f, -1}, Detections(f));
     }
     view->ProbeBatch({first}, nullptr, &res);
     benchmark::DoNotOptimize(res.outcomes.size());

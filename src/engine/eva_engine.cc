@@ -383,8 +383,8 @@ Status EvaEngine::EnableWal(const std::string& dir) {
     return committed;
   }
 
-  // Capture starts only now, after replay, so replayed Puts and coverage
-  // ops are not re-journaled into the log they just came from.
+  // Capture starts only now, after replay, so replayed appends and
+  // coverage ops are not re-journaled into the log they just came from.
   views_.set_capture_appends(true);
   manager_.set_journal_enabled(true);
 

@@ -1254,7 +1254,9 @@ class StoreOp : public Operator {
     // New source lanes: the code tables of the last chunk do not apply.
     remaps_.Clear();
     if (keys_.empty()) return;
-    view->PutBatch(keys_, absent_, key_rows_, rows_, values, next_tick_,
+    values_.clear();
+    for (const TailLane& lane : values) values_.push_back(&lane.lane());
+    view->PutBatch(keys_, absent_, key_rows_, rows_, values_, next_tick_,
                    ctx_->query_id, &remaps_, &inserted_);
     int64_t materialized = 0;
     for (size_t k = 0; k < keys_.size(); ++k) {
@@ -1311,6 +1313,7 @@ class StoreOp : public Operator {
   std::vector<uint8_t> absent_;
   std::vector<uint32_t> key_rows_;
   std::vector<uint32_t> rows_;
+  std::vector<const ColumnVec*> values_;  // the chunk's value lanes
   std::vector<uint8_t> inserted_;
   LaneRemaps gather_remaps_;
   obs::Counter* materialized_ = nullptr;

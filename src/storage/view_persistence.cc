@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <functional>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -559,66 +561,69 @@ Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
   for (uint64_t s = 0; s < nsegs; ++s) {
     uint64_t nkeys;
     if (!r.Count(&nkeys)) return corrupt("key count");
-    std::vector<ViewKey> keys(static_cast<size_t>(nkeys));
+    DecodedSegment seg;
+    seg.keys.resize(static_cast<size_t>(nkeys));
     int64_t frame = 0;
-    for (ViewKey& k : keys) {
+    for (ViewKey& k : seg.keys) {
       int64_t delta;
       if (!r.Zigzag(&delta)) return corrupt("frame delta");
       frame += delta;
       k.frame = frame;
     }
-    for (ViewKey& k : keys) {
+    for (ViewKey& k : seg.keys) {
       if (!r.Zigzag(&k.obj)) return corrupt("obj");
     }
-    for (size_t i = 1; i < keys.size(); ++i) {
-      if (!(keys[i - 1] < keys[i])) return corrupt("key order");
+    for (size_t i = 1; i < seg.keys.size(); ++i) {
+      if (!(seg.keys[i - 1] < seg.keys[i])) return corrupt("key order");
     }
-    std::vector<uint32_t> row_counts(keys.size());
     uint64_t total_rows = 0;
-    for (uint32_t& c : row_counts) {
+    for (size_t i = 0; i < seg.keys.size(); ++i) {
       uint64_t v;
       if (!r.Varint(&v) || v > ByteReader::kMaxCount) {
         return corrupt("row count");
       }
-      c = static_cast<uint32_t>(v);
       total_rows += v;
+      if (total_rows > ByteReader::kMaxCount) return corrupt("row total");
+      seg.key_rows.push_back(static_cast<uint32_t>(total_rows));
     }
-    if (total_rows > ByteReader::kMaxCount) return corrupt("row total");
     uint64_t ncols;
     if (!r.Count(&ncols)) return corrupt("column count");
     if (ncols != nfields) return corrupt("column count mismatch");
-    std::vector<ColumnVec> cols(static_cast<size_t>(ncols));
-    for (ColumnVec& col : cols) {
+    seg.cols.resize(static_cast<size_t>(ncols));
+    for (ColumnVec& col : seg.cols) {
       if (!ReadColumn(&r, static_cast<size_t>(total_rows), &col)) {
         return corrupt("column");
       }
     }
-    // Reconstruct the exact rows through the same At() the probe path
-    // uses — the decoded codec state was validated above, so every access
-    // is in bounds.
-    size_t row = 0;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      std::vector<Row> rows;
-      rows.reserve(row_counts[i]);
-      for (uint32_t j = 0; j < row_counts[i]; ++j, ++row) {
-        Row out_row;
-        out_row.reserve(cols.size());
-        for (const ColumnVec& col : cols) out_row.push_back(col.At(row));
-        rows.push_back(std::move(out_row));
-      }
-      out.rows.emplace_back(keys[i], std::move(rows));
-    }
+    out.segments.push_back(std::move(seg));
   }
   if (!r.done()) return corrupt("trailing bytes");
   return out;
+}
+
+void InstallSegments(const DecodedSegments& decoded, uint64_t tick,
+                     int64_t query_id, ViewStore* store) {
+  MaterializedView* view = store->GetOrCreate(decoded.name, decoded.schema);
+  const std::function<uint64_t()> next_tick = [tick] { return tick; };
+  std::vector<uint32_t> rows;  // identity: key_rows index the columns
+  std::vector<const ColumnVec*> cols;
+  std::vector<uint8_t> inserted;
+  for (const DecodedSegment& seg : decoded.segments) {
+    rows.resize(seg.key_rows.back());
+    std::iota(rows.begin(), rows.end(), uint32_t{0});
+    cols.clear();
+    for (const ColumnVec& col : seg.cols) cols.push_back(&col);
+    PutRemaps remaps;  // each segment's columns have their own dictionaries
+    view->PutBatch(seg.keys, {}, seg.key_rows, rows, cols, next_tick,
+                   query_id, &remaps, &inserted);
+  }
 }
 
 Status ParseSegmentBody(const std::string& content, const std::string& file,
                         ViewStore* store) {
   EVA_ASSIGN_OR_RETURN(DecodedSegments decoded,
                        DecodeSegmentBody(content, file));
-  MaterializedView* view = store->GetOrCreate(decoded.name, decoded.schema);
-  for (const auto& [k, rows] : decoded.rows) view->Put(k, rows);
+  InstallSegments(decoded, /*tick=*/0, /*query_id=*/-1, store);
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -105,23 +104,39 @@ std::string SerializeSegments(
 std::string SerializeViewSegments(const std::string& name,
                                   const MaterializedView& view);
 
-/// A decoded `.evaseg` body, not yet installed anywhere.
+/// A decoded `.evaseg` body, not yet installed anywhere: per segment the
+/// ascending keys, prefix row offsets (key k's rows are [key_rows[k],
+/// key_rows[k + 1]) of every column) and one validated column per schema
+/// field, in its stored codec.
+struct DecodedSegment {
+  std::vector<ViewKey> keys;
+  std::vector<uint32_t> key_rows{0};
+  std::vector<ColumnVec> cols;
+};
 struct DecodedSegments {
   std::string name;
   Schema schema;
-  std::vector<std::pair<ViewKey, std::vector<Row>>> rows;
+  std::vector<DecodedSegment> segments;
 };
 
 /// Parses a `.evaseg` body and validates it exhaustively (lane sizes, dict
-/// code ranges, run offsets, key ordering, no trailing bytes), then
-/// reconstructs the exact rows. Never crashes on hostile bytes
+/// code ranges, run offsets, key ordering, no trailing bytes), so At(i) is
+/// safe on every decoded column. Never crashes on hostile bytes
 /// (reader_fuzz_test). `file` only labels error messages.
 Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
                                           const std::string& file);
 
-/// DecodeSegmentBody, then installs the rows into `store` (merging;
-/// existing keys win). A body that fails anywhere installs nothing —
-/// corrupt codec files underclaim, never surface wrong rows.
+/// Installs `decoded` into its view of `store` (created with the decoded
+/// schema when missing), one PutBatch per segment over the decoded
+/// columns: existing keys win, inserted keys are stamped `tick` /
+/// `query_id` and reseal on the first probe. Snapshot load and WAL replay
+/// both install through here.
+void InstallSegments(const DecodedSegments& decoded, uint64_t tick,
+                     int64_t query_id, ViewStore* store);
+
+/// DecodeSegmentBody, then InstallSegments at tick 0, query -1. A body
+/// that fails anywhere installs nothing — corrupt codec files underclaim,
+/// never surface wrong rows.
 Status ParseSegmentBody(const std::string& content, const std::string& file,
                         ViewStore* store);
 

@@ -27,7 +27,7 @@ bool MaterializedView::Contains(const ViewKey& key) const {
 
 std::vector<std::vector<int32_t>>& PutRemaps::For(uint64_t tail_id,
                                                   size_t ncols) {
-  // Consecutive Puts mostly land in one tail: try the last entry first.
+  // Consecutive runs mostly land in one tail: try the last entry first.
   if (last_ >= entries_.size() || entries_[last_].tail_id != tail_id) {
     last_ = 0;
     while (last_ < entries_.size() && entries_[last_].tail_id != tail_id) {
@@ -72,7 +72,7 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
                                 std::span<const uint8_t> absent,
                                 std::span<const uint32_t> key_rows,
                                 std::span<const uint32_t> rows,
-                                std::span<const TailLane> cols,
+                                std::span<const ColumnVec* const> cols,
                                 const std::function<uint64_t()>& next_tick,
                                 int64_t query_id, PutRemaps* remaps,
                                 std::vector<uint8_t>* inserted) {
@@ -108,35 +108,13 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
         remaps->For(seg.tail_id, lanes.size());
     for (size_t c = 0; c < lanes.size(); ++c) {
       if (c < cols.size()) {
-        lanes[c].AppendGather(cols[c].lane(), put_rows_.data(),
+        lanes[c].AppendGather(*cols[c], put_rows_.data(),
                               put_rows_.size(), &maps[c]);
       } else {
         for (size_t r = 0; r < put_rows_.size(); ++r) lanes[c].AppendNull();
       }
     }
   }
-}
-
-bool MaterializedView::Put(const ViewKey& key, const std::vector<Row>& rows,
-                           uint64_t tick, int64_t query_id) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  const int64_t seg_id = SegmentOf(key.frame);
-  Segment* seg = &segments_[seg_id];
-  if (seg->info.keys > 0 && ContainsLocked(*seg, key)) return false;
-  seg->tail_index.insert(key);
-  StartTailLocked(seg);
-  std::vector<TailLane>& lanes = seg->tail.cols;
-  for (const Row& row : rows) {
-    for (size_t c = 0; c < lanes.size(); ++c) {
-      if (c < row.size()) {
-        lanes[c].Append(row[c]);
-      } else {
-        lanes[c].AppendNull();
-      }
-    }
-  }
-  FinishPutLocked(seg_id, seg, key, rows.size(), tick, query_id);
-  return true;
 }
 
 bool MaterializedView::TouchedTailsLocked(const std::vector<ViewKey>& keys,

@@ -71,7 +71,7 @@ struct ProbeOutcome {
 /// reads cells via segment(oc).cols[c].At(row) (or RowAt). The pins keep
 /// each snapshot alive past the probe's lock, and sealed segments are
 /// immutable (a reseal swaps in a fresh one), so the references stay valid
-/// under concurrent Puts, reseals, and eviction. Reusable across batches
+/// under concurrent PutBatches, reseals, and eviction. Reusable across batches
 /// (Clear keeps capacity).
 struct ProbeResult {
   std::vector<ProbeOutcome> outcomes;  // parallel to the probed keys
@@ -150,7 +150,7 @@ class PutRemaps {
   std::vector<std::vector<int32_t>>& For(uint64_t tail_id, size_t ncols);
 
   std::vector<Entry> entries_;  // a chunk spans a few tails
-  size_t last_ = 0;             // entry of the previous Put
+  size_t last_ = 0;             // entry of the previous lookup
 };
 
 /// Materialized view of a UDF's results, keyed by input tuple. Presence is
@@ -161,14 +161,14 @@ class PutRemaps {
 ///
 /// Storage (docs/STORAGE.md): segments are the only copy of the rows. Each
 /// segment is an immutable sealed ColumnarSegment plus an append-only open
-/// tail of typed lanes; Put appends to the tail, and a seal merges sealed +
-/// tail into a fresh ColumnarSegment. A segment is stale exactly when its
-/// tail is non-empty.
+/// tail of typed lanes; PutBatch appends to the tail, and a seal merges
+/// sealed + tail into a fresh ColumnarSegment. A segment is stale exactly
+/// when its tail is non-empty.
 ///
 /// Concurrency (docs/RUNTIME.md): Contains and ProbeBatch over sealed
 /// segments take a shared lock and may run concurrently with other
-/// readers; Put, sealing, and access stamping take the lock exclusively.
-/// Probes read pinned sealed snapshots, never the tail.
+/// readers; PutBatch, sealing, and access stamping take the lock
+/// exclusively. Probes read pinned sealed snapshots, never the tail.
 class MaterializedView {
  public:
   MaterializedView(std::string name, Schema value_schema)
@@ -202,23 +202,20 @@ class MaterializedView {
   /// index, Bloom filter, FindKey). A flagged key that is in fact stored
   /// makes the next seal of its segment abort. Key k's rows are
   /// rows[key_rows[k] .. key_rows[k + 1]) (key_rows has keys.size() + 1
-  /// entries), as indices into the lanes `cols`, one per value-schema
-  /// field; fields past cols.size() read as NULL. The cells are copied
-  /// lane to lane with one TailLane::AppendGather per column and run of
-  /// keys in one segment, dictionary codes mapped through `remaps`.
-  /// `next_tick` is called once per inserted key, in key order, for the
-  /// access stamp of the key's segment (eviction scoring). `inserted` gets
-  /// one flag per key. One exclusive lock for the batch.
+  /// entries), as indices into `cols`, one column per value-schema field
+  /// (STORE's chunk lanes, or decoded snapshot / WAL columns in any
+  /// codec); fields past cols.size() read as NULL. The cells are copied
+  /// with one TailLane::AppendGather per column and run of keys in one
+  /// segment, dictionary codes mapped through `remaps` (one per set of
+  /// source columns). `next_tick` is called once per inserted key, in key
+  /// order, for the access stamp of the key's segment (eviction scoring).
+  /// `inserted` gets one flag per key. One exclusive lock for the batch.
   void PutBatch(std::span<const ViewKey> keys, std::span<const uint8_t> absent,
                 std::span<const uint32_t> key_rows,
                 std::span<const uint32_t> rows,
-                std::span<const TailLane> cols,
+                std::span<const ColumnVec* const> cols,
                 const std::function<uint64_t()>& next_tick, int64_t query_id,
                 PutRemaps* remaps, std::vector<uint8_t>* inserted);
-  /// Put of whole rows with a fixed stamp (replay, snapshot load, tests);
-  /// cells past a row's end read as NULL.
-  bool Put(const ViewKey& key, const std::vector<Row>& rows,
-           uint64_t tick = 0, int64_t query_id = -1);
 
   /// Refreshes the access stamps of the segments of a batch of probe hits
   /// (ViewJoin), given as (frame, tick) in hit order, under one lock.
@@ -257,7 +254,7 @@ class MaterializedView {
   }
 
   /// Seal-time storage configuration (codecs + Bloom). Takes effect at the
-  /// next (re)seal; the engine sets it before any Put. Reconstruction of
+  /// next (re)seal; the engine sets it before any PutBatch. Reconstruction of
   /// values is bit-identical for every configuration.
   void set_build_options(const SegmentBuildOptions& options) {
     std::unique_lock<std::shared_mutex> lock(mu_);
@@ -316,7 +313,7 @@ class MaterializedView {
     std::shared_ptr<const ColumnarSegment> sealed;  // null until first seal
     SegmentCells tail;  // open tail, keys in insertion order
     uint64_t tail_id = 0;  // unique per tail of this view (PutRemaps key)
-    std::unordered_set<ViewKey, ViewKeyHash> tail_index;  // Put's check
+    std::unordered_set<ViewKey, ViewKeyHash> tail_index;  // PutBatch's check
     // WAL capture: tail keys [0, drained) were drained (or predate it).
     size_t drained = 0;
     std::vector<MovedTail> moved;  // reseals since the last drain

@@ -72,12 +72,11 @@ Status ApplyAppend(const WalRecord& rec, storage::ViewStore* views,
       std::string_view(rec.payload).substr(rec.payload.size() - r.remaining()),
       "segment_append");
   if (!decoded.ok()) return Malformed(rec, decoded.status().message());
-  storage::MaterializedView* view =
-      views->GetOrCreate(decoded.value().name, decoded.value().schema);
-  const uint64_t tick = views->NextAccessTick();
-  for (const auto& [key, rows] : decoded.value().rows) {
-    view->Put(key, rows, tick, query_id);
-    ++(*keys_applied);
+  // One access tick stamps every key of the record.
+  storage::InstallSegments(decoded.value(), views->NextAccessTick(), query_id,
+                           views);
+  for (const storage::DecodedSegment& seg : decoded.value().segments) {
+    *keys_applied += static_cast<int64_t>(seg.keys.size());
   }
   return Status::OK();
 }

@@ -11,6 +11,7 @@
 
 #include "storage/bloom_filter.h"
 #include "storage/view_store.h"
+#include "view_test_util.h"
 
 namespace eva::storage {
 namespace {
@@ -118,7 +119,7 @@ TEST(BloomFilterTest, ProbeOracleDifferential) {
     ViewKey key{static_cast<int64_t>(state % 2000),
                 static_cast<int64_t>((state >> 32) % 4) - 1};
     if (oracle.insert(key).second) {
-      view.Put(key, {{Value(static_cast<int64_t>(i))}});
+      PutRows(&view, key, {{Value(static_cast<int64_t>(i))}});
     }
   }
   std::vector<ViewKey> probes;

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <span>
 #include <string>
@@ -23,6 +24,7 @@
 #include "storage/column_segment.h"
 #include "storage/view_store.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 
 namespace eva::storage {
 namespace {
@@ -529,8 +531,8 @@ struct ViewPair {
     packed.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
   }
   void Put(const ViewKey& key, const std::vector<Row>& rows) {
-    plain.Put(key, rows);
-    packed.Put(key, rows);
+    PutRows(&plain, key, rows);
+    PutRows(&packed, key, rows);
   }
 };
 
@@ -873,7 +875,7 @@ TEST(CodecResealTest, ResealEqualsOneShotSeal) {
       const size_t k = 2 + seed;  // appends between seals
       for (size_t i = 0; i < order.size(); ++i) {
         const auto& [key, rows] = content[order[i]];
-        ASSERT_TRUE(resealed.Put(key, rows));
+        ASSERT_TRUE(PutRows(&resealed, key, rows));
         if (i % k == k - 1) {
           if (i % 2 == 0) {
             resealed.SealAllSegments();
@@ -887,7 +889,7 @@ TEST(CodecResealTest, ResealEqualsOneShotSeal) {
       one_shot.set_segment_frames(64);
       one_shot.set_build_options(options);
       for (const auto& [key, rows] : content) {
-        ASSERT_TRUE(one_shot.Put(key, rows));
+        ASSERT_TRUE(PutRows(&one_shot, key, rows));
       }
       auto a = resealed.SealedSegments();
       auto b = one_shot.SealedSegments();
@@ -1028,8 +1030,8 @@ void ExpectPhasedResealMatchesOneShot(const Schema& schema,
     }
     for (size_t p = 0; p < phases.size(); ++p) {
       for (const auto& [key, rows] : phases[p]) {
-        ASSERT_TRUE(resealed.Put(key, rows));
-        ASSERT_TRUE(one_shot.Put(key, rows));
+        ASSERT_TRUE(PutRows(&resealed, key, rows));
+        ASSERT_TRUE(PutRows(&one_shot, key, rows));
       }
       if (p % 2 == 0) {
         resealed.SealAllSegments();
@@ -1300,15 +1302,39 @@ TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
   }
 }
 
-// STORE's PutBatch against one value Put per key of the same rows: the
-// inserted flags, access ticks, segment stamps, captured appends and sealed
-// segments must be equal. Each source chunk has a key lane ahead of the
-// value lanes and rows that are not stored (placeholders), as STORE's
-// input does. A chunk goes in as a few batches, some in reverse key
-// order, whose keys repeat earlier keys (in the sealed part, the tail, or
-// the same batch) and span segments; one PutRemaps serves the chunk while
-// seals, probes and an eviction between batches restart the tails under
-// it.
+// The reference side of LanePutMatchesValuePuts: one key's rows as
+// raw-Value columns, so PutBatch appends every cell to the tail with
+// TailLane::Append, value by value, never through the typed lane copy
+// under test. Cells past a row's end read as NULL.
+bool PutValues(MaterializedView* view, const ViewKey& key,
+               const std::vector<Row>& rows, uint64_t tick) {
+  std::vector<ColumnVec> cols(view->value_schema().num_fields());
+  for (const Row& row : rows) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      cols[c].raw_.push_back(c < row.size() ? row[c] : Value::Null());
+    }
+  }
+  std::vector<const ColumnVec*> col_ptrs;
+  for (const ColumnVec& col : cols) col_ptrs.push_back(&col);
+  std::vector<uint32_t> row_ids(rows.size());
+  std::iota(row_ids.begin(), row_ids.end(), uint32_t{0});
+  const uint32_t key_rows[] = {0, static_cast<uint32_t>(rows.size())};
+  PutRemaps remaps;
+  std::vector<uint8_t> inserted;
+  view->PutBatch({&key, 1}, {}, key_rows, row_ids, col_ptrs,
+                 [tick] { return tick; }, -1, &remaps, &inserted);
+  return inserted[0] != 0;
+}
+
+// STORE's PutBatch against PutValues, one key at a time, of the same
+// rows: the inserted flags, access ticks, segment stamps, captured
+// appends and sealed segments must be equal. Each source chunk has a key
+// lane ahead of the value lanes and rows that are not stored
+// (placeholders), as STORE's input does. A chunk goes in as a few
+// batches, some in reverse key order, whose keys repeat earlier keys (in
+// the sealed part, the tail, or the same batch) and span segments; one
+// PutRemaps serves the chunk while seals, probes and an eviction between
+// batches restart the tails under it.
 TEST(CodecResealTest, LanePutMatchesValuePuts) {
   Schema schema({{"i", DataType::kInt64},
                  {"d", DataType::kDouble},
@@ -1364,8 +1390,8 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
         }
         keys.push_back({{f, obj}, std::move(rows)});
       }
-      const std::span<const TailLane> values(lanes.data() + 1,
-                                             schema.num_fields());
+      const std::vector<const ColumnVec*> values =
+          LaneColumns({lanes.data() + 1, schema.num_fields()});
       PutRemaps remaps;
       for (size_t begin = 0; begin < keys.size();) {
         const size_t end =
@@ -1392,7 +1418,8 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
           std::vector<Row> value_rows;
           for (uint32_t r : rows) value_rows.push_back(cells[r]);
           const bool a = inserted[k - begin] != 0;
-          const bool b = by_values.Put(key, value_rows, value_clock + 1);
+          const bool b = PutValues(&by_values, key, value_rows,
+                                   value_clock + 1);
           if (b) ++value_clock;
           ASSERT_EQ(a, b) << "frame " << key.frame;
           (a ? puts : reputs) += 1;

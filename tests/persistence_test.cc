@@ -1,17 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "catalog/catalog.h"
+#include "common/rng.h"
 #include "engine/eva_engine.h"
 #include "storage/view_persistence.h"
+#include "udf/udf_manager.h"
 #include "vbench/vbench.h"
 #include "view_test_util.h"
+#include "wal/wal_log.h"
+#include "wal/wal_replay.h"
 
 namespace eva::storage {
 namespace {
@@ -55,16 +64,16 @@ TEST_F(PersistenceTest, ViewStoreRoundTrips) {
               {"area", DataType::kDouble},
               {"score", DataType::kDouble}});
   MaterializedView* view = store.GetOrCreate("Det@v", det);
-  view->Put({0, -1}, {{Value(int64_t{0}), Value("car"), Value(0.25),
-                       Value(0.9)},
-                      {Value(int64_t{1}), Value("bus"), Value(0.5),
-                       Value(0.8)}});
-  view->Put({1, -1}, {});  // presence-only entry must survive
+  PutRows(view, {0, -1}, {{Value(int64_t{0}), Value("car"), Value(0.25),
+                           Value(0.9)},
+                          {Value(int64_t{1}), Value("bus"), Value(0.5),
+                           Value(0.8)}});
+  PutRows(view, {1, -1}, {});  // presence-only entry must survive
   MaterializedView* cls =
       store.GetOrCreate("CarType@v", Schema({{"CarType",
                                               DataType::kString}}));
-  cls->Put({0, 0}, {{Value("Nissan")}});
-  cls->Put({0, 1}, {{Value("Toyota")}});
+  PutRows(cls, {0, 0}, {{Value("Nissan")}});
+  PutRows(cls, {0, 1}, {{Value("Toyota")}});
 
   udf::UdfManager manager;
   ASSERT_TRUE(SaveSession(store, manager, dir_.string()).ok());
@@ -97,13 +106,13 @@ TEST_F(PersistenceTest, ViewStoreRoundTrips) {
 TEST_F(PersistenceTest, LoadMergesWithoutOverwriting) {
   ViewStore store;
   Schema schema({{"CarType", DataType::kString}});
-  store.GetOrCreate("CarType@v", schema)->Put({0, 0}, {{Value("Nissan")}});
+  PutRows(store.GetOrCreate("CarType@v", schema), {0, 0}, {{Value("Nissan")}});
   udf::UdfManager manager;
   ASSERT_TRUE(SaveSession(store, manager, dir_.string()).ok());
 
   ViewStore target;
-  target.GetOrCreate("CarType@v", schema)->Put({0, 0}, {{Value("Ford")}});
-  target.GetOrCreate("CarType@v", schema)->Put({0, 1}, {{Value("BMW")}});
+  PutRows(target.GetOrCreate("CarType@v", schema), {0, 0}, {{Value("Ford")}});
+  PutRows(target.GetOrCreate("CarType@v", schema), {0, 1}, {{Value("BMW")}});
   ASSERT_TRUE(LoadSession(dir_.string(), &target, nullptr).ok());
   // Existing keys win (append-only semantics); new keys merge in.
   auto kept = ReadKey(*target.Find("CarType@v"), {0, 0});
@@ -295,14 +304,14 @@ TEST_F(PersistenceTest, StaleFilesOfDroppedViewsDoNotResurrect) {
   Schema schema({{"x", DataType::kInt64}});
   {
     ViewStore store;
-    store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
-    store.GetOrCreate("B@v", schema)->Put({0, -1}, {{Value(int64_t{2})}});
+    PutRows(store.GetOrCreate("A@v", schema), {0, -1}, {{Value(int64_t{1})}});
+    PutRows(store.GetOrCreate("B@v", schema), {0, -1}, {{Value(int64_t{2})}});
     ASSERT_TRUE(SaveSession(store, udf::UdfManager(), dir_.string()).ok());
   }
   {
     // Second save no longer contains B — its file must be deleted.
     ViewStore store;
-    store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
+    PutRows(store.GetOrCreate("A@v", schema), {0, -1}, {{Value(int64_t{1})}});
     ASSERT_TRUE(SaveSession(store, udf::UdfManager(), dir_.string()).ok());
   }
   int view_files = 0;
@@ -325,13 +334,13 @@ TEST_F(PersistenceTest, StaleFilesOfDroppedViewsDoNotResurrect) {
 TEST_F(PersistenceTest, UnmanifestedFileIsQuarantinedNotLoaded) {
   Schema schema({{"x", DataType::kInt64}});
   ViewStore store;
-  store.GetOrCreate("A@v", schema)->Put({0, -1}, {{Value(int64_t{1})}});
+  PutRows(store.GetOrCreate("A@v", schema), {0, -1}, {{Value(int64_t{1})}});
   ASSERT_TRUE(SaveSession(store, udf::UdfManager(), dir_.string()).ok());
   {
     // A well-formed view file, just never committed.
     ViewStore stray;
     MaterializedView* view = stray.GetOrCreate("Stray@v", schema);
-    view->Put({0, -1}, {{Value(int64_t{7})}});
+    PutRows(view, {0, -1}, {{Value(int64_t{7})}});
     std::ofstream out(dir_ / "Stray@v.evaseg", std::ios::binary);
     out << SerializeViewSegments("Stray@v", *view);
   }
@@ -376,6 +385,194 @@ TEST_F(PersistenceTest, GenerationAdvancesAcrossSaves) {
     }
   }
   EXPECT_GE(view_files, 1);
+}
+
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void ExpectSameStamps(const MaterializedView& a, const MaterializedView& b) {
+  const std::vector<SegmentStats> sa = a.Segments();
+  const std::vector<SegmentStats> sb = b.Segments();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (size_t i = 0; i < sa.size(); ++i) {
+    SCOPED_TRACE("segment " + std::to_string(sa[i].segment_id));
+    EXPECT_EQ(sa[i].segment_id, sb[i].segment_id);
+    EXPECT_EQ(sa[i].bytes, sb[i].bytes);
+    EXPECT_EQ(sa[i].info.keys, sb[i].info.keys);
+    EXPECT_EQ(sa[i].info.rows, sb[i].info.rows);
+    EXPECT_EQ(sa[i].info.created_tick, sb[i].info.created_tick);
+    EXPECT_EQ(sa[i].info.last_access_tick, sb[i].info.last_access_tick);
+    EXPECT_EQ(sa[i].info.last_access_query, sb[i].info.last_access_query);
+  }
+}
+
+// Snapshot load and WAL replay install decoded columns through PutBatch.
+// Over a view whose sealed columns take every codec (FOR, BitPack, RLE,
+// DictNum, ExpPack), a mixed-type lane, a dictionary past its cap, NULLs
+// (also from rows shorter than the schema), a NaN payload, -0.0 and
+// presence-only keys: save -> load -> save writes the same `.evaseg`
+// bytes and restores the same segment stamps, and the view's captured
+// segment_append records replay into an empty store that reseals to the
+// source's bytes.
+TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
+  const std::string name = "Mix@v";
+  const Schema schema({{"for_i", DataType::kInt64},
+                       {"rle_i", DataType::kInt64},
+                       {"bits", DataType::kBool},
+                       {"label", DataType::kString},
+                       {"dict_d", DataType::kDouble},
+                       {"exp_d", DataType::kDouble},
+                       {"mixed", DataType::kInt64},
+                       {"big_s", DataType::kString}});
+  const double kNaN = std::bit_cast<double>(uint64_t{0x7FF800000000BEEF});
+  const char* const kLabels[] = {"car", "bus", "person"};
+  const double kLevels[] = {0.25, 0.5, 0.75, 1.5};
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("compress=" + std::to_string(compress));
+    const SegmentBuildOptions options{compress, compress ? 10 : 0};
+    auto configure = [&options](ViewStore* store) {
+      store->set_segment_frames(64);
+      store->set_build_options(options);
+    };
+    ViewStore store;
+    configure(&store);
+    store.set_capture_appends(true);
+    MaterializedView* view = store.GetOrCreate(name, schema);
+    Rng rng(compress ? 7 : 8);
+    int64_t serial = 0;
+    // Bit patterns of the NaN and zero exp_d cells, by key and row.
+    std::map<ViewKey, std::vector<std::pair<size_t, uint64_t>>> special;
+    for (int64_t f = 0; f < 300; ++f) {
+      std::vector<Row> rows;
+      // Presence-only keys; frame 3 carries more distinct big_s strings
+      // than a dictionary holds.
+      const int64_t nrows = f % 11 == 0 ? 0 : f == 3 ? 66000 : 1 + f % 5;
+      for (int64_t r = 0; r < nrows; ++r) {
+        const uint64_t h = rng.NextU64();
+        Row row = {Value(int64_t{1000000} + static_cast<int64_t>(h % 1000)),
+                   Value((f / 32) * 1000),
+                   h % 13 == 0 ? Value::Null() : Value((h >> 8) % 2 == 0),
+                   Value(kLabels[(h >> 12) % 3]),
+                   Value(kLevels[(h >> 16) % 4]),
+                   Value(1.0 + rng.NextDouble())};
+        if (h % 17 == 0) row[5] = Value(kNaN);
+        if (h % 19 == 0) row[5] = Value(-0.0);
+        if (h % 23 == 0) row[5] = Value::Null();
+        row.push_back((h >> 20) % 2 == 0 ? Value(static_cast<int64_t>(r))
+                                         : Value(std::to_string(r)));
+        row.push_back(Value(std::to_string(serial++)));
+        if (h % 29 == 0) row.resize(4);  // the rest read as NULL
+        if (row.size() > 5 && !row[5].is_null() &&
+            (std::isnan(row[5].AsDouble()) || row[5].AsDouble() == 0)) {
+          special[{f, -1}].push_back(
+              {rows.size(), std::bit_cast<uint64_t>(row[5].AsDouble())});
+        }
+        rows.push_back(std::move(row));
+      }
+      ASSERT_TRUE(PutRows(view, {f, -1}, rows, static_cast<uint64_t>(f + 1),
+                          f % 7));
+      // A mid-build reseal: the capture keeps what it moved out.
+      if (f == 150) view->SealAllSegments();
+    }
+    const std::vector<std::shared_ptr<const ColumnarSegment>> appended =
+        view->TakeAppendedChunks();
+    // Typed copies keep NaN payloads and the sign of zero.
+    auto expect_special = [&special](const MaterializedView& v) {
+      for (const auto& [key, cells] : special) {
+        const auto rows = ReadKey(v, key);
+        ASSERT_TRUE(rows.has_value());
+        for (const auto& [r, bits] : cells) {
+          EXPECT_EQ(std::bit_cast<uint64_t>((*rows)[r][5].AsDouble()), bits);
+        }
+      }
+    };
+    expect_special(*view);
+
+    // Sealed columns cover every codec and raw Value storage.
+    std::set<ColumnVec::Codec> codecs;
+    std::set<ColumnVec::Enc> encs;
+    for (const auto& [seg_id, seg] : view->SealedSegments()) {
+      for (const ColumnVec& col : seg->cols) {
+        codecs.insert(col.codec());
+        encs.insert(col.enc());
+      }
+    }
+    EXPECT_TRUE(encs.count(ColumnVec::Enc::kValue) > 0);
+    if (compress) {
+      for (ColumnVec::Codec c :
+           {ColumnVec::Codec::kFor, ColumnVec::Codec::kBitPack,
+            ColumnVec::Codec::kRle, ColumnVec::Codec::kDictNum,
+            ColumnVec::Codec::kExpPack}) {
+        EXPECT_TRUE(codecs.count(c) > 0) << ColumnVec::CodecName(c);
+      }
+    }
+
+    // Snapshot: save, load into a fresh store, save again.
+    const fs::path first = dir_ / ("first" + std::to_string(compress));
+    const fs::path second = dir_ / ("second" + std::to_string(compress));
+    udf::UdfManager manager;
+    ASSERT_TRUE(SaveSession(store, manager, first.string()).ok());
+    ViewStore loaded;
+    configure(&loaded);
+    auto report = LoadSession(first.string(), &loaded, nullptr);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report.value().clean()) << report.value().Summary();
+    const MaterializedView* lv = loaded.Find(name);
+    ASSERT_NE(lv, nullptr);
+    EXPECT_EQ(lv->num_keys(), view->num_keys());
+    EXPECT_EQ(lv->num_rows(), view->num_rows());
+    ASSERT_TRUE(SaveSession(loaded, manager, second.string()).ok());
+    const std::string file = name + ".g1.evaseg";
+    const std::string saved = ReadBytes(first / file);
+    ASSERT_FALSE(saved.empty());
+    EXPECT_TRUE(saved == ReadBytes(second / file));
+    ExpectSameStamps(*view, *lv);
+    expect_special(*lv);
+    const auto presence_only = ReadKey(*lv, {11, -1});
+    ASSERT_TRUE(presence_only.has_value());
+    EXPECT_TRUE(presence_only->empty());
+    const auto big = ReadKey(*lv, {3, -1});
+    ASSERT_TRUE(big.has_value());
+    EXPECT_EQ(big->size(), 66000u);
+
+    // WAL: the captured appends, framed as segment_append records,
+    // replay into an empty store.
+    ASSERT_GT(appended.size(), 3u);
+    std::string log;
+    for (const auto& chunk : appended) {
+      log += wal::EncodeFrame(
+          wal::SegmentAppendRecord(name, schema, /*query_id=*/4, *chunk));
+    }
+    const fs::path wal_path = dir_ / ("replay" + std::to_string(compress));
+    {
+      std::ofstream out(wal_path, std::ios::binary);
+      out.write(log.data(), static_cast<std::streamsize>(log.size()));
+    }
+    catalog::Catalog catalog;
+    ViewStore replayed;
+    configure(&replayed);
+    auto replay = wal::ReplayWal(wal_path.string(), &catalog, &replayed,
+                                 &manager, symbolic::SymbolicBudget());
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_EQ(replay.value().appends, static_cast<int64_t>(appended.size()));
+    EXPECT_EQ(replay.value().keys_applied, view->num_keys());
+    const MaterializedView* rv = replayed.Find(name);
+    ASSERT_NE(rv, nullptr);
+    EXPECT_TRUE(SerializeViewSegments(name, *rv) == saved);
+    expect_special(*rv);
+    // One record per segment, in segment order, and one tick per record
+    // stamped on every key it inserted.
+    const std::vector<SegmentStats> stamps = rv->Segments();
+    ASSERT_EQ(stamps.size(), appended.size());
+    for (size_t i = 0; i < stamps.size(); ++i) {
+      EXPECT_EQ(stamps[i].info.created_tick, i + 1);
+      EXPECT_EQ(stamps[i].info.last_access_tick, i + 1);
+      EXPECT_EQ(stamps[i].info.last_access_query, 4);
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -221,13 +222,13 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
   storage::MaterializedView* view = store.GetOrCreate("Det@v", schema);
   for (int64_t f = 0; f < 300; ++f) {
     if (f % 17 == 0) {
-      view->Put({f, -1}, {});  // presence-only keys
+      PutRows(view, {f, -1}, {});  // presence-only keys
       continue;
     }
-    view->Put({f, -1},
-              {{Value(f % 6), Value(f % 3 == 0 ? "car" : "person"),
-                Value(f % 2 == 0), Value(0.5 + static_cast<double>(f % 7))},
-               {Value::Null(), Value("bus"), Value::Null(), Value(0.125)}});
+    PutRows(view, {f, -1},
+            {{Value(f % 6), Value(f % 3 == 0 ? "car" : "person"),
+              Value(f % 2 == 0), Value(0.5 + static_cast<double>(f % 7))},
+             {Value::Null(), Value("bus"), Value::Null(), Value(0.125)}});
   }
   const std::string body = storage::SerializeViewSegments("Det@v", *view);
   ASSERT_FALSE(body.empty());
@@ -271,20 +272,27 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
     }
     const storage::MaterializedView* lv = loaded.Find("Det@v");
     if (lv == nullptr) continue;  // parsed under a mutated name
-    // ParseSegmentBody installed exactly what the decoder returned.
+    // ParseSegmentBody installed exactly what the decoder returned: each
+    // decoded key with its decoded row count (a key repeated across
+    // segments keeps its first occurrence), and nothing else.
     auto decoded = storage::DecodeSegmentBody(mutated, "fz.evaseg");
     ASSERT_TRUE(decoded.ok());
-    for (const auto& [key, rows] : decoded.value().rows) {
-      EXPECT_TRUE(lv->Contains(key));
-      if (!view->Contains(key)) continue;  // bit flips inside key varints
-      // A surviving key either matches the original payload or the
-      // mutation stayed inside the value lanes — but lane sizes, dict
-      // indexes, and run offsets were all revalidated, so reconstructed
-      // rows always have the right shape.
-      for (const Row& row : rows) {
-        EXPECT_EQ(row.size(), schema.num_fields());
+    const size_t nfields = decoded.value().schema.num_fields();
+    std::set<storage::ViewKey> installed;
+    for (const storage::DecodedSegment& seg : decoded.value().segments) {
+      ASSERT_EQ(seg.key_rows.size(), seg.keys.size() + 1);
+      ASSERT_EQ(seg.cols.size(), nfields);
+      for (size_t k = 0; k < seg.keys.size(); ++k) {
+        const auto rows = storage::ReadKey(*lv, seg.keys[k]);
+        ASSERT_TRUE(rows.has_value());
+        if (!installed.insert(seg.keys[k]).second) continue;
+        EXPECT_EQ(rows->size(), seg.key_rows[k + 1] - seg.key_rows[k]);
+        // Lane sizes, dict indexes, and run offsets were all revalidated,
+        // so installed rows always have the right shape.
+        for (const Row& row : *rows) EXPECT_EQ(row.size(), nfields);
       }
     }
+    EXPECT_EQ(lv->num_keys(), static_cast<int64_t>(installed.size()));
   }
 
   // Through the manifested v2 load path the CRC catches what the parser

@@ -24,7 +24,7 @@ TEST(MaterializedViewTest, PresenceDistinctFromEmptiness) {
   MaterializedView view("det@v", DetSchema());
   EXPECT_FALSE(view.Contains({5, -1}));
   EXPECT_FALSE(ReadKey(view, {5, -1}).has_value());
-  EXPECT_TRUE(view.Put({5, -1}, {}));  // processed frame, zero detections
+  EXPECT_TRUE(PutRows(&view, {5, -1}, {}));  // processed frame, zero detections
   EXPECT_TRUE(view.Contains({5, -1}));
   ASSERT_TRUE(ReadKey(view, {5, -1}).has_value());
   EXPECT_TRUE(ReadKey(view, {5, -1})->empty());
@@ -34,19 +34,19 @@ TEST(MaterializedViewTest, PresenceDistinctFromEmptiness) {
 
 TEST(MaterializedViewTest, PutIsIdempotentAppendOnly) {
   MaterializedView view("det@v", DetSchema());
-  EXPECT_TRUE(view.Put({1, -1}, {{Value(int64_t{0}), Value("car"),
-                                  Value(0.3), Value(0.9)}}));
+  EXPECT_TRUE(PutRows(&view, {1, -1}, {{Value(int64_t{0}), Value("car"),
+                                        Value(0.3), Value(0.9)}}));
   EXPECT_EQ(view.num_rows(), 1);
   // Re-putting an existing key is a no-op (STORE semantics).
-  EXPECT_FALSE(view.Put({1, -1}, {{Value(int64_t{0}), Value("bus"),
-                                   Value(0.1), Value(0.2)},
-                                  {Value(int64_t{1}), Value("car"),
-                                   Value(0.2), Value(0.8)}}));
+  EXPECT_FALSE(PutRows(&view, {1, -1}, {{Value(int64_t{0}), Value("bus"),
+                                         Value(0.1), Value(0.2)},
+                                        {Value(int64_t{1}), Value("car"),
+                                         Value(0.2), Value(0.8)}}));
   EXPECT_EQ(view.num_rows(), 1);
   EXPECT_EQ((*ReadKey(view, {1, -1}))[0][1].AsString(), "car");
   // Also once the key is sealed (probed) rather than in the open tail.
-  EXPECT_FALSE(view.Put({1, -1}, {{Value(int64_t{0}), Value("bus"),
-                                   Value(0.1), Value(0.2)}}));
+  EXPECT_FALSE(PutRows(&view, {1, -1}, {{Value(int64_t{0}), Value("bus"),
+                                         Value(0.1), Value(0.2)}}));
   EXPECT_EQ(view.num_rows(), 1);
   EXPECT_EQ((*ReadKey(view, {1, -1}))[0][1].AsString(), "car");
 }
@@ -62,7 +62,8 @@ TEST(MaterializedViewTest, ReappendDrawsNoTick) {
              Value(0.9)};
   std::vector<storage::TailLane> lanes(row.size());
   for (size_t c = 0; c < row.size(); ++c) lanes[c].Append(row[c]);
-  const std::span<const storage::TailLane> cols(lanes.data() + 1, 4);
+  const std::vector<const storage::ColumnVec*> cols =
+      LaneColumns({lanes.data() + 1, 4});
   const std::vector<ViewKey> keys = {{1, -1}};
   const std::vector<uint32_t> key_rows = {0, 1};
   const std::vector<uint32_t> rows = {0};
@@ -122,7 +123,7 @@ TEST(MaterializedViewTest, ProbeBatchHitsARepeatedKey) {
   MaterializedView view("det@v", DetSchema());
   view.set_build_options({true, 10});
   for (int64_t f = 0; f < 10; ++f) {
-    view.Put({f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
+    PutRows(&view, {f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
   }
   const std::vector<ViewKey> keys = {{3, -1}, {3, -1}, {4, -1}, {4, -1}};
   ProbeResult res;
@@ -155,11 +156,11 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   view->set_build_options({true, 10});
   view->set_capture_appends(true);
   for (int64_t f : {1, 2, 3}) {
-    view->Put({f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
+    PutRows(view, {f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
   }
   view->SealAllSegments();
-  view->Put({5, -1}, {{Value(int64_t{5}), Value("car"), Value(0.3),
-                       Value(0.9)}});
+  PutRows(view, {5, -1}, {{Value(int64_t{5}), Value("car"), Value(0.3),
+                           Value(0.9)}});
   view->TakeAppendedChunks();
   // Lane rows: the obj lane holds 70 + row so a key's stored row shows
   // which occurrence inserted it.
@@ -179,8 +180,8 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   };
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch(keys, {}, key_rows, rows, lanes, next_tick, 9, &remaps,
-                 &inserted);
+  view->PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes), next_tick, 9,
+                 &remaps, &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 0, 0, 0, 0, 1}));
   EXPECT_EQ(store.current_tick(), 2u);  // one tick per inserted key
   EXPECT_EQ(view->num_keys(), 6);
@@ -197,8 +198,8 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   const std::vector<ViewKey> fresh = {{9, -1}, {9, -1}, {4, -1}};
   const std::vector<uint8_t> absent = {1, 1, 1};
   const std::vector<uint32_t> fresh_rows = {7, 7, 8};
-  view->PutBatch(fresh, absent, {key_rows.data(), 4}, fresh_rows, lanes,
-                 next_tick, 9, &remaps, &inserted);
+  view->PutBatch(fresh, absent, {key_rows.data(), 4}, fresh_rows,
+                 LaneColumns(lanes), next_tick, 9, &remaps, &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 1}));
   EXPECT_EQ(view->num_keys(), 8);
   EXPECT_EQ((*ReadKey(*view, {9, -1}))[0][0].AsInt64(), 77);
@@ -213,7 +214,7 @@ void PutAStoredKeyAsAbsent() {
   ViewStore store;
   MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
   for (int64_t f : {1, 2, 3}) {
-    view->Put({f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
+    PutRows(view, {f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
   }
   view->SealAllSegments();
   std::vector<TailLane> lanes(4);
@@ -227,7 +228,7 @@ void PutAStoredKeyAsAbsent() {
   const std::vector<uint32_t> rows = {0};
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch(keys, absent, key_rows, rows, lanes,
+  view->PutBatch(keys, absent, key_rows, rows, LaneColumns(lanes),
                  [] { return uint64_t{1}; }, 0, &remaps, &inserted);
   view->SealAllSegments();
 }
@@ -243,8 +244,8 @@ TEST(MaterializedViewDeathTest, KnownAbsentKeyThatIsStoredAbortsTheSeal) {
 TEST(MaterializedViewTest, ObjectLevelKeys) {
   MaterializedView view("CarType@v", Schema({{"CarType",
                                               DataType::kString}}));
-  view.Put({3, 0}, {{Value("Nissan")}});
-  view.Put({3, 1}, {{Value("Toyota")}});
+  PutRows(&view, {3, 0}, {{Value("Nissan")}});
+  PutRows(&view, {3, 1}, {{Value("Toyota")}});
   EXPECT_TRUE(view.Contains({3, 0}));
   EXPECT_FALSE(view.Contains({3, 2}));
   EXPECT_FALSE(view.Contains({3, -1}));
@@ -256,8 +257,8 @@ TEST(MaterializedViewTest, SizeGrowsWithContent) {
   MaterializedView view("det@v", DetSchema());
   double empty_size = view.SizeBytes();
   for (int64_t f = 0; f < 100; ++f) {
-    view.Put({f, -1}, {{Value(int64_t{0}), Value("car"), Value(0.3),
-                        Value(0.9)}});
+    PutRows(&view, {f, -1}, {{Value(int64_t{0}), Value("car"), Value(0.3),
+                              Value(0.9)}});
   }
   EXPECT_GT(view.SizeBytes(), empty_size);
   EXPECT_LT(view.SizeBytes(), 100 * 1024);  // lightweight metadata (§5.2)
@@ -270,18 +271,16 @@ TEST(ViewStoreTest, GetOrCreateAndFind) {
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(store.GetOrCreate("x", DetSchema()), v);
   EXPECT_EQ(store.Find("x"), v);
-  v->Put({1, -1}, {});
+  PutRows(v, {1, -1}, {});
   store.Clear();
   EXPECT_EQ(store.Find("x"), nullptr);
 }
 
 TEST(ViewStoreTest, TotalSizeSumsViews) {
   ViewStore store;
-  store.GetOrCreate("a", DetSchema())->Put({1, -1}, {{Value(int64_t{0}),
-                                                      Value("car"),
-                                                      Value(0.1),
-                                                      Value(0.9)}});
-  store.GetOrCreate("b", DetSchema())->Put({2, -1}, {});
+  PutRows(store.GetOrCreate("a", DetSchema()), {1, -1},
+          {{Value(int64_t{0}), Value("car"), Value(0.1), Value(0.9)}});
+  PutRows(store.GetOrCreate("b", DetSchema()), {2, -1}, {});
   EXPECT_GT(store.TotalSizeBytes(), 0);
   EXPECT_DOUBLE_EQ(store.TotalSizeBytes(),
                    store.Find("a")->SizeBytes() +

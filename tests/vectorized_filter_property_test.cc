@@ -450,8 +450,8 @@ TEST(VectorizedFilterProperty, ViewMatchesMapOracle) {
     for (int p = 0; p < puts; ++p) {
       ViewKey key{rng.Below(max_frame), -1};
       std::vector<Row> rows = RandomMixedDetections(rng);
-      bool inserted = view.Put(key, rows,
-                               static_cast<uint64_t>(round * 100 + p), round);
+      bool inserted = PutRows(&view, key, rows,
+                              static_cast<uint64_t>(round * 100 + p), round);
       ASSERT_EQ(inserted, oracle.emplace(key, rows).second)
           << "frame " << key.frame;
       if (!inserted) ++reappends;
@@ -537,8 +537,8 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
   MaterializedView view("v", value_schema);
   view.set_segment_frames(8);
   for (int64_t f = 0; f < 96; ++f) {
-    view.Put(ViewKey{f, -1}, RandomDetections(rng),
-             static_cast<uint64_t>(f), 0);
+    PutRows(&view, ViewKey{f, -1}, RandomDetections(rng),
+            static_cast<uint64_t>(f), 0);
   }
   std::vector<ViewKey> keys;
   for (int64_t f = 0; f < 96; ++f) keys.push_back(ViewKey{f, -1});

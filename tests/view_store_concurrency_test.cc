@@ -46,7 +46,7 @@ TEST(ViewStoreConcurrencyTest, OverlappingInsertsMatchSerialState) {
       threads.emplace_back([&parallel, t] {
         for (int64_t k = 0; k < kSpan; ++k) {
           int64_t frame = static_cast<int64_t>(t) * kStride + k;
-          parallel.Put({frame, -1}, RowsForKey(frame));
+          PutRows(&parallel, {frame, -1}, RowsForKey(frame));
         }
       });
     }
@@ -57,7 +57,7 @@ TEST(ViewStoreConcurrencyTest, OverlappingInsertsMatchSerialState) {
   for (int t = 0; t < kThreads; ++t) {
     for (int64_t k = 0; k < kSpan; ++k) {
       int64_t frame = static_cast<int64_t>(t) * kStride + k;
-      serial.Put({frame, -1}, RowsForKey(frame));
+      PutRows(&serial, {frame, -1}, RowsForKey(frame));
     }
   }
 
@@ -91,7 +91,7 @@ TEST(ViewStoreConcurrencyTest, ProbesDuringInsertsSeeConsistentEntries) {
   std::atomic<int64_t> inconsistencies{0};
   std::thread writer([&] {
     for (int64_t frame = 0; frame < kKeys; ++frame) {
-      view.Put({frame, -1}, RowsForKey(frame));
+      PutRows(&view, {frame, -1}, RowsForKey(frame));
     }
     writer_done.store(true);
   });
@@ -144,7 +144,7 @@ TEST(ViewStoreConcurrencyTest, ConcurrentFindAndTotalsDoNotRace) {
     MaterializedView* view =
         store.GetOrCreate("v" + std::to_string(v), TestSchema());
     for (int64_t frame = 0; frame < 50; ++frame) {
-      view->Put({frame, -1}, RowsForKey(frame));
+      PutRows(view, {frame, -1}, RowsForKey(frame));
     }
   }
   std::atomic<bool> stop{false};
@@ -183,7 +183,7 @@ TEST(ViewStoreConcurrencyTest, ProbesDuringCompressedSealStayExact) {
   std::atomic<int64_t> mismatches{0};
   std::thread writer([&] {
     for (int64_t frame = 0; frame < kKeys; ++frame) {
-      view.Put({frame, -1}, RowsForKey(frame));
+      PutRows(&view, {frame, -1}, RowsForKey(frame));
     }
     writer_done.store(true);
   });

@@ -427,8 +427,8 @@ TEST_F(WalRecoveryTest, ResealMidQueryLogsTheWholeAppendInOneRecord) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     if (decoded.value().name != kDetectorKey) continue;
     std::vector<int64_t> frames;
-    for (const auto& [key, rows] : decoded.value().rows) {
-      frames.push_back(key.frame);
+    for (const storage::DecodedSegment& seg : decoded.value().segments) {
+      for (const storage::ViewKey& key : seg.keys) frames.push_back(key.frame);
     }
     appends[query_id].push_back(std::move(frames));
   }
