@@ -271,40 +271,14 @@ Chunk FilterBenchChunk() {
   return chunk;
 }
 
-// The filter's scalar fallback: each row of the chunk is built, then run
-// through the per-row recursive interpreter.
-int64_t FilterScalar(const eva::expr::Expr& pred, const Chunk& chunk) {
-  int64_t kept = 0;
-  for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    auto v = eva::expr::EvaluateBool(pred, chunk.schema(), chunk.RowAt(r));
-    if (v.ok() && v.value()) ++kept;
-  }
-  return kept;
-}
-
-void BM_FilterScalar(benchmark::State& state) {
-  Chunk chunk = FilterBenchChunk();
-  ExprPtr pred = FilterBenchPredicate();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FilterScalar(*pred, chunk));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(chunk.num_rows()));
-}
-BENCHMARK(BM_FilterScalar);
-
 // Compiled register program over the same chunk's lanes.
 void BM_FilterVectorized(benchmark::State& state) {
   Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
-  auto program = FilterProgram::Compile(*pred, chunk.schema());
-  if (!program.has_value()) {
-    state.SkipWithError("predicate did not compile");
-    return;
-  }
+  const FilterProgram program = FilterProgram::Compile(*pred, chunk.schema());
   std::vector<uint8_t> keep;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(program->Execute(chunk, &keep).ok());
+    benchmark::DoNotOptimize(program.Execute(chunk, &keep).ok());
     benchmark::DoNotOptimize(keep.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -422,21 +396,12 @@ int RunQuick() {
 
   Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
-  auto program = FilterProgram::Compile(*pred, chunk.schema());
-  if (!program.has_value()) {
-    std::fprintf(stderr, "FATAL quick-mode predicate did not compile\n");
-    return 1;
-  }
+  const FilterProgram program = FilterProgram::Compile(*pred, chunk.schema());
   const int64_t filter_rounds = kOps / static_cast<int64_t>(chunk.num_rows());
-  auto filter_scalar = [&] {
-    for (int64_t r = 0; r < filter_rounds; ++r) {
-      benchmark::DoNotOptimize(FilterScalar(*pred, chunk));
-    }
-  };
   std::vector<uint8_t> keep;
   auto filter_vectorized = [&] {
     for (int64_t r = 0; r < filter_rounds; ++r) {
-      benchmark::DoNotOptimize(program->Execute(chunk, &keep).ok());
+      benchmark::DoNotOptimize(program.Execute(chunk, &keep).ok());
       benchmark::DoNotOptimize(keep.data());
     }
   };
@@ -472,10 +437,6 @@ int RunQuick() {
   out += eva::bench::WallStatsJson(
       "view_reseal", eva::bench::MeasureWall(view_reseal, kWarmup, kSamples,
                                              kResealTails));
-  out += ',';
-  out += eva::bench::WallStatsJson(
-      "filter_scalar",
-      eva::bench::MeasureWall(filter_scalar, kWarmup, kSamples, filter_ops));
   out += ',';
   out += eva::bench::WallStatsJson(
       "filter_vectorized", eva::bench::MeasureWall(filter_vectorized, kWarmup,

@@ -271,6 +271,7 @@ Status EvaEngine::LoadViews(const std::string& dir) {
       storage::LoadSession(dir, &views_, &manager_, &fs);
   if (!loaded.ok()) return loaded.status();
   last_recovery_ = loaded.MoveValue();
+  lifecycle_->SyncAccessTick();
   if (registry_ != nullptr && !last_recovery_.clean()) {
     if (auto* c = registry_->GetCounter(
             "eva_recovery_total",
@@ -365,6 +366,7 @@ Status EvaEngine::EnableWal(const std::string& dir) {
       wal::ReplayWal(WalPath(dir, gen), catalog_.get(), &views_, &manager_,
                      options_.optimizer.budget, &fs));
   last_replay_ = std::move(replay);
+  lifecycle_->SyncAccessTick();
   if (gen > 0) (void)fs.Remove(WalPath(dir, gen - 1));
   ingestor_.SyncVisible();
 
@@ -924,7 +926,6 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
   ctx.query_id = ++query_seq_;
   ctx.session_id = session_id;
   ctx.udf_spin_us = options_.udf_spin_us;
-  ctx.vectorized_filter = options_.vectorized_filter;
   ctx.zone_map_skipping = options_.zone_map_skipping;
   if (options_.optimizer.mode == optimizer::ReuseMode::kFunCache) {
     ctx.funcache = &funcache_;

@@ -70,9 +70,7 @@ struct EngineOptions {
   double udf_spin_us = 0;
 
   // --- columnar probe path (docs/STORAGE.md) ------------------------------
-  /// Compile filter predicates into the vectorized batch evaluator
-  /// (src/exec/vector_filter.h). Off keeps the per-row interpreter
-  /// everywhere; results are identical either way.
+  /// No effect; kept because perfbench/ assigns it.
   bool vectorized_filter = true;
   /// Let view-join probes skip segments whose zone maps prove the plan's
   /// residual predicate unsatisfiable. Saves view reads and downstream

@@ -2,13 +2,6 @@
 
 namespace eva::exec {
 
-Row Chunk::RowAt(size_t row) const {
-  Row out;
-  out.reserve(cols_.size());
-  for (const storage::TailLane& c : cols_) out.push_back(c.lane().At(row));
-  return out;
-}
-
 void Chunk::AppendRow(const Row& row) {
   for (size_t c = 0; c < cols_.size(); ++c) {
     if (c < row.size()) {

@@ -15,10 +15,9 @@ namespace eva::exec {
 /// tail's storage::TailLane: Int64/Double/Bool cells are typed, strings
 /// are dictionary-coded, and a lane whose non-null cells do not share one
 /// type holds raw Values. lane(c).At(r) gives back exactly the Value that
-/// was appended, so no operator can change a cell's type. Rows exist only
-/// at the result boundary (ExecutePlan) and in the operators that still
-/// evaluate per row (Project of computed expressions, Aggregate, the
-/// scalar filter fallback, FunCache).
+/// was appended, so no operator can change a cell's type. Expressions are
+/// evaluated over lanes (FilterProgram); rows exist only at the result
+/// boundary (ExecutePlan), in Aggregate's group keys and in FunCache.
 class Chunk {
  public:
   Chunk() = default;
@@ -35,7 +34,6 @@ class Chunk {
   const std::vector<storage::TailLane>& cols() const { return cols_; }
 
   Value At(size_t row, size_t c) const { return lane(c).At(row); }
-  Row RowAt(size_t row) const;
   /// Appends one cell per field; cells past the row's end are NULL.
   void AppendRow(const Row& row);
 

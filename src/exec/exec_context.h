@@ -107,9 +107,7 @@ struct ExecContext {
   /// Session the query belongs to (0 = single-session path); stamped onto
   /// event-log records emitted from operator code.
   int64_t session_id = 0;
-  /// Compile filter predicates into the vectorized batch evaluator
-  /// (src/exec/vector_filter.h); the per-row interpreter stays as the
-  /// fallback for unsupported predicate shapes and runtime type errors.
+  /// No effect; kept because perfbench/ assigns it.
   bool vectorized_filter = true;
   /// Let view-join probes consult per-segment zone maps to skip reading
   /// segments that cannot satisfy the plan's residual predicate. Results

@@ -166,17 +166,9 @@ class FilterOp : public Operator {
   FilterOp(ExecContext* ctx, OperatorPtr child, expr::ExprPtr predicate)
       : Operator(ctx, child->output_schema()),
         child_(std::move(child)),
-        predicate_(std::move(predicate)) {
-    // Compiled once per query; nullopt keeps the per-row interpreter for
-    // predicate shapes the register program does not cover.
-    if (ctx->vectorized_filter) {
-      program_ = FilterProgram::Compile(*predicate_, output_schema_);
-    }
+        // Compiled once per query.
+        program_(FilterProgram::Compile(*predicate, output_schema_)) {
     if (ctx->obs_registry != nullptr) {
-      rows_vectorized_ = ctx->obs_registry->GetCounter(
-          "eva_rows_filtered_vectorized_total",
-          "Rows whose filter verdict came from the vectorized batch "
-          "evaluator");
       fill_ratio_ = ctx->obs_registry->GetHistogram(
           "eva_filter_batch_fill_ratio",
           "Input batch occupancy (rows / batch_size) at filter operators",
@@ -188,30 +180,11 @@ class FilterOp : public Operator {
     while (true) {
       EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) return Chunk(output_schema_);
-      const size_t n = in.num_rows();
       if (fill_ratio_ != nullptr && ctx_->batch_size > 0) {
-        fill_ratio_->Observe(static_cast<double>(n) /
+        fill_ratio_->Observe(static_cast<double>(in.num_rows()) /
                              static_cast<double>(ctx_->batch_size));
       }
-      if (program_.has_value() && program_->Execute(in, &keep_).ok()) {
-        // A runtime type error falls through to the interpreter below,
-        // which reproduces the exact short-circuit behavior and error.
-        if (ctx_->active_stats != nullptr) {
-          ctx_->active_stats->rows_filtered_vectorized +=
-              static_cast<int64_t>(n);
-        }
-        if (rows_vectorized_ != nullptr) {
-          rows_vectorized_->Increment(static_cast<double>(n));
-        }
-      } else {
-        keep_.assign(n, 0);
-        for (size_t r = 0; r < n; ++r) {
-          EVA_ASSIGN_OR_RETURN(
-              bool keep,
-              expr::EvaluateBool(*predicate_, in.schema(), in.RowAt(r)));
-          keep_[r] = keep ? 1 : 0;
-        }
-      }
+      EVA_RETURN_IF_ERROR(program_.Execute(in, &keep_));
       Chunk out = Compact(std::move(in), keep_, &rows_, &remaps_);
       if (!out.empty()) return out;
     }
@@ -219,12 +192,10 @@ class FilterOp : public Operator {
 
  private:
   OperatorPtr child_;
-  expr::ExprPtr predicate_;
-  std::optional<FilterProgram> program_;
+  FilterProgram program_;
   std::vector<uint8_t> keep_;
   std::vector<uint32_t> rows_;
   LaneRemaps remaps_;
-  obs::Counter* rows_vectorized_ = nullptr;
   obs::Histogram* fill_ratio_ = nullptr;
 };
 
@@ -1320,23 +1291,24 @@ class StoreOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Project: a column reference takes the input lane as it is; only other
-// expressions are evaluated, over rows built from the chunk.
+// Project: a column reference takes the input lane as it is; any other
+// select item gets its lane from its compiled program.
 // ---------------------------------------------------------------------------
 
 class ProjectOp : public Operator {
  public:
   ProjectOp(ExecContext* ctx, OperatorPtr child,
-            std::vector<expr::ExprPtr> exprs, Schema schema)
-      : Operator(ctx, std::move(schema)),
-        child_(std::move(child)),
-        exprs_(std::move(exprs)) {
+            const std::vector<expr::ExprPtr>& exprs, Schema schema)
+      : Operator(ctx, std::move(schema)), child_(std::move(child)) {
     const Schema& in = child_->output_schema();
-    for (const expr::ExprPtr& e : exprs_) {
-      const bool column = e->kind() == expr::ExprKind::kColumn ||
-                          e->kind() == expr::ExprKind::kUdfCall;
-      source_.push_back(column ? in.IndexOf(e->name()) : -1);
-      if (source_.back() < 0) computed_ = true;
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      const expr::Expr& e = *exprs[i];
+      const bool column = e.kind() == expr::ExprKind::kColumn ||
+                          e.kind() == expr::ExprKind::kUdfCall;
+      source_.push_back(column ? in.IndexOf(e.name()) : -1);
+      if (source_.back() < 0) {
+        computed_.emplace_back(i, FilterProgram::CompileItem(e, in));
+      }
     }
   }
 
@@ -1344,21 +1316,13 @@ class ProjectOp : public Operator {
     EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
     if (in.empty()) return Chunk(output_schema_);
     Chunk out(output_schema_);
-    if (computed_) {
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        const Row row = in.RowAt(r);
-        for (size_t i = 0; i < exprs_.size(); ++i) {
-          if (source_[i] >= 0) continue;
-          EVA_ASSIGN_OR_RETURN(
-              Value v, expr::EvaluateScalar(*exprs_[i], in.schema(), row));
-          out.col(i).Append(v);
-        }
-      }
+    for (const auto& [i, program] : computed_) {
+      EVA_RETURN_IF_ERROR(program.ExecuteItem(in, &out.col(i)));
     }
     // Each input lane moves to its first output; a repeat copies it.
     std::vector<int> moved_to(in.num_columns(), -1);
     remaps_.Clear();
-    for (size_t i = 0; i < exprs_.size(); ++i) {
+    for (size_t i = 0; i < source_.size(); ++i) {
       if (source_[i] < 0) continue;
       const auto src = static_cast<size_t>(source_[i]);
       if (moved_to[src] < 0) {
@@ -1374,9 +1338,9 @@ class ProjectOp : public Operator {
 
  private:
   OperatorPtr child_;
-  std::vector<expr::ExprPtr> exprs_;
   std::vector<int> source_;  // input column of a column reference, or -1
-  bool computed_ = false;    // some expression needs per-row evaluation
+  // (output column, program) of every other select item.
+  std::vector<std::pair<size_t, FilterProgram>> computed_;
   LaneRemaps remaps_;
 };
 

@@ -38,100 +38,169 @@ bool IsColumnish(const Expr& e) {
   return e.kind() == ExprKind::kColumn || e.kind() == ExprKind::kUdfCall;
 }
 
+// What evaluating comparison operand `e` raises on every row: OK for a
+// literal and a bound column or UDF output (after the rewrite, a UDF's
+// output is the column named after it). `cmp` is named when the operand
+// is of a kind the parser never puts there.
+Status OperandError(const Expr& e, const Expr& cmp, const Schema& schema) {
+  switch (e.kind()) {
+    case ExprKind::kLiteral:
+      return Status::OK();
+    case ExprKind::kColumn:
+      if (schema.IndexOf(e.name()) >= 0) return Status::OK();
+      return Status::BindError("unknown column: " + e.name());
+    case ExprKind::kUdfCall:
+      if (schema.IndexOf(e.name()) >= 0) return Status::OK();
+      return Status::BindError("UDF output column not materialized: " +
+                               e.name());
+    case ExprKind::kStar:
+    case ExprKind::kCountStar:
+      return Status::InvalidArgument(
+          "star expressions are not scalar-evaluable");
+    default:
+      return Status::NotImplemented(
+          "comparison operand is not a column, UDF call or literal: " +
+          cmp.ToString());
+  }
+}
+
+// True when `e` in a logical position can raise on some row, so it needs
+// the mask of the rows that reach it.
+bool CanRaise(const Expr& e, const Schema& schema) {
+  switch (e.kind()) {
+    case ExprKind::kLiteral:
+      return !e.value().is_null() && e.value().type() != DataType::kBool;
+    case ExprKind::kCompare:
+      return !OperandError(*e.children()[0], e, schema).ok() ||
+             !OperandError(*e.children()[1], e, schema).ok();
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      return std::any_of(
+          e.children().begin(), e.children().end(),
+          [&](const expr::ExprPtr& c) { return CanRaise(*c, schema); });
+    default:
+      return true;  // a bare column may hold a non-bool cell; `*` raises
+  }
+}
+
 }  // namespace
 
-int FilterProgram::CompileNode(const Expr& e, const Schema& schema) {
+int FilterProgram::Emit(Instr ins) {
+  ins.dst = num_regs_++;
+  instrs_.push_back(std::move(ins));
+  return instrs_.back().dst;
+}
+
+int FilterProgram::EmitError(Status error, int live) {
+  return Emit(
+      {.code = OpCode::kError, .guard = live, .error = std::move(error)});
+}
+
+int FilterProgram::CompileNode(const Expr& e, const Schema& schema,
+                               int live) {
+  constexpr char kNotBool[] = "expression is not boolean: ";
   switch (e.kind()) {
     case ExprKind::kLiteral: {
-      // EvaluateBool semantics: NULL -> false; non-bool literal in boolean
-      // position is a runtime error — keep the scalar path for it.
-      Instr ins;
-      ins.code = OpCode::kConst;
-      if (e.value().is_null()) {
-        ins.bval = false;
-      } else if (e.value().type() == DataType::kBool) {
-        ins.bval = e.value().AsBool();
-      } else {
-        return -1;
+      const Value& v = e.value();
+      if (!v.is_null() && v.type() != DataType::kBool) {
+        return EmitError(Status::InvalidArgument(kNotBool + e.ToString()),
+                         live);
       }
-      ins.dst = num_regs_++;
-      instrs_.push_back(std::move(ins));
-      return instrs_.back().dst;
+      return Emit({.code = OpCode::kConst,
+                   .bval = !v.is_null() && v.AsBool()});  // NULL -> false
     }
     case ExprKind::kColumn:
     case ExprKind::kUdfCall: {
-      int idx = schema.IndexOf(e.name());
-      if (idx < 0) return -1;  // scalar path raises the bind error
-      Instr ins;
-      ins.code = OpCode::kBoolCol;
-      ins.col_a = idx;
-      ins.dst = num_regs_++;
-      instrs_.push_back(std::move(ins));
-      return instrs_.back().dst;
+      Status unbound = OperandError(e, e, schema);
+      if (!unbound.ok()) return EmitError(std::move(unbound), live);
+      return Emit(
+          {.code = OpCode::kBoolCol,
+           .col_a = schema.IndexOf(e.name()),
+           .guard = live,
+           .error = Status::InvalidArgument(kNotBool + e.ToString())});
     }
     case ExprKind::kCompare: {
       const Expr& l = *e.children()[0];
       const Expr& r = *e.children()[1];
-      Instr ins;
-      ins.cmp = e.op();
-      if (IsColumnish(l) && r.kind() == ExprKind::kLiteral) {
-        ins.code = OpCode::kCmpColLit;
-        ins.col_a = schema.IndexOf(l.name());
-        ins.lit = r.value();
-        if (ins.col_a < 0) return -1;
-      } else if (l.kind() == ExprKind::kLiteral && IsColumnish(r)) {
-        ins.code = OpCode::kCmpColLit;
-        ins.lit_left = true;
-        ins.col_a = schema.IndexOf(r.name());
-        ins.lit = l.value();
-        if (ins.col_a < 0) return -1;
-      } else if (IsColumnish(l) && IsColumnish(r)) {
-        ins.code = OpCode::kCmpColCol;
-        ins.col_a = schema.IndexOf(l.name());
-        ins.col_b = schema.IndexOf(r.name());
-        if (ins.col_a < 0 || ins.col_b < 0) return -1;
-      } else {
-        return -1;  // nested/odd comparison: scalar path
+      // Both sides are evaluated, left first.
+      for (const Expr* side : {&l, &r}) {
+        Status s = OperandError(*side, e, schema);
+        if (!s.ok()) return EmitError(std::move(s), live);
       }
-      ins.dst = num_regs_++;
-      instrs_.push_back(std::move(ins));
-      return instrs_.back().dst;
+      const bool l_lit = l.kind() == ExprKind::kLiteral;
+      const bool r_lit = r.kind() == ExprKind::kLiteral;
+      if (l_lit && r_lit) {
+        return Emit({.code = OpCode::kConst,
+                     .bval = !l.value().is_null() && !r.value().is_null() &&
+                             CmpKeep(e.op(), l.value().Compare(r.value()))});
+      }
+      if (l_lit || r_lit) {
+        return Emit({.code = OpCode::kCmpColLit,
+                     .cmp = e.op(),
+                     .col_a = schema.IndexOf((l_lit ? r : l).name()),
+                     .lit = (l_lit ? l : r).value(),
+                     .lit_left = l_lit});
+      }
+      return Emit({.code = OpCode::kCmpColCol,
+                   .cmp = e.op(),
+                   .col_a = schema.IndexOf(l.name()),
+                   .col_b = schema.IndexOf(r.name())});
     }
     case ExprKind::kAnd:
     case ExprKind::kOr: {
-      int a = CompileNode(*e.children()[0], schema);
-      if (a < 0) return -1;
-      int b = CompileNode(*e.children()[1], schema);
-      if (b < 0) return -1;
-      Instr ins;
-      ins.code = e.kind() == ExprKind::kAnd ? OpCode::kAnd : OpCode::kOr;
-      ins.src_a = a;
-      ins.src_b = b;
-      ins.dst = num_regs_++;
-      instrs_.push_back(std::move(ins));
-      return instrs_.back().dst;
+      const bool is_and = e.kind() == ExprKind::kAnd;
+      const int a = CompileNode(*e.children()[0], schema, live);
+      // The right side is reached where the left side is true (AND) or
+      // false (OR); that mask is built only when the right side can raise.
+      int live_b = live;
+      if (CanRaise(*e.children()[1], schema)) {
+        live_b = is_and ? a : Emit({.code = OpCode::kNot, .src_a = a});
+        if (live >= 0) {
+          live_b =
+              Emit({.code = OpCode::kAnd, .src_a = live, .src_b = live_b});
+        }
+      }
+      const int b = CompileNode(*e.children()[1], schema, live_b);
+      return Emit({.code = is_and ? OpCode::kAnd : OpCode::kOr,
+                   .src_a = a,
+                   .src_b = b});
     }
-    case ExprKind::kNot: {
-      int a = CompileNode(*e.children()[0], schema);
-      if (a < 0) return -1;
-      Instr ins;
-      ins.code = OpCode::kNot;
-      ins.src_a = a;
-      ins.dst = num_regs_++;
-      instrs_.push_back(std::move(ins));
-      return instrs_.back().dst;
-    }
-    default:
-      return -1;  // kStar / kCountStar never appear in valid predicates
+    case ExprKind::kNot:
+      return Emit({.code = OpCode::kNot,
+                   .src_a = CompileNode(*e.children()[0], schema, live)});
+    case ExprKind::kStar:
+    case ExprKind::kCountStar:
+      break;
   }
+  return EmitError(OperandError(e, e, schema), live);
 }
 
-std::optional<FilterProgram> FilterProgram::Compile(const Expr& e,
-                                                    const Schema& schema) {
+FilterProgram FilterProgram::Compile(const Expr& e, const Schema& schema) {
   FilterProgram p;
-  int root = p.CompileNode(e, schema);
-  if (root < 0) return std::nullopt;
   // The last instruction's register is the root by construction.
+  p.CompileNode(e, schema, -1);
+  return p;
+}
+
+FilterProgram FilterProgram::CompileItem(const Expr& e,
+                                         const Schema& schema) {
+  FilterProgram p;
+  switch (e.kind()) {
+    case ExprKind::kLiteral:
+      p.item_const_ = true;
+      p.item_value_ = e.value();
+      break;
+    case ExprKind::kCompare:
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot:
+      p.CompileNode(e, schema, -1);
+      break;
+    default:  // an unbound name, or `*`
+      p.EmitError(OperandError(e, e, schema), -1);
+      break;
+  }
   return p;
 }
 
@@ -309,12 +378,24 @@ Status FilterProgram::Execute(const Chunk& chunk,
                               std::vector<uint8_t>* keep) const {
   const size_t n = chunk.num_rows();
   keep->assign(n, 0);
-  if (n == 0 || instrs_.empty()) return Status::OK();
+  if (n == 0) return Status::OK();
   // One mask per register, flat buffer.
   std::vector<uint8_t> regs(static_cast<size_t>(num_regs_) * n, 0);
   auto reg = [&](int r) { return regs.data() + static_cast<size_t>(r) * n; };
+  // The first row that raises, and the instruction it raises at.
+  size_t err_row = n;
+  const Status* err = nullptr;
   for (const Instr& ins : instrs_) {
     uint8_t* dst = reg(ins.dst);
+    const uint8_t* live = ins.guard < 0 ? nullptr : reg(ins.guard);
+    // Records row r's error unless an earlier row (or an earlier
+    // instruction on this row) already raised.
+    auto raise = [&](size_t r) {
+      if (r < err_row && (live == nullptr || live[r] != 0)) {
+        err_row = r;
+        err = &ins.error;
+      }
+    };
     switch (ins.code) {
       case OpCode::kCmpColLit:
         if (ins.lit.is_null()) break;  // NULL comparand: all false
@@ -328,37 +409,30 @@ Status FilterProgram::Execute(const Chunk& chunk,
         break;
       case OpCode::kBoolCol: {
         const ColumnVec& lane = chunk.lane(static_cast<size_t>(ins.col_a));
-        bool non_bool = false;
         if (lane.enc_ == ColumnVec::Enc::kBool) {
           for (size_t r = 0; r < n; ++r) dst[r] = lane.b8_[r];
           MaskNulls(lane, n, dst);
         } else if (lane.enc_ == ColumnVec::Enc::kValue) {
           for (size_t r = 0; r < n; ++r) {
             const Value& v = lane.raw_[r];
-            if (v.is_null()) {
-              dst[r] = 0;
-            } else if (v.type() == DataType::kBool) {
+            if (v.is_null()) continue;
+            if (v.type() == DataType::kBool) {
               dst[r] = v.AsBool();
             } else {
-              non_bool = true;
-              break;
+              raise(r);
             }
           }
         } else {
-          // A typed non-bool lane: any non-null cell is non-boolean.
-          for (size_t r = 0; r < n && !non_bool; ++r) {
-            non_bool = !lane.NullAt(r);
+          // A typed non-bool lane: every non-null cell is non-boolean.
+          for (size_t r = 0; r < err_row; ++r) {
+            if (!lane.NullAt(r)) raise(r);
           }
-        }
-        if (non_bool) {
-          // The scalar interpreter may or may not hit this cell (AND/OR
-          // short-circuit); the caller reruns the chunk scalar to find
-          // out.
-          return Status::InvalidArgument(
-              "non-boolean cell in logical position");
         }
         break;
       }
+      case OpCode::kError:
+        for (size_t r = 0; r < err_row; ++r) raise(r);
+        break;
       case OpCode::kConst:
         std::memset(dst, ins.bval ? 1 : 0, n);
         break;
@@ -381,8 +455,22 @@ Status FilterProgram::Execute(const Chunk& chunk,
       }
     }
   }
+  if (err != nullptr) return *err;
   const uint8_t* root = reg(instrs_.back().dst);
   std::memcpy(keep->data(), root, n);
+  return Status::OK();
+}
+
+Status FilterProgram::ExecuteItem(const Chunk& chunk,
+                                  storage::TailLane* out) const {
+  const size_t n = chunk.num_rows();
+  if (item_const_) {
+    for (size_t r = 0; r < n; ++r) out->Append(item_value_);
+    return Status::OK();
+  }
+  std::vector<uint8_t> verdict;
+  EVA_RETURN_IF_ERROR(Execute(chunk, &verdict));
+  for (size_t r = 0; r < n; ++r) out->AppendBool(verdict[r] != 0);
   return Status::OK();
 }
 
@@ -528,11 +616,11 @@ ZoneVerdict ZoneCheck(const Expr& e, const storage::ColumnarSegment& seg,
       return ZoneVerdict::kMaybe;
     case ExprKind::kLiteral: {
       const Value& v = e.value();
-      if (v.is_null()) return ZoneVerdict::kNever;  // EvaluateBool -> false
+      if (v.is_null()) return ZoneVerdict::kNever;  // NULL -> false
       if (v.type() == DataType::kBool) {
         return v.AsBool() ? ZoneVerdict::kMaybe : ZoneVerdict::kNever;
       }
-      return ZoneVerdict::kMaybe;  // scalar error: must surface, never skip
+      return ZoneVerdict::kMaybe;  // an error: must surface, never skip
     }
     case ExprKind::kColumn:
     case ExprKind::kUdfCall: {
@@ -540,11 +628,11 @@ ZoneVerdict ZoneCheck(const Expr& e, const storage::ColumnarSegment& seg,
       const storage::ZoneMapEntry* z =
           ResolveZone(e.name(), seg, value_schema, &synth);
       if (z == nullptr || !z->valid) return ZoneVerdict::kMaybe;
-      if (z->all_null) return ZoneVerdict::kNever;  // EvaluateBool -> false
+      if (z->all_null) return ZoneVerdict::kNever;  // NULL -> false
       if (z->type == DataType::kBool && z->num_max == 0) {
         return ZoneVerdict::kNever;  // every cell is literally false
       }
-      // Non-bool cells would be a scalar error; never skip those.
+      // Non-bool cells would be an error; never skip those.
       return ZoneVerdict::kMaybe;
     }
     case ExprKind::kCompare: {

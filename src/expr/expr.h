@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/row.h"
-#include "common/status.h"
 #include "common/value.h"
 
 namespace eva::expr {
@@ -78,17 +76,6 @@ class Expr {
   std::vector<std::string> args_;
   std::string accuracy_;
 };
-
-/// Evaluates a scalar expression against one row. Comparisons involving
-/// NULL evaluate to false (simplified three-valued logic); UDF calls read
-/// the column named after the UDF. Returns an error for kStar/kCountStar
-/// (those are handled by operators, not scalar evaluation).
-Result<Value> EvaluateScalar(const Expr& expr, const Schema& schema,
-                             const Row& row);
-
-/// Evaluates a (boolean) expression to a predicate decision for one row.
-Result<bool> EvaluateBool(const Expr& expr, const Schema& schema,
-                          const Row& row);
 
 /// Flattens nested ANDs into a conjunct list (the optimizer's canonical
 /// selection split).

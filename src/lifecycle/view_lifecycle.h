@@ -147,6 +147,11 @@ class ViewLifecycleManager {
   /// Drops the observed-reuse statistics and totals (ClearReuseState).
   void Reset();
 
+  /// Starts the next query's tick count at the store's current tick.
+  /// Recovery moves the clock (restored stamps, replayed appends) without
+  /// running a query, so that jump is not one query's tick volume.
+  void SyncAccessTick() { last_enforce_tick_ = views_->current_tick(); }
+
  private:
   struct UdfSessionStats {
     int64_t invocations = 0;

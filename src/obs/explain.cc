@@ -67,11 +67,6 @@ void RenderNode(const plan::PlanNode& node, const PlanStatsMap& stats,
                     static_cast<long long>(s.bloom_fps));
       *out += buf;
     }
-    if (s.rows_filtered_vectorized > 0) {
-      std::snprintf(buf, sizeof(buf), " vectorized=%lld",
-                    static_cast<long long>(s.rows_filtered_vectorized));
-      *out += buf;
-    }
     *out += ']';
   }
   *out += '\n';

@@ -31,8 +31,6 @@ struct OperatorStats {
   /// said yes, the key-index search still missed).
   std::atomic<int64_t> bloom_negatives{0};
   std::atomic<int64_t> bloom_fps{0};
-  /// Rows whose filter verdict came from the vectorized batch evaluator.
-  std::atomic<int64_t> rows_filtered_vectorized{0};
 
   OperatorStats() = default;
   OperatorStats(const OperatorStats& other) { *this = other; }
@@ -51,8 +49,6 @@ struct OperatorStats {
     segments_skipped = other.segments_skipped.load(std::memory_order_relaxed);
     bloom_negatives = other.bloom_negatives.load(std::memory_order_relaxed);
     bloom_fps = other.bloom_fps.load(std::memory_order_relaxed);
-    rows_filtered_vectorized =
-        other.rows_filtered_vectorized.load(std::memory_order_relaxed);
     return *this;
   }
 };

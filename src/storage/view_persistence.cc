@@ -718,6 +718,7 @@ Status ParseLifecycleBody(const std::string& content,
 
 void ApplyLifecycle(const LifecycleStaged& staged, ViewStore* store,
                     udf::UdfManager* manager) {
+  uint64_t newest = 0;
   for (const auto& stamps : staged.views) {
     MaterializedView* view = store->Find(stamps.name);
     // A view absent from the store, or reloaded with a different segment
@@ -727,8 +728,10 @@ void ApplyLifecycle(const LifecycleStaged& staged, ViewStore* store,
     }
     for (const auto& [id, info] : stamps.segments) {
       view->RestoreSegmentStamps(id, info);
+      newest = std::max({newest, info.created_tick, info.last_access_tick});
     }
   }
+  store->AdvanceAccessTick(newest);
   if (manager == nullptr) return;
   for (const auto& [key, coverage] : staged.coverage) {
     // Existing coverage wins, mirroring the "existing keys win" merge

@@ -426,6 +426,11 @@ class ViewStore {
   /// Current reading of the access clock without advancing it (eviction
   /// policies use tick distance as a fine-grained recency measure).
   uint64_t current_tick() const { return segment_clock_.load(); }
+  /// Moves the clock up to `tick`, never back: a snapshot load restores
+  /// stamps up to `tick`, and every later stamp must be newer.
+  void AdvanceAccessTick(uint64_t tick) {
+    if (tick > segment_clock_.load()) segment_clock_.store(tick);
+  }
 
   /// WAL append capture across the whole registry: applies to every
   /// existing view and to views created later (GetOrCreate inherits it).

@@ -1,7 +1,7 @@
 // Execution chunks (src/exec/chunk.h): rows appended to a chunk come back
-// out of it — through RowAt, AppendTo (ExecutePlan's row boundary) and
-// the gathers operators use — as the same Values of the same types,
-// including in lanes that meet a type conflict.
+// out of it — through At, AppendTo (ExecutePlan's row boundary) and the
+// gathers operators use — as the same Values of the same types, including
+// in lanes that meet a type conflict.
 
 #include <cmath>
 #include <cstring>
@@ -40,6 +40,15 @@ void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want) {
           << DataTypeName(want[r][c].type()) << ")";
     }
   }
+}
+
+// Row `r` of `chunk`, cell by cell through Chunk::At.
+Row RowOf(const Chunk& chunk, size_t r) {
+  Row row;
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    row.push_back(chunk.At(r, c));
+  }
+  return row;
 }
 
 Schema TestSchema() {
@@ -95,7 +104,7 @@ TEST(ChunkTest, RoundTripThroughBatchKeepsTypes) {
 
   std::vector<Row> by_row;
   for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    by_row.push_back(chunk.RowAt(r));
+    by_row.push_back(RowOf(chunk, r));
   }
   ExpectSameRows(by_row, rows);
 }
@@ -104,7 +113,7 @@ TEST(ChunkTest, ShortRowsPadWithNull) {
   Chunk chunk(TestSchema());
   chunk.AppendRow({Value(int64_t{4}), Value("car")});
   ASSERT_EQ(chunk.num_rows(), 1u);
-  const Row row = chunk.RowAt(0);
+  const Row row = RowOf(chunk, 0);
   ASSERT_EQ(row.size(), 6u);
   EXPECT_TRUE(SameValue(row[0], Value(int64_t{4})));
   EXPECT_TRUE(SameValue(row[1], Value("car")));
@@ -135,8 +144,8 @@ TEST(ChunkTest, GathersMatchRowSelection) {
   ASSERT_EQ(out.num_rows(), pick.size());
   for (size_t k = 0; k < pick.size(); ++k) {
     Row expect = rows[pick[k]];
-    expect.push_back(Value(1.5));
-    ExpectSameRows({out.RowAt(k)}, {expect});
+    expect.emplace_back(1.5);
+    ExpectSameRows({RowOf(out, k)}, {expect});
   }
 }
 

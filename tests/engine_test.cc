@@ -303,5 +303,82 @@ TEST(EngineTest, SpecializedFilterReducesDetectorInvocations) {
   EXPECT_LT(r.value().metrics.invocations.at("FasterRCNNResNet50"), 350);
 }
 
+// Pins what every WHERE shape and select item the evaluator must handle
+// gives back end to end: the rows as printed, or the status code and
+// message. Each shape comes from SQL: literal-literal comparisons, a
+// non-boolean literal or column in a logical position, unbound names, and
+// errors that AND/OR keep from being reached.
+TEST(EngineTest, PredicateAndSelectShapesArePinned) {
+  catalog::VideoInfo video = vbench::ShortUaDetrac();
+  video.num_frames = 300;
+  EngineOptions options;
+  options.observability = false;
+  auto er = vbench::MakeEngine(options, video);
+  ASSERT_TRUE(er.ok()) << er.status().ToString();
+  std::unique_ptr<EvaEngine> engine = er.MoveValue();
+  const std::string detect =
+      "SELECT id, obj, label FROM short_ua_detrac CROSS APPLY "
+      "FasterRCNNResNet50(frame) WHERE ";
+  const std::string kHeader = "(id:INT64, obj:INT64, label:STRING) ";
+  const std::string kFrame0 =
+      "  0 | 0 | person\n  0 | 1 | car\n  0 | 3 | truck\n"
+      "  0 | 4 | person\n  0 | 5 | car\n  0 | 6 | car\n  0 | 7 | car\n"
+      "  0 | 8 | car\n  0 | 9 | car\n";
+  const std::string kFrame1 =
+      "  1 | 0 | car\n  1 | 1 | car\n  1 | 2 | car\n  1 | 3 | car\n"
+      "  1 | 4 | car\n  1 | 5 | car\n  1 | 6 | car\n  1 | 7 | car\n";
+  const std::string kFrame2 =
+      "  2 | 0 | car\n  2 | 5 | person\n  2 | 6 | car\n  2 | 7 | car\n"
+      "  2 | 8 | car\n  2 | 10 | car\n";
+  const std::string kNoRows = kHeader + "[0 rows]\n";
+  const std::string kNotBoolArea =
+      "InvalidArgument: expression is not boolean: area";
+  struct Case {
+    std::string sql;
+    std::string want;  // Batch::ToString, or Status::ToString
+  } cases[] = {
+      // WHERE shapes.
+      {detect + "1 = 1 AND id < 3;",
+       kHeader + "[23 rows]\n" + kFrame0 + kFrame1 + kFrame2},
+      {detect + "'bus' < 'car' AND id < 2;",
+       kHeader + "[17 rows]\n" + kFrame0 + kFrame1},
+      {detect + "2 < 1 OR id < 1;", kHeader + "[9 rows]\n" + kFrame0},
+      {detect + "7;", "InvalidArgument: expression is not boolean: 7"},
+      {detect + "nosuch = 1;", "BindError: unknown column: nosuch"},
+      {detect + "id < 5 OR area;", kNotBoolArea},
+      {detect + "label = 'car' OR area;", kNotBoolArea},
+      {detect + "id < 0 AND label;", kNoRows},
+      {detect + "id < 0 AND nosuch = 1;", kNoRows},
+      {detect + "(id >= 0 OR nosuch = 1) AND id < 2;",
+       kHeader + "[17 rows]\n" + kFrame0 + kFrame1},
+      {detect + "id < 2 AND obj = id;",
+       kHeader + "[2 rows]\n  0 | 0 | person\n  1 | 1 | car\n"},
+      {detect + "id < 2 AND TRUE;",
+       kHeader + "[17 rows]\n" + kFrame0 + kFrame1},
+      // Select lists.
+      {"SELECT id, 5, 'x' FROM short_ua_detrac WHERE id < 1;",
+       "(id:INT64, 5:STRING, 'x':STRING) [1 rows]\n  0 | 5 | x\n"},
+      {"SELECT id, nosuch FROM short_ua_detrac WHERE id < 0;",
+       "(id:INT64, nosuch:STRING) [0 rows]\n"},
+      {"SELECT id, nosuch FROM short_ua_detrac WHERE id < 3;",
+       "BindError: unknown column: nosuch"},
+      {"SELECT id, obj, label, 2.5, TRUE FROM short_ua_detrac CROSS APPLY "
+       "FasterRCNNResNet50(frame) WHERE id < 1;",
+       "(id:INT64, obj:INT64, label:STRING, 2.5:STRING, true:STRING) "
+       "[9 rows]\n"
+       "  0 | 0 | person | 2.5 | true\n  0 | 1 | car | 2.5 | true\n"
+       "  0 | 3 | truck | 2.5 | true\n  0 | 4 | person | 2.5 | true\n"
+       "  0 | 5 | car | 2.5 | true\n  0 | 6 | car | 2.5 | true\n"
+       "  0 | 7 | car | 2.5 | true\n  0 | 8 | car | 2.5 | true\n"
+       "  0 | 9 | car | 2.5 | true\n"},
+  };
+  for (const Case& c : cases) {
+    auto r = engine->Execute(c.sql);
+    const std::string got = r.ok() ? r.value().batch.ToString(1 << 20)
+                                   : r.status().ToString();
+    EXPECT_EQ(got, c.want) << c.sql;
+  }
+}
+
 }  // namespace
 }  // namespace eva::engine

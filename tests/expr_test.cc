@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/vector_filter.h"
 #include "expr/expr.h"
 #include "expr/symbolic_bridge.h"
 #include "parser/parser.h"
@@ -17,6 +18,18 @@ Schema TestSchema() {
 Row TestRow(int64_t id, const std::string& label, double area,
             const std::string& car_type) {
   return {Value(id), Value(label), Value(area), Value(car_type)};
+}
+
+// The predicate's verdict on `row`, evaluated by FilterProgram over a
+// one-row chunk.
+Result<bool> EvaluateRow(const Expr& e, const Schema& schema,
+                         const Row& row) {
+  exec::Chunk chunk(schema);
+  chunk.AppendRow(row);
+  std::vector<uint8_t> keep;
+  EVA_RETURN_IF_ERROR(
+      exec::FilterProgram::Compile(e, schema).Execute(chunk, &keep));
+  return keep[0] != 0;
 }
 
 TEST(ExprTest, BuildAndPrint) {
@@ -48,7 +61,7 @@ TEST(ExprTest, EvaluateComparisons) {
   for (const Case& c : cases) {
     auto e = parser::ParseExpression(c.text);
     ASSERT_TRUE(e.ok()) << c.text;
-    auto r = EvaluateBool(*e.value(), schema, row);
+    auto r = EvaluateRow(*e.value(), schema, row);
     ASSERT_TRUE(r.ok()) << c.text;
     EXPECT_EQ(r.value(), c.expected) << c.text;
   }
@@ -60,7 +73,7 @@ TEST(ExprTest, EvaluateBooleanLogicWithShortCircuit) {
   auto check = [&](const char* text, bool expected) {
     auto e = parser::ParseExpression(text);
     ASSERT_TRUE(e.ok()) << text;
-    auto r = EvaluateBool(*e.value(), schema, row);
+    auto r = EvaluateRow(*e.value(), schema, row);
     ASSERT_TRUE(r.ok()) << text;
     EXPECT_EQ(r.value(), expected) << text;
   };
@@ -68,6 +81,11 @@ TEST(ExprTest, EvaluateBooleanLogicWithShortCircuit) {
   check("id > 50 OR label = 'car'", true);
   check("NOT id > 50", true);
   check("NOT (id > 5 AND area > 0.3)", false);
+  // The right side is not reached: no bind error, no type error.
+  check("id > 5 OR bogus = 1", true);
+  check("id > 50 AND bogus = 1", false);
+  check("id > 50 AND label", false);
+  check("label = 'car' OR area", true);
 }
 
 TEST(ExprTest, NullComparisonsAreFalse) {
@@ -75,9 +93,14 @@ TEST(ExprTest, NullComparisonsAreFalse) {
   Row row = {Value(int64_t{1}), Value::Null(), Value(0.2), Value::Null()};
   auto e = parser::ParseExpression("label = 'car'");
   ASSERT_TRUE(e.ok());
-  EXPECT_FALSE(EvaluateBool(*e.value(), schema, row).value());
+  EXPECT_FALSE(EvaluateRow(*e.value(), schema, row).value());
   e = parser::ParseExpression("label != 'car'");
-  EXPECT_FALSE(EvaluateBool(*e.value(), schema, row).value());
+  EXPECT_FALSE(EvaluateRow(*e.value(), schema, row).value());
+  // NOT of a false comparison is true, a NULL in a logical position false.
+  e = parser::ParseExpression("NOT label = 'car'");
+  EXPECT_TRUE(EvaluateRow(*e.value(), schema, row).value());
+  e = parser::ParseExpression("CarType");
+  EXPECT_FALSE(EvaluateRow(*e.value(), schema, row).value());
 }
 
 TEST(ExprTest, UdfCallReadsAnnotatedColumn) {
@@ -85,7 +108,7 @@ TEST(ExprTest, UdfCallReadsAnnotatedColumn) {
   Row row = TestRow(7, "car", 0.4, "Nissan");
   auto e = parser::ParseExpression("CarType(frame, bbox) = 'Nissan'");
   ASSERT_TRUE(e.ok());
-  EXPECT_TRUE(EvaluateBool(*e.value(), schema, row).value());
+  EXPECT_TRUE(EvaluateRow(*e.value(), schema, row).value());
 }
 
 TEST(ExprTest, UnknownColumnIsBindError) {
@@ -93,9 +116,15 @@ TEST(ExprTest, UnknownColumnIsBindError) {
   Row row = TestRow(7, "car", 0.4, "Nissan");
   auto e = parser::ParseExpression("bogus = 1");
   ASSERT_TRUE(e.ok());
-  auto r = EvaluateBool(*e.value(), schema, row);
+  auto r = EvaluateRow(*e.value(), schema, row);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kBindError);
+  EXPECT_EQ(r.status().message(), "unknown column: bogus");
+  e = parser::ParseExpression("Bogus(frame) = 'x'");
+  ASSERT_TRUE(e.ok());
+  r = EvaluateRow(*e.value(), schema, row);
+  EXPECT_EQ(r.status().ToString(),
+            "BindError: UDF output column not materialized: Bogus");
 }
 
 TEST(ExprTest, SplitAndCombineConjuncts) {
@@ -107,9 +136,9 @@ TEST(ExprTest, SplitAndCombineConjuncts) {
   ExprPtr combined = CombineConjuncts(conjuncts);
   Schema schema = TestSchema();
   EXPECT_TRUE(
-      EvaluateBool(*combined, schema, TestRow(7, "car", 0.4, "x")).value());
+      EvaluateRow(*combined, schema, TestRow(7, "car", 0.4, "x")).value());
   EXPECT_FALSE(
-      EvaluateBool(*combined, schema, TestRow(12, "car", 0.4, "x"))
+      EvaluateRow(*combined, schema, TestRow(12, "car", 0.4, "x"))
           .value());
   EXPECT_EQ(CombineConjuncts({}), nullptr);
 }

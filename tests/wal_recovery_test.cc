@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -367,7 +368,10 @@ std::string ViewCells(const storage::MaterializedView& view) {
              std::to_string(seg->key_obj(k)) + ":";
       for (int32_t r = seg->row_begin_at(k); r < seg->row_begin_at(k + 1);
            ++r) {
-        for (const Value& v : seg->RowAt(r)) out += " " + v.ToString();
+        for (const Value& v : seg->RowAt(r)) {
+          out += ' ';
+          out += v.ToString();
+        }
         out += ";";
       }
       out += "\n";
@@ -444,6 +448,68 @@ TEST_F(WalRecoveryTest, ResealMidQueryLogsTheWholeAppendInOneRecord) {
   EXPECT_TRUE(recovered->last_replay().clean())
       << recovered->last_replay().Summary();
   EXPECT_EQ(ViewCells(*recovered->views().Find(kDetectorKey)), cells);
+}
+
+/// A snapshot load restores each segment's access stamps; the store's
+/// access clock must move past them, so WAL replay and the queries after
+/// recovery stamp newer ticks than every restored one, and no segment
+/// reads as last accessed before it was created.
+TEST_F(WalRecoveryTest, RecoveredClockStampsAfterRestoredTicks) {
+  const stdfs::path dir = root_ / "clock";
+  engine::EngineOptions options;
+  options.batch_size = 16;
+  options.segment_frames = 16;
+  uint64_t checkpoint_newest = 0;
+  {
+    auto engine = MakeStreamEngine(kInitial, options);
+    ASSERT_TRUE(engine->EnableWal(dir.string()).ok());
+    ASSERT_TRUE(engine->Execute(kQ1).ok());
+    ASSERT_TRUE(engine->Execute(kQ2).ok());
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    checkpoint_newest = engine->views().current_tick();
+    // Appends after the checkpoint reach the log only.
+    ASSERT_TRUE(engine->IngestFrames(kSource, kTick).ok());
+    ASSERT_TRUE(engine->Execute(kProbe).ok());
+  }
+  ASSERT_GT(checkpoint_newest, 100u);
+
+  using Stamps =
+      std::map<std::pair<std::string, int64_t>, storage::SegmentInfo>;
+  auto stamps = [](const EvaEngine& engine) {
+    Stamps out;
+    for (const auto& [name, view] : engine.views().views()) {
+      for (const storage::SegmentStats& seg : view->Segments()) {
+        EXPECT_GE(seg.info.last_access_tick, seg.info.created_tick)
+            << name << " segment " << seg.segment_id;
+        out[{name, seg.segment_id}] = seg.info;
+      }
+    }
+    return out;
+  };
+  auto recovered = MakeStreamEngine(kInitial, options);
+  ASSERT_TRUE(recovered->EnableWal(dir.string()).ok());
+  ASSERT_GT(recovered->last_replay().records, 0);
+  const Stamps restored = stamps(*recovered);
+  uint64_t restored_newest = 0;
+  for (const auto& [key, info] : restored) {
+    restored_newest = std::max(restored_newest, info.last_access_tick);
+  }
+  // Replay stamped its appends after every snapshot stamp.
+  EXPECT_GT(restored_newest, checkpoint_newest);
+
+  ASSERT_TRUE(recovered->Execute(kProbe).ok());
+  int64_t restamped = 0;
+  for (const auto& [key, info] : stamps(*recovered)) {
+    auto before = restored.find(key);
+    if (before != restored.end() &&
+        before->second.last_access_tick == info.last_access_tick) {
+      continue;
+    }
+    ++restamped;
+    EXPECT_GT(info.last_access_tick, restored_newest)
+        << key.first << " segment " << key.second;
+  }
+  EXPECT_GT(restamped, 0);
 }
 
 }  // namespace
