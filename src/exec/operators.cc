@@ -637,7 +637,8 @@ class ViewJoinOp : public Operator {
       storage::ZoneCheckFn zone_fn;
       if (ctx_->zone_map_skipping && residual_ != nullptr) {
         zone_fn = [this](const storage::ColumnarSegment& seg) {
-          return ZoneCanMatch(*residual_, seg, value_schema_);
+          return ZoneCanMatch(*residual_, seg, value_schema_,
+                              output_schema_);
         };
       }
       view->ProbeBatch(probe_keys_, zone_fn, &probe_res_);
@@ -1588,15 +1589,21 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
       auto* proj = static_cast<const plan::ProjectNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
                            Build(node->child(), ctx, ledgers));
+      // A bound column or UDF output keeps the child's field type, a
+      // literal its value's; anything else (an unbound name, a computed
+      // expression) is typed STRING.
+      const Schema& in = child->output_schema();
       Schema schema;
       for (size_t i = 0; i < proj->exprs().size(); ++i) {
         DataType type = DataType::kString;
-        const expr::ExprPtr& e = proj->exprs()[i];
-        int idx = e->kind() == expr::ExprKind::kColumn
-                      ? child->output_schema().IndexOf(e->name())
-                      : -1;
-        if (idx >= 0) type = child->output_schema().field(
-                          static_cast<size_t>(idx)).type;
+        const expr::Expr& e = *proj->exprs()[i];
+        if (e.kind() == expr::ExprKind::kLiteral) {
+          type = e.value().type();
+        } else if (e.kind() == expr::ExprKind::kColumn ||
+                   e.kind() == expr::ExprKind::kUdfCall) {
+          const int idx = in.IndexOf(e.name());
+          if (idx >= 0) type = in.field(static_cast<size_t>(idx)).type;
+        }
         schema.AddField({proj->names()[i], type});
       }
       return OperatorPtr(new ProjectOp(ctx, std::move(child), proj->exprs(),

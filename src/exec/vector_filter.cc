@@ -589,23 +589,25 @@ ZoneVerdict CompareZone(const storage::ZoneMapEntry& z, CompareOp op,
 }  // namespace
 
 ZoneVerdict ZoneCheck(const Expr& e, const storage::ColumnarSegment& seg,
-                      const Schema& value_schema) {
+                      const Schema& value_schema, const Schema& row_schema) {
+  auto never = [&](const Expr& child) {
+    return ZoneCheck(child, seg, value_schema, row_schema) ==
+           ZoneVerdict::kNever;
+  };
   switch (e.kind()) {
     case ExprKind::kAnd: {
-      // False for all rows as soon as either conjunct is.
-      if (ZoneCheck(*e.children()[0], seg, value_schema) ==
-              ZoneVerdict::kNever ||
-          ZoneCheck(*e.children()[1], seg, value_schema) ==
-              ZoneVerdict::kNever) {
+      // False for all rows as soon as the left conjunct is. The right one
+      // is reached only where the left is true, so its proof counts only
+      // when the left side cannot raise on the rows a skip would drop.
+      const Expr& l = *e.children()[0];
+      if (never(l) ||
+          (!CanRaise(l, row_schema) && never(*e.children()[1]))) {
         return ZoneVerdict::kNever;
       }
       return ZoneVerdict::kMaybe;
     }
     case ExprKind::kOr: {
-      if (ZoneCheck(*e.children()[0], seg, value_schema) ==
-              ZoneVerdict::kNever &&
-          ZoneCheck(*e.children()[1], seg, value_schema) ==
-              ZoneVerdict::kNever) {
+      if (never(*e.children()[0]) && never(*e.children()[1])) {
         return ZoneVerdict::kNever;
       }
       return ZoneVerdict::kMaybe;

@@ -103,7 +103,10 @@ class FilterProgram {
 /// no row materialized in `seg` can satisfy `e`, for ANY values of columns
 /// the segment does not store (those resolve to kMaybe). Column names
 /// resolve against the view's value schema; "id" and "obj" additionally
-/// resolve against the segment's key arrays. NOT subtrees are kMaybe
+/// resolve against the segment's key arrays. `row_schema` is the schema
+/// the filter over those rows binds against: an AND's right side proves
+/// kNever only when its left side cannot raise there (the filter would
+/// evaluate the left side on every row first). NOT subtrees are kMaybe
 /// (proving "all rows satisfy the child" is not worth the state), as is
 /// every shape whose evaluation could error — a skip must never swallow
 /// an error FilterProgram would raise.
@@ -111,14 +114,15 @@ enum class ZoneVerdict { kNever, kMaybe };
 
 ZoneVerdict ZoneCheck(const expr::Expr& e,
                       const storage::ColumnarSegment& seg,
-                      const Schema& value_schema);
+                      const Schema& value_schema, const Schema& row_schema);
 
 /// True when some stored row of `seg` could satisfy `e` (i.e. the segment
 /// must be read); false only on a sound kNever proof.
 inline bool ZoneCanMatch(const expr::Expr& e,
                          const storage::ColumnarSegment& seg,
-                         const Schema& value_schema) {
-  return ZoneCheck(e, seg, value_schema) != ZoneVerdict::kNever;
+                         const Schema& value_schema,
+                         const Schema& row_schema) {
+  return ZoneCheck(e, seg, value_schema, row_schema) != ZoneVerdict::kNever;
 }
 
 }  // namespace eva::exec

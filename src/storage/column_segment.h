@@ -375,7 +375,8 @@ class TailLane {
 
 /// Keys with prefix row offsets over one TailLane per value-schema field:
 /// key i's rows are [row_begin[i], row_begin[i + 1]) of every lane. An open
-/// tail holds keys in insertion order; a seal gathers them ascending.
+/// tail holds its keys strictly ascending; a reseal gathers the sealed and
+/// tail keys ascending.
 struct SegmentCells {
   std::vector<ViewKey> keys;
   std::vector<int32_t> row_begin{0};

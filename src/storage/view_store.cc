@@ -4,12 +4,46 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
+#include <utility>
 
 namespace eva::storage {
 
+namespace {
+
+// Whether the (strictly ascending) tail holds `key`: an appended key is
+// above the last one, so only a key at or below it is searched for.
+bool TailHas(const SegmentCells& tail, const ViewKey& key) {
+  if (tail.keys.empty() || tail.keys.back() < key) return false;
+  return std::binary_search(tail.keys.begin(), tail.keys.end(), key);
+}
+
+// Appends keys [begin, from.keys.size()) of `from` with their cells to
+// `to`, opening its lanes if it has none. Each source has its own
+// dictionary codes, so the code tables start fresh per call.
+void AppendKeys(const SegmentCells& from, size_t begin, SegmentCells* to) {
+  const size_t end = from.keys.size();
+  if (begin == end) return;
+  if (to->cols.empty()) to->cols.resize(from.cols.size());
+  const int32_t base = to->row_begin.back() - from.row_begin[begin];
+  for (size_t k = begin; k < end; ++k) {
+    to->keys.push_back(from.keys[k]);
+    to->row_begin.push_back(base + from.row_begin[k + 1]);
+  }
+  std::vector<int32_t> remap;
+  for (size_t c = 0; c < to->cols.size(); ++c) {
+    remap.clear();
+    to->cols[c].AppendFrom(from.cols[c].lane(),
+                           static_cast<size_t>(from.row_begin[begin]),
+                           static_cast<size_t>(from.row_begin[end]), &remap);
+  }
+}
+
+}  // namespace
+
 bool MaterializedView::ContainsLocked(const Segment& seg, const ViewKey& key,
                                       size_t* cursor) const {
-  if (seg.tail_index.count(key) > 0) return true;
+  if (TailHas(seg.tail, key)) return true;
   const ColumnarSegment* sealed = seg.sealed.get();
   if (sealed == nullptr) return false;
   if (sealed->bloom.enabled() &&
@@ -53,7 +87,7 @@ void MaterializedView::FinishPutLocked(int64_t seg_id, Segment* seg,
   const auto n = static_cast<int64_t>(rows);
   SegmentCells& tail = seg->tail;
   if (capture_appends_ && tail.keys.size() == seg->drained &&
-      seg->moved.empty()) {
+      seg->pending.keys.empty()) {
     appended_segments_.push_back(seg_id);  // the segment's first append
   }
   tail.keys.push_back(key);
@@ -68,6 +102,23 @@ void MaterializedView::FinishPutLocked(int64_t seg_id, Segment* seg,
   num_rows_ += n;
 }
 
+void MaterializedView::FlushPutRowsLocked(
+    Segment* seg, std::span<const ColumnVec* const> cols, PutRemaps* remaps) {
+  if (put_rows_.empty()) return;
+  std::vector<TailLane>& lanes = seg->tail.cols;
+  std::vector<std::vector<int32_t>>& maps =
+      remaps->For(seg->tail_id, lanes.size());
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    if (c < cols.size()) {
+      lanes[c].AppendGather(*cols[c], put_rows_.data(), put_rows_.size(),
+                            &maps[c]);
+    } else {
+      for (size_t r = 0; r < put_rows_.size(); ++r) lanes[c].AppendNull();
+    }
+  }
+  put_rows_.clear();
+}
+
 void MaterializedView::PutBatch(std::span<const ViewKey> keys,
                                 std::span<const uint8_t> absent,
                                 std::span<const uint32_t> key_rows,
@@ -78,6 +129,10 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
                                 std::vector<uint8_t>* inserted) {
   inserted->assign(keys.size(), 0);
   std::unique_lock<std::shared_mutex> lock(mu_);
+  // Once this batch has sealed a segment, a key known absent may sit in a
+  // sealed part (put there earlier in the batch), so it is checked in
+  // full like any other.
+  bool sealed_here = false;
   for (size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
     // One run: consecutive keys of one segment.
     const int64_t seg_id = SegmentOf(keys[begin].frame);
@@ -88,11 +143,18 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
     put_rows_.clear();
     for (size_t k = begin; k < end; ++k) {
       const ViewKey& key = keys[k];
-      if (absent.empty() || absent[k] == 0) {
+      if (absent.empty() || absent[k] == 0 || sealed_here) {
         if (seg.info.keys > 0 && ContainsLocked(seg, key, &cursor)) continue;
-        seg.tail_index.insert(key);
-      } else if (!seg.tail_index.insert(key).second) {
+      } else if (TailHas(seg.tail, key)) {
         continue;  // known absent, but repeated in this batch
+      }
+      if (!seg.tail.keys.empty() && !(seg.tail.keys.back() < key)) {
+        // Out of key order: seal what the tail holds, so the key opens a
+        // fresh tail and every tail stays ascending.
+        FlushPutRowsLocked(&seg, cols, remaps);
+        SealSegmentLocked(&seg);
+        sealed_here = true;
+        cursor = 0;
       }
       StartTailLocked(&seg);
       const uint64_t tick = next_tick();
@@ -102,18 +164,7 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
                       query_id);
       (*inserted)[k] = 1;
     }
-    if (put_rows_.empty()) continue;
-    std::vector<TailLane>& lanes = seg.tail.cols;
-    std::vector<std::vector<int32_t>>& maps =
-        remaps->For(seg.tail_id, lanes.size());
-    for (size_t c = 0; c < lanes.size(); ++c) {
-      if (c < cols.size()) {
-        lanes[c].AppendGather(*cols[c], put_rows_.data(),
-                              put_rows_.size(), &maps[c]);
-      } else {
-        for (size_t r = 0; r < put_rows_.size(); ++r) lanes[c].AppendNull();
-      }
-    }
+    FlushPutRowsLocked(&seg, cols, remaps);
   }
 }
 
@@ -132,15 +183,6 @@ bool MaterializedView::TouchedTailsLocked(const std::vector<ViewKey>& keys,
     SealSegmentLocked(&it->second);
   }
   return found;
-}
-
-std::vector<uint32_t> MaterializedView::TailOrder(const SegmentCells& tail) {
-  std::vector<uint32_t> order(tail.keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&tail](uint32_t a, uint32_t b) {
-    return tail.keys[a] < tail.keys[b];
-  });
-  return order;
 }
 
 SegmentCells MaterializedView::GatherLocked(
@@ -174,43 +216,48 @@ SegmentCells MaterializedView::GatherLocked(
 }
 
 void MaterializedView::SealSegmentLocked(Segment* seg) const {
-  // Merge the sealed keys (ascending) with the tail's in key order; the
-  // result is exactly a one-shot seal of the segment's content. STORE
-  // inserts keys its probe missed without a presence check, so a key that
-  // reaches the merge twice is a broken invariant: stop before it is
-  // sealed, logged or persisted.
-  const std::vector<uint32_t> order = TailOrder(seg->tail);
-  const size_t nsealed = seg->sealed ? seg->sealed->num_keys() : 0;
-  std::vector<KeyRef> refs;
-  refs.reserve(nsealed + order.size());
-  size_t i = 0, j = 0;
-  while (i < nsealed || j < order.size()) {
-    ViewKey sk;
-    if (i < nsealed) sk = {seg->sealed->key_frame(i), seg->sealed->key_obj(i)};
-    if (j == order.size() || (i < nsealed && sk < seg->tail.keys[order[j]])) {
-      refs.push_back({sk, false, i++});
-      continue;
-    }
-    const ViewKey& tk = seg->tail.keys[order[j]];
-    if ((i < nsealed && !(tk < sk)) ||
-        (j > 0 && !(seg->tail.keys[order[j - 1]] < tk))) {
-      std::fprintf(stderr,
-                   "view %s: key (frame %lld, obj %lld) stored twice\n",
-                   name_.c_str(), static_cast<long long>(tk.frame),
-                   static_cast<long long>(tk.obj));
-      std::abort();
-    }
-    refs.push_back({tk, true, order[j]});
-    ++j;
+  SegmentCells& tail = seg->tail;
+  if (capture_appends_ && tail.keys.size() > seg->drained) {
+    // The undrained keys leave the tail here; the capture keeps a copy.
+    AppendKeys(tail, seg->drained, &seg->pending);
   }
-  seg->sealed = BuildColumnarSegment(GatherLocked(*seg, refs), build_options_);
-  if (capture_appends_ && seg->tail.keys.size() > seg->drained) {
-    seg->moved.push_back({std::move(seg->tail), seg->drained});
+  if (seg->sealed == nullptr) {
+    // First seal: the ascending tail is already in seal order.
+    seg->sealed = BuildColumnarSegment(std::move(tail), build_options_);
+  } else {
+    // Merge the sealed keys with the tail's (both ascending); the result
+    // is exactly a one-shot seal of the segment's content. STORE inserts
+    // keys its probe missed without checking the sealed part, so a key
+    // in both is a broken invariant: stop before it is sealed, logged or
+    // persisted.
+    const size_t nsealed = seg->sealed->num_keys();
+    std::vector<KeyRef> refs;
+    refs.reserve(nsealed + tail.keys.size());
+    size_t i = 0, j = 0;
+    while (i < nsealed || j < tail.keys.size()) {
+      ViewKey sk;
+      if (i < nsealed) {
+        sk = {seg->sealed->key_frame(i), seg->sealed->key_obj(i)};
+      }
+      if (j == tail.keys.size() || (i < nsealed && sk < tail.keys[j])) {
+        refs.push_back({sk, false, i++});
+        continue;
+      }
+      const ViewKey& tk = tail.keys[j];
+      if (i < nsealed && !(tk < sk)) {
+        std::fprintf(stderr,
+                     "view %s: key (frame %lld, obj %lld) stored twice\n",
+                     name_.c_str(), static_cast<long long>(tk.frame),
+                     static_cast<long long>(tk.obj));
+        std::abort();
+      }
+      refs.push_back({tk, true, j++});
+    }
+    seg->sealed =
+        BuildColumnarSegment(GatherLocked(*seg, refs), build_options_);
   }
-  // Fresh objects, not clear(): a cleared hash set keeps its buckets.
-  seg->tail = SegmentCells();
+  tail = SegmentCells();
   seg->drained = 0;
-  seg->tail_index = std::unordered_set<ViewKey, ViewKeyHash>();
   if (seal_totals_ == nullptr) return;
   const ColumnarSegment& sealed = *seg->sealed;
   constexpr auto kRelaxed = std::memory_order_relaxed;
@@ -247,7 +294,7 @@ void MaterializedView::set_capture_appends(bool enabled) {
   appended_segments_.clear();
   for (auto& [seg_id, seg] : segments_) {
     seg.drained = seg.tail.keys.size();
-    seg.moved.clear();
+    seg.pending = SegmentCells();
   }
 }
 
@@ -257,41 +304,27 @@ MaterializedView::TakeAppendedChunks() {
   std::vector<std::shared_ptr<const ColumnarSegment>> out;
   for (const int64_t seg_id : appended_segments_) {
     Segment& seg = segments_.at(seg_id);
-    SegmentCells cells;
-    cells.cols.resize(value_schema_.num_fields());
-    std::vector<std::vector<int32_t>> remaps(cells.cols.size());
-    // Keys [begin, end) of `from`, cells copied lane to lane.
-    auto append = [&](const SegmentCells& from, size_t begin) {
-      const size_t end = from.keys.size();
-      if (begin == end) return;
-      const int32_t base = cells.row_begin.back() - from.row_begin[begin];
-      for (size_t k = begin; k < end; ++k) {
-        cells.keys.push_back(from.keys[k]);
-        cells.row_begin.push_back(base + from.row_begin[k + 1]);
-      }
-      for (size_t c = 0; c < cells.cols.size(); ++c) {
-        remaps[c].clear();  // each source has its own dictionary codes
-        cells.cols[c].AppendFrom(from.cols[c].lane(),
-                                 static_cast<size_t>(from.row_begin[begin]),
-                                 static_cast<size_t>(from.row_begin[end]),
-                                 &remaps[c]);
-      }
-    };
-    // The undrained keys in append order: moved tails, then the tail.
-    for (const MovedTail& m : seg.moved) append(m.cells, m.begin);
-    append(seg.tail, seg.drained);
-    seg.moved.clear();
+    // The undrained keys in append order: what seals took out of the
+    // tail, then the tail's own.
+    SegmentCells cells = std::exchange(seg.pending, SegmentCells());
+    AppendKeys(seg.tail, seg.drained, &cells);
     seg.drained = seg.tail.keys.size();
     if (cells.keys.empty()) continue;
     if (std::is_sorted(cells.keys.begin(), cells.keys.end())) {
       out.push_back(BuildColumnarSegment(std::move(cells)));
       continue;
     }
-    // Appended out of key order: gather the keys ascending.
+    // A tail that followed a seal went below the keys the seal took:
+    // gather the keys ascending.
+    std::vector<uint32_t> order(cells.keys.size());
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    std::sort(order.begin(), order.end(), [&cells](uint32_t a, uint32_t b) {
+      return cells.keys[a] < cells.keys[b];
+    });
     SegmentCells sorted;
     sorted.cols.resize(cells.cols.size());
-    for (auto& remap : remaps) remap.clear();
-    for (const uint32_t k : TailOrder(cells)) {
+    std::vector<std::vector<int32_t>> remaps(cells.cols.size());
+    for (const uint32_t k : order) {
       const int32_t begin = cells.row_begin[k];
       const int32_t end = cells.row_begin[k + 1];
       sorted.keys.push_back(cells.keys[k]);

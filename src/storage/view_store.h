@@ -10,7 +10,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -161,9 +160,9 @@ class PutRemaps {
 ///
 /// Storage (docs/STORAGE.md): segments are the only copy of the rows. Each
 /// segment is an immutable sealed ColumnarSegment plus an append-only open
-/// tail of typed lanes; PutBatch appends to the tail, and a seal merges
-/// sealed + tail into a fresh ColumnarSegment. A segment is stale exactly
-/// when its tail is non-empty.
+/// tail of typed lanes whose keys are strictly ascending; PutBatch appends
+/// to the tail, and a seal turns sealed + tail into a fresh
+/// ColumnarSegment. A segment is stale exactly when its tail is non-empty.
 ///
 /// Concurrency (docs/RUNTIME.md): Contains and ProbeBatch over sealed
 /// segments take a shared lock and may run concurrently with other
@@ -178,7 +177,7 @@ class MaterializedView {
   const Schema& value_schema() const { return value_schema_; }
 
   /// Presence check: the sealed key index (Bloom filter, then FindKey) of
-  /// the key's segment plus the key index of its tail.
+  /// the key's segment plus its tail's keys.
   bool Contains(const ViewKey& key) const;
 
   /// Batch probe over the sealed segments: one lock acquisition for the
@@ -198,18 +197,21 @@ class MaterializedView {
   /// a key repeated in the batch is present from its first occurrence).
   /// `absent` is empty or has one flag per key: a set flag says the
   /// caller's own ProbeBatch missed the key and nothing has written the
-  /// view since, so the key is inserted without the presence check (tail
-  /// index, Bloom filter, FindKey). A flagged key that is in fact stored
-  /// makes the next seal of its segment abort. Key k's rows are
-  /// rows[key_rows[k] .. key_rows[k + 1]) (key_rows has keys.size() + 1
-  /// entries), as indices into `cols`, one column per value-schema field
-  /// (STORE's chunk lanes, or decoded snapshot / WAL columns in any
-  /// codec); fields past cols.size() read as NULL. The cells are copied
-  /// with one TailLane::AppendGather per column and run of keys in one
-  /// segment, dictionary codes mapped through `remaps` (one per set of
-  /// source columns). `next_tick` is called once per inserted key, in key
-  /// order, for the access stamp of the key's segment (eviction scoring).
-  /// `inserted` gets one flag per key. One exclusive lock for the batch.
+  /// view since, so the key is checked against the tail only, not the
+  /// sealed part (Bloom filter, FindKey). A flagged key that is in fact
+  /// sealed makes the next seal of its segment abort. A key at or below
+  /// its tail's last key first seals the segment, so tails stay
+  /// ascending (only WAL replay puts keys in such an order). Key k's
+  /// rows are rows[key_rows[k] .. key_rows[k + 1]) (key_rows has
+  /// keys.size() + 1 entries), as indices into `cols`, one column per
+  /// value-schema field (STORE's chunk lanes, or decoded snapshot / WAL
+  /// columns in any codec); fields past cols.size() read as NULL. The
+  /// cells are copied with one TailLane::AppendGather per column and run
+  /// of keys in one segment, dictionary codes mapped through `remaps` (one
+  /// per set of source columns). `next_tick` is called once per inserted
+  /// key, in key order, for the access stamp of the key's segment
+  /// (eviction scoring). `inserted` gets one flag per key. One exclusive
+  /// lock for the batch.
   void PutBatch(std::span<const ViewKey> keys, std::span<const uint8_t> absent,
                 std::span<const uint32_t> key_rows,
                 std::span<const uint32_t> rows,
@@ -291,9 +293,9 @@ class MaterializedView {
 
   /// WAL append capture: while enabled, the view keeps, per segment, the
   /// cells appended since the last drain — the open tail's newest keys,
-  /// plus whatever a reseal moved out of the tail before the drain (the
-  /// seal hands the tail over instead of dropping it). Evicting a segment
-  /// drops its cells. Enabling starts with nothing captured.
+  /// plus a pending copy of whatever a seal took out of the tail before
+  /// the drain. Evicting a segment drops its cells. Enabling starts with
+  /// nothing captured.
   void set_capture_appends(bool enabled);
   /// Drains the capture: one plain chunk (no codecs, no Bloom filter) per
   /// segment with appends since the last drain, in first-append order,
@@ -302,21 +304,16 @@ class MaterializedView {
   std::vector<std::shared_ptr<const ColumnarSegment>> TakeAppendedChunks();
 
  private:
-  /// Cells a reseal moved out of a tail before the capture drained them;
-  /// keys [begin, cells.keys.size()) are the undrained ones.
-  struct MovedTail {
-    SegmentCells cells;
-    size_t begin = 0;
-  };
   struct Segment {
     SegmentInfo info;
     std::shared_ptr<const ColumnarSegment> sealed;  // null until first seal
-    SegmentCells tail;  // open tail, keys in insertion order
+    SegmentCells tail;  // open tail, keys strictly ascending
     uint64_t tail_id = 0;  // unique per tail of this view (PutRemaps key)
-    std::unordered_set<ViewKey, ViewKeyHash> tail_index;  // PutBatch's check
     // WAL capture: tail keys [0, drained) were drained (or predate it).
     size_t drained = 0;
-    std::vector<MovedTail> moved;  // reseals since the last drain
+    // WAL capture: undrained cells that seals since the last drain took
+    // out of the tail, in append order.
+    SegmentCells pending;
   };
   /// A key's rows for a gather: sealed key index or tail key position.
   struct KeyRef {
@@ -333,31 +330,34 @@ class MaterializedView {
     return q;
   }
 
-  /// Tail index, then Bloom filter, then the sealed key index searched
-  /// from `cursor` (ColumnarSegment::FindKey's hint; null searches it
-  /// all). Caller holds mu_ (any mode).
+  /// The tail's keys, then Bloom filter, then the sealed key index
+  /// searched from `cursor` (ColumnarSegment::FindKey's hint; null
+  /// searches it all). Caller holds mu_ (any mode).
   bool ContainsLocked(const Segment& seg, const ViewKey& key,
                       size_t* cursor = nullptr) const;
   /// Opens `seg`'s tail if it has none. Caller holds mu_ exclusively.
   void StartTailLocked(Segment* seg);
-  /// Records key `key` of `rows` rows, whose cells the caller appends to
-  /// every tail lane, and which the caller has put in the tail index.
+  /// Records key `key` of `rows` rows at the end of the tail; the caller
+  /// appends its cells to every tail lane and keeps the tail ascending.
   /// Caller holds mu_ exclusively.
   void FinishPutLocked(int64_t seg_id, Segment* seg, const ViewKey& key,
                        size_t rows, uint64_t tick, int64_t query_id);
+  /// Appends the source rows collected in put_rows_ to `seg`'s tail lanes
+  /// and clears put_rows_. Caller holds mu_ exclusively.
+  void FlushPutRowsLocked(Segment* seg, std::span<const ColumnVec* const> cols,
+                          PutRemaps* remaps);
   /// Whether a segment touched by `keys` has an open tail; with `seal`
   /// (exclusive lock) reseals every such segment. Caller holds mu_.
   bool TouchedTailsLocked(const std::vector<ViewKey>& keys, bool seal) const;
-  /// Tail key positions in ascending key order.
-  static std::vector<uint32_t> TailOrder(const SegmentCells& tail);
   /// Cells of `refs` (ascending keys of `seg`) in seal order. Caller
   /// holds mu_.
   SegmentCells GatherLocked(const Segment& seg,
                             const std::vector<KeyRef>& refs) const;
-  /// Merges sealed + tail into a fresh sealed segment and records seal
-  /// accounting; while capturing, the tail's undrained cells move to
-  /// `seg->moved`. A key both sealed and in the tail, or twice in the
-  /// tail, aborts the process. Caller holds mu_ exclusively.
+  /// Seals the tail into a fresh sealed segment and records seal
+  /// accounting: a first seal builds from the tail itself (moved), a
+  /// reseal merges sealed + tail. While capturing, the tail's undrained
+  /// cells are first copied to `seg->pending`. A key both sealed and in
+  /// the tail aborts the process. Caller holds mu_ exclusively.
   void SealSegmentLocked(Segment* seg) const;
   /// Charged footprint of one segment: the encoded bytes when codecs are
   /// on and the segment has no tail, the synthetic §5.2 formula otherwise

@@ -1480,6 +1480,155 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
   }
 }
 
+// A PutBatch whose keys go below the tail's last key seals the segment
+// before appending the key, so tails stay ascending; the seals leave a
+// segment equal to a one-shot seal of the same content.
+TEST(CodecResealTest, OutOfOrderPutBatchSealsFirst) {
+  Schema schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"b", DataType::kBool},
+                 {"s", DataType::kString}});
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE("compress=" + std::to_string(compress));
+    Lcg rng(compress ? 0x0D1A : 0x0D1B);
+    // Frames 0..39 in two segments of 32, each key with 0-2 rows; the
+    // batch visits them in three descending blocks, ascending inside.
+    std::vector<TailLane> lanes(schema.num_fields());
+    std::vector<std::vector<uint32_t>> key_rows_of(40);
+    uint32_t nrows = 0;
+    for (auto& rows : key_rows_of) {
+      for (uint64_t r = (rng.Next() >> 33) % 3; r > 0; --r) {
+        for (size_t c = 0; c < lanes.size(); ++c) {
+          lanes[c].Append(RandomCell(&rng, static_cast<int>(c)));
+        }
+        rows.push_back(nrows++);
+      }
+    }
+    auto put = [&](MaterializedView* view, const std::vector<int64_t>& order,
+                   const std::vector<uint8_t>& absent) {
+      std::vector<ViewKey> keys;
+      std::vector<uint32_t> key_rows{0};
+      std::vector<uint32_t> rows;
+      for (const int64_t f : order) {
+        keys.push_back({f, -1});
+        const auto& r = key_rows_of[static_cast<size_t>(f)];
+        rows.insert(rows.end(), r.begin(), r.end());
+        key_rows.push_back(static_cast<uint32_t>(rows.size()));
+      }
+      PutRemaps remaps;
+      std::vector<uint8_t> inserted;
+      view->PutBatch(keys, absent, key_rows, rows, LaneColumns(lanes),
+                     [] { return uint64_t{1}; }, -1, &remaps, &inserted);
+      return inserted;
+    };
+    std::vector<int64_t> shuffled;
+    for (const auto& [first, end] :
+         {std::pair{28, 40}, std::pair{12, 28}, std::pair{0, 12}}) {
+      for (int64_t f = first; f < end; ++f) shuffled.push_back(f);
+    }
+    std::vector<int64_t> ascending(40);
+    std::iota(ascending.begin(), ascending.end(), int64_t{0});
+    for (const bool flagged : {false, true}) {
+      SCOPED_TRACE("absent flags " + std::to_string(flagged));
+      ViewStore store;
+      store.set_segment_frames(32);
+      store.set_build_options({compress, compress ? 10 : 0});
+      MaterializedView* disordered = store.GetOrCreate("t@v", schema);
+      MaterializedView one_shot("t@v", schema);
+      one_shot.set_segment_frames(32);
+      one_shot.set_build_options({compress, compress ? 10 : 0});
+      const std::vector<uint8_t> inserted = put(
+          disordered, shuffled, std::vector<uint8_t>(flagged ? 40 : 0, 1));
+      EXPECT_EQ(inserted, std::vector<uint8_t>(40, 1));
+      // Segment 0 went below its tail at frames 12 and 0; segment 1
+      // (frames 32..39) only ever ascended.
+      EXPECT_EQ(store.seal_totals().segments_sealed.load(), 2);
+      put(&one_shot, ascending, {});
+      auto a = disordered->SealedSegments();
+      auto b = one_shot.SealedSegments();
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("segment " + std::to_string(a[i].first));
+        EXPECT_EQ(a[i].first, b[i].first);
+        ExpectSameSegment(*a[i].second, *b[i].second);
+      }
+    }
+  }
+}
+
+// A segment's first seal builds from its tail by move; the segment must
+// equal the one built from a gathered copy of the same lanes (the path a
+// reseal takes) at each edge where a lane leaves its typed form.
+TEST(CodecResealTest, MovedFirstSealEqualsGatheredSeal) {
+  Schema schema({{"v", DataType::kInt64}, {"s", DataType::kString}});
+  auto leading_nulls = [](int64_t f) {
+    return f < 50 ? Row{Value::Null(), Value::Null()}
+                  : Row{Value(f), Value("n" + std::to_string(f % 4))};
+  };
+  auto type_conflict = [](int64_t f) {
+    return Row{f % 9 == 4 ? Value(0.5 * static_cast<double>(f)) : Value(f),
+               f == 30 ? Value(int64_t{3}) : Value("c" + std::to_string(f))};
+  };
+  auto dict_overflow = [](int64_t f) {
+    return Row{Value(f % 11), Value("u" + std::to_string(f))};
+  };
+  const struct {
+    const char* name;
+    std::function<Row(int64_t)> row_of;
+    int64_t frames;
+  } cases[] = {{"leading nulls", leading_nulls, 120},
+               {"type conflict", type_conflict, 120},
+               {"dictionary past 65536", dict_overflow, 70000}};
+  for (const auto& c : cases) {
+    for (bool compress : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   " compress=" + std::to_string(compress));
+      const SegmentBuildOptions options{compress, compress ? 10 : 0};
+      // The view's tail, filled in one ascending PutBatch, and the same
+      // cells appended value by value.
+      MaterializedView view("t@v", schema);
+      view.set_segment_frames(1 << 20);
+      view.set_build_options(options);
+      SegmentCells tail;
+      tail.cols.resize(schema.num_fields());
+      std::vector<ViewKey> keys;
+      std::vector<uint32_t> rows;
+      for (int64_t f = 0; f < c.frames; ++f) {
+        const Row row = c.row_of(f);
+        for (size_t col = 0; col < row.size(); ++col) {
+          tail.cols[col].Append(row[col]);
+        }
+        keys.push_back({f, -1});
+        tail.keys.push_back({f, -1});
+        tail.row_begin.push_back(static_cast<int32_t>(f + 1));
+        rows.push_back(static_cast<uint32_t>(f));
+      }
+      std::vector<uint32_t> key_rows(keys.size() + 1);
+      std::iota(key_rows.begin(), key_rows.end(), uint32_t{0});
+      PutRemaps remaps;
+      std::vector<uint8_t> inserted;
+      std::vector<TailLane>& lanes = tail.cols;
+      view.PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes),
+                    [] { return uint64_t{1}; }, -1, &remaps, &inserted);
+      // The gather: every key's rows copied lane to lane, as a merge does.
+      SegmentCells gathered;
+      gathered.cols.resize(schema.num_fields());
+      gathered.keys = tail.keys;
+      gathered.row_begin = tail.row_begin;
+      for (size_t col = 0; col < lanes.size(); ++col) {
+        std::vector<int32_t> remap;
+        for (size_t k = 0; k < keys.size(); ++k) {
+          gathered.cols[col].AppendFrom(lanes[col].lane(), k, k + 1, &remap);
+        }
+      }
+      auto sealed = view.SealedSegments();
+      ASSERT_EQ(sealed.size(), 1u);
+      ExpectSameSegment(*sealed[0].second,
+                        *BuildColumnarSegment(std::move(gathered), options));
+    }
+  }
+}
+
 TEST(CodecEngineDifferentialTest, WorkloadBitIdenticalAcrossConfigs) {
   catalog::VideoInfo video;
   video.name = "pv";

@@ -357,20 +357,24 @@ TEST(EngineTest, PredicateAndSelectShapesArePinned) {
        kHeader + "[17 rows]\n" + kFrame0 + kFrame1},
       // Select lists.
       {"SELECT id, 5, 'x' FROM short_ua_detrac WHERE id < 1;",
-       "(id:INT64, 5:STRING, 'x':STRING) [1 rows]\n  0 | 5 | x\n"},
+       "(id:INT64, 5:INT64, 'x':STRING) [1 rows]\n  0 | 5 | x\n"},
       {"SELECT id, nosuch FROM short_ua_detrac WHERE id < 0;",
        "(id:INT64, nosuch:STRING) [0 rows]\n"},
       {"SELECT id, nosuch FROM short_ua_detrac WHERE id < 3;",
        "BindError: unknown column: nosuch"},
       {"SELECT id, obj, label, 2.5, TRUE FROM short_ua_detrac CROSS APPLY "
        "FasterRCNNResNet50(frame) WHERE id < 1;",
-       "(id:INT64, obj:INT64, label:STRING, 2.5:STRING, true:STRING) "
+       "(id:INT64, obj:INT64, label:STRING, 2.5:DOUBLE, true:BOOL) "
        "[9 rows]\n"
        "  0 | 0 | person | 2.5 | true\n  0 | 1 | car | 2.5 | true\n"
        "  0 | 3 | truck | 2.5 | true\n  0 | 4 | person | 2.5 | true\n"
        "  0 | 5 | car | 2.5 | true\n  0 | 6 | car | 2.5 | true\n"
        "  0 | 7 | car | 2.5 | true\n  0 | 8 | car | 2.5 | true\n"
        "  0 | 9 | car | 2.5 | true\n"},
+      {"SELECT id, VehicleFilter(frame) FROM short_ua_detrac "
+       "WHERE id < 3 AND VehicleFilter(frame) = true;",
+       "(id:INT64, VehicleFilter(frame):BOOL) [3 rows]\n"
+       "  0 | true\n  1 | true\n  2 | true\n"},
   };
   for (const Case& c : cases) {
     auto r = engine->Execute(c.sql);

@@ -207,6 +207,104 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   chunks = view->TakeAppendedChunks();
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(ChunkKeys(*chunks[0]), (std::vector<ViewKey>{{4, -1}, {9, -1}}));
+
+  // The repeat comes after a key that sealed the segment (6 is below the
+  // tail's 11), so the first occurrence sits in the sealed part by then.
+  const std::vector<ViewKey> across = {{11, -1}, {6, -1}, {11, -1}};
+  const std::vector<uint32_t> across_rows = {6, 7, 8};
+  view->PutBatch(across, absent, {key_rows.data(), 4}, across_rows,
+                 LaneColumns(lanes), next_tick, 9, &remaps, &inserted);
+  EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 1, 0}));
+  EXPECT_EQ(view->num_keys(), 10);
+  EXPECT_EQ((*ReadKey(*view, {11, -1}))[0][0].AsInt64(), 76);
+  EXPECT_EQ((*ReadKey(*view, {6, -1}))[0][0].AsInt64(), 77);
+  chunks = view->TakeAppendedChunks();
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(ChunkKeys(*chunks[0]), (std::vector<ViewKey>{{6, -1}, {11, -1}}));
+
+  // The same across runs: 10 seals segment 0 under 13, a key of segment 1
+  // ends the run, and the repeat of 13 opens a second run of segment 0.
+  const std::vector<ViewKey> runs = {{13, -1}, {10, -1}, {600, -1}, {13, -1}};
+  const std::vector<uint8_t> runs_absent = {1, 1, 1, 1};
+  const std::vector<uint32_t> runs_rows = {3, 4, 5, 6};
+  view->PutBatch(runs, runs_absent, {key_rows.data(), 5}, runs_rows,
+                 LaneColumns(lanes), next_tick, 9, &remaps, &inserted);
+  EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 1, 1, 0}));
+  EXPECT_EQ(view->num_keys(), 13);
+  EXPECT_EQ((*ReadKey(*view, {13, -1}))[0][0].AsInt64(), 73);
+}
+
+// Keys that go below the tail's last key seal the segment inside
+// PutBatch. The capture still drains every undrained key exactly once,
+// ascending, with the cells it was put with.
+TEST(MaterializedViewTest, SealInsidePutBatchDrainsEveryKeyOnce) {
+  ViewStore store;
+  MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
+  view->set_capture_appends(true);
+  // Key frame f is put with lane row f, whose obj cell is 100 + f.
+  std::vector<TailLane> lanes(4);
+  for (int64_t r = 0; r < 20; ++r) {
+    lanes[0].AppendInt64(100 + r);
+    lanes[1].AppendString(r % 3 == 0 ? "car" : "bus");
+    lanes[2].AppendDouble(0.5);
+    lanes[3].AppendDouble(0.7);
+  }
+  const std::function<uint64_t()> next_tick = [&store] {
+    return store.NextAccessTick();
+  };
+  PutRemaps remaps;
+  std::vector<uint8_t> inserted;
+  auto put = [&](const std::vector<int64_t>& frames) {
+    std::vector<ViewKey> keys;
+    std::vector<uint32_t> key_rows{0};
+    std::vector<uint32_t> rows;
+    for (const int64_t f : frames) {
+      keys.push_back({f, -1});
+      rows.push_back(static_cast<uint32_t>(f));
+      key_rows.push_back(static_cast<uint32_t>(rows.size()));
+    }
+    view->PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes), next_tick,
+                   0, &remaps, &inserted);
+  };
+  auto expect_rows = [](const ColumnarSegment& chunk) {
+    for (size_t k = 0; k < chunk.num_keys(); ++k) {
+      ASSERT_EQ(chunk.row_begin_at(k + 1) - chunk.row_begin_at(k), 1);
+      EXPECT_EQ(chunk.RowAt(chunk.row_begin_at(k))[0].AsInt64(),
+                100 + chunk.key_frame(k));
+    }
+  };
+  put({10, 12});
+  auto chunks = view->TakeAppendedChunks();
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(ChunkKeys(*chunks[0]), (std::vector<ViewKey>{{10, -1}, {12, -1}}));
+
+  // 3 seals the tail {10, 12, 14, 16} (10 and 12 drained), 12 is then
+  // sealed and skipped, and 1 seals the tail {3, 15, 18}.
+  put({14, 16, 3, 15, 12, 18, 1});
+  EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 1, 1, 1, 0, 1, 1}));
+  EXPECT_EQ(store.seal_totals().segments_sealed.load(), 2);
+  EXPECT_EQ(view->num_keys(), 8);
+  chunks = view->TakeAppendedChunks();
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(ChunkKeys(*chunks[0]),
+            (std::vector<ViewKey>{
+                {1, -1}, {3, -1}, {14, -1}, {15, -1}, {16, -1}, {18, -1}}));
+  expect_rows(*chunks[0]);
+  EXPECT_TRUE(view->TakeAppendedChunks().empty());
+
+  // After a drain, a seal keeps only the keys appended since (19), not
+  // the drained tail key 1.
+  put({19, 0});
+  chunks = view->TakeAppendedChunks();
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(ChunkKeys(*chunks[0]), (std::vector<ViewKey>{{0, -1}, {19, -1}}));
+  expect_rows(*chunks[0]);
+  for (const int64_t f : {0, 1, 3, 10, 12, 14, 15, 16, 18, 19}) {
+    auto rows = ReadKey(*view, {f, -1});
+    ASSERT_TRUE(rows.has_value()) << f;
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ((*rows)[0][0].AsInt64(), 100 + f);
+  }
 }
 
 // Passes a sealed key to PutBatch as known absent, then seals.

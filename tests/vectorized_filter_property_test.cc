@@ -781,7 +781,7 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
     view.ProbeBatch(
         keys,
         [&](const storage::ColumnarSegment& seg) {
-          return exec::ZoneCanMatch(*pred, seg, value_schema);
+          return exec::ZoneCanMatch(*pred, seg, value_schema, check_schema);
         },
         &res);
     total_skipped += res.segments_skipped;
@@ -810,7 +810,7 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
   view.ProbeBatch(
       keys,
       [&](const storage::ColumnarSegment& seg) {
-        return exec::ZoneCanMatch(*never, seg, value_schema);
+        return exec::ZoneCanMatch(*never, seg, value_schema, check_schema);
       },
       &res);
   EXPECT_EQ(res.segments_skipped, res.segments_probed);
@@ -822,10 +822,53 @@ TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
   view.ProbeBatch(
       keys,
       [&](const storage::ColumnarSegment& seg) {
-        return exec::ZoneCanMatch(*always, seg, value_schema);
+        return exec::ZoneCanMatch(*always, seg, value_schema, check_schema);
       },
       &res);
   EXPECT_EQ(res.segments_skipped, 0);
+}
+
+// An AND whose right conjunct is never true skips the segment only when
+// its left conjunct cannot raise: the filter evaluates the left side on
+// every row, and a skip must not swallow its error.
+TEST(VectorizedFilterProperty, ZoneSkipKeepsLeftConjunctErrors) {
+  Schema value_schema = DetectorValueSchema();
+  Schema row_schema = value_schema;
+  row_schema.AddField({"id", DataType::kInt64});
+  MaterializedView view("v", value_schema);
+  for (int64_t f = 0; f < 4; ++f) {
+    PutRows(&view, ViewKey{f, -1},
+            {{Value(int64_t{0}), Value(std::string("car")), Value(0.5),
+              Value(0.9)}},
+            static_cast<uint64_t>(f), 0);
+  }
+  const std::shared_ptr<const storage::ColumnarSegment> seg =
+      view.SealedSegments().at(0).second;
+  auto parse = [](const std::string& where) {
+    auto e = parser::ParseExpression(where);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return e.MoveValue();
+  };
+  struct Case {
+    std::string where;
+    bool can_match;
+  } cases[] = {
+      {"area > 100", false},
+      {"id < 300 AND area > 100", false},
+      {"area > 100 AND label", false},
+      {"label AND area > 100", true},
+      {"id < 300 AND label AND area > 100", true},
+      {"7 AND area > 100", true},
+      {"nosuch = 1 AND area > 100", true},
+      {"(id < 300 OR label) AND area > 100", true},
+      {"label = 'car' AND area > 100", false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(exec::ZoneCanMatch(*parse(c.where), *seg, value_schema,
+                                 row_schema),
+              c.can_match)
+        << c.where;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -857,6 +900,30 @@ EngineTrace RunEngineSession(bool zones) {
     trace.total_ms.push_back(r.value().metrics.TotalMs());
   }
   return trace;
+}
+
+// A conjunct that raises before a never-true one: zone skipping must not
+// turn the error into an empty result.
+TEST(VectorizedFilterProperty, EngineErrorsInvariantUnderZoneSkipping) {
+  catalog::VideoInfo video = vbench::ShortUaDetrac();
+  video.num_frames = 300;
+  const std::string detect =
+      "SELECT id, obj, label FROM short_ua_detrac CROSS APPLY "
+      "FasterRCNNResNet50(frame) WHERE id < 300 AND ";
+  for (const bool zones : {false, true}) {
+    engine::EngineOptions options;
+    options.observability = false;
+    options.zone_map_skipping = zones;
+    auto engine_or = vbench::MakeEngine(options, video);
+    ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+    std::unique_ptr<engine::EvaEngine> engine = engine_or.MoveValue();
+    ASSERT_TRUE(engine->Execute(detect + "label = 'car';").ok());
+    auto r = engine->Execute(detect + "label AND area > 100;");
+    EXPECT_EQ(r.ok() ? r.value().batch.ToString(1 << 20)
+                     : r.status().ToString(),
+              "InvalidArgument: expression is not boolean: label")
+        << "zone_map_skipping " << zones;
+  }
 }
 
 TEST(VectorizedFilterProperty, EngineResultsInvariantUnderFlags) {
