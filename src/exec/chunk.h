@@ -12,17 +12,18 @@ namespace eva::exec {
 
 /// The unit operators pass to each other: a schema plus one column lane per
 /// field (docs/STORAGE.md, "Execution chunks"). The lanes are the view
-/// tail's storage::TailLane: Int64/Double/Bool cells are typed, strings
-/// are dictionary-coded, and a lane whose non-null cells do not share one
-/// type holds raw Values. lane(c).At(r) gives back exactly the Value that
-/// was appended, so no operator can change a cell's type. Expressions are
-/// evaluated over lanes (FilterProgram); rows exist only at the result
-/// boundary (ExecutePlan), in Aggregate's group keys and in FunCache.
+/// tail's storage::TailLane, each typed by its field: Int64/Double/Bool
+/// cells are typed lanes, strings are dictionary-coded, and a NULL is a
+/// bit in the null bitmap. A cell of another type than its field's is a
+/// programming error (the lane aborts), so lane(c).At(r) gives back
+/// exactly the Value that was appended. Expressions are evaluated over
+/// lanes (FilterProgram); rows exist only at the result boundary
+/// (ExecutePlan), in Aggregate's group keys and in FunCache.
 class Chunk {
  public:
   Chunk() = default;
   explicit Chunk(Schema schema)
-      : schema_(std::move(schema)), cols_(schema_.num_fields()) {}
+      : schema_(std::move(schema)), cols_(storage::LanesFor(schema_)) {}
 
   const Schema& schema() const { return schema_; }
   size_t num_columns() const { return cols_.size(); }
@@ -34,7 +35,8 @@ class Chunk {
   const std::vector<storage::TailLane>& cols() const { return cols_; }
 
   Value At(size_t row, size_t c) const { return lane(c).At(row); }
-  /// Appends one cell per field; cells past the row's end are NULL.
+  /// Appends one cell per field, each NULL or of the field's type; cells
+  /// past the row's end are NULL.
   void AppendRow(const Row& row);
 
   /// Appends the chunk's rows to `out` (same schema), in order.

@@ -83,11 +83,18 @@ struct UdfMetricCells {
 using storage::ColumnVec;
 using storage::TailLane;
 
-// row[idx].AsInt64() of the row-at-a-time engine: frame ids and object ids
-// are Int64 lanes, read without building a Value.
-int64_t Int64Cell(const ColumnVec& lane, size_t r) {
-  return lane.enc_ == ColumnVec::Enc::kInt64 ? lane.i64_[r]
-                                             : lane.At(r).AsInt64();
+// The cell at non-null row r of a chunk's Int64 lane (frame ids, object
+// ids): chunk lanes are plain.
+int64_t Int64Cell(const ColumnVec& lane, size_t r) { return lane.i64_[r]; }
+
+// A view's columns are copied to and from lanes typed by its UDF's output
+// schema, so a view loaded with another schema (from a foreign save or
+// log) can neither serve nor take the UDF's rows.
+Status CheckViewSchema(const MaterializedView& view, const Schema& udf_out) {
+  if (view.value_schema() == udf_out) return Status::OK();
+  return Status::InvalidArgument(
+      "view " + view.name() + " has schema " + view.value_schema().ToString() +
+      ", not its UDF's output schema " + udf_out.ToString());
 }
 
 // The rows of `in` whose keep flag is set, in order: `in` itself when
@@ -429,7 +436,7 @@ class ApplyOp : public Operator {
         parents_.insert(parents_.end(), dets, parent);
       } else if (def_.kind == UdfKind::kClassifier) {
         const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-        if (objs.IsNull(r)) {
+        if (objs.NullAt(r)) {
           results->AppendNull();
         } else {
           EVA_RETURN_IF_ERROR(
@@ -575,7 +582,11 @@ class ViewJoinOp : public Operator {
     while (true) {
       EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) return Chunk(output_schema_);
-      Chunk out = Join(in);
+      MaterializedView* view = ctx_->views->Find(view_name_);
+      if (view != nullptr) {
+        EVA_RETURN_IF_ERROR(CheckViewSchema(*view, value_schema_));
+      }
+      Chunk out = Join(in, view);
       if (!out.empty()) return out;
     }
   }
@@ -583,8 +594,7 @@ class ViewJoinOp : public Operator {
  private:
   enum RowAction : uint8_t { kPass = 0, kNullOut, kProbe };
 
-  Chunk Join(Chunk& in) {
-    MaterializedView* view = ctx_->views->Find(view_name_);
+  Chunk Join(Chunk& in, MaterializedView* view) {
     const ColumnVec& ids =
         in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
     const int obj_idx = in.schema().IndexOf(kColObj);
@@ -606,7 +616,7 @@ class ViewJoinOp : public Operator {
       if (def_.kind == UdfKind::kDetector) {
         // A row that already has a non-null obj was populated by an
         // earlier view in the chain; pass it through.
-        if (outputs_present && objs != nullptr && !objs->IsNull(r)) {
+        if (outputs_present && objs != nullptr && !objs->NullAt(r)) {
           actions_.push_back(kPass);
           continue;
         }
@@ -615,12 +625,12 @@ class ViewJoinOp : public Operator {
       } else {
         bool already =
             already_idx >= 0 &&
-            !in.lane(static_cast<size_t>(already_idx)).IsNull(r);
+            !in.lane(static_cast<size_t>(already_idx)).NullAt(r);
         if (already) {
           actions_.push_back(kPass);
           continue;
         }
-        const bool obj_null = objs == nullptr || objs->IsNull(r);
+        const bool obj_null = objs == nullptr || objs->NullAt(r);
         if (def_.kind == UdfKind::kClassifier && obj_null) {
           actions_.push_back(kNullOut);
           continue;
@@ -852,7 +862,7 @@ class ViewJoinOp : public Operator {
                    MaterializedView* view) {
     const auto out_idx =
         static_cast<size_t>(output_schema_.IndexOf(def_.name));
-    TailLane result;
+    TailLane result(output_schema_.field(out_idx).type);
     // kPass means the input carries the output column, at out_idx.
     RunCopier results(this, in, out_idx, &result, 1);
     parents_.clear();
@@ -1014,7 +1024,7 @@ class CondApplyOp : public Operator {
     const ColumnVec& objs =
         in.lane(static_cast<size_t>(in.schema().IndexOf(kColObj)));
     size_t first_null = 0;
-    while (first_null < in.num_rows() && !objs.IsNull(first_null)) {
+    while (first_null < in.num_rows() && !objs.NullAt(first_null)) {
       ++first_null;
     }
     if (first_null == in.num_rows()) return in;  // every row from the view
@@ -1038,7 +1048,7 @@ class CondApplyOp : public Operator {
       }
     };
     for (size_t r = first_null; r < in.num_rows(); ++r) {
-      if (!objs.IsNull(r)) continue;
+      if (!objs.NullAt(r)) continue;
       flush(r);
       EVA_ASSIGN_OR_RETURN(size_t dets,
                            runner_.Detect(Int64Cell(ids, r), results));
@@ -1061,7 +1071,7 @@ class CondApplyOp : public Operator {
         static_cast<size_t>(output_schema_.IndexOf(def_.name));
     const ColumnVec& current = in.lane(out_idx);
     size_t first_null = 0;
-    while (first_null < in.num_rows() && !current.IsNull(first_null)) {
+    while (first_null < in.num_rows() && !current.NullAt(first_null)) {
       ++first_null;
     }
     if (first_null == in.num_rows()) return in;
@@ -1069,16 +1079,16 @@ class CondApplyOp : public Operator {
         in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
     const int obj_idx = in.schema().IndexOf(kColObj);
     remaps_.Clear();
-    TailLane result;
+    TailLane result(output_schema_.field(out_idx).type);
     size_t run = 0;  // rows [run, r) keep their current value
     for (size_t r = first_null; r < in.num_rows(); ++r) {
-      if (!current.IsNull(r)) continue;
+      if (!current.NullAt(r)) continue;
       result.AppendFrom(current, run, r, remaps_[0]);
       run = r + 1;
       const int64_t frame = Int64Cell(ids, r);
       if (def_.kind == UdfKind::kClassifier) {
         const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-        if (objs.IsNull(r)) {
+        if (objs.NullAt(r)) {
           result.AppendNull();
           continue;
         }
@@ -1129,7 +1139,10 @@ class StoreOp : public Operator {
     while (true) {
       EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) return Chunk(output_schema_);
-      Chunk out = Store(std::move(in));
+      MaterializedView* view =
+          ctx_->views->GetOrCreate(view_name_, value_schema_);
+      EVA_RETURN_IF_ERROR(CheckViewSchema(*view, value_schema_));
+      Chunk out = Store(std::move(in), view);
       if (!out.empty()) return out;
     }
   }
@@ -1158,8 +1171,7 @@ class StoreOp : public Operator {
     return true;
   }
 
-  Chunk Store(Chunk in) {
-    MaterializedView* view = ctx_->views->GetOrCreate(view_name_, value_schema_);
+  Chunk Store(Chunk in, MaterializedView* view) {
     const ColumnVec& ids =
         in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
     const int obj_idx = in.schema().IndexOf(kColObj);
@@ -1182,7 +1194,7 @@ class StoreOp : public Operator {
         while (end < n && Int64Cell(ids, end) == frame) ++end;
         const bool queued = AddKey(ViewKey{frame, -1});
         for (size_t r = begin; r < end; ++r) {
-          if (objs.IsNull(r)) {
+          if (objs.NullAt(r)) {
             ++placeholders;
           } else if (queued) {
             rows_.push_back(static_cast<uint32_t>(r));
@@ -1196,7 +1208,7 @@ class StoreOp : public Operator {
       if (placeholders == n) return Chunk(output_schema_);
       rows_.clear();
       for (size_t r = 0; r < n; ++r) {
-        if (!objs.IsNull(r)) rows_.push_back(static_cast<uint32_t>(r));
+        if (!objs.NullAt(r)) rows_.push_back(static_cast<uint32_t>(r));
       }
       return GatherRows(in, rows_, &gather_remaps_);
     }
@@ -1205,11 +1217,11 @@ class StoreOp : public Operator {
         static_cast<size_t>(in.schema().IndexOf(def_.name));
     const ColumnVec& vals = in.lane(val_idx);
     for (size_t r = 0; r < n; ++r) {
-      if (vals.IsNull(r)) continue;
+      if (vals.NullAt(r)) continue;
       int64_t obj = -1;
       if (def_.kind == UdfKind::kClassifier) {
         const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-        if (objs.IsNull(r)) continue;
+        if (objs.NullAt(r)) continue;
         obj = Int64Cell(objs, r);
       }
       if (!AddKey(ViewKey{Int64Cell(ids, r), obj})) continue;
@@ -1590,19 +1602,32 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
                            Build(node->child(), ctx, ledgers));
       // A bound column or UDF output keeps the child's field type, a
-      // literal its value's; anything else (an unbound name, a computed
-      // expression) is typed STRING.
+      // literal its value's, and a comparison or logical expression is a
+      // BOOL verdict; anything else (an unbound name, `*`) raises on every
+      // row and is typed STRING.
       const Schema& in = child->output_schema();
       Schema schema;
       for (size_t i = 0; i < proj->exprs().size(); ++i) {
         DataType type = DataType::kString;
         const expr::Expr& e = *proj->exprs()[i];
-        if (e.kind() == expr::ExprKind::kLiteral) {
-          type = e.value().type();
-        } else if (e.kind() == expr::ExprKind::kColumn ||
-                   e.kind() == expr::ExprKind::kUdfCall) {
-          const int idx = in.IndexOf(e.name());
-          if (idx >= 0) type = in.field(static_cast<size_t>(idx)).type;
+        switch (e.kind()) {
+          case expr::ExprKind::kLiteral:
+            type = e.value().type();
+            break;
+          case expr::ExprKind::kColumn:
+          case expr::ExprKind::kUdfCall: {
+            const int idx = in.IndexOf(e.name());
+            if (idx >= 0) type = in.field(static_cast<size_t>(idx)).type;
+            break;
+          }
+          case expr::ExprKind::kCompare:
+          case expr::ExprKind::kAnd:
+          case expr::ExprKind::kOr:
+          case expr::ExprKind::kNot:
+            type = DataType::kBool;
+            break;
+          default:
+            break;
         }
         schema.AddField({proj->names()[i], type});
       }

@@ -215,7 +215,7 @@ int Sign3(T a, T b) {
   return a == b ? 0 : (a < b ? -1 : 1);
 }
 
-// Value::Compare's rank of the non-null cells of a typed lane.
+// Value::Compare's rank of the non-null cells of a lane.
 int EncRank(ColumnVec::Enc enc) {
   switch (enc) {
     case ColumnVec::Enc::kBool:
@@ -224,11 +224,9 @@ int EncRank(ColumnVec::Enc enc) {
     case ColumnVec::Enc::kDouble:
       return 2;
     case ColumnVec::Enc::kDict:
-      return 3;
-    case ColumnVec::Enc::kValue:
       break;
   }
-  return 4;
+  return 3;
 }
 
 int ValueRank(DataType t) {
@@ -296,15 +294,6 @@ void CmpCellsLit(CompareOp op, bool lit_left, size_t n, CellFn cell, T lit,
 // a chunk lane; lit is non-null.
 void CompareLaneLit(const ColumnVec& lane, CompareOp op, const Value& lit,
                     bool lit_left, size_t n, uint8_t* dst) {
-  if (lane.enc_ == ColumnVec::Enc::kValue) {
-    const std::vector<Value>& cells = lane.raw_;
-    for (size_t r = 0; r < n; ++r) {
-      dst[r] = !cells[r].is_null() &&
-               CmpKeep(op, lit_left ? lit.Compare(cells[r])
-                                    : cells[r].Compare(lit));
-    }
-    return;
-  }
   int lane_rank = EncRank(lane.enc_);
   int lit_rank = ValueRank(lit.type());
   if (lit_left) std::swap(lane_rank, lit_rank);
@@ -340,10 +329,11 @@ void CompareLaneLit(const ColumnVec& lane, CompareOp op, const Value& lit,
       break;
     }
     case ColumnVec::Enc::kDict: {
-      // One verdict per dictionary entry, then one read per code.
+      // One verdict per dictionary entry, then one read per code. A NULL
+      // row reads code 0, which an all-NULL lane's empty dictionary lacks.
       const std::string& l = lit.AsString();
-      std::vector<uint8_t> verdict(lane.dict_.size());
-      for (size_t k = 0; k < verdict.size(); ++k) {
+      std::vector<uint8_t> verdict(std::max<size_t>(lane.dict_.size(), 1));
+      for (size_t k = 0; k < lane.dict_.size(); ++k) {
         const int c = lit_left ? l.compare(lane.dict_[k])
                                : lane.dict_[k].compare(l);
         verdict[k] = CmpKeep(op, c == 0 ? 0 : (c < 0 ? -1 : 1));
@@ -354,8 +344,6 @@ void CompareLaneLit(const ColumnVec& lane, CompareOp op, const Value& lit,
       }
       break;
     }
-    case ColumnVec::Enc::kValue:
-      break;
   }
   MaskNulls(lane, n, dst);
 }
@@ -412,18 +400,8 @@ Status FilterProgram::Execute(const Chunk& chunk,
         if (lane.enc_ == ColumnVec::Enc::kBool) {
           for (size_t r = 0; r < n; ++r) dst[r] = lane.b8_[r];
           MaskNulls(lane, n, dst);
-        } else if (lane.enc_ == ColumnVec::Enc::kValue) {
-          for (size_t r = 0; r < n; ++r) {
-            const Value& v = lane.raw_[r];
-            if (v.is_null()) continue;
-            if (v.type() == DataType::kBool) {
-              dst[r] = v.AsBool();
-            } else {
-              raise(r);
-            }
-          }
         } else {
-          // A typed non-bool lane: every non-null cell is non-boolean.
+          // A non-bool lane: every non-null cell is non-boolean.
           for (size_t r = 0; r < err_row; ++r) {
             if (!lane.NullAt(r)) raise(r);
           }

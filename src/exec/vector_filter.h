@@ -23,10 +23,9 @@ namespace eva::exec {
 /// Column-literal comparisons read the chunk's lanes without building
 /// Values: typed numeric lanes follow Value::Compare's Int64/Double rules,
 /// a string lane gets one verdict per dictionary entry and then reads
-/// codes, a lane and literal of different type ranks give one verdict for
-/// every non-null cell, and only a mixed (raw Value) lane compares per
-/// cell. Column-column comparisons compare Values per cell, and a
-/// literal-literal comparison folds to a constant.
+/// codes, and a lane and literal of different type ranks give one verdict
+/// for every non-null cell. Column-column comparisons compare Values per
+/// cell, and a literal-literal comparison folds to a constant.
 ///
 /// Every expression compiles. An unbound column or UDF output, a
 /// non-boolean literal in a logical position, `*` / COUNT(*) and a

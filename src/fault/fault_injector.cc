@@ -60,24 +60,6 @@ Status ParseOccurrence(const std::string& occ, FaultRule* rule) {
 
 }  // namespace
 
-const char* FaultActionName(FaultAction action) {
-  switch (action) {
-    case FaultAction::kNone:
-      return "none";
-    case FaultAction::kFail:
-      return "fail";
-    case FaultAction::kShortWrite:
-      return "shortwrite";
-    case FaultAction::kError:
-      return "error";
-    case FaultAction::kCrash:
-      return "crash";
-    case FaultAction::kCrashExit:
-      return "crash-exit";
-  }
-  return "none";
-}
-
 Result<FaultSchedule> ParseFaultSchedule(const std::string& text) {
   FaultSchedule schedule;
   schedule.text = Trim(text);

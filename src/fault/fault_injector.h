@@ -25,8 +25,6 @@ enum class FaultAction {
                 // kill-and-recover demos; never used by in-process tests)
 };
 
-const char* FaultActionName(FaultAction action);
-
 /// One schedule entry: fire `action` at points matching `pattern` (a glob,
 /// '*' matches any run including empty) on occurrences [first, last] of
 /// that exact point name (1-based; last < 0 means open-ended).

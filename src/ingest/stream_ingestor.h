@@ -60,10 +60,6 @@ class StreamIngestor {
   /// clamps the initial horizon, and adds it to the catalog.
   Status Register(catalog::VideoInfo info, const StreamOptions& opts);
 
-  bool HasStream(const std::string& source) const {
-    return streams_.count(source) > 0;
-  }
-
   /// Buffers up to `frames` newly arrived frames (clamped to the buffer
   /// bound and the remaining length). Returns frames actually buffered.
   Result<int64_t> Arrive(const std::string& source, int64_t frames);

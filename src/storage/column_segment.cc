@@ -1,7 +1,9 @@
 #include "storage/column_segment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <type_traits>
@@ -13,11 +15,6 @@ namespace {
 // Integer magnitudes beyond this are not exactly representable as doubles;
 // zone bounds for such columns are marked invalid rather than approximate.
 constexpr double kDoubleExactLimit = 4503599627370496.0;  // 2^52
-
-// Dictionary encoding falls back to raw Value storage past this
-// cardinality: the dict + codes stop paying for themselves and the int32
-// code lane risks pathological build cost on adversarial inputs.
-constexpr size_t kMaxDictCardinality = 65536;
 
 // Numeric dictionaries stop being considered past this distinct count.
 constexpr size_t kMaxNumDictCardinality = 4096;
@@ -128,6 +125,21 @@ bool BuildNumDict(const std::vector<T>& v, size_t give_up,
 
 }  // namespace
 
+ColumnVec::Enc ColumnVec::EncOf(DataType type) {
+  switch (type) {
+    case DataType::kInt64:
+      return Enc::kInt64;
+    case DataType::kDouble:
+      return Enc::kDouble;
+    case DataType::kBool:
+      return Enc::kBool;
+    case DataType::kNull:
+    case DataType::kString:
+      break;
+  }
+  return Enc::kDict;
+}
+
 const char* ColumnVec::CodecName(Codec c) {
   switch (c) {
     case Codec::kPlain:
@@ -153,7 +165,6 @@ size_t ColumnVec::EncodedBytes() const {
   bytes += b8_.size();
   bytes += codes_.size() * 4;
   for (const std::string& s : dict_) bytes += s.size();
-  bytes += raw_.size() * 16;  // nominal Value footprint
   bytes += packed_.SizeBytes();
   bytes += rle_end_.size() * 4;
   if (codec_ == Codec::kFor) bytes += 8;
@@ -197,7 +208,7 @@ size_t ColumnarSegment::FindKey(int64_t frame, int64_t obj,
 void CompressColumn(ColumnVec* col) {
   if (col->codec_ != ColumnVec::Codec::kPlain) return;  // already encoded
   const size_t n = col->n_;
-  if (n == 0 || col->enc_ == ColumnVec::Enc::kValue) return;
+  if (n == 0) return;
 
   switch (col->enc_) {
     case ColumnVec::Enc::kInt64: {
@@ -377,8 +388,6 @@ void CompressColumn(ColumnVec* col) {
       }
       break;
     }
-    case ColumnVec::Enc::kValue:
-      break;
   }
 }
 
@@ -494,69 +503,63 @@ std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
   return seg;
 }
 
-void TailLane::Append(const Value& v) {
-  if (v.is_null()) {
-    has_nulls_ = true;
-  } else if (type_ == DataType::kNull) {
-    // First non-null cell: the lane takes its type, earlier cells are nulls.
-    type_ = v.type();
-    const size_t nulls = lane_.raw_.size();
-    lane_.raw_.clear();
-    lane_.enc_ = type_ == DataType::kInt64    ? ColumnVec::Enc::kInt64
-                 : type_ == DataType::kDouble ? ColumnVec::Enc::kDouble
-                 : type_ == DataType::kBool   ? ColumnVec::Enc::kBool
-                                              : ColumnVec::Enc::kDict;
-    for (size_t i = 0; i < nulls; ++i) AppendTyped(Value::Null());
-  } else if (!mixed_ && v.type() != type_) {
-    // An overflowing dictionary's distinct strings stay the zone's list.
-    if (lane_.dict_.size() > kMaxDictCardinality) premix_strings_ = lane_.dict_;
-    ToRaw(&lane_);
-    codes_.clear();
-    label_codes_.clear();
-    mixed_ = true;
-  }
-  if (lane_.enc_ == ColumnVec::Enc::kValue) {
-    lane_.raw_.push_back(v);
-  } else {
-    AppendTyped(v);
-  }
+TailLane::TailLane(DataType type) : type_(type) {
+  lane_.enc_ = ColumnVec::EncOf(type);
 }
 
-void TailLane::ToRaw(ColumnVec* col) {
-  std::vector<Value> raw;
-  raw.reserve(col->size());
-  for (size_t i = 0; i < col->size(); ++i) raw.push_back(col->At(i));
-  *col = ColumnVec();
-  col->raw_ = std::move(raw);
+std::vector<TailLane> LanesFor(const Schema& schema) {
+  std::vector<TailLane> lanes;
+  lanes.reserve(schema.num_fields());
+  for (const Field& f : schema.fields()) lanes.emplace_back(f.type);
+  return lanes;
+}
+
+void TailLane::Expect(DataType type) const {
+  if (type == type_) return;
+  std::fprintf(stderr, "lane of type %s: appended a %s cell\n",
+               DataTypeName(type_), DataTypeName(type));
+  std::abort();
+}
+
+void TailLane::Append(const Value& v) {
+  if (v.is_null()) return AppendNull();
+  switch (v.type()) {
+    case DataType::kInt64:
+      return AppendInt64(v.AsInt64());
+    case DataType::kDouble:
+      return AppendDouble(v.AsDouble());
+    case DataType::kBool:
+      return AppendBool(v.AsBool());
+    case DataType::kString:
+      return AppendString(v.AsString());
+    case DataType::kNull:
+      break;
+  }
 }
 
 template <typename RowFn>
 void TailLane::AppendRows(const ColumnVec& src, size_t n, RowFn row,
                           std::vector<int32_t>* remap) {
-  size_t k = 0;
-  // An untyped or mixed lane, or a source of another encoding, takes
-  // Values; the first non-null one may type the lane and end this loop.
-  for (; k < n && (lane_.enc_ == ColumnVec::Enc::kValue ||
-                   src.enc_ != lane_.enc_);
-       ++k) {
-    Append(src.At(row(k)));
+  if (src.enc_ != lane_.enc_) {
+    std::fprintf(stderr, "lane of type %s: appended a lane of encoding %d\n",
+                 DataTypeName(type_), static_cast<int>(src.enc_));
+    std::abort();
   }
-  const size_t count = n - k;
-  if (count == 0) return;
-  // Typed copies of rows [k, n) into `dst`; cell(i) reads non-null source
+  if (n == 0) return;
+  // Typed copies of the n rows into `dst`; cell(i) reads non-null source
   // row i. A source without nulls records its rows in one step.
   auto copy = [&](auto* dst, auto cell) {
     using T = typename std::decay_t<decltype(*dst)>::value_type;
     const size_t base = dst->size();
-    dst->resize(base + count);
+    dst->resize(base + n);
     T* out = dst->data() + base;
     if (src.null_bits_.empty()) {
-      for (size_t j = 0; j < count; ++j) out[j] = cell(row(k + j));
-      PushRows(count);
+      for (size_t j = 0; j < n; ++j) out[j] = cell(row(j));
+      PushRows(n);
       return;
     }
-    for (size_t j = 0; j < count; ++j) {
-      const size_t i = row(k + j);
+    for (size_t j = 0; j < n; ++j) {
+      const size_t i = row(j);
       const bool null = src.NullAt(i);
       PushRow(null);
       out[j] = null ? T{} : cell(i);
@@ -587,8 +590,6 @@ void TailLane::AppendRows(const ColumnVec& src, size_t n, RowFn row,
         return mapped;
       });
       break;
-    case ColumnVec::Enc::kValue:
-      break;
   }
 }
 
@@ -605,39 +606,53 @@ void TailLane::AppendGather(const ColumnVec& src, const uint32_t* rows,
 }
 
 void TailLane::AppendInt64(int64_t x) {
-  if (lane_.enc_ != ColumnVec::Enc::kInt64) return Append(Value(x));
+  Expect(DataType::kInt64);
   PushRow(false);
   lane_.i64_.push_back(x);
 }
 
 void TailLane::AppendDouble(double x) {
-  if (lane_.enc_ != ColumnVec::Enc::kDouble) return Append(Value(x));
+  Expect(DataType::kDouble);
   PushRow(false);
   lane_.f64_.push_back(x);
 }
 
 void TailLane::AppendBool(bool x) {
-  if (lane_.enc_ != ColumnVec::Enc::kBool) return Append(Value(x));
+  Expect(DataType::kBool);
   PushRow(false);
   lane_.b8_.push_back(x ? 1 : 0);
 }
 
 void TailLane::AppendString(const std::string& x) {
-  if (lane_.enc_ != ColumnVec::Enc::kDict) return Append(Value(x));
+  Expect(DataType::kString);
   PushRow(false);
   lane_.codes_.push_back(CodeOf(x));
 }
 
 void TailLane::AppendLabel(const std::vector<std::string>& vocab,
                            size_t id) {
-  if (lane_.enc_ != ColumnVec::Enc::kDict) return AppendString(vocab[id]);
+  Expect(DataType::kString);
   PushRow(false);
   lane_.codes_.push_back(LabelCode(vocab, id));
 }
 
 void TailLane::AppendNull() {
-  static const Value kNull;
-  Append(kNull);
+  // The typed lane gets a zero placeholder that NullAt masks.
+  PushRow(true);
+  switch (lane_.enc_) {
+    case ColumnVec::Enc::kInt64:
+      lane_.i64_.push_back(0);
+      break;
+    case ColumnVec::Enc::kDouble:
+      lane_.f64_.push_back(0);
+      break;
+    case ColumnVec::Enc::kBool:
+      lane_.b8_.push_back(0);
+      break;
+    case ColumnVec::Enc::kDict:
+      lane_.codes_.push_back(0);
+      break;
+  }
 }
 
 void TailLane::PushRow(bool null) {
@@ -647,7 +662,6 @@ void TailLane::PushRow(bool null) {
     lane_.null_bits_.push_back(0);
   }
   if (null) {
-    has_nulls_ = true;
     if (lane_.null_bits_.empty()) lane_.null_bits_.assign((i >> 6) + 1, 0);
     SetNullBit(&lane_.null_bits_, i);
   }
@@ -681,42 +695,18 @@ int32_t TailLane::LabelCode(const std::vector<std::string>& vocab,
   return code;
 }
 
-void TailLane::AppendTyped(const Value& v) {
-  const bool null = v.is_null();
-  PushRow(null);
-  switch (lane_.enc_) {
-    case ColumnVec::Enc::kInt64:
-      lane_.i64_.push_back(null ? 0 : v.AsInt64());
-      break;
-    case ColumnVec::Enc::kDouble:
-      lane_.f64_.push_back(null ? 0 : v.AsDouble());
-      break;
-    case ColumnVec::Enc::kBool:
-      lane_.b8_.push_back(!null && v.AsBool() ? 1 : 0);
-      break;
-    case ColumnVec::Enc::kDict:
-      lane_.codes_.push_back(null ? 0 : CodeOf(v.AsString()));
-      break;
-    case ColumnVec::Enc::kValue:
-      break;
-  }
-}
-
 ColumnVec TailLane::Seal(ZoneMapEntry* zone) && {
   // Zone maps (and the string distinct list) come from the cells in row
   // order, before any codec touches the lane.
   ColumnVec col = std::move(lane_);
-  zone->type = type_;  // the first non-null cell's type
-  zone->has_nulls = has_nulls_;
-  zone->all_null = type_ == DataType::kNull;
-  // A mixed column has no valid zone; an all-null column keeps an
-  // (empty-bounds) valid one so skipping can reason about it.
-  zone->valid = !mixed_;
-  if (col.enc_ == ColumnVec::Enc::kValue) {
-    std::sort(premix_strings_.begin(), premix_strings_.end());
-    zone->strings = std::move(premix_strings_);
-    return col;
-  }
+  zone->valid = true;
+  zone->type = type_;
+  zone->has_nulls = !col.null_bits_.empty();
+  size_t nulls = 0;
+  for (uint64_t word : col.null_bits_) nulls += std::popcount(word);
+  // An all-null column keeps an (empty-bounds) valid zone so skipping can
+  // reason about it.
+  zone->all_null = nulls == col.n_;
   bool first = true;
   auto update = [&](double d) {
     zone->num_min = first ? d : std::min(zone->num_min, d);
@@ -739,15 +729,13 @@ ColumnVec TailLane::Seal(ZoneMapEntry* zone) && {
       case ColumnVec::Enc::kBool:
         update(col.b8_[i] != 0 ? 1.0 : 0.0);
         break;
-      default:
+      case ColumnVec::Enc::kDict:
         break;
     }
   }
   if (col.enc_ == ColumnVec::Enc::kDict) {
     zone->strings = col.dict_;
     std::sort(zone->strings.begin(), zone->strings.end());
-    // Past this cardinality the dict + codes stop paying for themselves.
-    if (col.dict_.size() > kMaxDictCardinality) ToRaw(&col);
   }
   return col;
 }

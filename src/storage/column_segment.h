@@ -35,28 +35,31 @@ struct ViewKeyHash {
   }
 };
 
-/// Typed column vector of one materialized-view segment. Encodings cover
-/// the cell types UDFs produce; a column whose non-null cells do not share
-/// one type falls back to raw Value storage. On top of the type encoding a
-/// lightweight codec may compress the physical lane (chosen at seal time
-/// by byte cost — see docs/STORAGE.md): frame-of-reference bit-packing for
-/// integers, run-length for any repetitive lane, plain bit-packing for
-/// bools and dictionary codes, and a numeric dictionary for low-cardinality
-/// Int64/Double columns. At(i) reconstructs the exact Value that was
-/// stored — segments are the only copy of a view's rows (Value::Compare
-/// distinguishes Int64 from Double, so codecs never widen, quantize, or
-/// reorder).
+/// Typed column vector of one materialized-view segment or execution
+/// chunk. A column's encoding follows from its schema field's type
+/// (EncOf), and a NULL cell is a bit in the null bitmap. On top of the
+/// type encoding a lightweight codec may compress the physical lane
+/// (chosen at seal time by byte cost — see docs/STORAGE.md):
+/// frame-of-reference bit-packing for integers, run-length for any
+/// repetitive lane, plain bit-packing for bools and dictionary codes, and a
+/// numeric dictionary for low-cardinality Int64/Double columns. At(i)
+/// reconstructs the exact Value that was stored — segments are the only
+/// copy of a view's rows (Value::Compare distinguishes Int64 from Double,
+/// so codecs never widen, quantize, or reorder).
 class ColumnVec {
  public:
   enum class Enc : uint8_t {
-    kInt64 = 0,  // all non-null cells Int64
-    kDouble,     // all non-null cells Double
-    kBool,       // all non-null cells Bool
-    kDict,       // all non-null cells String, dictionary-coded
-    kValue,      // mixed types: raw Value storage
+    kInt64 = 0,  // Int64 cells
+    kDouble,     // Double cells
+    kBool,       // Bool cells
+    kDict,       // String cells, dictionary-coded
   };
 
-  /// Physical lane codec (orthogonal to Enc; kValue is always kPlain).
+  /// The encoding of a column of `type` cells. A NULL-typed column (a
+  /// NULL literal's select item) is a dictionary that never gets an entry.
+  static Enc EncOf(DataType type);
+
+  /// Physical lane codec (orthogonal to Enc).
   enum class Codec : uint8_t {
     kPlain = 0,  // the typed lane as-is
     kFor,        // Int64: bit-packed deltas from for_base_
@@ -69,7 +72,6 @@ class ColumnVec {
   static const char* CodecName(Codec c);
 
   Value At(size_t i) const {
-    if (enc_ == Enc::kValue) return raw_[i];
     if (NullAt(i)) return Value::Null();
     switch (enc_) {
       case Enc::kInt64:
@@ -80,8 +82,6 @@ class ColumnVec {
         return Value(BoolAt(i));
       case Enc::kDict:
         return Value(dict_[static_cast<size_t>(CodeAt(i))]);
-      case Enc::kValue:
-        break;
     }
     return Value::Null();
   }
@@ -148,15 +148,9 @@ class ColumnVec {
     return !null_bits_.empty() &&
            ((null_bits_[i >> 6] >> (i & 63)) & 1) != 0;
   }
-  /// At(i).is_null() without building the Value (NullAt covers typed
-  /// encodings only).
-  bool IsNull(size_t i) const {
-    return enc_ == Enc::kValue ? raw_[i].is_null() : NullAt(i);
-  }
-
   Enc enc() const { return enc_; }
   Codec codec() const { return codec_; }
-  size_t size() const { return enc_ == Enc::kValue ? raw_.size() : n_; }
+  size_t size() const { return n_; }
 
   /// Heap bytes of the current physical representation (data lanes +
   /// null bitmap + dictionary) — the number eviction accounting charges.
@@ -164,9 +158,9 @@ class ColumnVec {
 
   // Representation is internal to the storage layer; BuildColumnarSegment,
   // TailLane, and the .evaseg codec fill it directly.
-  Enc enc_ = Enc::kValue;
+  Enc enc_ = Enc::kInt64;
   Codec codec_ = Codec::kPlain;
-  size_t n_ = 0;                      // logical row count (typed encodings)
+  size_t n_ = 0;                      // logical row count
   std::vector<uint64_t> null_bits_;   // packed; empty = no nulls
   std::vector<int64_t> i64_;          // plain/RLE/dict values; kExpPack
                                       // sign+exponent prefix dictionary
@@ -174,7 +168,6 @@ class ColumnVec {
   std::vector<uint8_t> b8_;
   std::vector<int32_t> codes_;        // plain / RLE-run dict codes
   std::vector<std::string> dict_;     // insertion order
-  std::vector<Value> raw_;
   int64_t for_base_ = 0;              // kFor reference value
   BitPackedVec packed_;               // kFor deltas / kBitPack / kDictNum idx
   std::vector<uint32_t> rle_end_;     // kRle cumulative run end offsets
@@ -197,14 +190,13 @@ class ColumnVec {
 /// Per-column zone summary used for segment skipping: a probe can prove a
 /// residual predicate unsatisfiable for every row of a segment and skip
 /// materializing its hits. `valid` is the master flag — it is false when
-/// the non-null cells mix types or when integer magnitudes exceed the
-/// double-exact range, and consumers must then treat the column as
-/// unbounded. Zone maps are computed from the raw cells BEFORE any codec
-/// is applied, so skip decisions are independent of the compression
-/// configuration.
+/// integer magnitudes exceed the double-exact range or a Double cell is
+/// NaN, and consumers must then treat the column as unbounded. Zone maps
+/// are computed from the raw cells BEFORE any codec is applied, so skip
+/// decisions are independent of the compression configuration.
 struct ZoneMapEntry {
   bool valid = false;
-  DataType type = DataType::kNull;  // uniform non-null cell type
+  DataType type = DataType::kNull;  // the column's field type
   bool has_nulls = false;
   bool all_null = true;  // no non-null cell in the segment
   double num_min = 0;    // Int64 / Double / Bool(0,1) bounds
@@ -308,70 +300,71 @@ struct ColumnarSegment {
   }
 };
 
-/// Append-only plain column lane: a segment's open tail, and the lanes a
-/// seal gathers. Typed while every non-null cell shares one type (nulls
-/// ahead of the first typed cell are held as raw Values); the first type
-/// conflict rewrites the lane as raw Values. lane().At(i) reads it like
-/// any plain ColumnVec.
+/// Append-only plain column lane of one schema field's type: a segment's
+/// open tail, the lanes a seal gathers, and an execution chunk's columns.
+/// A lane holds only cells of its type and NULLs; appending a cell of
+/// another type is a programming error and aborts. lane().At(i) reads it
+/// like any plain ColumnVec.
 class TailLane {
  public:
+  explicit TailLane(DataType type);
+
+  DataType type() const { return type_; }
+  /// Appends `v`, which is NULL or of type().
   void Append(const Value& v);
-  /// Appends rows [begin, end) of `src` (a sealed column or another lane),
-  /// with the same result as appending each src.At(i). While this lane
-  /// is typed and `src` has the same encoding, cells are copied as typed
-  /// values, and dictionary codes go through `remap`: src code -> this
-  /// lane's code, -1 until first seen. Pass one `remap` per source column
-  /// and keep it across calls. Any other case appends Values.
+  /// Appends rows [begin, end) of `src` (a sealed column or another lane
+  /// of the same encoding), with the same result as appending each
+  /// src.At(i). Cells are copied as typed values, and dictionary codes go
+  /// through `remap`: src code -> this lane's code, -1 until first seen.
+  /// Pass one `remap` per source column and keep it across calls.
   void AppendFrom(const ColumnVec& src, size_t begin, size_t end,
                   std::vector<int32_t>* remap);
   /// Index-list form of AppendFrom: appends src rows rows[0..n), in that
   /// order, with the same result as appending each src.At(rows[k]).
   void AppendGather(const ColumnVec& src, const uint32_t* rows, size_t n,
                     std::vector<int32_t>* remap);
-  // Typed appends, each equal to Append(Value(x)) (AppendNull to
-  // Append(Value::Null())) without building the Value while the lane
-  // already holds that type.
+  // Typed appends, each equal to Append(Value(x)) without building the
+  // Value.
   void AppendInt64(int64_t x);
   void AppendDouble(double x);
   void AppendBool(bool x);
   void AppendString(const std::string& x);
-  /// AppendString(vocab[id]) for an entry of a long-lived vocabulary:
-  /// while the lane is dictionary-coded, the entry's lane code comes from
-  /// a per-vocabulary table, so the name is neither copied nor hashed
-  /// after its first append. `vocab` must outlive the lane and not change.
+  /// AppendString(vocab[id]) for an entry of a long-lived vocabulary: the
+  /// entry's lane code comes from a per-vocabulary table, so the name is
+  /// neither copied nor hashed after its first append. `vocab` must
+  /// outlive the lane and not change.
   void AppendLabel(const std::vector<std::string>& vocab, size_t id);
   void AppendNull();
   const ColumnVec& lane() const { return lane_; }
   /// The sealed plain column and its zone map (computed before codecs).
-  /// A string dictionary past 64Ki entries falls back to raw Values.
   ColumnVec Seal(ZoneMapEntry* zone) &&;
 
  private:
-  void AppendTyped(const Value& v);
   /// Appends src.At(row(k)) for k in [0, n): AppendFrom and AppendGather.
   template <typename RowFn>
   void AppendRows(const ColumnVec& src, size_t n, RowFn row,
                   std::vector<int32_t>* remap);
+  /// Aborts unless the lane is of `type`.
+  void Expect(DataType type) const;
   void PushRow(bool null);
   /// PushRow(false) `count` times.
   void PushRows(size_t count);
   int32_t CodeOf(const std::string& s);
-  static void ToRaw(ColumnVec* col);
   /// Lane code of vocab[id] through the vocabulary's table.
   int32_t LabelCode(const std::vector<std::string>& vocab, size_t id);
 
   ColumnVec lane_;
-  DataType type_ = DataType::kNull;  // first non-null cell's type
-  bool has_nulls_ = false;
-  bool mixed_ = false;
+  DataType type_;
   std::unordered_map<std::string, int32_t> codes_;  // kDict: cell -> code
   struct LabelCodes {
     const std::vector<std::string>* vocab;
     std::vector<int32_t> codes;  // vocabulary id -> lane code, -1 unseen
   };
   std::vector<LabelCodes> label_codes_;  // kDict: one per vocabulary seen
-  std::vector<std::string> premix_strings_;  // overflowed dict, then mixed
 };
+
+/// One empty lane per field of `schema`, typed by the field.
+std::vector<TailLane> LanesFor(const Schema& schema);
 
 /// Keys with prefix row offsets over one TailLane per value-schema field:
 /// key i's rows are [row_begin[i], row_begin[i + 1]) of every lane. An open

@@ -253,11 +253,6 @@ bool ReadRleEnds(ByteReader* r, size_t runs, size_t n,
 void WriteColumn(ByteWriter* w, const ColumnVec& col) {
   w->U8(static_cast<uint8_t>(col.enc_));
   w->U8(static_cast<uint8_t>(col.codec_));
-  if (col.enc_ == ColumnVec::Enc::kValue) {
-    w->Varint(col.raw_.size());
-    for (const Value& v : col.raw_) w->Str(EncodeValue(v));
-    return;
-  }
   w->Varint(col.n_);
   WriteNullBits(w, col);
   switch (col.enc_) {
@@ -317,36 +312,22 @@ void WriteColumn(ByteWriter* w, const ColumnVec& col) {
         }
       }
       break;
-    case ColumnVec::Enc::kValue:
-      break;
   }
 }
 
-/// Reads and exhaustively validates one column: lane sizes, codec/enc
-/// legality, dictionary code ranges, run offsets. After a successful read,
-/// At(i) is safe for every i < n.
-bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
+/// Reads and exhaustively validates one column of a `type` field: the
+/// encoding the type implies, lane sizes, codec/enc legality, dictionary
+/// code ranges, run offsets. After a successful read, At(i) is safe for
+/// every i < n.
+bool ReadColumn(ByteReader* r, size_t expected_rows, DataType type,
+                ColumnVec* col) {
   uint8_t enc_b, codec_b;
   if (!r->U8(&enc_b) || !r->U8(&codec_b)) return false;
-  if (enc_b > static_cast<uint8_t>(ColumnVec::Enc::kValue)) return false;
+  if (enc_b != static_cast<uint8_t>(ColumnVec::EncOf(type))) return false;
   if (codec_b >= ColumnVec::kNumCodecs) return false;
   col->enc_ = static_cast<ColumnVec::Enc>(enc_b);
   col->codec_ = static_cast<ColumnVec::Codec>(codec_b);
   const auto codec = col->codec_;
-  if (col->enc_ == ColumnVec::Enc::kValue) {
-    if (codec != ColumnVec::Codec::kPlain) return false;
-    uint64_t n;
-    if (!r->Count(&n) || n != expected_rows) return false;
-    col->raw_.reserve(static_cast<size_t>(n));
-    std::string cell;
-    for (uint64_t i = 0; i < n; ++i) {
-      if (!r->Str(&cell)) return false;
-      auto v = DecodeValue(cell);
-      if (!v.ok()) return false;
-      col->raw_.push_back(std::move(v.value()));
-    }
-    return true;
-  }
   uint64_t n;
   if (!r->Varint(&n) || n > ByteReader::kMaxCount) return false;
   if (n != expected_rows) return false;
@@ -456,15 +437,22 @@ bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
       }
       uint64_t d;
       if (!r->Count(&d)) return false;
-      if (d == 0) return false;  // kDict implies >= 1 non-null string
       col->dict_.resize(static_cast<size_t>(d));
       for (std::string& s : col->dict_) {
         if (!r->Str(&s)) return false;
       }
+      // Every non-null row has a dictionary entry; a NULL row holds code
+      // 0, which only a column without non-null rows may leave undefined.
+      if (d == 0) {
+        for (size_t i = 0; i < col->n_; ++i) {
+          if (!col->NullAt(i)) return false;
+        }
+      }
+      const uint64_t codes = std::max<uint64_t>(d, 1);
       if (codec == ColumnVec::Codec::kBitPack) {
         if (!ReadPacked(r, col->n_, &col->packed_)) return false;
         for (size_t i = 0; i < col->n_; ++i) {
-          if (col->packed_.Get(i) >= d) return false;
+          if (col->packed_.Get(i) >= codes) return false;
         }
         return true;
       }
@@ -475,7 +463,7 @@ bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
       col->codes_.resize(static_cast<size_t>(m));
       for (int32_t& c : col->codes_) {
         uint64_t v;
-        if (!r->Varint(&v) || v >= d) return false;
+        if (!r->Varint(&v) || v >= codes) return false;
         c = static_cast<int32_t>(v);
       }
       if (codec == ColumnVec::Codec::kRle) {
@@ -483,8 +471,6 @@ bool ReadColumn(ByteReader* r, size_t expected_rows, ColumnVec* col) {
       }
       return true;
     }
-    case ColumnVec::Enc::kValue:
-      break;
   }
   return false;
 }
@@ -550,7 +536,9 @@ Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
   for (uint64_t i = 0; i < nfields; ++i) {
     std::string fname;
     uint8_t type;
+    // A view's fields are typed; only an execution chunk has NULL fields.
     if (!r.Str(&fname) || !r.U8(&type) ||
+        type == static_cast<uint8_t>(DataType::kNull) ||
         type > static_cast<uint8_t>(DataType::kString)) {
       return corrupt("schema field");
     }
@@ -590,8 +578,9 @@ Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
     if (!r.Count(&ncols)) return corrupt("column count");
     if (ncols != nfields) return corrupt("column count mismatch");
     seg.cols.resize(static_cast<size_t>(ncols));
-    for (ColumnVec& col : seg.cols) {
-      if (!ReadColumn(&r, static_cast<size_t>(total_rows), &col)) {
+    for (size_t c = 0; c < seg.cols.size(); ++c) {
+      if (!ReadColumn(&r, static_cast<size_t>(total_rows),
+                      out.schema.field(c).type, &seg.cols[c])) {
         return corrupt("column");
       }
     }
@@ -601,9 +590,15 @@ Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
   return out;
 }
 
-void InstallSegments(const DecodedSegments& decoded, uint64_t tick,
-                     int64_t query_id, ViewStore* store) {
+Status InstallSegments(const DecodedSegments& decoded, uint64_t tick,
+                       int64_t query_id, ViewStore* store) {
   MaterializedView* view = store->GetOrCreate(decoded.name, decoded.schema);
+  if (!(view->value_schema() == decoded.schema)) {
+    return Status::InvalidArgument(
+        "segments of view " + decoded.name + " have schema " +
+        decoded.schema.ToString() + ", the view has " +
+        view->value_schema().ToString());
+  }
   const std::function<uint64_t()> next_tick = [tick] { return tick; };
   std::vector<uint32_t> rows;  // identity: key_rows index the columns
   std::vector<const ColumnVec*> cols;
@@ -617,14 +612,14 @@ void InstallSegments(const DecodedSegments& decoded, uint64_t tick,
     view->PutBatch(seg.keys, {}, seg.key_rows, rows, cols, next_tick,
                    query_id, &remaps, &inserted);
   }
+  return Status::OK();
 }
 
 Status ParseSegmentBody(const std::string& content, const std::string& file,
                         ViewStore* store) {
   EVA_ASSIGN_OR_RETURN(DecodedSegments decoded,
                        DecodeSegmentBody(content, file));
-  InstallSegments(decoded, /*tick=*/0, /*query_id=*/-1, store);
-  return Status::OK();
+  return InstallSegments(decoded, /*tick=*/0, /*query_id=*/-1, store);
 }
 
 namespace {
@@ -781,55 +776,6 @@ Status Sweep(fault::FaultFs* fs, const std::string& dir,
 }
 
 }  // namespace
-
-std::string EncodeValue(const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull:
-      return "N";
-    case DataType::kBool:
-      return v.AsBool() ? "B:1" : "B:0";
-    case DataType::kInt64:
-      return "I:" + std::to_string(v.AsInt64());
-    case DataType::kDouble:
-      return StrFormat("D:%.17g", v.AsDouble());
-    case DataType::kString:
-      return "S:" + PercentEscape(v.AsString());
-  }
-  return "N";
-}
-
-Result<Value> DecodeValue(const std::string& text) {
-  if (text.empty()) return Status::InvalidArgument("empty view cell");
-  if (text == "N") return Value::Null();
-  if (text.size() < 2 || text[1] != ':') {
-    return Status::InvalidArgument("malformed view cell: " + text);
-  }
-  std::string payload = text.substr(2);
-  switch (text[0]) {
-    case 'B':
-      return Value(payload == "1");
-    case 'I': {
-      int64_t v = 0;
-      if (!ParseInt64(payload, &v)) {
-        return Status::InvalidArgument("bad int cell: " + text);
-      }
-      return Value(v);
-    }
-    case 'D': {
-      double v = 0;
-      if (!ParseDouble(payload, &v)) {
-        return Status::InvalidArgument("bad double cell: " + text);
-      }
-      return Value(v);
-    }
-    case 'S': {
-      EVA_ASSIGN_OR_RETURN(std::string s, PercentUnescape(payload));
-      return Value(std::move(s));
-    }
-    default:
-      return Status::InvalidArgument("unknown view cell tag: " + text);
-  }
-}
 
 std::string RecoveryReport::Summary() const {
   std::string out =

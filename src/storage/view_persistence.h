@@ -85,13 +85,6 @@ Result<RecoveryReport> LoadSession(const std::string& dir, ViewStore* store,
 Result<int64_t> ManifestGeneration(const std::string& dir,
                                    fault::FaultFs* fs = nullptr);
 
-/// Type-prefixed text cells (`N`, `B:`, `I:`, `D:`, `S:` + PercentEscape),
-/// the `.evaseg` encoding of mixed-type (kValue) columns. DecodeValue
-/// returns a Status error on malformed input — it never throws, even on
-/// overflowing numerals or bad escapes (reader_fuzz_test).
-std::string EncodeValue(const Value& v);
-Result<Value> DecodeValue(const std::string& text);
-
 /// Binary `.evaseg` body: magic, view name, value schema, then per
 /// segment the keys and the codec-encoded columns (WriteColumn form; plain
 /// lanes when built without compression).
@@ -119,9 +112,10 @@ struct DecodedSegments {
   std::vector<DecodedSegment> segments;
 };
 
-/// Parses a `.evaseg` body and validates it exhaustively (lane sizes, dict
-/// code ranges, run offsets, key ordering, no trailing bytes), so At(i) is
-/// safe on every decoded column. Never crashes on hostile bytes
+/// Parses a `.evaseg` body and validates it exhaustively (each column's
+/// encoding against its field's type, lane sizes, dict code ranges, run
+/// offsets, key ordering, no trailing bytes), so At(i) is safe on every
+/// decoded column. Never crashes on hostile bytes
 /// (reader_fuzz_test). `file` only labels error messages.
 Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
                                           const std::string& file);
@@ -129,10 +123,11 @@ Result<DecodedSegments> DecodeSegmentBody(std::string_view content,
 /// Installs `decoded` into its view of `store` (created with the decoded
 /// schema when missing), one PutBatch per segment over the decoded
 /// columns: existing keys win, inserted keys are stamped `tick` /
-/// `query_id` and reseal on the first probe. Snapshot load and WAL replay
-/// both install through here.
-void InstallSegments(const DecodedSegments& decoded, uint64_t tick,
-                     int64_t query_id, ViewStore* store);
+/// `query_id` and reseal on the first probe. An existing view of another
+/// schema installs nothing and returns an error. Snapshot load and WAL
+/// replay both install through here.
+Status InstallSegments(const DecodedSegments& decoded, uint64_t tick,
+                       int64_t query_id, ViewStore* store);
 
 /// DecodeSegmentBody, then InstallSegments at tick 0, query -1. A body
 /// that fails anywhere installs nothing — corrupt codec files underclaim,

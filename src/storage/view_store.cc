@@ -19,12 +19,14 @@ bool TailHas(const SegmentCells& tail, const ViewKey& key) {
 }
 
 // Appends keys [begin, from.keys.size()) of `from` with their cells to
-// `to`, opening its lanes if it has none. Each source has its own
-// dictionary codes, so the code tables start fresh per call.
-void AppendKeys(const SegmentCells& from, size_t begin, SegmentCells* to) {
+// `to`, opening its lanes (one per field of `schema`) if it has none. Each
+// source has its own dictionary codes, so the code tables start fresh per
+// call.
+void AppendKeys(const Schema& schema, const SegmentCells& from, size_t begin,
+                SegmentCells* to) {
   const size_t end = from.keys.size();
   if (begin == end) return;
-  if (to->cols.empty()) to->cols.resize(from.cols.size());
+  if (to->cols.empty()) to->cols = LanesFor(schema);
   const int32_t base = to->row_begin.back() - from.row_begin[begin];
   for (size_t k = begin; k < end; ++k) {
     to->keys.push_back(from.keys[k]);
@@ -77,7 +79,7 @@ std::vector<std::vector<int32_t>>& PutRemaps::For(uint64_t tail_id,
 
 void MaterializedView::StartTailLocked(Segment* seg) {
   if (!seg->tail.cols.empty()) return;
-  seg->tail.cols.resize(value_schema_.num_fields());
+  seg->tail.cols = LanesFor(value_schema_);
   seg->tail_id = ++tails_started_;
 }
 
@@ -190,7 +192,7 @@ SegmentCells MaterializedView::GatherLocked(
   SegmentCells out;
   out.keys.reserve(refs.size());
   out.row_begin.reserve(refs.size() + 1);
-  out.cols.resize(value_schema_.num_fields());
+  out.cols = LanesFor(value_schema_);
   // Dictionary code tables, one per column and source (sealed, tail).
   std::vector<std::array<std::vector<int32_t>, 2>> remaps(out.cols.size());
   for (const KeyRef& ref : refs) {
@@ -219,7 +221,7 @@ void MaterializedView::SealSegmentLocked(Segment* seg) const {
   SegmentCells& tail = seg->tail;
   if (capture_appends_ && tail.keys.size() > seg->drained) {
     // The undrained keys leave the tail here; the capture keeps a copy.
-    AppendKeys(tail, seg->drained, &seg->pending);
+    AppendKeys(value_schema_, tail, seg->drained, &seg->pending);
   }
   if (seg->sealed == nullptr) {
     // First seal: the ascending tail is already in seal order.
@@ -307,7 +309,7 @@ MaterializedView::TakeAppendedChunks() {
     // The undrained keys in append order: what seals took out of the
     // tail, then the tail's own.
     SegmentCells cells = std::exchange(seg.pending, SegmentCells());
-    AppendKeys(seg.tail, seg.drained, &cells);
+    AppendKeys(value_schema_, seg.tail, seg.drained, &cells);
     seg.drained = seg.tail.keys.size();
     if (cells.keys.empty()) continue;
     if (std::is_sorted(cells.keys.begin(), cells.keys.end())) {
@@ -322,7 +324,7 @@ MaterializedView::TakeAppendedChunks() {
       return cells.keys[a] < cells.keys[b];
     });
     SegmentCells sorted;
-    sorted.cols.resize(cells.cols.size());
+    sorted.cols = LanesFor(value_schema_);
     std::vector<std::vector<int32_t>> remaps(cells.cols.size());
     for (const uint32_t k : order) {
       const int32_t begin = cells.row_begin[k];

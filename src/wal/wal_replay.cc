@@ -73,8 +73,9 @@ Status ApplyAppend(const WalRecord& rec, storage::ViewStore* views,
       "segment_append");
   if (!decoded.ok()) return Malformed(rec, decoded.status().message());
   // One access tick stamps every key of the record.
-  storage::InstallSegments(decoded.value(), views->NextAccessTick(), query_id,
-                           views);
+  Status installed = storage::InstallSegments(
+      decoded.value(), views->NextAccessTick(), query_id, views);
+  if (!installed.ok()) return Malformed(rec, installed.message());
   for (const storage::DecodedSegment& seg : decoded.value().segments) {
     *keys_applied += static_cast<int64_t>(seg.keys.size());
   }

@@ -40,23 +40,6 @@ class PersistenceTest : public ::testing::Test {
   fs::path dir_;
 };
 
-TEST_F(PersistenceTest, ValueEncodingRoundTrips) {
-  const Value values[] = {Value::Null(),      Value(true),
-                          Value(false),       Value(int64_t{-42}),
-                          Value(0.3125),      Value("Nissan"),
-                          Value("two words"), Value("50%")};
-  for (const Value& v : values) {
-    auto decoded = DecodeValue(EncodeValue(v));
-    ASSERT_TRUE(decoded.ok()) << v.ToString();
-    EXPECT_TRUE(decoded.value() == v)
-        << v.ToString() << " -> " << EncodeValue(v) << " -> "
-        << decoded.value().ToString();
-  }
-  EXPECT_FALSE(DecodeValue("").ok());
-  EXPECT_FALSE(DecodeValue("X:1").ok());
-  EXPECT_FALSE(DecodeValue("Bnocolon").ok());
-}
-
 TEST_F(PersistenceTest, ViewStoreRoundTrips) {
   ViewStore store;
   Schema det({{"obj", DataType::kInt64},
@@ -160,6 +143,42 @@ TEST_F(PersistenceTest, EngineSurvivesRestart) {
     ASSERT_TRUE(r.ok());
     EXPECT_DOUBLE_EQ(r.value().metrics.breakdown[CostCategory::kUdf], 0.0);
   }
+}
+
+// A saved view whose schema is not its UDF's output schema (here the
+// detector's area saved as Int64) loads, but a query that would read it
+// through the UDF's typed lanes, or store into it, fails with an error.
+TEST_F(PersistenceTest, ViewOfAnotherSchemaFailsTheQuery) {
+  catalog::VideoInfo video;
+  video.name = "pv";
+  video.num_frames = 40;
+  video.mean_objects_per_frame = 6;
+  video.seed = 3;
+  {
+    ViewStore store;
+    MaterializedView* view = store.GetOrCreate(
+        "FasterRCNNResNet50@pv", Schema({{"obj", DataType::kInt64},
+                                         {"label", DataType::kString},
+                                         {"area", DataType::kInt64},
+                                         {"score", DataType::kDouble}}));
+    for (int64_t f = 0; f < 10; ++f) {
+      PutRows(view, {f, -1},
+              {{Value(int64_t{0}), Value("car"), Value(f), Value(0.9)}});
+    }
+    udf::UdfManager manager;
+    ASSERT_TRUE(SaveSession(store, manager, dir_.string()).ok());
+  }
+  auto er = vbench::MakeEngine(optimizer::ReuseMode::kEva, video);
+  ASSERT_TRUE(er.ok());
+  auto engine = er.MoveValue();
+  ASSERT_TRUE(engine->LoadViews(dir_.string()).ok());
+  auto r = engine->Execute(
+      "SELECT id, obj FROM pv CROSS APPLY FasterRCNNResNet50(frame) "
+      "WHERE id < 40 AND label = 'car';");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("FasterRCNNResNet50@pv"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_F(PersistenceTest, LifecycleStateSurvivesEvictionAndRestart) {
@@ -411,8 +430,9 @@ void ExpectSameStamps(const MaterializedView& a, const MaterializedView& b) {
 
 // Snapshot load and WAL replay install decoded columns through PutBatch.
 // Over a view whose sealed columns take every codec (FOR, BitPack, RLE,
-// DictNum, ExpPack), a mixed-type lane, a dictionary past its cap, NULLs
-// (also from rows shorter than the schema), a NaN payload, -0.0 and
+// DictNum, ExpPack), a dictionary past 65,536 entries, NULLs (also from
+// rows shorter than the schema), all-NULL columns (an Int64 one, and a
+// String one with an empty dictionary), a NaN payload, -0.0 and
 // presence-only keys: save -> load -> save writes the same `.evaseg`
 // bytes and restores the same segment stamps, and the view's captured
 // segment_append records replay into an empty store that reseals to the
@@ -425,7 +445,7 @@ TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
                        {"label", DataType::kString},
                        {"dict_d", DataType::kDouble},
                        {"exp_d", DataType::kDouble},
-                       {"mixed", DataType::kInt64},
+                       {"sparse", DataType::kInt64},
                        {"big_s", DataType::kString}});
   const double kNaN = std::bit_cast<double>(uint64_t{0x7FF800000000BEEF});
   const char* const kLabels[] = {"car", "bus", "person"};
@@ -461,9 +481,12 @@ TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
         if (h % 17 == 0) row[5] = Value(kNaN);
         if (h % 19 == 0) row[5] = Value(-0.0);
         if (h % 23 == 0) row[5] = Value::Null();
-        row.push_back((h >> 20) % 2 == 0 ? Value(static_cast<int64_t>(r))
-                                         : Value(std::to_string(r)));
-        row.push_back(Value(std::to_string(serial++)));
+        // sparse: all NULL in the first segment; big_s: in the last.
+        row.push_back(f < 64 || (h >> 20) % 2 == 0
+                          ? Value::Null()
+                          : Value(static_cast<int64_t>(r)));
+        row.push_back(f >= 256 ? Value::Null()
+                               : Value(std::to_string(serial++)));
         if (h % 29 == 0) row.resize(4);  // the rest read as NULL
         if (row.size() > 5 && !row[5].is_null() &&
             (std::isnan(row[5].AsDouble()) || row[5].AsDouble() == 0)) {
@@ -491,16 +514,19 @@ TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
     };
     expect_special(*view);
 
-    // Sealed columns cover every codec and raw Value storage.
+    // Sealed columns cover every codec; every column is encoded as its
+    // field's type, including the all-NULL ones.
     std::set<ColumnVec::Codec> codecs;
-    std::set<ColumnVec::Enc> encs;
     for (const auto& [seg_id, seg] : view->SealedSegments()) {
-      for (const ColumnVec& col : seg->cols) {
+      for (size_t c = 0; c < seg->cols.size(); ++c) {
+        const ColumnVec& col = seg->cols[c];
         codecs.insert(col.codec());
-        encs.insert(col.enc());
+        EXPECT_EQ(col.enc(), ColumnVec::EncOf(schema.field(c).type));
       }
+      EXPECT_EQ(seg->zones[6].all_null, seg_id == 0) << "segment " << seg_id;
+      EXPECT_EQ(seg->zones[7].all_null, seg_id == 4) << "segment " << seg_id;
+      EXPECT_EQ(seg->cols[7].dict_.empty(), seg_id == 4);
     }
-    EXPECT_TRUE(encs.count(ColumnVec::Enc::kValue) > 0);
     if (compress) {
       for (ColumnVec::Codec c :
            {ColumnVec::Codec::kFor, ColumnVec::Codec::kBitPack,

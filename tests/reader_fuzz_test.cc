@@ -1,6 +1,6 @@
 // Fuzz property tests for every parser that consumes untrusted bytes: the
-// EVA-QL parser/lexer, the predicate codec, the value codec, the segment /
-// manifest / lifecycle file readers, and WAL replay. The property is
+// EVA-QL parser/lexer, the predicate codec, the segment / manifest /
+// lifecycle file readers, and WAL replay. The property is
 // uniform — malformed input (random bytes, truncations, bit flips) yields
 // a Status error or a successful parse, never a crash, throw, or sanitizer
 // report. CI runs this binary
@@ -147,33 +147,6 @@ TEST(ReaderFuzzTest, PredicateCodecNeverCrashes) {
   EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 x%ZZ 0 N c:1 c:2 0").ok());
   EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 x 0 N c:junk inf 0").ok());
   EXPECT_FALSE(symbolic::DecodePredicate("P 1 C 1 x 0 N c:1xyz c:5 0").ok());
-}
-
-TEST(ReaderFuzzTest, ValueCodecNeverCrashes) {
-  const std::vector<std::string> corpus = {
-      storage::EncodeValue(Value::Null()),
-      storage::EncodeValue(Value(true)),
-      storage::EncodeValue(Value(int64_t{-42})),
-      storage::EncodeValue(Value(0.3125)),
-      storage::EncodeValue(Value("two words 50%")),
-  };
-  Rng rng(331);
-  for (int i = 0; i < 4000; ++i) {
-    std::string input = (i % 4 == 0)
-                            ? RandomText(rng, 40)
-                            : Mutate(rng, corpus[rng.NextBelow(corpus.size())]);
-    auto r = storage::DecodeValue(input);
-    (void)r;
-  }
-  // Regressions: these used to throw out of std::stoll / std::stod /
-  // std::stoi (escape decoding).
-  EXPECT_FALSE(storage::DecodeValue("I:99999999999999999999999").ok());
-  EXPECT_FALSE(storage::DecodeValue("I:12abc").ok());
-  EXPECT_FALSE(storage::DecodeValue("D:not_a_number").ok());
-  EXPECT_FALSE(storage::DecodeValue("S:%ZZ").ok());
-  EXPECT_FALSE(storage::DecodeValue("S:%2").ok());
-  auto inf = storage::DecodeValue("D:1e999999");
-  (void)inf;
 }
 
 class FileReaderFuzzTest : public ::testing::Test {
@@ -333,6 +306,55 @@ TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
       out.write(good.data(), static_cast<std::streamsize>(good.size()));
     }
   }
+}
+
+// A segment body whose column encodings are valid but disagree with the
+// schema's field types installs nothing: the direct parse fails, and a
+// committed snapshot file of it is quarantined.
+TEST_F(FileReaderFuzzTest, ColumnOfAnotherTypeInstallsNothing) {
+  storage::ViewStore store;
+  const Schema schema({{"obj", DataType::kInt64},
+                       {"label", DataType::kString},
+                       {"flag", DataType::kBool},
+                       {"score", DataType::kDouble}});
+  storage::MaterializedView* view = store.GetOrCreate("Det@v", schema);
+  for (int64_t f = 0; f < 40; ++f) {
+    PutRows(view, {f, -1},
+            {{Value(f % 6), Value(f % 3 == 0 ? "car" : "person"),
+              Value(f % 2 == 0), Value(0.5 + static_cast<double>(f % 7))},
+             {Value::Null(), Value::Null(), Value::Null(), Value::Null()}});
+  }
+  std::vector<const storage::ColumnarSegment*> segments;
+  const auto sealed = view->SealedSegments();
+  for (const auto& [seg_id, seg] : sealed) segments.push_back(seg.get());
+  ASSERT_TRUE(storage::ParseSegmentBody(
+                  storage::SerializeSegments("Det@v", schema, segments),
+                  "ok.evaseg", &store)
+                  .ok());
+  int cases = 0;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    for (const DataType type : {DataType::kNull, DataType::kBool,
+                                DataType::kInt64, DataType::kDouble,
+                                DataType::kString}) {
+      if (type == schema.field(c).type) continue;
+      std::vector<Field> fields = schema.fields();
+      fields[c].type = type;
+      const std::string body =
+          storage::SerializeSegments("Det@v", Schema(fields), segments);
+      SCOPED_TRACE("field " + fields[c].name + " as " + DataTypeName(type));
+      storage::ViewStore loaded;
+      EXPECT_FALSE(storage::ParseSegmentBody(body, "bad.evaseg", &loaded).ok());
+      EXPECT_TRUE(loaded.views().empty());
+      WriteCommitted("Det@v.g1.evaseg", "vseg Det@v", body);
+      auto report = storage::LoadSession(dir_.string(), &loaded, nullptr);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(loaded.Find("Det@v"), nullptr);
+      ASSERT_EQ(report.value().quarantined.size(), 1u);
+      EXPECT_EQ(report.value().quarantined[0].file, "Det@v.g1.evaseg");
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 16);
 }
 
 TEST_F(FileReaderFuzzTest, ManifestReaderNeverCrashes) {

@@ -60,8 +60,8 @@ TEST(MaterializedViewTest, ReappendDrawsNoTick) {
   // One row of five lanes; the view's four value fields are lanes 1..4.
   Row row = {Value(int64_t{7}), Value(int64_t{0}), Value("car"), Value(0.3),
              Value(0.9)};
-  std::vector<storage::TailLane> lanes(row.size());
-  for (size_t c = 0; c < row.size(); ++c) lanes[c].Append(row[c]);
+  std::vector<storage::TailLane> lanes;
+  for (const Value& v : row) lanes.emplace_back(v.type()).Append(v);
   const std::vector<const storage::ColumnVec*> cols =
       LaneColumns({lanes.data() + 1, 4});
   const std::vector<ViewKey> keys = {{1, -1}};
@@ -99,7 +99,7 @@ TEST(ColumnarSegmentTest, FindKeyFindsARepeatedKey) {
   for (bool compress : {false, true}) {
     SCOPED_TRACE("compress=" + std::to_string(compress));
     SegmentCells cells;
-    cells.cols.resize(1);
+    cells.cols.emplace_back(DataType::kInt64);
     for (int64_t f = 0; f < 8; ++f) {
       cells.keys.push_back({f, -1});
       cells.row_begin.push_back(static_cast<int32_t>(f + 1));
@@ -164,7 +164,7 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   view->TakeAppendedChunks();
   // Lane rows: the obj lane holds 70 + row so a key's stored row shows
   // which occurrence inserted it.
-  std::vector<TailLane> lanes(4);
+  std::vector<TailLane> lanes = LanesFor(DetSchema());
   for (int64_t r = 0; r < 9; ++r) {
     lanes[0].AppendInt64(70 + r);
     lanes[1].AppendString("bus");
@@ -242,7 +242,7 @@ TEST(MaterializedViewTest, SealInsidePutBatchDrainsEveryKeyOnce) {
   MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
   view->set_capture_appends(true);
   // Key frame f is put with lane row f, whose obj cell is 100 + f.
-  std::vector<TailLane> lanes(4);
+  std::vector<TailLane> lanes = LanesFor(DetSchema());
   for (int64_t r = 0; r < 20; ++r) {
     lanes[0].AppendInt64(100 + r);
     lanes[1].AppendString(r % 3 == 0 ? "car" : "bus");
@@ -315,7 +315,7 @@ void PutAStoredKeyAsAbsent() {
     PutRows(view, {f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
   }
   view->SealAllSegments();
-  std::vector<TailLane> lanes(4);
+  std::vector<TailLane> lanes = LanesFor(DetSchema());
   lanes[0].AppendInt64(7);
   lanes[1].AppendString("bus");
   lanes[2].AppendDouble(0.5);

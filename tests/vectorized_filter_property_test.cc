@@ -6,7 +6,8 @@
 //     trees: the same verdict on every row, or the reference's error on
 //     its first erroring row. Deterministic lane shapes (strings absent
 //     from the dictionary, Int64 against Double, NaN and -0.0, all-null
-//     and mixed lanes) are checked under every comparison operator, and
+//     and leading-null lanes) are checked under every comparison operator,
+//     and
 //     every WHERE shape and select item SQL can write is pinned.
 //  2. MaterializedView::Put / ProbeBatch must agree with a std::map
 //     oracle, cell for cell and type for type, across segment
@@ -108,32 +109,36 @@ std::string ColumnName(size_t i) {
 
 struct RandomTable {
   Schema schema;
-  std::vector<DataType> col_types;  // nominal type per column
+  std::vector<DataType> col_types;  // the field type of each column
   std::vector<Row> rows;            // the reference interpreter's input
 };
 
+// Cells of the column's field type under a random NULL pattern per
+// column: none, scattered, a leading run, or every cell.
 RandomTable MakeTable(Lcg& rng) {
   RandomTable t;
   int cols = 1 + static_cast<int>(rng.Below(5));
+  std::vector<double> null_share;
+  std::vector<int> leading_nulls;
+  // Row counts straddle typical selection-vector block sizes.
+  int rows = static_cast<int>(rng.Below(200));
   for (int c = 0; c < cols; ++c) {
     DataType type = RandomType(rng);
     t.col_types.push_back(type);
     t.schema.AddField({ColumnName(c), type});
+    const int64_t pattern = rng.Below(6);
+    null_share.push_back(pattern == 0 ? 0.0 : pattern == 5 ? 1.0 : 0.15);
+    leading_nulls.push_back(pattern == 4 ? static_cast<int>(rng.Below(
+                                               static_cast<int64_t>(rows) + 1))
+                                         : 0);
   }
-  // Row counts straddle typical selection-vector block sizes.
-  int rows = static_cast<int>(rng.Below(200));
-  bool mixed_cols = rng.Chance(0.2);
   for (int r = 0; r < rows; ++r) {
     Row row;
-    for (int c = 0; c < cols; ++c) {
-      if (rng.Chance(0.15)) {
+    for (size_t c = 0; c < t.col_types.size(); ++c) {
+      if (r < leading_nulls[c] || rng.Chance(null_share[c])) {
         row.push_back(Value::Null());
-      } else if (mixed_cols && rng.Chance(0.1)) {
-        // Type-unstable cell: exercises the kValue lanes and the
-        // non-boolean cell errors of a bare column.
-        row.push_back(RandomValue(rng, RandomType(rng)));
       } else {
-        row.push_back(RandomValue(rng, t.col_types[static_cast<size_t>(c)]));
+        row.push_back(RandomValue(rng, t.col_types[c]));
       }
     }
     t.rows.push_back(std::move(row));
@@ -235,8 +240,8 @@ TEST(VectorizedFilterProperty, MatchesScalarInterpreter) {
     }
     ASSERT_FALSE(HasFailure()) << "iteration " << iter;
   }
-  // The generator must exercise both verdicts and first-row errors (309
-  // and 91 of the 400 iterations).
+  // The generator must exercise both verdicts and first-row errors (331
+  // and 69 of the 400 iterations).
   EXPECT_GT(executed, 100);
   EXPECT_GT(errors, 0);
 }
@@ -281,27 +286,29 @@ int64_t CheckAllComparisons(const Schema& schema, const std::vector<Row>& rows,
 
 TEST(VectorizedFilterProperty, ChunkLaneEdgeCases) {
   const double nan = std::nan("");
-  // i: typed Int64, d: typed Double with NaN and -0.0, s: a dictionary
-  // lane, n: all NULL, m: mixed types (raw Values), b: Bool.
+  // i: Int64, d: Double with NaN and -0.0, s: a dictionary lane, n: an
+  // all-NULL Int64 lane, e: an all-NULL String lane (an empty
+  // dictionary), m: a String lane whose first cells are NULL, b: Bool.
   Schema schema({{"i", DataType::kInt64},
                  {"d", DataType::kDouble},
                  {"s", DataType::kString},
                  {"n", DataType::kInt64},
+                 {"e", DataType::kString},
                  {"m", DataType::kString},
                  {"b", DataType::kBool}});
   std::vector<Row> rows = {
       {Value(int64_t{1}), Value(1.0), Value("car"), Value::Null(),
-       Value("car"), Value(true)},
+       Value::Null(), Value::Null(), Value(true)},
       {Value(int64_t{-3}), Value(-0.0), Value("bus"), Value::Null(),
-       Value(int64_t{2}), Value(false)},
-      {Value::Null(), Value(nan), Value::Null(), Value::Null(), Value(0.5),
-       Value::Null()},
+       Value::Null(), Value::Null(), Value(false)},
+      {Value::Null(), Value(nan), Value::Null(), Value::Null(), Value::Null(),
+       Value::Null(), Value::Null()},
       {Value(int64_t{0}), Value(0.0), Value("truck"), Value::Null(),
-       Value::Null(), Value(true)},
+       Value::Null(), Value("car"), Value(true)},
       {Value(int64_t{9007199254740993}), Value(2.5), Value("car"),
-       Value::Null(), Value(true), Value(false)},
+       Value::Null(), Value::Null(), Value::Null(), Value(false)},
       {Value(int64_t{2}), Value::Null(), Value("Car"), Value::Null(),
-       Value("zebra"), Value(true)},
+       Value::Null(), Value("zebra"), Value(true)},
   };
   // Strings absent from every dictionary ("aardvark", "van", "") and
   // present ones; numbers of both types, including NaN, -0.0 and an
@@ -321,13 +328,17 @@ TEST(VectorizedFilterProperty, ChunkLaneEdgeCases) {
   EXPECT_EQ(chunk.lane(0).enc(), storage::ColumnVec::Enc::kInt64);
   EXPECT_EQ(chunk.lane(1).enc(), storage::ColumnVec::Enc::kDouble);
   EXPECT_EQ(chunk.lane(2).enc(), storage::ColumnVec::Enc::kDict);
-  EXPECT_EQ(chunk.lane(3).enc(), storage::ColumnVec::Enc::kValue);
-  EXPECT_EQ(chunk.lane(4).enc(), storage::ColumnVec::Enc::kValue);
-  EXPECT_EQ(chunk.lane(5).enc(), storage::ColumnVec::Enc::kBool);
+  EXPECT_EQ(chunk.lane(3).enc(), storage::ColumnVec::Enc::kInt64);
+  EXPECT_EQ(chunk.lane(4).enc(), storage::ColumnVec::Enc::kDict);
+  EXPECT_TRUE(chunk.lane(4).dict_.empty());
+  EXPECT_EQ(chunk.lane(5).enc(), storage::ColumnVec::Enc::kDict);
+  EXPECT_EQ(chunk.lane(6).enc(), storage::ColumnVec::Enc::kBool);
 }
 
 TEST(VectorizedFilterProperty, ChunkColumnPairsMatchInterpreter) {
-  // Column op column over every pair of typed, all-null and mixed lanes.
+  // Column op column over every pair of lanes: Int64, Double and String
+  // lanes with scattered NULLs, an all-NULL lane and a Double lane whose
+  // first cells are NULL.
   Schema schema({{"i", DataType::kInt64},
                  {"j", DataType::kInt64},
                  {"d", DataType::kDouble},
@@ -350,8 +361,8 @@ TEST(VectorizedFilterProperty, ChunkColumnPairsMatchInterpreter) {
                maybe_null(Value(std::string(kLabels[rng.Below(5)]))),
                maybe_null(Value(std::string(kLabels[rng.Below(3)]))),
                Value::Null(),
-               rng.Chance(0.5) ? Value(static_cast<double>(rng.Below(3)))
-                               : Value(rng.Below(3))};
+               r < 10 ? Value::Null()
+                      : Value(static_cast<double>(rng.Below(3)))};
     chunk.AppendRow(row);
     rows.push_back(std::move(row));
   }
@@ -380,15 +391,15 @@ TEST(VectorizedFilterProperty, ChunkColumnPairsMatchInterpreter) {
 
 TEST(VectorizedFilterProperty, BoolColumnOverChunkLanes) {
   // A bare column in boolean position: a Bool lane and an all-null lane
-  // evaluate; a typed non-bool lane or a mixed lane with a non-bool cell
-  // raises the reference's error at the first such row, unless AND/OR
-  // keeps that row from reaching it.
+  // evaluate; a non-bool lane (Int64 i, String m) raises the reference's
+  // error at its first non-null row, unless AND/OR keeps that row from
+  // reaching it.
   Schema schema({{"b", DataType::kBool},
                  {"n", DataType::kBool},
                  {"i", DataType::kInt64},
-                 {"m", DataType::kBool}});
+                 {"m", DataType::kString}});
   std::vector<Row> rows = {
-      {Value(true), Value::Null(), Value::Null(), Value(true)},
+      {Value(true), Value::Null(), Value::Null(), Value::Null()},
       {Value::Null(), Value::Null(), Value(int64_t{1}), Value("x")},
       {Value(false), Value::Null(), Value::Null(), Value::Null()}};
   for (const char* name : {"b", "n"}) {
@@ -546,7 +557,10 @@ Status ExpectItemMatchesReference(const ExprPtr& item, const Schema& schema,
     }
     want.push_back(v.value());
   }
-  storage::TailLane lane;
+  // Project's type for the item: a literal's own, a verdict's BOOL.
+  storage::TailLane lane(item->kind() == expr::ExprKind::kLiteral
+                             ? item->value().type()
+                             : DataType::kBool);
   const Status got =
       FilterProgram::CompileItem(*item, schema).ExecuteItem(chunk, &lane);
   EXPECT_EQ(got.ToString(), ref.ToString()) << item->ToString();
@@ -588,7 +602,7 @@ TEST(VectorizedFilterProperty, SelectItemsMatchReference) {
     ExpectItemMatchesReference(item.value(), schema, rows);
   }
   // An unbound name on an empty chunk raises nothing.
-  storage::TailLane lane;
+  storage::TailLane lane(DataType::kString);
   EXPECT_TRUE(FilterProgram::CompileItem(*Expr::Column("nosuch"), schema)
                   .ExecuteItem(exec::Chunk(schema), &lane)
                   .ok());
@@ -617,25 +631,13 @@ std::vector<Row> RandomDetections(Lcg& rng) {
   return rows;
 }
 
-// RandomDetections with occasional NULL and off-type cells, so open tails
-// take their all-null and mixed-type paths.
-std::vector<Row> RandomMixedDetections(Lcg& rng) {
+// RandomDetections with NULL cells, so open tails start with NULLs, hold
+// NULLs between typed cells, or hold nothing else.
+std::vector<Row> RandomNullableDetections(Lcg& rng) {
   std::vector<Row> rows = RandomDetections(rng);
   for (Row& row : rows) {
     for (Value& cell : row) {
-      switch (rng.Below(40)) {
-        case 0:
-          cell = Value::Null();
-          break;
-        case 1:
-          cell = Value(static_cast<int64_t>(rng.Below(3)));
-          break;
-        case 2:
-          cell = Value(rng.Unit());
-          break;
-        default:
-          break;
-      }
+      if (rng.Below(6) == 0) cell = Value::Null();
     }
   }
   return rows;
@@ -653,7 +655,7 @@ TEST(VectorizedFilterProperty, ViewMatchesMapOracle) {
     int puts = 1 + static_cast<int>(rng.Below(16));
     for (int p = 0; p < puts; ++p) {
       ViewKey key{rng.Below(max_frame), -1};
-      std::vector<Row> rows = RandomMixedDetections(rng);
+      std::vector<Row> rows = RandomNullableDetections(rng);
       bool inserted = PutRows(&view, key, rows,
                               static_cast<uint64_t>(round * 100 + p), round);
       ASSERT_EQ(inserted, oracle.emplace(key, rows).second)

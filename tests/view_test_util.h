@@ -45,7 +45,7 @@ inline std::vector<const ColumnVec*> LaneColumns(
 inline bool PutRows(MaterializedView* view, const ViewKey& key,
                     const std::vector<Row>& rows, uint64_t tick = 0,
                     int64_t query_id = -1) {
-  std::vector<TailLane> lanes(view->value_schema().num_fields());
+  std::vector<TailLane> lanes = LanesFor(view->value_schema());
   for (const Row& row : rows) {
     for (size_t c = 0; c < lanes.size(); ++c) {
       if (c < row.size()) {

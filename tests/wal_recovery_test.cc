@@ -27,6 +27,7 @@
 #include "storage/view_persistence.h"
 #include "vbench/vbench.h"
 #include "wal/wal_log.h"
+#include "wal/wal_replay.h"
 
 namespace eva::engine {
 namespace {
@@ -448,6 +449,77 @@ TEST_F(WalRecoveryTest, ResealMidQueryLogsTheWholeAppendInOneRecord) {
   EXPECT_TRUE(recovered->last_replay().clean())
       << recovered->last_replay().Summary();
   EXPECT_EQ(ViewCells(*recovered->views().Find(kDetectorKey)), cells);
+}
+
+/// A segment_append record whose column encodings disagree with the field
+/// types it declares is malformed and installs nothing: not into a fresh
+/// store, and not into a view an earlier record created. A record whose
+/// schema disagrees with the existing view's is malformed too.
+TEST_F(WalRecoveryTest, AppendOfAnotherColumnTypeInstallsNothing) {
+  const Schema schema({{"obj", DataType::kInt64},
+                       {"label", DataType::kString},
+                       {"area", DataType::kDouble}});
+  storage::MaterializedView view("Det@v", schema);
+  for (int64_t f = 0; f < 20; ++f) {
+    std::vector<storage::TailLane> lanes = storage::LanesFor(schema);
+    lanes[0].AppendInt64(f);
+    lanes[1].AppendString(f % 2 == 0 ? "car" : "bus");
+    lanes[2].AppendDouble(0.25 * static_cast<double>(f));
+    const storage::ViewKey key{f, -1};
+    const uint32_t key_rows[] = {0, 1};
+    const uint32_t rows[] = {0};
+    std::vector<const storage::ColumnVec*> cols;
+    for (const storage::TailLane& lane : lanes) cols.push_back(&lane.lane());
+    storage::PutRemaps remaps;
+    std::vector<uint8_t> inserted;
+    view.PutBatch({&key, 1}, {}, key_rows, rows, cols,
+                  [] { return uint64_t{1}; }, -1, &remaps, &inserted);
+  }
+  const auto sealed = view.SealedSegments();
+  ASSERT_EQ(sealed.size(), 1u);
+  const storage::ColumnarSegment& chunk = *sealed[0].second;
+  std::vector<Field> fields = schema.fields();
+  fields[2].type = DataType::kInt64;  // the area column is Double-encoded
+  const Schema retyped(fields);
+  fields = schema.fields();
+  fields[1].name = "name";
+  const Schema renamed(fields);
+
+  // Replays `records` into a fresh store; returns the status and the keys
+  // of Det@v (-1 when the view does not exist).
+  auto replay = [this](const std::vector<wal::WalRecord>& records,
+                       int64_t* keys) {
+    const stdfs::path path = root_ / "typed.evalog";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      for (const wal::WalRecord& rec : records) out << wal::EncodeFrame(rec);
+    }
+    catalog::Catalog catalog;
+    storage::ViewStore views;
+    udf::UdfManager manager;
+    auto r = wal::ReplayWal(path.string(), &catalog, &views, &manager,
+                            symbolic::SymbolicBudget());
+    const storage::MaterializedView* v = views.Find("Det@v");
+    *keys = v == nullptr ? -1 : v->num_keys();
+    return r.status();
+  };
+  const wal::WalRecord good =
+      wal::SegmentAppendRecord("Det@v", schema, 1, chunk);
+  int64_t keys = 0;
+  ASSERT_TRUE(replay({good}, &keys).ok());
+  EXPECT_EQ(keys, 20);
+  EXPECT_FALSE(
+      replay({wal::SegmentAppendRecord("Det@v", retyped, 2, chunk)}, &keys)
+          .ok());
+  EXPECT_EQ(keys, -1);
+  // After a good record, a bad one adds nothing to the view it made.
+  for (const Schema* bad : {&retyped, &renamed}) {
+    EXPECT_FALSE(
+        replay({good, wal::SegmentAppendRecord("Det@v", *bad, 2, chunk)},
+               &keys)
+            .ok());
+    EXPECT_EQ(keys, 20);
+  }
 }
 
 /// A snapshot load restores each segment's access stamps; the store's
