@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,6 +37,9 @@ const char* kKey = "FasterRCNNResNet50@short_ua_detrac";
 // service fleet's simulated numbers.
 constexpr uint64_t kManagerFingerprint = 0x33da8a991c77d146ULL;
 constexpr uint64_t kFleetFingerprint = 0x5ccd25a45ed11e22ULL;
+// The same two fingerprints of the --quick run's reduced shape.
+constexpr uint64_t kQuickManagerFingerprint = 0x71c9a7ad0df178afULL;
+constexpr uint64_t kQuickFleetFingerprint = 0xfa7e1023124708f5ULL;
 
 symbolic::Predicate IdRange(double lo, double hi) {
   symbolic::Conjunct c;
@@ -316,7 +320,18 @@ int RunQuick() {
          ",\"cells\":" + std::to_string(run.coverage_cells) + "}]}";
   profile.Finish();
   std::printf("%s\n", out.c_str());
-  return 0;
+  // A reshaped Inter/Diff result or simulated number fails the quick gate.
+  bool ok = true;
+  for (auto [what, got, want] :
+       {std::tuple{"manager", run.fingerprint, kQuickManagerFingerprint},
+        std::tuple{"fleet", fleet.fingerprint, kQuickFleetFingerprint}}) {
+    if (got != want) {
+      std::fprintf(stderr, "FAIL quick %s fingerprint %s != recorded %s\n",
+                   what, HexFp(got).c_str(), HexFp(want).c_str());
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
@@ -330,8 +345,9 @@ int main(int argc, char** argv) {
 
   // High-atom manager fleet: 50 streaming ticks x 100 frames, 550 forced
   // two-frame evictions => 551 coverage cells; 4 sessions x 2 rounds x 2
-  // overlapping lookups each. The one NOT(coverage) dominates: it is cubic
-  // in cells and every later Diff replays it.
+  // overlapping lookups each. The one NOT(coverage) dominates the lookups
+  // (every later Diff replays it); the retractions' Subtract + Reduce
+  // dominate the build.
   constexpr int kTicks = 50;
   constexpr int64_t kFramesPerTick = 100;
   constexpr int kHoles = 550;

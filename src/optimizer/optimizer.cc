@@ -297,7 +297,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
   // histograms: `before` is the naive union size (old coverage + the new
   // associated predicate), `after` what the reduction actually kept.
   auto update_coverage = [&](const std::string& key, const Predicate& q_in) {
-    Predicate q = q_in;
+    Predicate clamped_q;
     if (video.streaming) {
       // Streaming soundness clamp: a claim must never extend past the
       // source's visible horizon — the scan only produced frames below it,
@@ -311,9 +311,10 @@ Result<OptimizedQuery> Optimizer::Optimize(
               symbolic::DimKind::kInteger,
               symbolic::Interval::AtMost(
                   static_cast<double>(video.num_frames - 1))));
-      auto clamped = Predicate::And(q, horizon, options_.budget);
-      q = clamped.ok() ? clamped.MoveValue() : Predicate::False();
+      auto clamped = Predicate::And(q_in, horizon, options_.budget);
+      clamped_q = clamped.ok() ? clamped.MoveValue() : Predicate::False();
     }
+    const Predicate& q = video.streaming ? clamped_q : q_in;
     int atoms_before = manager_->CoverageAtomCount(key) + q.AtomCount();
     manager_->UpdateCoverage(key, q, options_.budget);
     if (obs_ == nullptr) return;

@@ -1,10 +1,22 @@
 #include "symbolic/predicate.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace eva::symbolic {
+
+namespace {
+
+// The constraint of a dimension a conjunct leaves unconstrained.
+const DimConstraint& FullOf(DimKind kind) {
+  static const DimConstraint kFull[] = {
+      DimConstraint::Full(DimKind::kReal),
+      DimConstraint::Full(DimKind::kInteger),
+      DimConstraint::Full(DimKind::kCategorical)};
+  return kFull[static_cast<int>(kind)];
+}
+
+}  // namespace
 
 bool Conjunct::Constrain(const std::string& dim,
                          const DimConstraint& constraint) {
@@ -47,8 +59,15 @@ std::optional<Conjunct> Conjunct::Intersect(const Conjunct& other) const {
 }
 
 bool Conjunct::IsSubsetOf(const Conjunct& other) const {
+  // Both maps are sorted by name: walk them together. A dimension only
+  // `other` constrains is Full here; one only this conjunct constrains is
+  // a subset of Full.
+  auto it = dims_.begin();
   for (const auto& [dim, oc] : other.dims_) {
-    DimConstraint mine = Get(dim, oc.kind());
+    int cmp = 1;
+    while (it != dims_.end() && (cmp = it->first.compare(dim)) < 0) ++it;
+    const DimConstraint& mine =
+        it != dims_.end() && cmp == 0 ? it->second : FullOf(oc.kind());
     if (!mine.IsSubsetOf(oc)) return false;
   }
   return true;
@@ -93,48 +112,67 @@ std::string Conjunct::ToString() const {
 
 bool ReduceUnionConjunctives(const Conjunct& c1, const Conjunct& c2,
                              std::vector<Conjunct>* out) {
-  if (c2.IsSubsetOf(c1)) {
+  // One dimension either conjunct constrains: its position in name order
+  // and both sides' constraints, Full on the side that leaves it
+  // unconstrained (of the kind the other side gives it).
+  struct Dim {
+    int pos = -1;
+    const std::string* name = nullptr;
+    const DimConstraint* a = nullptr;  // c1's
+    const DimConstraint* b = nullptr;  // c2's
+  };
+  // Classify each dimension, walking both name-sorted maps together:
+  // count where c2.d ⊄ c1.d, where c1.d ⊄ c2.d and where c1.d != c2.d,
+  // keeping the first dimension of each. c2 ⊆ c1 when the first count is
+  // 0, and any other reduction needs a subset count of exactly 1, so the
+  // walk stops once both subset counts pass 1.
+  int n_not_sub21 = 0, n_not_sub12 = 0, n_not_equal = 0;
+  int not_equal_pos = -1;
+  Dim not_sub21, not_sub12;
+  auto it = c1.dims().begin();
+  auto jt = c2.dims().begin();
+  for (int pos = 0; (it != c1.dims().end() || jt != c2.dims().end()) &&
+                    (n_not_sub21 < 2 || n_not_sub12 < 2);
+       ++pos) {
+    int cmp = it == c1.dims().end()   ? 1
+              : jt == c2.dims().end() ? -1
+                                      : it->first.compare(jt->first);
+    Dim d{pos};
+    if (cmp <= 0) {
+      d.name = &it->first;
+      d.a = &it->second;
+    }
+    if (cmp >= 0) {
+      d.name = &jt->first;
+      d.b = &jt->second;
+    }
+    if (d.a == nullptr) d.a = &FullOf(d.b->kind());
+    if (d.b == nullptr) d.b = &FullOf(d.a->kind());
+    if (cmp <= 0) ++it;
+    if (cmp >= 0) ++jt;
+    if (!d.b->IsSubsetOf(*d.a) && n_not_sub21++ == 0) not_sub21 = d;
+    if (!d.a->IsSubsetOf(*d.b) && n_not_sub12++ == 0) not_sub12 = d;
+    if (!d.a->Equals(*d.b) && n_not_equal++ == 0) not_equal_pos = pos;
+  }
+  if (n_not_sub21 == 0) {
     *out = {c1};
     return true;
   }
-  if (c1.IsSubsetOf(c2)) {
+  if (n_not_sub12 == 0) {
     *out = {c2};
     return true;
   }
-  // Union of constrained dimension names.
-  std::set<std::string> dim_names;
-  for (const auto& [d, c] : c1.dims()) dim_names.insert(d);
-  for (const auto& [d, c] : c2.dims()) dim_names.insert(d);
-
-  auto kind_of = [&](const std::string& d) {
-    auto it = c1.dims().find(d);
-    if (it != c1.dims().end()) return it->second.kind();
-    return c2.dims().at(d).kind();
-  };
-
-  // Classify each dimension.
-  std::vector<std::string> not_sub21;  // dims where c2.d ⊄ c1.d
-  std::vector<std::string> not_sub12;  // dims where c1.d ⊄ c2.d
-  std::vector<std::string> not_equal;
-  for (const std::string& d : dim_names) {
-    DimKind k = kind_of(d);
-    DimConstraint a = c1.Get(d, k);
-    DimConstraint b = c2.Get(d, k);
-    if (!b.IsSubsetOf(a)) not_sub21.push_back(d);
-    if (!a.IsSubsetOf(b)) not_sub12.push_back(d);
-    if (!a.Equals(b)) not_equal.push_back(d);
-  }
 
   // Attempts one direction: `small` ⊆ `big` in every dimension except
-  // `free_dim`. Tries concatenation (when all the other dims are equal)
-  // and then overlap carving (Fig. 2 case iii).
+  // `free` (whose constraints are `bigc` and `smallc`). Tries
+  // concatenation (when all the other dims are equal) and then overlap
+  // carving (Fig. 2 case iii).
   auto try_reduce = [&](const Conjunct& big, const Conjunct& small,
-                        const std::string& free_dim) -> bool {
-    DimKind k = kind_of(free_dim);
-    DimConstraint bigc = big.Get(free_dim, k);
-    DimConstraint smallc = small.Get(free_dim, k);
+                        const Dim& free, const DimConstraint& bigc,
+                        const DimConstraint& smallc) -> bool {
+    const std::string& free_dim = *free.name;
     // Case ii: concatenation along free_dim requires equality elsewhere.
-    if (not_equal.size() == 1 && not_equal[0] == free_dim) {
+    if (n_not_equal == 1 && not_equal_pos == free.pos) {
       if (auto merged = bigc.UnionIfSingle(smallc)) {
         Conjunct reduced;
         for (const auto& [d, c] : big.dims()) {
@@ -166,12 +204,16 @@ bool ReduceUnionConjunctives(const Conjunct& c1, const Conjunct& c2,
     return false;
   };
 
-  if (not_sub21.size() == 1) {
-    // c2 ⊆ c1 in all dims except not_sub21[0].
-    if (try_reduce(c1, c2, not_sub21[0])) return true;
+  if (n_not_sub21 == 1) {
+    // c2 ⊆ c1 in all dims except not_sub21.
+    if (try_reduce(c1, c2, not_sub21, *not_sub21.a, *not_sub21.b)) {
+      return true;
+    }
   }
-  if (not_sub12.size() == 1) {
-    if (try_reduce(c2, c1, not_sub12[0])) return true;
+  if (n_not_sub12 == 1) {
+    if (try_reduce(c2, c1, not_sub12, *not_sub12.b, *not_sub12.a)) {
+      return true;
+    }
   }
   return false;
 }
@@ -331,7 +373,25 @@ bool Predicate::Reduce(const SymbolicBudget& budget) {
     }
   }
   // Algorithm 1 step 3: repeatedly pop two conjunctives and reduce their
-  // union, until no pair changes or the pass budget runs out.
+  // union, until no pair changes or the pass budget runs out. Each pass
+  // scans pairs (i, j > i) from (0, 1) and stops at the first pair that
+  // reduces.
+  //
+  // ReduceUnionConjunctives is pure, so a pair it rejected stays rejected
+  // while neither conjunct changes; such pairs are skipped. Each slot
+  // carries an id, fresh whenever a reduction replaces the slot. A row
+  // scan ends early only at a reduction, which replaces row i's slot, so
+  // a complete scan of row i rejected every slot after it. Slots never
+  // change order: a slot after i whose id was issued before that scan
+  // ended is one of them. `rejected_below` records that id bound. Every
+  // pass still stops at the same pair.
+  struct Slot {
+    size_t id;
+    size_t rejected_below;
+  };
+  std::vector<Slot> slots(conjuncts_.size());
+  for (size_t k = 0; k < slots.size(); ++k) slots[k] = {k, 0};
+  size_t next_id = slots.size();
   int pass = 0;
   bool changed = true;
   std::vector<Conjunct> replacement;
@@ -339,17 +399,22 @@ bool Predicate::Reduce(const SymbolicBudget& budget) {
     changed = false;
     for (size_t i = 0; i < conjuncts_.size() && !changed; ++i) {
       for (size_t j = i + 1; j < conjuncts_.size() && !changed; ++j) {
+        if (slots[j].id < slots[i].rejected_below) continue;
         if (ReduceUnionConjunctives(conjuncts_[i], conjuncts_[j],
                                     &replacement)) {
           conjuncts_[i] = replacement[0];
+          slots[i] = {next_id++, 0};
           if (replacement.size() == 2) {
             conjuncts_[j] = replacement[1];
+            slots[j] = {next_id++, 0};
           } else {
             conjuncts_.erase(conjuncts_.begin() + static_cast<long>(j));
+            slots.erase(slots.begin() + static_cast<long>(j));
           }
           changed = true;
         }
       }
+      if (!changed) slots[i].rejected_below = next_id;
     }
   }
   return !changed;

@@ -124,7 +124,8 @@ class Predicate {
   bool UnionWith(const Predicate& q, const SymbolicBudget& budget = {});
 
   /// Algorithm 1: per-conjunct reduction happened at construction; this
-  /// runs the pairwise ReduceUnionConjunctives loop to fixpoint (or budget).
+  /// runs the pairwise ReduceUnionConjunctives loop to fixpoint (or budget),
+  /// skipping pairs it already rejected in this call (docs/SYMBOLIC.md).
   /// Returns whether it reached the fixpoint: no pair reduces any more.
   bool Reduce(const SymbolicBudget& budget = {});
 
