@@ -657,9 +657,14 @@ class ViewJoinOp : public Operator {
     // output lanes first, then each hit segment's columns.
     remaps_.Clear();
     accesses_.clear();
+    run_ = 0;
     Chunk out = def_.kind == UdfKind::kDetector
-                    ? JoinDetector(in, ids, view)
-                    : JoinSingle(in, ids, view);
+                    ? JoinDetector(in, view)
+                    : JoinSingle(in, view);
+    // Access stamps land once per batch, one per run with hits: nothing
+    // reads them before the batch ends, and a segment keeps its last
+    // hit's tick either way.
+    if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
     if (ledger_ != nullptr) {
       ledger_->hit.resize(probe_keys_.size());
       for (size_t i = 0; i < probe_keys_.size(); ++i) {
@@ -669,9 +674,6 @@ class ViewJoinOp : public Operator {
       ledger_->keys.swap(probe_keys_);
     }
     FlushProbeCounts();
-    // Access stamps land once per batch: nothing reads them before the
-    // batch ends, and the last (tick, query) per segment wins either way.
-    if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
     if (probe_res_.segments_skipped > 0) {
       if (ctx_->active_stats != nullptr) {
         ctx_->active_stats->segments_skipped += probe_res_.segments_skipped;
@@ -761,8 +763,9 @@ class ViewJoinOp : public Operator {
 
   // Copies output rows into out[0..width) by runs: consecutive rows of
   // one source (kFromInput: the input's own output lanes, from column
-  // `in_first`; otherwise a hit segment's index) take one AppendGather
-  // per lane. A NULL row ends the run; Flush() ends the last one.
+  // `in_first`; otherwise a hit segment's index) take one append per
+  // lane — AppendFrom while the rows form one range, AppendGather once
+  // they do not. A NULL row ends the run; Flush() ends the last one.
   static constexpr int32_t kFromInput = -1;
   class RunCopier {
    public:
@@ -777,8 +780,20 @@ class ViewJoinOp : public Operator {
         Flush();
         source_ = source;
       }
+      if (begin == end) return;
+      std::vector<uint32_t>& rows = op_->run_rows_;
+      if (rows.empty() && (first_ == end_ || begin == end_)) {
+        if (first_ == end_) first_ = begin;
+        end_ = end;  // the run stays the range [first_, end_)
+        return;
+      }
+      if (rows.empty()) {
+        for (size_t r = first_; r < end_; ++r) {
+          rows.push_back(static_cast<uint32_t>(r));
+        }
+      }
       for (size_t r = begin; r < end; ++r) {
-        op_->run_rows_.push_back(static_cast<uint32_t>(r));
+        rows.push_back(static_cast<uint32_t>(r));
       }
     }
     void AppendNull() {
@@ -787,18 +802,23 @@ class ViewJoinOp : public Operator {
     }
     void Flush() {
       std::vector<uint32_t>& rows = op_->run_rows_;
-      if (rows.empty()) return;
+      if (first_ == end_) return;
       for (size_t c = 0; c < width_; ++c) {
         const bool input = source_ == kFromInput;
         const ColumnVec& src =
             input ? in_.lane(in_first_ + c)
                   : op_->probe_res_.segments[static_cast<size_t>(source_)]
                         ->cols[c];
-        out_[c].AppendGather(src, rows.data(), rows.size(),
-                             input ? op_->remaps_[c]
-                                   : op_->SegmentRemap(source_, c));
+        std::vector<int32_t>* remap =
+            input ? op_->remaps_[c] : op_->SegmentRemap(source_, c);
+        if (rows.empty()) {
+          out_[c].AppendFrom(src, first_, end_, remap);
+        } else {
+          out_[c].AppendGather(src, rows.data(), rows.size(), remap);
+        }
       }
       rows.clear();
+      first_ = end_ = 0;
     }
 
    private:
@@ -808,13 +828,16 @@ class ViewJoinOp : public Operator {
     TailLane* out_;
     size_t width_;
     int32_t source_ = kFromInput;
+    // The pending run: rows [first_, end_) while they form one range,
+    // else op_->run_rows_ (and first_ < end_ still marks it non-empty).
+    size_t first_ = 0;
+    size_t end_ = 0;
   };
 
   // Detector: a hit expands into the key's stored rows, a miss into one
   // row of NULL outputs. The input columns before the outputs follow by
   // parent row.
-  Chunk JoinDetector(const Chunk& in, const ColumnVec& ids,
-                     MaterializedView* view) {
+  Chunk JoinDetector(const Chunk& in, MaterializedView* view) {
     const size_t base = output_width_base_;
     const size_t n_outputs = value_schema_.num_fields();
     Chunk out(output_schema_);
@@ -831,7 +854,7 @@ class ViewJoinOp : public Operator {
       ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
       const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
       if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-        CountHit(Int64Cell(ids, r));
+        CountHit(oi - 1);
         if (oc->status == storage::ProbeStatus::kHit) {
           ctx_->Charge(CostCategory::kReadView,
                        ctx_->costs.view_read_ms_per_row *
@@ -858,8 +881,7 @@ class ViewJoinOp : public Operator {
 
   // Classifier / filter UDF: one output column, one output row per input
   // row except zone-skipped hits.
-  Chunk JoinSingle(Chunk& in, const ColumnVec& ids,
-                   MaterializedView* view) {
+  Chunk JoinSingle(Chunk& in, MaterializedView* view) {
     const auto out_idx =
         static_cast<size_t>(output_schema_.IndexOf(def_.name));
     TailLane result(output_schema_.field(out_idx).type);
@@ -882,7 +904,7 @@ class ViewJoinOp : public Operator {
       ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
       const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
       if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
-        CountHit(Int64Cell(ids, r));
+        CountHit(oi - 1);
         if (oc->status == storage::ProbeStatus::kHit) {
           ctx_->Charge(CostCategory::kReadView,
                        ctx_->costs.view_read_ms_per_row);
@@ -919,12 +941,18 @@ class ViewJoinOp : public Operator {
     return out;
   }
 
-  // A probe hit of `frame`: a reused invocation, and an access stamp for
-  // the frame's segment.
-  void CountHit(int64_t frame) {
+  // A probe hit, outcome `outcome`: a reused invocation, and a tick of the
+  // access clock that stamps its run's segment.
+  void CountHit(size_t outcome) {
     cells_.AddReuse(ctx_, def_.name);
     ++hits_;
-    accesses_.emplace_back(frame, ctx_->views->NextAccessTick());
+    const std::vector<storage::ProbeRun>& runs = probe_res_.runs;
+    while (runs[run_].end <= outcome) ++run_;
+    const int64_t segment = runs[run_].segment_id;
+    if (accesses_.empty() || accesses_.back().first != segment) {
+      accesses_.emplace_back(segment, 0);
+    }
+    accesses_.back().second = ctx_->views->NextAccessTick();
   }
 
   // Publishes the chunk's probe hit and miss counts.
@@ -956,7 +984,9 @@ class ViewJoinOp : public Operator {
   std::vector<uint8_t> actions_;
   std::vector<ViewKey> probe_keys_;
   storage::ProbeResult probe_res_;
-  std::vector<std::pair<int64_t, uint64_t>> accesses_;  // (frame, tick)
+  // (segment, tick of its last hit) per run with hits
+  std::vector<std::pair<int64_t, uint64_t>> accesses_;
+  size_t run_ = 0;  // probe_res_.runs index of the last hit
   std::vector<uint32_t> parents_;  // input row of each output row
   std::vector<uint32_t> run_rows_;  // RunCopier's pending run
   int64_t hits_ = 0;    // this chunk's probe hits (incl. zone-skipped)

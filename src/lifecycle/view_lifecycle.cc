@@ -1,7 +1,6 @@
 #include "lifecycle/view_lifecycle.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "symbolic/interval.h"
 
@@ -124,37 +123,37 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
   ctx.ticks_per_query = ticks_per_query_ > 0 ? ticks_per_query_ : 1;
 
   double total = views_->TotalSizeBytes();
-  while (total > options_.storage_budget_bytes) {
-    // Pick the lowest-scored segment across all views. Ties break on
-    // (view name, segment id) so eviction order is deterministic.
-    bool found = false;
-    SegmentCandidate victim;
-    double victim_score = std::numeric_limits<double>::infinity();
-    for (const auto& [name, view] : views_->views()) {
-      double cost_e = 0;
-      auto def = catalog_->GetUdf(UdfOfViewKey(name));
-      if (def.ok()) cost_e = def.value().cost_ms;
-      for (const storage::SegmentStats& seg : view->Segments()) {
-        SegmentCandidate cand;
-        cand.view = name;
-        cand.seg = seg;
-        cand.cost_e_ms = cost_e;
-        double score = policy_->Score(cand, ctx);
-        bool better =
-            !found || score < victim_score ||
-            (score == victim_score &&
-             (cand.view < victim.view ||
-              (cand.view == victim.view &&
-               cand.seg.segment_id < victim.seg.segment_id)));
-        if (better) {
-          found = true;
-          victim = cand;
-          victim_score = score;
-        }
-      }
+  if (total <= options_.storage_budget_bytes) return events;
+  // Score every segment once: an eviction changes no other segment's
+  // stats, so the victims are the lowest scores in ascending order. Ties
+  // break on (view name, segment id) so eviction order is deterministic.
+  struct Scored {
+    double score;
+    SegmentCandidate cand;
+  };
+  std::vector<Scored> ranked;
+  for (const auto& [name, view] : views_->views()) {
+    double cost_e = 0;
+    auto def = catalog_->GetUdf(UdfOfViewKey(name));
+    if (def.ok()) cost_e = def.value().cost_ms;
+    for (const storage::SegmentStats& seg : view->Segments()) {
+      SegmentCandidate cand;
+      cand.view = name;
+      cand.seg = seg;
+      cand.cost_e_ms = cost_e;
+      const double score = policy_->Score(cand, ctx);
+      ranked.push_back({score, std::move(cand)});
     }
-    if (!found) break;  // nothing evictable left
-
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Scored& a, const Scored& b) {
+              if (a.score != b.score) return a.score < b.score;
+              if (a.cand.view != b.cand.view) return a.cand.view < b.cand.view;
+              return a.cand.seg.segment_id < b.cand.seg.segment_id;
+            });
+  for (const Scored& next : ranked) {
+    if (total <= options_.storage_budget_bytes) break;
+    const SegmentCandidate& victim = next.cand;
     storage::MaterializedView* view = views_->Find(victim.view);
     if (view == nullptr) break;
     storage::EvictedSegment ev = view->EvictSegment(victim.seg.segment_id);

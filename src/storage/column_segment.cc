@@ -171,37 +171,64 @@ size_t ColumnVec::EncodedBytes() const {
   return bytes;
 }
 
+namespace {
+
+// Sign of (key i of `seg`) - (frame, obj): the frame decides unless it
+// ties.
+int CompareKey(const ColumnarSegment& seg, size_t i, int64_t frame,
+               int64_t obj) {
+  const int64_t f = seg.key_frame(i);
+  if (f != frame) return f < frame ? -1 : 1;
+  const int64_t o = seg.key_obj(i);
+  return o < obj ? -1 : (o == obj ? 0 : 1);
+}
+
+}  // namespace
+
 size_t ColumnarSegment::FindKey(int64_t frame, int64_t obj,
-                                size_t* hint) const {
+                                KeyCursor* cursor) const {
+  KeyCursor fresh;
+  KeyCursor& c = cursor != nullptr ? *cursor : fresh;
+  const ViewKey key{frame, obj};
+  // Keys [0, c.pos) are at or below the previous key: below this one only
+  // when it comes after that one.
+  if (c.started && !(c.last < key)) c.pos = 0;
+  c.started = true;
+  c.last = key;
+  // Gallop from the cursor: probe pos, pos + 1, pos + 3, ... until a key
+  // at or above `key`; every key before `lo` is below it.
   const size_t n = num_keys();
-  size_t lo = hint != nullptr ? *hint : 0;
-  // A probe at or behind the cursor's last key (a repeated key, an
-  // unsorted batch) restarts from the front.
-  if (lo > n) lo = n;
-  if (lo > 0 && (key_frame(lo - 1) > frame ||
-                 (key_frame(lo - 1) == frame && key_obj(lo - 1) >= obj))) {
-    lo = 0;
+  size_t lo = c.pos, hi = c.pos, step = 1;
+  int cmp = 1;  // of key `hi`; past the end counts as above
+  while (hi < n && (cmp = CompareKey(*this, hi, frame, obj)) < 0) {
+    lo = hi + 1;
+    hi += step;
+    step <<= 1;
   }
-  // Dense ascending batches land exactly on the cursor: O(1) per key.
-  if (lo < n && key_frame(lo) == frame && key_obj(lo) == obj) {
-    if (hint != nullptr) *hint = lo + 1;
-    return lo;
+  if (hi >= n) {
+    hi = n;
+    cmp = 1;
   }
-  size_t hi = n;
+  // Bisect [lo, hi) for the first key at or above `key`.
+  const size_t top = hi;
   while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    int64_t mf = key_frame(mid);
-    if (mf < frame || (mf == frame && key_obj(mid) < obj)) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const int m = CompareKey(*this, mid, frame, obj);
+    if (m == 0) {
+      c.pos = mid + 1;
+      return mid;
+    }
+    if (m < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo < n && key_frame(lo) == frame && key_obj(lo) == obj) {
-    if (hint != nullptr) *hint = lo + 1;
+  if (lo == top && cmp == 0) {
+    c.pos = lo + 1;
     return lo;
   }
-  if (hint != nullptr) *hint = lo;
+  c.pos = lo;
   return npos;
 }
 
@@ -537,6 +564,113 @@ void TailLane::Append(const Value& v) {
   }
 }
 
+namespace {
+
+// Reads an RLE lane's cells through a run cursor: a row in the cursor's
+// run or the next one costs no search (ascending rows walk the runs), any
+// other row bisects for its run.
+template <typename T>
+class RunReader {
+ public:
+  RunReader(const std::vector<uint32_t>& ends, const std::vector<T>& values)
+      : ends_(ends.data()),
+        runs_(ends.size()),
+        values_(values.data()),
+        end_(ends.empty() ? 0 : ends[0]) {}
+
+  T operator()(size_t i) {
+    if (i < begin_ || i >= end_) Seek(i);
+    return values_[run_];
+  }
+
+ private:
+  void Seek(size_t i) {
+    if (i >= end_ && run_ + 1 < runs_ && i < ends_[run_ + 1]) {
+      ++run_;
+    } else {
+      run_ = static_cast<size_t>(std::upper_bound(ends_, ends_ + runs_, i) -
+                                 ends_);
+    }
+    begin_ = run_ == 0 ? 0 : ends_[run_ - 1];
+    end_ = ends_[run_];
+  }
+
+  const uint32_t* ends_;
+  size_t runs_;
+  const T* values_;
+  size_t run_ = 0;
+  size_t begin_ = 0;  // the cursor run's rows [begin_, end_)
+  size_t end_ = 0;
+};
+
+// The cell readers of a column, one per codec of its encoding: each calls
+// fn(read) once, where read(i) reads non-null row i, so a copy loop runs
+// with the codec fixed instead of switching per cell.
+template <typename Fn>
+void WithInt64Reader(const ColumnVec& src, Fn fn) {
+  switch (src.codec_) {
+    case ColumnVec::Codec::kFor:
+      return fn([&src](size_t i) {
+        return src.for_base_ + static_cast<int64_t>(src.packed_.Get(i));
+      });
+    case ColumnVec::Codec::kRle:
+      return fn(RunReader<int64_t>(src.rle_end_, src.i64_));
+    case ColumnVec::Codec::kDictNum:
+      return fn([&src](size_t i) { return src.i64_[src.packed_.Get(i)]; });
+    default:
+      return fn([p = src.i64_.data()](size_t i) { return p[i]; });
+  }
+}
+
+template <typename Fn>
+void WithDoubleReader(const ColumnVec& src, Fn fn) {
+  switch (src.codec_) {
+    case ColumnVec::Codec::kRle:
+      return fn(RunReader<double>(src.rle_end_, src.f64_));
+    case ColumnVec::Codec::kDictNum:
+      return fn([&src](size_t i) { return src.f64_[src.packed_.Get(i)]; });
+    case ColumnVec::Codec::kExpPack:
+      return fn([&src](size_t i) { return src.ExpPackAt(i); });
+    default:
+      return fn([p = src.f64_.data()](size_t i) { return p[i]; });
+  }
+}
+
+template <typename Fn>
+void WithBoolReader(const ColumnVec& src, Fn fn) {
+  switch (src.codec_) {
+    case ColumnVec::Codec::kBitPack:
+      return fn([&src](size_t i) {
+        return static_cast<uint8_t>(src.packed_.Get(i) != 0 ? 1 : 0);
+      });
+    case ColumnVec::Codec::kRle:
+      return fn([run = RunReader<uint8_t>(src.rle_end_, src.b8_)](
+                    size_t i) mutable {
+        return static_cast<uint8_t>(run(i) != 0 ? 1 : 0);
+      });
+    default:
+      return fn([p = src.b8_.data()](size_t i) {
+        return static_cast<uint8_t>(p[i] != 0 ? 1 : 0);
+      });
+  }
+}
+
+template <typename Fn>
+void WithCodeReader(const ColumnVec& src, Fn fn) {
+  switch (src.codec_) {
+    case ColumnVec::Codec::kBitPack:
+      return fn([&src](size_t i) {
+        return static_cast<int32_t>(src.packed_.Get(i));
+      });
+    case ColumnVec::Codec::kRle:
+      return fn(RunReader<int32_t>(src.rle_end_, src.codes_));
+    default:
+      return fn([p = src.codes_.data()](size_t i) { return p[i]; });
+  }
+}
+
+}  // namespace
+
 template <typename RowFn>
 void TailLane::AppendRows(const ColumnVec& src, size_t n, RowFn row,
                           std::vector<int32_t>* remap) {
@@ -567,27 +701,27 @@ void TailLane::AppendRows(const ColumnVec& src, size_t n, RowFn row,
   };
   switch (lane_.enc_) {
     case ColumnVec::Enc::kInt64:
-      copy(&lane_.i64_, [&src](size_t i) { return src.Int64At(i); });
+      WithInt64Reader(src, [&](auto read) { copy(&lane_.i64_, read); });
       break;
     case ColumnVec::Enc::kDouble:
-      copy(&lane_.f64_, [&src](size_t i) { return src.DoubleAt(i); });
+      WithDoubleReader(src, [&](auto read) { copy(&lane_.f64_, read); });
       break;
     case ColumnVec::Enc::kBool:
-      copy(&lane_.b8_, [&src](size_t i) {
-        return static_cast<uint8_t>(src.BoolAt(i) ? 1 : 0);
-      });
+      WithBoolReader(src, [&](auto read) { copy(&lane_.b8_, read); });
       break;
     case ColumnVec::Enc::kDict:
       if (remap->size() < src.dict_.size()) {
         remap->resize(src.dict_.size(), -1);
       }
-      copy(&lane_.codes_, [this, &src, remap](size_t i) {
-        const int32_t src_code = src.CodeAt(i);
-        int32_t& mapped = (*remap)[static_cast<size_t>(src_code)];
-        if (mapped < 0) {
-          mapped = CodeOf(src.dict_[static_cast<size_t>(src_code)]);
-        }
-        return mapped;
+      WithCodeReader(src, [&](auto code) {
+        copy(&lane_.codes_, [this, &src, remap, code](size_t i) mutable {
+          const int32_t src_code = code(i);
+          int32_t& mapped = (*remap)[static_cast<size_t>(src_code)];
+          if (mapped < 0) {
+            mapped = CodeOf(src.dict_[static_cast<size_t>(src_code)]);
+          }
+          return mapped;
+        });
       });
       break;
   }

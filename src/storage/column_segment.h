@@ -106,22 +106,24 @@ class ColumnVec {
         return f64_[RunOf(i)];
       case Codec::kDictNum:
         return f64_[packed_.Get(i)];
-      case Codec::kExpPack: {
-        // Lane value = (prefix code << 52) | 52-bit mantissa; i64_
-        // dictionaries the distinct sign/exponent prefixes. Bit-level
-        // reconstruction, so NaN payloads and -0.0 survive.
-        uint64_t v = packed_.Get(i);
-        uint64_t bits =
-            (static_cast<uint64_t>(i64_[static_cast<size_t>(v >> 52)])
-             << 52) |
-            (v & ((uint64_t{1} << 52) - 1));
-        double d;
-        std::memcpy(&d, &bits, 8);
-        return d;
-      }
+      case Codec::kExpPack:
+        return ExpPackAt(i);
       default:
         return f64_[i];
     }
+  }
+  /// DoubleAt of a kExpPack lane.
+  double ExpPackAt(size_t i) const {
+    // Lane value = (prefix code << 52) | 52-bit mantissa; i64_
+    // dictionaries the distinct sign/exponent prefixes. Bit-level
+    // reconstruction, so NaN payloads and -0.0 survive.
+    uint64_t v = packed_.Get(i);
+    uint64_t bits =
+        (static_cast<uint64_t>(i64_[static_cast<size_t>(v >> 52)]) << 52) |
+        (v & ((uint64_t{1} << 52) - 1));
+    double d;
+    std::memcpy(&d, &bits, 8);
+    return d;
   }
   bool BoolAt(size_t i) const {
     switch (codec_) {
@@ -213,6 +215,14 @@ struct SegmentBuildOptions {
   int bloom_bits_per_key = 0;  // 0 disables the per-segment Bloom filter
 };
 
+/// Where a walk of one segment's key index stands (FindKey's cursor):
+/// keys [0, pos) are at or below `last`, the previous key searched.
+struct KeyCursor {
+  size_t pos = 0;
+  ViewKey last;
+  bool started = false;
+};
+
 /// Immutable sealed part of one view segment: keys sorted by (frame, obj)
 /// with prefix row offsets, one ColumnVec per value-schema field, and a
 /// zone map per column. Shared via shared_ptr so a probe can keep reading
@@ -283,11 +293,14 @@ struct ColumnarSegment {
     return n == 0 ? 0 : key_frame(n - 1);
   }
 
-  /// Index of (frame, obj) in the sorted key arrays, searching from
-  /// `hint` (a cursor from the previous probe of an ascending key batch);
-  /// returns npos when absent. Amortizes to O(1) for sorted probes.
+  /// Index of (frame, obj) in the sorted key arrays, or npos when absent.
+  /// With `cursor` (the previous search of this segment's key index), a
+  /// key above the previous one is searched from where that one ended,
+  /// galloping forward: one key-index entry read per key for dense
+  /// ascending probes. A repeated or backwards key restarts from the
+  /// front, as does a null cursor.
   static constexpr size_t npos = static_cast<size_t>(-1);
-  size_t FindKey(int64_t frame, int64_t obj, size_t* hint) const;
+  size_t FindKey(int64_t frame, int64_t obj, KeyCursor* cursor) const;
 
   /// Reconstructs the value row at flattened row index `r`.
   Row RowAt(int64_t r) const {

@@ -44,7 +44,7 @@ void AppendKeys(const Schema& schema, const SegmentCells& from, size_t begin,
 }  // namespace
 
 bool MaterializedView::ContainsLocked(const Segment& seg, const ViewKey& key,
-                                      size_t* cursor) const {
+                                      KeyCursor* cursor) const {
   if (TailHas(seg.tail, key)) return true;
   const ColumnarSegment* sealed = seg.sealed.get();
   if (sealed == nullptr) return false;
@@ -141,7 +141,7 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
     end = begin + 1;
     while (end < keys.size() && SegmentOf(keys[end].frame) == seg_id) ++end;
     Segment& seg = segments_[seg_id];
-    size_t cursor = 0;
+    KeyCursor cursor;
     put_rows_.clear();
     for (size_t k = begin; k < end; ++k) {
       const ViewKey& key = keys[k];
@@ -156,7 +156,7 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
         FlushPutRowsLocked(&seg, cols, remaps);
         SealSegmentLocked(&seg);
         sealed_here = true;
-        cursor = 0;
+        cursor = KeyCursor();
       }
       StartTailLocked(&seg);
       const uint64_t tick = next_tick();
@@ -168,23 +168,6 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
     }
     FlushPutRowsLocked(&seg, cols, remaps);
   }
-}
-
-bool MaterializedView::TouchedTailsLocked(const std::vector<ViewKey>& keys,
-                                          bool seal) const {
-  bool found = false;
-  int64_t cur = INT64_MIN;
-  for (const ViewKey& key : keys) {
-    const int64_t seg_id = SegmentOf(key.frame);
-    if (seg_id == cur) continue;
-    cur = seg_id;
-    auto it = segments_.find(seg_id);
-    if (it == segments_.end() || it->second.tail.keys.empty()) continue;
-    if (!seal) return true;
-    found = true;
-    SealSegmentLocked(&it->second);
-  }
-  return found;
 }
 
 SegmentCells MaterializedView::GatherLocked(
@@ -356,74 +339,94 @@ ViewCompressionStats MaterializedView::CompressionStats() const {
   return out;
 }
 
-void MaterializedView::ProbeBatchLocked(const std::vector<ViewKey>& keys,
-                                        const ZoneCheckFn& can_match,
-                                        ProbeResult* out) const {
-  int64_t cur = INT64_MIN;
-  bool first = true;
-  const std::shared_ptr<const ColumnarSegment>* seg_sp = nullptr;
-  const ColumnarSegment* seg = nullptr;
-  bool seg_admitted = true;
-  int32_t seg_slot = -1;  // out->segments index once this run is pinned
-  size_t cursor = 0;
-  for (const ViewKey& key : keys) {
-    int64_t seg_id = SegmentOf(key.frame);
-    if (first || seg_id != cur) {
-      first = false;
-      cur = seg_id;
-      cursor = 0;
-      seg_slot = -1;
-      auto it = segments_.find(seg_id);
-      seg_sp = it != segments_.end() ? &it->second.sealed : nullptr;
-      seg = seg_sp != nullptr ? seg_sp->get() : nullptr;
-      seg_admitted = true;
-      if (seg != nullptr && can_match != nullptr) {
-        ++out->segments_probed;
-        if (!can_match(*seg)) {
-          seg_admitted = false;
-          ++out->segments_skipped;
-        }
+void MaterializedView::ProbeRunLocked(const std::vector<ViewKey>& keys,
+                                      size_t begin, size_t end,
+                                      const Segment* seg,
+                                      const ZoneCheckFn& can_match,
+                                      ProbeResult* out) const {
+  const ColumnarSegment* sealed =
+      seg != nullptr ? seg->sealed.get() : nullptr;
+  if (sealed == nullptr) {
+    out->outcomes.resize(out->outcomes.size() + (end - begin));  // kMiss
+    return;
+  }
+  bool admitted = true;
+  if (can_match != nullptr) {
+    ++out->segments_probed;
+    if (!can_match(*sealed)) {
+      admitted = false;
+      ++out->segments_skipped;
+    }
+  }
+  const bool bloom = sealed->bloom.enabled();
+  KeyCursor cursor;
+  int32_t slot = -1;  // out->segments index once the run's snapshot is pinned
+  size_t last = ColumnarSegment::npos;  // key index of the previous hit
+  int32_t last_end = 0;                 // and the end of its rows
+  for (size_t k = begin; k < end; ++k) {
+    const ViewKey& key = keys[k];
+    ProbeOutcome& outcome = out->outcomes.emplace_back();
+    // Bloom short-circuit: a negative proves the key absent, so the
+    // key-index walk skips it. The outcome is identical to a failed
+    // search (kMiss) — only the cost differs.
+    if (bloom && !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
+      ++out->bloom_negatives;
+      continue;
+    }
+    const size_t idx = sealed->FindKey(key.frame, key.obj, &cursor);
+    if (bloom) {
+      if (idx == ColumnarSegment::npos) {
+        ++out->bloom_fps;
+      } else {
+        ++out->bloom_hits;
       }
     }
-    ProbeOutcome outcome;
-    if (seg != nullptr) {
-      // Bloom short-circuit: a negative proves the key absent, so the
-      // key-index search is skipped entirely. The outcome is identical to
-      // a failed FindKey (kMiss) — only the cost differs.
-      if (seg->bloom.enabled() &&
-          !seg->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
-        ++out->bloom_negatives;
-        out->outcomes.push_back(outcome);
-        continue;
-      }
-      size_t idx = seg->FindKey(key.frame, key.obj, &cursor);
-      if (seg->bloom.enabled()) {
-        if (idx == ColumnarSegment::npos) {
-          ++out->bloom_fps;
-        } else {
-          ++out->bloom_hits;
-        }
-      }
-      if (idx != ColumnarSegment::npos) {
-        int32_t begin = seg->row_begin_at(idx);
-        int32_t end = seg->row_begin_at(idx + 1);
-        outcome.rows_count = end - begin;
-        if (seg_admitted) {
-          outcome.status = ProbeStatus::kHit;
-          // Pin the snapshot once per run, on its first hit; the caller
-          // reads rows in place (zero-copy) after the lock is released.
-          if (seg_slot < 0) {
-            seg_slot = static_cast<int32_t>(out->segments.size());
-            out->segments.push_back(*seg_sp);
-          }
-          outcome.seg_index = seg_slot;
-          outcome.rows_begin = begin;
-        } else {
-          outcome.status = ProbeStatus::kHitSkipped;
-        }
-      }
+    if (idx == ColumnarSegment::npos) continue;
+    // Consecutive hits share a row offset: one key-index read per hit.
+    const int32_t rows_begin =
+        last != ColumnarSegment::npos && idx == last + 1
+            ? last_end
+            : sealed->row_begin_at(idx);
+    last = idx;
+    last_end = sealed->row_begin_at(idx + 1);
+    outcome.rows_count = last_end - rows_begin;
+    if (!admitted) {
+      outcome.status = ProbeStatus::kHitSkipped;
+      continue;
     }
-    out->outcomes.push_back(outcome);
+    outcome.status = ProbeStatus::kHit;
+    // Pin the snapshot once per run, on its first hit; the caller reads
+    // rows in place (zero-copy) after the lock is released.
+    if (slot < 0) {
+      slot = static_cast<int32_t>(out->segments.size());
+      out->segments.push_back(seg->sealed);
+    }
+    outcome.seg_index = slot;
+    outcome.rows_begin = rows_begin;
+  }
+}
+
+bool MaterializedView::RunSegmentsLocked(const std::vector<ProbeRun>& runs,
+                                         std::vector<Segment*>* segs) const {
+  segs->clear();
+  bool tail = false;
+  for (const ProbeRun& run : runs) {
+    auto it = segments_.find(run.segment_id);
+    Segment* seg = it != segments_.end() ? &it->second : nullptr;
+    if (seg != nullptr && !seg->tail.keys.empty()) tail = true;
+    segs->push_back(seg);
+  }
+  return tail;
+}
+
+void MaterializedView::ProbeRunsLocked(const std::vector<ViewKey>& keys,
+                                       const std::vector<Segment*>& segs,
+                                       const ZoneCheckFn& can_match,
+                                       ProbeResult* out) const {
+  size_t begin = 0;
+  for (size_t r = 0; r < segs.size(); ++r) {
+    ProbeRunLocked(keys, begin, out->runs[r].end, segs[r], can_match, out);
+    begin = out->runs[r].end;
   }
 }
 
@@ -432,26 +435,43 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
                                   ProbeResult* out) const {
   out->Clear();
   out->outcomes.reserve(keys.size());
+  // Runs: one floor division per run, then frame-range compares.
+  for (size_t begin = 0, end = 0; begin < keys.size(); begin = end) {
+    const int64_t seg_id = SegmentOf(keys[begin].frame);
+    const int64_t lo = seg_id * segment_frames_;
+    const int64_t hi = lo + segment_frames_;
+    end = begin + 1;
+    while (end < keys.size() && keys[end].frame >= lo &&
+           keys[end].frame < hi) {
+      ++end;
+    }
+    out->runs.push_back({seg_id, static_cast<uint32_t>(end)});
+  }
+  std::vector<Segment*> segs;  // each run's segment, null where none
+  segs.reserve(out->runs.size());
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    if (!TouchedTailsLocked(keys, /*seal=*/false)) {
-      ProbeBatchLocked(keys, can_match, out);
+    if (!RunSegmentsLocked(out->runs, &segs)) {
+      ProbeRunsLocked(keys, segs, can_match, out);
       return;
     }
   }
-  // A touched segment has a tail: reseal it under the exclusive lock,
-  // then serve from there.
+  // A touched segment has a tail: look the runs' segments up again under
+  // the exclusive lock, reseal each that has a tail, then serve.
   std::unique_lock<std::shared_mutex> lock(mu_);
-  TouchedTailsLocked(keys, /*seal=*/true);
-  ProbeBatchLocked(keys, can_match, out);
+  RunSegmentsLocked(out->runs, &segs);
+  for (Segment* seg : segs) {
+    if (seg != nullptr && !seg->tail.keys.empty()) SealSegmentLocked(seg);
+  }
+  ProbeRunsLocked(keys, segs, can_match, out);
 }
 
 void MaterializedView::RecordAccess(
-    const std::vector<std::pair<int64_t, uint64_t>>& frame_ticks,
+    const std::vector<std::pair<int64_t, uint64_t>>& segment_ticks,
     int64_t query_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [frame, tick] : frame_ticks) {
-    auto it = segments_.find(SegmentOf(frame));
+  for (const auto& [seg_id, tick] : segment_ticks) {
+    auto it = segments_.find(seg_id);
     if (it == segments_.end()) continue;
     it->second.info.last_access_tick = tick;
     it->second.info.last_access_query = query_id;

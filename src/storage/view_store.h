@@ -65,6 +65,13 @@ struct ProbeOutcome {
   int32_t rows_count = 0;  // stored row count (kHit and kHitSkipped)
 };
 
+/// One run of a ProbeBatch: consecutive probe keys in one segment's frame
+/// range, outcomes [previous run's end, end).
+struct ProbeRun {
+  int64_t segment_id = 0;
+  uint32_t end = 0;
+};
+
 /// Result of one batch probe. Zero-copy: hits reference rows inside pinned
 /// ColumnarSegment snapshots rather than materialized copies — the caller
 /// reads cells via segment(oc).cols[c].At(row) (or RowAt). The pins keep
@@ -74,6 +81,7 @@ struct ProbeOutcome {
 /// (Clear keeps capacity).
 struct ProbeResult {
   std::vector<ProbeOutcome> outcomes;  // parallel to the probed keys
+  std::vector<ProbeRun> runs;          // in key order, covering outcomes
   /// Snapshots of the segments the batch hit, pinned for the caller.
   std::vector<std::shared_ptr<const ColumnarSegment>> segments;
   int64_t segments_probed = 0;   // distinct segment runs zone-checked
@@ -91,6 +99,7 @@ struct ProbeResult {
 
   void Clear() {
     outcomes.clear();
+    runs.clear();
     segments.clear();
     segments_probed = 0;
     segments_skipped = 0;
@@ -180,15 +189,16 @@ class MaterializedView {
   /// the key's segment plus its tail's keys.
   bool Contains(const ViewKey& key) const;
 
-  /// Batch probe over the sealed segments: one lock acquisition for the
-  /// whole batch, a cursor-assisted search per key over the frame-sorted
-  /// segment arrays (O(1) per key for ascending batches), and zero-copy
-  /// results referencing pinned segment snapshots (see ProbeResult).
-  /// Seals every touched segment that has a tail first (exclusive lock).
-  /// When `can_match` is non-null it is consulted once per segment run; a
-  /// rejected segment's hits come back kHitSkipped with no row references.
-  /// Keys should be frame-ascending for the cursor to amortize, but any
-  /// order is correct.
+  /// Batch probe over the sealed segments, a segment run at a time: the
+  /// keys split into runs of consecutive keys in one segment's frame
+  /// range (ProbeResult::runs), and each run takes one segment lookup, one
+  /// reseal when the segment has a tail (exclusive lock), one `can_match`
+  /// call, and one merge walk of the sealed key index (FindKey with a
+  /// KeyCursor) behind a Bloom check per key. One shared lock for the
+  /// batch when no touched segment has a tail. Results are zero-copy references into pinned
+  /// segment snapshots (see ProbeResult); a run rejected by `can_match`
+  /// answers its hits kHitSkipped with no row references. Keys should be
+  /// frame-ascending for the walk to amortize, but any order is correct.
   void ProbeBatch(const std::vector<ViewKey>& keys,
                   const ZoneCheckFn& can_match, ProbeResult* out) const;
 
@@ -220,10 +230,11 @@ class MaterializedView {
                 PutRemaps* remaps, std::vector<uint8_t>* inserted);
 
   /// Refreshes the access stamps of the segments of a batch of probe hits
-  /// (ViewJoin), given as (frame, tick) in hit order, under one lock.
-  /// Frames whose segment holds no keys are skipped.
+  /// (ViewJoin), given in hit order as (segment id, tick of the last hit)
+  /// per ProbeRun with hits, under one lock: a segment keeps the tick of
+  /// its last entry. Segments that hold no keys are skipped.
   void RecordAccess(
-      const std::vector<std::pair<int64_t, uint64_t>>& frame_ticks,
+      const std::vector<std::pair<int64_t, uint64_t>>& segment_ticks,
       int64_t query_id);
 
   int64_t num_keys() const {
@@ -331,10 +342,10 @@ class MaterializedView {
   }
 
   /// The tail's keys, then Bloom filter, then the sealed key index
-  /// searched from `cursor` (ColumnarSegment::FindKey's hint; null
-  /// searches it all). Caller holds mu_ (any mode).
+  /// searched from `cursor` (ColumnarSegment::FindKey's; null searches it
+  /// all). Caller holds mu_ (any mode).
   bool ContainsLocked(const Segment& seg, const ViewKey& key,
-                      size_t* cursor = nullptr) const;
+                      KeyCursor* cursor = nullptr) const;
   /// Opens `seg`'s tail if it has none. Caller holds mu_ exclusively.
   void StartTailLocked(Segment* seg);
   /// Records key `key` of `rows` rows at the end of the tail; the caller
@@ -346,9 +357,6 @@ class MaterializedView {
   /// and clears put_rows_. Caller holds mu_ exclusively.
   void FlushPutRowsLocked(Segment* seg, std::span<const ColumnVec* const> cols,
                           PutRemaps* remaps);
-  /// Whether a segment touched by `keys` has an open tail; with `seal`
-  /// (exclusive lock) reseals every such segment. Caller holds mu_.
-  bool TouchedTailsLocked(const std::vector<ViewKey>& keys, bool seal) const;
   /// Cells of `refs` (ascending keys of `seg`) in seal order. Caller
   /// holds mu_.
   SegmentCells GatherLocked(const Segment& seg,
@@ -363,10 +371,22 @@ class MaterializedView {
   /// on and the segment has no tail, the synthetic §5.2 formula otherwise
   /// (identical to the pre-codec accounting). Caller holds mu_.
   double SegmentBytesLocked(const Segment& seg) const;
-  /// Serves the batch; every touched segment must have no tail. Caller
-  /// holds mu_ (any mode).
-  void ProbeBatchLocked(const std::vector<ViewKey>& keys,
-                        const ZoneCheckFn& can_match, ProbeResult* out) const;
+  /// Looks up the segment of each of `runs` into *segs (null where no
+  /// segment holds the run's range); returns whether one of them has an
+  /// open tail. Caller holds mu_ (any mode).
+  bool RunSegmentsLocked(const std::vector<ProbeRun>& runs,
+                         std::vector<Segment*>* segs) const;
+  /// Serves the runs of out->runs from their segments `segs`, none of
+  /// which has a tail. Caller holds mu_ (any mode).
+  void ProbeRunsLocked(const std::vector<ViewKey>& keys,
+                       const std::vector<Segment*>& segs,
+                       const ZoneCheckFn& can_match, ProbeResult* out) const;
+  /// Appends the outcomes of keys [begin, end), one run in `seg`'s frame
+  /// range, to `out`. `seg` is null when no segment holds the range, and
+  /// has no tail otherwise. Caller holds mu_ (any mode).
+  void ProbeRunLocked(const std::vector<ViewKey>& keys, size_t begin,
+                      size_t end, const Segment* seg,
+                      const ZoneCheckFn& can_match, ProbeResult* out) const;
 
   std::string name_;
   Schema value_schema_;
@@ -420,7 +440,7 @@ class ViewStore {
   }
 
   /// Monotone tick for segment access stamps. Incremented only from
-  /// driver-thread call sites (ViewJoin probe loop, StoreOp flush), so the
+  /// driver-thread call sites (ViewJoin hits, StoreOp flush), so the
   /// sequence is deterministic.
   uint64_t NextAccessTick() { return ++segment_clock_; }
   /// Current reading of the access clock without advancing it (eviction

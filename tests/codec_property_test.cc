@@ -1259,6 +1259,163 @@ TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
   }
 }
 
+// Range (AppendFrom) and index-list (AppendGather) appends read each
+// source codec through its own loop; cell by cell they must give the
+// source's At(). Sources cover every (encoding, codec) pair the seal can
+// produce, with and without NULLs, and the lists are ascending (dense and
+// sparse, walking and jumping RLE runs), descending, repeated and
+// shuffled.
+TEST(CodecResealTest, RangeAndIndexAppendsMatchAtForEveryCodec) {
+  Lcg rng(0xC0DEC5);
+  auto pick = [&rng](uint64_t k) { return (rng.Next() >> 33) % k; };
+  constexpr int kRows = 400;
+  // Cell i of a source of `kind` (0-9): which codec the seal picks.
+  auto cell = [&](int kind, int i) -> Value {
+    switch (kind) {
+      case 0:  // Int64 full range: plain
+        return Value(static_cast<int64_t>(rng.Next()));
+      case 1:  // Int64 narrow: FOR
+        return Value(static_cast<int64_t>(pick(50)) - 7);
+      case 2:  // Int64 runs: RLE
+        return Value(int64_t{i / 37});
+      case 3:  // Int64 few far-apart values: numeric dictionary
+        return Value(static_cast<int64_t>(pick(3)) * (INT64_MAX / 4));
+      case 4: {  // Double over every exponent: plain
+        const uint64_t bits = rng.Next();
+        double d;
+        std::memcpy(&d, &bits, 8);
+        return Value(d);
+      }
+      case 5:  // Double runs, -0.0 included: RLE
+        return Value(i < 150 ? -0.0 : 0.25 * static_cast<double>(i / 50));
+      case 6:  // few doubles: numeric dictionary
+        return Value(0.5 * static_cast<double>(pick(5)));
+      case 7:  // entropy doubles: prefix dictionary
+        return Value(rng.NextDouble());
+      case 8:  // bools: bit-packed
+        return Value(pick(2) == 0);
+      case 9:  // bool runs: RLE
+        return Value((i / 45) % 2 == 0);
+      case 10:  // strings: bit-packed codes
+        return Value("s" + std::to_string(pick(9)));
+      default:  // string runs: RLE codes
+        return Value(i / 80 % 2 == 0 ? "car" : "bus");
+    }
+  };
+  const DataType kind_type[] = {
+      DataType::kInt64,  DataType::kInt64,  DataType::kInt64,
+      DataType::kInt64,  DataType::kDouble, DataType::kDouble,
+      DataType::kDouble, DataType::kDouble, DataType::kBool,
+      DataType::kBool,   DataType::kString, DataType::kString};
+  std::vector<ColumnVec> sources;
+  std::set<std::pair<int, int>> covered;  // (encoding, codec)
+  for (int kind = 0; kind < 12; ++kind) {
+    for (const bool nulls : {false, true}) {
+      TailLane lane(kind_type[kind]);
+      for (int i = 0; i < kRows; ++i) {
+        const Value v = cell(kind, i);
+        lane.Append(nulls && pick(7) == 0 ? Value::Null() : v);
+      }
+      ZoneMapEntry zone;
+      ColumnVec plain = std::move(lane).Seal(&zone);
+      ColumnVec packed = plain;
+      CompressColumn(&packed);
+      for (const ColumnVec* c : {&plain, &packed}) {
+        covered.insert({static_cast<int>(c->enc()),
+                        static_cast<int>(c->codec())});
+      }
+      sources.push_back(std::move(plain));
+      sources.push_back(std::move(packed));
+    }
+  }
+  using Enc = ColumnVec::Enc;
+  using Codec = ColumnVec::Codec;
+  auto pair = [](Enc e, Codec c) {
+    return std::make_pair(static_cast<int>(e), static_cast<int>(c));
+  };
+  const std::set<std::pair<int, int>> every = {
+      pair(Enc::kInt64, Codec::kPlain),    pair(Enc::kInt64, Codec::kFor),
+      pair(Enc::kInt64, Codec::kRle),      pair(Enc::kInt64, Codec::kDictNum),
+      pair(Enc::kDouble, Codec::kPlain),   pair(Enc::kDouble, Codec::kRle),
+      pair(Enc::kDouble, Codec::kDictNum), pair(Enc::kDouble, Codec::kExpPack),
+      pair(Enc::kBool, Codec::kPlain),     pair(Enc::kBool, Codec::kBitPack),
+      pair(Enc::kBool, Codec::kRle),       pair(Enc::kDict, Codec::kPlain),
+      pair(Enc::kDict, Codec::kBitPack),   pair(Enc::kDict, Codec::kRle)};
+  EXPECT_EQ(covered, every);
+
+  // Appends `rows` of `src` to a fresh lane, `AppendFrom` when they are
+  // one range, and checks each appended cell against src.At.
+  auto check = [](const ColumnVec& src, const std::vector<uint32_t>& rows,
+                  bool as_range) {
+    const auto type = [&src] {
+      switch (src.enc()) {
+        case Enc::kInt64:
+          return DataType::kInt64;
+        case Enc::kDouble:
+          return DataType::kDouble;
+        case Enc::kBool:
+          return DataType::kBool;
+        default:
+          return DataType::kString;
+      }
+    }();
+    TailLane lane(type);
+    std::vector<int32_t> remap;
+    if (as_range) {
+      lane.AppendFrom(src, rows.front(), rows.back() + 1, &remap);
+    } else {
+      lane.AppendGather(src, rows.data(), rows.size(), &remap);
+    }
+    ASSERT_EQ(lane.lane().size(), rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      ASSERT_TRUE(SameValue(lane.lane().At(k), src.At(rows[k])))
+          << "codec " << ColumnVec::CodecName(src.codec()) << " row "
+          << rows[k] << " (list position " << k << ")";
+    }
+  };
+  for (const ColumnVec& src : sources) {
+    SCOPED_TRACE(std::string("codec ") + ColumnVec::CodecName(src.codec()) +
+                 " enc " + std::to_string(static_cast<int>(src.enc())));
+    for (int trial = 0; trial < 20; ++trial) {
+      // A range [b, e).
+      const auto b = static_cast<uint32_t>(pick(kRows));
+      const auto e = b + 1 + static_cast<uint32_t>(pick(kRows - b));
+      std::vector<uint32_t> range(e - b);
+      std::iota(range.begin(), range.end(), b);
+      check(src, range, /*as_range=*/true);
+      // Index lists.
+      std::vector<uint32_t> rows;
+      switch (trial % 5) {
+        case 0:  // dense ascending
+          rows = range;
+          break;
+        case 1:  // sparse ascending: jumps across several runs
+          for (uint32_t r = static_cast<uint32_t>(pick(30)); r < kRows;
+               r += 1 + static_cast<uint32_t>(pick(120))) {
+            rows.push_back(r);
+          }
+          break;
+        case 2:  // descending
+          rows.assign(range.rbegin(), range.rend());
+          break;
+        case 3:  // repeated
+          for (int i = 0; i < 30; ++i) {
+            const auto r = static_cast<uint32_t>(pick(kRows));
+            rows.insert(rows.end(), 1 + pick(3), r);
+          }
+          break;
+        default:  // shuffled
+          for (int i = 0; i < 60; ++i) {
+            rows.push_back(static_cast<uint32_t>(pick(kRows)));
+          }
+          break;
+      }
+      check(src, rows, /*as_range=*/false);
+      if (HasFailure()) return;
+    }
+  }
+}
+
 // STORE's PutBatch against PutRows, one key at a time (each key's rows
 // appended to fresh lanes value by value), of the same rows: the
 // inserted flags, access ticks, segment stamps, captured

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -381,6 +382,55 @@ TEST(EngineTest, PredicateAndSelectShapesArePinned) {
     const std::string got = r.ok() ? r.value().batch.ToString(1 << 20)
                                    : r.status().ToString();
     EXPECT_EQ(got, c.want) << c.sql;
+  }
+}
+
+// A view join stamps each segment once per run of hits, and takes one
+// clock tick per hit: the stamps and the clock after a reused query
+// crossing several segments equal those of stamping every hit in probe
+// order (hit k of the query takes tick before + k, and a segment keeps its
+// last hit's tick).
+TEST(EngineTest, ViewJoinStampsMatchPerHitStamping) {
+  EngineOptions options;
+  options.optimizer.mode = ReuseMode::kEva;
+  options.segment_frames = 64;
+  auto made = vbench::MakeEngine(options, TinyVideo());
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto engine = made.MoveValue();
+  const char* const kQuery =
+      "SELECT id, obj, label FROM tiny CROSS APPLY FasterRCNNResNet50(frame) "
+      "WHERE id >= %d AND id < %d AND label = 'car';";
+  auto run = [&](int lo, int hi) {
+    char sql[256];
+    std::snprintf(sql, sizeof(sql), kQuery, lo, hi);
+    auto r = engine->Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  };
+  auto stamps = [&] {
+    std::map<int64_t, uint64_t> out;
+    const storage::MaterializedView* view =
+        engine->views().Find("FasterRCNNResNet50@tiny");
+    EXPECT_NE(view, nullptr);
+    if (view == nullptr) return out;
+    for (const storage::SegmentStats& seg : view->Segments()) {
+      out[seg.segment_id] = seg.info.last_access_tick;
+    }
+    return out;
+  };
+  run(0, 300);  // materializes frames [0, 300): segments 0-4
+  for (const auto& [lo, hi] : {std::pair{30, 290}, std::pair{100, 200},
+                               std::pair{0, 300}}) {
+    SCOPED_TRACE("frames [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + ")");
+    std::map<int64_t, uint64_t> want = stamps();
+    const uint64_t before = engine->views().current_tick();
+    run(lo, hi);  // every frame a hit, one key per frame, in frame order
+    for (int64_t f = lo; f < hi; ++f) {
+      want[f / 64] = before + static_cast<uint64_t>(f - lo + 1);
+    }
+    EXPECT_EQ(engine->views().current_tick(),
+              before + static_cast<uint64_t>(hi - lo));
+    EXPECT_EQ(stamps(), want);
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "engine/eva_engine.h"
 #include "vbench/vbench.h"
+#include "view_test_util.h"
 
 namespace eva::lifecycle {
 namespace {
@@ -236,6 +237,145 @@ TEST(LifecycleTest, ClearReuseStateResetsLifecycle) {
   auto r = engine->Execute(kDetectorQuery);
   ASSERT_TRUE(r.ok());
   EXPECT_LE(engine->views().TotalSizeBytes(), 1.0);
+}
+
+// The eviction loop EnforceBudget replaced: every round rescores every
+// remaining segment and evicts the lowest (score, view, segment id).
+std::vector<EvictionEvent> ReferenceEnforce(storage::ViewStore* views,
+                                            const catalog::Catalog& catalog,
+                                            const EvictionPolicy& policy,
+                                            double budget,
+                                            const ScoreContext& ctx) {
+  std::vector<EvictionEvent> events;
+  views->SealAllSegments();
+  double total = views->TotalSizeBytes();
+  while (total > budget) {
+    bool found = false;
+    SegmentCandidate victim;
+    double victim_score = 0;
+    for (const auto& [name, view] : views->views()) {
+      auto def = catalog.GetUdf(name.substr(0, name.find('@')));
+      for (const storage::SegmentStats& seg : view->Segments()) {
+        SegmentCandidate cand;
+        cand.view = name;
+        cand.seg = seg;
+        cand.cost_e_ms = def.ok() ? def.value().cost_ms : 0;
+        const double score = policy.Score(cand, ctx);
+        if (!found || score < victim_score ||
+            (score == victim_score &&
+             (cand.view < victim.view ||
+              (cand.view == victim.view &&
+               cand.seg.segment_id < victim.seg.segment_id)))) {
+          found = true;
+          victim = cand;
+          victim_score = score;
+        }
+      }
+    }
+    if (!found) break;
+    const storage::EvictedSegment ev =
+        views->Find(victim.view)->EvictSegment(victim.seg.segment_id);
+    if (ev.keys == 0 && ev.rows == 0) break;
+    events.push_back({victim.view, victim.seg.segment_id, ev.first_frame,
+                      ev.frame_end, ev.keys, ev.rows, ev.bytes});
+    total -= ev.bytes;
+  }
+  return events;
+}
+
+// Fills `views` with three views of random segments whose access and
+// creation ticks tie often (LRU and FIFO ties across views and segments),
+// then moves the clock past them. Deterministic in `seed`.
+void FillStore(storage::ViewStore* views, uint64_t seed) {
+  views->set_segment_frames(16);
+  views->set_build_options({true, 10});
+  const Schema schema({{"label", DataType::kString},
+                       {"score", DataType::kDouble}});
+  uint64_t state = seed;
+  auto pick = [&state](uint64_t k) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % k;
+  };
+  for (const char* name :
+       {"CarType@v", "ColorDetector@v", "FasterRCNNResNet50@v"}) {
+    storage::MaterializedView* view = views->GetOrCreate(name, schema);
+    for (int k = 0; k < 120; ++k) {
+      const storage::ViewKey key{static_cast<int64_t>(pick(200)), -1};
+      std::vector<Row> rows;
+      for (uint64_t r = pick(4); r > 0; --r) {
+        rows.push_back({Value(pick(2) == 0 ? "car" : "bus"),
+                        Value(0.125 * static_cast<double>(pick(40)))});
+      }
+      storage::PutRows(view, key, rows, /*tick=*/10 * (1 + pick(6)),
+                       /*query_id=*/static_cast<int64_t>(pick(3)));
+    }
+  }
+  views->AdvanceAccessTick(100);
+}
+
+// EnforceBudget scores each segment once and evicts in ascending (score,
+// view, segment id) order: the same victims, events and evicted bytes as
+// rescoring every segment before each eviction, for every policy.
+TEST(LifecycleTest, EnforceBudgetMatchesRescoringLoop) {
+  catalog::Catalog catalog;
+  for (const auto& [name, cost] :
+       {std::pair{"CarType", 4.0}, std::pair{"ColorDetector", 2.5},
+        std::pair{"FasterRCNNResNet50", 40.0}}) {
+    catalog::UdfDef def;
+    def.name = name;
+    def.cost_ms = cost;
+    ASSERT_TRUE(catalog.AddUdf(def).ok());
+  }
+  int64_t evictions = 0;
+  for (const EvictionPolicyKind kind :
+       {EvictionPolicyKind::kCostBenefit, EvictionPolicyKind::kLru,
+        EvictionPolicyKind::kFifo}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      for (const double fraction : {0.1, 0.5, 0.9}) {
+        SCOPED_TRACE(std::string(EvictionPolicyName(kind)) + " seed " +
+                     std::to_string(seed) + " budget " +
+                     std::to_string(fraction));
+        storage::ViewStore live, reference;
+        FillStore(&live, seed);
+        FillStore(&reference, seed);
+        live.SealAllSegments();
+        const double budget = fraction * live.TotalSizeBytes();
+
+        udf::UdfManager manager;
+        LifecycleOptions options;
+        options.storage_budget_bytes = budget;
+        options.policy = kind;
+        ViewLifecycleManager lifecycle(options, &live, &manager, &catalog);
+        const std::vector<EvictionEvent> got = lifecycle.EnforceBudget(7);
+
+        // The first call calibrates a query's tick volume to the clock.
+        ScoreContext ctx;
+        ctx.current_query = 7;
+        ctx.current_tick = reference.current_tick();
+        ctx.ticks_per_query = reference.current_tick();
+        const std::vector<EvictionEvent> want = ReferenceEnforce(
+            &reference, catalog, *MakeEvictionPolicy(kind), budget, ctx);
+
+        ASSERT_EQ(got.size(), want.size());
+        double want_bytes = 0;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].view, want[i].view) << i;
+          EXPECT_EQ(got[i].segment_id, want[i].segment_id) << i;
+          EXPECT_EQ(got[i].first_frame, want[i].first_frame) << i;
+          EXPECT_EQ(got[i].frame_end, want[i].frame_end) << i;
+          EXPECT_EQ(got[i].keys, want[i].keys) << i;
+          EXPECT_EQ(got[i].rows, want[i].rows) << i;
+          EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+          want_bytes += want[i].bytes;
+        }
+        EXPECT_EQ(lifecycle.evictions(), static_cast<int64_t>(want.size()));
+        EXPECT_EQ(lifecycle.evicted_bytes(), want_bytes);
+        EXPECT_EQ(live.TotalSizeBytes(), reference.TotalSizeBytes());
+        evictions += static_cast<int64_t>(got.size());
+      }
+    }
+  }
+  EXPECT_GT(evictions, 100);
 }
 
 }  // namespace

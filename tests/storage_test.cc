@@ -108,7 +108,7 @@ TEST(ColumnarSegmentTest, FindKeyFindsARepeatedKey) {
     auto seg = BuildColumnarSegment(std::move(cells),
                                     {compress, compress ? 10 : 0});
     ASSERT_EQ(seg->packed_keys, compress);
-    size_t hint = 0;
+    KeyCursor hint;
     EXPECT_EQ(seg->FindKey(3, -1, &hint), 3u);
     EXPECT_EQ(seg->FindKey(3, -1, &hint), 3u);
     EXPECT_EQ(seg->FindKey(3, -1, nullptr), 3u);

@@ -3,6 +3,7 @@
 // store in exactly the state a serial run produces, and registry lookups
 // must hand every thread the same view object.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -225,6 +226,108 @@ TEST(ViewStoreConcurrencyTest, ProbesDuringCompressedSealStayExact) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(view.num_keys(), kKeys);
+}
+
+// Puts `keys` with their deterministic payloads in one PutBatch.
+void PutKeys(MaterializedView* view, const std::vector<ViewKey>& keys) {
+  std::vector<TailLane> lanes = LanesFor(view->value_schema());
+  std::vector<uint32_t> key_rows{0};
+  for (const ViewKey& key : keys) {
+    const std::vector<Row> rows = RowsForKey(key.frame);
+    for (const Row& row : rows) {
+      for (size_t c = 0; c < lanes.size(); ++c) lanes[c].Append(row[c]);
+    }
+    key_rows.push_back(key_rows.back() + static_cast<uint32_t>(rows.size()));
+  }
+  std::vector<uint32_t> rows(key_rows.back());
+  for (uint32_t r = 0; r < rows.size(); ++r) rows[r] = r;
+  PutRemaps remaps;
+  std::vector<uint8_t> inserted;
+  view->PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes),
+                 [] { return uint64_t{0}; }, -1, &remaps, &inserted);
+}
+
+// Run-at-a-time probes over many segments racing multi-segment PutBatches
+// (some in descending key order, which reseal mid-batch) and a resealer:
+// ascending, backwards and repeated probe batches each walk a dozen
+// segments' key indexes while their tails grow and their sealed parts are
+// swapped. Every hit reads its key's exact payload, the runs cover the
+// outcomes, and a key once seen present stays present.
+TEST(ViewStoreConcurrencyTest, MultiSegmentProbeWalksRacePutsAndReseals) {
+  MaterializedView view("v", TestSchema());
+  view.set_segment_frames(32);
+  view.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  constexpr int64_t kFrames = 768;  // 24 segments
+  std::atomic<int> writers_left{2};
+  std::atomic<int64_t> errors{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      // Batches of 40 frames striding over a dozen segments; odd batches
+      // go in descending order.
+      for (int64_t start = w; start < 48; start += 2) {
+        std::vector<ViewKey> keys;
+        for (int64_t f = start; f < kFrames; f += 48) keys.push_back({f, -1});
+        if (start % 4 >= 2) std::reverse(keys.begin(), keys.end());
+        PutKeys(&view, keys);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) view.SealAllSegments();
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<uint8_t> seen(kFrames, 0);
+      ProbeResult res;
+      // The last round starts after the writers finished and probes
+      // every frame.
+      bool last = false;
+      for (int round = 0; !last; ++round) {
+        last = writers_left.load() == 0;
+        const int64_t stride = last ? 1 : 1 + (round + r) % 3;
+        std::vector<ViewKey> probes;
+        for (int64_t f = 0; f < kFrames; f += stride) {
+          probes.push_back({f, -1});
+          if (round % 4 == 3) probes.push_back({f, -1});  // repeated
+        }
+        if (round % 2 == 1) std::reverse(probes.begin(), probes.end());
+        view.ProbeBatch(probes, nullptr, &res);
+        if (res.outcomes.size() != probes.size() || res.runs.empty() ||
+            res.runs.back().end != probes.size()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < probes.size(); ++i) {
+          const ProbeOutcome& oc = res.outcomes[i];
+          const auto f = static_cast<size_t>(probes[i].frame);
+          if (oc.status == ProbeStatus::kMiss) {
+            if (seen[f] != 0) errors.fetch_add(1);
+            continue;
+          }
+          seen[f] = 1;
+          const std::vector<Row> want = RowsForKey(probes[i].frame);
+          if (oc.rows_count != static_cast<int32_t>(want.size())) {
+            errors.fetch_add(1);
+            continue;
+          }
+          for (int32_t j = 0; j < oc.rows_count; ++j) {
+            const Row got = res.segment(oc).RowAt(oc.rows_begin + j);
+            if (got[0] != want[j][0] || got[1] != want[j][1]) {
+              errors.fetch_add(1);
+            }
+          }
+        }
+      }
+      for (int64_t f = 0; f < kFrames; ++f) {
+        if (seen[static_cast<size_t>(f)] == 0) errors.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(view.num_keys(), kFrames);
 }
 
 }  // namespace
