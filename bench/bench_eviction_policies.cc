@@ -10,19 +10,61 @@
 // set, so the bench self-calibrates across videos.
 //
 // Output: a table on stdout and a JSON dump to argv[1] (default
-// "BENCH_eviction.json").
+// "BENCH_eviction.json"). --quick prints the one-line gate JSON and exits
+// 1 (with "FAIL quick ... fingerprint" on stderr) when a policy's eviction
+// sequence, as (view, segment, bytes) per eviction, differs from the one
+// recorded below.
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "lifecycle/view_lifecycle.h"
+#include "obs/event_log.h"
 
 using namespace eva;  // NOLINT
 
 namespace {
+
+// FNV-1a fingerprints of the --quick run's eviction sequences, per policy
+// in the order RunQuick runs them.
+constexpr uint64_t kQuickEvictionFingerprints[] = {
+    0x7c63e0735757e8b1ULL,  // cost-benefit
+    0xbbaa86c4f7559d1eULL,  // lru
+    0x3926eb2b54e8d670ULL,  // fifo
+};
+
+// FNV-1a over the view, segment id and bytes of every view_eviction record
+// of the event log at `path`, in log order.
+uint64_t EvictionFingerprint(const std::string& path) {
+  uint64_t h = 1469598103934665603ULL;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"type\":\"view_eviction\"") == std::string::npos) {
+      continue;
+    }
+    for (const char* key : {"\"view\":", "\"segment_id\":", "\"bytes\":"}) {
+      const size_t at = line.find(key);
+      const size_t begin =
+          at == std::string::npos ? line.size() : at + std::strlen(key);
+      const size_t end = std::min(line.find_first_of(",}", begin), line.size());
+      for (const char c : line.substr(begin, end - begin) + "|") {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
 
 struct RunStats {
   double hit_pct = 0;
@@ -35,16 +77,30 @@ struct RunStats {
 };
 
 // Runs the workload one query at a time so the peak footprint (and the
-// budget invariant) is observable between queries.
+// budget invariant) is observable between queries. With `evictions_fp`,
+// the evictions also go to an event log whose EvictionFingerprint it
+// receives.
 RunStats RunBudgeted(const catalog::VideoInfo& video,
                      const std::vector<std::string>& queries,
-                     double budget_bytes, const std::string& policy) {
+                     double budget_bytes, const std::string& policy,
+                     uint64_t* evictions_fp = nullptr) {
   engine::EngineOptions options;
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.storage_budget_bytes = budget_bytes;
   options.eviction_policy = policy;
   auto engine =
       bench::Unwrap(vbench::MakeEngine(options, video), "engine");
+  obs::EventLog log;
+  const std::string log_path =
+      (std::filesystem::temp_directory_path() /
+       ("eva_bench_evictions_" + std::to_string(getpid()) + ".jsonl"))
+          .string();
+  if (evictions_fp != nullptr) {
+    std::filesystem::remove(log_path);
+    if (log.Open(log_path, /*max_bytes=*/0)) {
+      engine->lifecycle()->set_event_log(&log);
+    }
+  }
   RunStats stats;
   int64_t invocations = 0, reused = 0;
   for (const std::string& sql : queries) {
@@ -65,6 +121,12 @@ RunStats RunBudgeted(const catalog::VideoInfo& video,
                             static_cast<double>(invocations);
   stats.evictions = engine->lifecycle()->evictions();
   stats.evicted_bytes = engine->lifecycle()->evicted_bytes();
+  if (evictions_fp != nullptr) {
+    engine->lifecycle()->set_event_log(nullptr);
+    log.Close();
+    *evictions_fp = EvictionFingerprint(log_path);
+    std::filesystem::remove(log_path);
+  }
   return stats;
 }
 
@@ -100,8 +162,21 @@ int RunQuick() {
                 "\"sim_total_ms\":%.6f,\"hit_pct\":%.2f}",
                 unbounded.sim_ms, unbounded.hit_pct);
   out += buf;
-  for (const char* policy : {"cost-benefit", "lru", "fifo"}) {
-    RunStats s = RunBudgeted(video, queries, budget, policy);
+  bool ok = true;
+  const char* const policies[] = {"cost-benefit", "lru", "fifo"};
+  for (size_t p = 0; p < 3; ++p) {
+    const char* policy = policies[p];
+    uint64_t fp = 0;
+    RunStats s = RunBudgeted(video, queries, budget, policy, &fp);
+    if (fp != kQuickEvictionFingerprints[p]) {
+      std::fprintf(stderr,
+                   "FAIL quick %s eviction fingerprint %016llx != recorded "
+                   "%016llx\n",
+                   policy, static_cast<unsigned long long>(fp),
+                   static_cast<unsigned long long>(
+                       kQuickEvictionFingerprints[p]));
+      ok = false;
+    }
     std::snprintf(buf, sizeof(buf),
                   ",{\"name\":\"eviction_policies/%s\","
                   "\"sim_total_ms\":%.6f,\"hit_pct\":%.2f,"
@@ -114,7 +189,7 @@ int RunQuick() {
   out += "]}";
   profile.Finish();
   std::printf("%s\n", out.c_str());
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

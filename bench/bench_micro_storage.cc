@@ -1,19 +1,22 @@
 // Microbenchmarks (google-benchmark) for the storage substrate: view
 // presence/append throughput (the STORE operator's inner loop), the
 // columnar batch-probe path, the reseal of a segment with an open tail,
-// the filter evaluators over an execution chunk, and synthetic-video
-// generation/statistics costs.
+// the seal and the seal plan of a detector segment, the filter evaluators
+// over an execution chunk, and synthetic-video generation/statistics
+// costs.
 //
 // Two entry modes (custom main below):
 //   default       google-benchmark CLI (--benchmark_filter=..., etc.)
-//   --quick       fixed-iteration wall-clock run of the probe/reseal/filter
-//                 benches, p50/p95 JSON on stdout — the CI perf-smoke
+//   --quick       fixed-iteration wall-clock run of the probe/reseal/seal/
+//                 filter benches, p50/p95 JSON on stdout — the CI perf-smoke
 //                 job's artifact (see .github/workflows/ci.yml).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "bench_util.h"
 #include "exec/vector_filter.h"
@@ -38,6 +41,8 @@ using eva::storage::ColumnVec;
 using eva::storage::MaterializedView;
 using eva::storage::ProbeResult;
 using eva::storage::PutRows;
+using eva::storage::SegmentBuildOptions;
+using eva::storage::SegmentCells;
 using eva::storage::ViewKey;
 
 constexpr int64_t kProbeViewFrames = 20000;
@@ -251,6 +256,63 @@ void BM_ViewReseal(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewReseal);
 
+// Seal and seal plan of one detector segment (the --quick `seal_detector`
+// and `plan_detector` entries): kDetectorRows rows of (obj, label, area,
+// score) under one key per frame, 1 to 16 detections per frame; labels
+// repeat, areas and scores do not. Reported per segment.
+constexpr int64_t kDetectorRows = 4000;
+constexpr int kPlanRounds = 10;  // plans per --quick sample
+const SegmentBuildOptions kSealOptions{/*compress=*/true,
+                                       /*bloom_bits_per_key=*/10};
+
+SegmentCells DetectorCells() {
+  static const char* const kLabels[] = {"car", "bus", "person", "truck"};
+  SegmentCells cells;
+  cells.cols = eva::storage::LanesFor(DetSchema());
+  uint64_t h = 0x5EA1;
+  auto next = [&h] {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    return h;
+  };
+  int32_t rows = 0;
+  for (int64_t frame = 0; rows < kDetectorRows; ++frame) {
+    const int64_t objs = std::min<int64_t>(
+        1 + static_cast<int64_t>(next() >> 60), kDetectorRows - rows);
+    for (int64_t obj = 0; obj < objs; ++obj) {
+      const double u = static_cast<double>(next() >> 11) * 0x1.0p-53;
+      cells.cols[0].AppendInt64(obj);
+      cells.cols[1].AppendString(kLabels[(h >> 8) % 4]);
+      cells.cols[2].AppendDouble(0.01 + 0.3 * u);
+      cells.cols[3].AppendDouble(0.5 + 0.5 * (1 - u * u));
+    }
+    rows += static_cast<int32_t>(objs);
+    cells.keys.push_back(ViewKey{frame, -1});
+    cells.row_begin.push_back(rows);
+  }
+  return cells;
+}
+
+void BM_SealDetector(benchmark::State& state) {
+  const SegmentCells cells = DetectorCells();
+  for (auto _ : state) {
+    state.PauseTiming();
+    SegmentCells input = cells;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        eva::storage::BuildColumnarSegment(std::move(input), kSealOptions));
+  }
+}
+BENCHMARK(BM_SealDetector);
+
+void BM_PlanDetector(benchmark::State& state) {
+  const SegmentCells cells = DetectorCells();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        eva::storage::PlanSegmentBytes(cells, kSealOptions));
+  }
+}
+BENCHMARK(BM_PlanDetector);
+
 ExprPtr FilterBenchPredicate() {
   // label = 'car' AND area > 0.2 — the shape every vbench query carries.
   return Expr::And(
@@ -394,6 +456,22 @@ int RunQuick() {
     ResealTails(reseal_views[next_reseal_view++].get());
   };
 
+  // One copy of the detector cells per seal sample, made before the clock
+  // runs (a seal consumes its cells).
+  const SegmentCells detector = DetectorCells();
+  std::vector<SegmentCells> seal_inputs(kWarmup + kSamples, detector);
+  size_t next_seal_input = 0;
+  auto seal_detector = [&] {
+    benchmark::DoNotOptimize(eva::storage::BuildColumnarSegment(
+        std::move(seal_inputs[next_seal_input++]), kSealOptions));
+  };
+  auto plan_detector = [&] {
+    for (int i = 0; i < kPlanRounds; ++i) {
+      benchmark::DoNotOptimize(
+          eva::storage::PlanSegmentBytes(detector, kSealOptions));
+    }
+  };
+
   Chunk chunk = FilterBenchChunk();
   ExprPtr pred = FilterBenchPredicate();
   const FilterProgram program = FilterProgram::Compile(*pred, chunk.schema());
@@ -437,6 +515,14 @@ int RunQuick() {
   out += eva::bench::WallStatsJson(
       "view_reseal", eva::bench::MeasureWall(view_reseal, kWarmup, kSamples,
                                              kResealTails));
+  out += ',';
+  out += eva::bench::WallStatsJson(
+      "seal_detector",
+      eva::bench::MeasureWall(seal_detector, kWarmup, kSamples, 1));
+  out += ',';
+  out += eva::bench::WallStatsJson(
+      "plan_detector", eva::bench::MeasureWall(plan_detector, kWarmup,
+                                               kSamples, kPlanRounds));
   out += ',';
   out += eva::bench::WallStatsJson(
       "filter_vectorized", eva::bench::MeasureWall(filter_vectorized, kWarmup,

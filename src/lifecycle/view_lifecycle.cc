@@ -110,20 +110,27 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
 
   if (options_.storage_budget_bytes <= 0) return events;
 
-  // Seal every stale segment first: a segment is charged at its encoded
-  // size only once sealed, so sealing here makes the byte totals — and
-  // therefore the eviction decisions — a function of the store's contents
-  // alone, not of which segments happened to be probed (and lazily sealed)
-  // by earlier queries.
-  views_->SealAllSegments();
-
+  // Plan, rank, evict, then seal the survivors. Every stale segment is
+  // charged the exact bytes its seal will encode, so the byte totals (and
+  // therefore the eviction decisions) are a function of the store's
+  // contents alone, not of which segments earlier probes happened to seal,
+  // and no evicted segment is encoded.
+  views_->PlanStaleSegments();
   ScoreContext ctx;
   ctx.current_query = query_id;
   ctx.current_tick = now;
   ctx.ticks_per_query = ticks_per_query_ > 0 ? ticks_per_query_ : 1;
+  EvictToBudget(ctx, &events);
+  // The survivors' seals reuse their plans; the store ends sealed.
+  views_->SealAllSegments();
+  return events;
+}
 
+void ViewLifecycleManager::EvictToBudget(const ScoreContext& ctx,
+                                         std::vector<EvictionEvent>* events) {
+  const int64_t query_id = ctx.current_query;
   double total = views_->TotalSizeBytes();
-  if (total <= options_.storage_budget_bytes) return events;
+  if (total <= options_.storage_budget_bytes) return;
   // Score every segment once: an eviction changes no other segment's
   // stats, so the victims are the lowest scores in ascending order. Ties
   // break on (view name, segment id) so eviction order is deterministic.
@@ -156,8 +163,11 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
     const SegmentCandidate& victim = next.cand;
     storage::MaterializedView* view = views_->Find(victim.view);
     if (view == nullptr) break;
-    storage::EvictedSegment ev = view->EvictSegment(victim.seg.segment_id);
+    const storage::EvictedSegment ev =
+        view->EvictSegment(victim.seg.segment_id);
     if (ev.keys == 0 && ev.rows == 0) break;  // defensive: avoid spinning
+    // Charged as ranked: nothing changed the segment since.
+    const double bytes = victim.seg.bytes;
 
     // Symbolic coverage retraction: p_u ← p_u ∧ ¬p_v for the evicted
     // frame range, so the optimizer's p∩/p– splits recompute these
@@ -177,7 +187,7 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
                              .Int("frame_end", ev.frame_end)
                              .Int("keys", ev.keys)
                              .Int("rows", ev.rows)
-                             .Num("bytes", ev.bytes)
+                             .Num("bytes", bytes)
                              .Str("policy", policy_name()));
       event_log_->Append(
           obs::Event("coverage_retraction")
@@ -196,12 +206,12 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
     event.frame_end = ev.frame_end;
     event.keys = ev.keys;
     event.rows = ev.rows;
-    event.bytes = ev.bytes;
-    events.push_back(event);
+    event.bytes = bytes;
+    events->push_back(event);
 
     ++evictions_;
-    evicted_bytes_ += ev.bytes;
-    total -= ev.bytes;
+    evicted_bytes_ += bytes;
+    total -= bytes;
 
     if (obs_ != nullptr) {
       obs::Labels labels{{"policy", policy_name()}};
@@ -213,18 +223,17 @@ std::vector<EvictionEvent> ViewLifecycleManager::EnforceBudget(
       if (auto* c = obs_->GetCounter(
               "eva_lifecycle_evicted_bytes_total",
               "Bytes reclaimed by segment eviction.", labels)) {
-        c->Increment(ev.bytes);
+        c->Increment(bytes);
       }
     }
   }
-  if (obs_ != nullptr && !events.empty()) {
+  if (obs_ != nullptr && !events->empty()) {
     if (auto* g = obs_->GetGauge(
             "eva_lifecycle_budget_bytes",
             "Configured storage budget for the view store (0 = unbounded).")) {
       g->Set(options_.storage_budget_bytes);
     }
   }
-  return events;
 }
 
 void ViewLifecycleManager::Reset() {

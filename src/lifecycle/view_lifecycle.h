@@ -162,6 +162,11 @@ class ViewLifecycleManager {
   /// re-requested later in the session.
   double ReuseFraction(const std::string& udf_key) const;
 
+  /// Scores every segment once and evicts the lowest-scored until the
+  /// store fits the budget, appending the evictions to `events`.
+  void EvictToBudget(const ScoreContext& ctx,
+                     std::vector<EvictionEvent>* events);
+
   LifecycleOptions options_;
   storage::ViewStore* views_;
   udf::UdfManager* manager_;

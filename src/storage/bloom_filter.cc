@@ -4,15 +4,8 @@ namespace eva::storage {
 
 void BloomFilter::Build(const std::vector<uint64_t>& hashes,
                         int bits_per_key) {
-  blocks_.clear();
-  if (hashes.empty() || bits_per_key <= 0) return;
-  // Round the bit budget up to whole 256-bit blocks; at least one block so
-  // tiny segments still get the miss fast path.
-  uint64_t bits = static_cast<uint64_t>(hashes.size()) *
-                  static_cast<uint64_t>(bits_per_key);
-  size_t blocks = static_cast<size_t>((bits + 255) / 256);
-  if (blocks == 0) blocks = 1;
-  blocks_.assign(blocks, Block{});
+  // At least one block, so tiny segments still get the miss fast path.
+  blocks_.assign(NumBlocks(hashes.size(), bits_per_key), Block{});
   for (uint64_t h : hashes) Insert(h);
 }
 

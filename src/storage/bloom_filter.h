@@ -1,6 +1,7 @@
 #ifndef EVA_STORAGE_BLOOM_FILTER_H_
 #define EVA_STORAGE_BLOOM_FILTER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,6 +36,15 @@ class BloomFilter {
   /// every hash. An empty key set or bits_per_key <= 0 leaves the filter
   /// disabled (MayContain returns true: behave as if absent).
   void Build(const std::vector<uint64_t>& hashes, int bits_per_key);
+
+  /// Blocks Build allocates for `num_keys` keys at `bits_per_key`: the bit
+  /// budget rounded up to whole blocks, at least one (0 when disabled).
+  static size_t NumBlocks(size_t num_keys, int bits_per_key) {
+    if (num_keys == 0 || bits_per_key <= 0) return 0;
+    const uint64_t bits = static_cast<uint64_t>(num_keys) *
+                          static_cast<uint64_t>(bits_per_key);
+    return std::max<size_t>(static_cast<size_t>((bits + 255) / 256), 1);
+  }
 
   void Insert(uint64_t hash) {
     if (blocks_.empty()) return;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <type_traits>
 
 namespace eva::storage {
@@ -19,6 +20,9 @@ constexpr double kDoubleExactLimit = 4503599627370496.0;  // 2^52
 // Numeric dictionaries stop being considered past this distinct count.
 constexpr size_t kMaxNumDictCardinality = 4096;
 
+// The cost of a codec that is not a candidate.
+constexpr size_t kNoCost = ~size_t{0};
+
 void SetNullBit(std::vector<uint64_t>* bits, size_t i) {
   (*bits)[i >> 6] |= uint64_t{1} << (i & 63);
 }
@@ -27,6 +31,12 @@ uint64_t DoubleBits(double d) {
   uint64_t b;
   std::memcpy(&b, &d, 8);
   return b;
+}
+
+double BitsDouble(uint64_t b) {
+  double d;
+  std::memcpy(&d, &b, 8);
+  return d;
 }
 
 // Effective lane for codec selection: null rows carry the previous
@@ -55,24 +65,49 @@ std::vector<T> EffectiveLane(const ColumnVec& col, size_t n, GetFn get) {
   return eff;
 }
 
-template <typename T>
-size_t CountRuns(const std::vector<T>& v) {
-  if (v.empty()) return 0;
-  size_t runs = 1;
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (!(v[i] == v[i - 1])) ++runs;
-  }
-  return runs;
+// Calls fn(eff), where eff(i) reads row i of the column's effective lane:
+// the lane itself when the column has no NULLs, EffectiveLane's copy when
+// it has some.
+template <typename T, typename GetFn, typename Fn>
+void WithEffectiveLane(const ColumnVec& col, GetFn get, Fn fn) {
+  if (col.null_bits_.empty()) return fn(get);
+  const std::vector<T> eff = EffectiveLane<T>(col, col.n_, get);
+  fn([p = eff.data()](size_t i) { return p[i]; });
 }
 
-template <typename T>
-void BuildRuns(const std::vector<T>& v, std::vector<T>* values,
+// The effective lane of a column of each encoding, as its codecs compare
+// it: Int64 cells, Double bit patterns (codecs compare and rebuild bits,
+// so -0.0 and NaN payloads survive), Bool bytes, dictionary codes.
+template <typename Fn>
+void WithEffectiveInt64(const ColumnVec& col, Fn fn) {
+  WithEffectiveLane<int64_t>(
+      col, [p = col.i64_.data()](size_t i) { return p[i]; }, fn);
+}
+template <typename Fn>
+void WithEffectiveBits(const ColumnVec& col, Fn fn) {
+  WithEffectiveLane<uint64_t>(
+      col, [p = col.f64_.data()](size_t i) { return DoubleBits(p[i]); }, fn);
+}
+template <typename Fn>
+void WithEffectiveBools(const ColumnVec& col, Fn fn) {
+  WithEffectiveLane<uint8_t>(
+      col, [p = col.b8_.data()](size_t i) { return p[i]; }, fn);
+}
+template <typename Fn>
+void WithEffectiveCodes(const ColumnVec& col, Fn fn) {
+  WithEffectiveLane<int32_t>(
+      col, [p = col.codes_.data()](size_t i) { return p[i]; }, fn);
+}
+
+template <typename T, typename Eff>
+void BuildRuns(Eff eff, size_t n, std::vector<T>* values,
                std::vector<uint32_t>* ends) {
   values->clear();
   ends->clear();
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i == 0 || !(v[i] == v[i - 1])) {
-      values->push_back(v[i]);
+  for (size_t i = 0; i < n; ++i) {
+    const T v = static_cast<T>(eff(i));
+    if (i == 0 || !(v == values->back())) {
+      values->push_back(v);
       ends->push_back(static_cast<uint32_t>(i + 1));
     } else {
       ends->back() = static_cast<uint32_t>(i + 1);
@@ -87,24 +122,44 @@ size_t NumDictCost(size_t n, size_t distinct) {
              n, BitPackedVec::WidthFor(distinct == 0 ? 0 : distinct - 1));
 }
 
-// First-occurrence dictionary over an integer-comparable lane, found
-// through an open-addressing table of dictionary positions. Returns false
-// once the cardinality cap is passed, or once the dictionary's byte cost
-// reaches `give_up`: the cost only grows with the dictionary, so from then
-// on the codec cannot win.
-template <typename T>
-bool BuildNumDict(const std::vector<T>& v, size_t give_up,
-                  std::vector<T>* dict, std::vector<uint64_t>* indexes) {
+// The fewest distinct values at which a numeric dictionary over n rows
+// stops being a candidate: past the cardinality cap, or once its cost
+// reaches `give_up` (the cheapest codec it must beat), from where it
+// cannot win. NumDictCost never falls as the count grows, so bisection
+// finds it.
+size_t DictGiveUpCount(size_t n, size_t give_up) {
+  size_t lo = 1, hi = kMaxNumDictCardinality + 1;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (NumDictCost(n, mid) >= give_up) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+// First-occurrence dictionary of the lane eff(0..n), found through an
+// open-addressing table of dictionary positions; with `indexes`, also
+// every row's position. Returns false once the dictionary reaches `limit`
+// values.
+template <typename T, typename Eff>
+bool BuildNumDict(Eff eff, size_t n, size_t limit, std::vector<T>* dict,
+                  std::vector<uint64_t>* indexes) {
   dict->clear();
-  indexes->clear();
-  indexes->reserve(v.size());
-  // At most half full: the table never holds more than cap + 1 values.
-  const size_t max_distinct = std::min(v.size(), kMaxNumDictCardinality + 1);
+  if (indexes != nullptr) {
+    indexes->clear();
+    indexes->reserve(n);
+  }
+  // At most half full: the table never holds more than `limit` values.
+  const size_t max_distinct = std::min(n, limit);
   int bits = 4;
   while ((size_t{1} << bits) < 2 * max_distinct) ++bits;
   const size_t mask = (size_t{1} << bits) - 1;
   std::vector<int32_t> slots(mask + 1, -1);
-  for (const T& x : v) {
+  for (size_t i = 0; i < n; ++i) {
+    const T x = eff(i);
     size_t h = static_cast<size_t>(
         (static_cast<uint64_t>(x) * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
     while (slots[h] >= 0 && (*dict)[static_cast<size_t>(slots[h])] != x) {
@@ -113,14 +168,361 @@ bool BuildNumDict(const std::vector<T>& v, size_t give_up,
     if (slots[h] < 0) {
       slots[h] = static_cast<int32_t>(dict->size());
       dict->push_back(x);
-      if (dict->size() > kMaxNumDictCardinality ||
-          NumDictCost(v.size(), dict->size()) >= give_up) {
-        return false;
-      }
+      if (dict->size() >= limit) return false;
     }
-    indexes->push_back(static_cast<uint64_t>(slots[h]));
+    if (indexes != nullptr) {
+      indexes->push_back(static_cast<uint64_t>(slots[h]));
+    }
   }
   return true;
+}
+
+// Whether the lane eff(0..n) holds at least `limit` distinct values, as
+// shown by a bitmap of hashed values: its set bits never outnumber the
+// distinct values, so true is exact, while false only means the bitmap
+// did not show it. Stops once the count reaches `limit`. The bitmap has
+// about 16 bits per value counted, at most 4 KB, so its count stays close
+// to the distinct count.
+template <typename Eff>
+bool HashedCountReaches(Eff eff, size_t n, size_t limit) {
+  if (limit > n) return false;
+  constexpr int kMaxBits = 15;
+  int bits = 6;
+  while (bits < kMaxBits && (size_t{1} << bits) < 16 * limit) ++bits;
+  uint64_t words[(size_t{1} << kMaxBits) / 64];
+  std::fill(words, words + (size_t{1} << bits) / 64, 0);
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t h =
+        (static_cast<uint64_t>(eff(i)) * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
+    uint64_t& word = words[h >> 6];
+    const uint64_t bit = uint64_t{1} << (h & 63);
+    if ((word & bit) != 0) continue;
+    word |= bit;
+    if (++count >= limit) return true;
+  }
+  return false;
+}
+
+// NumDictCost of the lane's dictionary, or kNoCost when the dictionary is
+// no candidate (DictGiveUpCount). A lane whose hash bitmap reaches the
+// give-up count reaches it in distinct values too, so it is ruled out
+// without building a dictionary.
+template <typename T, typename Eff>
+size_t DictCost(Eff eff, size_t n, size_t give_up) {
+  const size_t limit = DictGiveUpCount(n, give_up);
+  if (HashedCountReaches(eff, n, limit)) return kNoCost;
+  std::vector<T> dict;
+  if (!BuildNumDict<T>(eff, n, limit, &dict, nullptr)) return kNoCost;
+  return NumDictCost(n, dict.size());
+}
+
+struct Candidate {
+  ColumnVec::Codec codec;
+  size_t cost;
+};
+
+// The first candidate of least cost: candidates come in Codec order, so a
+// tie goes to the earlier codec.
+Candidate Cheapest(std::initializer_list<Candidate> candidates) {
+  Candidate best = *candidates.begin();
+  for (const Candidate& c : candidates) {
+    if (c.cost < best.cost) best = c;
+  }
+  return best;
+}
+
+// The codec choices over the effective lane eff(0..n), n > 0, of each
+// encoding. One pass counts the runs and, for numeric lanes, the FOR range
+// or the sign/exponent prefixes, none of which changes inside a run. The
+// dictionary's cost is then bounded (DictCost) before it is tried.
+template <typename Eff>
+Candidate PlanInt64(Eff eff, size_t n) {
+  using Codec = ColumnVec::Codec;
+  int64_t prev = eff(0), mn = prev, mx = prev;
+  size_t runs = 1;
+  for (size_t i = 1; i < n; ++i) {
+    const int64_t v = eff(i);
+    if (v == prev) continue;
+    ++runs;
+    mn = std::min(mn, v);
+    mx = std::max(mx, v);
+    prev = v;
+  }
+  const size_t cost_plain = 8 * n;
+  const size_t cost_for =
+      BitPackedVec::PackedBytes(
+          n, BitPackedVec::WidthFor(static_cast<uint64_t>(mx) -
+                                    static_cast<uint64_t>(mn))) +
+      8;
+  const size_t cost_rle = runs * 12;  // 8 B value + 4 B run end
+  // The dictionary must beat all three: ties go to the earlier codec.
+  const size_t cost_dict =
+      DictCost<int64_t>(eff, n, std::min({cost_plain, cost_for, cost_rle}));
+  return Cheapest({{Codec::kPlain, cost_plain},
+                   {Codec::kFor, cost_for},
+                   {Codec::kRle, cost_rle},
+                   {Codec::kDictNum, cost_dict}});
+}
+
+template <typename Eff>
+Candidate PlanDouble(Eff eff, size_t n) {
+  using Codec = ColumnVec::Codec;
+  // Sign/exponent prefix dictionary + packed 52-bit mantissas: the codec
+  // of last resort for high-entropy doubles (detector areas and scores),
+  // whose 12-bit prefix takes a handful of values while the mantissa is
+  // incompressible. A bitset over the 4096 prefixes counts them.
+  uint64_t prefixes[4096 / 64] = {};
+  auto add_prefix = [&prefixes](uint64_t bits) {
+    prefixes[bits >> 58] |= uint64_t{1} << ((bits >> 52) & 63);
+  };
+  uint64_t prev = eff(0);
+  size_t runs = 1;
+  add_prefix(prev);
+  for (size_t i = 1; i < n; ++i) {
+    const uint64_t v = eff(i);
+    if (v == prev) continue;
+    ++runs;
+    add_prefix(v);
+    prev = v;
+  }
+  size_t num_prefixes = 0;
+  for (uint64_t word : prefixes) num_prefixes += std::popcount(word);
+  const size_t cost_plain = 8 * n;
+  const size_t cost_rle = runs * 12;
+  const size_t cost_exp =
+      num_prefixes * 8 +
+      BitPackedVec::PackedBytes(
+          n, 52 + BitPackedVec::WidthFor(num_prefixes - 1));
+  // The value dictionary must beat plain and RLE, and at most tie the
+  // prefix dictionary.
+  const size_t cost_dict = DictCost<uint64_t>(
+      eff, n, std::min({cost_plain, cost_rle, cost_exp + 1}));
+  return Cheapest({{Codec::kPlain, cost_plain},
+                   {Codec::kRle, cost_rle},
+                   {Codec::kDictNum, cost_dict},
+                   {Codec::kExpPack, cost_exp}});
+}
+
+template <typename Eff>
+size_t CountRuns(Eff eff, size_t n) {
+  size_t runs = 1;
+  for (size_t i = 1; i < n; ++i) runs += eff(i) != eff(i - 1) ? 1 : 0;
+  return runs;
+}
+
+// Packs eff(0..n) through `value` at `width` bits.
+template <typename Eff, typename ValueFn>
+void PackLane(Eff eff, size_t n, int width, ValueFn value,
+              BitPackedVec* out) {
+  std::vector<uint64_t> lane(n);
+  for (size_t i = 0; i < n; ++i) lane[i] = value(eff(i));
+  out->Pack(lane, width);
+}
+
+// `*lane` = values, at capacity.
+template <typename T>
+void ReplaceLane(std::vector<T>* lane, std::vector<T> values) {
+  *lane = std::move(values);
+  lane->shrink_to_fit();
+}
+
+std::vector<double> AsDoubles(const std::vector<uint64_t>& bits) {
+  std::vector<double> out(bits.size());
+  for (size_t i = 0; i < bits.size(); ++i) out[i] = BitsDouble(bits[i]);
+  return out;
+}
+
+// Encoders of a non-empty plain column `col` of each encoding, whose
+// effective lane is eff, under `codec`; false when the codec does not
+// apply. Every read of eff comes before the first write to `col` (eff may
+// read the column's own lane).
+template <typename Eff>
+bool EncodeInt64(ColumnVec::Codec codec, Eff eff, ColumnVec* col) {
+  const size_t n = col->n_;
+  switch (codec) {
+    case ColumnVec::Codec::kFor: {
+      int64_t mn = eff(0), mx = mn;
+      for (size_t i = 1; i < n; ++i) {
+        mn = std::min(mn, eff(i));
+        mx = std::max(mx, eff(i));
+      }
+      const uint64_t base = static_cast<uint64_t>(mn);
+      PackLane(eff, n,
+               BitPackedVec::WidthFor(static_cast<uint64_t>(mx) - base),
+               [base](int64_t v) { return static_cast<uint64_t>(v) - base; },
+               &col->packed_);
+      col->for_base_ = mn;
+      ReplaceLane(&col->i64_, {});
+      return true;
+    }
+    case ColumnVec::Codec::kRle: {
+      std::vector<int64_t> runs;
+      BuildRuns<int64_t>(eff, n, &runs, &col->rle_end_);
+      ReplaceLane(&col->i64_, std::move(runs));
+      return true;
+    }
+    case ColumnVec::Codec::kDictNum: {
+      std::vector<int64_t> dict;
+      std::vector<uint64_t> idx;
+      BuildNumDict<int64_t>(eff, n, kMaxNumDictCardinality + 1, &dict, &idx);
+      col->packed_.Pack(idx, BitPackedVec::WidthFor(dict.size() - 1));
+      ReplaceLane(&col->i64_, std::move(dict));
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+template <typename Eff>
+bool EncodeDouble(ColumnVec::Codec codec, Eff eff, ColumnVec* col) {
+  const size_t n = col->n_;
+  switch (codec) {
+    case ColumnVec::Codec::kRle: {
+      std::vector<uint64_t> runs;
+      BuildRuns<uint64_t>(eff, n, &runs, &col->rle_end_);
+      ReplaceLane(&col->f64_, AsDoubles(runs));
+      return true;
+    }
+    case ColumnVec::Codec::kDictNum: {
+      std::vector<uint64_t> dict;
+      std::vector<uint64_t> idx;
+      BuildNumDict<uint64_t>(eff, n, kMaxNumDictCardinality + 1, &dict,
+                             &idx);
+      col->packed_.Pack(idx, BitPackedVec::WidthFor(dict.size() - 1));
+      ReplaceLane(&col->f64_, AsDoubles(dict));
+      return true;
+    }
+    case ColumnVec::Codec::kExpPack: {
+      // Lane value = (prefix code << 52) | mantissa, with prefix codes in
+      // first-occurrence order. A code is read only once assigned, so the
+      // table needs no initialization beyond the `assigned` bitset.
+      constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
+      uint64_t assigned[4096 / 64] = {};
+      uint16_t code[4096];
+      std::vector<int64_t> exp_dict;
+      std::vector<uint64_t> lane(n);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t bits = eff(i);
+        const uint64_t p = bits >> 52;
+        if (((assigned[p >> 6] >> (p & 63)) & 1) == 0) {
+          assigned[p >> 6] |= uint64_t{1} << (p & 63);
+          code[p] = static_cast<uint16_t>(exp_dict.size());
+          exp_dict.push_back(static_cast<int64_t>(p));
+        }
+        lane[i] = (static_cast<uint64_t>(code[p]) << 52) | (bits & kMantissa);
+      }
+      col->packed_.Pack(lane,
+                        52 + BitPackedVec::WidthFor(exp_dict.size() - 1));
+      col->i64_.assign(exp_dict.begin(), exp_dict.end());
+      ReplaceLane(&col->f64_, {});
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+// Bool bytes and dictionary codes: bit-packed or run-length. `width` is
+// the bit-packing width.
+template <typename T, typename Eff>
+bool EncodeSmall(ColumnVec::Codec codec, Eff eff, int width,
+                 std::vector<T>* lane, ColumnVec* col) {
+  switch (codec) {
+    case ColumnVec::Codec::kBitPack:
+      PackLane(eff, col->n_, width,
+               [](T v) {
+                 if constexpr (std::is_same_v<T, uint8_t>) {
+                   return uint64_t{v != 0 ? 1u : 0u};  // a Bool packs 0/1
+                 }
+                 return static_cast<uint64_t>(v);
+               },
+               &col->packed_);
+      ReplaceLane(lane, {});
+      return true;
+    case ColumnVec::Codec::kRle: {
+      std::vector<T> runs;
+      BuildRuns<T>(eff, col->n_, &runs, &col->rle_end_);
+      ReplaceLane(lane, std::move(runs));
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+// The bytes of a column that no codec changes: the null bitmap and the
+// string dictionary.
+size_t CodecFreeBytes(const ColumnVec& col) {
+  size_t bytes = col.null_bits_.size() * 8;
+  for (const std::string& s : col.dict_) bytes += s.size();
+  return bytes;
+}
+
+// The bit-packed key index of ascending keys (compression on): FOR bases
+// and widths of the frame and obj lanes, and the row offsets as residuals
+// against the mean rows-per-key stride (prefix sums stay O(1) random
+// access). Views with exactly one row per key (every classifier output)
+// pack their offsets at width 0.
+struct KeyIndexLayout {
+  int64_t frame_base = 0;
+  int frame_width = 0;
+  int64_t obj_min = 0;
+  int64_t obj_max = 0;
+  int obj_width = 0;
+  int64_t row_stride = 0;
+  int64_t row_res_base = 0;
+  int row_width = 0;
+
+  // The packed lanes plus the frame/obj FOR bases and the row stride and
+  // residual base.
+  size_t Bytes(size_t nkeys) const {
+    return BitPackedVec::PackedBytes(nkeys, frame_width) +
+           BitPackedVec::PackedBytes(nkeys, obj_width) +
+           BitPackedVec::PackedBytes(nkeys + 1, row_width) + 32;
+  }
+};
+
+// The layout of a non-empty key index: `keys` ascending, `row_begin` its
+// keys.size() + 1 prefix row offsets.
+KeyIndexLayout LayOutKeys(const std::vector<ViewKey>& keys,
+                          const std::vector<int32_t>& row_begin) {
+  KeyIndexLayout out;
+  const size_t nkeys = keys.size();
+  out.frame_base = keys.front().frame;
+  out.frame_width = BitPackedVec::WidthFor(
+      static_cast<uint64_t>(keys.back().frame) -
+      static_cast<uint64_t>(out.frame_base));
+  out.obj_min = out.obj_max = keys.front().obj;
+  for (const ViewKey& key : keys) {
+    out.obj_min = std::min(out.obj_min, key.obj);
+    out.obj_max = std::max(out.obj_max, key.obj);
+  }
+  out.obj_width = BitPackedVec::WidthFor(static_cast<uint64_t>(out.obj_max) -
+                                         static_cast<uint64_t>(out.obj_min));
+  const int64_t n = static_cast<int64_t>(nkeys);
+  out.row_stride = (static_cast<int64_t>(row_begin[nkeys]) + n / 2) / n;
+  int64_t res_max = 0;
+  for (size_t i = 0; i <= nkeys; ++i) {
+    const int64_t res = static_cast<int64_t>(row_begin[i]) -
+                        out.row_stride * static_cast<int64_t>(i);
+    if (i == 0 || res < out.row_res_base) out.row_res_base = res;
+    if (i == 0 || res > res_max) res_max = res;
+  }
+  out.row_width =
+      BitPackedVec::WidthFor(static_cast<uint64_t>(res_max - out.row_res_base));
+  return out;
+}
+
+// Bytes of the key index of `keys` with prefix offsets `row_begin`: the
+// packed layout with compression on, 16 B/key + 4 B/offset without.
+size_t KeyIndexBytes(const std::vector<ViewKey>& keys,
+                     const std::vector<int32_t>& row_begin, bool compress) {
+  if (compress && !keys.empty()) {
+    return LayOutKeys(keys, row_begin).Bytes(keys.size());
+  }
+  return keys.size() * 16 + row_begin.size() * 4;
 }
 
 }  // namespace
@@ -232,209 +634,117 @@ size_t ColumnarSegment::FindKey(int64_t frame, int64_t obj,
   return npos;
 }
 
-void CompressColumn(ColumnVec* col) {
-  if (col->codec_ != ColumnVec::Codec::kPlain) return;  // already encoded
-  const size_t n = col->n_;
-  if (n == 0) return;
-
-  switch (col->enc_) {
-    case ColumnVec::Enc::kInt64: {
-      auto eff = EffectiveLane<int64_t>(
-          *col, n, [&](size_t i) { return col->i64_[i]; });
-      int64_t mn = eff[0], mx = eff[0];
-      for (int64_t v : eff) {
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-      uint64_t range = static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn);
-      int for_w = BitPackedVec::WidthFor(range);
-      size_t cost_plain = 8 * n;
-      size_t cost_for = BitPackedVec::PackedBytes(n, for_w) + 8;
-      size_t runs = CountRuns(eff);
-      size_t cost_rle = runs * 12;  // 8 B value + 4 B run end
-      // Ties go to the earlier codec, so the dictionary must beat all three.
-      std::vector<int64_t> dict;
-      std::vector<uint64_t> idx;
-      bool dict_ok = BuildNumDict(
-          eff, std::min({cost_plain, cost_for, cost_rle}), &dict, &idx);
-      int dict_w =
-          dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
-                  : 0;
-      size_t cost_dict = dict_ok ? NumDictCost(n, dict.size()) : ~size_t{0};
-      size_t best = std::min({cost_plain, cost_for, cost_rle, cost_dict});
-      if (best == cost_plain) return;
-      if (best == cost_for) {
-        std::vector<uint64_t> deltas(n);
-        for (size_t i = 0; i < n; ++i) {
-          deltas[i] = static_cast<uint64_t>(eff[i]) -
-                      static_cast<uint64_t>(mn);
-        }
-        col->packed_.Pack(deltas, for_w);
-        col->for_base_ = mn;
-        col->i64_.clear();
-        col->i64_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kFor;
-      } else if (best == cost_rle) {
-        std::vector<int64_t> run_vals;
-        BuildRuns(eff, &run_vals, &col->rle_end_);
-        col->i64_ = std::move(run_vals);
-        col->i64_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kRle;
-      } else {
-        col->packed_.Pack(idx, dict_w);
-        col->i64_ = std::move(dict);
-        col->i64_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kDictNum;
-      }
-      break;
-    }
-    case ColumnVec::Enc::kDouble: {
-      // Codec equality is over bit patterns so -0.0 / NaN payloads survive
-      // the round trip exactly.
-      auto eff = EffectiveLane<uint64_t>(
-          *col, n, [&](size_t i) { return DoubleBits(col->f64_[i]); });
-      size_t cost_plain = 8 * n;
-      size_t runs = CountRuns(eff);
-      size_t cost_rle = runs * 12;
-      // Sign/exponent prefix dictionary + packed 52-bit mantissas: the
-      // codec of last resort for high-entropy doubles (detector areas and
-      // scores), whose 12-bit prefix takes a handful of values while the
-      // mantissa is incompressible. At most 4096 distinct prefixes exist,
-      // so this dictionary never overflows and a direct table finds them.
-      std::vector<int32_t> prefix_code(4096, -1);
-      std::vector<uint64_t> exp_dict;
-      for (uint64_t bits : eff) {
-        int32_t& code = prefix_code[bits >> 52];
-        if (code < 0) {
-          code = static_cast<int32_t>(exp_dict.size());
-          exp_dict.push_back(bits >> 52);
-        }
-      }
-      int exp_w = 52 + BitPackedVec::WidthFor(
-                           exp_dict.empty() ? 0 : exp_dict.size() - 1);
-      size_t cost_exp =
-          exp_dict.size() * 8 + BitPackedVec::PackedBytes(n, exp_w);
-      // Ties go to the earlier codec: the value dictionary must beat plain
-      // and RLE, and at most tie the prefix dictionary.
-      std::vector<uint64_t> dict;
-      std::vector<uint64_t> idx;
-      bool dict_ok = BuildNumDict(
-          eff, std::min({cost_plain, cost_rle, cost_exp + 1}), &dict, &idx);
-      int dict_w =
-          dict_ok ? BitPackedVec::WidthFor(dict.empty() ? 0 : dict.size() - 1)
-                  : 0;
-      size_t cost_dict = dict_ok ? NumDictCost(n, dict.size()) : ~size_t{0};
-      size_t best = std::min({cost_plain, cost_rle, cost_dict, cost_exp});
-      if (best == cost_plain) return;
-      auto to_double = [](uint64_t b) {
-        double d;
-        std::memcpy(&d, &b, 8);
-        return d;
-      };
-      if (best == cost_rle) {
-        std::vector<uint64_t> run_vals;
-        BuildRuns(eff, &run_vals, &col->rle_end_);
-        col->f64_.clear();
-        col->f64_.reserve(run_vals.size());
-        for (uint64_t b : run_vals) col->f64_.push_back(to_double(b));
-        col->f64_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kRle;
-      } else if (best == cost_dict) {
-        col->packed_.Pack(idx, dict_w);
-        col->f64_.clear();
-        col->f64_.reserve(dict.size());
-        for (uint64_t b : dict) col->f64_.push_back(to_double(b));
-        col->f64_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kDictNum;
-      } else {
-        constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
-        std::vector<uint64_t> lane(n);
-        for (size_t i = 0; i < n; ++i) {
-          lane[i] = (static_cast<uint64_t>(prefix_code[eff[i] >> 52]) << 52) |
-                    (eff[i] & kMantissa);
-        }
-        col->packed_.Pack(lane, exp_w);
-        col->i64_.assign(exp_dict.begin(), exp_dict.end());
-        col->f64_.clear();
-        col->f64_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kExpPack;
-      }
-      break;
-    }
-    case ColumnVec::Enc::kBool: {
-      auto eff = EffectiveLane<uint8_t>(
-          *col, n, [&](size_t i) { return col->b8_[i]; });
-      size_t cost_plain = n;
-      size_t cost_pack = BitPackedVec::PackedBytes(n, 1);
-      size_t runs = CountRuns(eff);
-      size_t cost_rle = runs * 5;
-      size_t best = std::min({cost_plain, cost_pack, cost_rle});
-      if (best == cost_plain) return;
-      if (best == cost_pack) {
-        std::vector<uint64_t> bits(n);
-        for (size_t i = 0; i < n; ++i) bits[i] = eff[i] ? 1 : 0;
-        col->packed_.Pack(bits, 1);
-        col->b8_.clear();
-        col->b8_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kBitPack;
-      } else {
-        std::vector<uint8_t> run_vals;
-        BuildRuns(eff, &run_vals, &col->rle_end_);
-        col->b8_ = std::move(run_vals);
-        col->b8_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kRle;
-      }
-      break;
-    }
-    case ColumnVec::Enc::kDict: {
-      auto eff = EffectiveLane<int32_t>(
-          *col, n, [&](size_t i) { return col->codes_[i]; });
-      size_t cost_plain = 4 * n;
-      int pack_w = BitPackedVec::WidthFor(
-          col->dict_.empty() ? 0 : col->dict_.size() - 1);
-      size_t cost_pack = BitPackedVec::PackedBytes(n, pack_w);
-      size_t runs = CountRuns(eff);
-      size_t cost_rle = runs * 8;  // 4 B code + 4 B run end
-      size_t best = std::min({cost_plain, cost_pack, cost_rle});
-      if (best == cost_plain) return;
-      if (best == cost_pack) {
-        std::vector<uint64_t> idx(n);
-        for (size_t i = 0; i < n; ++i) {
-          idx[i] = static_cast<uint64_t>(eff[i]);
-        }
-        col->packed_.Pack(idx, pack_w);
-        col->codes_.clear();
-        col->codes_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kBitPack;
-      } else {
-        std::vector<int32_t> run_vals;
-        BuildRuns(eff, &run_vals, &col->rle_end_);
-        col->codes_ = std::move(run_vals);
-        col->codes_.shrink_to_fit();
-        col->codec_ = ColumnVec::Codec::kRle;
-      }
-      break;
-    }
+ColumnPlan PlanColumn(const ColumnVec& col) {
+  const size_t n = col.n_;
+  if (col.codec_ != ColumnVec::Codec::kPlain || n == 0) {
+    return {col.codec_, col.EncodedBytes()};
   }
+  Candidate best{};
+  switch (col.enc_) {
+    case ColumnVec::Enc::kInt64:
+      WithEffectiveInt64(col, [&](auto eff) { best = PlanInt64(eff, n); });
+      break;
+    case ColumnVec::Enc::kDouble:
+      WithEffectiveBits(col, [&](auto eff) { best = PlanDouble(eff, n); });
+      break;
+    case ColumnVec::Enc::kBool:
+      WithEffectiveBools(col, [&](auto eff) {
+        best = Cheapest({{ColumnVec::Codec::kPlain, n},
+                         {ColumnVec::Codec::kBitPack,
+                          BitPackedVec::PackedBytes(n, 1)},
+                         // 1 B value + 4 B run end
+                         {ColumnVec::Codec::kRle, CountRuns(eff, n) * 5}});
+      });
+      break;
+    case ColumnVec::Enc::kDict:
+      WithEffectiveCodes(col, [&](auto eff) {
+        const int width = BitPackedVec::WidthFor(
+            col.dict_.empty() ? 0 : col.dict_.size() - 1);
+        best = Cheapest({{ColumnVec::Codec::kPlain, 4 * n},
+                         {ColumnVec::Codec::kBitPack,
+                          BitPackedVec::PackedBytes(n, width)},
+                         // 4 B code + 4 B run end
+                         {ColumnVec::Codec::kRle, CountRuns(eff, n) * 8}});
+      });
+      break;
+  }
+  return {best.codec, CodecFreeBytes(col) + best.cost};
+}
+
+void EncodeColumn(ColumnVec::Codec codec, ColumnVec* col) {
+  if (codec == ColumnVec::Codec::kPlain ||
+      col->codec_ != ColumnVec::Codec::kPlain || col->n_ == 0) {
+    return;
+  }
+  bool applied = false;
+  switch (col->enc_) {
+    case ColumnVec::Enc::kInt64:
+      WithEffectiveInt64(
+          *col, [&](auto eff) { applied = EncodeInt64(codec, eff, col); });
+      break;
+    case ColumnVec::Enc::kDouble:
+      WithEffectiveBits(
+          *col, [&](auto eff) { applied = EncodeDouble(codec, eff, col); });
+      break;
+    case ColumnVec::Enc::kBool:
+      WithEffectiveBools(*col, [&](auto eff) {
+        applied = EncodeSmall(codec, eff, 1, &col->b8_, col);
+      });
+      break;
+    case ColumnVec::Enc::kDict:
+      WithEffectiveCodes(*col, [&](auto eff) {
+        const int width = BitPackedVec::WidthFor(
+            col->dict_.empty() ? 0 : col->dict_.size() - 1);
+        applied = EncodeSmall(codec, eff, width, &col->codes_, col);
+      });
+      break;
+  }
+  if (!applied) {
+    std::fprintf(stderr, "codec %s does not apply to column encoding %d\n",
+                 ColumnVec::CodecName(codec), static_cast<int>(col->enc_));
+    std::abort();
+  }
+  col->codec_ = codec;
+}
+
+SegmentPlan PlanSegment(const SegmentCells& cells,
+                        const SegmentBuildOptions& options) {
+  SegmentPlan plan;
+  plan.codecs.reserve(cells.cols.size());
+  size_t bytes = 0;
+  for (const TailLane& lane : cells.cols) {
+    const ColumnPlan col =
+        options.compress
+            ? PlanColumn(lane.lane())
+            : ColumnPlan{ColumnVec::Codec::kPlain, lane.lane().EncodedBytes()};
+    plan.codecs.push_back(col.codec);
+    bytes += col.bytes;
+  }
+  bytes += KeyIndexBytes(cells.keys, cells.row_begin, options.compress);
+  bytes += BloomFilter::NumBlocks(cells.keys.size(),
+                                  options.bloom_bits_per_key) *
+           sizeof(BloomFilter::Block);
+  plan.encoded_bytes = static_cast<int64_t>(bytes);
+  return plan;
 }
 
 std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
-    SegmentCells cells, const SegmentBuildOptions& options) {
+    SegmentCells cells, const SegmentBuildOptions& options,
+    const SegmentPlan* plan) {
   auto seg = std::make_shared<ColumnarSegment>();
   const size_t num_value_cols = cells.cols.size();
-  seg->row_begin = std::move(cells.row_begin);
-  seg->frames.reserve(cells.keys.size());
-  seg->objs.reserve(cells.keys.size());
-  for (const ViewKey& key : cells.keys) {
-    seg->frames.push_back(key.frame);
-    seg->objs.push_back(key.obj);
+  const size_t nkeys = cells.keys.size();
+  if (plan != nullptr && plan->codecs.size() != num_value_cols) {
+    std::fprintf(stderr, "seal plan of %zu columns for %zu columns\n",
+                 plan->codecs.size(), num_value_cols);
+    std::abort();
   }
-  if (!cells.keys.empty()) {
-    auto [mn, mx] = std::minmax_element(seg->objs.begin(), seg->objs.end());
-    seg->obj_min = *mn;
-    seg->obj_max = *mx;
+  KeyIndexLayout keys;
+  if (nkeys > 0) {
+    keys = LayOutKeys(cells.keys, cells.row_begin);
+    seg->obj_min = keys.obj_min;
+    seg->obj_max = keys.obj_max;
   }
-  const int32_t rows_total = seg->row_begin.back();
   seg->cols.reserve(num_value_cols);
   seg->zones.resize(num_value_cols);
   for (size_t c = 0; c < num_value_cols; ++c) {
@@ -442,76 +752,56 @@ std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
   }
 
   // Footprint accounting against the plain representation, then codecs.
-  const size_t nkeys = seg->frames.size();
   int64_t raw = static_cast<int64_t>(nkeys) * 16 +
-                static_cast<int64_t>(seg->row_begin.size()) * 4;
+                static_cast<int64_t>(cells.row_begin.size()) * 4;
   int64_t encoded = 0;
-  for (ColumnVec& col : seg->cols) {
+  for (size_t c = 0; c < num_value_cols; ++c) {
+    ColumnVec& col = seg->cols[c];
     raw += static_cast<int64_t>(col.EncodedBytes());
-  }
-  if (options.compress) {
-    for (ColumnVec& col : seg->cols) CompressColumn(&col);
-  }
-  for (ColumnVec& col : seg->cols) {
+    if (options.compress) {
+      EncodeColumn(plan != nullptr ? plan->codecs[c] : PlanColumn(col).codec,
+                   &col);
+    }
     encoded += static_cast<int64_t>(col.EncodedBytes());
     seg->codec_cols[static_cast<int>(col.codec_)] += 1;
   }
 
   if (options.compress && nkeys > 0) {
-    // Bit-pack the key index: frames/objs as FOR deltas, row offsets as
-    // fixed-width absolutes (prefix sums stay O(1) random access).
-    seg->frame_base = seg->frames.front();
-    uint64_t frange = static_cast<uint64_t>(seg->frames.back()) -
-                      static_cast<uint64_t>(seg->frame_base);
-    uint64_t orange = static_cast<uint64_t>(seg->obj_max) -
-                      static_cast<uint64_t>(seg->obj_min);
+    // Bit-pack the key index (KeyIndexLayout).
     std::vector<uint64_t> tmp(nkeys);
     for (size_t i = 0; i < nkeys; ++i) {
-      tmp[i] = static_cast<uint64_t>(seg->frames[i]) -
-               static_cast<uint64_t>(seg->frame_base);
+      tmp[i] = static_cast<uint64_t>(cells.keys[i].frame) -
+               static_cast<uint64_t>(keys.frame_base);
     }
-    seg->frames_p.Pack(tmp, BitPackedVec::WidthFor(frange));
+    seg->frames_p.Pack(tmp, keys.frame_width);
     for (size_t i = 0; i < nkeys; ++i) {
-      tmp[i] = static_cast<uint64_t>(seg->objs[i]) -
-               static_cast<uint64_t>(seg->obj_min);
+      tmp[i] = static_cast<uint64_t>(cells.keys[i].obj) -
+               static_cast<uint64_t>(keys.obj_min);
     }
-    seg->objs_p.Pack(tmp, BitPackedVec::WidthFor(orange));
-    // Row offsets pack as residuals against the mean rows-per-key stride
-    // (prefix sums stay O(1) random access). Views with exactly one row
-    // per key — every classifier output — collapse to width 0.
-    const int64_t stride =
-        (rows_total + static_cast<int64_t>(nkeys) / 2) /
-        static_cast<int64_t>(nkeys);
-    int64_t res_min = 0, res_max = 0;
-    for (size_t i = 0; i <= nkeys; ++i) {
-      int64_t res = static_cast<int64_t>(seg->row_begin[i]) -
-                    stride * static_cast<int64_t>(i);
-      if (i == 0 || res < res_min) res_min = res;
-      if (i == 0 || res > res_max) res_max = res;
-    }
+    seg->objs_p.Pack(tmp, keys.obj_width);
     tmp.resize(nkeys + 1);
     for (size_t i = 0; i <= nkeys; ++i) {
       tmp[i] = static_cast<uint64_t>(
-          static_cast<int64_t>(seg->row_begin[i]) -
-          stride * static_cast<int64_t>(i) - res_min);
+          static_cast<int64_t>(cells.row_begin[i]) -
+          keys.row_stride * static_cast<int64_t>(i) - keys.row_res_base);
     }
-    seg->row_begin_p.Pack(
-        tmp, BitPackedVec::WidthFor(
-                 static_cast<uint64_t>(res_max - res_min)));
-    seg->row_stride = stride;
-    seg->row_res_base = res_min;
+    seg->row_begin_p.Pack(tmp, keys.row_width);
+    seg->frame_base = keys.frame_base;
+    seg->row_stride = keys.row_stride;
+    seg->row_res_base = keys.row_res_base;
     seg->packed_keys = true;
     encoded += static_cast<int64_t>(seg->frames_p.SizeBytes() +
                                     seg->objs_p.SizeBytes() +
                                     seg->row_begin_p.SizeBytes()) +
                32;  // frame/obj FOR bases + row stride/residual base
-    seg->frames.clear();
-    seg->frames.shrink_to_fit();
-    seg->objs.clear();
-    seg->objs.shrink_to_fit();
-    seg->row_begin.clear();
-    seg->row_begin.shrink_to_fit();
   } else {
+    seg->frames.reserve(nkeys);
+    seg->objs.reserve(nkeys);
+    for (const ViewKey& key : cells.keys) {
+      seg->frames.push_back(key.frame);
+      seg->objs.push_back(key.obj);
+    }
+    seg->row_begin = std::move(cells.row_begin);
     encoded += static_cast<int64_t>(nkeys) * 16 +
                static_cast<int64_t>(seg->row_begin.size()) * 4;
   }
@@ -519,12 +809,18 @@ std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
   if (options.bloom_bits_per_key > 0 && nkeys > 0) {
     std::vector<uint64_t> hashes(nkeys);
     for (size_t i = 0; i < nkeys; ++i) {
-      hashes[i] = HashViewKey(seg->key_frame(i), seg->key_obj(i));
+      hashes[i] = HashViewKey(cells.keys[i].frame, cells.keys[i].obj);
     }
     seg->bloom.Build(hashes, options.bloom_bits_per_key);
     encoded += static_cast<int64_t>(seg->bloom.SizeBytes());
   }
 
+  if (plan != nullptr && encoded != plan->encoded_bytes) {
+    std::fprintf(stderr, "seal planned %lld bytes, built %lld\n",
+                 static_cast<long long>(plan->encoded_bytes),
+                 static_cast<long long>(encoded));
+    std::abort();
+  }
   seg->raw_bytes = raw;
   seg->encoded_bytes = encoded;
   return seg;
@@ -829,6 +1125,26 @@ int32_t TailLane::LabelCode(const std::vector<std::string>& vocab,
   return code;
 }
 
+namespace {
+
+// Calls fn(i) for every non-null row i of `col`, in row order.
+template <typename Fn>
+void ForEachNonNull(const ColumnVec& col, Fn fn) {
+  if (col.null_bits_.empty()) {
+    for (size_t i = 0; i < col.n_; ++i) fn(i);
+    return;
+  }
+  for (size_t w = 0; w * 64 < col.n_; ++w) {
+    uint64_t present = ~col.null_bits_[w];
+    if (col.n_ - w * 64 < 64) present &= (uint64_t{1} << (col.n_ - w * 64)) - 1;
+    for (; present != 0; present &= present - 1) {
+      fn(w * 64 + static_cast<size_t>(std::countr_zero(present)));
+    }
+  }
+}
+
+}  // namespace
+
 ColumnVec TailLane::Seal(ZoneMapEntry* zone) && {
   // Zone maps (and the string distinct list) come from the cells in row
   // order, before any codec touches the lane.
@@ -841,35 +1157,40 @@ ColumnVec TailLane::Seal(ZoneMapEntry* zone) && {
   // An all-null column keeps an (empty-bounds) valid zone so skipping can
   // reason about it.
   zone->all_null = nulls == col.n_;
-  bool first = true;
-  auto update = [&](double d) {
-    zone->num_min = first ? d : std::min(zone->num_min, d);
-    zone->num_max = first ? d : std::max(zone->num_max, d);
-    first = false;
+  // Bounds over the non-null cells, value(i) reading row i as a double.
+  auto bound = [&](auto value) {
+    bool first = true;
+    ForEachNonNull(col, [&](size_t i) {
+      const double d = value(i);
+      zone->num_min = first ? d : std::min(zone->num_min, d);
+      zone->num_max = first ? d : std::max(zone->num_max, d);
+      first = false;
+    });
   };
-  for (size_t i = 0; i < col.n_; ++i) {
-    if (col.NullAt(i)) continue;
-    switch (col.enc_) {
-      case ColumnVec::Enc::kInt64:
-        if (std::llabs(col.i64_[i]) > static_cast<int64_t>(kDoubleExactLimit)) {
+  switch (col.enc_) {
+    case ColumnVec::Enc::kInt64:
+      bound([&](size_t i) {
+        // A range test, not llabs: |INT64_MIN| does not fit an int64.
+        constexpr auto kLimit = static_cast<int64_t>(kDoubleExactLimit);
+        if (col.i64_[i] > kLimit || col.i64_[i] < -kLimit) {
           zone->valid = false;
         }
-        update(static_cast<double>(col.i64_[i]));
-        break;
-      case ColumnVec::Enc::kDouble:
+        return static_cast<double>(col.i64_[i]);
+      });
+      break;
+    case ColumnVec::Enc::kDouble:
+      bound([&](size_t i) {
         if (std::isnan(col.f64_[i])) zone->valid = false;
-        update(col.f64_[i]);
-        break;
-      case ColumnVec::Enc::kBool:
-        update(col.b8_[i] != 0 ? 1.0 : 0.0);
-        break;
-      case ColumnVec::Enc::kDict:
-        break;
-    }
-  }
-  if (col.enc_ == ColumnVec::Enc::kDict) {
-    zone->strings = col.dict_;
-    std::sort(zone->strings.begin(), zone->strings.end());
+        return col.f64_[i];
+      });
+      break;
+    case ColumnVec::Enc::kBool:
+      bound([&](size_t i) { return col.b8_[i] != 0 ? 1.0 : 0.0; });
+      break;
+    case ColumnVec::Enc::kDict:
+      zone->strings = col.dict_;
+      std::sort(zone->strings.begin(), zone->strings.end());
+      break;
   }
   return col;
 }

@@ -389,18 +389,55 @@ struct SegmentCells {
   std::vector<TailLane> cols;
 };
 
+/// A seal's codec choice for one plain column, and the bytes the column
+/// holds once encoded with it (its EncodedBytes()).
+struct ColumnPlan {
+  ColumnVec::Codec codec = ColumnVec::Codec::kPlain;
+  size_t bytes = 0;
+};
+
+/// Chooses the codec of one plain column: the cheapest applicable one by
+/// byte cost, ties to the earlier Codec value (docs/STORAGE.md). One pass
+/// over the column's effective lane prices every codec but the numeric
+/// dictionary; a hash bitmap of the lane, filled until it shows the
+/// dictionary cannot win, comes before any dictionary is built. An encoded
+/// column keeps its codec.
+ColumnPlan PlanColumn(const ColumnVec& col);
+
+/// Rewrites the plain column `col` in place under `codec`, a codec
+/// PlanColumn can choose for the column's encoding (aborts otherwise);
+/// kPlain, and a column already encoded, stay as they are. Under the codec
+/// PlanColumn chose, the column then holds exactly the planned bytes.
+void EncodeColumn(ColumnVec::Codec codec, ColumnVec* col);
+
+/// What BuildColumnarSegment(cells, options) builds, without building it:
+/// each value column's codec and the segment's exact encoded_bytes.
+struct SegmentPlan {
+  std::vector<ColumnVec::Codec> codecs;  // one per value column
+  int64_t encoded_bytes = 0;
+};
+
+/// Plans the seal of ascending-key cells: the column plans plus the key
+/// index and Bloom filter sizes, with no encoded lane built.
+SegmentPlan PlanSegment(const SegmentCells& cells,
+                        const SegmentBuildOptions& options);
+
+/// BuildColumnarSegment(cells, options)->encoded_bytes, without building.
+inline int64_t PlanSegmentBytes(const SegmentCells& cells,
+                                const SegmentBuildOptions& options) {
+  return PlanSegment(cells, options).encoded_bytes;
+}
+
 /// Seals ascending-key cells into an immutable segment. `options` selects
 /// the seal-time codecs and Bloom filter; the reconstructed values are
 /// bit-identical for every configuration, and the result depends only on
-/// the cells (a reseal of sealed + tail equals a one-shot seal).
+/// the cells (a reseal of sealed + tail equals a one-shot seal). With
+/// `plan` (PlanSegment of the same cells and options) the columns take the
+/// planned codecs instead of choosing again; a plan whose bytes the build
+/// does not reproduce aborts.
 std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
-    SegmentCells cells, const SegmentBuildOptions& options = {});
-
-/// Rewrites one plain column in place with the cheapest applicable codec
-/// (byte cost, deterministic tie-break toward the earlier Codec value).
-/// Exposed for the codec differential tests; BuildColumnarSegment calls it
-/// for every column when compression is on.
-void CompressColumn(ColumnVec* col);
+    SegmentCells cells, const SegmentBuildOptions& options = {},
+    const SegmentPlan* plan = nullptr);
 
 }  // namespace eva::storage
 

@@ -94,6 +94,7 @@ void MaterializedView::FinishPutLocked(int64_t seg_id, Segment* seg,
   }
   tail.keys.push_back(key);
   tail.row_begin.push_back(tail.row_begin.back() + static_cast<int32_t>(n));
+  seg->plan.reset();
   if (seg->info.keys == 0) seg->info.created_tick = tick;
   seg->info.keys += 1;
   seg->info.rows += n;
@@ -200,48 +201,46 @@ SegmentCells MaterializedView::GatherLocked(
   return out;
 }
 
+SegmentCells MaterializedView::MergeLocked(const Segment& seg) const {
+  const SegmentCells& tail = seg.tail;
+  const size_t nsealed = seg.sealed->num_keys();
+  std::vector<KeyRef> refs;
+  refs.reserve(nsealed + tail.keys.size());
+  size_t i = 0, j = 0;
+  while (i < nsealed || j < tail.keys.size()) {
+    ViewKey sk;
+    if (i < nsealed) sk = {seg.sealed->key_frame(i), seg.sealed->key_obj(i)};
+    if (j == tail.keys.size() || (i < nsealed && sk < tail.keys[j])) {
+      refs.push_back({sk, false, i++});
+      continue;
+    }
+    const ViewKey& tk = tail.keys[j];
+    if (i < nsealed && !(tk < sk)) {
+      std::fprintf(stderr,
+                   "view %s: key (frame %lld, obj %lld) stored twice\n",
+                   name_.c_str(), static_cast<long long>(tk.frame),
+                   static_cast<long long>(tk.obj));
+      std::abort();
+    }
+    refs.push_back({tk, true, j++});
+  }
+  return GatherLocked(seg, refs);
+}
+
 void MaterializedView::SealSegmentLocked(Segment* seg) const {
   SegmentCells& tail = seg->tail;
   if (capture_appends_ && tail.keys.size() > seg->drained) {
     // The undrained keys leave the tail here; the capture keeps a copy.
     AppendKeys(value_schema_, tail, seg->drained, &seg->pending);
   }
-  if (seg->sealed == nullptr) {
-    // First seal: the ascending tail is already in seal order.
-    seg->sealed = BuildColumnarSegment(std::move(tail), build_options_);
-  } else {
-    // Merge the sealed keys with the tail's (both ascending); the result
-    // is exactly a one-shot seal of the segment's content. STORE inserts
-    // keys its probe missed without checking the sealed part, so a key
-    // in both is a broken invariant: stop before it is sealed, logged or
-    // persisted.
-    const size_t nsealed = seg->sealed->num_keys();
-    std::vector<KeyRef> refs;
-    refs.reserve(nsealed + tail.keys.size());
-    size_t i = 0, j = 0;
-    while (i < nsealed || j < tail.keys.size()) {
-      ViewKey sk;
-      if (i < nsealed) {
-        sk = {seg->sealed->key_frame(i), seg->sealed->key_obj(i)};
-      }
-      if (j == tail.keys.size() || (i < nsealed && sk < tail.keys[j])) {
-        refs.push_back({sk, false, i++});
-        continue;
-      }
-      const ViewKey& tk = tail.keys[j];
-      if (i < nsealed && !(tk < sk)) {
-        std::fprintf(stderr,
-                     "view %s: key (frame %lld, obj %lld) stored twice\n",
-                     name_.c_str(), static_cast<long long>(tk.frame),
-                     static_cast<long long>(tk.obj));
-        std::abort();
-      }
-      refs.push_back({tk, true, j++});
-    }
-    seg->sealed =
-        BuildColumnarSegment(GatherLocked(*seg, refs), build_options_);
-  }
+  const SegmentPlan* plan = seg->plan ? &*seg->plan : nullptr;
+  // A first seal builds from the ascending tail, already in seal order; a
+  // reseal from the merge, exactly a one-shot seal of the segment.
+  seg->sealed = BuildColumnarSegment(
+      seg->sealed == nullptr ? std::move(tail) : MergeLocked(*seg),
+      build_options_, plan);
   tail = SegmentCells();
+  seg->plan.reset();
   seg->drained = 0;
   if (seal_totals_ == nullptr) return;
   const ColumnarSegment& sealed = *seg->sealed;
@@ -254,11 +253,30 @@ void MaterializedView::SealSegmentLocked(Segment* seg) const {
   }
 }
 
+void MaterializedView::PlanStaleSegments() const {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (!build_options_.compress) return;
+  for (auto& [seg_id, seg] : segments_) {
+    if (seg.tail.keys.empty() || seg.plan) continue;
+    // A reseal's merged cells live only while their segment is planned.
+    seg.plan = seg.sealed == nullptr
+                   ? PlanSegment(seg.tail, build_options_)
+                   : PlanSegment(MergeLocked(seg), build_options_);
+  }
+}
+
 void MaterializedView::SealAllSegments() const {
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (auto& [seg_id, seg] : segments_) {
     if (!seg.tail.keys.empty()) SealSegmentLocked(&seg);
   }
+}
+
+void MaterializedView::set_build_options(const SegmentBuildOptions& options) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  build_options_ = options;
+  // A plan holds only for the options it was made under.
+  for (auto& [seg_id, seg] : segments_) seg.plan.reset();
 }
 
 std::vector<std::pair<int64_t, std::shared_ptr<const ColumnarSegment>>>
@@ -480,14 +498,16 @@ void MaterializedView::RecordAccess(
 }
 
 double MaterializedView::SegmentBytesLocked(const Segment& seg) const {
-  if (build_options_.compress && seg.sealed != nullptr &&
-      seg.tail.keys.empty()) {
-    return static_cast<double>(seg.sealed->encoded_bytes);
+  if (build_options_.compress) {
+    if (seg.tail.keys.empty() && seg.sealed != nullptr) {
+      return static_cast<double>(seg.sealed->encoded_bytes);
+    }
+    if (seg.plan) return static_cast<double>(seg.plan->encoded_bytes);
   }
-  // Synthetic pre-codec estimate (§5.2): 16 B/key + 10 B/cell. Segments
-  // with a tail are charged at this rate until their next seal; the
-  // lifecycle manager seals everything before enforcing the budget so the
-  // eviction decision never depends on probe history.
+  // Synthetic pre-codec estimate (§5.2): 16 B/key + 10 B/cell. A segment
+  // with a tail is charged at this rate until its seal is planned or
+  // done; the lifecycle manager plans every tail before it enforces the
+  // budget, so the eviction decision never depends on probe history.
   return 16.0 * static_cast<double>(seg.info.keys) +
          static_cast<double>(seg.info.rows) *
              static_cast<double>(value_schema_.num_fields()) * 10.0;
@@ -523,9 +543,6 @@ EvictedSegment MaterializedView::EvictSegment(int64_t segment_id) {
   ev.frame_end = (segment_id + 1) * segment_frames_;
   auto it = segments_.find(segment_id);
   if (it == segments_.end()) return ev;
-  // Charge what the segment was accounted at (encoded bytes when sealed
-  // under codecs with no tail, the synthetic formula otherwise).
-  ev.bytes = SegmentBytesLocked(it->second);
   ev.keys = it->second.info.keys;
   ev.rows = it->second.info.rows;
   num_keys_ -= ev.keys;

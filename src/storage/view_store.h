@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -49,7 +50,6 @@ struct EvictedSegment {
   int64_t frame_end = 0;
   int64_t keys = 0;
   int64_t rows = 0;
-  double bytes = 0;
 };
 
 /// Outcome of one key of a ProbeBatch. kHitSkipped: the key is present but
@@ -249,8 +249,8 @@ class MaterializedView {
   /// Estimated on-disk footprint of the materialized results (§5.2).
   double SizeBytes() const;
 
-  /// Segment-granular views of the footprint. Snapshot; bytes per segment
-  /// use the SizeBytes() formula restricted to the segment's keys/rows.
+  /// Segment-granular views of the footprint. Snapshot; each segment's
+  /// bytes are its SizeBytes() charge.
   std::vector<SegmentStats> Segments() const;
 
   /// Drops segment `segment_id` and returns what was removed (zeroed
@@ -269,10 +269,7 @@ class MaterializedView {
   /// Seal-time storage configuration (codecs + Bloom). Takes effect at the
   /// next (re)seal; the engine sets it before any PutBatch. Reconstruction of
   /// values is bit-identical for every configuration.
-  void set_build_options(const SegmentBuildOptions& options) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    build_options_ = options;
-  }
+  void set_build_options(const SegmentBuildOptions& options);
   SegmentBuildOptions build_options() const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return build_options_;
@@ -280,11 +277,18 @@ class MaterializedView {
   /// Sink for cumulative seal accounting (owned by the ViewStore).
   void set_seal_totals(SealTotals* totals) { seal_totals_ = totals; }
 
-  /// Seals every segment that has a tail. The lifecycle manager calls it
-  /// before byte accounting so the footprint is the encoded one regardless
-  /// of probe history; persistence calls it so the on-disk codec matches
-  /// the sealed state. Driver-thread cadence, but safe under concurrent
-  /// probes (exclusive lock).
+  /// Charges every segment that has a tail the bytes its seal will encode,
+  /// without sealing it: plans the seal (PlanSegment) of the tail as it
+  /// stands, or of the sealed part merged with the tail, one segment at a
+  /// time, and keeps the plan for that seal. A later append drops the
+  /// plan. No-op without compression, where a segment's charge does not
+  /// depend on its seal. Exclusive lock.
+  void PlanStaleSegments() const;
+
+  /// Seals every segment that has a tail, reusing its plan if it has one.
+  /// The lifecycle manager calls it after eviction, persistence so the
+  /// on-disk codec matches the sealed state. Driver-thread cadence, but
+  /// safe under concurrent probes (exclusive lock).
   void SealAllSegments() const;
 
   /// Sealed segments by id, sealing tails first (persistence runs between
@@ -325,6 +329,9 @@ class MaterializedView {
     // WAL capture: undrained cells that seals since the last drain took
     // out of the tail, in append order.
     SegmentCells pending;
+    // The plan of the tail's seal (PlanStaleSegments), until the tail
+    // changes.
+    std::optional<SegmentPlan> plan;
   };
   /// A key's rows for a gather: sealed key index or tail key position.
   struct KeyRef {
@@ -361,15 +368,22 @@ class MaterializedView {
   /// holds mu_.
   SegmentCells GatherLocked(const Segment& seg,
                             const std::vector<KeyRef>& refs) const;
-  /// Seals the tail into a fresh sealed segment and records seal
-  /// accounting: a first seal builds from the tail itself (moved), a
-  /// reseal merges sealed + tail. While capturing, the tail's undrained
-  /// cells are first copied to `seg->pending`. A key both sealed and in
-  /// the tail aborts the process. Caller holds mu_ exclusively.
+  /// The cells a reseal of `seg` (sealed part and tail) builds from: both
+  /// key sequences merged ascending and gathered. STORE inserts keys its
+  /// probe missed without checking the sealed part, so a key in both is a
+  /// broken invariant and aborts the process before it is sealed, logged
+  /// or persisted. Caller holds mu_.
+  SegmentCells MergeLocked(const Segment& seg) const;
+  /// Seals the tail into a fresh sealed segment, with the segment's plan
+  /// when it has one, and records seal accounting: a first seal builds
+  /// from the tail itself (moved), a reseal from MergeLocked. While
+  /// capturing, the tail's undrained cells are first copied to
+  /// `seg->pending`. Caller holds mu_ exclusively.
   void SealSegmentLocked(Segment* seg) const;
-  /// Charged footprint of one segment: the encoded bytes when codecs are
-  /// on and the segment has no tail, the synthetic §5.2 formula otherwise
-  /// (identical to the pre-codec accounting). Caller holds mu_.
+  /// Charged footprint of one segment. With codecs on: the sealed encoded
+  /// bytes when it has no tail, the planned ones when its tail has a plan.
+  /// Otherwise the synthetic §5.2 formula (16 B/key + 10 B/cell, the
+  /// pre-codec accounting). Caller holds mu_.
   double SegmentBytesLocked(const Segment& seg) const;
   /// Looks up the segment of each of `runs` into *segs (null where no
   /// segment holds the run's range); returns whether one of them has an
@@ -489,6 +503,13 @@ class ViewStore {
 
   /// Cumulative seal accounting across every view (engine metrics).
   const SealTotals& seal_totals() const { return seal_totals_; }
+
+  /// PlanStaleSegments of every view (lifecycle accounting). Driver-thread
+  /// cadence like views().
+  void PlanStaleSegments() const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    for (const auto& [name, view] : views_) view->PlanStaleSegments();
+  }
 
   /// Seals every segment of every view (lifecycle accounting / save).
   /// Driver-thread cadence like views().

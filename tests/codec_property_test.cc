@@ -63,8 +63,11 @@ bool SameValue(const Value& a, const Value& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1: CompressColumn differential — plain lane vs codec lane.
+// Layer 1: column codec differential — plain lane vs codec lane.
 // ---------------------------------------------------------------------------
+
+// The seal's codec step for one plain column: PlanColumn's choice, applied.
+void Compress(ColumnVec* col) { EncodeColumn(PlanColumn(*col).codec, col); }
 
 ColumnVec PlainInt64(const std::vector<int64_t>& vals,
                      const std::vector<bool>& nulls) {
@@ -82,7 +85,7 @@ ColumnVec PlainInt64(const std::vector<int64_t>& vals,
 
 void ExpectColumnRoundTrip(const ColumnVec& plain) {
   ColumnVec packed = plain;
-  CompressColumn(&packed);
+  Compress(&packed);
   ASSERT_EQ(packed.size(), plain.size());
   for (size_t i = 0; i < plain.size(); ++i) {
     ASSERT_TRUE(SameValue(packed.At(i), plain.At(i)))
@@ -139,7 +142,7 @@ TEST(CodecColumnTest, Int64Distributions) {
   for (const Case& c : cases) {
     ColumnVec plain = PlainInt64(c.vals, {});
     ColumnVec packed = plain;
-    CompressColumn(&packed);
+    Compress(&packed);
     EXPECT_EQ(packed.codec(), c.expect) << c.name;
     ExpectColumnRoundTrip(plain);
   }
@@ -161,7 +164,7 @@ TEST(CodecColumnTest, NullsNeverBreakEncodingChoiceOrValues) {
   ColumnVec all_null = PlainInt64(std::vector<int64_t>(64, 0),
                                   std::vector<bool>(64, true));
   ColumnVec packed = all_null;
-  CompressColumn(&packed);
+  Compress(&packed);
   for (size_t i = 0; i < 64; ++i) EXPECT_TRUE(packed.At(i).is_null());
 }
 
@@ -182,7 +185,7 @@ TEST(CodecColumnTest, DoubleBitPatternsSurvive) {
   }
   plain.n_ = plain.f64_.size();
   ColumnVec packed = plain;
-  CompressColumn(&packed);
+  Compress(&packed);
   EXPECT_NE(packed.codec(), ColumnVec::Codec::kPlain);
   for (size_t i = 0; i < plain.n_; ++i) {
     ASSERT_TRUE(SameValue(packed.At(i), plain.At(i))) << "row " << i;
@@ -207,7 +210,7 @@ TEST(CodecColumnTest, EntropyDoublesExpPack) {
     plain.f64_ = vals;
     plain.n_ = vals.size();
     ColumnVec packed = plain;
-    CompressColumn(&packed);
+    Compress(&packed);
     EXPECT_EQ(packed.codec(), ColumnVec::Codec::kExpPack);
     EXPECT_LT(packed.EncodedBytes(), plain.EncodedBytes());
     for (size_t i = 0; i < plain.n_; ++i) {
@@ -228,7 +231,7 @@ TEST(CodecColumnTest, EntropyDoublesExpPack) {
     noisy.null_bits_[i >> 6] |= uint64_t{1} << (i & 63);
   }
   ColumnVec noisy_packed = noisy;
-  CompressColumn(&noisy_packed);
+  Compress(&noisy_packed);
   for (size_t i = 0; i < noisy.n_; ++i) {
     ASSERT_TRUE(SameValue(noisy_packed.At(i), noisy.At(i))) << "row " << i;
   }
@@ -246,7 +249,7 @@ TEST(CodecColumnTest, BoolColumnsBitPack) {
     }
     plain.n_ = plain.b8_.size();
     ColumnVec packed = plain;
-    CompressColumn(&packed);
+    Compress(&packed);
     EXPECT_NE(packed.codec(), ColumnVec::Codec::kPlain) << pattern;
     for (size_t i = 0; i < plain.n_; ++i) {
       ASSERT_TRUE(SameValue(packed.At(i), plain.At(i)));
@@ -254,7 +257,7 @@ TEST(CodecColumnTest, BoolColumnsBitPack) {
   }
 }
 
-// Oracle for the numeric-dictionary search: CompressColumn's pick for
+// Oracle for the numeric-dictionary search: PlanColumn's pick for
 // Int64 / Double lanes recomputed with the plain std::unordered_map
 // dictionary, no early exit. Codec, dictionary order and lanes must match.
 template <typename T>
@@ -365,7 +368,7 @@ ReferencePick ReferenceCompress(const ColumnVec& col) {
 void ExpectMatchesReference(const ColumnVec& plain) {
   const ReferencePick want = ReferenceCompress(plain);
   ColumnVec got = plain;
-  CompressColumn(&got);
+  Compress(&got);
   ASSERT_EQ(got.codec(), want.codec);
   for (size_t i = 0; i < plain.size(); ++i) {
     ASSERT_TRUE(SameValue(got.At(i), plain.At(i))) << "row " << i;
@@ -467,10 +470,10 @@ TEST(CodecColumnTest, NumDictMatchesUnorderedMapOracle) {
     for (int k = 0; k < 4097; ++k) wide.push_back(rng.Next());
     ColumnVec at_cap = DictLane(Enc::kInt64, {wide.begin(), wide.end() - 1},
                                 20000, false, &rng);
-    CompressColumn(&at_cap);
+    Compress(&at_cap);
     EXPECT_EQ(at_cap.codec(), ColumnVec::Codec::kDictNum);
     ColumnVec past_cap = DictLane(Enc::kInt64, wide, 20000, false, &rng);
-    CompressColumn(&past_cap);
+    Compress(&past_cap);
     EXPECT_NE(past_cap.codec(), ColumnVec::Codec::kDictNum);
   }
   // Exact cost ties, which the early exit must leave to the earlier codec.
@@ -496,7 +499,7 @@ TEST(CodecColumnTest, NumDictMatchesUnorderedMapOracle) {
         }
       }
       ExpectMatchesReference(col);
-      CompressColumn(&col);
+      Compress(&col);
       EXPECT_EQ(col.codec(), ColumnVec::Codec::kRle);
     }
     // dict = exp = 424 B: 64 one-exponent doubles over 47 distinct values
@@ -509,7 +512,7 @@ TEST(CodecColumnTest, NumDictMatchesUnorderedMapOracle) {
       }
       ColumnVec col = DictLane(Enc::kDouble, vals, 64, nulls, &rng);
       ExpectMatchesReference(col);
-      CompressColumn(&col);
+      Compress(&col);
       EXPECT_EQ(col.codec(), distinct <= 47 ? ColumnVec::Codec::kDictNum
                                             : ColumnVec::Codec::kExpPack)
           << distinct;
@@ -971,7 +974,7 @@ TEST(CodecResealTest, AppendFromMatchesValueAppends) {
     return out;
   };
   // Sources by cell type: ints, doubles, bools, strings; each plain and
-  // under the codec CompressColumn picks, and one of only NULLs.
+  // under the codec PlanColumn picks, and one of only NULLs.
   const int kGroups[4][3] = {{0, 1, 2}, {3, 4, 5}, {6, 6, 6}, {7, 8, 8}};
   std::vector<std::vector<ColumnVec>> groups(4);
   for (int g = 0; g < 4; ++g) {
@@ -979,7 +982,7 @@ TEST(CodecResealTest, AppendFromMatchesValueAppends) {
     for (int kind : kGroups[g]) {
       ColumnVec plain = seal(type, cells(kind));
       ColumnVec packed = plain;
-      CompressColumn(&packed);
+      Compress(&packed);
       groups[static_cast<size_t>(g)].push_back(plain);
       groups[static_cast<size_t>(g)].push_back(packed);
     }
@@ -1226,7 +1229,7 @@ TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
       ZoneMapEntry zone;
       ColumnVec plain = std::move(lane).Seal(&zone);
       ColumnVec packed = plain;
-      CompressColumn(&packed);
+      Compress(&packed);
       sources[static_cast<size_t>(kind)].push_back(std::move(plain));
       if (!nulls) {
         sources[static_cast<size_t>(kind)].push_back(std::move(packed));
@@ -1319,7 +1322,7 @@ TEST(CodecResealTest, RangeAndIndexAppendsMatchAtForEveryCodec) {
       ZoneMapEntry zone;
       ColumnVec plain = std::move(lane).Seal(&zone);
       ColumnVec packed = plain;
-      CompressColumn(&packed);
+      Compress(&packed);
       for (const ColumnVec* c : {&plain, &packed}) {
         covered.insert({static_cast<int>(c->enc()),
                         static_cast<int>(c->codec())});
@@ -1753,6 +1756,350 @@ TEST(CodecEngineDifferentialTest, WorkloadBitIdenticalAcrossConfigs) {
         reference.push_back(text);
       } else {
         EXPECT_EQ(text, reference[i]) << "compressed, query " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Planner / seal agreement: PlanSegment predicts, without building, each
+// column's codec and the exact encoded_bytes BuildColumnarSegment
+// produces, and a build that reuses the plan is the same segment.
+// ---------------------------------------------------------------------------
+
+// Null placement of a generated lane.
+enum class NullPattern { kNone, kScattered, kLeading, kAll };
+
+// n cells of column kind `kind` (see KindType) in value shape `shape`:
+// 0 constant, 1 long runs, 2 a few distinct values, 3 a narrow range
+// (Int64) or one exponent (Double), 4 high entropy, 5 NaN payloads, -0.0
+// and infinities mixed in, 6 random bit patterns.
+TailLane PlanLane(int kind, int shape, NullPattern nulls, size_t n,
+                  Lcg* rng) {
+  TailLane lane(KindType(kind));
+  for (size_t i = 0; i < n; ++i) {
+    const bool null = nulls == NullPattern::kAll ||
+                      (nulls == NullPattern::kLeading && i < n / 2) ||
+                      (nulls == NullPattern::kScattered && rng->Next() % 5 == 0);
+    if (null) {
+      lane.AppendNull();
+      continue;
+    }
+    const uint64_t r = rng->Next();
+    uint64_t pick = 0;  // which of a small value set
+    switch (shape) {
+      case 0:
+        pick = 0;
+        break;
+      case 1:
+        pick = i / 97;
+        break;
+      case 2:
+        pick = (r >> 33) % 5;
+        break;
+      default:
+        pick = r >> 11;
+    }
+    switch (kind) {
+      case 0:
+        lane.AppendInt64(shape == 3   ? 1000 + static_cast<int64_t>(r % 300)
+                         : shape <= 2 ? static_cast<int64_t>(pick) * 977 - 5
+                                      : static_cast<int64_t>(r));
+        break;
+      case 1: {
+        double d = static_cast<double>(pick) * 0.75 - 1.0;
+        if (shape == 3) d = 1.0 + static_cast<double>(r >> 40) * 0x1.0p-24;
+        if (shape == 4) d = 0.01 + 0.3 * rng->NextDouble();
+        if (shape == 5) {
+          const uint64_t special[] = {0x7ff8000000000123ULL,
+                                      0x8000000000000000ULL,
+                                      0x7ff0000000000000ULL, Bits(0.5)};
+          const uint64_t b = special[(r >> 33) % 4];
+          std::memcpy(&d, &b, 8);
+        }
+        if (shape == 6) std::memcpy(&d, &r, 8);
+        lane.AppendDouble(d);
+        break;
+      }
+      case 2:
+        lane.AppendBool(shape == 0 ? true : shape == 1 ? pick % 2 == 0
+                                                       : (r >> 40) % 2 == 0);
+        break;
+      default:
+        lane.AppendString(shape >= 4 ? "s" + std::to_string(r % 5000)
+                                     : "s" + std::to_string(pick % 7));
+    }
+  }
+  return lane;
+}
+
+// Ascending keys over `rows` rows, each key 0 to 3 rows (one row each
+// when `one_row`), frames with gaps and (frame, obj) pairs.
+void PlanKeys(size_t rows, bool one_row, Lcg* rng, SegmentCells* cells) {
+  int64_t frame = rng->NextInt(0, 50), obj = -1;
+  size_t placed = 0;
+  while (placed < rows || cells->keys.empty()) {
+    const size_t k =
+        one_row ? 1 : std::min<size_t>(rows - placed, rng->Next() % 4);
+    cells->keys.push_back({frame, obj});
+    placed += k;
+    cells->row_begin.push_back(static_cast<int32_t>(placed));
+    if (rng->Next() % 3 == 0) {
+      ++obj;
+    } else {
+      frame += rng->NextInt(1, 4);
+      obj = rng->Next() % 2 == 0 ? -1 : 0;
+    }
+  }
+}
+
+// The (encoding, codec) pairs a seal produces.
+std::set<std::pair<int, int>> SealCodecPairs() {
+  using Enc = ColumnVec::Enc;
+  using Codec = ColumnVec::Codec;
+  std::set<std::pair<int, int>> pairs;
+  auto add = [&pairs](Enc e, std::initializer_list<Codec> codecs) {
+    for (Codec c : codecs) {
+      pairs.insert({static_cast<int>(e), static_cast<int>(c)});
+    }
+  };
+  add(Enc::kInt64, {Codec::kPlain, Codec::kFor, Codec::kRle, Codec::kDictNum});
+  add(Enc::kDouble,
+      {Codec::kPlain, Codec::kRle, Codec::kDictNum, Codec::kExpPack});
+  add(Enc::kBool, {Codec::kPlain, Codec::kBitPack, Codec::kRle});
+  add(Enc::kDict, {Codec::kPlain, Codec::kBitPack, Codec::kRle});
+  return pairs;
+}
+
+// PlanSegment(cells) against BuildColumnarSegment(cells) under every
+// compress / Bloom setting: the bytes, every column's codec, and the
+// segment a build reusing the plan makes. Records the (encoding, codec)
+// pairs built.
+void ExpectPlanMatchesBuild(const SegmentCells& cells,
+                            std::set<std::pair<int, int>>* seen) {
+  for (const bool compress : {false, true}) {
+    for (const int bloom : {0, 10}) {
+      SCOPED_TRACE("compress " + std::to_string(compress) + " bloom " +
+                   std::to_string(bloom));
+      const SegmentBuildOptions options{compress, bloom};
+      const SegmentPlan plan = PlanSegment(cells, options);
+      const auto built = BuildColumnarSegment(cells, options);
+      EXPECT_EQ(plan.encoded_bytes, built->encoded_bytes);
+      EXPECT_EQ(PlanSegmentBytes(cells, options), built->encoded_bytes);
+      ASSERT_EQ(plan.codecs.size(), built->cols.size());
+      for (size_t c = 0; c < built->cols.size(); ++c) {
+        EXPECT_EQ(plan.codecs[c], built->cols[c].codec()) << "col " << c;
+        seen->insert({static_cast<int>(built->cols[c].enc()),
+                      static_cast<int>(built->cols[c].codec())});
+      }
+      ExpectSameSegment(*BuildColumnarSegment(cells, options, &plan), *built);
+    }
+  }
+}
+
+TEST(CodecPlanTest, PlanMatchesBuildForEveryCodecAndNullPattern) {
+  Lcg rng(0x9A7);
+  std::set<std::pair<int, int>> seen;
+  for (const size_t rows : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
+                            size_t{700}, size_t{4000}}) {
+    for (const NullPattern nulls :
+         {NullPattern::kNone, NullPattern::kScattered, NullPattern::kLeading,
+          NullPattern::kAll}) {
+      for (int shape = 0; shape <= 6; ++shape) {
+        SCOPED_TRACE("rows " + std::to_string(rows) + " nulls " +
+                     std::to_string(static_cast<int>(nulls)) + " shape " +
+                     std::to_string(shape));
+        SegmentCells cells;
+        PlanKeys(rows, shape % 2 == 0, &rng, &cells);
+        const size_t n = static_cast<size_t>(cells.row_begin.back());
+        for (int kind = 0; kind < 4; ++kind) {
+          cells.cols.push_back(PlanLane(kind, shape, nulls, n, &rng));
+        }
+        ExpectPlanMatchesBuild(cells, &seen);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  // No value columns at all, and no keys.
+  SegmentCells bare;
+  PlanKeys(5, false, &rng, &bare);
+  ExpectPlanMatchesBuild(bare, &seen);
+  ExpectPlanMatchesBuild(SegmentCells(), &seen);
+  for (const auto& pair : SealCodecPairs()) {
+    EXPECT_TRUE(seen.count(pair) != 0)
+        << "encoding " << pair.first << " codec " << pair.second;
+  }
+}
+
+// NumDictCost as the seal computes it.
+size_t NumDictBytes(size_t n, size_t distinct) {
+  return distinct * 8 +
+         BitPackedVec::PackedBytes(n, BitPackedVec::WidthFor(distinct - 1));
+}
+
+// The numeric dictionary's give-up count: the fewest distinct values
+// whose dictionary costs at least `give_up` (or passes the 4096 cap).
+size_t GiveUpCount(size_t n, size_t give_up) {
+  size_t d = 1;
+  while (d <= 4096 && NumDictBytes(n, d) < give_up) ++d;
+  return d;
+}
+
+// Lanes at the dictionary's give-up count and one below it, where every
+// cost the dictionary must beat is fixed: wide Int64 values (INT64_MIN and
+// INT64_MAX among them, so FOR costs more than plain) and one-exponent
+// Doubles, with no two neighbouring rows equal and NULLs only on repeated
+// rows. One below, the dictionary wins; at the count, it is ruled out
+// (for many lanes by the hash bitmap alone). The plan agrees with the
+// unordered_map oracle and with the build.
+TEST(CodecPlanTest, GiveUpCountBoundary) {
+  Lcg rng(0x61FE);
+  using Enc = ColumnVec::Enc;
+  using Codec = ColumnVec::Codec;
+  std::set<std::pair<int, int>> seen;
+  int dict_wins = 0;
+  for (const size_t n : {16, 40, 64, 128, 256, 1000}) {
+    const size_t int_give_up = 8 * n;  // plain; FOR and RLE cost more
+    const size_t exp_give_up =
+        8 + BitPackedVec::PackedBytes(n, 52) + 1;  // one prefix, ties to dict
+    for (const Enc enc : {Enc::kInt64, Enc::kDouble}) {
+      const size_t g =
+          GiveUpCount(n, enc == Enc::kInt64 ? int_give_up : exp_give_up);
+      ASSERT_GE(g, 3u);
+      ASSERT_LE(g, n);
+      for (const size_t distinct : {g - 1, g}) {
+        for (uint64_t trial = 0; trial < 8; ++trial) {
+          for (const bool nulls : {false, true}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " enc " +
+                         std::to_string(static_cast<int>(enc)) +
+                         " distinct " + std::to_string(distinct) +
+                         " nulls " + std::to_string(nulls));
+            std::vector<uint64_t> values;
+            for (size_t k = 0; k < distinct; ++k) {
+              values.push_back(
+                  enc == Enc::kInt64
+                      ? rng.Next()
+                      : Bits(1.0 + static_cast<double>(rng.Next() >> 12) *
+                                       0x1.0p-52));
+            }
+            if (enc == Enc::kInt64) {
+              values[0] = static_cast<uint64_t>(INT64_MIN);
+              values[1] = static_cast<uint64_t>(INT64_MAX);
+            }
+            std::sort(values.begin(), values.end());
+            values.erase(std::unique(values.begin(), values.end()),
+                         values.end());
+            ASSERT_EQ(values.size(), distinct);
+            for (size_t i = values.size(); i > 1; --i) {
+              std::swap(values[i - 1], values[(rng.Next() >> 33) % i]);
+            }
+            SegmentCells cells;
+            cells.cols.emplace_back(enc == Enc::kInt64 ? DataType::kInt64
+                                                       : DataType::kDouble);
+            TailLane& lane = cells.cols.back();
+            for (size_t i = 0; i < n; ++i) {
+              // Row i repeats row i - distinct; a null there keeps every
+              // value present and joins the previous row's run, which
+              // leaves the plain (Int64) and prefix (Double) costs the
+              // cheapest the dictionary must beat.
+              if (nulls && i >= distinct && i % 3 == 0) {
+                lane.AppendNull();
+              } else if (enc == Enc::kInt64) {
+                lane.AppendInt64(static_cast<int64_t>(values[i % distinct]));
+              } else {
+                double d;
+                std::memcpy(&d, &values[i % distinct], 8);
+                lane.AppendDouble(d);
+              }
+              cells.keys.push_back({static_cast<int64_t>(i), -1});
+              cells.row_begin.push_back(static_cast<int32_t>(i + 1));
+            }
+            const ColumnVec& col = lane.lane();
+            ExpectMatchesReference(col);
+            const Codec want = distinct < g ? Codec::kDictNum
+                               : enc == Enc::kInt64 ? Codec::kPlain
+                                                    : Codec::kExpPack;
+            EXPECT_EQ(PlanColumn(col).codec, want);
+            dict_wins += want == Codec::kDictNum ? 1 : 0;
+            ExpectPlanMatchesBuild(cells, &seen);
+            if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(dict_wins, 100);
+}
+
+// First seals and merge reseals inside a view: after PlanStaleSegments
+// each stale segment is charged the bytes its seal then encodes, and the
+// seal that reuses the plan builds the segments a view that never planned
+// builds.
+TEST(CodecPlanTest, PlannedViewSealsMatchUnplannedSeals) {
+  const Schema schema({{"i", DataType::kInt64},
+                       {"d", DataType::kDouble},
+                       {"b", DataType::kBool},
+                       {"s", DataType::kString}});
+  for (const bool compress : {false, true}) {
+    for (const int bloom : {0, 10}) {
+      SCOPED_TRACE("compress " + std::to_string(compress) + " bloom " +
+                   std::to_string(bloom));
+      Lcg rng(0x5EA1 + static_cast<uint64_t>(bloom));
+      MaterializedView planned("p", schema), unplanned("u", schema);
+      for (MaterializedView* view : {&planned, &unplanned}) {
+        view->set_segment_frames(32);
+        view->set_build_options({compress, bloom});
+      }
+      for (int round = 0; round < 6; ++round) {
+        // Random frames below 256 reseal sealed segments; the ascending
+        // frames above open segments with no sealed part.
+        // Cells with NULLs, -0.0, NaN and repeats in every column.
+        auto cell = [&rng](int kind) {
+          static const char* const kNames[] = {"car", "bus", "van"};
+          const uint64_t r = rng.Next() >> 33;
+          if (r % 9 == 0) return Value::Null();
+          switch (kind) {
+            case 0:
+              return Value(static_cast<int64_t>(r % 40) - 3);
+            case 1:
+              return Value(r % 8 == 0   ? -0.0
+                           : r % 8 == 1 ? std::numeric_limits<double>::quiet_NaN()
+                                        : rng.NextDouble());
+            case 2:
+              return Value(r % 3 == 0);
+            default:
+              return Value(kNames[r % 3]);
+          }
+        };
+        std::vector<std::pair<ViewKey, std::vector<Row>>> puts;
+        for (int k = 0; k < 60; ++k) {
+          std::vector<Row> rows(rng.Next() % 3);
+          for (Row& row : rows) {
+            for (int kind = 0; kind < 4; ++kind) row.push_back(cell(kind));
+          }
+          puts.push_back({{rng.NextInt(0, 256), -1}, rows});
+        }
+        for (int64_t f = 256 + round * 40; f < 256 + round * 40 + 40; ++f) {
+          puts.push_back({{f, -1}, {{Value(f), Value(0.5), Value(true),
+                                     Value("t")}}});
+        }
+        for (const auto& [key, rows] : puts) {
+          PutRows(&planned, key, rows);
+          PutRows(&unplanned, key, rows);
+        }
+        planned.PlanStaleSegments();
+        const std::vector<SegmentStats> charged = planned.Segments();
+        planned.SealAllSegments();
+        unplanned.SealAllSegments();
+        const std::vector<SegmentStats> sealed = planned.Segments();
+        ASSERT_EQ(charged.size(), sealed.size());
+        for (size_t i = 0; i < sealed.size(); ++i) {
+          EXPECT_EQ(charged[i].bytes, sealed[i].bytes)
+              << "segment " << sealed[i].segment_id;
+        }
+        EXPECT_EQ(SerializeViewSegments("v", planned),
+                  SerializeViewSegments("v", unplanned));
+        if (HasFailure()) return;
       }
     }
   }

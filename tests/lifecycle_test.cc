@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/eva_engine.h"
+#include "storage/view_persistence.h"
 #include "vbench/vbench.h"
 #include "view_test_util.h"
 
@@ -277,18 +278,21 @@ std::vector<EvictionEvent> ReferenceEnforce(storage::ViewStore* views,
         views->Find(victim.view)->EvictSegment(victim.seg.segment_id);
     if (ev.keys == 0 && ev.rows == 0) break;
     events.push_back({victim.view, victim.seg.segment_id, ev.first_frame,
-                      ev.frame_end, ev.keys, ev.rows, ev.bytes});
-    total -= ev.bytes;
+                      ev.frame_end, ev.keys, ev.rows, victim.seg.bytes});
+    total -= victim.seg.bytes;
   }
   return events;
 }
 
 // Fills `views` with three views of random segments whose access and
 // creation ticks tie often (LRU and FIFO ties across views and segments),
-// then moves the clock past them. Deterministic in `seed`.
-void FillStore(storage::ViewStore* views, uint64_t seed) {
+// then moves the clock past them. Keys come in random order, so most
+// segments end sealed with an open tail (a key below a tail's last key
+// seals the segment first); frames from 200 up take ascending keys into
+// segments with no sealed part. Deterministic in `seed`.
+void FillStore(storage::ViewStore* views, uint64_t seed, bool compress) {
   views->set_segment_frames(16);
-  views->set_build_options({true, 10});
+  views->set_build_options({compress, 10});
   const Schema schema({{"label", DataType::kString},
                        {"score", DataType::kDouble}});
   uint64_t state = seed;
@@ -309,13 +313,33 @@ void FillStore(storage::ViewStore* views, uint64_t seed) {
       storage::PutRows(view, key, rows, /*tick=*/10 * (1 + pick(6)),
                        /*query_id=*/static_cast<int64_t>(pick(3)));
     }
+    for (int64_t frame = 200; frame < 248; frame += 1 + pick(3)) {
+      storage::PutRows(view, {frame, -1},
+                       {{Value("car"), Value(0.5 * static_cast<double>(
+                                                       pick(9)))}},
+                       /*tick=*/10 * (1 + pick(6)), /*query_id=*/1);
+    }
   }
   views->AdvanceAccessTick(100);
 }
 
+// Segments with an open tail across the views of `views`.
+int64_t StaleSegments(const storage::ViewStore& views) {
+  int64_t stale = 0;
+  for (const auto& [name, view] : views.views()) {
+    const storage::ViewCompressionStats stats = view->CompressionStats();
+    stale += stats.segments - stats.sealed_segments;
+  }
+  return stale;
+}
+
 // EnforceBudget scores each segment once and evicts in ascending (score,
 // view, segment id) order: the same victims, events and evicted bytes as
-// rescoring every segment before each eviction, for every policy.
+// sealing everything and then rescoring every segment before each
+// eviction, for every policy, with codecs on and off. Stale segments are
+// charged their planned seal, and only the survivors are sealed: the store
+// ends byte-identical to the reference, and no evicted segment was
+// encoded.
 TEST(LifecycleTest, EnforceBudgetMatchesRescoringLoop) {
   catalog::Catalog catalog;
   for (const auto& [name, cost] :
@@ -326,56 +350,83 @@ TEST(LifecycleTest, EnforceBudgetMatchesRescoringLoop) {
     def.cost_ms = cost;
     ASSERT_TRUE(catalog.AddUdf(def).ok());
   }
-  int64_t evictions = 0;
+  int64_t evictions = 0, stale_evicted = 0;
   for (const EvictionPolicyKind kind :
        {EvictionPolicyKind::kCostBenefit, EvictionPolicyKind::kLru,
         EvictionPolicyKind::kFifo}) {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-      for (const double fraction : {0.1, 0.5, 0.9}) {
-        SCOPED_TRACE(std::string(EvictionPolicyName(kind)) + " seed " +
-                     std::to_string(seed) + " budget " +
-                     std::to_string(fraction));
-        storage::ViewStore live, reference;
-        FillStore(&live, seed);
-        FillStore(&reference, seed);
-        live.SealAllSegments();
-        const double budget = fraction * live.TotalSizeBytes();
+    for (const bool compress : {true, false}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const double fraction : {0.1, 0.5, 0.9, 1.5}) {
+          SCOPED_TRACE(std::string(EvictionPolicyName(kind)) + " compress " +
+                       std::to_string(compress) + " seed " +
+                       std::to_string(seed) + " budget " +
+                       std::to_string(fraction));
+          storage::ViewStore live, reference, survivors;
+          FillStore(&live, seed, compress);
+          FillStore(&reference, seed, compress);
+          FillStore(&survivors, seed, compress);
+          const int64_t stale = StaleSegments(live);
+          ASSERT_GT(stale, 0);
+          const int64_t sealed_before =
+              live.seal_totals().segments_sealed.load();
+          const double budget = [&] {
+            storage::ViewStore sealed;
+            FillStore(&sealed, seed, compress);
+            sealed.SealAllSegments();
+            return fraction * sealed.TotalSizeBytes();
+          }();
 
-        udf::UdfManager manager;
-        LifecycleOptions options;
-        options.storage_budget_bytes = budget;
-        options.policy = kind;
-        ViewLifecycleManager lifecycle(options, &live, &manager, &catalog);
-        const std::vector<EvictionEvent> got = lifecycle.EnforceBudget(7);
+          udf::UdfManager manager;
+          LifecycleOptions options;
+          options.storage_budget_bytes = budget;
+          options.policy = kind;
+          ViewLifecycleManager lifecycle(options, &live, &manager, &catalog);
+          const std::vector<EvictionEvent> got = lifecycle.EnforceBudget(7);
 
-        // The first call calibrates a query's tick volume to the clock.
-        ScoreContext ctx;
-        ctx.current_query = 7;
-        ctx.current_tick = reference.current_tick();
-        ctx.ticks_per_query = reference.current_tick();
-        const std::vector<EvictionEvent> want = ReferenceEnforce(
-            &reference, catalog, *MakeEvictionPolicy(kind), budget, ctx);
+          // The first call calibrates a query's tick volume to the clock.
+          ScoreContext ctx;
+          ctx.current_query = 7;
+          ctx.current_tick = reference.current_tick();
+          ctx.ticks_per_query = reference.current_tick();
+          const std::vector<EvictionEvent> want = ReferenceEnforce(
+              &reference, catalog, *MakeEvictionPolicy(kind), budget, ctx);
 
-        ASSERT_EQ(got.size(), want.size());
-        double want_bytes = 0;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].view, want[i].view) << i;
-          EXPECT_EQ(got[i].segment_id, want[i].segment_id) << i;
-          EXPECT_EQ(got[i].first_frame, want[i].first_frame) << i;
-          EXPECT_EQ(got[i].frame_end, want[i].frame_end) << i;
-          EXPECT_EQ(got[i].keys, want[i].keys) << i;
-          EXPECT_EQ(got[i].rows, want[i].rows) << i;
-          EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
-          want_bytes += want[i].bytes;
+          ASSERT_EQ(got.size(), want.size());
+          double want_bytes = 0;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].view, want[i].view) << i;
+            EXPECT_EQ(got[i].segment_id, want[i].segment_id) << i;
+            EXPECT_EQ(got[i].first_frame, want[i].first_frame) << i;
+            EXPECT_EQ(got[i].frame_end, want[i].frame_end) << i;
+            EXPECT_EQ(got[i].keys, want[i].keys) << i;
+            EXPECT_EQ(got[i].rows, want[i].rows) << i;
+            EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
+            want_bytes += want[i].bytes;
+          }
+          EXPECT_EQ(lifecycle.evictions(), static_cast<int64_t>(want.size()));
+          EXPECT_EQ(lifecycle.evicted_bytes(), want_bytes);
+          EXPECT_EQ(live.TotalSizeBytes(), reference.TotalSizeBytes());
+          EXPECT_EQ(StaleSegments(live), 0);
+          for (const auto& [name, view] : reference.views()) {
+            EXPECT_EQ(storage::SerializeViewSegments(name, *live.Find(name)),
+                      storage::SerializeViewSegments(name, *view))
+                << name;
+          }
+          // Exactly the stale segments that survive were sealed.
+          for (const EvictionEvent& ev : want) {
+            survivors.Find(ev.view)->EvictSegment(ev.segment_id);
+          }
+          const int64_t stale_survivors = StaleSegments(survivors);
+          EXPECT_EQ(live.seal_totals().segments_sealed.load() - sealed_before,
+                    stale_survivors);
+          stale_evicted += stale - stale_survivors;
+          evictions += static_cast<int64_t>(got.size());
         }
-        EXPECT_EQ(lifecycle.evictions(), static_cast<int64_t>(want.size()));
-        EXPECT_EQ(lifecycle.evicted_bytes(), want_bytes);
-        EXPECT_EQ(live.TotalSizeBytes(), reference.TotalSizeBytes());
-        evictions += static_cast<int64_t>(got.size());
       }
     }
   }
-  EXPECT_GT(evictions, 100);
+  EXPECT_GT(evictions, 200);
+  EXPECT_GT(stale_evicted, 100);
 }
 
 }  // namespace

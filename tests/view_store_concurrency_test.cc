@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
 #include "common/row.h"
+#include "lifecycle/view_lifecycle.h"
 #include "storage/view_store.h"
 #include "view_test_util.h"
 
@@ -328,6 +330,64 @@ TEST(ViewStoreConcurrencyTest, MultiSegmentProbeWalksRacePutsAndReseals) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(view.num_keys(), kFrames);
+}
+
+// The lifecycle's plan-evict-seal pass racing footprint readers, as the
+// HTTP scraper reads /views and /metrics while the executor thread runs
+// EnforceBudget. Each round the driver thread puts keys into two views
+// (fresh tails, and tails on sealed segments that reseal by merge), then
+// EnforceBudget plans every stale segment, evicts the lowest-scored and
+// seals the rest, while readers call TotalSizeBytes() and Segments()
+// throughout. Every pass leaves the store sealed and within budget.
+TEST(ViewStoreConcurrencyTest, FootprintReadersRacePlanEvictSeal) {
+  ViewStore store;
+  store.set_segment_frames(32);
+  store.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  MaterializedView* const views[] = {store.GetOrCreate("A@v", TestSchema()),
+                                     store.GetOrCreate("B@v", TestSchema())};
+  catalog::Catalog catalog;
+  udf::UdfManager manager;
+  lifecycle::LifecycleOptions options;
+  options.storage_budget_bytes = 8000;
+  lifecycle::ViewLifecycleManager lifecycle(options, &store, &manager,
+                                            &catalog);
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> errors{0};
+  std::atomic<int64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        if (store.TotalSizeBytes() < 0) errors.fetch_add(1);
+        for (const MaterializedView* view : views) {
+          for (const SegmentStats& seg : view->Segments()) {
+            if (seg.bytes < 0 || seg.info.keys < 0) errors.fetch_add(1);
+          }
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  int64_t evictions = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (MaterializedView* view : views) {
+      std::vector<ViewKey> keys;
+      for (int64_t f = round; f < 640; f += 7) keys.push_back({f, -1});
+      PutKeys(view, keys);
+    }
+    evictions += static_cast<int64_t>(lifecycle.EnforceBudget(round).size());
+    for (const MaterializedView* view : views) {
+      const ViewCompressionStats stats = view->CompressionStats();
+      EXPECT_EQ(stats.segments, stats.sealed_segments) << "round " << round;
+    }
+    EXPECT_LE(store.TotalSizeBytes(), options.storage_budget_bytes)
+        << "round " << round;
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(reads.load(), 0);
 }
 
 }  // namespace
