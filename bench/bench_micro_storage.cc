@@ -138,7 +138,7 @@ void BM_ViewProbeBatch(benchmark::State& state) {
   int64_t start = 0;
   // Seal the columnar projections outside the timed region (the engine
   // pays this once per segment per session, not per batch).
-  view.ProbeBatch({ViewKey{0, -1}}, nullptr, &res);
+  view.ProbeBatch({ViewKey{0, -1}}, &res);
   for (auto _ : state) {
     start = (start + 7919) % kProbeViewFrames;
     for (size_t i = 0; i < kProbeBatchKeys; ++i) {
@@ -146,7 +146,7 @@ void BM_ViewProbeBatch(benchmark::State& state) {
                             (2 * kProbeViewFrames),
                         -1};
     }
-    view.ProbeBatch(keys, nullptr, &res);
+    view.ProbeBatch(keys, &res);
     benchmark::DoNotOptimize(res.outcomes.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -188,7 +188,7 @@ void BM_ProbeBatchBloom(benchmark::State& state) {
   std::vector<ViewKey> keys = BloomProbeKeys(miss ? 1 : 0);
   ProbeResult res;
   for (auto _ : state) {
-    view.ProbeBatch(keys, nullptr, &res);
+    view.ProbeBatch(keys, &res);
     benchmark::DoNotOptimize(res.outcomes.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -240,7 +240,7 @@ void ResealTails(MaterializedView* view) {
     for (int64_t k = 0; k < kResealTailFrames; ++k, f += 8) {
       PutRows(view, ViewKey{f, -1}, Detections(f));
     }
-    view->ProbeBatch({first}, nullptr, &res);
+    view->ProbeBatch({first}, &res);
     benchmark::DoNotOptimize(res.outcomes.size());
   }
 }
@@ -422,7 +422,7 @@ int RunQuick() {
                               (2 * kProbeViewFrames),
                           -1};
       }
-      view.ProbeBatch(keys, nullptr, &res);
+      view.ProbeBatch(keys, &res);
       benchmark::DoNotOptimize(res.outcomes.size());
     }
   };
@@ -438,7 +438,7 @@ int RunQuick() {
     ProbeResult r;
     for (int64_t b = 0; b * static_cast<int64_t>(kProbeBatchKeys) < kOps;
          ++b) {
-      v.ProbeBatch(probe_keys, nullptr, &r);
+      v.ProbeBatch(probe_keys, &r);
       benchmark::DoNotOptimize(r.outcomes.size());
     }
   };

@@ -926,7 +926,6 @@ Result<QueryResult> EvaEngine::ExecuteSelect(
   ctx.query_id = ++query_seq_;
   ctx.session_id = session_id;
   ctx.udf_spin_us = options_.udf_spin_us;
-  ctx.zone_map_skipping = options_.zone_map_skipping;
   if (options_.optimizer.mode == optimizer::ReuseMode::kFunCache) {
     ctx.funcache = &funcache_;
   }

@@ -72,9 +72,7 @@ struct EngineOptions {
   // --- columnar probe path (docs/STORAGE.md) ------------------------------
   /// No effect; kept because perfbench/ assigns it.
   bool vectorized_filter = true;
-  /// Let view-join probes skip segments whose zone maps prove the plan's
-  /// residual predicate unsatisfiable. Saves view reads and downstream
-  /// filtering without changing results.
+  /// No effect; kept because perfbench/ assigns it.
   bool zone_map_skipping = true;
   /// Compress sealed view segments with per-column lightweight codecs
   /// (dictionary / RLE / bit-pack / frame-of-reference, chosen by byte

@@ -109,10 +109,7 @@ struct ExecContext {
   int64_t session_id = 0;
   /// No effect; kept because perfbench/ assigns it.
   bool vectorized_filter = true;
-  /// Let view-join probes consult per-segment zone maps to skip reading
-  /// segments that cannot satisfy the plan's residual predicate. Results
-  /// are identical either way; skipping only avoids kReadView charges and
-  /// downstream evaluation of rows the residual filter would drop.
+  /// No effect; kept because perfbench/ assigns it.
   bool zone_map_skipping = true;
 
   // --- observability (src/obs/) -------------------------------------------

@@ -117,7 +117,7 @@ Chunk Compact(Chunk in, const std::vector<uint8_t>& keep,
 // touched tail, and only that STORE writes the view (docs/RUNTIME.md).
 struct ProbeLedger {
   std::vector<ViewKey> keys;  // probed keys, in probe order
-  std::vector<uint8_t> hit;   // per key: kHit or kHitSkipped
+  std::vector<uint8_t> hit;   // per key: 1 for a hit
 };
 
 // While a STORE's subtree is built: view name -> that STORE's ledger, for
@@ -532,13 +532,7 @@ class ApplyOp : public Operator {
 // Probing is batched: a pre-pass classifies each input row (pass-through /
 // NULL-out / probe) and collects the probe keys, then one ProbeBatch call
 // answers every probe under a single view-lock acquisition from the
-// sealed columnar segments. When the plan attached a residual
-// predicate and zone-map skipping is on, segments whose zone maps prove
-// the residual unsatisfiable are skipped: their hits keep identical
-// metrics, access stamps, and probe charges, but the kReadView charge and
-// the output rows are dropped — the residual FilterNode above would
-// discard those rows anyway (and STORE skips keys already present), so
-// query results are unchanged. Each chunk's probe verdicts go to the
+// sealed columnar segments. Each chunk's probe verdicts go to the
 // ledger of the STORE of the same view, so that STORE neither re-checks
 // a key the probe missed nor passes on a key it hit.
 // ---------------------------------------------------------------------------
@@ -549,7 +543,6 @@ class ViewJoinOp : public Operator {
                                   const std::string& udf,
                                   const std::string& view_name,
                                   bool scan_all_for_dedup,
-                                  expr::ExprPtr residual,
                                   ProbeLedger* ledger) {
     EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
     Schema out = child->output_schema();
@@ -560,8 +553,7 @@ class ViewJoinOp : public Operator {
       if (!out.Contains(f.name)) out.AddField(f);
     }
     return OperatorPtr(new ViewJoinOp(ctx, std::move(child), std::move(def),
-                                      view_name, scan_all_for_dedup,
-                                      std::move(residual), ledger,
+                                      view_name, scan_all_for_dedup, ledger,
                                       std::move(out)));
   }
 
@@ -577,8 +569,8 @@ class ViewJoinOp : public Operator {
                          static_cast<double>(view->num_rows()));
       }
     }
-    // A chunk whose hits were all zone-skipped yields no rows; it must not
-    // read as the end of the stream.
+    // A detector chunk whose every probe hits a key that stored zero
+    // objects yields no rows; it must not read as the end of the stream.
     while (true) {
       EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
       if (in.empty()) return Chunk(output_schema_);
@@ -644,14 +636,7 @@ class ViewJoinOp : public Operator {
     }
     probe_res_.Clear();
     if (view != nullptr && !probe_keys_.empty()) {
-      storage::ZoneCheckFn zone_fn;
-      if (ctx_->zone_map_skipping && residual_ != nullptr) {
-        zone_fn = [this](const storage::ColumnarSegment& seg) {
-          return ZoneCanMatch(*residual_, seg, value_schema_,
-                              output_schema_);
-        };
-      }
-      view->ProbeBatch(probe_keys_, zone_fn, &probe_res_);
+      view->ProbeBatch(probe_keys_, &probe_res_);
     }
     // One code table per (source lane, output lane): the input's own
     // output lanes first, then each hit segment's columns.
@@ -674,15 +659,6 @@ class ViewJoinOp : public Operator {
       ledger_->keys.swap(probe_keys_);
     }
     FlushProbeCounts();
-    if (probe_res_.segments_skipped > 0) {
-      if (ctx_->active_stats != nullptr) {
-        ctx_->active_stats->segments_skipped += probe_res_.segments_skipped;
-      }
-      if (segments_skipped_ != nullptr) {
-        segments_skipped_->Increment(
-            static_cast<double>(probe_res_.segments_skipped));
-      }
-    }
     if (probe_res_.bloom_negatives > 0 || probe_res_.bloom_fps > 0 ||
         probe_res_.bloom_hits > 0) {
       if (ctx_->active_stats != nullptr) {
@@ -704,14 +680,13 @@ class ViewJoinOp : public Operator {
   }
 
   ViewJoinOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
-             std::string view_name, bool scan_all, expr::ExprPtr residual,
-             ProbeLedger* ledger, Schema schema)
+             std::string view_name, bool scan_all, ProbeLedger* ledger,
+             Schema schema)
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
         def_(std::move(def)),
         view_name_(std::move(view_name)),
         scan_all_pending_(scan_all),
-        residual_(std::move(residual)),
         value_schema_(UdfOutputSchema(def_)),
         ledger_(ledger) {
     // Width of the input columns that precede the detector outputs: when
@@ -727,10 +702,6 @@ class ViewJoinOp : public Operator {
       probe_misses_ = ctx->obs_registry->GetCounter(
           "eva_view_probe_misses_total",
           "Materialized-view probes that fell through to the UDF",
-          {{"udf", def_.name}});
-      segments_skipped_ = ctx->obs_registry->GetCounter(
-          "eva_segments_skipped_total",
-          "View segments skipped by zone-map residual-predicate pruning",
           {{"udf", def_.name}});
       bloom_hits_ = ctx->obs_registry->GetCounter(
           "eva_bloom_hits_total",
@@ -853,20 +824,16 @@ class ViewJoinOp : public Operator {
       }
       ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
       const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
-      if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
+      if (oc != nullptr && oc->status == storage::ProbeStatus::kHit) {
         CountHit(oi - 1);
-        if (oc->status == storage::ProbeStatus::kHit) {
-          ctx_->Charge(CostCategory::kReadView,
-                       ctx_->costs.view_read_ms_per_row *
-                           static_cast<double>(oc->rows_count));
-          // Cells come straight out of the pinned columnar snapshot.
-          const auto begin = static_cast<size_t>(oc->rows_begin);
-          const size_t end = begin + static_cast<size_t>(oc->rows_count);
-          results.Copy(oc->seg_index, begin, end);
-          parents_.insert(parents_.end(), end - begin, parent);
-        }
-        // kHitSkipped: the zone map proved the residual filter above
-        // discards every stored row — skip the read, emit nothing.
+        ctx_->Charge(CostCategory::kReadView,
+                     ctx_->costs.view_read_ms_per_row *
+                         static_cast<double>(oc->rows_count));
+        // Cells come straight out of the pinned columnar snapshot.
+        const auto begin = static_cast<size_t>(oc->rows_begin);
+        const size_t end = begin + static_cast<size_t>(oc->rows_count);
+        results.Copy(oc->seg_index, begin, end);
+        parents_.insert(parents_.end(), end - begin, parent);
       } else {
         ++misses_;
         parents_.push_back(parent);
@@ -880,62 +847,44 @@ class ViewJoinOp : public Operator {
   }
 
   // Classifier / filter UDF: one output column, one output row per input
-  // row except zone-skipped hits.
+  // row.
   Chunk JoinSingle(Chunk& in, MaterializedView* view) {
     const auto out_idx =
         static_cast<size_t>(output_schema_.IndexOf(def_.name));
     TailLane result(output_schema_.field(out_idx).type);
     // kPass means the input carries the output column, at out_idx.
     RunCopier results(this, in, out_idx, &result, 1);
-    parents_.clear();
     size_t oi = 0;
     for (size_t r = 0; r < in.num_rows(); ++r) {
-      const auto parent = static_cast<uint32_t>(r);
       if (actions_[r] == kPass) {
-        parents_.push_back(parent);
         results.Copy(kFromInput, r, r + 1);
         continue;
       }
       if (actions_[r] == kNullOut) {
-        parents_.push_back(parent);
         results.AppendNull();
         continue;
       }
       ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
       const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
-      if (oc != nullptr && oc->status != storage::ProbeStatus::kMiss) {
+      if (oc != nullptr && oc->status == storage::ProbeStatus::kHit) {
         CountHit(oi - 1);
-        if (oc->status == storage::ProbeStatus::kHit) {
-          ctx_->Charge(CostCategory::kReadView,
-                       ctx_->costs.view_read_ms_per_row);
-          parents_.push_back(parent);
-          if (oc->rows_count == 0) {
-            results.AppendNull();
-          } else {
-            const auto begin = static_cast<size_t>(oc->rows_begin);
-            results.Copy(oc->seg_index, begin, begin + 1);
-          }
+        ctx_->Charge(CostCategory::kReadView,
+                     ctx_->costs.view_read_ms_per_row);
+        if (oc->rows_count == 0) {
+          results.AppendNull();
+        } else {
+          const auto begin = static_cast<size_t>(oc->rows_begin);
+          results.Copy(oc->seg_index, begin, begin + 1);
         }
-        // kHitSkipped: drop the row — the key is stored already, and the
-        // residual filter above would discard it.
       } else {
         ++misses_;
-        parents_.push_back(parent);
         results.AppendNull();
       }
     }
     results.Flush();
     Chunk out(output_schema_);
-    const bool all_rows = parents_.size() == in.num_rows();
-    base_remaps_.Clear();
     for (size_t c = 0; c < in.num_columns(); ++c) {
-      if (c == out_idx) continue;
-      if (all_rows) {
-        out.col(c) = std::move(in.col(c));
-      } else {
-        out.col(c).AppendGather(in.lane(c), parents_.data(), parents_.size(),
-                                base_remaps_[c]);
-      }
+      if (c != out_idx) out.col(c) = std::move(in.col(c));
     }
     out.col(out_idx) = std::move(result);
     return out;
@@ -976,8 +925,7 @@ class ViewJoinOp : public Operator {
   UdfDef def_;
   std::string view_name_;
   bool scan_all_pending_;
-  expr::ExprPtr residual_;
-  Schema value_schema_;  // the view's value schema (zone-check resolution)
+  Schema value_schema_;
   ProbeLedger* ledger_;  // the STORE's above; null without one
   size_t output_width_base_;
   // Per-batch scratch, reused across Next() calls.
@@ -989,14 +937,13 @@ class ViewJoinOp : public Operator {
   size_t run_ = 0;  // probe_res_.runs index of the last hit
   std::vector<uint32_t> parents_;  // input row of each output row
   std::vector<uint32_t> run_rows_;  // RunCopier's pending run
-  int64_t hits_ = 0;    // this chunk's probe hits (incl. zone-skipped)
+  int64_t hits_ = 0;    // this chunk's probe hits
   int64_t misses_ = 0;  // this chunk's probe misses
   LaneRemaps remaps_;       // output lanes (input and segment sources)
   LaneRemaps base_remaps_;  // input columns gathered by parent row
   UdfMetricCells cells_;
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
-  obs::Counter* segments_skipped_ = nullptr;
   obs::Counter* bloom_hits_ = nullptr;
   obs::Counter* bloom_negatives_ = nullptr;
   obs::Counter* bloom_fps_ = nullptr;
@@ -1612,7 +1559,7 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
       auto ledger = ledgers->find(join->view_name());
       return ViewJoinOp::Make(
           ctx, std::move(child), join->udf(), join->view_name(),
-          join->scan_all_for_dedup(), join->residual_predicate(),
+          join->scan_all_for_dedup(),
           ledger != ledgers->end() ? ledger->second : nullptr);
     }
     case PlanKind::kStore: {

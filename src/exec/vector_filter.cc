@@ -1,8 +1,6 @@
 #include "exec/vector_filter.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -30,12 +28,6 @@ bool CmpKeep(CompareOp op, int c) {
       return c >= 0;
   }
   return false;
-}
-
-bool IsColumnish(const Expr& e) {
-  // After the optimizer's rewrite a UDF call reads the output column named
-  // after the UDF, so both kinds compile to a column operand.
-  return e.kind() == ExprKind::kColumn || e.kind() == ExprKind::kUdfCall;
 }
 
 // What evaluating comparison operand `e` raises on every row: OK for a
@@ -450,192 +442,6 @@ Status FilterProgram::ExecuteItem(const Chunk& chunk,
   EVA_RETURN_IF_ERROR(Execute(chunk, &verdict));
   for (size_t r = 0; r < n; ++r) out->AppendBool(verdict[r] != 0);
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Zone-map satisfiability
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr double kDoubleExactLimit = 4503599627370496.0;  // 2^52
-
-// Resolves the zone summary of a referenced column. `synth` is storage for
-// the synthesized "id"/"obj" zones (derived from the key arrays).
-const storage::ZoneMapEntry* ResolveZone(const std::string& name,
-                                         const storage::ColumnarSegment& seg,
-                                         const Schema& value_schema,
-                                         storage::ZoneMapEntry* synth) {
-  int idx = value_schema.IndexOf(name);
-  if (idx >= 0 && static_cast<size_t>(idx) < seg.zones.size()) {
-    return &seg.zones[static_cast<size_t>(idx)];
-  }
-  if (seg.num_keys() == 0) return nullptr;
-  if (name == "id" || name == "obj") {
-    int64_t lo = name == "id" ? seg.frame_min() : seg.obj_min;
-    int64_t hi = name == "id" ? seg.frame_max() : seg.obj_max;
-    synth->valid = std::llabs(lo) <= static_cast<int64_t>(kDoubleExactLimit) &&
-                   std::llabs(hi) <= static_cast<int64_t>(kDoubleExactLimit);
-    synth->type = DataType::kInt64;
-    synth->has_nulls = false;
-    synth->all_null = false;
-    synth->num_min = static_cast<double>(lo);
-    synth->num_max = static_cast<double>(hi);
-    return synth;
-  }
-  return nullptr;
-}
-
-// Can compare(zone-column op lit) be true for some stored row?
-ZoneVerdict CompareZone(const storage::ZoneMapEntry& z, CompareOp op,
-                        const Value& lit) {
-  if (!z.valid) return ZoneVerdict::kMaybe;
-  // Every cell NULL, or a NULL comparand: the comparison is false on every
-  // row (never an error), so the segment can never satisfy it.
-  if (z.all_null || lit.is_null()) return ZoneVerdict::kNever;
-  int zr = ValueRank(z.type);
-  int lr = ValueRank(lit.type());
-  if (zr != lr) {
-    // Cross-type comparisons are a rank constant for every non-null cell.
-    int c = zr < lr ? -1 : 1;
-    return CmpKeep(op, c) ? ZoneVerdict::kMaybe : ZoneVerdict::kNever;
-  }
-  if (z.type == DataType::kString) {
-    if (z.strings.empty()) return ZoneVerdict::kMaybe;  // defensive
-    const std::string& lv = lit.AsString();
-    bool sat = true;
-    switch (op) {
-      case CompareOp::kEq:
-        sat = std::binary_search(z.strings.begin(), z.strings.end(), lv);
-        break;
-      case CompareOp::kNe:
-        sat = !(z.strings.size() == 1 && z.strings.front() == lv);
-        break;
-      case CompareOp::kLt:
-        sat = z.strings.front() < lv;
-        break;
-      case CompareOp::kLe:
-        sat = z.strings.front() <= lv;
-        break;
-      case CompareOp::kGt:
-        sat = z.strings.back() > lv;
-        break;
-      case CompareOp::kGe:
-        sat = z.strings.back() >= lv;
-        break;
-    }
-    return sat ? ZoneVerdict::kMaybe : ZoneVerdict::kNever;
-  }
-  // Numeric / bool ranks: reason over [num_min, num_max]. Bail when the
-  // comparand cannot be represented exactly as a double.
-  double lv = 0;
-  if (lit.type() == DataType::kBool) {
-    lv = lit.AsBool() ? 1.0 : 0.0;
-  } else if (lit.type() == DataType::kInt64) {
-    if (std::llabs(lit.AsInt64()) > static_cast<int64_t>(kDoubleExactLimit)) {
-      return ZoneVerdict::kMaybe;
-    }
-    lv = static_cast<double>(lit.AsInt64());
-  } else {
-    lv = lit.AsDouble();
-    if (std::isnan(lv)) return ZoneVerdict::kMaybe;
-  }
-  bool sat = true;
-  switch (op) {
-    case CompareOp::kEq:
-      sat = lv >= z.num_min && lv <= z.num_max;
-      break;
-    case CompareOp::kNe:
-      sat = !(z.num_min == z.num_max && z.num_min == lv);
-      break;
-    case CompareOp::kLt:
-      sat = z.num_min < lv;
-      break;
-    case CompareOp::kLe:
-      sat = z.num_min <= lv;
-      break;
-    case CompareOp::kGt:
-      sat = z.num_max > lv;
-      break;
-    case CompareOp::kGe:
-      sat = z.num_max >= lv;
-      break;
-  }
-  return sat ? ZoneVerdict::kMaybe : ZoneVerdict::kNever;
-}
-
-}  // namespace
-
-ZoneVerdict ZoneCheck(const Expr& e, const storage::ColumnarSegment& seg,
-                      const Schema& value_schema, const Schema& row_schema) {
-  auto never = [&](const Expr& child) {
-    return ZoneCheck(child, seg, value_schema, row_schema) ==
-           ZoneVerdict::kNever;
-  };
-  switch (e.kind()) {
-    case ExprKind::kAnd: {
-      // False for all rows as soon as the left conjunct is. The right one
-      // is reached only where the left is true, so its proof counts only
-      // when the left side cannot raise on the rows a skip would drop.
-      const Expr& l = *e.children()[0];
-      if (never(l) ||
-          (!CanRaise(l, row_schema) && never(*e.children()[1]))) {
-        return ZoneVerdict::kNever;
-      }
-      return ZoneVerdict::kMaybe;
-    }
-    case ExprKind::kOr: {
-      if (never(*e.children()[0]) && never(*e.children()[1])) {
-        return ZoneVerdict::kNever;
-      }
-      return ZoneVerdict::kMaybe;
-    }
-    case ExprKind::kNot:
-      // NOT(child-false-everywhere) is true everywhere — satisfiable. A
-      // sharper answer needs an "always" lattice point; not worth it.
-      return ZoneVerdict::kMaybe;
-    case ExprKind::kLiteral: {
-      const Value& v = e.value();
-      if (v.is_null()) return ZoneVerdict::kNever;  // NULL -> false
-      if (v.type() == DataType::kBool) {
-        return v.AsBool() ? ZoneVerdict::kMaybe : ZoneVerdict::kNever;
-      }
-      return ZoneVerdict::kMaybe;  // an error: must surface, never skip
-    }
-    case ExprKind::kColumn:
-    case ExprKind::kUdfCall: {
-      storage::ZoneMapEntry synth;
-      const storage::ZoneMapEntry* z =
-          ResolveZone(e.name(), seg, value_schema, &synth);
-      if (z == nullptr || !z->valid) return ZoneVerdict::kMaybe;
-      if (z->all_null) return ZoneVerdict::kNever;  // NULL -> false
-      if (z->type == DataType::kBool && z->num_max == 0) {
-        return ZoneVerdict::kNever;  // every cell is literally false
-      }
-      // Non-bool cells would be an error; never skip those.
-      return ZoneVerdict::kMaybe;
-    }
-    case ExprKind::kCompare: {
-      const Expr& l = *e.children()[0];
-      const Expr& r = *e.children()[1];
-      storage::ZoneMapEntry synth;
-      if (IsColumnish(l) && r.kind() == ExprKind::kLiteral) {
-        const storage::ZoneMapEntry* z =
-            ResolveZone(l.name(), seg, value_schema, &synth);
-        if (z == nullptr) return ZoneVerdict::kMaybe;
-        return CompareZone(*z, e.op(), r.value());
-      }
-      if (l.kind() == ExprKind::kLiteral && IsColumnish(r)) {
-        const storage::ZoneMapEntry* z =
-            ResolveZone(r.name(), seg, value_schema, &synth);
-        if (z == nullptr) return ZoneVerdict::kMaybe;
-        return CompareZone(*z, expr::MirrorOp(e.op()), l.value());
-      }
-      return ZoneVerdict::kMaybe;
-    }
-    default:
-      return ZoneVerdict::kMaybe;
-  }
 }
 
 }  // namespace eva::exec

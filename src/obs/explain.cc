@@ -52,11 +52,6 @@ void RenderNode(const plan::PlanNode& node, const PlanStatsMap& stats,
                     static_cast<long long>(s.udf_retries));
       *out += buf;
     }
-    if (s.segments_skipped > 0) {
-      std::snprintf(buf, sizeof(buf), " seg_skipped=%lld",
-                    static_cast<long long>(s.segments_skipped));
-      *out += buf;
-    }
     if (s.bloom_negatives > 0) {
       std::snprintf(buf, sizeof(buf), " bloom_neg=%lld",
                     static_cast<long long>(s.bloom_negatives));

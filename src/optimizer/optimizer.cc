@@ -332,15 +332,9 @@ Result<OptimizedQuery> Optimizer::Optimize(
       h->Observe(manager_->CoverageAtomCount(key));
     }
   };
-  // `residual` is the filter predicate the split plan applies directly
-  // above this UDF's join (p∩ / the conjunct that referenced the UDF).
-  // Attaching it to the ViewJoinNode lets the probe skip view segments
-  // whose zone maps prove the residual unsatisfiable — the rows would be
-  // discarded by that very filter, so results are unchanged.
   auto chain_udf = [&](const std::string& udf_name,
                        const catalog::UdfDef& def,
-                       const Predicate& assoc_now,
-                       const ExprPtr& residual) -> Status {
+                       const Predicate& assoc_now) -> Status {
     const std::string key = udf_name + kViewSep + video.name;
     bool candidate = def.cost_ms >= options_.candidate_cost_threshold_ms;
     bool materialize = (eva_reuse || hashstash) && candidate;
@@ -389,7 +383,6 @@ Result<OptimizedQuery> Optimizer::Optimize(
     if (usable_coverage) {
       auto join = std::make_shared<plan::ViewJoinNode>(udf_name, key);
       join->set_scan_all_for_dedup(hashstash);
-      if (!hashstash) join->set_residual_predicate(residual);
       join->AddChild(node);
       auto cond = std::make_shared<plan::CondApplyNode>(udf_name);
       cond->AddChild(join);
@@ -413,7 +406,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
   for (const UdfPredicate& up : udf_preds) {
     if (!up.frame_level) continue;
     EVA_RETURN_IF_ERROR(chain_udf(up.primary_def.name, up.primary_def,
-                                  assoc, up.pred));
+                                  assoc));
     applied_udfs.insert(up.primary_def.name);
     auto filter = std::make_shared<plan::FilterNode>(up.pred);
     filter->AddChild(node);
@@ -433,10 +426,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
     if (catalog_->HasUdf(det_name)) {
       EVA_ASSIGN_OR_RETURN(catalog::UdfDef def,
                            catalog_->GetUdf(det_name));
-      ExprPtr det_residual = det_preds.empty()
-                                 ? nullptr
-                                 : expr::CombineConjuncts(det_preds);
-      EVA_RETURN_IF_ERROR(chain_udf(det_name, def, q_det, det_residual));
+      EVA_RETURN_IF_ERROR(chain_udf(det_name, def, q_det));
       out.report.detector_exec = det_name;
     } else {
       // Logical UDF: resolve to physical models (§4.3).
@@ -558,7 +548,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
       if (applied_udfs.count(udf_name) > 0) continue;
       EVA_ASSIGN_OR_RETURN(catalog::UdfDef def,
                            catalog_->GetUdf(udf_name));
-      EVA_RETURN_IF_ERROR(chain_udf(udf_name, def, assoc, up.pred));
+      EVA_RETURN_IF_ERROR(chain_udf(udf_name, def, assoc));
       applied_udfs.insert(udf_name);
     }
     auto filter = std::make_shared<plan::FilterNode>(up.pred);
@@ -578,7 +568,7 @@ Result<OptimizedQuery> Optimizer::Optimize(
       ++udf_occurrences;
       EVA_ASSIGN_OR_RETURN(catalog::UdfDef def,
                            catalog_->GetUdf(udf_name));
-      EVA_RETURN_IF_ERROR(chain_udf(udf_name, def, assoc, nullptr));
+      EVA_RETURN_IF_ERROR(chain_udf(udf_name, def, assoc));
       applied_udfs.insert(udf_name);
     }
   }

@@ -55,9 +55,6 @@ std::string CondApplyNode::Describe() const {
 std::string ViewJoinNode::Describe() const {
   std::string out = "ViewJoin(" + view_name_ + ")";
   if (scan_all_for_dedup_) out += " [full-scan dedup]";
-  if (residual_predicate_ != nullptr) {
-    out += " [zone residual: " + residual_predicate_->ToString() + "]";
-  }
   return out;
 }
 

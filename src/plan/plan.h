@@ -144,24 +144,12 @@ class ViewJoinNode : public PlanNode {
   bool scan_all_for_dedup() const { return scan_all_for_dedup_; }
   void set_scan_all_for_dedup(bool v) { scan_all_for_dedup_ = v; }
 
-  /// Residual predicate applied above this join in the split plan (p∩ or
-  /// the uncovered part's predicate). Optional; when set, the probe may use
-  /// segment zone maps to skip hits the residual filter would discard —
-  /// never changing results, only avoiding view reads and downstream work.
-  const expr::ExprPtr& residual_predicate() const {
-    return residual_predicate_;
-  }
-  void set_residual_predicate(expr::ExprPtr p) {
-    residual_predicate_ = std::move(p);
-  }
-
   std::string Describe() const override;
 
  private:
   std::string udf_;
   std::string view_name_;
   bool scan_all_for_dedup_ = false;
-  expr::ExprPtr residual_predicate_;
 };
 
 /// Appends freshly computed UDF results to the materialized view (the

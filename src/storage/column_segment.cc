@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,10 +11,6 @@
 namespace eva::storage {
 
 namespace {
-
-// Integer magnitudes beyond this are not exactly representable as doubles;
-// zone bounds for such columns are marked invalid rather than approximate.
-constexpr double kDoubleExactLimit = 4503599627370496.0;  // 2^52
 
 // Numeric dictionaries stop being considered past this distinct count.
 constexpr size_t kMaxNumDictCardinality = 4096;
@@ -469,7 +464,6 @@ struct KeyIndexLayout {
   int64_t frame_base = 0;
   int frame_width = 0;
   int64_t obj_min = 0;
-  int64_t obj_max = 0;
   int obj_width = 0;
   int64_t row_stride = 0;
   int64_t row_res_base = 0;
@@ -494,12 +488,13 @@ KeyIndexLayout LayOutKeys(const std::vector<ViewKey>& keys,
   out.frame_width = BitPackedVec::WidthFor(
       static_cast<uint64_t>(keys.back().frame) -
       static_cast<uint64_t>(out.frame_base));
-  out.obj_min = out.obj_max = keys.front().obj;
+  out.obj_min = keys.front().obj;
+  int64_t obj_hi = out.obj_min;
   for (const ViewKey& key : keys) {
     out.obj_min = std::min(out.obj_min, key.obj);
-    out.obj_max = std::max(out.obj_max, key.obj);
+    obj_hi = std::max(obj_hi, key.obj);
   }
-  out.obj_width = BitPackedVec::WidthFor(static_cast<uint64_t>(out.obj_max) -
+  out.obj_width = BitPackedVec::WidthFor(static_cast<uint64_t>(obj_hi) -
                                          static_cast<uint64_t>(out.obj_min));
   const int64_t n = static_cast<int64_t>(nkeys);
   out.row_stride = (static_cast<int64_t>(row_begin[nkeys]) + n / 2) / n;
@@ -743,12 +738,10 @@ std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
   if (nkeys > 0) {
     keys = LayOutKeys(cells.keys, cells.row_begin);
     seg->obj_min = keys.obj_min;
-    seg->obj_max = keys.obj_max;
   }
   seg->cols.reserve(num_value_cols);
-  seg->zones.resize(num_value_cols);
   for (size_t c = 0; c < num_value_cols; ++c) {
-    seg->cols.push_back(std::move(cells.cols[c]).Seal(&seg->zones[c]));
+    seg->cols.push_back(std::move(cells.cols[c]).Seal());
   }
 
   // Footprint accounting against the plain representation, then codecs.
@@ -1125,74 +1118,6 @@ int32_t TailLane::LabelCode(const std::vector<std::string>& vocab,
   return code;
 }
 
-namespace {
-
-// Calls fn(i) for every non-null row i of `col`, in row order.
-template <typename Fn>
-void ForEachNonNull(const ColumnVec& col, Fn fn) {
-  if (col.null_bits_.empty()) {
-    for (size_t i = 0; i < col.n_; ++i) fn(i);
-    return;
-  }
-  for (size_t w = 0; w * 64 < col.n_; ++w) {
-    uint64_t present = ~col.null_bits_[w];
-    if (col.n_ - w * 64 < 64) present &= (uint64_t{1} << (col.n_ - w * 64)) - 1;
-    for (; present != 0; present &= present - 1) {
-      fn(w * 64 + static_cast<size_t>(std::countr_zero(present)));
-    }
-  }
-}
-
-}  // namespace
-
-ColumnVec TailLane::Seal(ZoneMapEntry* zone) && {
-  // Zone maps (and the string distinct list) come from the cells in row
-  // order, before any codec touches the lane.
-  ColumnVec col = std::move(lane_);
-  zone->valid = true;
-  zone->type = type_;
-  zone->has_nulls = !col.null_bits_.empty();
-  size_t nulls = 0;
-  for (uint64_t word : col.null_bits_) nulls += std::popcount(word);
-  // An all-null column keeps an (empty-bounds) valid zone so skipping can
-  // reason about it.
-  zone->all_null = nulls == col.n_;
-  // Bounds over the non-null cells, value(i) reading row i as a double.
-  auto bound = [&](auto value) {
-    bool first = true;
-    ForEachNonNull(col, [&](size_t i) {
-      const double d = value(i);
-      zone->num_min = first ? d : std::min(zone->num_min, d);
-      zone->num_max = first ? d : std::max(zone->num_max, d);
-      first = false;
-    });
-  };
-  switch (col.enc_) {
-    case ColumnVec::Enc::kInt64:
-      bound([&](size_t i) {
-        // A range test, not llabs: |INT64_MIN| does not fit an int64.
-        constexpr auto kLimit = static_cast<int64_t>(kDoubleExactLimit);
-        if (col.i64_[i] > kLimit || col.i64_[i] < -kLimit) {
-          zone->valid = false;
-        }
-        return static_cast<double>(col.i64_[i]);
-      });
-      break;
-    case ColumnVec::Enc::kDouble:
-      bound([&](size_t i) {
-        if (std::isnan(col.f64_[i])) zone->valid = false;
-        return col.f64_[i];
-      });
-      break;
-    case ColumnVec::Enc::kBool:
-      bound([&](size_t i) { return col.b8_[i] != 0 ? 1.0 : 0.0; });
-      break;
-    case ColumnVec::Enc::kDict:
-      zone->strings = col.dict_;
-      std::sort(zone->strings.begin(), zone->strings.end());
-      break;
-  }
-  return col;
-}
+ColumnVec TailLane::Seal() && { return std::move(lane_); }
 
 }  // namespace eva::storage

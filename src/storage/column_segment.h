@@ -189,23 +189,6 @@ class ColumnVec {
   }
 };
 
-/// Per-column zone summary used for segment skipping: a probe can prove a
-/// residual predicate unsatisfiable for every row of a segment and skip
-/// materializing its hits. `valid` is the master flag — it is false when
-/// integer magnitudes exceed the double-exact range or a Double cell is
-/// NaN, and consumers must then treat the column as unbounded. Zone maps
-/// are computed from the raw cells BEFORE any codec is applied, so skip
-/// decisions are independent of the compression configuration.
-struct ZoneMapEntry {
-  bool valid = false;
-  DataType type = DataType::kNull;  // the column's field type
-  bool has_nulls = false;
-  bool all_null = true;  // no non-null cell in the segment
-  double num_min = 0;    // Int64 / Double / Bool(0,1) bounds
-  double num_max = 0;
-  std::vector<std::string> strings;  // sorted distinct values (kString)
-};
-
 /// Seal-time storage configuration, threaded from EngineOptions through
 /// ViewStore/MaterializedView. Defaults preserve the pre-codec behavior
 /// (plain lanes, no filter) for direct library callers; the engine turns
@@ -224,12 +207,12 @@ struct KeyCursor {
 };
 
 /// Immutable sealed part of one view segment: keys sorted by (frame, obj)
-/// with prefix row offsets, one ColumnVec per value-schema field, and a
-/// zone map per column. Shared via shared_ptr so a probe can keep reading
-/// a segment that a concurrent reseal replaces. When built with
-/// compression the key index lives in bit-packed lanes (access via
-/// key_frame/key_obj/row_begin_at); a per-segment split-block Bloom filter
-/// over the keys short-circuits probe misses before the key-index search.
+/// with prefix row offsets and one ColumnVec per value-schema field.
+/// Shared via shared_ptr so a probe can keep reading a segment that a
+/// concurrent reseal replaces. When built with compression the key index
+/// lives in bit-packed lanes (access via key_frame/key_obj/row_begin_at);
+/// a per-segment split-block Bloom filter over the keys short-circuits
+/// probe misses before the key-index search.
 struct ColumnarSegment {
   std::vector<int64_t> frames;     // per key, ascending (frame, obj)
   std::vector<int64_t> objs;       // per key
@@ -246,11 +229,9 @@ struct ColumnarSegment {
   BitPackedVec objs_p;
   BitPackedVec row_begin_p;
 
-  std::vector<ColumnVec> cols;      // one per value-schema field
-  std::vector<ZoneMapEntry> zones;  // parallel to cols
-  BloomFilter bloom;                // over HashViewKey of every key
-  int64_t obj_min = 0;  // over keys (classifier zone checks on "obj")
-  int64_t obj_max = 0;
+  std::vector<ColumnVec> cols;  // one per value-schema field
+  BloomFilter bloom;            // over HashViewKey of every key
+  int64_t obj_min = 0;          // over keys: FOR base of objs_p
 
   /// Footprint accounting (docs/STORAGE.md): raw = the plain columnar
   /// representation (16 B/key index + 4 B/key offsets + plain lanes),
@@ -284,13 +265,6 @@ struct ColumnarSegment {
   int64_t num_rows() const {
     size_t n = num_keys();
     return n == 0 ? 0 : row_begin_at(n);
-  }
-  int64_t frame_min() const {
-    return num_keys() == 0 ? 0 : key_frame(0);
-  }
-  int64_t frame_max() const {
-    size_t n = num_keys();
-    return n == 0 ? 0 : key_frame(n - 1);
   }
 
   /// Index of (frame, obj) in the sorted key arrays, or npos when absent.
@@ -349,8 +323,8 @@ class TailLane {
   void AppendLabel(const std::vector<std::string>& vocab, size_t id);
   void AppendNull();
   const ColumnVec& lane() const { return lane_; }
-  /// The sealed plain column and its zone map (computed before codecs).
-  ColumnVec Seal(ZoneMapEntry* zone) &&;
+  /// The sealed plain column.
+  ColumnVec Seal() &&;
 
  private:
   /// Appends src.At(row(k)) for k in [0, n): AppendFrom and AppendGather.

@@ -360,21 +360,12 @@ ViewCompressionStats MaterializedView::CompressionStats() const {
 void MaterializedView::ProbeRunLocked(const std::vector<ViewKey>& keys,
                                       size_t begin, size_t end,
                                       const Segment* seg,
-                                      const ZoneCheckFn& can_match,
                                       ProbeResult* out) const {
   const ColumnarSegment* sealed =
       seg != nullptr ? seg->sealed.get() : nullptr;
   if (sealed == nullptr) {
     out->outcomes.resize(out->outcomes.size() + (end - begin));  // kMiss
     return;
-  }
-  bool admitted = true;
-  if (can_match != nullptr) {
-    ++out->segments_probed;
-    if (!can_match(*sealed)) {
-      admitted = false;
-      ++out->segments_skipped;
-    }
   }
   const bool bloom = sealed->bloom.enabled();
   KeyCursor cursor;
@@ -408,10 +399,6 @@ void MaterializedView::ProbeRunLocked(const std::vector<ViewKey>& keys,
     last = idx;
     last_end = sealed->row_begin_at(idx + 1);
     outcome.rows_count = last_end - rows_begin;
-    if (!admitted) {
-      outcome.status = ProbeStatus::kHitSkipped;
-      continue;
-    }
     outcome.status = ProbeStatus::kHit;
     // Pin the snapshot once per run, on its first hit; the caller reads
     // rows in place (zero-copy) after the lock is released.
@@ -439,17 +426,15 @@ bool MaterializedView::RunSegmentsLocked(const std::vector<ProbeRun>& runs,
 
 void MaterializedView::ProbeRunsLocked(const std::vector<ViewKey>& keys,
                                        const std::vector<Segment*>& segs,
-                                       const ZoneCheckFn& can_match,
                                        ProbeResult* out) const {
   size_t begin = 0;
   for (size_t r = 0; r < segs.size(); ++r) {
-    ProbeRunLocked(keys, begin, out->runs[r].end, segs[r], can_match, out);
+    ProbeRunLocked(keys, begin, out->runs[r].end, segs[r], out);
     begin = out->runs[r].end;
   }
 }
 
 void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
-                                  const ZoneCheckFn& can_match,
                                   ProbeResult* out) const {
   out->Clear();
   out->outcomes.reserve(keys.size());
@@ -470,7 +455,7 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (!RunSegmentsLocked(out->runs, &segs)) {
-      ProbeRunsLocked(keys, segs, can_match, out);
+      ProbeRunsLocked(keys, segs, out);
       return;
     }
   }
@@ -481,7 +466,7 @@ void MaterializedView::ProbeBatch(const std::vector<ViewKey>& keys,
   for (Segment* seg : segs) {
     if (seg != nullptr && !seg->tail.keys.empty()) SealSegmentLocked(seg);
   }
-  ProbeRunsLocked(keys, segs, can_match, out);
+  ProbeRunsLocked(keys, segs, out);
 }
 
 void MaterializedView::RecordAccess(

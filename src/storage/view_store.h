@@ -52,17 +52,15 @@ struct EvictedSegment {
   int64_t rows = 0;
 };
 
-/// Outcome of one key of a ProbeBatch. kHitSkipped: the key is present but
-/// its segment's zone map proved the caller's residual predicate
-/// unsatisfiable, so its rows were not materialized (and must not be
-/// charged as view reads).
-enum class ProbeStatus : uint8_t { kMiss = 0, kHit, kHitSkipped };
+/// Outcome of one key of a ProbeBatch: a miss, or a hit with the key's
+/// stored rows (possibly none) in one pinned segment snapshot.
+enum class ProbeStatus : uint8_t { kMiss = 0, kHit };
 
 struct ProbeOutcome {
   ProbeStatus status = ProbeStatus::kMiss;
   int32_t seg_index = -1;  // into ProbeResult::segments (kHit only)
   int32_t rows_begin = 0;  // row offset within the segment (kHit only)
-  int32_t rows_count = 0;  // stored row count (kHit and kHitSkipped)
+  int32_t rows_count = 0;  // stored row count (kHit only)
 };
 
 /// One run of a ProbeBatch: consecutive probe keys in one segment's frame
@@ -84,8 +82,6 @@ struct ProbeResult {
   std::vector<ProbeRun> runs;          // in key order, covering outcomes
   /// Snapshots of the segments the batch hit, pinned for the caller.
   std::vector<std::shared_ptr<const ColumnarSegment>> segments;
-  int64_t segments_probed = 0;   // distinct segment runs zone-checked
-  int64_t segments_skipped = 0;  // runs rejected by the zone callback
   /// Split-block Bloom filter outcomes (zero when segments carry no
   /// filter). A negative proves absence, so the key-index search was
   /// skipped; a false positive paid the search and still missed.
@@ -101,19 +97,11 @@ struct ProbeResult {
     outcomes.clear();
     runs.clear();
     segments.clear();
-    segments_probed = 0;
-    segments_skipped = 0;
     bloom_hits = 0;
     bloom_negatives = 0;
     bloom_fps = 0;
   }
 };
-
-/// Zone-map admission callback: returns false when no stored row of the
-/// segment can satisfy the caller's residual predicate. Invoked under the
-/// view lock, once per segment run per batch — it must not reenter the
-/// view and must be a pure function of the segment (determinism).
-using ZoneCheckFn = std::function<bool(const ColumnarSegment&)>;
 
 /// Cumulative seal-time codec accounting, shared by every view of a
 /// ViewStore (atomics: seals happen under per-view locks on any thread).
@@ -192,15 +180,13 @@ class MaterializedView {
   /// Batch probe over the sealed segments, a segment run at a time: the
   /// keys split into runs of consecutive keys in one segment's frame
   /// range (ProbeResult::runs), and each run takes one segment lookup, one
-  /// reseal when the segment has a tail (exclusive lock), one `can_match`
-  /// call, and one merge walk of the sealed key index (FindKey with a
-  /// KeyCursor) behind a Bloom check per key. One shared lock for the
-  /// batch when no touched segment has a tail. Results are zero-copy references into pinned
-  /// segment snapshots (see ProbeResult); a run rejected by `can_match`
-  /// answers its hits kHitSkipped with no row references. Keys should be
-  /// frame-ascending for the walk to amortize, but any order is correct.
-  void ProbeBatch(const std::vector<ViewKey>& keys,
-                  const ZoneCheckFn& can_match, ProbeResult* out) const;
+  /// reseal when the segment has a tail (exclusive lock), and one merge
+  /// walk of the sealed key index (FindKey with a KeyCursor) behind a
+  /// Bloom check per key. One shared lock for the batch when no touched
+  /// segment has a tail. Results are zero-copy references into pinned
+  /// segment snapshots (see ProbeResult). Keys should be frame-ascending
+  /// for the walk to amortize, but any order is correct.
+  void ProbeBatch(const std::vector<ViewKey>& keys, ProbeResult* out) const;
 
   /// Appends each key of `keys` with its result rows to its segment's
   /// tail unless the key is already present (append-only STORE semantics;
@@ -394,13 +380,12 @@ class MaterializedView {
   /// which has a tail. Caller holds mu_ (any mode).
   void ProbeRunsLocked(const std::vector<ViewKey>& keys,
                        const std::vector<Segment*>& segs,
-                       const ZoneCheckFn& can_match, ProbeResult* out) const;
+                       ProbeResult* out) const;
   /// Appends the outcomes of keys [begin, end), one run in `seg`'s frame
   /// range, to `out`. `seg` is null when no segment holds the range, and
   /// has no tail otherwise. Caller holds mu_ (any mode).
   void ProbeRunLocked(const std::vector<ViewKey>& keys, size_t begin,
-                      size_t end, const Segment* seg,
-                      const ZoneCheckFn& can_match, ProbeResult* out) const;
+                      size_t end, const Segment* seg, ProbeResult* out) const;
 
   std::string name_;
   Schema value_schema_;

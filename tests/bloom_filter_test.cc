@@ -127,7 +127,7 @@ TEST(BloomFilterTest, ProbeOracleDifferential) {
     for (int64_t o = -1; o < 3; ++o) probes.push_back({f, o});
   }
   ProbeResult res;
-  view.ProbeBatch(probes, nullptr, &res);
+  view.ProbeBatch(probes, &res);
   ASSERT_EQ(res.outcomes.size(), probes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
     const bool stored = oracle.count(probes[i]) > 0;

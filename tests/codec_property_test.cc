@@ -1,8 +1,8 @@
 // Differential property tests for the seal-time segment codecs
 // (docs/STORAGE.md): every encoding x column type x adversarial value
 // distribution must reconstruct the exact stored Values and answer
-// ProbeBatch / Contains / zone-skip probes identically to an uncompressed
-// view, and a reseal of sealed + open tail must equal a one-shot seal.
+// ProbeBatch / Contains probes identically to an uncompressed view, and
+// a reseal of sealed + open tail must equal a one-shot seal.
 // Deterministic LCG-driven generation — failures replay from the printed
 // seed.
 
@@ -541,11 +541,10 @@ struct ViewPair {
 };
 
 void ExpectProbesAgree(const ViewPair& pair,
-                       const std::vector<ViewKey>& probes,
-                       const ZoneCheckFn& zone = nullptr) {
+                       const std::vector<ViewKey>& probes) {
   ProbeResult rp, rc;
-  pair.plain.ProbeBatch(probes, zone, &rp);
-  pair.packed.ProbeBatch(probes, zone, &rc);
+  pair.plain.ProbeBatch(probes, &rp);
+  pair.packed.ProbeBatch(probes, &rc);
   ASSERT_EQ(rp.outcomes.size(), rc.outcomes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
     const ProbeOutcome& op = rp.outcomes[i];
@@ -690,34 +689,6 @@ TEST(CodecViewDifferentialTest, LargeDictionaryStaysADictionary) {
   }
 }
 
-TEST(CodecViewDifferentialTest, ZoneSkipDecisionsMatch) {
-  // Zone maps are computed before compression, so a residual-predicate
-  // zone check must skip exactly the same segments on both sides.
-  Schema schema({{"score", DataType::kDouble}});
-  ViewPair pair(schema, 32);
-  for (int64_t f = 0; f < 256; ++f) {
-    // Segment k holds scores centered on k: zones differ per segment.
-    double score = static_cast<double>(f / 32) + 0.25;
-    pair.Put({f, -1}, {{Value(score)}});
-  }
-  ZoneCheckFn require_high = [](const ColumnarSegment& seg) {
-    return seg.zones[0].valid && seg.zones[0].num_max >= 4.0;
-  };
-  std::vector<ViewKey> probes;
-  for (int64_t f = 0; f < 256; ++f) probes.push_back({f, -1});
-  ProbeResult rp, rc;
-  pair.plain.ProbeBatch(probes, require_high, &rp);
-  pair.packed.ProbeBatch(probes, require_high, &rc);
-  ASSERT_EQ(rp.outcomes.size(), rc.outcomes.size());
-  int skipped = 0;
-  for (size_t i = 0; i < rp.outcomes.size(); ++i) {
-    ASSERT_EQ(rp.outcomes[i].status, rc.outcomes[i].status) << i;
-    if (rp.outcomes[i].status == ProbeStatus::kHitSkipped) ++skipped;
-  }
-  EXPECT_GT(skipped, 0);                           // the check does bite
-  EXPECT_EQ(rp.segments_skipped, rc.segments_skipped);
-}
-
 TEST(CodecViewDifferentialTest, CompressedFootprintNeverLarger) {
   Schema schema({{"obj", DataType::kInt64},
                  {"label", DataType::kString},
@@ -775,16 +746,6 @@ void ExpectSameColumn(const ColumnVec& x, const ColumnVec& y) {
   EXPECT_EQ(x.rle_end_, y.rle_end_);
 }
 
-void ExpectSameZone(const ZoneMapEntry& zx, const ZoneMapEntry& zy) {
-  EXPECT_EQ(zx.valid, zy.valid);
-  EXPECT_EQ(zx.type, zy.type);
-  EXPECT_EQ(zx.has_nulls, zy.has_nulls);
-  EXPECT_EQ(zx.all_null, zy.all_null);
-  EXPECT_TRUE(SameBits(zx.num_min, zy.num_min));
-  EXPECT_TRUE(SameBits(zx.num_max, zy.num_max));
-  EXPECT_EQ(zx.strings, zy.strings);
-}
-
 void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
   // Key index.
   EXPECT_EQ(a.packed_keys, b.packed_keys);
@@ -798,7 +759,6 @@ void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
   ExpectSamePacked(a.objs_p, b.objs_p, "objs_p");
   ExpectSamePacked(a.row_begin_p, b.row_begin_p, "row_begin_p");
   EXPECT_EQ(a.obj_min, b.obj_min);
-  EXPECT_EQ(a.obj_max, b.obj_max);
   // Footprint and codec accounting.
   EXPECT_EQ(a.raw_bytes, b.raw_bytes);
   EXPECT_EQ(a.encoded_bytes, b.encoded_bytes);
@@ -813,13 +773,11 @@ void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
               0)
         << "bloom block " << i;
   }
-  // Columns: encoding, codec, lanes, dictionary order, zone maps.
+  // Columns: encoding, codec, lanes, dictionary order.
   ASSERT_EQ(a.cols.size(), b.cols.size());
-  ASSERT_EQ(a.zones.size(), b.zones.size());
   for (size_t c = 0; c < a.cols.size(); ++c) {
     SCOPED_TRACE("col " + std::to_string(c));
     ExpectSameColumn(a.cols[c], b.cols[c]);
-    ExpectSameZone(a.zones[c], b.zones[c]);
   }
 }
 
@@ -885,7 +843,7 @@ TEST(CodecResealTest, ResealEqualsOneShotSeal) {
             resealed.SealAllSegments();
           } else {
             ProbeResult res;  // a probe seals the touched segment
-            resealed.ProbeBatch({key}, nullptr, &res);
+            resealed.ProbeBatch({key}, &res);
           }
         }
       }
@@ -918,9 +876,9 @@ DataType KindType(int kind) {
 }
 
 // TailLane::AppendFrom against its definition: appending rows [b, e) of
-// a source equals Append(src.At(i)) row by row — lanes, null bitmap,
-// dictionary order and zone map — for sources under every codec,
-// all-null sources, and merges that switch sources.
+// a source equals Append(src.At(i)) row by row — lanes, null bitmap and
+// dictionary order — for sources under every codec, all-null sources,
+// and merges that switch sources.
 TEST(CodecResealTest, AppendFromMatchesValueAppends) {
   Lcg rng(0xA99E);
   // High bits only: the LCG's low bits cycle with short periods.
@@ -928,8 +886,7 @@ TEST(CodecResealTest, AppendFromMatchesValueAppends) {
   auto seal = [](DataType type, const std::vector<Value>& cells) {
     TailLane lane(type);
     for (const Value& v : cells) lane.Append(v);
-    ZoneMapEntry zone;
-    return std::move(lane).Seal(&zone);
+    return std::move(lane).Seal();
   };
   auto cells = [&rng, &pick](int kind) {
     std::vector<Value> out;
@@ -1004,11 +961,9 @@ TEST(CodecResealTest, AppendFromMatchesValueAppends) {
       for (size_t i = b; i < e; ++i) by_value.Append(src.At(i));
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    ZoneMapEntry zm, zv;
-    const ColumnVec cm = std::move(merged).Seal(&zm);
-    const ColumnVec cv = std::move(by_value).Seal(&zv);
+    const ColumnVec cm = std::move(merged).Seal();
+    const ColumnVec cv = std::move(by_value).Seal();
     ExpectSameColumn(cm, cv);
-    ExpectSameZone(zm, zv);
     if (HasFailure()) break;
   }
 }
@@ -1040,7 +995,7 @@ void ExpectPhasedResealMatchesOneShot(const Schema& schema,
         resealed.SealAllSegments();
       } else {
         ProbeResult res;  // a probe reseals the touched segment
-        resealed.ProbeBatch({phases[p].front().first}, nullptr, &res);
+        resealed.ProbeBatch({phases[p].front().first}, &res);
       }
     }
     auto a = resealed.SealedSegments();
@@ -1152,11 +1107,9 @@ TEST(CodecResealTest, TypedAppendsMatchValueAppends) {
       }
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    ZoneMapEntry zt, zv;
-    const ColumnVec ct = std::move(typed).Seal(&zt);
-    const ColumnVec cv = std::move(by_value).Seal(&zv);
+    const ColumnVec ct = std::move(typed).Seal();
+    const ColumnVec cv = std::move(by_value).Seal();
     ExpectSameColumn(ct, cv);
-    ExpectSameZone(zt, zv);
     if (HasFailure()) break;
   }
 }
@@ -1203,11 +1156,9 @@ TEST(CodecResealTest, AppendLabelMatchesAppendString) {
           << "row " << i;
     }
     ExpectSameColumn(labels.lane(), strings.lane());
-    ZoneMapEntry zl, zs;
-    const ColumnVec cl = std::move(labels).Seal(&zl);
-    const ColumnVec cs = std::move(strings).Seal(&zs);
+    const ColumnVec cl = std::move(labels).Seal();
+    const ColumnVec cs = std::move(strings).Seal();
     ExpectSameColumn(cl, cs);
-    ExpectSameZone(zl, zs);
     if (HasFailure()) break;
   }
 }
@@ -1226,8 +1177,7 @@ TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
       for (int i = 0; i < 200; ++i) {
         lane.Append(nulls ? Value::Null() : RandomCell(&rng, kind));
       }
-      ZoneMapEntry zone;
-      ColumnVec plain = std::move(lane).Seal(&zone);
+      ColumnVec plain = std::move(lane).Seal();
       ColumnVec packed = plain;
       Compress(&packed);
       sources[static_cast<size_t>(kind)].push_back(std::move(plain));
@@ -1253,11 +1203,9 @@ TEST(CodecResealTest, AppendGatherMatchesValueAppends) {
       for (uint32_t r : rows) by_value.Append(src.At(r));
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    ZoneMapEntry zg, zv;
-    const ColumnVec cg = std::move(gathered).Seal(&zg);
-    const ColumnVec cv = std::move(by_value).Seal(&zv);
+    const ColumnVec cg = std::move(gathered).Seal();
+    const ColumnVec cv = std::move(by_value).Seal();
     ExpectSameColumn(cg, cv);
-    ExpectSameZone(zg, zv);
     if (HasFailure()) break;
   }
 }
@@ -1319,8 +1267,7 @@ TEST(CodecResealTest, RangeAndIndexAppendsMatchAtForEveryCodec) {
         const Value v = cell(kind, i);
         lane.Append(nulls && pick(7) == 0 ? Value::Null() : v);
       }
-      ZoneMapEntry zone;
-      ColumnVec plain = std::move(lane).Seal(&zone);
+      ColumnVec plain = std::move(lane).Seal();
       ColumnVec packed = plain;
       Compress(&packed);
       for (const ColumnVec* c : {&plain, &packed}) {
@@ -1531,7 +1478,7 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
             break;
           case 1: {
             ProbeResult res;  // a probe reseals the touched segment
-            by_lanes.ProbeBatch({key}, nullptr, &res);
+            by_lanes.ProbeBatch({key}, &res);
             break;
           }
           case 2: {

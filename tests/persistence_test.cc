@@ -516,6 +516,12 @@ TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
 
     // Sealed columns cover every codec; every column is encoded as its
     // field's type, including the all-NULL ones.
+    auto all_null = [](const ColumnVec& col) {
+      for (size_t r = 0; r < col.size(); ++r) {
+        if (!col.NullAt(r)) return false;
+      }
+      return true;
+    };
     std::set<ColumnVec::Codec> codecs;
     for (const auto& [seg_id, seg] : view->SealedSegments()) {
       for (size_t c = 0; c < seg->cols.size(); ++c) {
@@ -523,8 +529,8 @@ TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
         codecs.insert(col.codec());
         EXPECT_EQ(col.enc(), ColumnVec::EncOf(schema.field(c).type));
       }
-      EXPECT_EQ(seg->zones[6].all_null, seg_id == 0) << "segment " << seg_id;
-      EXPECT_EQ(seg->zones[7].all_null, seg_id == 4) << "segment " << seg_id;
+      EXPECT_EQ(all_null(seg->cols[6]), seg_id == 0) << "segment " << seg_id;
+      EXPECT_EQ(all_null(seg->cols[7]), seg_id == 4) << "segment " << seg_id;
       EXPECT_EQ(seg->cols[7].dict_.empty(), seg_id == 4);
     }
     if (compress) {

@@ -1,7 +1,7 @@
 // Reference batch probe for MaterializedView::ProbeBatch: the per-key loop
 // the run-at-a-time probe replaced. Every key finds its segment by floor
-// division, a new segment starts a new run (zone check, cursor reset, one
-// pin on the run's first hit), and each key pays a Bloom check and, behind
+// division, a new segment starts a new run (cursor reset, one pin on the
+// run's first hit), and each key pays a Bloom check and, behind
 // it, a bisect of the key index from the previous key's cursor
 // (ReferenceFindKey, the search ColumnarSegment::FindKey replaced). It
 // reads a frame-keyed map of sealed segments
@@ -67,13 +67,12 @@ inline size_t ReferenceFindKey(const ColumnarSegment& seg, int64_t frame,
 /// Fills `out` as ProbeBatch does, except ProbeResult::runs.
 inline void ReferenceProbe(const SealedMap& segments, int64_t segment_frames,
                            const std::vector<ViewKey>& keys,
-                           const ZoneCheckFn& can_match, ProbeResult* out) {
+                           ProbeResult* out) {
   out->Clear();
   int64_t cur = INT64_MIN;
   bool first = true;
   const std::shared_ptr<const ColumnarSegment>* seg_sp = nullptr;
   const ColumnarSegment* seg = nullptr;
-  bool seg_admitted = true;
   int32_t seg_slot = -1;
   size_t cursor = 0;
   for (const ViewKey& key : keys) {
@@ -86,14 +85,6 @@ inline void ReferenceProbe(const SealedMap& segments, int64_t segment_frames,
       auto it = segments.find(seg_id);
       seg_sp = it != segments.end() ? &it->second : nullptr;
       seg = seg_sp != nullptr ? seg_sp->get() : nullptr;
-      seg_admitted = true;
-      if (seg != nullptr && can_match != nullptr) {
-        ++out->segments_probed;
-        if (!can_match(*seg)) {
-          seg_admitted = false;
-          ++out->segments_skipped;
-        }
-      }
     }
     ProbeOutcome outcome;
     if (seg != nullptr) {
@@ -116,17 +107,13 @@ inline void ReferenceProbe(const SealedMap& segments, int64_t segment_frames,
         const int32_t begin = seg->row_begin_at(idx);
         const int32_t end = seg->row_begin_at(idx + 1);
         outcome.rows_count = end - begin;
-        if (seg_admitted) {
-          outcome.status = ProbeStatus::kHit;
-          if (seg_slot < 0) {
-            seg_slot = static_cast<int32_t>(out->segments.size());
-            out->segments.push_back(*seg_sp);
-          }
-          outcome.seg_index = seg_slot;
-          outcome.rows_begin = begin;
-        } else {
-          outcome.status = ProbeStatus::kHitSkipped;
+        outcome.status = ProbeStatus::kHit;
+        if (seg_slot < 0) {
+          seg_slot = static_cast<int32_t>(out->segments.size());
+          out->segments.push_back(*seg_sp);
         }
+        outcome.seg_index = seg_slot;
+        outcome.rows_begin = begin;
       }
     }
     out->outcomes.push_back(outcome);

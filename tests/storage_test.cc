@@ -127,7 +127,7 @@ TEST(MaterializedViewTest, ProbeBatchHitsARepeatedKey) {
   }
   const std::vector<ViewKey> keys = {{3, -1}, {3, -1}, {4, -1}, {4, -1}};
   ProbeResult res;
-  view.ProbeBatch(keys, nullptr, &res);
+  view.ProbeBatch(keys, &res);
   ASSERT_EQ(res.outcomes.size(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     SCOPED_TRACE("key " + std::to_string(i));

@@ -12,11 +12,8 @@
 //  2. MaterializedView::Put / ProbeBatch must agree with a std::map
 //     oracle, cell for cell and type for type, across segment
 //     boundaries, re-appends, open tails, reseals, and eviction.
-//  3. Zone-map skipping must be sound: every row of a segment reported
-//     kHitSkipped must fail the residual predicate under the reference
-//     evaluation.
-//  4. The engine must produce identical row sets with zone skipping on
-//     or off.
+//  3. A filter above a ViewJoin must still raise the error of its left
+//     conjunct when its right conjunct is never true on the view's rows.
 
 #include <cmath>
 #include <cstdint>
@@ -697,7 +694,7 @@ TEST(VectorizedFilterProperty, ViewMatchesMapOracle) {
       keys.push_back(ViewKey{f, -1});  // some present, some missing
     }
     ProbeResult res;
-    view.ProbeBatch(keys, nullptr, &res);
+    view.ProbeBatch(keys, &res);
     ASSERT_EQ(res.outcomes.size(), keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
       auto expected = oracle.find(keys[i]);
@@ -730,212 +727,28 @@ TEST(VectorizedFilterProperty, ViewMatchesMapOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Zone-map skipping soundness
+// 3. Engine-level: errors of a filter over a ViewJoin
 // ---------------------------------------------------------------------------
 
-TEST(VectorizedFilterProperty, ZoneSkippingIsSound) {
-  Lcg rng(0x5eed0003);
-  Schema value_schema = DetectorValueSchema();
-  // Scalar re-check schema: value columns plus the synthetic key columns
-  // the zone check can reason about.
-  Schema check_schema = value_schema;
-  check_schema.AddField({"id", DataType::kInt64});
-  MaterializedView view("v", value_schema);
-  view.set_segment_frames(8);
-  for (int64_t f = 0; f < 96; ++f) {
-    PutRows(&view, ViewKey{f, -1}, RandomDetections(rng),
-            static_cast<uint64_t>(f), 0);
-  }
-  std::vector<ViewKey> keys;
-  for (int64_t f = 0; f < 96; ++f) keys.push_back(ViewKey{f, -1});
-
-  // Well-typed residual predicates over value + key columns, including
-  // always-false ones so skipping demonstrably fires.
-  auto gen_leaf = [&](Lcg& r) -> ExprPtr {
-    auto op = static_cast<CompareOp>(r.Below(6));
-    switch (r.Below(5)) {
-      case 0:
-        return Expr::Compare(op, Expr::Column("area"),
-                             Expr::Literal(Value(r.Unit() * 1.2 - 0.3)));
-      case 1:
-        return Expr::Compare(op, Expr::Column("score"),
-                             Expr::Literal(Value(r.Unit())));
-      case 2:
-        return Expr::Compare(
-            op, Expr::Column("label"),
-            Expr::Literal(Value(std::string(kLabels[r.Below(5)]))));
-      case 3:
-        return Expr::Compare(op, Expr::Column("id"),
-                             Expr::Literal(Value(r.Below(120))));
-      default:
-        return Expr::Compare(op, Expr::Column("obj"),
-                             Expr::Literal(Value(r.Below(6) - 1)));
-    }
-  };
-  int64_t total_skipped = 0;
-  for (int iter = 0; iter < 200; ++iter) {
-    ExprPtr pred = gen_leaf(rng);
-    if (rng.Chance(0.5)) {
-      pred = rng.Chance(0.5) ? Expr::And(pred, gen_leaf(rng))
-                             : Expr::Or(pred, gen_leaf(rng));
-    }
-    ProbeResult res;
-    view.ProbeBatch(
-        keys,
-        [&](const storage::ColumnarSegment& seg) {
-          return exec::ZoneCanMatch(*pred, seg, value_schema, check_schema);
-        },
-        &res);
-    total_skipped += res.segments_skipped;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (res.outcomes[i].status != ProbeStatus::kHitSkipped) continue;
-      // Soundness: every stored row of a skipped hit fails the residual.
-      auto rows = storage::ReadKey(view, keys[i]);
-      ASSERT_TRUE(rows.has_value());
-      for (const Row& vr : *rows) {
-        Row check = vr;
-        check.push_back(Value(keys[i].frame));  // "id"
-        auto verdict = expr::EvaluateBool(*pred, check_schema, check);
-        ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-        EXPECT_FALSE(verdict.value())
-            << "skipped a row satisfying " << pred->ToString();
-      }
-    }
-  }
-  EXPECT_GT(total_skipped, 0) << "generator never exercised skipping";
-
-  // Deterministic corner cases: an unsatisfiable residual skips every
-  // segment; a tautology skips none and matches point lookups.
-  ExprPtr never = Expr::Compare(CompareOp::kGt, Expr::Column("area"),
-                                Expr::Literal(Value(100.0)));
-  ProbeResult res;
-  view.ProbeBatch(
-      keys,
-      [&](const storage::ColumnarSegment& seg) {
-        return exec::ZoneCanMatch(*never, seg, value_schema, check_schema);
-      },
-      &res);
-  EXPECT_EQ(res.segments_skipped, res.segments_probed);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_NE(res.outcomes[i].status, ProbeStatus::kHit);
-  }
-  ExprPtr always = Expr::Compare(CompareOp::kGe, Expr::Column("area"),
-                                 Expr::Literal(Value(-100.0)));
-  view.ProbeBatch(
-      keys,
-      [&](const storage::ColumnarSegment& seg) {
-        return exec::ZoneCanMatch(*always, seg, value_schema, check_schema);
-      },
-      &res);
-  EXPECT_EQ(res.segments_skipped, 0);
-}
-
-// An AND whose right conjunct is never true skips the segment only when
-// its left conjunct cannot raise: the filter evaluates the left side on
-// every row, and a skip must not swallow its error.
-TEST(VectorizedFilterProperty, ZoneSkipKeepsLeftConjunctErrors) {
-  Schema value_schema = DetectorValueSchema();
-  Schema row_schema = value_schema;
-  row_schema.AddField({"id", DataType::kInt64});
-  MaterializedView view("v", value_schema);
-  for (int64_t f = 0; f < 4; ++f) {
-    PutRows(&view, ViewKey{f, -1},
-            {{Value(int64_t{0}), Value(std::string("car")), Value(0.5),
-              Value(0.9)}},
-            static_cast<uint64_t>(f), 0);
-  }
-  const std::shared_ptr<const storage::ColumnarSegment> seg =
-      view.SealedSegments().at(0).second;
-  auto parse = [](const std::string& where) {
-    auto e = parser::ParseExpression(where);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    return e.MoveValue();
-  };
-  struct Case {
-    std::string where;
-    bool can_match;
-  } cases[] = {
-      {"area > 100", false},
-      {"id < 300 AND area > 100", false},
-      {"area > 100 AND label", false},
-      {"label AND area > 100", true},
-      {"id < 300 AND label AND area > 100", true},
-      {"7 AND area > 100", true},
-      {"nosuch = 1 AND area > 100", true},
-      {"(id < 300 OR label) AND area > 100", true},
-      {"label = 'car' AND area > 100", false},
-  };
-  for (const Case& c : cases) {
-    EXPECT_EQ(exec::ZoneCanMatch(*parse(c.where), *seg, value_schema,
-                                 row_schema),
-              c.can_match)
-        << c.where;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 4. Engine-level differential: zone skipping off/on
-// ---------------------------------------------------------------------------
-
-struct EngineTrace {
-  std::vector<std::string> batches;
-  std::vector<double> total_ms;
-};
-
-EngineTrace RunEngineSession(bool zones) {
-  catalog::VideoInfo video = vbench::ShortUaDetrac();
-  video.num_frames = 300;  // trimmed for test runtime
-  std::vector<std::string> queries =
-      vbench::VbenchHigh(video.name, video.num_frames);
-  engine::EngineOptions options;
-  options.observability = false;
-  options.zone_map_skipping = zones;
-  auto engine_or = vbench::MakeEngine(options, video);
-  EXPECT_TRUE(engine_or.ok()) << engine_or.status().ToString();
-  std::unique_ptr<engine::EvaEngine> engine = engine_or.MoveValue();
-  EngineTrace trace;
-  for (const std::string& sql : queries) {
-    auto r = engine->Execute(sql);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    if (!r.ok()) continue;
-    trace.batches.push_back(r.value().batch.ToString(1 << 20));
-    trace.total_ms.push_back(r.value().metrics.TotalMs());
-  }
-  return trace;
-}
-
-// A conjunct that raises before a never-true one: zone skipping must not
-// turn the error into an empty result.
-TEST(VectorizedFilterProperty, EngineErrorsInvariantUnderZoneSkipping) {
+// A conjunct that raises before a never-true one: the query over the
+// view the first query stored fails with the left conjunct's error, not
+// with an empty result.
+TEST(VectorizedFilterProperty, EngineKeepsLeftConjunctErrorAfterViewJoin) {
   catalog::VideoInfo video = vbench::ShortUaDetrac();
   video.num_frames = 300;
   const std::string detect =
       "SELECT id, obj, label FROM short_ua_detrac CROSS APPLY "
       "FasterRCNNResNet50(frame) WHERE id < 300 AND ";
-  for (const bool zones : {false, true}) {
-    engine::EngineOptions options;
-    options.observability = false;
-    options.zone_map_skipping = zones;
-    auto engine_or = vbench::MakeEngine(options, video);
-    ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
-    std::unique_ptr<engine::EvaEngine> engine = engine_or.MoveValue();
-    ASSERT_TRUE(engine->Execute(detect + "label = 'car';").ok());
-    auto r = engine->Execute(detect + "label AND area > 100;");
-    EXPECT_EQ(r.ok() ? r.value().batch.ToString(1 << 20)
-                     : r.status().ToString(),
-              "InvalidArgument: expression is not boolean: label")
-        << "zone_map_skipping " << zones;
-  }
-}
-
-TEST(VectorizedFilterProperty, EngineResultsInvariantUnderFlags) {
-  EngineTrace base = RunEngineSession(true);
-  EngineTrace no_zones = RunEngineSession(false);
-  ASSERT_EQ(base.batches.size(), no_zones.batches.size());
-  for (size_t q = 0; q < base.batches.size(); ++q) {
-    // Rows are identical whether or not probes skip segments.
-    EXPECT_EQ(base.batches[q], no_zones.batches[q]) << "query " << q;
-  }
+  engine::EngineOptions options;
+  options.observability = false;
+  auto engine_or = vbench::MakeEngine(options, video);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+  std::unique_ptr<engine::EvaEngine> engine = engine_or.MoveValue();
+  ASSERT_TRUE(engine->Execute(detect + "label = 'car';").ok());
+  auto r = engine->Execute(detect + "label AND area > 100;");
+  EXPECT_EQ(
+      r.ok() ? r.value().batch.ToString(1 << 20) : r.status().ToString(),
+      "InvalidArgument: expression is not boolean: label");
 }
 
 }  // namespace

@@ -203,7 +203,7 @@ TEST(ViewStoreConcurrencyTest, ProbesDuringCompressedSealStayExact) {
       ProbeResult res;
       while (!writer_done.load()) {
         res.Clear();
-        view.ProbeBatch(probes, nullptr, &res);
+        view.ProbeBatch(probes, &res);
         for (size_t i = 0; i < probes.size(); ++i) {
           const ProbeOutcome& oc = res.outcomes[i];
           if (oc.status != ProbeStatus::kHit) continue;
@@ -295,7 +295,7 @@ TEST(ViewStoreConcurrencyTest, MultiSegmentProbeWalksRacePutsAndReseals) {
           if (round % 4 == 3) probes.push_back({f, -1});  // repeated
         }
         if (round % 2 == 1) std::reverse(probes.begin(), probes.end());
-        view.ProbeBatch(probes, nullptr, &res);
+        view.ProbeBatch(probes, &res);
         if (res.outcomes.size() != probes.size() || res.runs.empty() ||
             res.runs.back().end != probes.size()) {
           errors.fetch_add(1);

@@ -20,7 +20,7 @@ namespace eva::storage {
 inline std::optional<std::vector<Row>> ReadKey(const MaterializedView& view,
                                                const ViewKey& key) {
   ProbeResult res;
-  view.ProbeBatch({key}, nullptr, &res);
+  view.ProbeBatch({key}, &res);
   const ProbeOutcome& oc = res.outcomes[0];
   if (oc.status == ProbeStatus::kMiss) return std::nullopt;
   std::vector<Row> rows;
