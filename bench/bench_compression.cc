@@ -57,7 +57,6 @@ RunStats RunConfig(const catalog::VideoInfo& video,
   options.optimizer.mode = optimizer::ReuseMode::kEva;
   options.storage_budget_bytes = budget_bytes;
   options.segment_compression = compress;
-  options.bloom_bits_per_key = compress ? 10 : 0;
   auto engine = bench::Unwrap(vbench::MakeEngine(options, video), "engine");
   RunStats stats;
   int64_t invocations = 0, reused = 0;

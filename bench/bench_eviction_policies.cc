@@ -37,9 +37,9 @@ namespace {
 // FNV-1a fingerprints of the --quick run's eviction sequences, per policy
 // in the order RunQuick runs them.
 constexpr uint64_t kQuickEvictionFingerprints[] = {
-    0x7c63e0735757e8b1ULL,  // cost-benefit
-    0xbbaa86c4f7559d1eULL,  // lru
-    0x3926eb2b54e8d670ULL,  // fifo
+    0x786166916c24bd4dULL,  // cost-benefit
+    0xf864fb3d7ea4eadfULL,  // lru
+    0xd987ac03986f0f1dULL,  // fifo
 };
 
 // FNV-1a over the view, segment id and bytes of every view_eviction record

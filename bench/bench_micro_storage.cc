@@ -82,8 +82,8 @@ void BM_ViewPut(benchmark::State& state) {
 BENCHMARK(BM_ViewPut)->Arg(1000)->Arg(10000);
 
 // Point presence check against sealed segments (PutBatch runs the same
-// check for each key STORE did not probe): Bloom filter when present,
-// then the key-index search. Half the keys miss.
+// check for each key STORE did not probe): the key-index search. Half
+// the keys miss.
 void BM_ViewContains(benchmark::State& state) {
   MaterializedView view("bench", DetSchema());
   FillProbeView(&view);
@@ -154,13 +154,13 @@ void BM_ViewProbeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewProbeBatch);
 
-// Probe-hit vs probe-miss over compressed segments with/without the
-// split-block Bloom filter. Only even frames are stored, so odd-frame
-// probes miss *inside* the segment frame range and must be rejected by
-// the filter (or, without one, by the packed key-index binary search) —
-// out-of-range misses would short-circuit earlier and measure nothing.
-void FillBloomView(MaterializedView* view, int bloom_bits_per_key) {
-  view->set_build_options({true, bloom_bits_per_key});
+// Probe-hit vs probe-miss over compressed segments (the --quick
+// `probe_batch_hit` and `probe_batch_miss` entries). Only even frames are
+// stored, so odd-frame probes miss *inside* the segment frame range and
+// must be rejected by the packed key-index walk — out-of-range misses
+// would short-circuit earlier and measure nothing.
+void FillEvenFramesView(MaterializedView* view) {
+  view->set_build_options({/*compress=*/true});
   for (int64_t f = 0; f < kProbeViewFrames; f += 2) {
     PutRows(view, ViewKey{f, -1},
             {{Value(static_cast<int64_t>(0)), Value("car"), Value(0.3),
@@ -170,7 +170,7 @@ void FillBloomView(MaterializedView* view, int bloom_bits_per_key) {
 }
 
 // odd_stride=0 probes stored (even) keys; 1 probes absent odd keys.
-std::vector<ViewKey> BloomProbeKeys(int64_t odd_stride) {
+std::vector<ViewKey> EvenOddProbeKeys(int64_t odd_stride) {
   std::vector<ViewKey> keys(kProbeBatchKeys);
   int64_t f = 0;
   for (size_t i = 0; i < kProbeBatchKeys; ++i) {
@@ -180,12 +180,11 @@ std::vector<ViewKey> BloomProbeKeys(int64_t odd_stride) {
   return keys;
 }
 
-void BM_ProbeBatchBloom(benchmark::State& state) {
+void BM_ProbeBatchHitMiss(benchmark::State& state) {
   const bool miss = state.range(0) != 0;
-  const int bloom_bits = static_cast<int>(state.range(1));
   MaterializedView view("bench", DetSchema());
-  FillBloomView(&view, bloom_bits);
-  std::vector<ViewKey> keys = BloomProbeKeys(miss ? 1 : 0);
+  FillEvenFramesView(&view);
+  std::vector<ViewKey> keys = EvenOddProbeKeys(miss ? 1 : 0);
   ProbeResult res;
   for (auto _ : state) {
     view.ProbeBatch(keys, &res);
@@ -194,11 +193,7 @@ void BM_ProbeBatchBloom(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kProbeBatchKeys));
 }
-BENCHMARK(BM_ProbeBatchBloom)
-    ->ArgNames({"miss", "bloom_bits"})
-    ->Args({0, 10})   // hits, bloom on
-    ->Args({1, 10})   // misses, bloom on — must beat the hit path
-    ->Args({1, 0});   // misses, bloom off — the key-index binary search
+BENCHMARK(BM_ProbeBatchHitMiss)->ArgName("miss")->Arg(0)->Arg(1);
 
 // Reseal cost (the --quick `view_reseal` entry): a sealed 512-frame
 // detector segment takes a small tail, and a probe that touches it
@@ -224,7 +219,7 @@ std::vector<Row> Detections(int64_t frame) {
 
 std::unique_ptr<MaterializedView> SealedDetectorSegment() {
   auto view = std::make_unique<MaterializedView>("bench_reseal", DetSchema());
-  view->set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  view->set_build_options({/*compress=*/true});
   for (int64_t f = 0; f < view->segment_frames(); ++f) {
     if (f % 8 != 7) PutRows(view.get(), ViewKey{f, -1}, Detections(f));
   }
@@ -262,8 +257,7 @@ BENCHMARK(BM_ViewReseal);
 // repeat, areas and scores do not. Reported per segment.
 constexpr int64_t kDetectorRows = 4000;
 constexpr int kPlanRounds = 10;  // plans per --quick sample
-const SegmentBuildOptions kSealOptions{/*compress=*/true,
-                                       /*bloom_bits_per_key=*/10};
+const SegmentBuildOptions kSealOptions{/*compress=*/true};
 
 SegmentCells DetectorCells() {
   static const char* const kLabels[] = {"car", "bus", "person", "truck"};
@@ -427,24 +421,20 @@ int RunQuick() {
     }
   };
 
-  MaterializedView bloom_view("bench_bloom", DetSchema());
-  FillBloomView(&bloom_view, 10);
-  MaterializedView nobloom_view("bench_nobloom", DetSchema());
-  FillBloomView(&nobloom_view, 0);
-  std::vector<ViewKey> hit_keys = BloomProbeKeys(0);
-  std::vector<ViewKey> miss_keys = BloomProbeKeys(1);
-  auto probe_rounds = [&](MaterializedView& v,
-                          const std::vector<ViewKey>& probe_keys) {
+  MaterializedView even_view("bench_even", DetSchema());
+  FillEvenFramesView(&even_view);
+  const std::vector<ViewKey> hit_keys = EvenOddProbeKeys(0);
+  const std::vector<ViewKey> miss_keys = EvenOddProbeKeys(1);
+  auto probe_rounds = [&](const std::vector<ViewKey>& probe_keys) {
     ProbeResult r;
     for (int64_t b = 0; b * static_cast<int64_t>(kProbeBatchKeys) < kOps;
          ++b) {
-      v.ProbeBatch(probe_keys, &r);
+      even_view.ProbeBatch(probe_keys, &r);
       benchmark::DoNotOptimize(r.outcomes.size());
     }
   };
-  auto probe_hit_bloom = [&] { probe_rounds(bloom_view, hit_keys); };
-  auto probe_miss_bloom = [&] { probe_rounds(bloom_view, miss_keys); };
-  auto probe_miss_nobloom = [&] { probe_rounds(nobloom_view, miss_keys); };
+  auto probe_hit = [&] { probe_rounds(hit_keys); };
+  auto probe_miss = [&] { probe_rounds(miss_keys); };
 
   // One freshly sealed segment per sample, built before the clock runs.
   std::vector<std::unique_ptr<MaterializedView>> reseal_views;
@@ -501,16 +491,12 @@ int RunQuick() {
       eva::bench::MeasureWall(probe_batch, kWarmup, kSamples, kOps));
   out += ',';
   out += eva::bench::WallStatsJson(
-      "probe_batch_hit_bloom",
-      eva::bench::MeasureWall(probe_hit_bloom, kWarmup, kSamples, kOps));
+      "probe_batch_hit",
+      eva::bench::MeasureWall(probe_hit, kWarmup, kSamples, kOps));
   out += ',';
   out += eva::bench::WallStatsJson(
-      "probe_batch_miss_bloom",
-      eva::bench::MeasureWall(probe_miss_bloom, kWarmup, kSamples, kOps));
-  out += ',';
-  out += eva::bench::WallStatsJson(
-      "probe_batch_miss_nobloom",
-      eva::bench::MeasureWall(probe_miss_nobloom, kWarmup, kSamples, kOps));
+      "probe_batch_miss",
+      eva::bench::MeasureWall(probe_miss, kWarmup, kSamples, kOps));
   out += ',';
   out += eva::bench::WallStatsJson(
       "view_reseal", eva::bench::MeasureWall(view_reseal, kWarmup, kSamples,

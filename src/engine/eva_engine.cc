@@ -142,8 +142,7 @@ EvaEngine::EvaEngine(EngineOptions options,
   tracer_.set_enabled(options_.observability);
   if (!options_.observability) registry_ = nullptr;
   views_.set_segment_frames(options_.segment_frames);
-  views_.set_build_options(
-      {options_.segment_compression, options_.bloom_bits_per_key});
+  views_.set_build_options({options_.segment_compression});
   lifecycle::LifecycleOptions lopts;
   lopts.storage_budget_bytes = options_.storage_budget_bytes;
   lopts.policy = lifecycle::ParseEvictionPolicy(options_.eviction_policy)
@@ -307,8 +306,7 @@ Status EvaEngine::LoadViews(const std::string& dir) {
 void EvaEngine::ClearReuseState() {
   views_.Clear();
   views_.set_segment_frames(options_.segment_frames);
-  views_.set_build_options(
-      {options_.segment_compression, options_.bloom_bits_per_key});
+  views_.set_build_options({options_.segment_compression});
   manager_.Clear();
   funcache_.Clear();
   clock_.Reset();
@@ -764,15 +762,6 @@ void EvaEngine::PublishIngestSnapshot() {
   out += "]}";
   std::lock_guard<std::mutex> lock(ingest_snapshot_mu_);
   ingest_snapshot_json_ = std::move(out);
-}
-
-int64_t EvaEngine::DistinctInvocations(const std::string& udf,
-                                       const std::string& video) const {
-  if (options_.optimizer.mode == optimizer::ReuseMode::kFunCache) {
-    return funcache_.NumEntries(udf);
-  }
-  const storage::MaterializedView* view = views_.Find(udf + "@" + video);
-  return view == nullptr ? 0 : view->num_keys();
 }
 
 Result<QueryResult> EvaEngine::Execute(const std::string& sql) {

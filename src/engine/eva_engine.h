@@ -81,8 +81,7 @@ struct EngineOptions {
   /// write .evaseg files; with this off their segments carry plain lanes,
   /// and either kind loads into an engine configured either way.
   bool segment_compression = true;
-  /// Split-block Bloom filter over each sealed segment's keys: probe
-  /// misses short-circuit before the key-index search. 0 disables.
+  /// No effect; kept because perfbench/ reads it.
   int bloom_bits_per_key = 10;
 
   // --- view lifecycle (src/lifecycle/, docs/LIFECYCLE.md) -----------------
@@ -301,12 +300,6 @@ class EvaEngine {
   const EngineOptions& options() const { return options_; }
 
   Result<const vision::SyntheticVideo*> video(const std::string& name) const;
-
-  /// Distinct UDF invocations so far: materialized view keys (EVA /
-  /// HashStash) or cache entries (FunCache) for `udf` over `video` —
-  /// Table 3's #DI column.
-  int64_t DistinctInvocations(const std::string& udf,
-                              const std::string& video) const;
 
  private:
   Result<QueryResult> ExecuteSelect(const parser::SelectStatement& stmt,

@@ -659,23 +659,6 @@ class ViewJoinOp : public Operator {
       ledger_->keys.swap(probe_keys_);
     }
     FlushProbeCounts();
-    if (probe_res_.bloom_negatives > 0 || probe_res_.bloom_fps > 0 ||
-        probe_res_.bloom_hits > 0) {
-      if (ctx_->active_stats != nullptr) {
-        ctx_->active_stats->bloom_negatives += probe_res_.bloom_negatives;
-        ctx_->active_stats->bloom_fps += probe_res_.bloom_fps;
-      }
-      if (bloom_hits_ != nullptr && probe_res_.bloom_hits > 0) {
-        bloom_hits_->Increment(static_cast<double>(probe_res_.bloom_hits));
-      }
-      if (bloom_negatives_ != nullptr && probe_res_.bloom_negatives > 0) {
-        bloom_negatives_->Increment(
-            static_cast<double>(probe_res_.bloom_negatives));
-      }
-      if (bloom_fps_ != nullptr && probe_res_.bloom_fps > 0) {
-        bloom_fps_->Increment(static_cast<double>(probe_res_.bloom_fps));
-      }
-    }
     return out;
   }
 
@@ -702,18 +685,6 @@ class ViewJoinOp : public Operator {
       probe_misses_ = ctx->obs_registry->GetCounter(
           "eva_view_probe_misses_total",
           "Materialized-view probes that fell through to the UDF",
-          {{"udf", def_.name}});
-      bloom_hits_ = ctx->obs_registry->GetCounter(
-          "eva_bloom_hits_total",
-          "Probes the segment Bloom filter passed through to the key index",
-          {{"udf", def_.name}});
-      bloom_negatives_ = ctx->obs_registry->GetCounter(
-          "eva_bloom_negatives_total",
-          "Probe misses short-circuited by the segment Bloom filter",
-          {{"udf", def_.name}});
-      bloom_fps_ = ctx->obs_registry->GetCounter(
-          "eva_bloom_fps_total",
-          "Bloom false positives (filter passed, key index still missed)",
           {{"udf", def_.name}});
     }
   }
@@ -944,9 +915,6 @@ class ViewJoinOp : public Operator {
   UdfMetricCells cells_;
   obs::Counter* probe_hits_ = nullptr;
   obs::Counter* probe_misses_ = nullptr;
-  obs::Counter* bloom_hits_ = nullptr;
-  obs::Counter* bloom_negatives_ = nullptr;
-  obs::Counter* bloom_fps_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

@@ -52,16 +52,6 @@ void RenderNode(const plan::PlanNode& node, const PlanStatsMap& stats,
                     static_cast<long long>(s.udf_retries));
       *out += buf;
     }
-    if (s.bloom_negatives > 0) {
-      std::snprintf(buf, sizeof(buf), " bloom_neg=%lld",
-                    static_cast<long long>(s.bloom_negatives));
-      *out += buf;
-    }
-    if (s.bloom_fps > 0) {
-      std::snprintf(buf, sizeof(buf), " bloom_fp=%lld",
-                    static_cast<long long>(s.bloom_fps));
-      *out += buf;
-    }
     *out += ']';
   }
   *out += '\n';

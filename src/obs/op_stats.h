@@ -25,11 +25,6 @@ struct OperatorStats {
   std::atomic<int64_t> rows_reused{0};      // tuples answered from view/cache
   std::atomic<int64_t> rows_materialized{0};
   std::atomic<int64_t> udf_retries{0};  // transient-fault retry attempts
-  /// Probe misses answered by the per-segment Bloom filter without
-  /// touching the key index, and the filter's false positives (MayContain
-  /// said yes, the key-index search still missed).
-  std::atomic<int64_t> bloom_negatives{0};
-  std::atomic<int64_t> bloom_fps{0};
 
   OperatorStats() = default;
   OperatorStats(const OperatorStats& other) { *this = other; }
@@ -45,8 +40,6 @@ struct OperatorStats {
     rows_materialized =
         other.rows_materialized.load(std::memory_order_relaxed);
     udf_retries = other.udf_retries.load(std::memory_order_relaxed);
-    bloom_negatives = other.bloom_negatives.load(std::memory_order_relaxed);
-    bloom_fps = other.bloom_fps.load(std::memory_order_relaxed);
     return *this;
   }
 };

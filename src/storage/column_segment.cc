@@ -716,9 +716,6 @@ SegmentPlan PlanSegment(const SegmentCells& cells,
     bytes += col.bytes;
   }
   bytes += KeyIndexBytes(cells.keys, cells.row_begin, options.compress);
-  bytes += BloomFilter::NumBlocks(cells.keys.size(),
-                                  options.bloom_bits_per_key) *
-           sizeof(BloomFilter::Block);
   plan.encoded_bytes = static_cast<int64_t>(bytes);
   return plan;
 }
@@ -797,15 +794,6 @@ std::shared_ptr<const ColumnarSegment> BuildColumnarSegment(
     seg->row_begin = std::move(cells.row_begin);
     encoded += static_cast<int64_t>(nkeys) * 16 +
                static_cast<int64_t>(seg->row_begin.size()) * 4;
-  }
-
-  if (options.bloom_bits_per_key > 0 && nkeys > 0) {
-    std::vector<uint64_t> hashes(nkeys);
-    for (size_t i = 0; i < nkeys; ++i) {
-      hashes[i] = HashViewKey(cells.keys[i].frame, cells.keys[i].obj);
-    }
-    seg->bloom.Build(hashes, options.bloom_bits_per_key);
-    encoded += static_cast<int64_t>(seg->bloom.SizeBytes());
   }
 
   if (plan != nullptr && encoded != plan->encoded_bytes) {

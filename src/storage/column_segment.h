@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/row.h"
-#include "storage/bloom_filter.h"
 #include "storage/segment_codec.h"
 
 namespace eva::storage {
@@ -190,12 +189,13 @@ class ColumnVec {
 };
 
 /// Seal-time storage configuration, threaded from EngineOptions through
-/// ViewStore/MaterializedView. Defaults preserve the pre-codec behavior
-/// (plain lanes, no filter) for direct library callers; the engine turns
-/// both features on unless configured otherwise.
+/// ViewStore/MaterializedView. The default (plain lanes) serves direct
+/// library callers; the engine turns compression on unless configured
+/// otherwise.
 struct SegmentBuildOptions {
-  bool compress = false;     // pick per-column codecs + pack the key index
-  int bloom_bits_per_key = 0;  // 0 disables the per-segment Bloom filter
+  bool compress = false;  // pick per-column codecs + pack the key index
+  /// No effect; kept because perfbench/ reads it.
+  int bloom_bits_per_key = 0;
 };
 
 /// Where a walk of one segment's key index stands (FindKey's cursor):
@@ -210,9 +210,7 @@ struct KeyCursor {
 /// with prefix row offsets and one ColumnVec per value-schema field.
 /// Shared via shared_ptr so a probe can keep reading a segment that a
 /// concurrent reseal replaces. When built with compression the key index
-/// lives in bit-packed lanes (access via key_frame/key_obj/row_begin_at);
-/// a per-segment split-block Bloom filter over the keys short-circuits
-/// probe misses before the key-index search.
+/// lives in bit-packed lanes (access via key_frame/key_obj/row_begin_at).
 struct ColumnarSegment {
   std::vector<int64_t> frames;     // per key, ascending (frame, obj)
   std::vector<int64_t> objs;       // per key
@@ -230,14 +228,12 @@ struct ColumnarSegment {
   BitPackedVec row_begin_p;
 
   std::vector<ColumnVec> cols;  // one per value-schema field
-  BloomFilter bloom;            // over HashViewKey of every key
   int64_t obj_min = 0;          // over keys: FOR base of objs_p
 
   /// Footprint accounting (docs/STORAGE.md): raw = the plain columnar
   /// representation (16 B/key index + 4 B/key offsets + plain lanes),
   /// encoded = the representation actually held (codec lanes + packed
-  /// keys + Bloom blocks). Equal but for the Bloom bytes when built
-  /// without compression.
+  /// keys). Equal when built without compression.
   int64_t raw_bytes = 0;
   int64_t encoded_bytes = 0;
   int codec_cols[ColumnVec::kNumCodecs] = {};
@@ -392,7 +388,7 @@ struct SegmentPlan {
 };
 
 /// Plans the seal of ascending-key cells: the column plans plus the key
-/// index and Bloom filter sizes, with no encoded lane built.
+/// index size, with no encoded lane built.
 SegmentPlan PlanSegment(const SegmentCells& cells,
                         const SegmentBuildOptions& options);
 
@@ -403,7 +399,7 @@ inline int64_t PlanSegmentBytes(const SegmentCells& cells,
 }
 
 /// Seals ascending-key cells into an immutable segment. `options` selects
-/// the seal-time codecs and Bloom filter; the reconstructed values are
+/// the seal-time codecs; the reconstructed values are
 /// bit-identical for every configuration, and the result depends only on
 /// the cells (a reseal of sealed + tail equals a one-shot seal). With
 /// `plan` (PlanSegment of the same cells and options) the columns take the

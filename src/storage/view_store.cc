@@ -48,10 +48,6 @@ bool MaterializedView::ContainsLocked(const Segment& seg, const ViewKey& key,
   if (TailHas(seg.tail, key)) return true;
   const ColumnarSegment* sealed = seg.sealed.get();
   if (sealed == nullptr) return false;
-  if (sealed->bloom.enabled() &&
-      !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
-    return false;
-  }
   return sealed->FindKey(key.frame, key.obj, cursor) != ColumnarSegment::npos;
 }
 
@@ -367,7 +363,6 @@ void MaterializedView::ProbeRunLocked(const std::vector<ViewKey>& keys,
     out->outcomes.resize(out->outcomes.size() + (end - begin));  // kMiss
     return;
   }
-  const bool bloom = sealed->bloom.enabled();
   KeyCursor cursor;
   int32_t slot = -1;  // out->segments index once the run's snapshot is pinned
   size_t last = ColumnarSegment::npos;  // key index of the previous hit
@@ -375,21 +370,7 @@ void MaterializedView::ProbeRunLocked(const std::vector<ViewKey>& keys,
   for (size_t k = begin; k < end; ++k) {
     const ViewKey& key = keys[k];
     ProbeOutcome& outcome = out->outcomes.emplace_back();
-    // Bloom short-circuit: a negative proves the key absent, so the
-    // key-index walk skips it. The outcome is identical to a failed
-    // search (kMiss) — only the cost differs.
-    if (bloom && !sealed->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
-      ++out->bloom_negatives;
-      continue;
-    }
     const size_t idx = sealed->FindKey(key.frame, key.obj, &cursor);
-    if (bloom) {
-      if (idx == ColumnarSegment::npos) {
-        ++out->bloom_fps;
-      } else {
-        ++out->bloom_hits;
-      }
-    }
     if (idx == ColumnarSegment::npos) continue;
     // Consecutive hits share a row offset: one key-index read per hit.
     const int32_t rows_begin =

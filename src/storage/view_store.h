@@ -82,12 +82,6 @@ struct ProbeResult {
   std::vector<ProbeRun> runs;          // in key order, covering outcomes
   /// Snapshots of the segments the batch hit, pinned for the caller.
   std::vector<std::shared_ptr<const ColumnarSegment>> segments;
-  /// Split-block Bloom filter outcomes (zero when segments carry no
-  /// filter). A negative proves absence, so the key-index search was
-  /// skipped; a false positive paid the search and still missed.
-  int64_t bloom_hits = 0;
-  int64_t bloom_negatives = 0;
-  int64_t bloom_fps = 0;
 
   const ColumnarSegment& segment(const ProbeOutcome& oc) const {
     return *segments[static_cast<size_t>(oc.seg_index)];
@@ -97,9 +91,6 @@ struct ProbeResult {
     outcomes.clear();
     runs.clear();
     segments.clear();
-    bloom_hits = 0;
-    bloom_negatives = 0;
-    bloom_fps = 0;
   }
 };
 
@@ -173,19 +164,19 @@ class MaterializedView {
   const std::string& name() const { return name_; }
   const Schema& value_schema() const { return value_schema_; }
 
-  /// Presence check: the sealed key index (Bloom filter, then FindKey) of
-  /// the key's segment plus its tail's keys.
+  /// Presence check: the sealed key index (FindKey) of the key's segment
+  /// plus its tail's keys.
   bool Contains(const ViewKey& key) const;
 
   /// Batch probe over the sealed segments, a segment run at a time: the
   /// keys split into runs of consecutive keys in one segment's frame
   /// range (ProbeResult::runs), and each run takes one segment lookup, one
   /// reseal when the segment has a tail (exclusive lock), and one merge
-  /// walk of the sealed key index (FindKey with a KeyCursor) behind a
-  /// Bloom check per key. One shared lock for the batch when no touched
-  /// segment has a tail. Results are zero-copy references into pinned
-  /// segment snapshots (see ProbeResult). Keys should be frame-ascending
-  /// for the walk to amortize, but any order is correct.
+  /// walk of the sealed key index (FindKey with a KeyCursor). One shared
+  /// lock for the batch when no touched segment has a tail. Results are
+  /// zero-copy references into pinned segment snapshots (see
+  /// ProbeResult). Keys should be frame-ascending for the walk to
+  /// amortize, but any order is correct.
   void ProbeBatch(const std::vector<ViewKey>& keys, ProbeResult* out) const;
 
   /// Appends each key of `keys` with its result rows to its segment's
@@ -194,8 +185,8 @@ class MaterializedView {
   /// `absent` is empty or has one flag per key: a set flag says the
   /// caller's own ProbeBatch missed the key and nothing has written the
   /// view since, so the key is checked against the tail only, not the
-  /// sealed part (Bloom filter, FindKey). A flagged key that is in fact
-  /// sealed makes the next seal of its segment abort. A key at or below
+  /// sealed key index. A flagged key that is in fact sealed makes the
+  /// next seal of its segment abort. A key at or below
   /// its tail's last key first seals the segment, so tails stay
   /// ascending (only WAL replay puts keys in such an order). Key k's
   /// rows are rows[key_rows[k] .. key_rows[k + 1]) (key_rows has
@@ -252,7 +243,7 @@ class MaterializedView {
     segment_frames_ = frames > 0 ? frames : 1;
   }
 
-  /// Seal-time storage configuration (codecs + Bloom). Takes effect at the
+  /// Seal-time storage configuration (codecs). Takes effect at the
   /// next (re)seal; the engine sets it before any PutBatch. Reconstruction of
   /// values is bit-identical for every configuration.
   void set_build_options(const SegmentBuildOptions& options);
@@ -298,7 +289,7 @@ class MaterializedView {
   /// the drain. Evicting a segment drops its cells. Enabling starts with
   /// nothing captured.
   void set_capture_appends(bool enabled);
-  /// Drains the capture: one plain chunk (no codecs, no Bloom filter) per
+  /// Drains the capture: one plain chunk (no codecs) per
   /// segment with appends since the last drain, in first-append order,
   /// each with its keys ascending. The engine drains at every group-commit
   /// point, between queries.
@@ -334,7 +325,7 @@ class MaterializedView {
     return q;
   }
 
-  /// The tail's keys, then Bloom filter, then the sealed key index
+  /// The tail's keys, then the sealed key index
   /// searched from `cursor` (ColumnarSegment::FindKey's; null searches it
   /// all). Caller holds mu_ (any mode).
   bool ContainsLocked(const Segment& seg, const ViewKey& key,

@@ -532,7 +532,7 @@ struct ViewPair {
       : plain("t@v", schema), packed("t@v", schema) {
     plain.set_segment_frames(segment_frames);
     packed.set_segment_frames(segment_frames);
-    packed.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+    packed.set_build_options({/*compress=*/true});
   }
   void Put(const ViewKey& key, const std::vector<Row>& rows) {
     PutRows(&plain, key, rows);
@@ -565,8 +565,8 @@ void ExpectProbesAgree(const ViewPair& pair,
       }
     }
   }
-  // The presence check (Bloom + key index on the packed side, plain key
-  // index on the other) agrees with the probe outcome on both sides.
+  // The presence check (packed key index on one side, plain key index on
+  // the other) agrees with the probe outcome on both sides.
   for (size_t i = 0; i < probes.size(); ++i) {
     const bool present = rp.outcomes[i].status != ProbeStatus::kMiss;
     EXPECT_EQ(pair.plain.Contains(probes[i]), present);
@@ -765,14 +765,6 @@ void ExpectSameSegment(const ColumnarSegment& a, const ColumnarSegment& b) {
   for (int c = 0; c < ColumnVec::kNumCodecs; ++c) {
     EXPECT_EQ(a.codec_cols[c], b.codec_cols[c]) << "codec " << c;
   }
-  // Bloom bits.
-  ASSERT_EQ(a.bloom.num_blocks(), b.bloom.num_blocks());
-  for (size_t i = 0; i < a.bloom.num_blocks(); ++i) {
-    EXPECT_EQ(std::memcmp(&a.bloom.blocks()[i], &b.bloom.blocks()[i],
-                          sizeof(BloomFilter::Block)),
-              0)
-        << "bloom block " << i;
-  }
   // Columns: encoding, codec, lanes, dictionary order.
   ASSERT_EQ(a.cols.size(), b.cols.size());
   for (size_t c = 0; c < a.cols.size(); ++c) {
@@ -830,7 +822,7 @@ TEST(CodecResealTest, ResealEqualsOneShotSeal) {
       for (size_t i = order.size(); i > 1; --i) {
         std::swap(order[i - 1], order[static_cast<size_t>(rng.Next() % i)]);
       }
-      const SegmentBuildOptions options{compress, compress ? 10 : 0};
+      const SegmentBuildOptions options{compress};
       MaterializedView resealed("t@v", schema);
       resealed.set_segment_frames(64);
       resealed.set_build_options(options);
@@ -979,7 +971,7 @@ void ExpectPhasedResealMatchesOneShot(const Schema& schema,
                                       const std::vector<Content>& phases) {
   for (bool compress : {false, true}) {
     SCOPED_TRACE("compress=" + std::to_string(compress));
-    const SegmentBuildOptions options{compress, compress ? 10 : 0};
+    const SegmentBuildOptions options{compress};
     MaterializedView resealed("t@v", schema);
     MaterializedView one_shot("t@v", schema);
     for (MaterializedView* view : {&resealed, &one_shot}) {
@@ -1386,7 +1378,7 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
     SCOPED_TRACE("compress=" + std::to_string(compress));
     Lcg rng(compress ? 0x1A9E : 0x2A9E);
     auto pick = [&rng](uint64_t k) { return (rng.Next() >> 33) % k; };
-    const SegmentBuildOptions options{compress, compress ? 10 : 0};
+    const SegmentBuildOptions options{compress};
     MaterializedView by_lanes("t@v", schema);
     MaterializedView by_values("t@v", schema);
     for (MaterializedView* view : {&by_lanes, &by_values}) {
@@ -1578,11 +1570,11 @@ TEST(CodecResealTest, OutOfOrderPutBatchSealsFirst) {
       SCOPED_TRACE("absent flags " + std::to_string(flagged));
       ViewStore store;
       store.set_segment_frames(32);
-      store.set_build_options({compress, compress ? 10 : 0});
+      store.set_build_options({compress});
       MaterializedView* disordered = store.GetOrCreate("t@v", schema);
       MaterializedView one_shot("t@v", schema);
       one_shot.set_segment_frames(32);
-      one_shot.set_build_options({compress, compress ? 10 : 0});
+      one_shot.set_build_options({compress});
       const std::vector<uint8_t> inserted = put(
           disordered, shuffled, std::vector<uint8_t>(flagged ? 40 : 0, 1));
       EXPECT_EQ(inserted, std::vector<uint8_t>(40, 1));
@@ -1625,7 +1617,7 @@ TEST(CodecResealTest, MovedFirstSealEqualsGatheredSeal) {
     for (bool compress : {false, true}) {
       SCOPED_TRACE(std::string(c.name) +
                    " compress=" + std::to_string(compress));
-      const SegmentBuildOptions options{compress, compress ? 10 : 0};
+      const SegmentBuildOptions options{compress};
       // The view's tail, filled in one ascending PutBatch, and the same
       // cells appended value by value.
       MaterializedView view("t@v", schema);
@@ -1691,7 +1683,6 @@ TEST(CodecEngineDifferentialTest, WorkloadBitIdenticalAcrossConfigs) {
     options.optimizer.mode = optimizer::ReuseMode::kEva;
     options.segment_frames = 32;
     options.segment_compression = compress;
-    options.bloom_bits_per_key = compress ? 10 : 0;
     auto er = vbench::MakeEngine(options, video);
     ASSERT_TRUE(er.ok());
     auto engine = er.MoveValue();
@@ -1818,29 +1809,25 @@ std::set<std::pair<int, int>> SealCodecPairs() {
   return pairs;
 }
 
-// PlanSegment(cells) against BuildColumnarSegment(cells) under every
-// compress / Bloom setting: the bytes, every column's codec, and the
-// segment a build reusing the plan makes. Records the (encoding, codec)
-// pairs built.
+// PlanSegment(cells) against BuildColumnarSegment(cells) with and without
+// compression: the bytes, every column's codec, and the segment a build
+// reusing the plan makes. Records the (encoding, codec) pairs built.
 void ExpectPlanMatchesBuild(const SegmentCells& cells,
                             std::set<std::pair<int, int>>* seen) {
   for (const bool compress : {false, true}) {
-    for (const int bloom : {0, 10}) {
-      SCOPED_TRACE("compress " + std::to_string(compress) + " bloom " +
-                   std::to_string(bloom));
-      const SegmentBuildOptions options{compress, bloom};
-      const SegmentPlan plan = PlanSegment(cells, options);
-      const auto built = BuildColumnarSegment(cells, options);
-      EXPECT_EQ(plan.encoded_bytes, built->encoded_bytes);
-      EXPECT_EQ(PlanSegmentBytes(cells, options), built->encoded_bytes);
-      ASSERT_EQ(plan.codecs.size(), built->cols.size());
-      for (size_t c = 0; c < built->cols.size(); ++c) {
-        EXPECT_EQ(plan.codecs[c], built->cols[c].codec()) << "col " << c;
-        seen->insert({static_cast<int>(built->cols[c].enc()),
-                      static_cast<int>(built->cols[c].codec())});
-      }
-      ExpectSameSegment(*BuildColumnarSegment(cells, options, &plan), *built);
+    SCOPED_TRACE("compress " + std::to_string(compress));
+    const SegmentBuildOptions options{compress};
+    const SegmentPlan plan = PlanSegment(cells, options);
+    const auto built = BuildColumnarSegment(cells, options);
+    EXPECT_EQ(plan.encoded_bytes, built->encoded_bytes);
+    EXPECT_EQ(PlanSegmentBytes(cells, options), built->encoded_bytes);
+    ASSERT_EQ(plan.codecs.size(), built->cols.size());
+    for (size_t c = 0; c < built->cols.size(); ++c) {
+      EXPECT_EQ(plan.codecs[c], built->cols[c].codec()) << "col " << c;
+      seen->insert({static_cast<int>(built->cols[c].enc()),
+                    static_cast<int>(built->cols[c].codec())});
     }
+    ExpectSameSegment(*BuildColumnarSegment(cells, options, &plan), *built);
   }
 }
 
@@ -1988,66 +1975,63 @@ TEST(CodecPlanTest, PlannedViewSealsMatchUnplannedSeals) {
                        {"b", DataType::kBool},
                        {"s", DataType::kString}});
   for (const bool compress : {false, true}) {
-    for (const int bloom : {0, 10}) {
-      SCOPED_TRACE("compress " + std::to_string(compress) + " bloom " +
-                   std::to_string(bloom));
-      Lcg rng(0x5EA1 + static_cast<uint64_t>(bloom));
-      MaterializedView planned("p", schema), unplanned("u", schema);
-      for (MaterializedView* view : {&planned, &unplanned}) {
-        view->set_segment_frames(32);
-        view->set_build_options({compress, bloom});
+    SCOPED_TRACE("compress " + std::to_string(compress));
+    Lcg rng(0x5EA1);
+    MaterializedView planned("p", schema), unplanned("u", schema);
+    for (MaterializedView* view : {&planned, &unplanned}) {
+      view->set_segment_frames(32);
+      view->set_build_options({compress});
+    }
+    for (int round = 0; round < 6; ++round) {
+      // Random frames below 256 reseal sealed segments; the ascending
+      // frames above open segments with no sealed part.
+      // Cells with NULLs, -0.0, NaN and repeats in every column.
+      auto cell = [&rng](int kind) {
+        static const char* const kNames[] = {"car", "bus", "van"};
+        const uint64_t r = rng.Next() >> 33;
+        if (r % 9 == 0) return Value::Null();
+        switch (kind) {
+          case 0:
+            return Value(static_cast<int64_t>(r % 40) - 3);
+          case 1:
+            return Value(r % 8 == 0   ? -0.0
+                         : r % 8 == 1 ? std::numeric_limits<double>::quiet_NaN()
+                                      : rng.NextDouble());
+          case 2:
+            return Value(r % 3 == 0);
+          default:
+            return Value(kNames[r % 3]);
+        }
+      };
+      std::vector<std::pair<ViewKey, std::vector<Row>>> puts;
+      for (int k = 0; k < 60; ++k) {
+        std::vector<Row> rows(rng.Next() % 3);
+        for (Row& row : rows) {
+          for (int kind = 0; kind < 4; ++kind) row.push_back(cell(kind));
+        }
+        puts.push_back({{rng.NextInt(0, 256), -1}, rows});
       }
-      for (int round = 0; round < 6; ++round) {
-        // Random frames below 256 reseal sealed segments; the ascending
-        // frames above open segments with no sealed part.
-        // Cells with NULLs, -0.0, NaN and repeats in every column.
-        auto cell = [&rng](int kind) {
-          static const char* const kNames[] = {"car", "bus", "van"};
-          const uint64_t r = rng.Next() >> 33;
-          if (r % 9 == 0) return Value::Null();
-          switch (kind) {
-            case 0:
-              return Value(static_cast<int64_t>(r % 40) - 3);
-            case 1:
-              return Value(r % 8 == 0   ? -0.0
-                           : r % 8 == 1 ? std::numeric_limits<double>::quiet_NaN()
-                                        : rng.NextDouble());
-            case 2:
-              return Value(r % 3 == 0);
-            default:
-              return Value(kNames[r % 3]);
-          }
-        };
-        std::vector<std::pair<ViewKey, std::vector<Row>>> puts;
-        for (int k = 0; k < 60; ++k) {
-          std::vector<Row> rows(rng.Next() % 3);
-          for (Row& row : rows) {
-            for (int kind = 0; kind < 4; ++kind) row.push_back(cell(kind));
-          }
-          puts.push_back({{rng.NextInt(0, 256), -1}, rows});
-        }
-        for (int64_t f = 256 + round * 40; f < 256 + round * 40 + 40; ++f) {
-          puts.push_back({{f, -1}, {{Value(f), Value(0.5), Value(true),
-                                     Value("t")}}});
-        }
-        for (const auto& [key, rows] : puts) {
-          PutRows(&planned, key, rows);
-          PutRows(&unplanned, key, rows);
-        }
-        planned.PlanStaleSegments();
-        const std::vector<SegmentStats> charged = planned.Segments();
-        planned.SealAllSegments();
-        unplanned.SealAllSegments();
-        const std::vector<SegmentStats> sealed = planned.Segments();
-        ASSERT_EQ(charged.size(), sealed.size());
-        for (size_t i = 0; i < sealed.size(); ++i) {
-          EXPECT_EQ(charged[i].bytes, sealed[i].bytes)
-              << "segment " << sealed[i].segment_id;
-        }
-        EXPECT_EQ(SerializeViewSegments("v", planned),
-                  SerializeViewSegments("v", unplanned));
-        if (HasFailure()) return;
+      for (int64_t f = 256 + round * 40; f < 256 + round * 40 + 40; ++f) {
+        puts.push_back({{f, -1}, {{Value(f), Value(0.5), Value(true),
+                                   Value("t")}}});
       }
+      for (const auto& [key, rows] : puts) {
+        PutRows(&planned, key, rows);
+        PutRows(&unplanned, key, rows);
+      }
+      planned.PlanStaleSegments();
+      const std::vector<SegmentStats> charged = planned.Segments();
+      planned.SealAllSegments();
+      unplanned.SealAllSegments();
+      const std::vector<SegmentStats> sealed = planned.Segments();
+      ASSERT_EQ(charged.size(), sealed.size());
+      for (size_t i = 0; i < sealed.size(); ++i) {
+        EXPECT_EQ(charged[i].bytes, sealed[i].bytes)
+            << "segment " << sealed[i].segment_id;
+      }
+      EXPECT_EQ(SerializeViewSegments("v", planned),
+                SerializeViewSegments("v", unplanned));
+      if (HasFailure()) return;
     }
   }
 }

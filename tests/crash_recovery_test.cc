@@ -449,7 +449,6 @@ TEST_F(CrashRecoveryTest, UncompressedV2DirectoryInteropLoads) {
     engine::EngineOptions options;
     options.optimizer.mode = optimizer::ReuseMode::kEva;
     options.segment_compression = compress;
-    options.bloom_bits_per_key = compress ? 10 : 0;
     auto er = vbench::MakeEngine(options, CrashVideo());
     EXPECT_TRUE(er.ok());
     return er.MoveValue();

@@ -78,7 +78,40 @@ TEST_F(FunCacheEngineTest, NoViewsAreMaterialized) {
                   .ok());
   EXPECT_DOUBLE_EQ(engine_->views().TotalSizeBytes(), 0);
   EXPECT_GT(engine_->funcache().TotalEntries(), 0);
-  EXPECT_EQ(engine_->DistinctInvocations("FasterRCNNResNet50", "fc"), 50);
+  EXPECT_EQ(engine_->funcache().NumEntries("FasterRCNNResNet50"), 50);
+}
+
+// FunCache sees every invocation the workload makes, so over VBENCH-HIGH
+// its per-UDF invocations equal a no-reuse run's, and each invocation
+// either made a cache entry or reused one: Table 3's #DI and Eq. 7's
+// distinct counts read its entries.
+TEST(FunCacheWorkloadTest, EntriesCountTheWorkloadsDistinctInvocations) {
+  catalog::VideoInfo video;
+  video.name = "fcw";
+  video.num_frames = 300;
+  video.mean_objects_per_frame = 5;
+  video.seed = 78;
+  const std::vector<std::string> queries =
+      vbench::VbenchHigh(video.name, video.num_frames);
+  auto noreuse = vbench::MakeEngine(optimizer::ReuseMode::kNoReuse, video);
+  auto funcache = vbench::MakeEngine(optimizer::ReuseMode::kFunCache, video);
+  ASSERT_TRUE(noreuse.ok());
+  ASSERT_TRUE(funcache.ok());
+  auto want = vbench::RunWorkload(noreuse.value().get(), queries);
+  auto got = vbench::RunWorkload(funcache.value().get(), queries);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok());
+  const exec::QueryMetrics& w = want.value().aggregate;
+  const exec::QueryMetrics& g = got.value().aggregate;
+  EXPECT_EQ(g.invocations, w.invocations);
+  ASSERT_EQ(g.invocations.size(), 3u);
+  for (const auto& [udf, n] : g.invocations) {
+    SCOPED_TRACE(udf);
+    const auto reused = g.reused.find(udf);
+    const int64_t r = reused == g.reused.end() ? 0 : reused->second;
+    EXPECT_GT(r, 0);
+    EXPECT_EQ(funcache.value()->funcache().NumEntries(udf) + r, n);
+  }
 }
 
 TEST_F(FunCacheEngineTest, CacheWorksAtTupleGranularityForClassifiers) {

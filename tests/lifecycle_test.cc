@@ -292,7 +292,7 @@ std::vector<EvictionEvent> ReferenceEnforce(storage::ViewStore* views,
 // segments with no sealed part. Deterministic in `seed`.
 void FillStore(storage::ViewStore* views, uint64_t seed, bool compress) {
   views->set_segment_frames(16);
-  views->set_build_options({compress, 10});
+  views->set_build_options({compress});
   const Schema schema({{"label", DataType::kString},
                        {"score", DataType::kDouble}});
   uint64_t state = seed;

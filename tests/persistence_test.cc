@@ -452,7 +452,7 @@ TEST_F(PersistenceTest, InstalledSegmentsRoundTripByteForByte) {
   const double kLevels[] = {0.25, 0.5, 0.75, 1.5};
   for (bool compress : {false, true}) {
     SCOPED_TRACE("compress=" + std::to_string(compress));
-    const SegmentBuildOptions options{compress, compress ? 10 : 0};
+    const SegmentBuildOptions options{compress};
     auto configure = [&options](ViewStore* store) {
       store->set_segment_frames(64);
       store->set_build_options(options);

@@ -3,10 +3,10 @@
 // random interleaving of puts, probes, segment evictions and seals; one
 // answers probes with ProbeBatch, the other seals everything and answers
 // with the reference over its sealed segments. Outcomes, pinned-segment
-// slots, the cells behind every hit and the Bloom counters must agree for
-// ascending, repeated, backwards, mid-segment, cross-segment and shuffled
-// batches, with and without codecs and Bloom filters. Deterministic LCG
-// generation; failures replay from the trace.
+// slots and the cells behind every hit must agree for ascending,
+// repeated, backwards, mid-segment, cross-segment and shuffled batches,
+// with and without codecs. Deterministic LCG generation; failures replay
+// from the trace.
 
 #include <gtest/gtest.h>
 
@@ -194,9 +194,6 @@ void ExpectSameProbe(const std::vector<ViewKey>& keys, int64_t seg_frames,
     }
   }
   EXPECT_EQ(got.segments.size(), want.segments.size());
-  EXPECT_EQ(got.bloom_hits, want.bloom_hits);
-  EXPECT_EQ(got.bloom_negatives, want.bloom_negatives);
-  EXPECT_EQ(got.bloom_fps, want.bloom_fps);
   // The runs cover the outcomes in order, one segment's keys each, and a
   // run's segment differs from the next one's.
   size_t begin = 0;
@@ -220,18 +217,16 @@ TEST(ProbeOracleTest, RunProbeMatchesPerKeyReference) {
   int64_t hits_seen = 0;
   for (int trial = 0; trial < 48; ++trial) {
     const bool compress = rng.Pick(2) == 0;
-    const int bloom_bits = rng.Pick(2) == 0 ? 0 : 10;
     const int64_t seg_frames = int64_t{8} << rng.Pick(3);  // 8, 16, 32
     const int64_t frames = seg_frames * 6;
     SCOPED_TRACE("trial " + std::to_string(trial) +
                  " compress=" + std::to_string(compress) +
-                 " bloom=" + std::to_string(bloom_bits) +
                  " segment_frames=" + std::to_string(seg_frames));
     MaterializedView probed("t@v", TestSchema());
     MaterializedView reference("t@v", TestSchema());
     for (MaterializedView* view : {&probed, &reference}) {
       view->set_segment_frames(seg_frames);
-      view->set_build_options({compress, bloom_bits});
+      view->set_build_options({compress});
     }
     uint64_t tick = 0;
     for (int op = 0; op < 60; ++op) {
@@ -283,7 +278,7 @@ TEST(ProbeOracleTest, FindKeyWithACursorMatchesReferenceInAnyOrder) {
   for (const bool compress : {false, true}) {
     MaterializedView view("t@v", TestSchema());
     view.set_segment_frames(1 << 20);
-    view.set_build_options({compress, 0});
+    view.set_build_options({compress});
     Lcg rng(0xC0550 + static_cast<uint64_t>(compress));
     for (int64_t f = 0; f < 200; f += 3) {
       std::vector<Row> rows;

@@ -185,9 +185,9 @@ class FileReaderFuzzTest : public ::testing::Test {
 TEST_F(FileReaderFuzzTest, SegmentCodecReaderNeverCrashes) {
   // Corpus: a real binary .evaseg body over columns that exercise every
   // codec family — FOR ints, RLE/dict strings, bit-packed bools, doubles,
-  // nulls, and a Bloom-filtered packed key index.
+  // nulls, and a packed key index.
   storage::ViewStore store;
-  store.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  store.set_build_options({/*compress=*/true});
   Schema schema({{"obj", DataType::kInt64},
                  {"label", DataType::kString},
                  {"flag", DataType::kBool},

@@ -1,12 +1,11 @@
 // Reference batch probe for MaterializedView::ProbeBatch: the per-key loop
 // the run-at-a-time probe replaced. Every key finds its segment by floor
 // division, a new segment starts a new run (cursor reset, one pin on the
-// run's first hit), and each key pays a Bloom check and, behind
-// it, a bisect of the key index from the previous key's cursor
-// (ReferenceFindKey, the search ColumnarSegment::FindKey replaced). It
-// reads a frame-keyed map of sealed segments
-// (MaterializedView::SealedSegments), so it shares nothing with the code
-// under test but the segments.
+// run's first hit), and each key pays a bisect of the key index from the
+// previous key's cursor (ReferenceFindKey, the search
+// ColumnarSegment::FindKey replaced). It reads a frame-keyed map of sealed
+// segments (MaterializedView::SealedSegments), so it shares nothing with
+// the code under test but the segments.
 
 #ifndef EVA_TESTS_REFERENCE_PROBE_H_
 #define EVA_TESTS_REFERENCE_PROBE_H_
@@ -88,21 +87,8 @@ inline void ReferenceProbe(const SealedMap& segments, int64_t segment_frames,
     }
     ProbeOutcome outcome;
     if (seg != nullptr) {
-      if (seg->bloom.enabled() &&
-          !seg->bloom.MayContain(HashViewKey(key.frame, key.obj))) {
-        ++out->bloom_negatives;
-        out->outcomes.push_back(outcome);
-        continue;
-      }
       const size_t idx =
           ReferenceFindKey(*seg, key.frame, key.obj, &cursor);
-      if (seg->bloom.enabled()) {
-        if (idx == ColumnarSegment::npos) {
-          ++out->bloom_fps;
-        } else {
-          ++out->bloom_hits;
-        }
-      }
       if (idx != ColumnarSegment::npos) {
         const int32_t begin = seg->row_begin_at(idx);
         const int32_t end = seg->row_begin_at(idx + 1);

@@ -121,7 +121,7 @@ TEST(ColumnarSegmentTest, FindKeyFindsARepeatedKey) {
 
 TEST(MaterializedViewTest, ProbeBatchHitsARepeatedKey) {
   MaterializedView view("det@v", DetSchema());
-  view.set_build_options({true, 10});
+  view.set_build_options({true});
   for (int64_t f = 0; f < 10; ++f) {
     PutRows(&view, {f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});
   }
@@ -153,7 +153,7 @@ std::vector<ViewKey> ChunkKeys(const ColumnarSegment& chunk) {
 TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   ViewStore store;
   MaterializedView* view = store.GetOrCreate("det@v", DetSchema());
-  view->set_build_options({true, 10});
+  view->set_build_options({true});
   view->set_capture_appends(true);
   for (int64_t f : {1, 2, 3}) {
     PutRows(view, {f, -1}, {{Value(f), Value("car"), Value(0.3), Value(0.9)}});

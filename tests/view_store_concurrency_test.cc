@@ -173,14 +173,14 @@ TEST(ViewStoreConcurrencyTest, ConcurrentFindAndTotalsDoNotRace) {
 
 // Compressed-segment seal racing against batch probes: writers keep
 // adding keys (which marks segments stale), a sealer thread re-seals with
-// codecs + Bloom filters, and reader threads ProbeBatch throughout. Every
-// hit's reconstructed row must match the deterministic payload — a torn
-// codec lane or a swapped-mid-read segment would surface here (and under
-// TSan in CI).
+// codecs, and reader threads ProbeBatch throughout. Every hit's
+// reconstructed row must match the deterministic payload — a torn codec
+// lane or a swapped-mid-read segment would surface here (and under TSan
+// in CI).
 TEST(ViewStoreConcurrencyTest, ProbesDuringCompressedSealStayExact) {
   MaterializedView view("v", TestSchema());
   view.set_segment_frames(64);
-  view.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  view.set_build_options({/*compress=*/true});
   constexpr int64_t kKeys = 4000;
   std::atomic<bool> writer_done{false};
   std::atomic<int64_t> mismatches{0};
@@ -258,7 +258,7 @@ void PutKeys(MaterializedView* view, const std::vector<ViewKey>& keys) {
 TEST(ViewStoreConcurrencyTest, MultiSegmentProbeWalksRacePutsAndReseals) {
   MaterializedView view("v", TestSchema());
   view.set_segment_frames(32);
-  view.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  view.set_build_options({/*compress=*/true});
   constexpr int64_t kFrames = 768;  // 24 segments
   std::atomic<int> writers_left{2};
   std::atomic<int64_t> errors{0};
@@ -342,7 +342,7 @@ TEST(ViewStoreConcurrencyTest, MultiSegmentProbeWalksRacePutsAndReseals) {
 TEST(ViewStoreConcurrencyTest, FootprintReadersRacePlanEvictSeal) {
   ViewStore store;
   store.set_segment_frames(32);
-  store.set_build_options({/*compress=*/true, /*bloom_bits_per_key=*/10});
+  store.set_build_options({/*compress=*/true});
   MaterializedView* const views[] = {store.GetOrCreate("A@v", TestSchema()),
                                      store.GetOrCreate("B@v", TestSchema())};
   catalog::Catalog catalog;
