@@ -123,7 +123,7 @@ void AppendKeys(MaterializedView* view, int64_t keys) {
       batch.push_back(ViewKey{f, -1});
       key_rows.push_back(static_cast<uint32_t>(batch.size()));
     }
-    view->PutBatch(batch, {}, key_rows, rows, values, tick, 0, &remaps,
+    view->PutBatch(batch, false, key_rows, rows, values, tick, 0, &remaps,
                    &inserted);
   }
 }

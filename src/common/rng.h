@@ -36,7 +36,13 @@ class Rng {
 
   /// Mixes `salt` into a fresh seed; used to derive per-frame/per-model
   /// deterministic sub-streams.
-  static uint64_t MixSeed(uint64_t seed, uint64_t salt);
+  static uint64_t MixSeed(uint64_t seed, uint64_t salt) {
+    uint64_t z = seed ^ (salt + 0x9e3779b97f4a7c15ULL + (seed << 6) +
+                         (seed >> 2));
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
 
  private:
   uint64_t state_;

@@ -30,10 +30,6 @@ const char* CostCategoryName(CostCategory c) {
 
 void SimClock::Reset() { ms_.fill(0.0); }
 
-void SimClock::Charge(CostCategory category, double ms) {
-  ms_[static_cast<size_t>(category)] += ms;
-}
-
 double SimClock::Elapsed(CostCategory category) const {
   return ms_[static_cast<size_t>(category)];
 }

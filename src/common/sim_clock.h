@@ -40,7 +40,9 @@ class SimClock {
   void Reset();
 
   /// Adds `ms` of simulated time under `category`.
-  void Charge(CostCategory category, double ms);
+  void Charge(CostCategory category, double ms) {
+    ms_[static_cast<size_t>(category)] += ms;
+  }
 
   /// Simulated time accumulated in one category since construction/Reset.
   double Elapsed(CostCategory category) const;

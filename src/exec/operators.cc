@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -33,7 +31,7 @@ using storage::ViewKey;
 // ctx->obs_registry is null.
 // ---------------------------------------------------------------------------
 
-// Cached per-UDF counters shared by Apply / CondApply / ViewJoin.
+// Cached per-UDF counters of a UDF runner.
 struct UdfObsCounters {
   obs::Counter* invocations = nullptr;  // fresh model evaluations
   obs::Counter* reused = nullptr;       // tuples answered from a view/cache
@@ -55,6 +53,14 @@ UdfObsCounters MakeUdfCounters(ExecContext* ctx, const std::string& udf) {
       "UDF evaluation retries after injected transient faults",
       {{"udf", udf}});
   return c;
+}
+
+// The registry's row counter of one plan node kind; null without one.
+obs::Counter* OperatorRowsCounter(ExecContext* ctx, PlanKind kind) {
+  if (ctx->obs_registry == nullptr) return nullptr;
+  return ctx->obs_registry->GetCounter("eva_operator_rows_total",
+                                       "Rows emitted per physical operator",
+                                       {{"op", plan::PlanKindName(kind)}});
 }
 
 // QueryMetrics' per-UDF cells, found on first use instead of one std::map
@@ -109,21 +115,6 @@ Chunk Compact(Chunk in, const std::vector<uint8_t>& keep,
   if (rows->empty()) return Chunk(in.schema());
   return GatherRows(in, *rows, remaps);
 }
-
-// What a ViewJoin's probe said about each key of the chunk it emitted
-// last, kept for the STORE of the same view above it (Fig. 4 step 3). A
-// hit is stored already; a miss is absent until that STORE inserts it,
-// because one driver thread runs the query, the probe resealed every
-// touched tail, and only that STORE writes the view (docs/RUNTIME.md).
-struct ProbeLedger {
-  std::vector<ViewKey> keys;  // probed keys, in probe order
-  std::vector<uint8_t> hit;   // per key: 1 for a hit
-};
-
-// While a STORE's subtree is built: view name -> that STORE's ledger, for
-// the ViewJoin of the same view below it. The STORE owns the ledger and,
-// through its child, the ViewJoin.
-using Ledgers = std::map<std::string, ProbeLedger*>;
 
 // ---------------------------------------------------------------------------
 // VideoScan
@@ -207,8 +198,8 @@ class FilterOp : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// UDF evaluation helpers shared by Apply / CondApply. They run inline on the
-// thread executing the query and charge the engine clock directly.
+// UDF evaluation helpers shared by Apply and ReuseChain. They run inline on
+// the thread executing the query and charge the engine clock directly.
 // ---------------------------------------------------------------------------
 
 }  // namespace
@@ -225,7 +216,7 @@ void SpinFor(double us) {
 
 namespace {
 
-// Consults the fault injector before a fresh model evaluation. A transient
+// Consults the active fault injector before a fresh model evaluation. A transient
 // (kError) fault is retried up to ctx->udf_max_retries times, charging an
 // exponentially growing simulated backoff per attempt. A permanent
 // (kFail/kCrash) fault, or retry exhaustion, surfaces as a Status error
@@ -234,7 +225,6 @@ namespace {
 Status MaybeInjectUdfFault(ExecContext* ctx, const UdfDef& def,
                            int64_t frame, int64_t obj,
                            const UdfObsCounters& obs) {
-  if (ctx->faults == nullptr) return Status::OK();
   const std::string point = "udf:" + def.name + ":" + std::to_string(frame) +
                             ":" + std::to_string(obj);
   double backoff_ms = ctx->udf_retry_backoff_ms;
@@ -292,15 +282,14 @@ class UdfRunner {
       EVA_ASSIGN_OR_RETURN(detector_, ctx_->udfs->Detector(def_->name));
     }
     EVA_RETURN_IF_ERROR(BeginEvaluation(frame, -1));
-    const std::vector<vision::Detection> dets =
-        detector_->Detect(*ctx_->video, frame);
-    for (const vision::Detection& d : dets) {
+    detector_->DetectInto(*ctx_->video, frame, &dets_);
+    for (const vision::Detection& d : dets_) {
       out[0].AppendInt64(static_cast<int64_t>(d.obj_id));
       out[1].AppendLabel(vision::ObjectLabels(), d.label_id);
       out[2].AppendDouble(d.area);
       out[3].AppendDouble(d.score);
     }
-    return dets.size();
+    return dets_.size();
   }
 
   Result<vision::Label> Classify(int64_t frame, int64_t obj) {
@@ -343,9 +332,11 @@ class UdfRunner {
 
  private:
   Status BeginEvaluation(int64_t frame, int64_t obj) {
-    EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx_, *def_, frame, obj, obs_));
+    if (ctx_->faults != nullptr) {
+      EVA_RETURN_IF_ERROR(MaybeInjectUdfFault(ctx_, *def_, frame, obj, obs_));
+    }
     ctx_->Charge(CostCategory::kUdf, def_->cost_ms);
-    SpinFor(ctx_->udf_spin_us);
+    if (ctx_->udf_spin_us > 0) SpinFor(ctx_->udf_spin_us);
     cells_.AddInvocation(ctx_, def_->name);
     if (ctx_->active_stats != nullptr) ++ctx_->active_stats->udf_invocations;
     ++invocations_;
@@ -359,6 +350,7 @@ class UdfRunner {
   const vision::DetectorModel* detector_ = nullptr;
   const vision::ClassifierModel* classifier_ = nullptr;
   const vision::FilterModel* filter_ = nullptr;
+  std::vector<vision::Detection> dets_;  // Detect's buffer, reused
   int64_t invocations_ = 0;  // not yet in obs_.invocations
   int64_t reused_ = 0;       // not yet in obs_.reused
 };
@@ -374,22 +366,21 @@ void ChargeFunCacheHash(ExecContext* ctx) {
 // ---------------------------------------------------------------------------
 // Apply: evaluate the UDF for every input row (Fig. 3 rewrite). In FunCache
 // mode, consults the tuple-level cache first. UDF outputs go straight into
-// the result lanes; the input columns are replicated afterwards with one
+// the result lanes. A classifier or filter yields one row per input row,
+// so the input columns move over; a detector's are replicated with one
 // gather by parent row.
 // ---------------------------------------------------------------------------
 
 class ApplyOp : public Operator {
  public:
   static Result<OperatorPtr> Make(ExecContext* ctx, OperatorPtr child,
-                                  const std::string& udf,
-                                  bool emit_presence_placeholders) {
+                                  const std::string& udf) {
     EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
     EVA_ASSIGN_OR_RETURN(
         Schema schema,
         child->output_schema().Extend(UdfOutputSchema(def).fields()));
     return OperatorPtr(new ApplyOp(ctx, std::move(child), std::move(def),
-                                   std::move(schema),
-                                   emit_presence_placeholders));
+                                   std::move(schema)));
   }
 
   Result<Chunk> Next() override {
@@ -405,36 +396,34 @@ class ApplyOp : public Operator {
   }
 
  private:
-  ApplyOp(ExecContext* ctx, OperatorPtr child, UdfDef def, Schema schema,
-          bool emit_presence_placeholders)
+  ApplyOp(ExecContext* ctx, OperatorPtr child, UdfDef def, Schema schema)
       : Operator(ctx, std::move(schema)),
         child_(std::move(child)),
         def_(std::move(def)),
         n_outputs_(UdfOutputSchema(def_).num_fields()),
-        emit_presence_placeholders_(emit_presence_placeholders),
         runner_(ctx, &def_) {}
 
-  Result<Chunk> Apply(const Chunk& in) {
+  Result<Chunk> Apply(Chunk& in) {
     const size_t base = in.num_columns();
     const ColumnVec& ids =
         in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
-    const int obj_idx = in.schema().IndexOf(kColObj);
     Chunk out(output_schema_);
     TailLane* results = &out.col(base);
-    parents_.clear();
+    if (def_.kind == UdfKind::kDetector) {
+      parents_.clear();
+      for (size_t r = 0; r < in.num_rows(); ++r) {
+        EVA_ASSIGN_OR_RETURN(size_t dets,
+                             DetectorResults(Int64Cell(ids, r), results));
+        parents_.insert(parents_.end(), dets, static_cast<uint32_t>(r));
+      }
+      remaps_.Clear();
+      GatherColumns(in, 0, base, parents_, &out, 0, &remaps_);
+      return out;
+    }
+    const int obj_idx = in.schema().IndexOf(kColObj);
     for (size_t r = 0; r < in.num_rows(); ++r) {
-      const auto parent = static_cast<uint32_t>(r);
       int64_t frame = Int64Cell(ids, r);
-      if (def_.kind == UdfKind::kDetector) {
-        EVA_ASSIGN_OR_RETURN(size_t dets, DetectorResults(frame, results));
-        if (dets == 0 && emit_presence_placeholders_) {
-          // NULL placeholder so the STORE above records presence even for
-          // frames where nothing was detected.
-          for (size_t c = 0; c < n_outputs_; ++c) results[c].AppendNull();
-          dets = 1;
-        }
-        parents_.insert(parents_.end(), dets, parent);
-      } else if (def_.kind == UdfKind::kClassifier) {
+      if (def_.kind == UdfKind::kClassifier) {
         const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
         if (objs.NullAt(r)) {
           results->AppendNull();
@@ -442,14 +431,11 @@ class ApplyOp : public Operator {
           EVA_RETURN_IF_ERROR(
               ClassifierResult(frame, Int64Cell(objs, r), results));
         }
-        parents_.push_back(parent);
       } else {  // filter UDF
         EVA_RETURN_IF_ERROR(FilterResult(frame, results));
-        parents_.push_back(parent);
       }
     }
-    remaps_.Clear();
-    GatherColumns(in, 0, base, parents_, &out, 0, &remaps_);
+    for (size_t c = 0; c < base; ++c) out.col(c) = std::move(in.col(c));
     return out;
   }
 
@@ -518,209 +504,333 @@ class ApplyOp : public Operator {
   OperatorPtr child_;
   UdfDef def_;
   size_t n_outputs_;
-  bool emit_presence_placeholders_;
   UdfRunner runner_;
   std::vector<uint32_t> parents_;  // input row of each output row
   LaneRemaps remaps_;
 };
 
 // ---------------------------------------------------------------------------
-// ViewJoin: LEFT OUTER JOIN with the materialized view (Fig. 4 step 1).
-// Rows found in the view get outputs populated (and count as reused
-// invocations); missing rows get NULL outputs for CondApply to fill.
+// ReuseChain: the materialization-aware rewrite of Fig. 4 (§4.4) as one
+// operator. It runs the plan chain
+//   [STORE(v)] <- CondApply(u) <- ViewJoin(v_1) <- ... <- ViewJoin(v_k)
+// — LEFT OUTER JOINs with the views, the conditional APPLY guarded by
+// "outputs IS NULL", then STORE — or STORE(v) <- Apply(u). Per input
+// chunk it probes v_1..v_k in plan order, each for the keys no earlier
+// view held; copies each hit's rows a run at a time from its pinned
+// segment; evaluates u on the keys no view held, into the same output
+// lanes; and appends exactly the keys it evaluated to v. Its output is
+// the rows of every input row, in order, with no NULL placeholder rows.
 //
-// Probing is batched: a pre-pass classifies each input row (pass-through /
-// NULL-out / probe) and collects the probe keys, then one ProbeBatch call
-// answers every probe under a single view-lock acquisition from the
-// sealed columnar segments. Each chunk's probe verdicts go to the
-// ledger of the STORE of the same view, so that STORE neither re-checks
-// a key the probe missed nor passes on a key it hit.
+// Charges, access ticks and counters keep the chain's order: per chunk,
+// each view's probe and read charges and hit ticks in row order, the
+// conditional apply's per-row overhead over the rows the last join would
+// have emitted, the UDF charges, then each inserted key's materialize
+// charge. The plan nodes stay as they are, and so do their statistics:
+// the builder's StatsOp meters the top node, and a NodeMeter per inner
+// node keeps that node's as its own operator would have.
 // ---------------------------------------------------------------------------
 
-class ViewJoinOp : public Operator {
+// The stats of one plan node that a ReuseChainOp runs inside itself, kept
+// as a StatsOp around that node's own operator would keep them: every
+// Next() call the node would have served is a window from Open to Close,
+// which adds its sim and wall time, one batch and its rows.
+struct NodeMeter {
+  obs::OperatorStats* stats = nullptr;  // null without EXPLAIN ANALYZE
+  obs::Counter* rows_total = nullptr;   // null without a registry
+  double sim0 = 0;
+  std::chrono::steady_clock::time_point wall0;
+
+  void Open(const ExecContext& ctx) {
+    if (stats == nullptr) return;
+    sim0 = ctx.clock->TotalMs();
+    wall0 = std::chrono::steady_clock::now();
+  }
+  void Close(const ExecContext& ctx, size_t rows) {
+    if (rows_total != nullptr) rows_total->Increment(static_cast<double>(rows));
+    if (stats == nullptr) return;
+    stats->sim_ms += ctx.clock->TotalMs() - sim0;
+    stats->wall_us +=
+        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
+            std::chrono::steady_clock::now() - wall0)
+            .count();
+    ++stats->batches;
+    stats->rows_out += static_cast<int64_t>(rows);
+  }
+};
+
+class ReuseChainOp : public Operator {
  public:
-  static Result<OperatorPtr> Make(ExecContext* ctx, OperatorPtr child,
-                                  const std::string& udf,
-                                  const std::string& view_name,
-                                  bool scan_all_for_dedup,
-                                  ProbeLedger* ledger) {
+  // `joins` in plan order (v_1 first, nearest the input); `apply` is the
+  // Apply or CondApply node of `udf`; `store` is null without a STORE.
+  static Result<OperatorPtr> Make(
+      ExecContext* ctx, OperatorPtr child,
+      const std::vector<const plan::ViewJoinNode*>& joins,
+      const plan::PlanNode* apply, const std::string& udf,
+      const plan::StoreNode* store) {
     EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
-    Schema out = child->output_schema();
-    Schema udf_out = UdfOutputSchema(def);
-    // Extend only with columns not already present (multi-view chains for
-    // one logical UDF share output columns).
-    for (const Field& f : udf_out.fields()) {
-      if (!out.Contains(f.name)) out.AddField(f);
+    const Schema& in = child->output_schema();
+    if (def.kind == UdfKind::kClassifier && !in.Contains(kColObj)) {
+      return Status::Internal("classifier " + udf + " needs detector rows");
     }
-    return OperatorPtr(new ViewJoinOp(ctx, std::move(child), std::move(def),
-                                      view_name, scan_all_for_dedup, ledger,
-                                      std::move(out)));
+    EVA_ASSIGN_OR_RETURN(Schema schema,
+                         in.Extend(UdfOutputSchema(def).fields()));
+    std::unique_ptr<ReuseChainOp> op(new ReuseChainOp(
+        ctx, std::move(child), std::move(def), std::move(schema)));
+    for (const plan::ViewJoinNode* node : joins) {
+      EVA_ASSIGN_OR_RETURN(UdfDef join_def, ctx->catalog->GetUdf(node->udf()));
+      if (!(UdfOutputSchema(join_def) == op->value_schema_)) {
+        return Status::Internal("ViewJoin(" + node->view_name() +
+                                ") does not feed " + udf + "'s outputs");
+      }
+      Join join;
+      join.udf = node->udf();
+      join.view_name = node->view_name();
+      join.scan_all_pending = node->scan_all_for_dedup();
+      if (ctx->obs_registry != nullptr) {
+        join.probe_hits = ctx->obs_registry->GetCounter(
+            "eva_view_probe_hits_total",
+            "Materialized-view probes answered from the view",
+            {{"udf", join.udf}});
+        join.probe_misses = ctx->obs_registry->GetCounter(
+            "eva_view_probe_misses_total",
+            "Materialized-view probes that fell through to the UDF",
+            {{"udf", join.udf}});
+      }
+      op->joins_.push_back(std::move(join));
+      op->meters_.push_back(MakeMeter(ctx, node));
+      op->store_probed_ = op->store_probed_ ||
+                          (store != nullptr &&
+                           node->view_name() == store->view_name());
+    }
+    op->apply_stats_ = NodeStats(ctx, apply);
+    if (store != nullptr) {
+      if (store->udf() != udf) {
+        return Status::Internal("STORE(" + store->view_name() +
+                                ") over an apply of " + udf);
+      }
+      op->meters_.push_back(MakeMeter(ctx, apply));
+      op->store_view_ = store->view_name();
+      op->store_stats_ = NodeStats(ctx, store);
+      if (ctx->obs_registry != nullptr) {
+        op->materialized_ = ctx->obs_registry->GetCounter(
+            "eva_materialized_rows_total",
+            "Rows appended to materialized views",
+            {{"view", op->store_view_}});
+      }
+    }
+    return OperatorPtr(std::move(op));
   }
 
   Result<Chunk> Next() override {
-    if (scan_all_pending_) {
-      // HashStash: dedup the union of all matched operator outputs — a
-      // full read of the recycled materialization (§5.1 baseline).
-      scan_all_pending_ = false;
-      const MaterializedView* view = ctx_->views->Find(view_name_);
+    OpenInner(meters_.size());
+    while (true) {
+      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
+      if (in.empty()) {
+        for (NodeMeter& m : meters_) m.Close(*ctx_, 0);
+        return Chunk(output_schema_);
+      }
+      Prepare(in);
+      size_t j = 0;
+      for (; j < joins_.size(); ++j) {
+        EVA_RETURN_IF_ERROR(Probe(j));
+        if (JoinedRows(in) == 0) break;
+        meters_[j].Close(*ctx_, JoinedRows(in));
+      }
+      if (j < joins_.size()) {
+        OpenInner(j);  // ViewJoin(v_j) emitted nothing: it pulls again
+        continue;
+      }
+      if (!joins_.empty()) {
+        ctx_->Charge(CostCategory::kOther,
+                     ctx_->costs.apply_overhead_ms_per_row *
+                         static_cast<double>(JoinedRows(in)));
+      }
+      obs::OperatorStats* outer = ctx_->active_stats;
+      ctx_->active_stats = apply_stats_;
+      Result<Chunk> applied = Apply(in);
+      ctx_->active_stats = outer;
+      runner_.FlushCounters();
+      EVA_ASSIGN_OR_RETURN(Chunk out, std::move(applied));
+      if (!store_view_.empty()) {
+        meters_.back().Close(*ctx_, apply_rows_);
+        EVA_RETURN_IF_ERROR(Store(out));
+      }
+      if (!out.empty()) return out;
+      OpenInner(meters_.size());  // the top node pulls again
+    }
+  }
+
+ private:
+  // One ViewJoin(v_i) of the chain.
+  struct Join {
+    std::string udf;  // the view's model
+    std::string view_name;
+    bool scan_all_pending = false;  // HashStash's full read, not yet paid
+    UdfMetricCells cells;
+    obs::Counter* probe_hits = nullptr;
+    obs::Counter* probe_misses = nullptr;
+    std::vector<ViewKey> keys;  // this chunk's probe keys, in row order
+    storage::ProbeResult res;   // and their outcomes
+    LaneRemaps remaps;  // per (hit segment, output lane), this chunk
+  };
+
+  // from_ of an input row no view held: u evaluates it.
+  static constexpr int32_t kEvaluate = -1;
+  // from_ of a classifier row without an object: its output is NULL.
+  static constexpr int32_t kNullObj = -2;
+
+  ReuseChainOp(ExecContext* ctx, OperatorPtr child, UdfDef def, Schema schema)
+      : Operator(ctx, std::move(schema)),
+        child_(std::move(child)),
+        def_(std::move(def)),
+        value_schema_(UdfOutputSchema(def_)),
+        base_(child_->output_schema().num_fields()),
+        id_col_(static_cast<size_t>(child_->output_schema().IndexOf(kColId))),
+        obj_col_(child_->output_schema().IndexOf(kColObj)),
+        runner_(ctx, &def_),
+        next_tick_([ctx] { return ctx->views->NextAccessTick(); }) {}
+
+  static obs::OperatorStats* NodeStats(ExecContext* ctx,
+                                       const plan::PlanNode* node) {
+    return ctx->node_stats != nullptr ? &(*ctx->node_stats)[node] : nullptr;
+  }
+  static NodeMeter MakeMeter(ExecContext* ctx, const plan::PlanNode* node) {
+    NodeMeter m;
+    m.stats = NodeStats(ctx, node);
+    m.rows_total = OperatorRowsCounter(ctx, node->kind());
+    return m;
+  }
+
+  // Opens the windows of inner nodes [0, end), top-down as their Next()
+  // calls nest; a HashStash join pays its full view read at its first.
+  void OpenInner(size_t end) {
+    for (size_t s = end; s-- > 0;) {
+      meters_[s].Open(*ctx_);
+      if (s >= joins_.size() || !joins_[s].scan_all_pending) continue;
+      joins_[s].scan_all_pending = false;
+      const MaterializedView* view = ctx_->views->Find(joins_[s].view_name);
       if (view != nullptr) {
         ctx_->Charge(CostCategory::kReadView,
                      ctx_->costs.view_read_ms_per_row *
                          static_cast<double>(view->num_rows()));
       }
     }
-    // A detector chunk whose every probe hits a key that stored zero
-    // objects yields no rows; it must not read as the end of the stream.
-    while (true) {
-      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
-      if (in.empty()) return Chunk(output_schema_);
-      MaterializedView* view = ctx_->views->Find(view_name_);
-      if (view != nullptr) {
-        EVA_RETURN_IF_ERROR(CheckViewSchema(*view, value_schema_));
-      }
-      Chunk out = Join(in, view);
-      if (!out.empty()) return out;
-    }
   }
 
- private:
-  enum RowAction : uint8_t { kPass = 0, kNullOut, kProbe };
-
-  Chunk Join(Chunk& in, MaterializedView* view) {
-    const ColumnVec& ids =
-        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
-    const int obj_idx = in.schema().IndexOf(kColObj);
+  // Each input row's key; every row with one starts pending.
+  void Prepare(const Chunk& in) {
+    const size_t n = in.num_rows();
+    const ColumnVec& ids = in.lane(id_col_);
     const ColumnVec* objs =
-        obj_idx >= 0 ? &in.lane(static_cast<size_t>(obj_idx)) : nullptr;
-    bool outputs_present =
-        in.schema().Contains(def_.kind == UdfKind::kDetector
-                                 ? kColObj
-                                 : def_.name);
-    int already_idx = in.schema().IndexOf(def_.name);
-
-    // Pre-pass: classify rows and collect probe keys. Within one batch no
-    // Put can land on this view (STORE sits above and runs only after the
-    // batch is emitted), so a batch-start probe equals per-row probes.
-    actions_.clear();
-    probe_keys_.clear();
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t frame = Int64Cell(ids, r);
-      if (def_.kind == UdfKind::kDetector) {
-        // A row that already has a non-null obj was populated by an
-        // earlier view in the chain; pass it through.
-        if (outputs_present && objs != nullptr && !objs->NullAt(r)) {
-          actions_.push_back(kPass);
+        def_.kind == UdfKind::kClassifier
+            ? &in.lane(static_cast<size_t>(obj_col_))
+            : nullptr;
+    keys_.resize(n);
+    from_.assign(n, kEvaluate);
+    outcome_.resize(n);
+    pending_.clear();
+    hit_rows_ = 0;
+    for (size_t r = 0; r < n; ++r) {
+      int64_t obj = -1;
+      if (objs != nullptr) {
+        if (objs->NullAt(r)) {
+          from_[r] = kNullObj;
           continue;
         }
-        actions_.push_back(kProbe);
-        probe_keys_.push_back(ViewKey{frame, -1});
-      } else {
-        bool already =
-            already_idx >= 0 &&
-            !in.lane(static_cast<size_t>(already_idx)).NullAt(r);
-        if (already) {
-          actions_.push_back(kPass);
-          continue;
-        }
-        const bool obj_null = objs == nullptr || objs->NullAt(r);
-        if (def_.kind == UdfKind::kClassifier && obj_null) {
-          actions_.push_back(kNullOut);
-          continue;
-        }
-        actions_.push_back(kProbe);
-        probe_keys_.push_back(
-            ViewKey{frame, def_.kind == UdfKind::kClassifier
-                               ? Int64Cell(*objs, r)
-                               : -1});
+        obj = Int64Cell(*objs, r);
       }
+      keys_[r] = ViewKey{Int64Cell(ids, r), obj};
+      pending_.push_back(static_cast<uint32_t>(r));
     }
-    probe_res_.Clear();
-    if (view != nullptr && !probe_keys_.empty()) {
-      view->ProbeBatch(probe_keys_, &probe_res_);
+  }
+
+  // Rows ViewJoin would have emitted after the last probe: each hit's
+  // stored rows, one per pending or object-less row.
+  size_t JoinedRows(const Chunk& in) const {
+    return def_.kind == UdfKind::kDetector
+               ? static_cast<size_t>(hit_rows_) + pending_.size()
+               : in.num_rows();
+  }
+
+  // ViewJoin(v_j): one ProbeBatch of the pending keys; the rows it hits
+  // leave pending_.
+  Status Probe(size_t j) {
+    Join& join = joins_[j];
+    MaterializedView* view = ctx_->views->Find(join.view_name);
+    if (view != nullptr) {
+      EVA_RETURN_IF_ERROR(CheckViewSchema(*view, value_schema_));
     }
-    // One code table per (source lane, output lane): the input's own
-    // output lanes first, then each hit segment's columns.
-    remaps_.Clear();
+    join.keys.clear();
+    for (uint32_t r : pending_) join.keys.push_back(keys_[r]);
+    join.res.Clear();
+    if (view != nullptr && !join.keys.empty()) {
+      view->ProbeBatch(join.keys, &join.res);
+    }
+    const bool detector = def_.kind == UdfKind::kDetector;
+    const CostConstants& costs = ctx_->costs;
     accesses_.clear();
-    run_ = 0;
-    Chunk out = def_.kind == UdfKind::kDetector
-                    ? JoinDetector(in, view)
-                    : JoinSingle(in, view);
-    // Access stamps land once per batch, one per run with hits: nothing
-    // reads them before the batch ends, and a segment keeps its last
-    // hit's tick either way.
-    if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
-    if (ledger_ != nullptr) {
-      ledger_->hit.resize(probe_keys_.size());
-      for (size_t i = 0; i < probe_keys_.size(); ++i) {
-        ledger_->hit[i] = view != nullptr && probe_res_.outcomes[i].status !=
-                                                 storage::ProbeStatus::kMiss;
+    still_pending_.clear();
+    size_t run = 0;  // res.runs index of the last hit
+    int64_t hits = 0;
+    for (size_t i = 0; i < pending_.size(); ++i) {
+      const uint32_t r = pending_[i];
+      ctx_->Charge(CostCategory::kOther, costs.view_probe_ms_per_key);
+      if (view == nullptr ||
+          join.res.outcomes[i].status != storage::ProbeStatus::kHit) {
+        still_pending_.push_back(r);
+        continue;
       }
-      ledger_->keys.swap(probe_keys_);
+      // A reused invocation, and a tick of the access clock that stamps
+      // its run's segment; stamps land once per chunk, one per run.
+      join.cells.AddReuse(ctx_, join.udf);
+      ++hits;
+      while (join.res.runs[run].end <= i) ++run;
+      const int64_t segment = join.res.runs[run].segment_id;
+      if (accesses_.empty() || accesses_.back().first != segment) {
+        accesses_.emplace_back(segment, 0);
+      }
+      accesses_.back().second = ctx_->views->NextAccessTick();
+      const int32_t rows = join.res.outcomes[i].rows_count;
+      ctx_->Charge(CostCategory::kReadView,
+                   detector ? costs.view_read_ms_per_row *
+                                  static_cast<double>(rows)
+                            : costs.view_read_ms_per_row);
+      if (detector) hit_rows_ += rows;
+      from_[r] = static_cast<int32_t>(j);
+      outcome_[r] = static_cast<uint32_t>(i);
     }
-    FlushProbeCounts();
-    return out;
-  }
-
-  ViewJoinOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
-             std::string view_name, bool scan_all, ProbeLedger* ledger,
-             Schema schema)
-      : Operator(ctx, std::move(schema)),
-        child_(std::move(child)),
-        def_(std::move(def)),
-        view_name_(std::move(view_name)),
-        scan_all_pending_(scan_all),
-        value_schema_(UdfOutputSchema(def_)),
-        ledger_(ledger) {
-    // Width of the input columns that precede the detector outputs: when
-    // the input already carries (possibly NULL) output columns from an
-    // earlier view join, strip them before re-appending.
-    output_width_base_ =
-        output_schema_.num_fields() - value_schema_.num_fields();
-    if (ctx->obs_registry != nullptr) {
-      probe_hits_ = ctx->obs_registry->GetCounter(
-          "eva_view_probe_hits_total",
-          "Materialized-view probes answered from the view",
-          {{"udf", def_.name}});
-      probe_misses_ = ctx->obs_registry->GetCounter(
-          "eva_view_probe_misses_total",
-          "Materialized-view probes that fell through to the UDF",
-          {{"udf", def_.name}});
+    const auto misses = static_cast<int64_t>(still_pending_.size());
+    pending_.swap(still_pending_);
+    if (!accesses_.empty()) view->RecordAccess(accesses_, ctx_->query_id);
+    if (obs::OperatorStats* stats = meters_[j].stats) {
+      stats->view_hits += hits;
+      stats->rows_reused += hits;
+      stats->view_misses += misses;
     }
+    if (hits > 0 && join.probe_hits != nullptr) {
+      join.probe_hits->Increment(static_cast<double>(hits));
+    }
+    if (misses > 0 && join.probe_misses != nullptr) {
+      join.probe_misses->Increment(static_cast<double>(misses));
+    }
+    return Status::OK();
   }
 
-  // Code table for copying column `c` of hit segment `seg_index` into the
-  // output (slots after the input's own output lanes).
-  std::vector<int32_t>* SegmentRemap(int32_t seg_index, size_t c) {
-    return remaps_[value_schema_.num_fields() *
-                       (static_cast<size_t>(seg_index) + 1) +
-                   c];
-  }
-
-  // The next probe outcome, in probe order; null without a view.
-  const storage::ProbeOutcome* NextOutcome(MaterializedView* view,
-                                           size_t* oi) const {
-    return view != nullptr ? &probe_res_.outcomes[(*oi)++] : nullptr;
-  }
-
-  // Copies output rows into out[0..width) by runs: consecutive rows of
-  // one source (kFromInput: the input's own output lanes, from column
-  // `in_first`; otherwise a hit segment's index) take one append per
-  // lane — AppendFrom while the rows form one range, AppendGather once
-  // they do not. A NULL row ends the run; Flush() ends the last one.
-  static constexpr int32_t kFromInput = -1;
-  class RunCopier {
+  // Copies hit rows into out[0..width) by runs: consecutive hits in one
+  // pinned segment take one append per lane, AppendFrom while their rows
+  // form one range, AppendGather once they do not. Flush() ends a run.
+  class HitCopier {
    public:
-    RunCopier(ViewJoinOp* op, const Chunk& in, size_t in_first,
-              TailLane* out, size_t width)
-        : op_(op), in_(in), in_first_(in_first), out_(out), width_(width) {
+    HitCopier(ReuseChainOp* op, TailLane* out, size_t width)
+        : op_(op), out_(out), width_(width) {
       op_->run_rows_.clear();
     }
 
-    void Copy(int32_t source, size_t begin, size_t end) {
-      if (source != source_) {
+    void Copy(size_t join, int32_t seg, size_t begin, size_t end) {
+      if (join != join_ || seg != seg_) {
         Flush();
-        source_ = source;
+        join_ = join;
+        seg_ = seg;
       }
       if (begin == end) return;
       std::vector<uint32_t>& rows = op_->run_rows_;
@@ -738,25 +848,20 @@ class ViewJoinOp : public Operator {
         rows.push_back(static_cast<uint32_t>(r));
       }
     }
-    void AppendNull() {
-      Flush();
-      for (size_t c = 0; c < width_; ++c) out_[c].AppendNull();
-    }
     void Flush() {
-      std::vector<uint32_t>& rows = op_->run_rows_;
       if (first_ == end_) return;
+      Join& join = op_->joins_[join_];
+      const storage::ColumnarSegment& segment =
+          *join.res.segments[static_cast<size_t>(seg_)];
+      std::vector<uint32_t>& rows = op_->run_rows_;
       for (size_t c = 0; c < width_; ++c) {
-        const bool input = source_ == kFromInput;
-        const ColumnVec& src =
-            input ? in_.lane(in_first_ + c)
-                  : op_->probe_res_.segments[static_cast<size_t>(source_)]
-                        ->cols[c];
         std::vector<int32_t>* remap =
-            input ? op_->remaps_[c] : op_->SegmentRemap(source_, c);
+            join.remaps[static_cast<size_t>(seg_) * width_ + c];
         if (rows.empty()) {
-          out_[c].AppendFrom(src, first_, end_, remap);
+          out_[c].AppendFrom(segment.cols[c], first_, end_, remap);
         } else {
-          out_[c].AppendGather(src, rows.data(), rows.size(), remap);
+          out_[c].AppendGather(segment.cols[c], rows.data(), rows.size(),
+                               remap);
         }
       }
       rows.clear();
@@ -764,431 +869,115 @@ class ViewJoinOp : public Operator {
     }
 
    private:
-    ViewJoinOp* op_;
-    const Chunk& in_;
-    size_t in_first_;
+    ReuseChainOp* op_;
     TailLane* out_;
     size_t width_;
-    int32_t source_ = kFromInput;
+    size_t join_ = 0;
+    int32_t seg_ = -1;
     // The pending run: rows [first_, end_) while they form one range,
     // else op_->run_rows_ (and first_ < end_ still marks it non-empty).
     size_t first_ = 0;
     size_t end_ = 0;
   };
 
-  // Detector: a hit expands into the key's stored rows, a miss into one
-  // row of NULL outputs. The input columns before the outputs follow by
-  // parent row.
-  Chunk JoinDetector(const Chunk& in, MaterializedView* view) {
-    const size_t base = output_width_base_;
-    const size_t n_outputs = value_schema_.num_fields();
+  // The Apply / CondApply step: every input row's output rows in order —
+  // hits copied from their segments, u evaluated on the rest — and the
+  // input columns alongside. Queues each evaluated key for Store.
+  Result<Chunk> Apply(Chunk& in) {
+    const bool detector = def_.kind == UdfKind::kDetector;
+    const size_t width = value_schema_.num_fields();
     Chunk out(output_schema_);
-    RunCopier results(this, in, base, &out.col(base), n_outputs);
+    TailLane* results = &out.col(base_);
+    for (Join& join : joins_) join.remaps.Clear();
     parents_.clear();
-    size_t oi = 0;  // cursor into probe_res_.outcomes, in probe order
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      const auto parent = static_cast<uint32_t>(r);
-      if (actions_[r] == kPass) {
-        parents_.push_back(parent);
-        results.Copy(kFromInput, r, r + 1);
-        continue;
-      }
-      ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
-      const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
-      if (oc != nullptr && oc->status == storage::ProbeStatus::kHit) {
-        CountHit(oi - 1);
-        ctx_->Charge(CostCategory::kReadView,
-                     ctx_->costs.view_read_ms_per_row *
-                         static_cast<double>(oc->rows_count));
-        // Cells come straight out of the pinned columnar snapshot.
-        const auto begin = static_cast<size_t>(oc->rows_begin);
-        const size_t end = begin + static_cast<size_t>(oc->rows_count);
-        results.Copy(oc->seg_index, begin, end);
-        parents_.insert(parents_.end(), end - begin, parent);
-      } else {
-        ++misses_;
-        parents_.push_back(parent);
-        results.AppendNull();
-      }
-    }
-    results.Flush();
-    base_remaps_.Clear();
-    GatherColumns(in, 0, base, parents_, &out, 0, &base_remaps_);
-    return out;
-  }
-
-  // Classifier / filter UDF: one output column, one output row per input
-  // row.
-  Chunk JoinSingle(Chunk& in, MaterializedView* view) {
-    const auto out_idx =
-        static_cast<size_t>(output_schema_.IndexOf(def_.name));
-    TailLane result(output_schema_.field(out_idx).type);
-    // kPass means the input carries the output column, at out_idx.
-    RunCopier results(this, in, out_idx, &result, 1);
-    size_t oi = 0;
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      if (actions_[r] == kPass) {
-        results.Copy(kFromInput, r, r + 1);
-        continue;
-      }
-      if (actions_[r] == kNullOut) {
-        results.AppendNull();
-        continue;
-      }
-      ctx_->Charge(CostCategory::kOther, ctx_->costs.view_probe_ms_per_key);
-      const storage::ProbeOutcome* oc = NextOutcome(view, &oi);
-      if (oc != nullptr && oc->status == storage::ProbeStatus::kHit) {
-        CountHit(oi - 1);
-        ctx_->Charge(CostCategory::kReadView,
-                     ctx_->costs.view_read_ms_per_row);
-        if (oc->rows_count == 0) {
-          results.AppendNull();
-        } else {
-          const auto begin = static_cast<size_t>(oc->rows_begin);
-          results.Copy(oc->seg_index, begin, begin + 1);
-        }
-      } else {
-        ++misses_;
-        results.AppendNull();
-      }
-    }
-    results.Flush();
-    Chunk out(output_schema_);
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      if (c != out_idx) out.col(c) = std::move(in.col(c));
-    }
-    out.col(out_idx) = std::move(result);
-    return out;
-  }
-
-  // A probe hit, outcome `outcome`: a reused invocation, and a tick of the
-  // access clock that stamps its run's segment.
-  void CountHit(size_t outcome) {
-    cells_.AddReuse(ctx_, def_.name);
-    ++hits_;
-    const std::vector<storage::ProbeRun>& runs = probe_res_.runs;
-    while (runs[run_].end <= outcome) ++run_;
-    const int64_t segment = runs[run_].segment_id;
-    if (accesses_.empty() || accesses_.back().first != segment) {
-      accesses_.emplace_back(segment, 0);
-    }
-    accesses_.back().second = ctx_->views->NextAccessTick();
-  }
-
-  // Publishes the chunk's probe hit and miss counts.
-  void FlushProbeCounts() {
-    if (ctx_->active_stats != nullptr) {
-      ctx_->active_stats->view_hits += hits_;
-      ctx_->active_stats->rows_reused += hits_;
-      ctx_->active_stats->view_misses += misses_;
-    }
-    if (hits_ > 0 && probe_hits_ != nullptr) {
-      probe_hits_->Increment(static_cast<double>(hits_));
-    }
-    if (misses_ > 0 && probe_misses_ != nullptr) {
-      probe_misses_->Increment(static_cast<double>(misses_));
-    }
-    hits_ = 0;
-    misses_ = 0;
-  }
-
-  OperatorPtr child_;
-  UdfDef def_;
-  std::string view_name_;
-  bool scan_all_pending_;
-  Schema value_schema_;
-  ProbeLedger* ledger_;  // the STORE's above; null without one
-  size_t output_width_base_;
-  // Per-batch scratch, reused across Next() calls.
-  std::vector<uint8_t> actions_;
-  std::vector<ViewKey> probe_keys_;
-  storage::ProbeResult probe_res_;
-  // (segment, tick of its last hit) per run with hits
-  std::vector<std::pair<int64_t, uint64_t>> accesses_;
-  size_t run_ = 0;  // probe_res_.runs index of the last hit
-  std::vector<uint32_t> parents_;  // input row of each output row
-  std::vector<uint32_t> run_rows_;  // RunCopier's pending run
-  int64_t hits_ = 0;    // this chunk's probe hits
-  int64_t misses_ = 0;  // this chunk's probe misses
-  LaneRemaps remaps_;       // output lanes (input and segment sources)
-  LaneRemaps base_remaps_;  // input columns gathered by parent row
-  UdfMetricCells cells_;
-  obs::Counter* probe_hits_ = nullptr;
-  obs::Counter* probe_misses_ = nullptr;
-};
-
-// ---------------------------------------------------------------------------
-// CondApply: the conditional apply operator A[p*] (Fig. 4 step 2). The
-// pass-through predicate is "outputs IS NOT NULL": only rows missing from
-// the view are evaluated.
-// ---------------------------------------------------------------------------
-
-class CondApplyOp : public Operator {
- public:
-  static Result<OperatorPtr> Make(ExecContext* ctx, OperatorPtr child,
-                                  const std::string& udf) {
-    EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
-    Schema schema = child->output_schema();
-    if (def.kind == UdfKind::kDetector && !schema.Contains(kColObj)) {
-      return Status::Internal(
-          "CondApply(detector) requires view-joined input");
-    }
-    if (def.kind != UdfKind::kDetector && !schema.Contains(def.name)) {
-      return Status::Internal("CondApply requires the output column " +
-                              def.name);
-    }
-    return OperatorPtr(new CondApplyOp(ctx, std::move(child), std::move(def),
-                                       std::move(schema)));
-  }
-
-  Result<Chunk> Next() override {
-    EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
-    if (in.empty()) return Chunk(output_schema_);
-    ctx_->Charge(CostCategory::kOther,
-                 ctx_->costs.apply_overhead_ms_per_row *
-                     static_cast<double>(in.num_rows()));
-    Result<Chunk> out = def_.kind == UdfKind::kDetector
-                            ? ApplyDetector(std::move(in))
-                            : ApplySingle(std::move(in));
-    runner_.FlushCounters();
-    return out;
-  }
-
- private:
-  CondApplyOp(ExecContext* ctx, OperatorPtr child, UdfDef def, Schema schema)
-      : Operator(ctx, std::move(schema)),
-        child_(std::move(child)),
-        def_(std::move(def)),
-        n_outputs_(UdfOutputSchema(def_).num_fields()),
-        runner_(ctx, &def_) {}
-
-  // Rows the view join populated (non-null obj) pass through; a NULL row
-  // becomes the frame's detections, or stays as the placeholder that lets
-  // STORE record "frame processed, zero objects" before dropping it.
-  Result<Chunk> ApplyDetector(Chunk in) {
-    const ColumnVec& objs =
-        in.lane(static_cast<size_t>(in.schema().IndexOf(kColObj)));
-    size_t first_null = 0;
-    while (first_null < in.num_rows() && !objs.NullAt(first_null)) {
-      ++first_null;
-    }
-    if (first_null == in.num_rows()) return in;  // every row from the view
-    const ColumnVec& ids =
-        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
-    const size_t base = output_schema_.num_fields() - n_outputs_;
-    Chunk out(output_schema_);
-    TailLane* results = &out.col(base);
-    remaps_.Clear();
-    parents_.clear();
-    // Rows [run, r) keep their own outputs; they are copied as one slice
-    // before a detector call appends after them.
-    size_t run = 0;
-    auto flush = [&](size_t end) {
-      for (size_t c = 0; c < n_outputs_; ++c) {
-        results[c].AppendFrom(in.lane(base + c), run, end,
-                              remaps_[base + c]);
-      }
-      for (size_t p = run; p < end; ++p) {
-        parents_.push_back(static_cast<uint32_t>(p));
-      }
-    };
-    for (size_t r = first_null; r < in.num_rows(); ++r) {
-      if (!objs.NullAt(r)) continue;
-      flush(r);
-      EVA_ASSIGN_OR_RETURN(size_t dets,
-                           runner_.Detect(Int64Cell(ids, r), results));
-      if (dets == 0) {
-        run = r;  // the placeholder row passes as it is
-        continue;
-      }
-      parents_.insert(parents_.end(), dets, static_cast<uint32_t>(r));
-      run = r + 1;
-    }
-    flush(in.num_rows());
-    GatherColumns(in, 0, base, parents_, &out, 0, &remaps_);
-    return out;
-  }
-
-  // Classifier / filter UDF: rows map one to one, and only the output
-  // column changes, in the rows where it is NULL.
-  Result<Chunk> ApplySingle(Chunk in) {
-    const auto out_idx =
-        static_cast<size_t>(output_schema_.IndexOf(def_.name));
-    const ColumnVec& current = in.lane(out_idx);
-    size_t first_null = 0;
-    while (first_null < in.num_rows() && !current.NullAt(first_null)) {
-      ++first_null;
-    }
-    if (first_null == in.num_rows()) return in;
-    const ColumnVec& ids =
-        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
-    const int obj_idx = in.schema().IndexOf(kColObj);
-    remaps_.Clear();
-    TailLane result(output_schema_.field(out_idx).type);
-    size_t run = 0;  // rows [run, r) keep their current value
-    for (size_t r = first_null; r < in.num_rows(); ++r) {
-      if (!current.NullAt(r)) continue;
-      result.AppendFrom(current, run, r, remaps_[0]);
-      run = r + 1;
-      const int64_t frame = Int64Cell(ids, r);
-      if (def_.kind == UdfKind::kClassifier) {
-        const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-        if (objs.NullAt(r)) {
-          result.AppendNull();
-          continue;
-        }
-        EVA_ASSIGN_OR_RETURN(vision::Label label,
-                             runner_.Classify(frame, Int64Cell(objs, r)));
-        result.AppendLabel(*label.vocab, label.id);
-      } else {
-        EVA_ASSIGN_OR_RETURN(bool pass, runner_.Filter(frame));
-        result.AppendBool(pass);
-      }
-    }
-    result.AppendFrom(current, run, in.num_rows(), remaps_[0]);
-    in.col(out_idx) = std::move(result);
-    return in;
-  }
-
-  OperatorPtr child_;
-  UdfDef def_;
-  size_t n_outputs_;
-  UdfRunner runner_;
-  std::vector<uint32_t> parents_;  // input row of each output row
-  LaneRemaps remaps_;
-};
-
-// ---------------------------------------------------------------------------
-// Store: appends fresh UDF results to the materialized view (Fig. 4 step
-// 3). Append-only and idempotent. A key the ViewJoin of this view hit in
-// this chunk is stored already and is not passed on; a key it missed is
-// inserted without a presence check. Any other key — one an earlier view
-// of a logical-reuse chain filled, or any key of a plan with no ViewJoin
-// of this view — is inserted only if the view does not hold it.
-// ---------------------------------------------------------------------------
-
-class StoreOp : public Operator {
- public:
-  static Result<OperatorPtr> Make(ExecContext* ctx, OperatorPtr child,
-                                  const std::string& udf,
-                                  const std::string& view_name,
-                                  std::unique_ptr<ProbeLedger> ledger) {
-    EVA_ASSIGN_OR_RETURN(UdfDef def, ctx->catalog->GetUdf(udf));
-    return OperatorPtr(new StoreOp(ctx, std::move(child), std::move(def),
-                                   view_name, std::move(ledger)));
-  }
-
-  Result<Chunk> Next() override {
-    // A chunk of placeholder rows only stores presence and yields no rows;
-    // it must not read as the end of the stream.
-    while (true) {
-      EVA_ASSIGN_OR_RETURN(Chunk in, child_->Next());
-      if (in.empty()) return Chunk(output_schema_);
-      MaterializedView* view =
-          ctx_->views->GetOrCreate(view_name_, value_schema_);
-      EVA_RETURN_IF_ERROR(CheckViewSchema(*view, value_schema_));
-      Chunk out = Store(std::move(in), view);
-      if (!out.empty()) return out;
-    }
-  }
-
- private:
-  // The ledger's verdict on `key`: 1 when the probe hit it, 0 when it
-  // missed, -1 when it was not probed. Keys come in chunk order, so the
-  // cursor only moves forward; a key the walk does not find is unprobed.
-  int Verdict(const ViewKey& key) {
-    const std::vector<ViewKey>& probed = ledger_->keys;
-    while (ledger_pos_ < probed.size() && probed[ledger_pos_] < key) {
-      ++ledger_pos_;
-    }
-    if (ledger_pos_ == probed.size() || !(probed[ledger_pos_] == key)) {
-      return -1;
-    }
-    return ledger_->hit[ledger_pos_];
-  }
-
-  // Queues `key` for the PutBatch unless the probe hit it; true if queued.
-  bool AddKey(const ViewKey& key) {
-    const int verdict = Verdict(key);
-    if (verdict == 1) return false;
-    keys_.push_back(key);
-    absent_.push_back(verdict == 0);
-    return true;
-  }
-
-  Chunk Store(Chunk in, MaterializedView* view) {
-    const ColumnVec& ids =
-        in.lane(static_cast<size_t>(in.schema().IndexOf(kColId)));
-    const int obj_idx = in.schema().IndexOf(kColObj);
-    const size_t n = in.num_rows();
-    keys_.clear();
-    absent_.clear();
+    store_keys_.clear();
     key_rows_.assign(1, 0);
     rows_.clear();
-    ledger_pos_ = 0;
-    if (def_.kind == UdfKind::kDetector) {
-      // One key per run of rows of a frame; presence is recorded even for
-      // frames whose detector output is empty (NULL placeholder rows),
-      // which are dropped here.
-      const size_t n_outputs = value_schema_.num_fields();
-      const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-      size_t placeholders = 0;
-      for (size_t begin = 0, end = 0; begin < n; begin = end) {
-        const int64_t frame = Int64Cell(ids, begin);
-        end = begin;
-        while (end < n && Int64Cell(ids, end) == frame) ++end;
-        const bool queued = AddKey(ViewKey{frame, -1});
-        for (size_t r = begin; r < end; ++r) {
-          if (objs.NullAt(r)) {
-            ++placeholders;
-          } else if (queued) {
-            rows_.push_back(static_cast<uint32_t>(r));
-          }
+    apply_rows_ = 0;
+    HitCopier hits(this, results, width);
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      const auto parent = static_cast<uint32_t>(r);
+      const int32_t from = from_[r];
+      if (from >= 0) {
+        const storage::ProbeOutcome& oc =
+            joins_[static_cast<size_t>(from)].res.outcomes[outcome_[r]];
+        const auto begin = static_cast<size_t>(oc.rows_begin);
+        const auto count = static_cast<size_t>(oc.rows_count);
+        if (detector) {
+          hits.Copy(static_cast<size_t>(from), oc.seg_index, begin,
+                    begin + count);
+          parents_.insert(parents_.end(), count, parent);
+          apply_rows_ += count;
+          continue;
         }
-        if (queued) key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
+        if (count > 0) {
+          hits.Copy(static_cast<size_t>(from), oc.seg_index, begin,
+                    begin + 1);
+        } else {
+          hits.Flush();
+          results->AppendNull();
+        }
+        ++apply_rows_;
+        continue;
       }
-      Put(view, {in.cols().data() + (in.num_columns() - n_outputs),
-                 n_outputs});
-      if (placeholders == 0) return in;
-      if (placeholders == n) return Chunk(output_schema_);
-      rows_.clear();
-      for (size_t r = 0; r < n; ++r) {
-        if (!objs.NullAt(r)) rows_.push_back(static_cast<uint32_t>(r));
+      hits.Flush();
+      if (from == kNullObj) {
+        results->AppendNull();
+        ++apply_rows_;
+        continue;
       }
-      return GatherRows(in, rows_, &gather_remaps_);
-    }
-    // Classifier / filter UDF: one row per key; every row passes through.
-    const auto val_idx =
-        static_cast<size_t>(in.schema().IndexOf(def_.name));
-    const ColumnVec& vals = in.lane(val_idx);
-    for (size_t r = 0; r < n; ++r) {
-      if (vals.NullAt(r)) continue;
-      int64_t obj = -1;
-      if (def_.kind == UdfKind::kClassifier) {
-        const ColumnVec& objs = in.lane(static_cast<size_t>(obj_idx));
-        if (objs.NullAt(r)) continue;
-        obj = Int64Cell(objs, r);
+      const int64_t frame = keys_[r].frame;
+      if (detector) {
+        const size_t first = results[0].lane().size();
+        EVA_ASSIGN_OR_RETURN(size_t dets, runner_.Detect(frame, results));
+        parents_.insert(parents_.end(), dets, parent);
+        // CondApply kept a NULL row for a frame without detections.
+        apply_rows_ += std::max<size_t>(dets, 1);
+        for (size_t i = first; i < first + dets; ++i) {
+          rows_.push_back(static_cast<uint32_t>(i));
+        }
+      } else {
+        if (def_.kind == UdfKind::kClassifier) {
+          EVA_ASSIGN_OR_RETURN(vision::Label label,
+                               runner_.Classify(frame, keys_[r].obj));
+          results->AppendLabel(*label.vocab, label.id);
+        } else {
+          EVA_ASSIGN_OR_RETURN(bool pass, runner_.Filter(frame));
+          results->AppendBool(pass);
+        }
+        ++apply_rows_;
+        rows_.push_back(parent);
       }
-      if (!AddKey(ViewKey{Int64Cell(ids, r), obj})) continue;
-      rows_.push_back(static_cast<uint32_t>(r));
+      store_keys_.push_back(keys_[r]);
       key_rows_.push_back(static_cast<uint32_t>(rows_.size()));
     }
-    Put(view, {in.cols().data() + val_idx, 1});
-    return in;
+    hits.Flush();
+    if (detector) {
+      remaps_.Clear();
+      GatherColumns(in, 0, base_, parents_, &out, 0, &remaps_);
+    } else {
+      for (size_t c = 0; c < base_; ++c) out.col(c) = std::move(in.col(c));
+    }
+    return out;
   }
 
-  // One PutBatch of keys_ over the lanes `values`, then the materialize
-  // charge of each inserted key, in key order, and the chunk's row count.
-  void Put(MaterializedView* view, std::span<const TailLane> values) {
-    // New source lanes: the code tables of the last chunk do not apply.
-    remaps_.Clear();
-    if (keys_.empty()) return;
+  // STORE: one PutBatch of the evaluated keys over the output lanes, then
+  // the materialize charge of each inserted key, in key order. When the
+  // chain probed v, every evaluated key is known absent from it.
+  Status Store(const Chunk& out) {
+    MaterializedView* view =
+        ctx_->views->GetOrCreate(store_view_, value_schema_);
+    EVA_RETURN_IF_ERROR(CheckViewSchema(*view, value_schema_));
+    put_remaps_.Clear();  // new source lanes
+    if (store_keys_.empty()) return Status::OK();
     values_.clear();
-    for (const TailLane& lane : values) values_.push_back(&lane.lane());
-    view->PutBatch(keys_, absent_, key_rows_, rows_, values_, next_tick_,
-                   ctx_->query_id, &remaps_, &inserted_);
+    for (size_t c = 0; c < value_schema_.num_fields(); ++c) {
+      values_.push_back(&out.lane(base_ + c));
+    }
+    view->PutBatch(store_keys_, store_probed_, key_rows_, rows_, values_,
+                   next_tick_, ctx_->query_id, &put_remaps_, &inserted_);
     int64_t materialized = 0;
-    for (size_t k = 0; k < keys_.size(); ++k) {
+    for (size_t k = 0; k < store_keys_.size(); ++k) {
       if (inserted_[k] == 0) continue;
       const uint32_t rows = key_rows_[k + 1] - key_rows_[k];
       // A detector key charges one row more: its presence.
@@ -1199,53 +988,54 @@ class StoreOp : public Operator {
                        static_cast<double>(charged));
       materialized += charged;
     }
-    if (materialized == 0) return;
-    if (ctx_->active_stats != nullptr) {
-      ctx_->active_stats->rows_materialized += materialized;
+    if (materialized == 0) return Status::OK();
+    if (store_stats_ != nullptr) {
+      store_stats_->rows_materialized += materialized;
     }
     if (materialized_ != nullptr) {
       materialized_->Increment(static_cast<double>(materialized));
     }
+    return Status::OK();
   }
 
-  StoreOp(ExecContext* ctx, OperatorPtr child, UdfDef def,
-          std::string view_name, std::unique_ptr<ProbeLedger> ledger)
-      : Operator(ctx, child->output_schema()),
-        ledger_(std::move(ledger)),
-        child_(std::move(child)),
-        def_(std::move(def)),
-        view_name_(std::move(view_name)),
-        value_schema_(UdfOutputSchema(def_)),
-        next_tick_([ctx] { return ctx->views->NextAccessTick(); }) {
-    if (ctx->obs_registry != nullptr) {
-      materialized_ = ctx->obs_registry->GetCounter(
-          "eva_materialized_rows_total",
-          "Rows appended to materialized views",
-          {{"view", view_name_}});
-    }
-  }
-
-  // Declared before child_, so it outlives the ViewJoin that fills it.
-  std::unique_ptr<ProbeLedger> ledger_;
   OperatorPtr child_;
   UdfDef def_;
-  std::string view_name_;
   Schema value_schema_;
-  size_t ledger_pos_ = 0;  // Verdict's cursor into *ledger_
-  // Draws an access tick only for keys Put actually inserts.
+  size_t base_;  // input columns, before the UDF outputs
+  size_t id_col_;
+  int obj_col_;
+  std::vector<Join> joins_;
+  // One per inner node: the joins, then the apply node under a STORE.
+  std::vector<NodeMeter> meters_;
+  obs::OperatorStats* apply_stats_ = nullptr;
+  UdfRunner runner_;
+  // STORE(v); store_view_ is empty without one.
+  std::string store_view_;
+  bool store_probed_ = false;  // v is one of the joined views
+  obs::OperatorStats* store_stats_ = nullptr;
+  obs::Counter* materialized_ = nullptr;
+  // Draws an access tick only for keys PutBatch actually inserts.
   std::function<uint64_t()> next_tick_;
-  storage::PutRemaps remaps_;  // this chunk's lanes -> view tails
-  // One chunk's PutBatch: key k's rows are rows_[key_rows_[k] ..
-  // key_rows_[k + 1]); detector placeholder rows are in none. absent_[k]
-  // is set when this view's probe missed key k.
-  std::vector<ViewKey> keys_;
-  std::vector<uint8_t> absent_;
+  // Per-chunk scratch, reused across Next() calls.
+  std::vector<ViewKey> keys_;      // each input row's key
+  std::vector<int32_t> from_;      // the join that hit each row, or k*
+  std::vector<uint32_t> outcome_;  // a hit row's outcome in that join
+  std::vector<uint32_t> pending_;  // rows no join has hit yet, in order
+  std::vector<uint32_t> still_pending_;
+  int64_t hit_rows_ = 0;   // stored rows of this chunk's hits (detector)
+  size_t apply_rows_ = 0;  // rows the apply node would have emitted
+  std::vector<std::pair<int64_t, uint64_t>> accesses_;  // per hit run
+  std::vector<uint32_t> parents_;   // input row of each output row
+  std::vector<uint32_t> run_rows_;  // HitCopier's pending run
+  LaneRemaps remaps_;               // input columns gathered by parent
+  // STORE's PutBatch: key k's rows are rows_[key_rows_[k] ..
+  // key_rows_[k + 1]) of the output lanes.
+  std::vector<ViewKey> store_keys_;
   std::vector<uint32_t> key_rows_;
   std::vector<uint32_t> rows_;
-  std::vector<const ColumnVec*> values_;  // the chunk's value lanes
+  std::vector<const ColumnVec*> values_;
   std::vector<uint8_t> inserted_;
-  LaneRemaps gather_remaps_;
-  obs::Counter* materialized_ = nullptr;
+  storage::PutRemaps put_remaps_;  // this chunk's lanes -> view tails
 };
 
 // ---------------------------------------------------------------------------
@@ -1440,11 +1230,7 @@ class StatsOp : public Operator {
       : Operator(ctx, inner->output_schema()),
         inner_(std::move(inner)),
         stats_(stats) {
-    if (ctx->obs_registry != nullptr) {
-      rows_out_ = ctx->obs_registry->GetCounter(
-          "eva_operator_rows_total", "Rows emitted per physical operator",
-          {{"op", plan::PlanKindName(node->kind())}});
-    }
+    rows_out_ = OperatorRowsCounter(ctx, node->kind());
   }
 
   Result<Chunk> Next() override {
@@ -1490,11 +1276,44 @@ class StatsOp : public Operator {
 
 namespace {
 
-Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx,
-                          Ledgers* ledgers);
+Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx);
+
+// The ReuseChainOp of the chain a STORE or CondApply node tops.
+Result<OperatorPtr> BuildChain(const plan::PlanNodePtr& top,
+                               ExecContext* ctx) {
+  const plan::StoreNode* store = nullptr;
+  const plan::PlanNode* apply = top.get();
+  if (top->kind() == PlanKind::kStore) {
+    store = static_cast<const plan::StoreNode*>(top.get());
+    apply = top->child().get();
+  }
+  std::string udf;
+  if (apply->kind() == PlanKind::kApply) {
+    udf = static_cast<const plan::ApplyNode*>(apply)->udf();
+  } else if (apply->kind() == PlanKind::kCondApply) {
+    udf = static_cast<const plan::CondApplyNode*>(apply)->udf();
+  } else {
+    return Status::Internal("STORE(" + store->view_name() +
+                            ") needs an Apply or CondApply child");
+  }
+  // A CondApply's ViewJoins, top-down until the chain's input.
+  std::vector<const plan::ViewJoinNode*> joins;
+  const plan::PlanNodePtr* input = &apply->child();
+  while (apply->kind() == PlanKind::kCondApply &&
+         (*input)->kind() == PlanKind::kViewJoin) {
+    joins.push_back(static_cast<const plan::ViewJoinNode*>(input->get()));
+    input = &(*input)->child();
+  }
+  if (apply->kind() == PlanKind::kCondApply && joins.empty()) {
+    return Status::Internal("CondApply(" + udf + ") needs view-joined input");
+  }
+  std::reverse(joins.begin(), joins.end());
+  EVA_ASSIGN_OR_RETURN(OperatorPtr child, Build(*input, ctx));
+  return ReuseChainOp::Make(ctx, std::move(child), joins, apply, udf, store);
+}
 
 Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
-                                      ExecContext* ctx, Ledgers* ledgers) {
+                                      ExecContext* ctx) {
   switch (node->kind()) {
     case PlanKind::kVideoScan: {
       auto* scan = static_cast<const plan::VideoScanNode*>(node.get());
@@ -1503,49 +1322,28 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
     case PlanKind::kFilter: {
       auto* filter = static_cast<const plan::FilterNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
+                           Build(node->child(), ctx));
       return OperatorPtr(
           new FilterOp(ctx, std::move(child), filter->predicate()));
     }
     case PlanKind::kApply: {
       auto* apply = static_cast<const plan::ApplyNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
-      return ApplyOp::Make(ctx, std::move(child), apply->udf(),
-                           apply->emit_presence_placeholders());
+                           Build(node->child(), ctx));
+      return ApplyOp::Make(ctx, std::move(child), apply->udf());
     }
-    case PlanKind::kCondApply: {
-      auto* apply = static_cast<const plan::CondApplyNode*>(node.get());
-      EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
-      return CondApplyOp::Make(ctx, std::move(child), apply->udf());
-    }
-    case PlanKind::kViewJoin: {
-      auto* join = static_cast<const plan::ViewJoinNode*>(node.get());
-      EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
-      auto ledger = ledgers->find(join->view_name());
-      return ViewJoinOp::Make(
-          ctx, std::move(child), join->udf(), join->view_name(),
-          join->scan_all_for_dedup(),
-          ledger != ledgers->end() ? ledger->second : nullptr);
-    }
-    case PlanKind::kStore: {
-      auto* store = static_cast<const plan::StoreNode*>(node.get());
-      // The ViewJoin of this view in the subtree reports to this STORE.
-      auto ledger = std::make_unique<ProbeLedger>();
-      ProbeLedger* outer =
-          std::exchange((*ledgers)[store->view_name()], ledger.get());
-      Result<OperatorPtr> child = Build(node->child(), ctx, ledgers);
-      (*ledgers)[store->view_name()] = outer;
-      if (!child.ok()) return child.status();
-      return StoreOp::Make(ctx, child.MoveValue(), store->udf(),
-                           store->view_name(), std::move(ledger));
-    }
+    case PlanKind::kCondApply:
+    case PlanKind::kStore:
+      return BuildChain(node, ctx);
+    case PlanKind::kViewJoin:
+      return Status::Internal(
+          "ViewJoin(" +
+          static_cast<const plan::ViewJoinNode*>(node.get())->view_name() +
+          ") needs a CondApply above it");
     case PlanKind::kProject: {
       auto* proj = static_cast<const plan::ProjectNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
+                           Build(node->child(), ctx));
       // A bound column or UDF output keeps the child's field type, a
       // literal its value's, and a comparison or logical expression is a
       // BOOL verdict; anything else (an unbound name, `*`) raises on every
@@ -1582,14 +1380,14 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
     case PlanKind::kLimit: {
       auto* limit = static_cast<const plan::LimitNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
+                           Build(node->child(), ctx));
       return OperatorPtr(
           new LimitOp(ctx, std::move(child), limit->limit()));
     }
     case PlanKind::kAggregate: {
       auto* agg = static_cast<const plan::AggregateNode*>(node.get());
       EVA_ASSIGN_OR_RETURN(OperatorPtr child,
-                           Build(node->child(), ctx, ledgers));
+                           Build(node->child(), ctx));
       Schema schema;
       for (const std::string& col : agg->group_by()) {
         int idx = child->output_schema().IndexOf(col);
@@ -1608,9 +1406,8 @@ Result<OperatorPtr> BuildOperatorImpl(const plan::PlanNodePtr& node,
   return Status::Internal("unknown plan node kind");
 }
 
-Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx,
-                          Ledgers* ledgers) {
-  EVA_ASSIGN_OR_RETURN(OperatorPtr op, BuildOperatorImpl(node, ctx, ledgers));
+Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx) {
+  EVA_ASSIGN_OR_RETURN(OperatorPtr op, BuildOperatorImpl(node, ctx));
   // Wrap only when someone is listening: per-node stats (EXPLAIN ANALYZE)
   // or the metrics registry. The plain execution path keeps its exact
   // pre-observability operator tree.
@@ -1624,8 +1421,7 @@ Result<OperatorPtr> Build(const plan::PlanNodePtr& node, ExecContext* ctx,
 
 Result<OperatorPtr> BuildOperator(const plan::PlanNodePtr& node,
                                   ExecContext* ctx) {
-  Ledgers ledgers;
-  return Build(node, ctx, &ledgers);
+  return Build(node, ctx);
 }
 
 Result<Batch> ExecutePlan(const plan::PlanNodePtr& plan, ExecContext* ctx) {

@@ -389,7 +389,6 @@ Result<OptimizedQuery> Optimizer::Optimize(
       node = cond;
     } else {
       auto apply = std::make_shared<plan::ApplyNode>(udf_name);
-      apply->set_emit_presence_placeholders(true);
       apply->AddChild(node);
       node = apply;
     }
@@ -502,7 +501,6 @@ Result<OptimizedQuery> Optimizer::Optimize(
         node = cond;
       } else {
         auto apply = std::make_shared<plan::ApplyNode>(sel.execute_udf);
-        apply->set_emit_presence_placeholders(materialize);
         apply->AddChild(node);
         node = apply;
       }

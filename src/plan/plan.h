@@ -94,21 +94,10 @@ class ApplyNode : public PlanNode {
 
   const std::string& udf() const { return udf_; }
 
-  /// When a STORE sits above this apply, frames where the detector found
-  /// nothing must still flow as NULL placeholders so the view records
-  /// "processed, zero objects" (dropped again by the STORE).
-  bool emit_presence_placeholders() const {
-    return emit_presence_placeholders_;
-  }
-  void set_emit_presence_placeholders(bool v) {
-    emit_presence_placeholders_ = v;
-  }
-
   std::string Describe() const override;
 
  private:
   std::string udf_;
-  bool emit_presence_placeholders_ = false;
 };
 
 /// Conditional apply (A[p*]): evaluates `udf` only for rows whose outputs

@@ -818,8 +818,7 @@ std::vector<TailLane> LanesFor(const Schema& schema) {
   return lanes;
 }
 
-void TailLane::Expect(DataType type) const {
-  if (type == type_) return;
+void TailLane::WrongType(DataType type) const {
   std::fprintf(stderr, "lane of type %s: appended a %s cell\n",
                DataTypeName(type_), DataTypeName(type));
   std::abort();
@@ -1016,35 +1015,10 @@ void TailLane::AppendGather(const ColumnVec& src, const uint32_t* rows,
   AppendRows(src, n, [rows](size_t k) { return size_t{rows[k]}; }, remap);
 }
 
-void TailLane::AppendInt64(int64_t x) {
-  Expect(DataType::kInt64);
-  PushRow(false);
-  lane_.i64_.push_back(x);
-}
-
-void TailLane::AppendDouble(double x) {
-  Expect(DataType::kDouble);
-  PushRow(false);
-  lane_.f64_.push_back(x);
-}
-
-void TailLane::AppendBool(bool x) {
-  Expect(DataType::kBool);
-  PushRow(false);
-  lane_.b8_.push_back(x ? 1 : 0);
-}
-
 void TailLane::AppendString(const std::string& x) {
   Expect(DataType::kString);
   PushRow(false);
   lane_.codes_.push_back(CodeOf(x));
-}
-
-void TailLane::AppendLabel(const std::vector<std::string>& vocab,
-                           size_t id) {
-  Expect(DataType::kString);
-  PushRow(false);
-  lane_.codes_.push_back(LabelCode(vocab, id));
 }
 
 void TailLane::AppendNull() {
@@ -1066,7 +1040,7 @@ void TailLane::AppendNull() {
   }
 }
 
-void TailLane::PushRow(bool null) {
+void TailLane::PushRowWithNulls(bool null) {
   const size_t i = lane_.n_++;
   // The null bitmap, once allocated, covers every row (NullAt's contract).
   if (!lane_.null_bits_.empty() && (i >> 6) >= lane_.null_bits_.size()) {

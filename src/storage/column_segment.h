@@ -308,15 +308,31 @@ class TailLane {
                     std::vector<int32_t>* remap);
   // Typed appends, each equal to Append(Value(x)) without building the
   // Value.
-  void AppendInt64(int64_t x);
-  void AppendDouble(double x);
-  void AppendBool(bool x);
+  void AppendInt64(int64_t x) {
+    Expect(DataType::kInt64);
+    PushRow(false);
+    lane_.i64_.push_back(x);
+  }
+  void AppendDouble(double x) {
+    Expect(DataType::kDouble);
+    PushRow(false);
+    lane_.f64_.push_back(x);
+  }
+  void AppendBool(bool x) {
+    Expect(DataType::kBool);
+    PushRow(false);
+    lane_.b8_.push_back(x ? 1 : 0);
+  }
   void AppendString(const std::string& x);
   /// AppendString(vocab[id]) for an entry of a long-lived vocabulary: the
   /// entry's lane code comes from a per-vocabulary table, so the name is
   /// neither copied nor hashed after its first append. `vocab` must
   /// outlive the lane and not change.
-  void AppendLabel(const std::vector<std::string>& vocab, size_t id);
+  void AppendLabel(const std::vector<std::string>& vocab, size_t id) {
+    Expect(DataType::kString);
+    PushRow(false);
+    lane_.codes_.push_back(LabelCode(vocab, id));
+  }
   void AppendNull();
   const ColumnVec& lane() const { return lane_; }
   /// The sealed plain column.
@@ -328,8 +344,19 @@ class TailLane {
   void AppendRows(const ColumnVec& src, size_t n, RowFn row,
                   std::vector<int32_t>* remap);
   /// Aborts unless the lane is of `type`.
-  void Expect(DataType type) const;
-  void PushRow(bool null);
+  void Expect(DataType type) const {
+    if (type != type_) WrongType(type);
+  }
+  [[noreturn]] void WrongType(DataType type) const;
+  void PushRow(bool null) {
+    if (!null && lane_.null_bits_.empty()) {
+      ++lane_.n_;  // no bitmap to extend
+      return;
+    }
+    PushRowWithNulls(null);
+  }
+  /// PushRow for a lane that has or gets a null bitmap.
+  void PushRowWithNulls(bool null);
   /// PushRow(false) `count` times.
   void PushRows(size_t count);
   int32_t CodeOf(const std::string& s);

@@ -609,7 +609,7 @@ Status InstallSegments(const DecodedSegments& decoded, uint64_t tick,
     cols.clear();
     for (const ColumnVec& col : seg.cols) cols.push_back(&col);
     PutRemaps remaps;  // each segment's columns have their own dictionaries
-    view->PutBatch(seg.keys, {}, seg.key_rows, rows, cols, next_tick,
+    view->PutBatch(seg.keys, false, seg.key_rows, rows, cols, next_tick,
                    query_id, &remaps, &inserted);
   }
   return Status::OK();

@@ -119,7 +119,7 @@ void MaterializedView::FlushPutRowsLocked(
 }
 
 void MaterializedView::PutBatch(std::span<const ViewKey> keys,
-                                std::span<const uint8_t> absent,
+                                bool known_absent,
                                 std::span<const uint32_t> key_rows,
                                 std::span<const uint32_t> rows,
                                 std::span<const ColumnVec* const> cols,
@@ -142,7 +142,7 @@ void MaterializedView::PutBatch(std::span<const ViewKey> keys,
     put_rows_.clear();
     for (size_t k = begin; k < end; ++k) {
       const ViewKey& key = keys[k];
-      if (absent.empty() || absent[k] == 0 || sealed_here) {
+      if (!known_absent || sealed_here) {
         if (seg.info.keys > 0 && ContainsLocked(seg, key, &cursor)) continue;
       } else if (TailHas(seg.tail, key)) {
         continue;  // known absent, but repeated in this batch

@@ -182,11 +182,10 @@ class MaterializedView {
   /// Appends each key of `keys` with its result rows to its segment's
   /// tail unless the key is already present (append-only STORE semantics;
   /// a key repeated in the batch is present from its first occurrence).
-  /// `absent` is empty or has one flag per key: a set flag says the
-  /// caller's own ProbeBatch missed the key and nothing has written the
-  /// view since, so the key is checked against the tail only, not the
-  /// sealed key index. A flagged key that is in fact sealed makes the
-  /// next seal of its segment abort. A key at or below
+  /// `known_absent` says the caller's own ProbeBatch missed every key and
+  /// nothing has written the view since, so each key is checked against
+  /// the tail only, not the sealed key index; a known-absent key that is
+  /// in fact sealed makes the next seal of its segment abort. A key at or below
   /// its tail's last key first seals the segment, so tails stay
   /// ascending (only WAL replay puts keys in such an order). Key k's
   /// rows are rows[key_rows[k] .. key_rows[k + 1]) (key_rows has
@@ -199,7 +198,7 @@ class MaterializedView {
   /// key, in key order, for the access stamp of the key's segment
   /// (eviction scoring). `inserted` gets one flag per key. One exclusive
   /// lock for the batch.
-  void PutBatch(std::span<const ViewKey> keys, std::span<const uint8_t> absent,
+  void PutBatch(std::span<const ViewKey> keys, bool known_absent,
                 std::span<const uint32_t> key_rows,
                 std::span<const uint32_t> rows,
                 std::span<const ColumnVec* const> cols,

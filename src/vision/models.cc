@@ -52,12 +52,10 @@ const std::vector<std::string>& BoolLabels() {
 DetectorModel::DetectorModel(catalog::UdfDef def)
     : def_(std::move(def)), name_seed_(HashName(def_.name)) {}
 
-std::vector<Detection> DetectorModel::Detect(const SyntheticVideo& video,
-                                             int64_t frame_id) const {
-  std::vector<Detection> out;
-  const auto& objects = video.FrameObjects(frame_id);
-  out.reserve(objects.size());
-  for (const GtObject& gt : objects) {
+void DetectorModel::DetectInto(const SyntheticVideo& video, int64_t frame_id,
+                               std::vector<Detection>* out) const {
+  out->clear();
+  for (const GtObject& gt : video.FrameObjects(frame_id)) {
     Rng rng = ObjectRng(name_seed_, frame_id, gt.obj_id);
     double recall = gt.area >= 0.2 ? def_.recall : def_.recall_small;
     if (!rng.NextBool(recall)) continue;
@@ -67,9 +65,8 @@ std::vector<Detection> DetectorModel::Detect(const SyntheticVideo& video,
     d.area = gt.area;
     // Confidence shrinks for low-accuracy models.
     d.score = gt.score * (0.6 + 0.4 * def_.recall);
-    out.push_back(d);
+    out->push_back(d);
   }
-  return out;
 }
 
 ClassifierModel::ClassifierModel(catalog::UdfDef def)

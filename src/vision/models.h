@@ -44,8 +44,16 @@ class DetectorModel {
   double cost_ms() const { return def_.cost_ms; }
   const catalog::UdfDef& def() const { return def_; }
 
+  /// The frame's detections, into `out` (cleared first): one buffer
+  /// serves every frame of a caller.
+  void DetectInto(const SyntheticVideo& video, int64_t frame_id,
+                  std::vector<Detection>* out) const;
   std::vector<Detection> Detect(const SyntheticVideo& video,
-                                int64_t frame_id) const;
+                                int64_t frame_id) const {
+    std::vector<Detection> out;
+    DetectInto(video, frame_id, &out);
+    return out;
+  }
 
  private:
   catalog::UdfDef def_;

@@ -1448,7 +1448,7 @@ TEST(CodecResealTest, LanePutMatchesValuePuts) {
           key_rows.push_back(static_cast<uint32_t>(batch_rows.size()));
         }
         std::vector<uint8_t> inserted;
-        by_lanes.PutBatch(batch_keys, {}, key_rows, batch_rows, values,
+        by_lanes.PutBatch(batch_keys, false, key_rows, batch_rows, values,
                           next_tick, -1, &remaps, &inserted);
         ASSERT_EQ(inserted.size(), batch_keys.size());
         for (size_t k = begin; k < end; ++k) {
@@ -1543,7 +1543,7 @@ TEST(CodecResealTest, OutOfOrderPutBatchSealsFirst) {
       }
     }
     auto put = [&](MaterializedView* view, const std::vector<int64_t>& order,
-                   const std::vector<uint8_t>& absent) {
+                   bool known_absent) {
       std::vector<ViewKey> keys;
       std::vector<uint32_t> key_rows{0};
       std::vector<uint32_t> rows;
@@ -1555,7 +1555,7 @@ TEST(CodecResealTest, OutOfOrderPutBatchSealsFirst) {
       }
       PutRemaps remaps;
       std::vector<uint8_t> inserted;
-      view->PutBatch(keys, absent, key_rows, rows, LaneColumns(lanes),
+      view->PutBatch(keys, known_absent, key_rows, rows, LaneColumns(lanes),
                      [] { return uint64_t{1}; }, -1, &remaps, &inserted);
       return inserted;
     };
@@ -1575,13 +1575,12 @@ TEST(CodecResealTest, OutOfOrderPutBatchSealsFirst) {
       MaterializedView one_shot("t@v", schema);
       one_shot.set_segment_frames(32);
       one_shot.set_build_options({compress});
-      const std::vector<uint8_t> inserted = put(
-          disordered, shuffled, std::vector<uint8_t>(flagged ? 40 : 0, 1));
+      const std::vector<uint8_t> inserted = put(disordered, shuffled, flagged);
       EXPECT_EQ(inserted, std::vector<uint8_t>(40, 1));
       // Segment 0 went below its tail at frames 12 and 0; segment 1
       // (frames 32..39) only ever ascended.
       EXPECT_EQ(store.seal_totals().segments_sealed.load(), 2);
-      put(&one_shot, ascending, {});
+      put(&one_shot, ascending, false);
       auto a = disordered->SealedSegments();
       auto b = one_shot.SealedSegments();
       ASSERT_EQ(a.size(), b.size());
@@ -1642,7 +1641,7 @@ TEST(CodecResealTest, MovedFirstSealEqualsGatheredSeal) {
       PutRemaps remaps;
       std::vector<uint8_t> inserted;
       std::vector<TailLane>& lanes = tail.cols;
-      view.PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes),
+      view.PutBatch(keys, false, key_rows, rows, LaneColumns(lanes),
                     [] { return uint64_t{1}; }, -1, &remaps, &inserted);
       // The gather: every key's rows copied lane to lane, as a merge does.
       SegmentCells gathered;

@@ -143,7 +143,6 @@ TEST_F(OperatorTest, FilterDropsRows) {
 
 TEST_F(OperatorTest, StoreMaterializesDetectorResultsIncludingEmptyFrames) {
   auto apply = std::make_shared<plan::ApplyNode>("Det");
-  apply->set_emit_presence_placeholders(true);
   auto store = Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
                      Chain(apply, Scan(0, 40)));
   Batch out = Run(store);
@@ -160,8 +159,7 @@ TEST_F(OperatorTest, ViewJoinServesHitsAndMarksMisses) {
   // Materialize [0, 20) first.
   {
     auto apply = std::make_shared<plan::ApplyNode>("Det");
-    apply->set_emit_presence_placeholders(true);
-    Run(Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
+      Run(Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
               Chain(apply, Scan(0, 20))));
   }
   metrics_ = QueryMetrics();
@@ -179,24 +177,22 @@ TEST_F(OperatorTest, ViewJoinServesHitsAndMarksMisses) {
   EXPECT_GT(clock_.Elapsed(CostCategory::kReadView), 0);
 }
 
-// A logical-reuse chain: Det2's view fills frames [0, 20), whose rows pass
-// Det's ViewJoin unprobed, and Det's view already holds [10, 30). STORE
-// must check those pass-through keys against the view (inserting
-// [0, 10), skipping [10, 20)), skip Det's probe hits [20, 30) and insert
-// its misses [30, 40) unchecked: no key twice, and the materialize count
-// of a STORE that checked every key.
-TEST_F(OperatorTest, LogicalReuseChainStoresPassThroughKeysOnce) {
+// A logical-reuse chain: Det2's view fills frames [0, 20), and Det's
+// view already holds [10, 30). Frames [0, 20) come from Det2's view and
+// are never probed in Det's, [20, 30) hit Det's view, and only [30, 40)
+// reach Det. STORE(Det) inserts exactly those evaluated keys, so Det's
+// view keeps only Det's own output: Det2's rows never enter it.
+TEST_F(OperatorTest, LogicalReuseChainStoresOnlyEvaluatedKeys) {
   auto materialize = [this](const std::string& udf, int64_t lo, int64_t hi) {
-    auto apply = std::make_shared<plan::ApplyNode>(udf);
-    apply->set_emit_presence_placeholders(true);
     Run(Chain(std::make_shared<plan::StoreNode>(udf, udf + "@v"),
-              Chain(apply, Scan(lo, hi))));
+              Chain(std::make_shared<plan::ApplyNode>(udf), Scan(lo, hi))));
   };
   materialize("Det2", 0, 20);
   materialize("Det", 10, 30);
   std::map<const plan::PlanNode*, obs::OperatorStats> stats;
   ctx_.node_stats = &stats;
   clock_.Reset();
+  metrics_ = QueryMetrics();
   auto first = Chain(std::make_shared<plan::ViewJoinNode>("Det2", "Det2@v"),
                      Scan(0, 40));
   auto second =
@@ -205,25 +201,27 @@ TEST_F(OperatorTest, LogicalReuseChainStoresPassThroughKeysOnce) {
   auto store = Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"), cond);
   Batch out = Run(store);
   EXPECT_EQ(static_cast<int64_t>(out.num_rows()), TotalGtObjects(0, 40));
+  EXPECT_EQ(metrics_.reused["Det2"], 20);
+  EXPECT_EQ(metrics_.reused["Det"], 10);
+  EXPECT_EQ(stats[cond.get()].udf_invocations.load(), 10);
 
   // Each inserted detector key charges its rows plus its presence.
-  const int64_t materialized = TotalGtObjects(0, 10) + 10 +
-                               TotalGtObjects(30, 40) + 10;
+  const int64_t materialized = TotalGtObjects(30, 40) + 10;
   EXPECT_EQ(stats[store.get()].rows_materialized.load(), materialized);
   EXPECT_DOUBLE_EQ(clock_.Elapsed(CostCategory::kMaterialize),
                    ctx_.costs.materialize_ms_per_row *
                        static_cast<double>(materialized));
   storage::MaterializedView* view = views_.Find("Det@v");
-  EXPECT_EQ(view->num_keys(), 40);
-  EXPECT_EQ(view->num_rows(), TotalGtObjects(0, 40));
+  EXPECT_EQ(view->num_keys(), 30);
+  EXPECT_EQ(view->num_rows(), TotalGtObjects(10, 40));
   std::vector<int64_t> frames;
   for (const auto& [seg_id, seg] : view->SealedSegments()) {
     for (size_t k = 0; k < seg->num_keys(); ++k) {
       frames.push_back(seg->key_frame(k));
     }
   }
-  std::vector<int64_t> want(40);
-  for (int64_t f = 0; f < 40; ++f) want[static_cast<size_t>(f)] = f;
+  std::vector<int64_t> want;
+  for (int64_t f = 10; f < 40; ++f) want.push_back(f);
   EXPECT_EQ(frames, want);
 }
 
@@ -364,9 +362,8 @@ TEST_F(OperatorTest, ChunkWithNoRowsLeftDoesNotEndTheQuery) {
   ASSERT_GE(first_empty, 0);
   ASSERT_GT(TotalGtObjects(first_empty + 16, 400), 0);
 
-  // Store: a chunk of placeholder rows only (frames without objects).
+  // Store: a chunk of frames without objects stores their presence only.
   auto apply = std::make_shared<plan::ApplyNode>("Det");
-  apply->set_emit_presence_placeholders(true);
   Batch stored = Run(Chain(std::make_shared<plan::StoreNode>("Det", "Sparse@v"),
                            Chain(apply, Scan(0, 400))));
   EXPECT_EQ(stored.num_rows(), static_cast<size_t>(TotalGtObjects(0, 400)));
@@ -381,7 +378,7 @@ TEST_F(OperatorTest, ChunkWithNoRowsLeftDoesNotEndTheQuery) {
   EXPECT_EQ(joined.num_rows(), static_cast<size_t>(TotalGtObjects(0, 400)));
   EXPECT_EQ(metrics_.reused["Det"], 400);  // every frame from the view
 
-  // Apply without placeholders: a chunk of frames without detections.
+  // Apply without a STORE: a chunk of frames without detections.
   Batch applied = Run(Chain(std::make_shared<plan::ApplyNode>("Det"),
                             Scan(0, 400)));
   EXPECT_EQ(applied.num_rows(), static_cast<size_t>(TotalGtObjects(0, 400)));
@@ -414,8 +411,7 @@ TEST_F(OperatorTest, HashStashFullScanChargesWholeView) {
   // dedup pass reads all materialized rows.
   {
     auto apply = std::make_shared<plan::ApplyNode>("Det");
-    apply->set_emit_presence_placeholders(true);
-    Run(Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
+      Run(Chain(std::make_shared<plan::StoreNode>("Det", "Det@v"),
               Chain(apply, Scan(0, 20))));
   }
   clock_.Reset();

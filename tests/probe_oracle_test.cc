@@ -90,7 +90,7 @@ void PutKeys(const std::vector<MaterializedView*>& views,
     PutRemaps remaps;
     std::vector<uint8_t> inserted;
     uint64_t t = *tick;
-    view->PutBatch(keys, {}, key_rows, rows, cols, [&t] { return ++t; }, 1,
+    view->PutBatch(keys, false, key_rows, rows, cols, [&t] { return ++t; }, 1,
                    &remaps, &inserted);
   }
   *tick += keys.size();

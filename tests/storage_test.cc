@@ -70,7 +70,7 @@ TEST(MaterializedViewTest, ReappendDrawsNoTick) {
   storage::PutRemaps remaps;
   std::vector<uint8_t> inserted;
   auto put = [&](int64_t query_id) {
-    view->PutBatch(keys, {}, key_rows, rows, cols, next_tick, query_id,
+    view->PutBatch(keys, false, key_rows, rows, cols, next_tick, query_id,
                    &remaps, &inserted);
     EXPECT_EQ(inserted.size(), 1u);
     return inserted.at(0) != 0;
@@ -180,7 +180,7 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   };
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes), next_tick, 9,
+  view->PutBatch(keys, false, key_rows, rows, LaneColumns(lanes), next_tick, 9,
                  &remaps, &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 0, 0, 0, 0, 1}));
   EXPECT_EQ(store.current_tick(), 2u);  // one tick per inserted key
@@ -196,9 +196,8 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   // Keys the caller's probe missed skip the presence check; a repeat in
   // the batch is still inserted once.
   const std::vector<ViewKey> fresh = {{9, -1}, {9, -1}, {4, -1}};
-  const std::vector<uint8_t> absent = {1, 1, 1};
   const std::vector<uint32_t> fresh_rows = {7, 7, 8};
-  view->PutBatch(fresh, absent, {key_rows.data(), 4}, fresh_rows,
+  view->PutBatch(fresh, true, {key_rows.data(), 4}, fresh_rows,
                  LaneColumns(lanes), next_tick, 9, &remaps, &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 0, 1}));
   EXPECT_EQ(view->num_keys(), 8);
@@ -212,7 +211,7 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   // tail's 11), so the first occurrence sits in the sealed part by then.
   const std::vector<ViewKey> across = {{11, -1}, {6, -1}, {11, -1}};
   const std::vector<uint32_t> across_rows = {6, 7, 8};
-  view->PutBatch(across, absent, {key_rows.data(), 4}, across_rows,
+  view->PutBatch(across, true, {key_rows.data(), 4}, across_rows,
                  LaneColumns(lanes), next_tick, 9, &remaps, &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 1, 0}));
   EXPECT_EQ(view->num_keys(), 10);
@@ -225,9 +224,8 @@ TEST(MaterializedViewTest, PutBatchInsertsARepeatedKeyOnce) {
   // The same across runs: 10 seals segment 0 under 13, a key of segment 1
   // ends the run, and the repeat of 13 opens a second run of segment 0.
   const std::vector<ViewKey> runs = {{13, -1}, {10, -1}, {600, -1}, {13, -1}};
-  const std::vector<uint8_t> runs_absent = {1, 1, 1, 1};
   const std::vector<uint32_t> runs_rows = {3, 4, 5, 6};
-  view->PutBatch(runs, runs_absent, {key_rows.data(), 5}, runs_rows,
+  view->PutBatch(runs, true, {key_rows.data(), 5}, runs_rows,
                  LaneColumns(lanes), next_tick, 9, &remaps, &inserted);
   EXPECT_EQ(inserted, (std::vector<uint8_t>{1, 1, 1, 0}));
   EXPECT_EQ(view->num_keys(), 13);
@@ -263,7 +261,7 @@ TEST(MaterializedViewTest, SealInsidePutBatchDrainsEveryKeyOnce) {
       rows.push_back(static_cast<uint32_t>(f));
       key_rows.push_back(static_cast<uint32_t>(rows.size()));
     }
-    view->PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes), next_tick,
+    view->PutBatch(keys, false, key_rows, rows, LaneColumns(lanes), next_tick,
                    0, &remaps, &inserted);
   };
   auto expect_rows = [](const ColumnarSegment& chunk) {
@@ -321,12 +319,11 @@ void PutAStoredKeyAsAbsent() {
   lanes[2].AppendDouble(0.5);
   lanes[3].AppendDouble(0.7);
   const std::vector<ViewKey> keys = {{2, -1}};
-  const std::vector<uint8_t> absent = {1};
   const std::vector<uint32_t> key_rows = {0, 1};
   const std::vector<uint32_t> rows = {0};
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch(keys, absent, key_rows, rows, LaneColumns(lanes),
+  view->PutBatch(keys, true, key_rows, rows, LaneColumns(lanes),
                  [] { return uint64_t{1}; }, 0, &remaps, &inserted);
   view->SealAllSegments();
 }

@@ -245,7 +245,7 @@ void PutKeys(MaterializedView* view, const std::vector<ViewKey>& keys) {
   for (uint32_t r = 0; r < rows.size(); ++r) rows[r] = r;
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch(keys, {}, key_rows, rows, LaneColumns(lanes),
+  view->PutBatch(keys, false, key_rows, rows, LaneColumns(lanes),
                  [] { return uint64_t{0}; }, -1, &remaps, &inserted);
 }
 

@@ -60,7 +60,7 @@ inline bool PutRows(MaterializedView* view, const ViewKey& key,
   const uint32_t key_rows[] = {0, static_cast<uint32_t>(rows.size())};
   PutRemaps remaps;
   std::vector<uint8_t> inserted;
-  view->PutBatch({&key, 1}, {}, key_rows, row_ids, LaneColumns(lanes),
+  view->PutBatch({&key, 1}, false, key_rows, row_ids, LaneColumns(lanes),
                  [tick] { return tick; }, query_id, &remaps, &inserted);
   return inserted[0] != 0;
 }

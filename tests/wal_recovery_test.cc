@@ -472,7 +472,7 @@ TEST_F(WalRecoveryTest, AppendOfAnotherColumnTypeInstallsNothing) {
     for (const storage::TailLane& lane : lanes) cols.push_back(&lane.lane());
     storage::PutRemaps remaps;
     std::vector<uint8_t> inserted;
-    view.PutBatch({&key, 1}, {}, key_rows, rows, cols,
+    view.PutBatch({&key, 1}, false, key_rows, rows, cols,
                   [] { return uint64_t{1}; }, -1, &remaps, &inserted);
   }
   const auto sealed = view.SealedSegments();
